@@ -201,9 +201,29 @@ def product_lattice(p: LatticeSpec, q: LatticeSpec) -> LatticeSpec:
 # ---------------------------------------------------------------------------
 # constructions
 
-def _theta_only(name, m, n, fn, dense_cap=DENSE_TABLE_CAP):
+def _gather(values):
+    """values[idx] elementwise, as the LazyTable contract asks: an int for
+    an int index, an int64 array for an int64 index array."""
+    arr = None
+
+    def get(idx):
+        nonlocal arr
+        if isinstance(idx, int):
+            return values[idx]
+        if arr is None:
+            import numpy as np
+
+            arr = np.asarray(values, dtype=np.int64)
+        return arr[idx]
+
+    return get
+
+
+def _theta_only(name, m, n, fn):
+    """A theta-only algebra; fn must meet the LazyTable contract, since
+    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP."""
     sig = Signature((("theta", n + 1),))
-    if m ** (n + 1) <= dense_cap:
+    if m ** (n + 1) <= DENSE_TABLE_CAP:
         tbl = table_from_fn(n + 1, m, fn)
     else:
         tbl = LazyTable(n + 1, fn, note=name)
@@ -228,9 +248,10 @@ def build_semigroup_algebra(sg: MonoidSpec, n: int, i: int) -> FiniteAlgebra:
     if not 1 <= i <= n:
         raise AlgebraError(f"translation index {i} out of range 1..{n}")
     m = sg.size
+    mul = _gather(sg.table.entries)
 
     def theta(*args):
-        return sg.mul(args[i - 1], args[-1])
+        return mul(args[i - 1] * m + args[-1])
 
     if not isinstance(sg, GroupSpec):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
@@ -336,10 +357,12 @@ def build_bounded_monoid_algebra(mo: MonoidSpec, n: int) -> FiniteAlgebra:
                     f"element {a}: order does not divide n-1 = {n - 1}"
                 )
 
+    mul = _gather(mo.table.entries)
+
     def theta(*args):
         acc = args[0]
         for x in args[1:]:
-            acc = mo.mul(acc, x)
+            acc = mul(acc * m + x)
         return acc
 
     return _theta_only(f"BddMonoid{m}n{n}", m, n, theta)
@@ -356,10 +379,12 @@ def build_lattice_theta(lat: LatticeSpec, variant: str) -> FiniteAlgebra:
     """
     if not lat.is_distributive():
         raise AlgebraError("lattice is not distributive")
+    m = lat.size
+    join, meet = _gather(lat.join.entries), _gather(lat.meet.entries)
     if variant == "meet-last":
-        fn = lambda a, b, c: lat._m(lat._j(a, b), c)
+        fn = lambda a, b, c: meet(join(a * m + b) * m + c)
     elif variant == "meet-middle":
-        fn = lambda a, b, c: lat._m(lat._j(a, c), b)
+        fn = lambda a, b, c: meet(join(a * m + c) * m + b)
     else:
         raise AlgebraError(f"unknown variant {variant!r}")
     return _theta_only(f"Lat{lat.size}-{variant}", lat.size, 2, fn)
@@ -396,6 +421,37 @@ def build_boolean_protomodular(k: int) -> FiniteAlgebra:
     )
 
 
+def _encode(values, m):
+    code = 0
+    for v in values:
+        code = code * m + v
+    return code
+
+
+def _map_composition(m, n):
+    """theta(f1,...,fn,g) = g o (f1,...,fn) on the maps A^n -> A for
+    |A| = m, each encoded by its value table over A^n in lexicographic
+    point order as base-m digits, most significant first.  Digit
+    arithmetic only, so it is elementwise over int64 arrays."""
+    points = m ** n
+    weight = _gather(tuple(m ** (points - 1 - p) for p in range(points)))
+
+    def value(code, p):
+        return code // weight(p) % m
+
+    def theta(*codes):
+        out = 0
+        for i in range(points):
+            # lexicographic index of the point (f1(i), ..., fn(i))
+            p = 0
+            for f in codes[:-1]:
+                p = p * m + value(f, i)
+            out = out * m + value(codes[-1], p)
+        return out
+
+    return theta
+
+
 def build_map_composition_algebra(m: int, n: int) -> FiniteAlgebra:
     """Carrier: all maps A^n -> A for |A| = m, encoded by their value
     tables as base-m digits; theta(f1,...,fn,g) = g o (f1,...,fn)."""
@@ -405,30 +461,7 @@ def build_map_composition_algebra(m: int, n: int) -> FiniteAlgebra:
         raise BudgetError(
             f"map carrier {m}^{points} = {size} exceeds cap {MAP_CARRIER_CAP}"
         )
-    tuples = list(itertools.product(range(m), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-
-    def decode(code):
-        digits = []
-        for _ in range(points):
-            code, r = divmod(code, m)
-            digits.append(r)
-        return list(reversed(digits))
-
-    def encode(values):
-        code = 0
-        for v in values:
-            code = code * m + v
-        return code
-
-    def theta(*codes):
-        fs = [decode(c) for c in codes[:-1]]
-        g = decode(codes[-1])
-        return encode([
-            g[index[tuple(f[i] for f in fs)]] for i in range(points)
-        ])
-
-    return _theta_only(f"Maps-m{m}-n{n}", size, n, theta)
+    return _theta_only(f"Maps-m{m}-n{n}", size, n, _map_composition(m, n))
 
 
 def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
@@ -446,18 +479,20 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     size = len(retractions)
     if size > MAP_CARRIER_CAP:
         raise BudgetError(f"retraction carrier {size} exceeds cap")
-    code = {vals: i for i, vals in enumerate(retractions)}
+    # element i is the map with code codes[i]; rank inverts that
+    codes = [_encode(vals, m) for vals in retractions]
+    rank = [-1] * m ** points
+    for i, c in enumerate(codes):
+        rank[c] = i
+    compose = _map_composition(m, n)
+    code_of, rank_of = _gather(codes), _gather(rank)
 
     def theta(*args):
-        fs = [retractions[a] for a in args[:-1]]
-        g = retractions[args[-1]]
-        return code[tuple(
-            g[index[tuple(f[i] for f in fs)]] for i in range(points)
-        )]
+        return rank_of(compose(*(code_of(a) for a in args)))
 
     base = _theta_only(f"Retr-m{m}-n{n}", size, n, theta)
     units = [
-        code[tuple(t[i] for t in tuples)] for i in range(n)
+        rank[_encode((t[i] for t in tuples), m)] for i in range(n)
     ]
     return build_alphas_from_surjectivity(base, units)
 

@@ -92,7 +92,10 @@ def cmd_check(args, out):
     kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
     if args.budget:
         kw["budget"] = args.budget
-    reports = [check_identity(alg, i, **kw) for i in identities]
+    try:
+        reports = [check_identity(alg, i, **kw) for i in identities]
+    except ValueError as e:  # e.g. sampled mode with --samples < 1
+        raise SystemExit2(str(e))
     _emit_reports(reports, args.format, out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 

@@ -109,7 +109,13 @@ class DenseTable:
 
 class LazyTable:
     """A total operation backed by a Python function instead of a stored
-    table; used when m^arity is too large to materialize."""
+    table; used when m^arity is too large to materialize.
+
+    Contract: fn is elementwise.  Called with arity ints it returns an int;
+    called with arity int64 arrays of one length it returns the int64
+    array of its values at each position.  The sampled identity kernel
+    relies on the array form; lookup and materialize use the int form.
+    """
 
     __slots__ = ("arity", "fn", "note")
 

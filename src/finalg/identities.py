@@ -6,7 +6,10 @@ Exhaustive checks enumerate assignment tuples in lexicographic order over
 the declared variable list, so a reported counterexample is always the
 lexicographically first one.  Sampled mode draws tuples from a Mersenne
 Twister (random.Random) seeded with a caller-supplied 64-bit seed, which
-is recorded in the report for reproducibility.
+is recorded in the report for reproducibility.  The tuples are exactly
+those of a loop of rng.randrange(m) calls; they are drawn in batches from
+that unchanged MT19937 stream and checked through numpy.  Every failure a
+vectorized path reports is re-confirmed with eval_term first.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from .core import (
     CheckReport,
     Constant,
     DenseTable,
+    EvalError,
     FiniteAlgebra,
     Identity,
     SymbolError,
@@ -32,6 +36,7 @@ from .core import (
 EXHAUSTIVE_BUDGET = 10 ** 8
 _NUMPY_THRESHOLD = 1 << 14
 _CHUNK = 1 << 20
+_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,8 @@ def check_identity(
     m = alg.size
     k = len(variables)
     if mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         return _check_sampled(alg, ident, samples, seed)
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
@@ -109,6 +116,69 @@ def _check_exhaustive_py(alg, ident, total):
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
+def _np_tables(alg, ident):
+    """Per op symbol of ident: its DenseTable entries as one int64 array,
+    or its LazyTable function."""
+    import numpy as np
+
+    tables = {}
+    for s in _op_symbols(ident):
+        t = alg.op(s)
+        tables[s] = (np.asarray(t.entries, dtype=np.int64)
+                     if isinstance(t, DenseTable) else t.fn)
+    return tables
+
+
+def _eval_np(alg, tables, t, env):
+    """Evaluate t elementwise; env maps each variable to an int64 array,
+    all of one length.  Constants and variable-free subterms stay scalars
+    and broadcast against the arrays."""
+    import numpy as np
+
+    if isinstance(t, Variable):
+        return env[t.name]
+    if isinstance(t, Constant):
+        return alg.constant(t.name)
+    tbl = tables[t.op]
+    if callable(tbl):
+        args = [_eval_np(alg, tables, a, env) for a in t.args]
+        if any(isinstance(a, np.ndarray) for a in args):
+            args = np.broadcast_arrays(*args)
+        return tbl(*args)
+    # fold each argument into the flat index as soon as it is evaluated,
+    # so at most two argument-sized arrays are alive
+    flat = None
+    for a in t.args:
+        v = _eval_np(alg, tables, a, env)
+        flat = v if flat is None else flat * alg.size + v
+    out = tbl[flat]
+    return out if isinstance(out, np.ndarray) else int(out)
+
+
+def _first_bad(alg, tables, ident, env, size):
+    """Index of the first of size assignments in env that violates ident,
+    or None."""
+    import numpy as np
+
+    bad = _eval_np(alg, tables, ident.lhs, env) != _eval_np(
+        alg, tables, ident.rhs, env)
+    bad = np.broadcast_to(bad, (size,))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _confirmed_fail(alg, ident, tup, checked, seed=None):
+    """The FAIL report for tup, after eval_term confirms that tup violates
+    ident; a vectorized verdict eval_term contradicts raises EvalError."""
+    env = dict(zip(ident.variables, tup))
+    if eval_term(alg, ident.lhs, env) == eval_term(alg, ident.rhs, env):
+        raise EvalError(
+            f"identity {ident.name!r}: the vectorized kernel reports a "
+            f"failure at {env} that eval_term does not confirm"
+        )
+    return CheckReport("fail", ident.name, counterexample=env,
+                       tuples_checked=checked, seed=seed)
+
+
 def _check_exhaustive_np(alg, ident, total):
     import numpy as np
 
@@ -121,56 +191,63 @@ def _check_exhaustive_np(alg, ident, total):
         inner -= 1
     outer = k - inner
     grid = np.indices((m,) * inner).reshape(inner, -1)
-    tables = {
-        s: np.asarray(alg.tables[s].entries, dtype=np.int64)
-        for s in _op_symbols(ident)
-    }
-
-    def ev(t, env):
-        if isinstance(t, Variable):
-            return env[t.name]
-        if isinstance(t, Constant):
-            return alg.constant(t.name)
-        flat = None
-        for a in t.args:
-            v = ev(a, env)
-            flat = v if flat is None else flat * m + v
-        return tables[t.op][flat]
-
+    tables = _np_tables(alg, ident)
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables[:outer], prefix))
-        for i, v in enumerate(variables[outer:]):
-            env[v] = grid[i]
-        bad = ev(ident.lhs, env) != ev(ident.rhs, env)
-        if np.any(bad):
-            j = int(np.argmax(bad))
+        env.update(zip(variables[outer:], grid))
+        j = _first_bad(alg, tables, ident, env, m ** inner)
+        if j is not None:
             suffix = np.unravel_index(j, (m,) * inner)
             tup = prefix + tuple(int(x) for x in suffix)
-            return CheckReport(
-                "fail", ident.name,
-                counterexample=dict(zip(variables, tup)),
-                tuples_checked=checked + j + 1,
-            )
+            return _confirmed_fail(alg, ident, tup, checked + j + 1)
         checked += m ** inner
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
+def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
+    """The samples tuples of k draws rng.randrange(m) each, in order, as
+    (k, b) int64 arrays of at most _BATCH tuples.
+
+    randrange(m) keeps the top m.bit_length() bits of one 32-bit MT19937
+    word and draws again while the result is >= m
+    (Random._randbelow_with_getrandbits).  This takes the words of a
+    batch from one rng.getrandbits(32*W) call, whose words come least
+    significant first, and applies the same shift and rejection, so the
+    tuples are exactly those of the scalar loop.
+    """
+    import numpy as np
+
+    bits = m.bit_length()
+    if bits > 32:
+        raise ValueError(f"sampled mode needs a carrier below 2^32, got {m}")
+    pool = np.empty(0, dtype=np.int64)  # accepted draws not yet used
+    while samples > 0:
+        b = min(samples, _BATCH)
+        need = b * k
+        while pool.size < need:
+            # a word is accepted with probability m / 2^bits >= 1/2
+            words = ((need - pool.size) << bits) // m + 64
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            draws = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
+            pool = np.concatenate([pool, draws[draws < m]])
+        yield pool[:need].reshape(b, k).T
+        pool = pool[need:]
+        samples -= b
+
+
 def _check_sampled(alg, ident, samples, seed):
-    var_pos = {v: i for i, v in enumerate(ident.variables)}
-    lhs = compile_term(alg, ident.lhs, var_pos)
-    rhs = compile_term(alg, ident.rhs, var_pos)
+    tables = _np_tables(alg, ident)
+    variables = ident.variables
     rng = random.Random(seed)  # MT19937
-    m = alg.size
-    k = len(ident.variables)
-    for i in range(samples):
-        tup = tuple(rng.randrange(m) for _ in range(k))
-        if lhs(tup) != rhs(tup):
-            return CheckReport(
-                "fail", ident.name,
-                counterexample=dict(zip(ident.variables, tup)),
-                tuples_checked=i + 1, seed=seed,
-            )
+    checked = 0
+    for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
+        b = cols.shape[1]
+        j = _first_bad(alg, tables, ident, dict(zip(variables, cols)), b)
+        if j is not None:
+            tup = tuple(int(x) for x in cols[:, j])
+            return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)
+        checked += b
     return CheckReport("sampled-pass", ident.name,
                        tuples_checked=samples, seed=seed)
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from finalg import catalog
@@ -236,6 +237,15 @@ def test_map_composition_2assoc():
         assert _passes_2assoc(alg, n)
 
 
+def test_map_composition_sampled_large():
+    alg = catalog.build_map_composition_algebra(2, 3)
+    assert alg.size == 2 ** 8
+    assert isinstance(alg.tables["theta"], LazyTable)
+    rep = check_identity(alg, identity_2assoc(3), mode="sampled",
+                         samples=3000, seed=5)
+    assert (rep.verdict, rep.tuples_checked) == ("sampled-pass", 3000)
+
+
 def test_diagonal_retraction_protomodular():
     alg = catalog.build_diagonal_retraction_algebra(2, 2)
     units = unit_constants(alg, 2)
@@ -299,3 +309,48 @@ def test_twisted_semiloop_not_2assoc_but_strict():
     assert not _passes_2assoc(alg, 1)
     units = unit_constants(alg, 1)
     assert suite_ok(check_suite(alg, suite_semiabelian(1, units)))
+
+
+# --- the LazyTable contract ----------------------------------------------------
+
+LAZY_CAPABLE = {
+    "projection": lambda: catalog.build_projection_algebra(3, 2, 2),
+    "semigroup": lambda: catalog.build_semigroup_algebra(
+        catalog.cyclic_monoid(4), 2, 1),
+    "matrix-row": lambda: catalog.build_matrix_row_algebra(2, 1),
+    "bounded-monoid": lambda: catalog.build_bounded_monoid_algebra(
+        catalog.cyclic_monoid(3), 4),
+    "lattice": lambda: catalog.build_lattice_theta(
+        catalog.product_lattice(catalog.chain_lattice(2),
+                                catalog.chain_lattice(3)), "meet-last"),
+    "map-composition": lambda: catalog.build_map_composition_algebra(2, 2),
+    "diagonal-retraction": lambda: (
+        catalog.build_diagonal_retraction_algebra(2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CAPABLE))
+def test_lazy_theta_is_elementwise_over_arrays(monkeypatch, name):
+    dense_alg = LAZY_CAPABLE[name]()
+    monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
+    alg = LAZY_CAPABLE[name]()
+    theta = alg.op("theta")
+    assert isinstance(theta, LazyTable)
+    assert theta.materialize(alg.size) == dense_alg.op("theta")
+    # sampled reports agree whether theta is lazy or dense; the retraction
+    # algebra mixes its lazy theta with dense alpha tables
+    n = theta.arity - 1
+    idents = [identity_2assoc(n)]
+    if alg.signature.has_op("alpha1"):
+        idents += suite_protomodular(n, unit_constants(alg, n)).identities
+    for ident in idents:
+        reports = [check_identity(a, ident, mode="sampled", samples=500,
+                                  seed=3).to_dict() for a in (alg, dense_alg)]
+        assert reports[0] == reports[1]
+    rng = np.random.default_rng(11)
+    cols = [rng.integers(0, alg.size, 400) for _ in range(theta.arity)]
+    want = [theta.fn(*(int(c[j]) for c in cols)) for j in range(400)]
+    assert all(type(v) is int for v in want)
+    got = theta.fn(*cols)
+    assert got.dtype == np.int64
+    assert got.tolist() == want

@@ -87,6 +87,16 @@ def test_check_sampled_mode(z3_file, capsys):
     assert "seed=5" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_sampled_mode_refuses_no_samples(z3_file, capsys, samples):
+    assert main(["check", z3_file, "--suite", "2assoc:2", "--mode",
+                 "sampled", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_construct_output_parses_and_checks(tmp_path, capsys):
     for args in (
         ["construct", "boolean", "--k", "1"],

@@ -1,17 +1,20 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog
+from finalg import catalog, identities
 from finalg.core import (
     Apply,
     BudgetError,
     Constant,
+    EvalError,
     FiniteAlgebra,
     DenseTable,
     Identity,
+    LazyTable,
     Signature,
     Variable,
     eval_term,
@@ -297,3 +300,147 @@ def test_failure_reports_are_sound(seed, m, n):
         if rep.counterexample is not None:
             env = rep.counterexample
             assert eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env)
+
+
+# --- sampled kernel against the scalar reference loop ----------------------
+
+def scalar_sampled(alg, ident, samples, seed):
+    """Reference for sampled mode: tuple by tuple, one rng.randrange(m) per
+    variable, both sides evaluated with eval_term."""
+    rng = random.Random(seed)
+    for i in range(samples):
+        env = {v: rng.randrange(alg.size) for v in ident.variables}
+        if eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env):
+            return ("fail", env, i + 1, seed)
+    return ("sampled-pass", None, samples, seed)
+
+
+def sampled(alg, ident, samples, seed):
+    rep = check_identity(alg, ident, mode="sampled", samples=samples,
+                         seed=seed)
+    return (rep.verdict, rep.counterexample, rep.tuples_checked, rep.seed)
+
+
+def _standard_identities(alg, n):
+    return (list(suite_semiabelian(n, unit_constants(alg, n)).identities)
+            + [identity_2assoc(n)] + identities_strict(n)
+            + identities_1assoc(n))
+
+
+def _dented_group(rng, m, n):
+    """theta(a*, b) = a1 + b on Z/m with one theta entry redrawn: most
+    identities hold on all but a few tuples."""
+    g = catalog.build_semigroup_algebra(catalog.cyclic_group(m), n, 1)
+    entries = list(g.tables["theta"].entries)
+    entries[rng.randrange(len(entries))] = rng.randrange(m)
+    return FiniteAlgebra("dented", g.signature, m,
+                         {**g.tables, "theta": DenseTable(n + 1, entries)},
+                         g.constants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 7), st.integers(1, 2),
+       st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.integers(1, 400))
+def test_sampled_kernel_matches_scalar_loop(seed, m, n, dented, sample_seed,
+                                            samples):
+    rng = random.Random(seed)
+    build = _dented_group if dented else random_algebra
+    alg = build(rng, m, n)
+    for ident in _standard_identities(alg, n):
+        assert sampled(alg, ident, samples, sample_seed) == scalar_sampled(
+            alg, ident, samples, sample_seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("seed", [0, -1, -123456789, 2 ** 64 + 3])
+def test_sampled_kernel_edge_cases(m, seed):
+    # m = 1 and negative seeds; the semi-abelian suite holds zero-variable
+    # identities (units-equal-*), a constant side (alpha*-unit) and a bare
+    # variable side (retraction)
+    alg = random_algebra(random.Random(m), m, 3)
+    idents = _standard_identities(alg, 3)
+    names = {i.name for i in idents}
+    assert {"units-equal-1", "alpha1-unit", "retraction"} <= names
+    for ident in idents:
+        for samples in (1, 3, 250):
+            assert sampled(alg, ident, samples, seed) == scalar_sampled(
+                alg, ident, samples, seed)
+
+
+def test_sampled_zero_variable_identity(bool2):
+    ident = Identity("units-differ", (), Constant("e1"), Constant("e2"))
+    assert sampled(bool2, ident, 50, 1) == ("fail", {}, 1, 1)
+    same = Identity("units-same", (), Constant("e1"), Constant("e1"))
+    assert sampled(bool2, same, 70000, 1) == ("sampled-pass", None, 70000, 1)
+
+
+def test_sampled_failure_after_several_batches(monkeypatch):
+    # Z/16 with one dented theta entry: 2-associativity fails only on the
+    # rare tuples that reach theta(15, 15)
+    g = catalog.build_semigroup_algebra(catalog.cyclic_group(16), 1, 1)
+    entries = list(g.tables["theta"].entries)
+    entries[-1] = (entries[-1] + 1) % 16
+    alg = FiniteAlgebra("z16-dent", g.signature, 16,
+                        {**g.tables, "theta": DenseTable(2, entries)},
+                        g.constants)
+    ident = identity_2assoc(1)
+    monkeypatch.setattr(identities, "_BATCH", 16)
+    want = scalar_sampled(alg, ident, 5000, 0)
+    assert want[0] == "fail" and want[2] > 3 * 16
+    assert sampled(alg, ident, 5000, 0) == want
+
+
+@pytest.mark.parametrize("batch", [7, 1 << 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 512, 1000, 2 ** 31 + 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_sampled_tuples_are_the_randrange_stream(monkeypatch, batch, m, k):
+    # fails loudly if a Python upgrade changes how randrange draws
+    monkeypatch.setattr(identities, "_BATCH", batch)
+    for seed in (0, -42, 2 ** 80):
+        rng = random.Random(seed)
+        want = [[rng.randrange(m) for _ in range(k)] for _ in range(300)]
+        batches = list(identities._sampled_tuples(
+            random.Random(seed), m, k, 300))
+        assert all(b.dtype == np.int64 and b.shape[0] == k for b in batches)
+        assert all(b.shape[1] <= batch for b in batches)
+        got = np.concatenate(batches, axis=1).T.tolist()
+        assert got == want
+
+
+def test_sampled_mode_refuses_no_samples(z3_n2):
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            check_identity(z3_n2, identity_2assoc(2), mode="sampled",
+                           samples=samples)
+    with pytest.raises(ValueError):
+        list(identities._sampled_tuples(random.Random(0), 2 ** 32, 1, 1))
+
+
+# --- vectorized failures are re-confirmed with eval_term ----------------------
+
+def test_sampled_failure_eval_term_contradicts_raises():
+    # array form shifts every value, int form is the left projection
+    def two_faced(a, b):
+        return (a + 1) % 3 if isinstance(a, np.ndarray) else a
+
+    alg = FiniteAlgebra("two-faced", Signature((("theta", 2),)), 3,
+                        {"theta": LazyTable(2, two_faced)})
+    a, b = Variable("a"), Variable("b")
+    ident = Identity("left-projection", ("a", "b"), Apply("theta", a, b), a)
+    assert check_identity(alg, ident).ok  # scalar exhaustive path
+    with pytest.raises(EvalError):
+        check_identity(alg, ident, mode="sampled", samples=10)
+
+
+def test_exhaustive_np_failure_eval_term_contradicts_raises(monkeypatch):
+    alg = catalog.build_map_composition_algebra(2, 2)
+    ident = identity_2assoc(2)
+    assert check_identity(alg, ident).ok
+    real = identities._np_tables
+
+    def shifted(alg, ident):
+        return {s: (t + 1) % alg.size for s, t in real(alg, ident).items()}
+
+    monkeypatch.setattr(identities, "_np_tables", shifted)
+    with pytest.raises(EvalError):
+        check_identity(alg, ident)
