@@ -16,6 +16,7 @@ from .identities import (
     check_identity,
     check_suite,
     resolve_suite,
+    suite_arity,
     unit_constants,
 )
 
@@ -52,6 +53,17 @@ def _emit_reports(reports, fmt, out):
             out(r.line())
 
 
+def _suite_identities(alg, spec):
+    """The identities of suite spec ('name' or 'name:n'), over alg's unit
+    constants when it declares them; KeyError/ValueError as resolve_suite."""
+    n = suite_arity(spec)
+    try:
+        units = unit_constants(alg, n)
+    except AlgebraError:
+        units = None
+    return resolve_suite(spec, units).identities
+
+
 def cmd_check(args, out):
     alg, file_identities = _load_algebra(args.file)
     v = validate_algebra(alg)
@@ -59,31 +71,21 @@ def cmd_check(args, out):
         raise SystemExit2(f"{args.file}: {v.detail}")
     identities = []
     if args.suite:
-        units = None
         try:
-            n = int(args.suite.partition(":")[2] or 1)
-            units = unit_constants(alg, n)
-        except AlgebraError:
-            units = None
-        try:
-            identities.extend(resolve_suite(args.suite, units).identities)
-        except KeyError as e:
-            raise SystemExit2(str(e))
+            identities.extend(_suite_identities(alg, args.suite))
+        except (KeyError, ValueError) as e:
+            raise SystemExit2(e.args[0])
     by_name = {i.name: i for i in file_identities}
     for name in args.identity or []:
         if name in by_name:
             identities.append(by_name[name])
-        else:
-            try:
-                units = None
-                try:
-                    n = int(name.partition(":")[2] or 1)
-                    units = unit_constants(alg, n)
-                except AlgebraError:
-                    pass
-                identities.extend(resolve_suite(name, units).identities)
-            except KeyError:
-                raise SystemExit2(f"unknown identity or suite {name!r}")
+            continue
+        try:
+            identities.extend(_suite_identities(alg, name))
+        except KeyError:
+            raise SystemExit2(f"unknown identity or suite {name!r}")
+        except ValueError as e:
+            raise SystemExit2(str(e))
     if not identities:
         identities = file_identities
     if not identities:
@@ -264,6 +266,8 @@ def cmd_search(args, out):
             "count": result.count,
             "space_size": result.space_size,
             "nodes": result.nodes,
+            "instances_evaluated": result.instances_evaluated,
+            "elapsed_s": result.elapsed_s,
         }))
     else:
         out(result.summary())

@@ -590,29 +590,46 @@ def check_strict_equivalence(alg: FiniteAlgebra, n: int) -> StrictnessReport:
 # ---------------------------------------------------------------------------
 # suite lookup by "name:n" strings (CLI address space)
 
-def resolve_suite(spec: str, units=None) -> IdentitySuite:
-    """Resolve a 'name' or 'name:n' string to an IdentitySuite."""
+_SUITES = {
+    "protomodular": suite_protomodular,
+    "semiabelian": suite_semiabelian,
+    "2assoc": lambda n, units: suite_2assoc(n),
+    "1assoc": lambda n, units: suite_1assoc(n),
+    "strict": lambda n, units: suite_strict(n),
+    "malcev": lambda n, units: suite_malcev(),
+    "malcev-assoc": lambda n, units: IdentitySuite(
+        "malcev-assoc", 1, (identity_malcev_assoc(),)
+    ),
+    "unit-law": lambda n, units: IdentitySuite(
+        f"unit-law:{n}", n, (identity_unit_law(n, units),)
+    ),
+    "unit-expansion": lambda n, units: IdentitySuite(
+        f"unit-expansion:{n}", n, (identity_unit_expansion(n, units),)
+    ),
+}
+
+
+def suite_arity(spec: str) -> int:
+    """The n of a 'name' or 'name:n' suite string (1 when omitted).
+
+    Raises KeyError for an unknown name and ValueError when n is not an
+    integer >= 1."""
     name, _, ns = spec.partition(":")
-    n = int(ns) if ns else 1
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    try:
+        n = int(ns) if ns else 1
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"suite {spec!r}: arity must be an integer >= 1")
+    return n
+
+
+def resolve_suite(spec: str, units=None) -> IdentitySuite:
+    """Resolve a 'name' or 'name:n' string to an IdentitySuite (errors as
+    in suite_arity)."""
+    n = suite_arity(spec)
     if units is not None and len(units) == 1 and n > 1:
         units = tuple(units) * n
-    builders = {
-        "protomodular": lambda: suite_protomodular(n, units),
-        "semiabelian": lambda: suite_semiabelian(n, units),
-        "2assoc": lambda: suite_2assoc(n),
-        "1assoc": lambda: suite_1assoc(n),
-        "strict": lambda: suite_strict(n),
-        "malcev": lambda: suite_malcev(),
-        "malcev-assoc": lambda: IdentitySuite(
-            "malcev-assoc", 1, (identity_malcev_assoc(),)
-        ),
-        "unit-law": lambda: IdentitySuite(
-            f"unit-law:{n}", n, (identity_unit_law(n, units),)
-        ),
-        "unit-expansion": lambda: IdentitySuite(
-            f"unit-expansion:{n}", n, (identity_unit_expansion(n, units),)
-        ),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown suite {name!r}")
-    return builders[name]()
+    return _SUITES[spec.partition(":")[0]](n, units)

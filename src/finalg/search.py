@@ -1,22 +1,35 @@
 """Finite model search: enumerate operation tables on a small carrier
-satisfying an identity set, by backtracking over table cells with
-constraint propagation.
+satisfying an identity set, by backtracking over table cells.
 
-A partially filled table evaluates an identity instance only when every
-cell the instance touches is decided; a decided mismatch prunes the whole
-subtree.  Cell order is theta's table first (row-major), then the other
-ops, then constants, so the most-constrained symbol fails fastest.
-find-first returns the lexicographically smallest witness under that
-ordering.
+Cell order is theta's table first (row-major), then the other ops, then
+constants, so the most-constrained symbol fails fastest.  find-first
+returns the lexicographically smallest witness under that ordering.
+
+Before the search starts every identity is ground once over the carrier:
+each instance becomes a pair of nested int tuples that index one flat cell
+array (pinned tables, free tables, constants and a read-only slot per
+carrier element), in which -1 marks a cell not yet decided.  Evaluating an
+instance lhs-then-rhs either decides it or stops at its first blocking
+cell, the first undecided cell the evaluation reaches.  An undecided
+instance waits on the watch list of that cell.  Because cells are assigned
+in the fixed free_cells() order, a cell that blocks an instance stays
+undecided until it is itself assigned, so assigning cell d can change the
+state of exactly the instances on watch[d]: each is re-evaluated and either
+decided (a mismatch prunes) or moved to the list of a deeper cell, and the
+moves are popped on backtrack.  Every other instance is as it was at the
+parent node, which had no decided violation, so a node is pruned exactly
+when re-evaluating every instance of every identity would find a decided
+violation: node counts, counts and witnesses equal those of that full
+rescan.
 """
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 from .core import (
     AlgebraError,
-    Apply,
     BudgetError,
     Constant,
     DenseTable,
@@ -72,6 +85,9 @@ class SearchResult:
     count: int = 0
     space_size: int = 0
     nodes: int = 0
+    instances_evaluated: int = 0  # ground identity instances, root pass included
+    # wall time; left out of ==, so two runs of one search compare equal
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def summary(self) -> str:
         if self.outcome == "witness":
@@ -84,60 +100,141 @@ class SearchResult:
         return f"count = {self.count} (space {self.space_size}, nodes {self.nodes})"
 
 
-class _State:
+def _check_spec(spec: SearchSpec) -> None:
+    """Reject a spec whose carrier or pins are not a partial algebra on
+    {0..m-1}: the search would index its cell array with them."""
+    m = spec.size
+    if m < 1:
+        raise AlgebraError(f"carrier must be >= 1, got {m}")
+    for name, tbl in spec.pinned_tables.items():
+        if not spec.signature.has_op(name):
+            raise AlgebraError(f"pinned table {name!r} not in signature")
+        if tbl.arity != spec.signature.arity(name):
+            raise AlgebraError(f"pinned table {name!r} has wrong arity")
+        if len(tbl.entries) != m ** tbl.arity:
+            raise AlgebraError(
+                f"pinned table {name!r} has {len(tbl.entries)} entries, "
+                f"expected {m ** tbl.arity}"
+            )
+        for i, v in enumerate(tbl.entries):
+            if not 0 <= v < m:
+                raise AlgebraError(
+                    f"pinned table {name!r} entry {v} at flat index {i} is "
+                    f"outside 0..{m - 1}"
+                )
+    for cname, v in spec.pinned_constants.items():
+        if not 0 <= v < m:
+            raise AlgebraError(
+                f"pinned constant {cname!r} = {v} is outside 0..{m - 1}"
+            )
+
+
+class _Cells:
+    """The flat cell array: every op table at its offset, one slot per
+    constant, then slot lit + v holding the carrier element v."""
+
     def __init__(self, spec: SearchSpec):
-        self.m = spec.size
-        self.tables = {}
+        self.m = m = spec.size
+        self.offset = {}
+        self.vals = []
         for name, arity in spec.signature.ops:
+            self.offset[name] = len(self.vals)
             pinned = spec.pinned_tables.get(name)
-            if pinned is not None:
-                self.tables[name] = list(pinned.entries)
-            else:
-                self.tables[name] = [None] * (spec.size ** arity)
-        self.constants = {
-            c: spec.pinned_constants.get(c) for c in spec.signature.constants
-        }
+            self.vals.extend(
+                pinned.entries if pinned is not None else [-1] * m ** arity
+            )
+        self.slot = {}
+        for cname in spec.signature.constants:
+            self.slot[cname] = len(self.vals)
+            self.vals.append(spec.pinned_constants.get(cname, -1))
+        self.lit = len(self.vals)
+        self.vals.extend(range(m))
 
-    def eval(self, t, env):
-        """Evaluate a term over the partial tables; None = not yet known."""
+    def cell_slot(self, cell) -> int:
+        sym, idx = cell
+        return self.slot[sym] if idx is None else self.offset[sym] + idx
+
+    def ground(self, t, env: dict):
+        """t with its variables bound by env: a slot (int), or (base,
+        ((weight, subterm), ...)) reading slot base + sum weight * value.
+        Variable arguments are folded into base."""
         if isinstance(t, Variable):
-            return env[t.name]
+            return self.lit + env[t.name]
         if isinstance(t, Constant):
-            return self.constants[t.name]
-        idx = 0
+            return self.slot[t.name]
+        base = self.offset[t.op]
+        kids = []
+        w = self.m ** len(t.args)
         for a in t.args:
-            v = self.eval(a, env)
-            if v is None:
-                return None
-            idx = idx * self.m + v
-        return self.tables[t.op][idx]
+            w //= self.m
+            if isinstance(a, Variable):
+                base += w * env[a.name]
+            else:
+                kids.append((w, self.ground(a, env)))
+        return (base, tuple(kids)) if kids else base
+
+    def instances(self, identities) -> list:
+        """Every ground instance (lhs, rhs), identity by identity and
+        variable tuples in lexicographic order."""
+        out = []
+        for ident in identities:
+            for tup in itertools.product(range(self.m),
+                                         repeat=len(ident.variables)):
+                env = dict(zip(ident.variables, tup))
+                out.append((self.ground(ident.lhs, env),
+                            self.ground(ident.rhs, env)))
+        return out
+
+    def algebra(self, spec: SearchSpec) -> FiniteAlgebra:
+        m = self.m
+        tables = {
+            name: DenseTable(
+                arity,
+                self.vals[self.offset[name]:self.offset[name] + m ** arity],
+            )
+            for name, arity in spec.signature.ops
+        }
+        constants = {c: self.vals[self.slot[c]] for c in spec.signature.constants}
+        return FiniteAlgebra(
+            f"{spec.name}-witness", spec.signature, m, tables, constants,
+        )
 
 
-def _violated(state: _State, identities, variables_cache) -> bool:
-    m = state.m
-    for ident in identities:
-        for tup in itertools.product(range(m), repeat=len(ident.variables)):
-            env = dict(zip(ident.variables, tup))
-            lhs = state.eval(ident.lhs, env)
-            if lhs is None:
+def _value(t, vals) -> int:
+    """The value of ground term t, or ~slot of the first undecided cell
+    its evaluation reaches (always negative)."""
+    if t.__class__ is int:
+        v = vals[t]
+        return v if v >= 0 else ~t
+    base, kids = t
+    for w, kid in kids:
+        v = _value(kid, vals)
+        if v < 0:
+            return v
+        base += w * v
+    v = vals[base]
+    return v if v >= 0 else ~base
+
+
+def _recheck(instances, vals, watch, moved) -> tuple:
+    """Evaluate instances, appending each undecided one to the watch list
+    of its first blocking cell and that cell's slot to moved.  Returns
+    (violated, number evaluated), stopping at the first decided
+    mismatch."""
+    done = 0
+    for inst in instances:
+        done += 1
+        a = _value(inst[0], vals)
+        if a >= 0:
+            b = _value(inst[1], vals)
+            if b >= 0:
+                if a != b:
+                    return True, done
                 continue
-            rhs = state.eval(ident.rhs, env)
-            if rhs is None:
-                continue
-            if lhs != rhs:
-                return True
-    return False
-
-
-def _witness_algebra(spec: SearchSpec, state: _State) -> FiniteAlgebra:
-    tables = {
-        name: DenseTable(arity, state.tables[name])
-        for name, arity in spec.signature.ops
-    }
-    return FiniteAlgebra(
-        f"{spec.name}-witness", spec.signature, spec.size, tables,
-        dict(state.constants),
-    )
+            a = b
+        watch[~a].append(inst)
+        moved.append(~a)
+    return False, done
 
 
 def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
@@ -147,6 +244,8 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     every candidate, and pruning happens only on a decided identity
     violation.  Witnesses are re-verified exhaustively before return.
     """
+    start = time.perf_counter()
+    _check_spec(spec)
     cells = spec.free_cells()
     space = spec.size ** len(cells)
     if space > budget:
@@ -154,56 +253,65 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
             f"search space {spec.size}^{len(cells)} = {space} exceeds "
             f"budget {budget}"
         )
-    for name, tbl in spec.pinned_tables.items():
-        if not spec.signature.has_op(name):
-            raise AlgebraError(f"pinned table {name!r} not in signature")
-        if tbl.arity != spec.signature.arity(name):
-            raise AlgebraError(f"pinned table {name!r} has wrong arity")
-    state = _State(spec)
-    if _violated(state, spec.identities, None):
-        # pins alone already falsify an identity
-        return SearchResult("none-exists", space_size=space, nodes=1)
     m = spec.size
+    layout = _Cells(spec)
+    vals = layout.vals
+    watch = [[] for _ in vals]
+    violated, evaluated = _recheck(
+        layout.instances(spec.identities), vals, watch, []
+    )
+    if violated:
+        # pins alone already falsify an identity
+        return SearchResult(
+            "none-exists", space_size=space, nodes=1,
+            instances_evaluated=evaluated,
+            elapsed_s=time.perf_counter() - start,
+        )
+    slots = [layout.cell_slot(c) for c in cells]
     nodes = 0
     count = 0
     witness = None
 
     def assign(depth):
-        nonlocal nodes, count, witness
-        if depth == len(cells):
+        nonlocal nodes, count, witness, evaluated
+        if depth == len(slots):
             if spec.mode == "count-all":
                 count += 1
                 return False
-            witness = _witness_algebra(spec, state)
+            witness = layout.algebra(spec)
             return spec.mode == "find-first"
-        sym, idx = cells[depth]
+        s = slots[depth]
+        watched = watch[s]
         for v in range(m):
             nodes += 1
-            if idx is None:
-                state.constants[sym] = v
-            else:
-                state.tables[sym][idx] = v
-            if not _violated(state, spec.identities, None):
-                if assign(depth + 1):
-                    return True
-            if idx is None:
-                state.constants[sym] = None
-            else:
-                state.tables[sym][idx] = None
+            vals[s] = v
+            moved = []
+            violated, done = _recheck(watched, vals, watch, moved)
+            evaluated += done
+            if not violated and assign(depth + 1):
+                return True
+            for t in moved:
+                watch[t].pop()
+        vals[s] = -1
         return False
 
-    found = assign(0)
+    assign(0)
     if spec.mode == "count-all":
-        return SearchResult("count", count=count, space_size=space, nodes=nodes)
-    if witness is None:
-        return SearchResult("none-exists", space_size=space, nodes=nodes)
-    for ident in spec.identities:
-        rep = check_identity(witness, ident)
-        if not rep.ok:
-            raise AlgebraError(
-                f"internal error: emitted witness fails {ident.name!r}"
-            )
-    return SearchResult("witness", witness=witness, space_size=space, nodes=nodes)
+        outcome = "count"
+    elif witness is None:
+        outcome = "none-exists"
+    else:
+        outcome = "witness"
+        for ident in spec.identities:
+            rep = check_identity(witness, ident)
+            if not rep.ok:
+                raise AlgebraError(
+                    f"internal error: emitted witness fails {ident.name!r}"
+                )
+    return SearchResult(
+        outcome, witness=witness, count=count, space_size=space, nodes=nodes,
+        instances_evaluated=evaluated, elapsed_s=time.perf_counter() - start,
+    )
 
 
 # alias for contexts where the bare name would shadow this module
@@ -230,6 +338,7 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
         return search(spec)
     if n < 2 or m < 2:
         raise AlgebraError("requires n >= 2 and m >= 2 (or m = 1)")
+    start = time.perf_counter()
     section = m ** n
     nodes = 0
     seen = []
@@ -251,7 +360,8 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     if extend():  # pragma: no cover - unreachable for m >= 2, n >= 2
         raise AlgebraError("unexpected strict candidate found")
     theta_space = m ** (m ** (n + 1))
-    return SearchResult("none-exists", space_size=theta_space, nodes=nodes)
+    return SearchResult("none-exists", space_size=theta_space, nodes=nodes,
+                        elapsed_s=time.perf_counter() - start)
 
 
 def count_2assoc_semiabelian(
@@ -283,19 +393,18 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     sig = Signature(
         tuple((nm, a) for nm, a, _ in raw.ops), tuple(raw.const_order)
     )
-    pinned_tables = {}
-    for nm, arity, entries in raw.ops:
-        if entries is not None:
-            if len(entries) != raw.carrier ** arity:
-                raise dsl.DslError(
-                    f"op {nm!r} has {len(entries)} entries, expected "
-                    f"{raw.carrier ** arity}"
-                )
-            pinned_tables[nm] = DenseTable(arity, entries)
+    pinned_tables = {
+        nm: DenseTable(arity, entries)
+        for nm, arity, entries in raw.ops
+        if entries is not None
+    }
     required = list(identities)
     units = tuple(raw.const_order) or None
     for req in raw.requires:
-        required.extend(resolve_suite(req, units).identities)
+        try:
+            required.extend(resolve_suite(req, units).identities)
+        except (KeyError, ValueError) as e:
+            raise dsl.DslError(e.args[0])
     for ident in required:
         for side in (ident.lhs, ident.rhs):
             try:
@@ -305,9 +414,14 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
                     f"identity {ident.name!r} does not fit the "
                     f"signature of {raw.name!r}: {e}"
                 )
-    return SearchSpec(
+    spec = SearchSpec(
         raw.name, raw.carrier, sig, tuple(required),
         pinned_tables=pinned_tables,
         pinned_constants=dict(raw.consts),
         mode=mode,
     )
+    try:
+        _check_spec(spec)
+    except AlgebraError as e:
+        raise dsl.DslError(f"algebra {raw.name!r}: {e}")
+    return spec

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +227,65 @@ def test_verify_subcommand_single_criterion(capsys):
     assert main(["verify-paper", "--only", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 1
+
+
+@pytest.mark.parametrize("flag", ["--suite", "--identity"])
+@pytest.mark.parametrize("suite", ["2assoc:x", "2assoc:0", "2assoc:-1"])
+def test_check_bad_suite_arity_exit_2(z3_file, capsys, flag, suite):
+    assert main(["check", z3_file, flag, suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+SPEC_HEAD = "algebra S {\n  carrier %d\n  op theta/2 = %s\n"
+
+
+@pytest.mark.parametrize("body, mode", [
+    (SPEC_HEAD % (0, "free") + "  require 2assoc:1\n}\n", "find-first"),
+    (SPEC_HEAD % (0, "free") + "  require 2assoc:1\n}\n", "count-all"),
+    (SPEC_HEAD % (2, "free") + "  op alpha1/2 = free\n  const e = 5\n"
+     "  require semiabelian:1 2assoc:1\n}\n", "prove-none"),
+    (SPEC_HEAD % (2, "[0, 1, 7, 0]") + "  require 2assoc:1\n}\n",
+     "prove-none"),
+    (SPEC_HEAD % (2, "free") + "  require 2assoc:0\n}\n", "find-first"),
+    (SPEC_HEAD % (2, "free") + "  require bogus:1\n}\n", "find-first"),
+], ids=["carrier-0", "carrier-0-count", "const-outside", "entry-outside",
+        "require-arity-0", "require-unknown"])
+def test_search_malformed_spec_exit_2(tmp_path, capsys, body, mode):
+    p = tmp_path / "bad.spec"
+    p.write_text(body)
+    assert main(["search", str(p), "--search-mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict line
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_search_structured_reports_work(tmp_path, capsys):
+    p = tmp_path / "spec.alg"
+    p.write_text(
+        "algebra S {\n  carrier 2\n  op theta/2 = free\n"
+        "  op alpha1/2 = free\n  const e = 0\n"
+        "  require semiabelian:1 2assoc:1\n}\n"
+    )
+    assert main(["search", str(p), "--search-mode", "count-all",
+                 "--format", "structured"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert list(rec) == ["outcome", "count", "space_size", "nodes",
+                         "instances_evaluated", "elapsed_s"]
+    assert (rec["outcome"], rec["count"], rec["space_size"]) == (
+        "count", 1, 256)
+    assert rec["instances_evaluated"] > 0 and rec["elapsed_s"] >= 0
+
+
+def test_python_dash_m_finalg():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finalg", "verify-paper", "--only", "1"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 1

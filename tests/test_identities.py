@@ -34,6 +34,7 @@ from finalg.identities import (
     identity_unit_expansion,
     identity_unit_law,
     resolve_suite,
+    suite_arity,
     suite_ok,
     suite_protomodular,
     suite_semiabelian,
@@ -444,3 +445,13 @@ def test_exhaustive_np_failure_eval_term_contradicts_raises(monkeypatch):
     monkeypatch.setattr(identities, "_np_tables", shifted)
     with pytest.raises(EvalError):
         check_identity(alg, ident)
+
+
+def test_resolve_suite_rejects_bad_arity():
+    for spec in ("2assoc:x", "2assoc:0", "semiabelian:-1", "2assoc:1.5"):
+        with pytest.raises(ValueError):
+            resolve_suite(spec)
+    with pytest.raises(KeyError):
+        resolve_suite("bogus:x")
+    assert suite_arity("semiabelian") == 1
+    assert suite_arity("2assoc:3") == 3

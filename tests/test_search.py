@@ -1,14 +1,19 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finalg import catalog
 from finalg.core import (
     AlgebraError,
     BudgetError,
+    Constant,
     DenseTable,
     Signature,
+    Variable,
     standard_signature,
+    table_from_fn,
     validate_algebra,
 )
 from finalg.identities import (
@@ -16,6 +21,7 @@ from finalg.identities import (
     check_suite,
     identities_malcev,
     identity_2assoc,
+    resolve_suite,
     suite_ok,
     suite_semiabelian,
 )
@@ -171,3 +177,238 @@ def test_witnesses_are_independently_verified():
     w = result.witness
     assert suite_ok(check_suite(w, suite_semiabelian(2, ("e", "e"))))
     assert check_identity(w, identity_2assoc(2)).ok
+
+
+# -- the full-rescan reference searcher ---------------------------------------
+
+class _RescanState:
+    def __init__(self, spec):
+        self.m = spec.size
+        self.tables = {}
+        for name, arity in spec.signature.ops:
+            pinned = spec.pinned_tables.get(name)
+            if pinned is not None:
+                self.tables[name] = list(pinned.entries)
+            else:
+                self.tables[name] = [None] * (spec.size ** arity)
+        self.constants = {
+            c: spec.pinned_constants.get(c) for c in spec.signature.constants
+        }
+
+    def eval(self, t, env):
+        """Evaluate a term over the partial tables; None = not yet known."""
+        if isinstance(t, Variable):
+            return env[t.name]
+        if isinstance(t, Constant):
+            return self.constants[t.name]
+        idx = 0
+        for a in t.args:
+            v = self.eval(a, env)
+            if v is None:
+                return None
+            idx = idx * self.m + v
+        return self.tables[t.op][idx]
+
+
+def _rescan_violated(state, identities):
+    m = state.m
+    for ident in identities:
+        for tup in itertools.product(range(m), repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, tup))
+            lhs = state.eval(ident.lhs, env)
+            if lhs is None:
+                continue
+            rhs = state.eval(ident.rhs, env)
+            if rhs is None:
+                continue
+            if lhs != rhs:
+                return True
+    return False
+
+
+def rescan_search(spec):
+    """Reference searcher: after every assignment it re-evaluates every
+    ground instance of every identity.  Returns (outcome, count, nodes,
+    witness) with the witness as (op tables, constants) or None."""
+    state = _RescanState(spec)
+    if _rescan_violated(state, spec.identities):
+        return "none-exists", 0, 1, None
+    cells = spec.free_cells()
+    nodes = count = 0
+    witness = None
+
+    def assign(depth):
+        nonlocal nodes, count, witness
+        if depth == len(cells):
+            if spec.mode == "count-all":
+                count += 1
+                return False
+            witness = (
+                {k: tuple(v) for k, v in state.tables.items()},
+                dict(state.constants),
+            )
+            return spec.mode == "find-first"
+        sym, idx = cells[depth]
+        for v in range(state.m):
+            nodes += 1
+            if idx is None:
+                state.constants[sym] = v
+            else:
+                state.tables[sym][idx] = v
+            if not _rescan_violated(state, spec.identities):
+                if assign(depth + 1):
+                    return True
+            if idx is None:
+                state.constants[sym] = None
+            else:
+                state.tables[sym][idx] = None
+        return False
+
+    assign(0)
+    if spec.mode == "count-all":
+        return "count", count, nodes, None
+    if witness is None:
+        return "none-exists", 0, nodes, None
+    return "witness", 0, nodes, witness
+
+
+def _assert_matches_rescan(spec):
+    result = search(spec, budget=10 ** 30)
+    outcome, count, nodes, witness = rescan_search(spec)
+    assert (result.outcome, result.count, result.nodes) == (
+        outcome, count, nodes
+    )
+    if witness is None:
+        assert result.witness is None
+    else:
+        w = result.witness
+        assert {k: t.entries for k, t in w.tables.items()} == witness[0]
+        assert w.constants == witness[1]
+    return result
+
+
+def _census_spec(m, n):
+    idents = tuple(
+        resolve_suite(f"semiabelian:{n}", ("e",) * n).identities
+    ) + (identity_2assoc(n),)
+    return SearchSpec(f"census-{m}-{n}", m,
+                      standard_signature(n, shared_unit=True), idents,
+                      mode="count-all")
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_census_matches_full_rescan(m, n):
+    spec = _census_spec(m, n)
+    result = _assert_matches_rescan(spec)
+    assert result.count == count_2assoc_semiabelian(m, n, 10 ** 30).count
+    # a full rescan evaluates every instance at every node
+    per_pass = sum(spec.size ** len(i.variables) for i in spec.identities)
+    assert 0 < result.instances_evaluated < per_pass * (result.nodes + 1)
+
+
+def test_malcev_prove_none_matches_full_rescan():
+    spec = _malcev_2assoc_spec(2)
+    spec.mode = "prove-none"
+    assert _assert_matches_rescan(spec).outcome == "none-exists"
+
+
+GROUP3_SPEC = """
+algebra G {{
+  carrier 3
+  op theta/2 = free
+  op alpha1/2 = free
+  const e = {e}
+  require semiabelian:1 2assoc:1
+}}
+"""
+
+
+@pytest.mark.parametrize("mode", ["find-first", "count-all", "prove-none"])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_group3_specs_match_full_rescan(e, mode):
+    spec = parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode)
+    result = _assert_matches_rescan(spec)
+    if mode == "count-all":
+        assert result.count == 1  # A034383(3) = 3 labeled groups, one per unit
+
+
+def test_census_m4_matches_labeled_groups():
+    assert count_2assoc_semiabelian(4, 1, budget=10 ** 30).count == 16
+
+
+def _model_tables(m, n):
+    """Tables of Z/m models: theta(a*, b) = a1 + b, alpha_i(a, b) = a - b,
+    mu(a, b, c) = a - b + c."""
+    alg = catalog.build_semigroup_algebra(catalog.cyclic_group(m), n, 1)
+    tables = dict(alg.tables)
+    tables["mu"] = table_from_fn(3, m, lambda a, b, c: (a - b + c) % m)
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(1, 2),
+       st.sampled_from(["find-first", "count-all", "prove-none"]))
+def test_random_specs_match_full_rescan(seed, m, n, mode):
+    rng = random.Random(seed)
+    suites = rng.sample(["semiabelian", "2assoc", "1assoc", "malcev"],
+                        rng.randint(1, 3))
+    ops = list(standard_signature(n, shared_unit=True).ops)
+    if "malcev" in suites:
+        ops.append(("mu", 3))
+    idents = []
+    for s in suites:
+        idents.extend(resolve_suite(
+            s if s == "malcev" else f"{s}:{n}", ("e",)).identities)
+    # pin a random subset of ops, then the largest free ones until the
+    # naive space is small enough for the reference searcher
+    pinned = {name for name, _ in ops if rng.random() < 0.3}
+    for name, arity in sorted(ops, key=lambda na: -na[1]):
+        free = 1 + sum(m ** a for nm, a in ops if nm not in pinned)
+        if m ** free <= 20000:
+            break
+        pinned.add(name)
+    models = _model_tables(m, n)
+    pinned_tables = {}
+    for name, arity in ops:
+        if name not in pinned:
+            continue
+        entries = list(models[name].entries)
+        kind = rng.randrange(4)  # model (twice), one entry changed, random
+        if kind == 2:
+            entries[rng.randrange(len(entries))] = rng.randrange(m)
+        elif kind == 3:
+            entries = [rng.randrange(m) for _ in entries]
+        pinned_tables[name] = DenseTable(arity, entries)
+    pinned_constants = {"e": rng.randrange(m)} if rng.random() < 0.5 else {}
+    spec = SearchSpec(f"rand{seed}", m, Signature(tuple(ops), ("e",)),
+                      tuple(idents), pinned_tables=pinned_tables,
+                      pinned_constants=pinned_constants, mode=mode)
+    _assert_matches_rescan(spec)
+
+
+def test_root_violation_reports_one_node():
+    sig = standard_signature(1, shared_unit=True)
+    idents = tuple(suite_semiabelian(1, ("e",)).identities)
+    spec = SearchSpec("bad-pins", 2, sig, idents,
+                      pinned_tables={"alpha1": DenseTable(2, (1, 0, 0, 1))},
+                      pinned_constants={"e": 0})
+    result = search(spec)
+    assert (result.outcome, result.nodes) == ("none-exists", 1)
+    # alpha1(0, 0) = 1 != e is the first instance evaluated
+    assert result.instances_evaluated == 1
+    assert result.elapsed_s >= 0
+
+
+@pytest.mark.parametrize("size, tables, consts", [
+    (0, {}, {}),
+    (2, {}, {"e": 5}),
+    (2, {"theta": DenseTable(2, (0, 1, 7, 0))}, {}),
+    (2, {"theta": DenseTable(2, (0, 1, 1))}, {}),
+])
+def test_search_rejects_pins_outside_carrier(size, tables, consts):
+    sig = standard_signature(1, shared_unit=True)
+    idents = (identity_2assoc(1),)
+    spec = SearchSpec("bad", size, sig, idents, pinned_tables=tables,
+                      pinned_constants=consts)
+    with pytest.raises(AlgebraError):
+        search(spec)
