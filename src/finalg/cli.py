@@ -11,7 +11,13 @@ import json
 import sys
 
 from . import catalog, dsl, groups, search, verify
-from .core import AlgebraError, BudgetError, validate_algebra
+from .core import (
+    AlgebraError,
+    BudgetError,
+    SymbolError,
+    check_term,
+    validate_algebra,
+)
 from .identities import (
     check_identity,
     check_suite,
@@ -91,6 +97,12 @@ def cmd_check(args, out):
     if not identities:
         raise SystemExit2("nothing to check: give --suite or --identity "
                           "or put identity statements in the file")
+    for ident in identities:
+        try:
+            check_term(alg.signature, ident.lhs, set(ident.variables))
+            check_term(alg.signature, ident.rhs, set(ident.variables))
+        except SymbolError as e:
+            raise SystemExit2(f"identity {ident.name!r}: {e}")
     kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
     if args.budget:
         kw["budget"] = args.budget
@@ -273,7 +285,7 @@ def cmd_search(args, out):
         out(result.summary())
     if result.witness is not None:
         out(dsl.serialize(result.witness).rstrip("\n"))
-        return EXIT_OK
+        return EXIT_FAIL if spec.mode == "prove-none" else EXIT_OK
     if result.outcome == "count":
         return EXIT_OK
     return EXIT_FAIL if spec.mode == "find-first" else EXIT_OK

@@ -351,6 +351,9 @@ class CheckReport:
     tuples_checked: int = 0
     seed: int | None = None
     detail: str | None = None
+    # the path check_identity took: "np", "scalar" or "sampled"; left out
+    # of ==, so reports of one check compare equal whichever path ran
+    engine: str | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -374,6 +377,7 @@ class CheckReport:
             "tuples_checked": self.tuples_checked,
             "seed": self.seed,
             "detail": self.detail,
+            "engine": self.engine,
         }
 
 

@@ -239,10 +239,13 @@ def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
     m = raw.carrier
     if m < 1:
         raise DslError(f"algebra {raw.name!r}: carrier must be >= 1")
-    sig = Signature(
-        tuple((n, a) for n, a, _ in raw.ops),
-        tuple(raw.const_order),
-    )
+    try:
+        sig = Signature(
+            tuple((n, a) for n, a, _ in raw.ops),
+            tuple(raw.const_order),
+        )
+    except SymbolError as e:
+        raise DslError(f"algebra {raw.name!r}: {e}") from e
     tables = {}
     for n, arity, entries in raw.ops:
         if entries is None:

@@ -10,6 +10,15 @@ is recorded in the report for reproducibility.  The tuples are exactly
 those of a loop of rng.randrange(m) calls; they are drawn in batches from
 that unchanged MT19937 stream and checked through numpy.  Every failure a
 vectorized path reports is re-confirmed with eval_term first.
+
+An exhaustive check runs on numpy ("np") when every table it reads is
+dense and it has more than _NUMPY_THRESHOLD tuples; lazy tables,
+zero-variable identities and smaller checks run on the scalar loop
+("scalar").  The numpy kernel loops over a lexicographic prefix of the
+variables and evaluates each prefix's block of suffix tuples at once; a
+block holds at most _BLOCK tuples (at least one whole variable), so its
+temporaries stay cache-sized and a failure near the start of the tuple
+order ends the check early.  CheckReport.engine records the path taken.
 """
 from __future__ import annotations
 
@@ -34,8 +43,8 @@ from .core import (
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 8
-_NUMPY_THRESHOLD = 1 << 14
-_CHUNK = 1 << 20
+_NUMPY_THRESHOLD = 1 << 8
+_BLOCK = 1 << 14
 _BATCH = 1 << 16
 
 
@@ -69,21 +78,26 @@ def check_identity(
     if mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
-        return _check_sampled(alg, ident, samples, seed)
-    if mode != "exhaustive":
+        engine, report = "sampled", _check_sampled(alg, ident, samples, seed)
+    elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    total = m ** k
-    if total > budget:
-        raise BudgetError(
-            f"identity {ident.name!r}: {m}^{k} = {total} assignments exceed "
-            f"budget {budget}; use sampled mode"
+    else:
+        total = m ** k
+        if total > budget:
+            raise BudgetError(
+                f"identity {ident.name!r}: {m}^{k} = {total} assignments "
+                f"exceed budget {budget}; use sampled mode"
+            )
+        dense = all(
+            isinstance(alg.tables.get(s), DenseTable)
+            for s in _op_symbols(ident)
         )
-    dense = all(
-        isinstance(alg.tables.get(s), DenseTable) for s in _op_symbols(ident)
-    )
-    if dense and total > _NUMPY_THRESHOLD and k > 0:
-        return _check_exhaustive_np(alg, ident, total)
-    return _check_exhaustive_py(alg, ident, total)
+        if dense and total > _NUMPY_THRESHOLD and k > 0:
+            engine, report = "np", _check_exhaustive_np(alg, ident, total)
+        else:
+            engine, report = "scalar", _check_exhaustive_py(alg, ident, total)
+    report.engine = engine
+    return report
 
 
 def _op_symbols(ident):
@@ -185,23 +199,25 @@ def _check_exhaustive_np(alg, ident, total):
     m = alg.size
     variables = ident.variables
     k = len(variables)
-    # vectorize a suffix of the variables, loop the prefix
+    # vectorize the longest suffix of the variables whose block fits in
+    # _BLOCK tuples (at least one variable), loop the prefix
     inner = k
-    while m ** inner > _CHUNK:
+    while inner > 1 and m ** inner > _BLOCK:
         inner -= 1
     outer = k - inner
+    block = m ** inner
     grid = np.indices((m,) * inner).reshape(inner, -1)
     tables = _np_tables(alg, ident)
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables[:outer], prefix))
         env.update(zip(variables[outer:], grid))
-        j = _first_bad(alg, tables, ident, env, m ** inner)
+        j = _first_bad(alg, tables, ident, env, block)
         if j is not None:
             suffix = np.unravel_index(j, (m,) * inner)
             tup = prefix + tuple(int(x) for x in suffix)
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
-        checked += m ** inner
+        checked += block
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 

@@ -242,7 +242,9 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
 
     prove-none results are exhaustive: the traversal visits or prunes
     every candidate, and pruning happens only on a decided identity
-    violation.  Witnesses are re-verified exhaustively before return.
+    violation.  find-first and prove-none stop at the first model, which
+    for prove-none refutes the non-existence claim (outcome "witness").
+    Witnesses are re-verified exhaustively before return.
     """
     start = time.perf_counter()
     _check_spec(spec)
@@ -279,7 +281,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
                 count += 1
                 return False
             witness = layout.algebra(spec)
-            return spec.mode == "find-first"
+            return True  # find-first is done; prove-none has failed
         s = slots[depth]
         watched = watch[s]
         for v in range(m):
@@ -390,9 +392,12 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     raw = raws[0]
     if raw.carrier is None:
         raise dsl.DslError(f"algebra {raw.name!r}: missing carrier")
-    sig = Signature(
-        tuple((nm, a) for nm, a, _ in raw.ops), tuple(raw.const_order)
-    )
+    try:
+        sig = Signature(
+            tuple((nm, a) for nm, a, _ in raw.ops), tuple(raw.const_order)
+        )
+    except AlgebraError as e:
+        raise dsl.DslError(f"algebra {raw.name!r}: {e}")
     pinned_tables = {
         nm: DenseTable(arity, entries)
         for nm, arity, entries in raw.ops

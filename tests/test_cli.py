@@ -230,7 +230,8 @@ def test_verify_subcommand_single_criterion(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--identity"])
-@pytest.mark.parametrize("suite", ["2assoc:x", "2assoc:0", "2assoc:-1"])
+@pytest.mark.parametrize("suite", ["2assoc:x", "2assoc:0", "2assoc:-1",
+                                   "protomodular:5"])  # z3 has alpha1, alpha2
 def test_check_bad_suite_arity_exit_2(z3_file, capsys, flag, suite):
     assert main(["check", z3_file, flag, suite]) == 2
     captured = capsys.readouterr()
@@ -251,8 +252,10 @@ SPEC_HEAD = "algebra S {\n  carrier %d\n  op theta/2 = %s\n"
      "prove-none"),
     (SPEC_HEAD % (2, "free") + "  require 2assoc:0\n}\n", "find-first"),
     (SPEC_HEAD % (2, "free") + "  require bogus:1\n}\n", "find-first"),
+    (SPEC_HEAD % (2, "free") + "  op beta/0 = free\n  require 2assoc:1\n}\n",
+     "find-first"),
 ], ids=["carrier-0", "carrier-0-count", "const-outside", "entry-outside",
-        "require-arity-0", "require-unknown"])
+        "require-arity-0", "require-unknown", "op-arity-0"])
 def test_search_malformed_spec_exit_2(tmp_path, capsys, body, mode):
     p = tmp_path / "bad.spec"
     p.write_text(body)
@@ -289,3 +292,28 @@ def test_python_dash_m_finalg():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 1
+
+
+def test_check_zero_arity_op_exit_2(tmp_path, capsys):
+    p = tmp_path / "zero.alg"
+    p.write_text("algebra T {\n  carrier 2\n  op theta/0 = [0]\n}\n")
+    assert main(["check", str(p), "--suite", "2assoc:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_search_prove_none_with_a_model_exit_1(tmp_path, capsys):
+    p = tmp_path / "group3.spec"
+    p.write_text(
+        "algebra G {\n  carrier 3\n  op theta/2 = free\n"
+        "  op alpha1/2 = free\n  const e = 0\n"
+        "  require semiabelian:1 2assoc:1\n}\n"
+    )
+    assert main(["search", str(p)]) == 0
+    found = capsys.readouterr().out
+    assert main(["search", str(p), "--search-mode", "prove-none"]) == 1
+    out = capsys.readouterr().out
+    assert out == found
+    assert out.startswith("witness found (space 387420489, nodes 1509)")

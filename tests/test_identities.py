@@ -455,3 +455,116 @@ def test_resolve_suite_rejects_bad_arity():
         resolve_suite("bogus:x")
     assert suite_arity("semiabelian") == 1
     assert suite_arity("2assoc:3") == 3
+
+
+# --- exhaustive numpy kernel: blocks and dispatch --------------------------
+
+def _lazy_view(alg):
+    """alg with every table behind a LazyTable, which forces the scalar
+    exhaustive path."""
+    lazy = {
+        name: LazyTable(t.arity,
+                        (lambda tt: lambda *a: tt.lookup(a, alg.size))(t))
+        for name, t in alg.tables.items()
+    }
+    return FiniteAlgebra(alg.name, alg.signature, alg.size, lazy,
+                         alg.constants)
+
+
+def _record_blocks(monkeypatch):
+    """Wrap the numpy kernel's block check; returns the list of block
+    sizes it is called with."""
+    sizes = []
+    real = identities._first_bad
+
+    def recording(alg, tables, ident, env, size):
+        sizes.append(size)
+        return real(alg, tables, ident, env, size)
+
+    monkeypatch.setattr(identities, "_first_bad", recording)
+    return sizes
+
+
+def test_np_failure_past_the_first_block(monkeypatch):
+    # Map(A^2, A) on a 2-element base satisfies 2assoc:2; one changed
+    # theta entry moves the lex-first failure into the fifth block of
+    # 16^3 suffix tuples
+    alg = catalog.build_map_composition_algebra(2, 2)
+    entries = list(alg.op("theta").entries)
+    entries[67] = (entries[67] + 1) % alg.size
+    tables = dict(alg.tables, theta=DenseTable(3, tuple(entries)))
+    dented = FiniteAlgebra("dented", alg.signature, alg.size, tables,
+                           alg.constants)
+    ident = identity_2assoc(2)
+    sizes = _record_blocks(monkeypatch)
+    rep = check_identity(dented, ident)
+    assert rep.engine == "np"
+    assert rep.verdict == "fail"
+    assert rep.tuples_checked > 2 ** 14
+    assert rep.counterexample == brute_first_counterexample(dented, ident)
+    assert rep.tuples_checked == 1 + sum(
+        v * 16 ** (4 - i) for i, v in enumerate(rep.counterexample.values()))
+    assert len(sizes) > 1
+    assert set(sizes) == {16 ** 3}
+
+
+@pytest.mark.parametrize("dent", [None, 10000])
+def test_np_one_variable_floor(monkeypatch, dent):
+    # a carrier above _BLOCK still checks a one-variable identity in a
+    # single block of m tuples, not one numpy call per tuple
+    m = 2 ** 14 + 3
+    entries = [m - 1 - a for a in range(m)]
+    if dent is not None:
+        entries[dent] = 5
+    alg = FiniteAlgebra("involution", Signature((("g", 1),)), m,
+                        {"g": DenseTable(1, tuple(entries))})
+    a = Variable("a")
+    ident = Identity("involution", ("a",), Apply("g", Apply("g", a)), a)
+    sizes = _record_blocks(monkeypatch)
+    rep = check_identity(alg, ident)
+    assert rep.engine == "np"
+    assert sizes == [m]
+    if dent is None:
+        assert (rep.verdict, rep.tuples_checked) == ("pass", m)
+    else:
+        # g(6386) = 10000 and g(10000) = 5 make 6386 the first failure
+        assert rep.counterexample == {"a": m - 1 - dent}
+        assert rep.counterexample == brute_first_counterexample(alg, ident)
+        assert rep.tuples_checked == m - dent
+
+
+def _sum_identity(k):
+    """f(x1, f(x2, ..., f(xk, e))) = f(xk, f(x(k-1), ..., f(x2, x1)));
+    both sides are x1 + ... + xk when f is addition mod m and e = 0."""
+    xs = [Variable(f"x{i}") for i in range(1, k + 1)]
+    lhs = Constant("e")
+    for x in reversed(xs):
+        lhs = Apply("f", x, lhs)
+    rhs = xs[0]
+    for x in xs[1:]:
+        rhs = Apply("f", x, rhs)
+    return Identity(f"sum:{k}", tuple(x.name for x in xs), lhs, rhs)
+
+
+@pytest.mark.parametrize("m, k, engine", [
+    (16, 2, "scalar"), (2, 8, "scalar"),  # 256 tuples: at the threshold
+    (257, 1, "np"), (17, 2, "np"), (2, 9, "np"),  # 257, 289 and 512
+])
+@pytest.mark.parametrize("dent", [None, 0, -1])
+def test_dispatch_at_the_numpy_threshold(m, k, engine, dent):
+    entries = [(a + b) % m for a in range(m) for b in range(m)]
+    if dent is not None:
+        i = dent % m * m  # change f(0, 0) or f(m-1, 0)
+        entries[i] = (entries[i] + 1) % m
+    alg = FiniteAlgebra(f"Z{m}", Signature((("f", 2),), ("e",)), m,
+                        {"f": DenseTable(2, tuple(entries))}, {"e": 0})
+    ident = _sum_identity(k)
+    assert identities._NUMPY_THRESHOLD == 256
+    rep = check_identity(alg, ident)
+    slow = check_identity(_lazy_view(alg), ident)
+    assert (rep.engine, slow.engine) == (engine, "scalar")
+    assert rep == slow
+    assert rep.counterexample == brute_first_counterexample(alg, ident)
+    assert rep.ok == (dent is None)
+    assert rep.to_dict()["engine"] == engine
+    assert list(rep.to_dict())[-1] == "engine"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -274,6 +275,9 @@ def rescan_search(spec):
 
 def _assert_matches_rescan(spec):
     result = search(spec, budget=10 ** 30)
+    # prove-none stops at the first model, so its tree is find-first's
+    if spec.mode == "prove-none":
+        spec = dataclasses.replace(spec, mode="find-first")
     outcome, count, nodes, witness = rescan_search(spec)
     assert (result.outcome, result.count, result.nodes) == (
         outcome, count, nodes
@@ -330,6 +334,14 @@ def test_group3_specs_match_full_rescan(e, mode):
     result = _assert_matches_rescan(spec)
     if mode == "count-all":
         assert result.count == 1  # A034383(3) = 3 labeled groups, one per unit
+
+
+def test_prove_none_stops_at_the_first_model():
+    spec = parse_search_spec(GROUP3_SPEC.format(e=0), mode="prove-none")
+    result = search(spec)
+    assert (result.outcome, result.nodes) == ("witness", 1509)
+    spec.mode = "find-first"
+    assert search(spec) == result
 
 
 def test_census_m4_matches_labeled_groups():
