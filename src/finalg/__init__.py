@@ -59,7 +59,6 @@ from .search import (
     count_2assoc_semiabelian,
     parse_search_spec,
     prove_no_strict_2assoc,
-    search_models,
 )
 
 __version__ = "0.1.0"

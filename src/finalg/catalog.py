@@ -20,6 +20,17 @@ from .core import (
     Signature,
     table_from_fn,
 )
+from .identities import (
+    COMMUTATIVITY,
+    DISTRIBUTIVITY,
+    GROUP_LAWS,
+    LATTICE_LAWS,
+    MONOID_LAWS,
+    NEUTRAL_LAWS,
+    check_identity,
+    monoid_algebra,
+    require_laws,
+)
 
 MATRIX_CARRIER_CAP = 10 ** 6
 MAP_CARRIER_CAP = 10 ** 4
@@ -39,26 +50,17 @@ class MonoidSpec:
     unit: int
 
     def __post_init__(self):
-        m, t = self.size, self.table
-        if t.arity != 2 or len(t.entries) != m * m:
-            raise AlgebraError("monoid table must be binary over the carrier")
-        for a in range(m):
-            if t.lookup((self.unit, a), m) != a or t.lookup((a, self.unit), m) != a:
-                raise AlgebraError(f"unit law fails at {a}")
-        for a, b, c in itertools.product(range(m), repeat=3):
-            ab = t.lookup((a, b), m)
-            bc = t.lookup((b, c), m)
-            if t.lookup((ab, c), m) != t.lookup((a, bc), m):
-                raise AlgebraError(f"associativity fails at ({a},{b},{c})")
+        require_laws(self._algebra(), MONOID_LAWS)
+
+    def _algebra(self) -> FiniteAlgebra:
+        """The prod/e algebra the laws are checked on."""
+        return monoid_algebra("MonoidSpec", self.size, self.table, self.unit)
 
     def mul(self, a, b):
         return self.table.lookup((a, b), self.size)
 
     def is_commutative(self) -> bool:
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in range(self.size) for b in range(self.size)
-        )
+        return check_identity(self._algebra(), COMMUTATIVITY).ok
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,8 @@ class GroupSpec(MonoidSpec):
     inverse: tuple = ()
 
     def __post_init__(self):
-        super().__post_init__()
-        if len(self.inverse) != self.size:
-            raise AlgebraError("inverse table must cover the carrier")
-        for a in range(self.size):
-            if (
-                self.mul(a, self.inverse[a]) != self.unit
-                or self.mul(self.inverse[a], a) != self.unit
-            ):
-                raise AlgebraError(f"inverse law fails at {a}")
+        require_laws(monoid_algebra("GroupSpec", self.size, self.table,
+                                    self.unit, self.inverse), GROUP_LAWS)
 
     def inv(self, a):
         return self.inverse[a]
@@ -125,40 +120,21 @@ class LatticeSpec:
     top: int | None = None
 
     def __post_init__(self):
-        m = self.size
-        for name, t in (("join", self.join), ("meet", self.meet)):
-            if t.arity != 2 or len(t.entries) != m * m:
-                raise AlgebraError(f"{name} table must be binary")
-        j, w = self._j, self._m
-        for a, b in itertools.product(range(m), repeat=2):
-            if j(a, b) != j(b, a) or w(a, b) != w(b, a):
-                raise AlgebraError(f"commutativity fails at ({a},{b})")
-            if j(a, w(a, b)) != a or w(a, j(a, b)) != a:
-                raise AlgebraError(f"absorption fails at ({a},{b})")
-        for a, b, c in itertools.product(range(m), repeat=3):
-            if j(j(a, b), c) != j(a, j(b, c)) or w(w(a, b), c) != w(a, w(b, c)):
-                raise AlgebraError(f"associativity fails at ({a},{b},{c})")
-        if self.bottom is not None and any(
-            j(self.bottom, a) != a for a in range(m)
-        ):
-            raise AlgebraError("bottom is not neutral for join")
-        if self.top is not None and any(
-            w(self.top, a) != a for a in range(m)
-        ):
-            raise AlgebraError("top is not neutral for meet")
+        alg = self._algebra()
+        neutral = tuple(NEUTRAL_LAWS[c] for c in alg.constants)
+        require_laws(alg, LATTICE_LAWS + neutral)
 
-    def _j(self, a, b):
-        return self.join.lookup((a, b), self.size)
-
-    def _m(self, a, b):
-        return self.meet.lookup((a, b), self.size)
+    def _algebra(self) -> FiniteAlgebra:
+        """The join/meet algebra the laws are checked on, with the
+        constants bottom and top when they are given."""
+        consts = {"bottom": self.bottom, "top": self.top}
+        consts = {c: v for c, v in consts.items() if v is not None}
+        sig = Signature((("join", 2), ("meet", 2)), tuple(consts))
+        tables = {"join": self.join, "meet": self.meet}
+        return FiniteAlgebra("LatticeSpec", sig, self.size, tables, consts)
 
     def is_distributive(self) -> bool:
-        j, w = self._j, self._m
-        return all(
-            w(a, j(b, c)) == j(w(a, b), w(a, c))
-            for a, b, c in itertools.product(range(self.size), repeat=3)
-        )
+        return check_identity(self._algebra(), DISTRIBUTIVITY).ok
 
 
 def chain_lattice(k: int) -> LatticeSpec:
@@ -180,7 +156,8 @@ def product_lattice(p: LatticeSpec, q: LatticeSpec) -> LatticeSpec:
         def h(x, y):
             a1, b1 = divmod(x, q.size)
             a2, b2 = divmod(y, q.size)
-            return f(a1, a2) * q.size + g(b1, b2)
+            return (f.lookup((a1, a2), p.size) * q.size
+                    + g.lookup((b1, b2), q.size))
 
         return h
 
@@ -191,8 +168,8 @@ def product_lattice(p: LatticeSpec, q: LatticeSpec) -> LatticeSpec:
         top = p.top * q.size + q.top
     return LatticeSpec(
         m,
-        table_from_fn(2, m, lift(p._j, q._j)),
-        table_from_fn(2, m, lift(p._m, q._m)),
+        table_from_fn(2, m, lift(p.join, q.join)),
+        table_from_fn(2, m, lift(p.meet, q.meet)),
         bottom=bottom,
         top=top,
     )

@@ -20,7 +20,6 @@ from .core import (
 )
 from .identities import (
     check_identity,
-    check_suite,
     resolve_suite,
     suite_arity,
     unit_constants,

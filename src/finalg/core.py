@@ -171,9 +171,6 @@ class FiniteAlgebra:
         except KeyError:
             raise SymbolError(f"symbol {name!r} uninterpreted in {self.name!r}")
 
-    def apply(self, name: str, *args) -> int:
-        return self.op(name).lookup(args, self.size)
-
     def constant(self, name: str) -> int:
         try:
             return self.constants[name]
@@ -280,8 +277,8 @@ def check_term(sig: Signature, t: Term, declared_vars) -> None:
         if not sig.has_constant(t.name):
             raise SymbolError(f"unknown constant {t.name!r}")
         return
-    want = sig.arity(t.op)
-    if want == 0 or not sig.has_op(t.op):
+    want = sig.arity(t.op)  # 0 only for a constant: ops have arity >= 1
+    if want == 0:
         raise SymbolError(f"{t.op!r} is not an operation symbol")
     if len(t.args) != want:
         raise SymbolError(

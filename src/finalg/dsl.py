@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .core import (
     Apply,
-    BudgetError,
     Constant,
     DenseTable,
     FiniteAlgebra,
@@ -31,7 +30,6 @@ from .core import (
     SymbolError,
     Variable,
     check_term,
-    term_text,
 )
 
 

@@ -23,13 +23,18 @@ from .core import (
 )
 from . import dsl
 from .identities import (
+    ASSOCIATIVITY,
+    GROUP_LAWS,
     check_identity,
     check_suite,
+    enriched_laws,
     first_failure,
     identity_2assoc,
     identity_malcev_assoc,
     identity_malcev_assoc_expanded,
     identities_malcev,
+    monoid_algebra,
+    require_laws,
     suite_protomodular,
     suite_semiabelian,
     unit_constants,
@@ -100,34 +105,14 @@ class DerivedGroup:
     source_hash: str = ""
 
     def __post_init__(self):
-        m, p = self.size, self.product
-        for a, b, c in itertools.product(range(m), repeat=3):
-            if p.lookup((p.lookup((a, b), m), c), m) != p.lookup(
-                (a, p.lookup((b, c), m)), m
-            ):
-                raise GroupLawError(
-                    f"derived product not associative at ({a},{b},{c})"
-                )
-        for a in range(m):
-            if p.lookup((self.unit, a), m) != a:
-                raise GroupLawError(f"unit {self.unit} not a left unit at {a}")
-            if p.lookup((a, self.unit), m) != a:
-                raise GroupLawError(f"unit {self.unit} not a right unit at {a}")
-            i = self.inverse[a]
-            if p.lookup((a, i), m) != self.unit or p.lookup((i, a), m) != self.unit:
-                raise GroupLawError(f"inverse law fails at {a}")
+        require_laws(group_to_algebra(self), GROUP_LAWS, GroupLawError)
 
     def mul(self, a, b):
         return self.product.lookup((a, b), self.size)
 
 
 def group_to_algebra(dg: DerivedGroup, name: str = "DerivedGroup") -> FiniteAlgebra:
-    sig = Signature((("prod", 2), ("inv", 1)), ("e",))
-    tables = {
-        "prod": dg.product,
-        "inv": DenseTable(1, dg.inverse),
-    }
-    return FiniteAlgebra(name, sig, dg.size, tables, {"e": dg.unit})
+    return monoid_algebra(name, dg.size, dg.product, dg.unit, dg.inverse)
 
 
 def diagonal_power(alg: FiniteAlgebra, b: int) -> int:
@@ -136,14 +121,16 @@ def diagonal_power(alg: FiniteAlgebra, b: int) -> int:
     return theta.lookup((b,) * theta.arity, alg.size)
 
 
-def formula_inverse(alg: FiniteAlgebra, b: int, e: int, n: int) -> int:
-    """The closed-form inverse: theta(alpha_i(e, theta(b,...,b)) over i, b)."""
+def diagonal_closed_form(alg: FiniteAlgebra, b: int, c: int) -> int:
+    """theta(alpha_i(c, theta(b,...,b)) over i, b): the solution a of
+    theta(a,...,a,b) = c, and with c = e the inverse of b."""
+    theta = alg.op("theta")
     m = alg.size
     d = diagonal_power(alg, b)
     args = tuple(
-        alg.op(f"alpha{i}").lookup((e, d), m) for i in range(1, n + 1)
+        alg.op(f"alpha{i}").lookup((c, d), m) for i in range(1, theta.arity)
     ) + (b,)
-    return alg.op("theta").lookup(args, m)
+    return theta.lookup(args, m)
 
 
 def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
@@ -174,7 +161,7 @@ def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
 
     inverse = []
     for b in range(m):
-        via_formula = formula_inverse(alg, b, e, n)
+        via_formula = diagonal_closed_form(alg, b, e)
         via_table = brute_inverse(b)
         if via_formula != via_table:
             raise GroupLawError(
@@ -186,28 +173,18 @@ def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
 
 
 def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
-    """The element a with theta(a,...,a,b) = c, by the closed form
-    a = theta(alpha_i(c, theta(b,...,b)) over i, b); verified against the
-    equation and cross-checked by brute-force search over the carrier."""
+    """The element a with theta(a,...,a,b) = c, by diagonal_closed_form,
+    verified against the equation."""
     theta, n, units, _ = _structure(alg, shared_unit=False)
     _require(alg, n, units, semiabelian=False)
     _require_2assoc(alg, n)
     m = alg.size
-    d = diagonal_power(alg, b)
-    args = tuple(
-        alg.op(f"alpha{i}").lookup((c, d), m) for i in range(1, n + 1)
-    ) + (b,)
-    a = theta.lookup(args, m)
+    a = diagonal_closed_form(alg, b, c)
     if theta.lookup((a,) * n + (b,), m) != c:
         raise GroupLawError(
             f"closed-form solution a = {a} does not satisfy "
             f"theta(a,...,a,{b}) = {c}"
         )
-    brute = [
-        x for x in range(m) if theta.lookup((x,) * n + (b,), m) == c
-    ]
-    if a not in brute:
-        raise GroupLawError("closed form missing from brute-force solutions")
     return a
 
 
@@ -309,7 +286,8 @@ def check_malcev_assoc_expanded(alg: FiniteAlgebra) -> CheckReport:
 class EnrichedGroup:
     """A group with an n-ary map gamma and binary alphas satisfying
     gamma(alpha*(a,b)) * b = a, alpha_i(a,a) = e, and the distributivity
-    law; validated at construction with a named witness on failure."""
+    law; validated at construction with a named witness on failure.
+    Inverses need no check: gamma(alpha*(e,b)) is a left inverse of b."""
 
     size: int
     product: DenseTable
@@ -322,48 +300,8 @@ class EnrichedGroup:
         return self.gamma.arity
 
     def __post_init__(self):
-        m, p = self.size, self.product
-        n = self.n
-        for al in self.alphas:
-            if al.arity != 2:
-                raise GroupLawError("alphas must be binary")
-        if len(self.alphas) != n:
-            raise GroupLawError(
-                f"need {n} alphas to match gamma's arity, got {len(self.alphas)}"
-            )
-        # group laws
-        for a, b, c in itertools.product(range(m), repeat=3):
-            if p.lookup((p.lookup((a, b), m), c), m) != p.lookup(
-                (a, p.lookup((b, c), m)), m
-            ):
-                raise GroupLawError(f"product not associative at ({a},{b},{c})")
-        for a in range(m):
-            if p.lookup((self.unit, a), m) != a or p.lookup((a, self.unit), m) != a:
-                raise GroupLawError(f"unit law fails at {a}")
-            if all(p.lookup((a, x), m) != self.unit for x in range(m)):
-                raise GroupLawError(f"element {a} has no inverse")
-        # gamma(alpha*(a,b)) * b = a
-        for a, b in itertools.product(range(m), repeat=2):
-            xs = tuple(al.lookup((a, b), m) for al in self.alphas)
-            if p.lookup((self.gamma.lookup(xs, m), b), m) != a:
-                raise GroupLawError(
-                    f"gamma(alpha*(a,b))*b = a fails at (a,b) = ({a},{b})"
-                )
-        # alpha_i(a,a) = e
-        for i, al in enumerate(self.alphas, start=1):
-            for a in range(m):
-                if al.lookup((a, a), m) != self.unit:
-                    raise GroupLawError(f"alpha{i}({a},{a}) != unit")
-        # distributivity: gamma(a*) gamma(b*) = gamma(gamma(a*) b_1, ...)
-        for avec in itertools.product(range(m), repeat=n):
-            ga = self.gamma.lookup(avec, m)
-            for bvec in itertools.product(range(m), repeat=n):
-                lhs = p.lookup((ga, self.gamma.lookup(bvec, m)), m)
-                shifted = tuple(p.lookup((ga, b), m) for b in bvec)
-                if lhs != self.gamma.lookup(shifted, m):
-                    raise GroupLawError(
-                        f"distributivity fails at a* = {avec}, b* = {bvec}"
-                    )
+        require_laws(enriched_to_algebra(self), enriched_laws(self.n),
+                     GroupLawError)
 
     def mul(self, a, b):
         return self.product.lookup((a, b), self.size)
@@ -407,15 +345,20 @@ def from_enriched(eg: EnrichedGroup, name: str = "FromEnriched") -> FiniteAlgebr
 
 def enriched_to_algebra(eg: EnrichedGroup, name: str = "Enriched") -> FiniteAlgebra:
     """Serialize-friendly view: an algebra with prod/gamma/alpha symbols."""
-    n = eg.n
+    return _enriched_view(name, eg.size, eg.product, eg.unit, eg.gamma,
+                          eg.alphas)
+
+
+def _enriched_view(name, m, product, unit, gamma, alphas) -> FiniteAlgebra:
+    n = gamma.arity
     ops = [("prod", 2), ("gamma", n)] + [
         (f"alpha{i}", 2) for i in range(1, n + 1)
     ]
     sig = Signature(tuple(ops), ("e",))
-    tables = {"prod": eg.product, "gamma": eg.gamma}
-    for i, al in enumerate(eg.alphas, start=1):
+    tables = {"prod": product, "gamma": gamma}
+    for i, al in enumerate(alphas, start=1):
         tables[f"alpha{i}"] = al
-    return FiniteAlgebra(name, sig, eg.size, tables, {"e": eg.unit})
+    return FiniteAlgebra(name, sig, m, tables, {"e": unit})
 
 
 def algebra_to_enriched(alg: FiniteAlgebra) -> EnrichedGroup:
@@ -430,7 +373,8 @@ def algebra_to_enriched(alg: FiniteAlgebra) -> EnrichedGroup:
 
 def count_enriched_groups(m: int, n: int, budget: int = 10 ** 7) -> int:
     """Count enriched-group structures on {0..m-1} by direct enumeration
-    of (group table, gamma, alpha*) triples; independent of the searcher."""
+    of (group table, gamma, alpha*) triples, with alpha_i(a,a) = e built
+    in; independent of the searcher."""
     group_space = m ** (m * m)
     total = group_space * m ** (m ** n) * (m ** (m * m)) ** n
     if total > budget:
@@ -450,28 +394,30 @@ def count_enriched_groups(m: int, n: int, budget: int = 10 ** 7) -> int:
         if len(units) != 1:
             continue
         u = units[0]
-        if not all(
-            tbl.lookup((tbl.lookup((a, b), m), c), m)
-            == tbl.lookup((a, tbl.lookup((b, c), m)), m)
-            for a, b, c in itertools.product(range(m), repeat=3)
-        ):
+        view = monoid_algebra("candidate", m, tbl, u)
+        if not check_identity(view, ASSOCIATIVITY).ok:
             continue
         if not all(
             any(tbl.lookup((a, x), m) == u for x in range(m)) for a in range(m)
         ):
             continue
         groups.append((tbl, u))
+    laws = [law for law in enriched_laws(n)
+            if law.name in ("gamma-alpha", "distributivity")]
     count = 0
     for tbl, u in groups:
+        def alpha(off):
+            it = iter(off)
+            return DenseTable(2, tuple(
+                u if a == b else next(it) for a in range(m) for b in range(m)
+            ))
+
         for gvals in itertools.product(range(m), repeat=m ** n):
             gamma = DenseTable(n, gvals)
-            for avals in itertools.product(
-                itertools.product(range(m), repeat=m * m), repeat=n
+            for offs in itertools.product(
+                itertools.product(range(m), repeat=m * m - m), repeat=n
             ):
-                alphas = tuple(DenseTable(2, av) for av in avals)
-                try:
-                    EnrichedGroup(m, tbl, u, gamma, alphas)
-                except GroupLawError:
-                    continue
-                count += 1
+                view = _enriched_view("candidate", m, tbl, u, gamma,
+                                      tuple(map(alpha, offs)))
+                count += all(check_identity(view, law).ok for law in laws)
     return count

@@ -22,11 +22,15 @@ order ends the check early.  CheckReport.engine records the path taken.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
+from . import dsl
 from .core import (
+    AlgebraError,
     Apply,
     BudgetError,
     CheckReport,
@@ -35,11 +39,13 @@ from .core import (
     EvalError,
     FiniteAlgebra,
     Identity,
+    Signature,
     SymbolError,
     Variable,
     check_term,
     compile_term,
     eval_term,
+    validate_algebra,
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 8
@@ -88,11 +94,10 @@ def check_identity(
                 f"identity {ident.name!r}: {m}^{k} = {total} assignments "
                 f"exceed budget {budget}; use sampled mode"
             )
-        dense = all(
+        if k > 0 and total > _NUMPY_THRESHOLD and all(
             isinstance(alg.tables.get(s), DenseTable)
             for s in _op_symbols(ident)
-        )
-        if dense and total > _NUMPY_THRESHOLD and k > 0:
+        ):
             engine, report = "np", _check_exhaustive_np(alg, ident, total)
         else:
             engine, report = "scalar", _check_exhaustive_py(alg, ident, total)
@@ -465,11 +470,90 @@ def identity_malcev_assoc_expanded(n: int) -> Identity:
 
 
 # ---------------------------------------------------------------------------
+# structural laws of monoids, groups, lattices and enriched groups
+
+def _laws(text):
+    return tuple(dsl.parse_file(text)[1])
+
+
+MONOID_LAWS = _laws("""
+identity unit-left(a): prod(e, a) = a
+identity unit-right(a): prod(a, e) = a
+identity associativity(a, b, c): prod(prod(a, b), c) = prod(a, prod(b, c))
+""")
+ASSOCIATIVITY = MONOID_LAWS[2]
+GROUP_LAWS = MONOID_LAWS + _laws("""
+identity inverse-left(a): prod(inv(a), a) = e
+identity inverse-right(a): prod(a, inv(a)) = e
+""")
+LATTICE_LAWS = _laws("""
+identity join-commutativity(a, b): join(a, b) = join(b, a)
+identity meet-commutativity(a, b): meet(a, b) = meet(b, a)
+identity join-absorption(a, b): join(a, meet(a, b)) = a
+identity meet-absorption(a, b): meet(a, join(a, b)) = a
+identity join-associativity(a, b, c): join(join(a, b), c) = join(a, join(b, c))
+identity meet-associativity(a, b, c): meet(meet(a, b), c) = meet(a, meet(b, c))
+""")
+NEUTRAL_LAWS = dict(zip(("bottom", "top"), _laws("""
+identity bottom-neutral(a): join(bottom, a) = a
+identity top-neutral(a): meet(top, a) = a
+""")))
+COMMUTATIVITY, DISTRIBUTIVITY = _laws("""
+identity commutativity(a, b): prod(a, b) = prod(b, a)
+identity distributivity(a, b, c): meet(a, join(b, c)) = join(meet(a, b), meet(a, c))
+""")
+
+
+@functools.cache
+def enriched_laws(n: int) -> tuple:
+    """The enriched-group laws over prod/gamma/alpha1..alphan/e:
+    alpha_i(a,a) = e, gamma(alpha*(a,b))*b = a, the monoid laws and
+    gamma(a*)*gamma(b*) = gamma(gamma(a*)*b1, ..., gamma(a*)*bn).  The
+    cheap laws most candidate tables fail come first."""
+    idx = range(1, n + 1)
+    a, b = (", ".join(f"{v}{i}" for i in idx) for v in "ab")
+    alphas = ", ".join(f"alpha{i}(a, b)" for i in idx)
+    shifted = ", ".join(f"prod(gamma({a}), b{i})" for i in idx)
+    first = _laws("".join(
+        f"identity alpha{i}-unit(a): alpha{i}(a, a) = e\n" for i in idx
+    ) + f"identity gamma-alpha(a, b): prod(gamma({alphas}), b) = a")
+    return first + MONOID_LAWS + _laws(
+        f"identity distributivity({a}, {b}): "
+        f"prod(gamma({a}), gamma({b})) = gamma({shifted})")
+
+
+def monoid_algebra(name, size, product, unit, inverse=None) -> FiniteAlgebra:
+    """The algebra the monoid laws are stated over (prod/2 and the
+    constant e), with inv/1 when an inverse tuple is given."""
+    ops, tables = [("prod", 2)], {"prod": product}
+    if inverse is not None:
+        ops.append(("inv", 1))
+        tables["inv"] = DenseTable(1, inverse)
+    return FiniteAlgebra(
+        name, Signature(tuple(ops), ("e",)), size, tables, {"e": unit}
+    )
+
+
+def require_laws(alg: FiniteAlgebra, laws, error=AlgebraError) -> None:
+    """Raise error unless alg passes validate_algebra and then each law in
+    order; the message names the first failing law and its lex-first
+    counterexample.  Structures are validated at any size (no budget)."""
+    valid = validate_algebra(alg)
+    if not valid.ok:
+        raise error(f"{alg.name}: {valid.detail}")
+    for law in laws:
+        rep = check_identity(alg, law, budget=math.inf)
+        if not rep.ok:
+            cx = ", ".join(f"{k}={v}" for k, v in rep.counterexample.items())
+            raise error(f"{alg.name}: {law.name} fails at {cx}")
+
+
+# ---------------------------------------------------------------------------
 # functional characterization of 2-associativity
 
-def theta_section(alg: FiniteAlgebra, b: int, op: str = "theta"):
+def theta_section(alg: FiniteAlgebra, b: int):
     """The n-ary section theta(-,...,-,b) as a flat tuple over A^n."""
-    tbl = alg.op(op)
+    tbl = alg.op("theta")
     n = tbl.arity - 1
     m = alg.size
     return tuple(
@@ -490,7 +574,7 @@ def check_2assoc_functional(
     m = alg.size
     tbl = alg.op("theta")
     if tbl.arity != n + 1:
-        raise BudgetError(f"theta has arity {tbl.arity}, expected {n + 1}")
+        raise SymbolError(f"theta has arity {tbl.arity}, expected {n + 1}")
     if m ** n * m ** (n + 1) > budget:
         raise BudgetError(
             f"functional 2-assoc check needs {m}^{n} x {m}^{n + 1} "

@@ -316,10 +316,6 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     )
 
 
-# alias for contexts where the bare name would shadow this module
-search_models = search
-
-
 def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     """Certify that no strict 2-associative structure exists on a carrier
     of size m >= 2 for n >= 2.

@@ -7,7 +7,6 @@ with a fixed, printed seed.
 """
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import catalog, groups
@@ -202,14 +201,15 @@ def semiabelian_catalog():
 def criterion_derive_group():
     """Every catalog 2-associative semi-abelian algebra yields a verified
     group whose closed-form inverses equal the group inverses."""
-    for alg in semiabelian_catalog():
+    algs = semiabelian_catalog()
+    for alg in algs:
         try:
             dg = groups.derive_group(alg)
         except Exception as e:
             return _fail(f"{alg.name}: {e}")
         if dg.size != alg.size:
             return _fail(f"{alg.name}: size mismatch")
-    return _ok(f"{len(semiabelian_catalog())} catalog algebras derive groups; "
+    return _ok(f"{len(algs)} catalog algebras derive groups; "
                "formula inverse == group inverse everywhere")
 
 

@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: every verification criterion runs at its
 stated budget and prints one pass/fail line."""
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +53,5 @@ def test_full_verification_command(capsys):
     assert elapsed < 180.0
     assert out.count("PASS") == len(verify.CRITERIA)
     assert "FAIL" not in out
+    # every criterion detail and counterexample, byte for byte
+    assert out == (Path(__file__).parent / "data" / "verify_paper.txt").read_text()

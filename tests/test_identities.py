@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from finalg import catalog, identities
 from finalg.core import (
+    AlgebraError,
     Apply,
     BudgetError,
     Constant,
@@ -16,15 +17,28 @@ from finalg.core import (
     Identity,
     LazyTable,
     Signature,
+    SymbolError,
     Variable,
     eval_term,
     table_from_fn,
 )
+from finalg.groups import (
+    DerivedGroup,
+    EnrichedGroup,
+    GroupLawError,
+    _enriched_view,
+    to_enriched,
+)
 from finalg.identities import (
+    GROUP_LAWS,
+    LATTICE_LAWS,
+    MONOID_LAWS,
+    NEUTRAL_LAWS,
     check_2assoc_functional,
     check_identity,
     check_strict_equivalence,
     check_suite,
+    enriched_laws,
     first_failure,
     identities_1assoc,
     identities_malcev,
@@ -33,6 +47,7 @@ from finalg.identities import (
     identity_malcev_assoc,
     identity_unit_expansion,
     identity_unit_law,
+    monoid_algebra,
     resolve_suite,
     suite_arity,
     suite_ok,
@@ -167,6 +182,11 @@ def test_functional_check_agrees_on_random_tables(seed, m, n):
     alg = random_algebra(random.Random(seed), m, n)
     direct = check_identity(alg, identity_2assoc(n)).ok
     assert check_2assoc_functional(alg, n).ok == direct
+
+
+def test_functional_check_rejects_wrong_theta_arity(z3_n2):
+    with pytest.raises(SymbolError, match="theta has arity 3, expected 2"):
+        check_2assoc_functional(z3_n2, 1)
 
 
 # --- strictness ----------------------------------------------------------
@@ -568,3 +588,91 @@ def test_dispatch_at_the_numpy_threshold(m, k, engine, dent):
     assert rep.ok == (dent is None)
     assert rep.to_dict()["engine"] == engine
     assert list(rep.to_dict())[-1] == "engine"
+
+
+# --- structural laws -------------------------------------------------------
+
+def _changed(table, index, value):
+    entries = list(table.entries)
+    entries[index] = value
+    return DenseTable(table.arity, entries)
+
+
+def _lattice_view(size, join, meet, **consts):
+    sig = Signature((("join", 2), ("meet", 2)), tuple(consts))
+    return FiniteAlgebra("LatticeSpec", sig, size,
+                         {"join": join, "meet": meet}, consts)
+
+
+def _law_sites():
+    """(build, view, laws, error, law): build() raises error because view
+    breaks law, the first law of laws it breaks; each case changes one
+    table entry or constant of a valid structure."""
+    z3, z4 = catalog.cyclic_group(3), catalog.cyclic_monoid(4)
+    chain = catalog.chain_lattice(3)
+    mono = (4, _changed(z4.table, 1 * 4 + 1, 3), 0)  # 1*1 = 3
+    group = (3, _changed(z3.table, 1 * 3 + 0, 2), 0, z3.inverse)  # 1*0 = 2
+    derived = (3, _changed(z3.table, 2 * 3 + 2, 0), 0, z3.inverse)  # 2*2 = 0
+    join = _changed(chain.join, 0 * 3 + 1, 2)  # join(0, 1) = 2
+    eg = to_enriched(catalog.build_semigroup_algebra(z3, 2, 1))
+    # gamma(0, 1) = 1: gamma-alpha reads gamma on the diagonal only
+    enriched = (3, eg.product, 0, _changed(eg.gamma, 1, 1), eg.alphas)
+    bad_alpha = (3, eg.product, 0, eg.gamma,
+                 (eg.alphas[0], _changed(eg.alphas[1], 4, 2)))
+    return [
+        pytest.param(lambda: catalog.MonoidSpec(*mono),
+                     monoid_algebra("MonoidSpec", *mono), MONOID_LAWS,
+                     AlgebraError, "associativity", id="MonoidSpec"),
+        pytest.param(lambda: catalog.GroupSpec(*group),
+                     monoid_algebra("GroupSpec", *group), GROUP_LAWS,
+                     AlgebraError, "unit-right", id="GroupSpec"),
+        pytest.param(lambda: catalog.LatticeSpec(3, join, chain.meet),
+                     _lattice_view(3, join, chain.meet), LATTICE_LAWS,
+                     AlgebraError, "join-commutativity", id="LatticeSpec"),
+        pytest.param(lambda: catalog.LatticeSpec(3, chain.join, chain.meet,
+                                                 top=1),
+                     _lattice_view(3, chain.join, chain.meet, top=1),
+                     LATTICE_LAWS + (NEUTRAL_LAWS["top"],),
+                     AlgebraError, "top-neutral", id="LatticeSpec-top"),
+        pytest.param(lambda: DerivedGroup(*derived),
+                     monoid_algebra("DerivedGroup", *derived), GROUP_LAWS,
+                     GroupLawError, "associativity", id="DerivedGroup"),
+        pytest.param(lambda: EnrichedGroup(*enriched),
+                     _enriched_view("Enriched", *enriched), enriched_laws(2),
+                     GroupLawError, "distributivity",
+                     id="EnrichedGroup-distributivity"),
+        pytest.param(lambda: EnrichedGroup(*bad_alpha),
+                     _enriched_view("Enriched", *bad_alpha), enriched_laws(2),
+                     GroupLawError, "alpha2-unit", id="EnrichedGroup-alpha"),
+    ]
+
+
+@pytest.mark.parametrize("build, view, laws, error, law", _law_sites())
+def test_law_sites_name_the_law_and_its_first_counterexample(
+        build, view, laws, error, law):
+    first = next((ident, cx) for ident in laws
+                 if (cx := brute_first_counterexample(view, ident)))
+    assert first[0].name == law
+    with pytest.raises(error) as ei:
+        build()
+    assert type(ei.value) is error
+    cx = ", ".join(f"{k}={v}" for k, v in first[1].items())
+    assert str(ei.value) == f"{view.name}: {law} fails at {cx}"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog.MonoidSpec(2, DenseTable(2, (0, 1, 1, 5)), 0),
+    lambda: catalog.GroupSpec(3, catalog.cyclic_group(3).table, 0, (0, 2, 4)),
+    lambda: catalog.LatticeSpec(2, catalog.chain_lattice(2).join,
+                                catalog.chain_lattice(2).meet, top=5),
+], ids=["monoid-entry", "group-inverse", "lattice-top"])
+def test_out_of_range_spec_inputs_raise_algebra_error(build):
+    with pytest.raises(AlgebraError, match="out of range"):
+        build()
+
+
+def test_structures_are_validated_beyond_the_exhaustive_budget():
+    # 465^3 associativity tuples exceed EXHAUSTIVE_BUDGET
+    assert 465 ** 3 > identities.EXHAUSTIVE_BUDGET
+    g = catalog.cyclic_group(465)
+    assert g.mul(464, 2) == 1
