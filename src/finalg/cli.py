@@ -19,6 +19,7 @@ from .core import (
     validate_algebra,
 )
 from .identities import (
+    EXHAUSTIVE_BUDGET,
     check_identity,
     resolve_suite,
     suite_arity,
@@ -48,6 +49,16 @@ def _load_algebra(path):
 
 class SystemExit2(Exception):
     """Input error destined for exit code 2."""
+
+
+def _budget(args, default):
+    """The --budget value, or default when it is not given; a value below
+    1 is an input error."""
+    if args.budget is None:
+        return default
+    if args.budget < 1:
+        raise SystemExit2(f"--budget must be >= 1, got {args.budget}")
+    return args.budget
 
 
 def _emit_reports(reports, fmt, out):
@@ -102,9 +113,8 @@ def cmd_check(args, out):
             check_term(alg.signature, ident.rhs, set(ident.variables))
         except SymbolError as e:
             raise SystemExit2(f"identity {ident.name!r}: {e}")
-    kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed}
-    if args.budget:
-        kw["budget"] = args.budget
+    kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed,
+          "budget": _budget(args, EXHAUSTIVE_BUDGET)}
     try:
         reports = [check_identity(alg, i, **kw) for i in identities]
     except ValueError as e:  # e.g. sampled mode with --samples < 1
@@ -270,7 +280,7 @@ def cmd_search(args, out):
         spec = search.parse_search_spec(text, mode=args.search_mode)
     except dsl.DslError as e:
         raise SystemExit2(str(e))
-    result = search.search(spec, budget=args.budget or search.SEARCH_BUDGET)
+    result = search.search(spec, budget=_budget(args, search.SEARCH_BUDGET))
     if args.format == "structured":
         out(json.dumps({
             "outcome": result.outcome,
@@ -308,7 +318,7 @@ def build_parser():
                         default="exhaustive")
         sp.add_argument("--samples", type=int, default=10000)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=0)
+        sp.add_argument("--budget", type=int)
         sp.add_argument("--format", choices=["text", "structured"],
                         default="text")
 
@@ -360,7 +370,7 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--search-mode", default="find-first",
                     choices=["find-first", "count-all", "prove-none"])
-    sp.add_argument("--budget", type=int, default=0)
+    sp.add_argument("--budget", type=int)
     sp.add_argument("--format", choices=["text", "structured"], default="text")
     sp.set_defaults(fn=cmd_search)
 

@@ -81,11 +81,22 @@ def standard_signature(n: int, shared_unit: bool = False) -> Signature:
 class DenseTable:
     """A total operation as a flat tuple of m^arity entries, row-major."""
 
-    __slots__ = ("arity", "entries")
+    __slots__ = ("arity", "entries", "_array")
 
     def __init__(self, arity: int, entries):
         self.arity = arity
         self.entries = tuple(entries)
+        self._array = None
+
+    def array(self):
+        """The entries as a read-only int64 numpy array, built on first use;
+        the table is immutable, so the array never goes stale."""
+        if self._array is None:
+            import numpy as np
+
+            self._array = np.asarray(self.entries, dtype=np.int64)
+            self._array.setflags(write=False)
+        return self._array
 
     def lookup(self, args, m: int) -> int:
         idx = 0
@@ -113,8 +124,9 @@ class LazyTable:
 
     Contract: fn is elementwise.  Called with arity ints it returns an int;
     called with arity int64 arrays of one length it returns the int64
-    array of its values at each position.  The sampled identity kernel
-    relies on the array form; lookup and materialize use the int form.
+    array of its values at each position.  The identity kernel, exhaustive
+    and sampled, relies on the array form (and passes it read-only
+    arrays); lookup and materialize use the int form.
     """
 
     __slots__ = ("arity", "fn", "note")
@@ -305,36 +317,6 @@ def eval_term(alg: FiniteAlgebra, t: Term, env: dict) -> int:
     return tbl.lookup([eval_term(alg, a, env) for a in t.args], alg.size)
 
 
-def compile_term(alg: FiniteAlgebra, t: Term, var_pos: dict):
-    """Compile t to a closure over a tuple of variable values (positions
-    given by var_pos).  Used in the hot exhaustive-checking loop."""
-    if isinstance(t, Variable):
-        i = var_pos[t.name]
-        return lambda tup: tup[i]
-    if isinstance(t, Constant):
-        v = alg.constant(t.name)
-        return lambda tup: v
-    tbl = alg.op(t.op)
-    fns = [compile_term(alg, a, var_pos) for a in t.args]
-    m = alg.size
-    if isinstance(tbl, DenseTable):
-        entries = tbl.entries
-
-        def run(tup):
-            idx = 0
-            for f in fns:
-                idx = idx * m + f(tup)
-            return entries[idx]
-
-    else:
-        fn = tbl.fn
-
-        def run(tup):
-            return fn(*(f(tup) for f in fns))
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # reports and validation
 
@@ -348,8 +330,8 @@ class CheckReport:
     tuples_checked: int = 0
     seed: int | None = None
     detail: str | None = None
-    # the path check_identity took: "np", "scalar" or "sampled"; left out
-    # of ==, so reports of one check compare equal whichever path ran
+    # how check_identity checked: "np" (exhaustive) or "sampled"; left
+    # out of ==, so a report compares by its outcome alone
     engine: str | None = field(default=None, compare=False)
 
     @property

@@ -11,14 +11,13 @@ those of a loop of rng.randrange(m) calls; they are drawn in batches from
 that unchanged MT19937 stream and checked through numpy.  Every failure a
 vectorized path reports is re-confirmed with eval_term first.
 
-An exhaustive check runs on numpy ("np") when every table it reads is
-dense and it has more than _NUMPY_THRESHOLD tuples; lazy tables,
-zero-variable identities and smaller checks run on the scalar loop
-("scalar").  The numpy kernel loops over a lexicographic prefix of the
-variables and evaluates each prefix's block of suffix tuples at once; a
-block holds at most _BLOCK tuples (at least one whole variable), so its
-temporaries stay cache-sized and a failure near the start of the tuple
-order ends the check early.  CheckReport.engine records the path taken.
+Both modes run one numpy kernel, _eval_np, which evaluates a term on
+arrays of assignments (CheckReport.engine is "np" or "sampled").  The
+exhaustive check loops over a lexicographic prefix of the variables and
+evaluates each prefix's block of suffix tuples at once; a block holds at
+most _BLOCK tuples (at least one whole variable), so its temporaries stay
+cache-sized and a failure near the start of the tuple order ends the check
+early.  An identity with no variables is one block of one tuple.
 """
 from __future__ import annotations
 
@@ -43,14 +42,13 @@ from .core import (
     SymbolError,
     Variable,
     check_term,
-    compile_term,
     eval_term,
     validate_algebra,
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 8
-_NUMPY_THRESHOLD = 1 << 8
 _BLOCK = 1 << 14
+_GRIDS = 16  # suffix grids kept, one per (m, variables in a block)
 _BATCH = 1 << 16
 
 
@@ -94,95 +92,46 @@ def check_identity(
                 f"identity {ident.name!r}: {m}^{k} = {total} assignments "
                 f"exceed budget {budget}; use sampled mode"
             )
-        if k > 0 and total > _NUMPY_THRESHOLD and all(
-            isinstance(alg.tables.get(s), DenseTable)
-            for s in _op_symbols(ident)
-        ):
-            engine, report = "np", _check_exhaustive_np(alg, ident, total)
-        else:
-            engine, report = "scalar", _check_exhaustive_py(alg, ident, total)
+        engine, report = "np", _check_exhaustive_np(alg, ident, total)
     report.engine = engine
     return report
 
 
-def _op_symbols(ident):
-    out = set()
-
-    def walk(t):
-        if isinstance(t, Apply):
-            out.add(t.op)
-            for a in t.args:
-                walk(a)
-
-    walk(ident.lhs)
-    walk(ident.rhs)
-    return out
-
-
-def _check_exhaustive_py(alg, ident, total):
-    var_pos = {v: i for i, v in enumerate(ident.variables)}
-    lhs = compile_term(alg, ident.lhs, var_pos)
-    rhs = compile_term(alg, ident.rhs, var_pos)
-    checked = 0
-    for tup in itertools.product(range(alg.size), repeat=len(ident.variables)):
-        checked += 1
-        if lhs(tup) != rhs(tup):
-            return CheckReport(
-                "fail", ident.name,
-                counterexample=dict(zip(ident.variables, tup)),
-                tuples_checked=checked,
-            )
-    return CheckReport("pass", ident.name, tuples_checked=total)
-
-
-def _np_tables(alg, ident):
-    """Per op symbol of ident: its DenseTable entries as one int64 array,
-    or its LazyTable function."""
-    import numpy as np
-
-    tables = {}
-    for s in _op_symbols(ident):
-        t = alg.op(s)
-        tables[s] = (np.asarray(t.entries, dtype=np.int64)
-                     if isinstance(t, DenseTable) else t.fn)
-    return tables
-
-
-def _eval_np(alg, tables, t, env):
-    """Evaluate t elementwise; env maps each variable to an int64 array,
-    all of one length.  Constants and variable-free subterms stay scalars
-    and broadcast against the arrays."""
+def _eval_np(alg, t, env):
+    """Evaluate t elementwise; env maps each variable to an int or an int64
+    array, the arrays all of one length.  Constants and subterms that read
+    no array stay ints and broadcast against the arrays."""
     import numpy as np
 
     if isinstance(t, Variable):
         return env[t.name]
     if isinstance(t, Constant):
         return alg.constant(t.name)
-    tbl = tables[t.op]
-    if callable(tbl):
-        args = [_eval_np(alg, tables, a, env) for a in t.args]
+    tbl = alg.op(t.op)
+    if not isinstance(tbl, DenseTable):
+        args = [_eval_np(alg, a, env) for a in t.args]
         if any(isinstance(a, np.ndarray) for a in args):
             args = np.broadcast_arrays(*args)
-        return tbl(*args)
+        return tbl.fn(*args)
     # fold each argument into the flat index as soon as it is evaluated,
     # so at most two argument-sized arrays are alive
     flat = None
     for a in t.args:
-        v = _eval_np(alg, tables, a, env)
+        v = _eval_np(alg, a, env)
         flat = v if flat is None else flat * alg.size + v
-    out = tbl[flat]
+    out = tbl.array()[flat]
     return out if isinstance(out, np.ndarray) else int(out)
 
 
-def _first_bad(alg, tables, ident, env, size):
-    """Index of the first of size assignments in env that violates ident,
-    or None."""
+def _first_bad(alg, ident, env):
+    """Index of the first assignment in env that violates ident, or None;
+    a side that reads no array is one value for every assignment."""
     import numpy as np
 
-    bad = _eval_np(alg, tables, ident.lhs, env) != _eval_np(
-        alg, tables, ident.rhs, env)
-    bad = np.broadcast_to(bad, (size,))
-    return int(np.argmax(bad)) if bad.any() else None
+    bad = np.asarray(_eval_np(alg, ident.lhs, env)
+                     != _eval_np(alg, ident.rhs, env))
+    j = int(bad.argmax())
+    return j if bad.flat[j] else None
 
 
 def _confirmed_fail(alg, ident, tup, checked, seed=None):
@@ -198,6 +147,17 @@ def _confirmed_fail(alg, ident, tup, checked, seed=None):
                        tuples_checked=checked, seed=seed)
 
 
+@functools.lru_cache(maxsize=_GRIDS)
+def _grid(m, inner):
+    """The m^inner tuples over range(m) in lex order, as a read-only
+    (inner, m^inner) int64 array."""
+    import numpy as np
+
+    grid = np.indices((m,) * inner).reshape(inner, m ** inner)
+    grid.setflags(write=False)
+    return grid
+
+
 def _check_exhaustive_np(alg, ident, total):
     import numpy as np
 
@@ -210,19 +170,17 @@ def _check_exhaustive_np(alg, ident, total):
     while inner > 1 and m ** inner > _BLOCK:
         inner -= 1
     outer = k - inner
-    block = m ** inner
-    grid = np.indices((m,) * inner).reshape(inner, -1)
-    tables = _np_tables(alg, ident)
+    grid = _grid(m, inner)
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables[:outer], prefix))
         env.update(zip(variables[outer:], grid))
-        j = _first_bad(alg, tables, ident, env, block)
+        j = _first_bad(alg, ident, env)
         if j is not None:
             suffix = np.unravel_index(j, (m,) * inner)
             tup = prefix + tuple(int(x) for x in suffix)
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
-        checked += block
+        checked += grid.shape[1]
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
@@ -258,17 +216,15 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
 
 
 def _check_sampled(alg, ident, samples, seed):
-    tables = _np_tables(alg, ident)
     variables = ident.variables
     rng = random.Random(seed)  # MT19937
     checked = 0
     for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
-        b = cols.shape[1]
-        j = _first_bad(alg, tables, ident, dict(zip(variables, cols)), b)
+        j = _first_bad(alg, ident, dict(zip(variables, cols)))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])
             return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)
-        checked += b
+        checked += cols.shape[1]
     return CheckReport("sampled-pass", ident.name,
                        tuples_checked=samples, seed=seed)
 

@@ -337,16 +337,18 @@ def test_lazy_theta_is_elementwise_over_arrays(monkeypatch, name):
     theta = alg.op("theta")
     assert isinstance(theta, LazyTable)
     assert theta.materialize(alg.size) == dense_alg.op("theta")
-    # sampled reports agree whether theta is lazy or dense; the retraction
-    # algebra mixes its lazy theta with dense alpha tables
+    # sampled and exhaustive reports agree whether theta is lazy or dense;
+    # the retraction algebra mixes its lazy theta with dense alpha tables
     n = theta.arity - 1
     idents = [identity_2assoc(n)]
     if alg.signature.has_op("alpha1"):
         idents += suite_protomodular(n, unit_constants(alg, n)).identities
-    for ident in idents:
-        reports = [check_identity(a, ident, mode="sampled", samples=500,
-                                  seed=3).to_dict() for a in (alg, dense_alg)]
-        assert reports[0] == reports[1]
+    for mode in ("sampled", "exhaustive"):
+        for ident in idents:
+            reports = [check_identity(a, ident, mode=mode, samples=500,
+                                      seed=3).to_dict()
+                       for a in (alg, dense_alg)]
+            assert reports[0] == reports[1]
     rng = np.random.default_rng(11)
     cols = [rng.integers(0, alg.size, 400) for _ in range(theta.arity)]
     want = [theta.fn(*(int(c[j]) for c in cols)) for j in range(400)]

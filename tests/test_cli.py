@@ -79,9 +79,17 @@ def test_check_nothing_to_check_exit_2(z3_file):
     assert main(["check", z3_file]) == 2
 
 
-def test_check_budget_refusal_exit_3(z3_file):
+def test_check_budget_refusal_exit_3(z3_file, capsys):
     assert main(["check", z3_file, "--suite", "2assoc:2",
                  "--budget", "5"]) == 3
+    # a budget below 1 is an input error, not a refusal or the default
+    for budget in ("0", "-5"):
+        capsys.readouterr()
+        assert main(["check", z3_file, "--suite", "2assoc:2",
+                     "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_check_sampled_mode(z3_file, capsys):
@@ -215,12 +223,19 @@ def test_search_spec_signature_mismatch_exit_2(tmp_path):
     assert main(["search", str(p)]) == 2
 
 
-def test_search_budget_exit_3(tmp_path):
+def test_search_budget_exit_3(tmp_path, capsys):
     p = tmp_path / "big.alg"
     p.write_text(
         "algebra B {\n  carrier 3\n  op mu/3 = free\n  require malcev\n}\n"
     )
     assert main(["search", str(p), "--budget", "10"]) == 3
+    # a budget below 1 is an input error, not a refusal or the default
+    for budget in ("0", "-5"):
+        capsys.readouterr()
+        assert main(["search", str(p), "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_verify_subcommand_single_criterion(capsys):

@@ -16,7 +16,6 @@ from finalg.core import (
     Signature,
     SymbolError,
     Variable,
-    compile_term,
     eval_term,
     standard_signature,
     table_from_fn,
@@ -87,19 +86,6 @@ def test_eval_constants(bool2):
         eval_term(bool2, Variable("zz"), {"a": 0})
     with pytest.raises(SymbolError):
         eval_term(bool2, Apply("theta", Variable("a"), Variable("a")), {"a": 0})
-
-
-def test_compile_term_agrees_with_eval(z3_n2):
-    term = Apply(
-        "theta",
-        Apply("alpha1", Variable("a"), Variable("b")),
-        Apply("alpha2", Variable("a"), Variable("b")),
-        Variable("b"),
-    )
-    names = ("a", "b")
-    fn = compile_term(z3_n2, term, {"a": 0, "b": 1})
-    for combo in itertools.product(range(3), repeat=2):
-        assert fn(combo) == eval_term(z3_n2, term, dict(zip(names, combo)))
 
 
 def test_term_text():

@@ -243,23 +243,15 @@ def test_exhaustive_counterexample_is_lex_first(bool2):
 
 
 def test_numpy_and_python_paths_agree():
-    # Map(A^2, A) on a 2-element base: 16 elements, 16^5 tuples goes
-    # through the vectorized path; force the scalar path via a LazyTable
-    # view of the same algebra.
-    from finalg.core import LazyTable
-
+    # Map(A^2, A) on a 2-element base: 16 elements, 16^5 tuples; the same
+    # algebra behind Python LazyTable functions gives the same reports
     alg = catalog.build_map_composition_algebra(2, 2)
     ident = identity_2assoc(2)
     fast = check_identity(alg, ident)
-    lazy_tables = {
-        name: LazyTable(t.arity, (lambda tt: lambda *a: tt.lookup(a, alg.size))(t))
-        for name, t in alg.tables.items()
-    }
-    slow_alg = FiniteAlgebra(alg.name, alg.signature, alg.size, lazy_tables,
-                             alg.constants)
-    slow = check_identity(slow_alg, ident)
+    slow = check_identity(_lazy_view(alg), ident)
     assert fast.verdict == slow.verdict == "pass"
-    assert fast.tuples_checked == slow.tuples_checked
+    assert fast.to_dict() == slow.to_dict()
+    assert fast.tuples_checked == 16 ** 5
 
 
 def test_budget_refusal_and_sampled_fallback(z3_n2):
@@ -291,6 +283,19 @@ def test_zero_variable_identity(bool2):
     rep = check_identity(bool2, ident)
     assert not rep.ok
     assert rep.counterexample == {}
+    assert (rep.tuples_checked, rep.engine) == (1, "np")
+    same = Identity("units-same", (), Constant("e1"), Constant("e1"))
+    assert check_identity(bool2, same).tuples_checked == 1
+    # declared variables that neither side reads are still enumerated
+    unused = Identity("unused-same", ("a", "b"), Constant("e1"),
+                      Constant("e1"))
+    rep = check_identity(bool2, unused)
+    assert (rep.verdict, rep.tuples_checked) == ("pass", 4 ** 2)
+    unused = Identity("unused-differ", ("a", "b"), Constant("e1"),
+                      Constant("e2"))
+    rep = check_identity(bool2, unused)
+    assert rep.counterexample == {"a": 0, "b": 0}
+    assert rep.tuples_checked == 1
 
 
 def test_resolve_suite_names(z3_n2):
@@ -315,12 +320,20 @@ def test_malcev_identity_builders():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(2, 3), st.integers(1, 2))
 def test_failure_reports_are_sound(seed, m, n):
+    # the exact oracle: the lex-first counterexample and the number of
+    # tuples up to it, or every tuple on a pass
     alg = random_algebra(random.Random(seed), m, n)
-    for ident in suite_semiabelian(n).identities:
+    for ident in _standard_identities(alg, n):
         rep = check_identity(alg, ident)
-        if rep.counterexample is not None:
-            env = rep.counterexample
-            assert eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env)
+        cx = brute_first_counterexample(alg, ident)
+        assert rep.counterexample == cx
+        k = len(ident.variables)
+        if cx is None:
+            assert (rep.verdict, rep.tuples_checked) == ("pass", m ** k)
+        else:
+            assert eval_term(alg, ident.lhs, cx) != eval_term(alg, ident.rhs, cx)
+            rank = sum(v * m ** (k - 1 - i) for i, v in enumerate(cx.values()))
+            assert (rep.verdict, rep.tuples_checked) == ("fail", rank + 1)
 
 
 # --- sampled kernel against the scalar reference loop ----------------------
@@ -448,7 +461,8 @@ def test_sampled_failure_eval_term_contradicts_raises():
                         {"theta": LazyTable(2, two_faced)})
     a, b = Variable("a"), Variable("b")
     ident = Identity("left-projection", ("a", "b"), Apply("theta", a, b), a)
-    assert check_identity(alg, ident).ok  # scalar exhaustive path
+    with pytest.raises(EvalError):
+        check_identity(alg, ident)
     with pytest.raises(EvalError):
         check_identity(alg, ident, mode="sampled", samples=10)
 
@@ -457,12 +471,10 @@ def test_exhaustive_np_failure_eval_term_contradicts_raises(monkeypatch):
     alg = catalog.build_map_composition_algebra(2, 2)
     ident = identity_2assoc(2)
     assert check_identity(alg, ident).ok
-    real = identities._np_tables
-
-    def shifted(alg, ident):
-        return {s: (t + 1) % alg.size for s, t in real(alg, ident).items()}
-
-    monkeypatch.setattr(identities, "_np_tables", shifted)
+    # the kernel reads the cached array, eval_term the entries
+    for t in alg.tables.values():
+        shifted = (t.array() + 1) % alg.size
+        monkeypatch.setattr(t, "_array", shifted)
     with pytest.raises(EvalError):
         check_identity(alg, ident)
 
@@ -477,29 +489,36 @@ def test_resolve_suite_rejects_bad_arity():
     assert suite_arity("2assoc:3") == 3
 
 
-# --- exhaustive numpy kernel: blocks and dispatch --------------------------
+# --- exhaustive numpy kernel: blocks, lazy tables, small checks ------------
 
 def _lazy_view(alg):
-    """alg with every table behind a LazyTable, which forces the scalar
-    exhaustive path."""
-    lazy = {
-        name: LazyTable(t.arity,
-                        (lambda tt: lambda *a: tt.lookup(a, alg.size))(t))
-        for name, t in alg.tables.items()
-    }
-    return FiniteAlgebra(alg.name, alg.signature, alg.size, lazy,
+    """alg with every table behind a LazyTable whose function meets the
+    array contract: it computes the flat index and gathers the entries."""
+    def lazy(t):
+        get = catalog._gather(t.entries)
+
+        def fn(*args):
+            flat = 0
+            for a in args:
+                flat = flat * alg.size + a
+            return get(flat)
+
+        return LazyTable(t.arity, fn)
+
+    return FiniteAlgebra(alg.name, alg.signature, alg.size,
+                         {name: lazy(t) for name, t in alg.tables.items()},
                          alg.constants)
 
 
 def _record_blocks(monkeypatch):
     """Wrap the numpy kernel's block check; returns the list of block
-    sizes it is called with."""
+    sizes (the length of its assignment arrays) it is called with."""
     sizes = []
     real = identities._first_bad
 
-    def recording(alg, tables, ident, env, size):
-        sizes.append(size)
-        return real(alg, tables, ident, env, size)
+    def recording(alg, ident, env):
+        sizes.append(max(np.size(v) for v in env.values()))
+        return real(alg, ident, env)
 
     monkeypatch.setattr(identities, "_first_bad", recording)
     return sizes
@@ -566,12 +585,17 @@ def _sum_identity(k):
     return Identity(f"sum:{k}", tuple(x.name for x in xs), lhs, rhs)
 
 
-@pytest.mark.parametrize("m, k, engine", [
-    (16, 2, "scalar"), (2, 8, "scalar"),  # 256 tuples: at the threshold
-    (257, 1, "np"), (17, 2, "np"), (2, 9, "np"),  # 257, 289 and 512
+# 256, 257, 289 and 512 tuples; each id ends with the path the size took
+# when checks of at most 256 tuples ran on a separate scalar loop
+@pytest.mark.parametrize("m, k", [
+    pytest.param(16, 2, id="16-2-scalar"), pytest.param(2, 8, id="2-8-scalar"),
+    pytest.param(257, 1, id="257-1-np"), pytest.param(17, 2, id="17-2-np"),
+    pytest.param(2, 9, id="2-9-np"),
 ])
 @pytest.mark.parametrize("dent", [None, 0, -1])
-def test_dispatch_at_the_numpy_threshold(m, k, engine, dent):
+def test_dispatch_at_the_numpy_threshold(m, k, dent):
+    # both sides of the old threshold, on dense and on lazy tables, run on
+    # the one numpy kernel and give the oracle's reports
     entries = [(a + b) % m for a in range(m) for b in range(m)]
     if dent is not None:
         i = dent % m * m  # change f(0, 0) or f(m-1, 0)
@@ -579,14 +603,14 @@ def test_dispatch_at_the_numpy_threshold(m, k, engine, dent):
     alg = FiniteAlgebra(f"Z{m}", Signature((("f", 2),), ("e",)), m,
                         {"f": DenseTable(2, tuple(entries))}, {"e": 0})
     ident = _sum_identity(k)
-    assert identities._NUMPY_THRESHOLD == 256
     rep = check_identity(alg, ident)
-    slow = check_identity(_lazy_view(alg), ident)
-    assert (rep.engine, slow.engine) == (engine, "scalar")
-    assert rep == slow
+    lazy = check_identity(_lazy_view(alg), ident)
+    assert (rep.engine, lazy.engine) == ("np", "np")
+    assert rep.to_dict() == lazy.to_dict()
     assert rep.counterexample == brute_first_counterexample(alg, ident)
     assert rep.ok == (dent is None)
-    assert rep.to_dict()["engine"] == engine
+    if dent is None:
+        assert rep.tuples_checked == m ** k
     assert list(rep.to_dict())[-1] == "engine"
 
 
