@@ -474,9 +474,7 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     return build_alphas_from_surjectivity(base, units)
 
 
-def build_alphas_from_surjectivity(
-    alg: FiniteAlgebra, units, shared_unit: bool | None = None
-) -> FiniteAlgebra:
+def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
     """Given a theta-only algebra whose sections theta_b are all surjective
     and which satisfies theta(e1,...,en,b) = b, attach alpha tables so the
     protomodular axioms hold.
@@ -509,10 +507,7 @@ def build_alphas_from_surjectivity(
                 f"section at b = {b} is not surjective (misses {missing[0]})"
             )
         preimage[b][tbl.lookup(units + (b,), m)] = units
-    if shared_unit is None:
-        shared_unit = len(set(units)) == 1
-    if shared_unit and len(set(units)) != 1:
-        raise AlgebraError("shared unit requested but unit elements differ")
+    shared_unit = len(set(units)) == 1
     ops = [("theta", n + 1)] + [(f"alpha{i}", 2) for i in range(1, n + 1)]
     consts = ("e",) if shared_unit else tuple(f"e{i}" for i in range(1, n + 1))
     sig = Signature(tuple(ops), consts)

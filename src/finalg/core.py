@@ -118,6 +118,9 @@ class DenseTable:
         return f"DenseTable(arity={self.arity}, {len(self.entries)} entries)"
 
 
+_MATERIALIZE_LIMIT = 1 << 22
+
+
 class LazyTable:
     """A total operation backed by a Python function instead of a stored
     table; used when m^arity is too large to materialize.
@@ -139,8 +142,8 @@ class LazyTable:
     def lookup(self, args, m: int) -> int:
         return self.fn(*args)
 
-    def materialize(self, m: int, limit: int = 1 << 22) -> DenseTable:
-        if m ** self.arity > limit:
+    def materialize(self, m: int) -> DenseTable:
+        if m ** self.arity > _MATERIALIZE_LIMIT:
             raise BudgetError(
                 f"cannot materialize table with {m}^{self.arity} entries"
             )
@@ -360,6 +363,23 @@ class CheckReport:
         }
 
 
+def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
+    """Why tbl is not a total arity-ary operation on {0..m-1}, or None.
+    The one table check: a DenseTable needs m^arity entries, each in
+    range; a LazyTable is checked for its arity only."""
+    if tbl.arity != arity:
+        return f"symbol {sym!r}: table arity {tbl.arity} != declared {arity}"
+    if not isinstance(tbl, DenseTable):
+        return None
+    entries = tbl.entries
+    if len(entries) != m ** arity:
+        return f"symbol {sym!r}: table length {len(entries)} != {m}^{arity}"
+    if entries and not (0 <= min(entries) and max(entries) < m):
+        i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < m)
+        return f"symbol {sym!r}: entry {v} out of range at flat index {i}"
+    return None
+
+
 def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
     """Check the structural invariants of a FiniteAlgebra.
 
@@ -373,23 +393,9 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
         tbl = alg.tables.get(sym)
         if tbl is None:
             return CheckReport("fail", name, detail=f"symbol {sym!r} uninterpreted")
-        if tbl.arity != arity:
-            return CheckReport(
-                "fail", name,
-                detail=f"symbol {sym!r}: table arity {tbl.arity} != declared {arity}",
-            )
-        if isinstance(tbl, DenseTable):
-            if len(tbl.entries) != m ** arity:
-                return CheckReport(
-                    "fail", name,
-                    detail=f"symbol {sym!r}: table length {len(tbl.entries)} != {m}^{arity}",
-                )
-            for i, v in enumerate(tbl.entries):
-                if not (0 <= v < m):
-                    return CheckReport(
-                        "fail", name,
-                        detail=f"symbol {sym!r}: entry {v} out of range at flat index {i}",
-                    )
+        problem = table_error(sym, tbl, arity, m)
+        if problem is not None:
+            return CheckReport("fail", name, detail=problem)
     for sym in alg.tables:
         if not alg.signature.has_op(sym):
             return CheckReport(

@@ -30,6 +30,7 @@ from .core import (
     SymbolError,
     Variable,
     check_term,
+    table_error,
 )
 
 
@@ -43,40 +44,45 @@ class DslError(Exception):
 
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<ident>\d*[A-Za-z_][A-Za-z0-9_\-]*)
-      | (?P<int>\d+)
-      | (?P<punct>[{}\[\](),=/:])
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>\d*[A-Za-z_][A-Za-z0-9_\-]*)
+        | (?P<int>\d+)
+        | (?P<punct>[{}\[\](),=/:])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
 
 
+_STATEMENTS = ("carrier", "elem", "const", "op", "require")
+
+
+def _line_col(text, offset):
+    """The 1-based line and column of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text):
+    """(kind, value, offset) tokens ending in one eof token; whitespace and
+    comments are skipped inside the pattern, and the first unexpected
+    character raises."""
     toks = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        val = m.group()
-        if kind != "ws":
-            toks.append((kind, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
-        pos = m.end()
-    toks.append(("eof", "", line, col))
-    return toks
+        tok = (kind, m[kind], m.start(kind))
+        if kind == "bad":
+            raise DslError(f"unexpected character {tok[1]!r}",
+                           *_line_col(text, tok[2]))
+        toks.append(tok)
+        if kind == "eof":
+            return toks
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -88,26 +94,36 @@ class _Parser:
         self.i += 1
         return t
 
+    def fail(self, msg, offset):
+        raise DslError(msg, *_line_col(self.text, offset))
+
     def error(self, msg):
-        _, val, line, col = self.peek()
-        raise DslError(msg + (f" (got {val!r})" if val else " (got end of input)"),
-                       line, col)
+        _, val, offset = self.peek()
+        self.fail(msg + (f" (got {val!r})" if val else " (got end of input)"),
+                  offset)
 
     def expect(self, kind, value=None):
-        k, v, line, col = self.peek()
+        k, v, _ = self.peek()
         if k != kind or (value is not None and v != value):
             self.error(f"expected {value or kind}")
         return self.next()
 
     def accept(self, kind, value=None):
-        k, v, _, _ = self.peek()
+        k, v, _ = self.peek()
         if k == kind and (value is None or v == value):
             return self.next()
         return None
 
     def at_keyword(self, word):
-        k, v, _, _ = self.peek()
-        return k == "ident" and v == word
+        return self.peek()[:2] == ("ident", word)
+
+    def integer(self):
+        _, v, offset = self.expect("int")
+        try:
+            return int(v)
+        except ValueError:  # longer than Python's int conversion limit
+            self.fail(f"integer literal of {len(v)} digits is too long",
+                      offset)
 
     # -- algebra blocks ----------------------------------------------------
 
@@ -117,28 +133,25 @@ class _Parser:
         self.expect("punct", "{")
         raw = RawAlgebra(name=name)
         while not self.accept("punct", "}"):
-            k, v, line, col = self.peek()
-            if k != "ident":
+            k, v, start = self.peek()
+            if k != "ident" or v not in _STATEMENTS:
                 self.error("expected carrier/elem/const/op/require")
+            self.next()
             if v == "carrier":
-                self.next()
-                raw.carrier = int(self.expect("int")[1])
+                raw.carrier = self.integer()
             elif v == "elem":
-                self.next()
                 alias = self.expect("ident")[1]
                 self.expect("punct", "=")
-                raw.aliases[alias] = self.element(raw, line, col)
+                raw.aliases[alias] = self.element(raw, start)
             elif v == "const":
-                self.next()
                 cname = self.expect("ident")[1]
                 self.expect("punct", "=")
-                raw.consts[cname] = self.element(raw, line, col)
+                raw.consts[cname] = self.element(raw, start)
                 raw.const_order.append(cname)
             elif v == "op":
-                self.next()
                 oname = self.expect("ident")[1]
                 self.expect("punct", "/")
-                arity = int(self.expect("int")[1])
+                arity = self.integer()
                 self.expect("punct", "=")
                 if self.accept("ident", "free"):
                     raw.ops.append((oname, arity, None))
@@ -146,18 +159,15 @@ class _Parser:
                     self.expect("punct", "[")
                     entries = []
                     if not self.accept("punct", "]"):
-                        entries.append(self.element(raw, line, col))
+                        entries.append(self.element(raw, start))
                         while self.accept("punct", ","):
-                            entries.append(self.element(raw, line, col))
+                            entries.append(self.element(raw, start))
                         self.expect("punct", "]")
                     raw.ops.append((oname, arity, entries))
             elif v == "require":
-                self.next()
                 while True:
-                    k2, v2, _, _ = self.peek()
-                    if k2 != "ident" or v2 in (
-                        "carrier", "elem", "const", "op", "require",
-                    ):
+                    k2, v2, _ = self.peek()
+                    if k2 != "ident" or v2 in _STATEMENTS:
                         break
                     req = self.next()[1]
                     if self.accept("punct", ":"):
@@ -165,19 +175,18 @@ class _Parser:
                     raw.requires.append(req)
                 if not raw.requires:
                     self.error("require needs at least one suite name")
-            else:
-                self.error("expected carrier/elem/const/op/require")
         return raw
 
-    def element(self, raw, line, col):
-        t = self.accept("int")
-        if t:
-            return int(t[1])
-        t = self.accept("ident")
-        if t and t[1] in raw.aliases:
-            return raw.aliases[t[1]]
-        raise DslError("expected an element (integer or declared alias)",
-                       line, col)
+    def element(self, raw, start):
+        """An integer or declared alias; a bad one is reported at start,
+        the offset of the statement."""
+        k, v, _ = self.peek()
+        if k == "int":
+            return self.integer()
+        if k == "ident" and v in raw.aliases:
+            self.next()
+            return raw.aliases[v]
+        self.fail("expected an element (integer or declared alias)", start)
 
     # -- identities ----------------------------------------------------------
 
@@ -232,6 +241,9 @@ class RawAlgebra:
 
 
 def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
+    """The algebra of a parsed block, with its tables checked.  With
+    allow_free (search specs) 'free' tables and 'require' clauses are
+    accepted, and the algebra holds only the pinned tables."""
     if raw.carrier is None:
         raise DslError(f"algebra {raw.name!r}: missing carrier declaration")
     m = raw.carrier
@@ -253,18 +265,13 @@ def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
                     "free tables are only valid in search specs"
                 )
             continue
-        if len(entries) != m ** arity:
-            raise DslError(
-                f"algebra {raw.name!r}: op {n!r} has {len(entries)} entries, "
-                f"expected {m}^{arity} = {m ** arity}"
-            )
-        for i, v in enumerate(entries):
-            if not (0 <= v < m):
-                raise DslError(
-                    f"algebra {raw.name!r}: op {n!r} entry {v} out of range "
-                    f"at flat index {i}"
-                )
         tables[n] = DenseTable(arity, entries)
+        problem = table_error(n, tables[n], arity, m)
+        if problem is not None:
+            raise DslError(f"algebra {raw.name!r}: {problem}")
+    if raw.requires and not allow_free:
+        raise DslError(f"algebra {raw.name!r}: require clauses are only "
+                       "valid in search specs")
     for cname, v in raw.consts.items():
         if not (0 <= v < m):
             raise DslError(
@@ -278,8 +285,6 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     p = _Parser(text)
     raw = p.algebra_block()
     p.expect("eof")
-    if raw.requires:
-        raise DslError("require clauses are only valid in search specs")
     return raw_to_algebra(raw)
 
 
@@ -298,32 +303,29 @@ def parse_identity(text: str, signature: Signature | None = None) -> Identity:
     return ident
 
 
-def parse_file(text: str):
-    """Parse a mixed file: returns (algebras, identities) in source order."""
+def _statements(text, block):
+    """Parse a mixed file into (blocks, identities) in source order, each
+    algebra block mapped through block as soon as it is read."""
     p = _Parser(text)
-    algebras, identities = [], []
+    blocks, identities = [], []
     while p.peek()[0] != "eof":
         if p.at_keyword("algebra"):
-            algebras.append(raw_to_algebra(p.algebra_block()))
+            blocks.append(block(p.algebra_block()))
         elif p.at_keyword("identity"):
             identities.append(p.identity_stmt())
         else:
             p.error("expected 'algebra' or 'identity'")
-    return algebras, identities
+    return blocks, identities
+
+
+def parse_file(text: str):
+    """Parse a mixed file: returns (algebras, identities) in source order."""
+    return _statements(text, raw_to_algebra)
 
 
 def parse_raw_blocks(text: str):
     """Like parse_file but keeps algebra blocks raw (for search specs)."""
-    p = _Parser(text)
-    raws, identities = [], []
-    while p.peek()[0] != "eof":
-        if p.at_keyword("algebra"):
-            raws.append(p.algebra_block())
-        elif p.at_keyword("identity"):
-            identities.append(p.identity_stmt())
-        else:
-            p.error("expected 'algebra' or 'identity'")
-    return raws, identities
+    return _statements(text, lambda raw: raw)
 
 
 def serialize(alg: FiniteAlgebra) -> str:

@@ -38,6 +38,7 @@ from .core import (
     Variable,
     check_term,
     standard_signature,
+    table_error,
 )
 from . import dsl
 from .identities import check_identity, identity_2assoc, resolve_suite
@@ -73,9 +74,13 @@ class SearchSpec:
                 cells.append((cname, None))
         return cells
 
-    @property
-    def space_size(self) -> int:
-        return self.size ** len(self.free_cells())
+    def free_cell_count(self) -> int:
+        """len(free_cells()), without building the list."""
+        return sum(
+            self.size ** arity for name, arity in self.signature.ops
+            if name not in self.pinned_tables
+        ) + sum(c not in self.pinned_constants
+                for c in self.signature.constants)
 
 
 @dataclass
@@ -109,19 +114,9 @@ def _check_spec(spec: SearchSpec) -> None:
     for name, tbl in spec.pinned_tables.items():
         if not spec.signature.has_op(name):
             raise AlgebraError(f"pinned table {name!r} not in signature")
-        if tbl.arity != spec.signature.arity(name):
-            raise AlgebraError(f"pinned table {name!r} has wrong arity")
-        if len(tbl.entries) != m ** tbl.arity:
-            raise AlgebraError(
-                f"pinned table {name!r} has {len(tbl.entries)} entries, "
-                f"expected {m ** tbl.arity}"
-            )
-        for i, v in enumerate(tbl.entries):
-            if not 0 <= v < m:
-                raise AlgebraError(
-                    f"pinned table {name!r} entry {v} at flat index {i} is "
-                    f"outside 0..{m - 1}"
-                )
+        problem = table_error(name, tbl, spec.signature.arity(name), m)
+        if problem is not None:
+            raise AlgebraError(f"pinned table: {problem}")
     for cname, v in spec.pinned_constants.items():
         if not 0 <= v < m:
             raise AlgebraError(
@@ -248,14 +243,14 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     """
     start = time.perf_counter()
     _check_spec(spec)
-    cells = spec.free_cells()
-    space = spec.size ** len(cells)
-    if space > budget:
-        raise BudgetError(
-            f"search space {spec.size}^{len(cells)} = {space} exceeds "
-            f"budget {budget}"
-        )
     m = spec.size
+    k = spec.free_cell_count()
+    # m >= 2 and k >= budget.bit_length() give m^k >= 2^k > budget, so a
+    # huge space is refused without building m^k
+    if (m > 1 and k >= budget.bit_length()) or m ** k > budget:
+        raise BudgetError(f"search space {m}^{k} exceeds budget {budget}")
+    space = m ** k
+    cells = spec.free_cells()
     layout = _Cells(spec)
     vals = layout.vals
     watch = [[] for _ in vals]
@@ -386,19 +381,7 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     if len(raws) != 1:
         raise dsl.DslError("search spec needs exactly one algebra block")
     raw = raws[0]
-    if raw.carrier is None:
-        raise dsl.DslError(f"algebra {raw.name!r}: missing carrier")
-    try:
-        sig = Signature(
-            tuple((nm, a) for nm, a, _ in raw.ops), tuple(raw.const_order)
-        )
-    except AlgebraError as e:
-        raise dsl.DslError(f"algebra {raw.name!r}: {e}")
-    pinned_tables = {
-        nm: DenseTable(arity, entries)
-        for nm, arity, entries in raw.ops
-        if entries is not None
-    }
+    alg = dsl.raw_to_algebra(raw, allow_free=True)
     required = list(identities)
     units = tuple(raw.const_order) or None
     for req in raw.requires:
@@ -409,20 +392,15 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     for ident in required:
         for side in (ident.lhs, ident.rhs):
             try:
-                check_term(sig, side, ident.variables)
+                check_term(alg.signature, side, ident.variables)
             except AlgebraError as e:
                 raise dsl.DslError(
                     f"identity {ident.name!r} does not fit the "
                     f"signature of {raw.name!r}: {e}"
                 )
-    spec = SearchSpec(
-        raw.name, raw.carrier, sig, tuple(required),
-        pinned_tables=pinned_tables,
-        pinned_constants=dict(raw.consts),
+    return SearchSpec(
+        raw.name, alg.size, alg.signature, tuple(required),
+        pinned_tables=alg.tables,
+        pinned_constants=alg.constants,
         mode=mode,
     )
-    try:
-        _check_spec(spec)
-    except AlgebraError as e:
-        raise dsl.DslError(f"algebra {raw.name!r}: {e}")
-    return spec

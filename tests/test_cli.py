@@ -64,10 +64,23 @@ def test_check_missing_file_exit_2(capsys):
     assert main(["check", "/nonexistent/x.alg"]) == 2
 
 
-def test_check_parse_error_exit_2(tmp_path):
+def test_check_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.alg"
-    p.write_text("algebra X { carrier }")
-    assert main(["check", str(p), "--suite", "semiabelian:1"]) == 2
+    for text in [
+        "algebra X { carrier }",
+        # require is for search specs; parse_algebra rejects it too
+        "algebra Z2 {\n  carrier 2\n  const e = 0\n"
+        "  op theta/2 = [0, 1, 1, 0]\n  require 2assoc:7\n}\n"
+        "identity comm(a, b): theta(a, b) = theta(b, a)\n",
+        # integer literals over Python's 4,300-digit conversion limit
+        "algebra X { carrier %s }" % ("1" * 5000),
+        "algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000),
+    ]:
+        p.write_text(text)
+        assert main(["check", str(p), "--suite", "semiabelian:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_check_unknown_suite_exit_2(z3_file):
@@ -79,7 +92,7 @@ def test_check_nothing_to_check_exit_2(z3_file):
     assert main(["check", z3_file]) == 2
 
 
-def test_check_budget_refusal_exit_3(z3_file, capsys):
+def test_check_budget_refusal_exit_3(tmp_path, z3_file, capsys):
     assert main(["check", z3_file, "--suite", "2assoc:2",
                  "--budget", "5"]) == 3
     # a budget below 1 is an input error, not a refusal or the default
@@ -90,6 +103,15 @@ def test_check_budget_refusal_exit_3(z3_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+    # m^5 has 5,001 digits: the refusal is worded as m^k, not printed
+    p = tmp_path / "huge.alg"
+    p.write_text("algebra H {\n  carrier 1%s\n  const e = 0\n}\n"
+                 "identity five(a, b, c, d, x): e = e\n" % ("0" * 1000))
+    assert main(["check", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget:")
+    assert "^5 assignments exceed budget" in captured.err
 
 
 def test_check_sampled_mode(z3_file, capsys):
@@ -229,6 +251,18 @@ def test_search_budget_exit_3(tmp_path, capsys):
         "algebra B {\n  carrier 3\n  op mu/3 = free\n  require malcev\n}\n"
     )
     assert main(["search", str(p), "--budget", "10"]) == 3
+    # a space of 20^8000 is refused from its cell count, never printed
+    huge = tmp_path / "huge.alg"
+    huge.write_text(
+        "algebra H {\n  carrier 20\n  op theta/3 = free\n"
+        "  require 2assoc:2\n}\n"
+    )
+    capsys.readouterr()
+    assert main(["search", str(huge)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: search space 20^8000 exceeds budget 1000000000\n")
     # a budget below 1 is an input error, not a refusal or the default
     for budget in ("0", "-5"):
         capsys.readouterr()
@@ -269,8 +303,9 @@ SPEC_HEAD = "algebra S {\n  carrier %d\n  op theta/2 = %s\n"
     (SPEC_HEAD % (2, "free") + "  require bogus:1\n}\n", "find-first"),
     (SPEC_HEAD % (2, "free") + "  op beta/0 = free\n  require 2assoc:1\n}\n",
      "find-first"),
+    (SPEC_HEAD % (2, "[0, 1, 0]") + "  require 2assoc:1\n}\n", "find-first"),
 ], ids=["carrier-0", "carrier-0-count", "const-outside", "entry-outside",
-        "require-arity-0", "require-unknown", "op-arity-0"])
+        "require-arity-0", "require-unknown", "op-arity-0", "pin-length"])
 def test_search_malformed_spec_exit_2(tmp_path, capsys, body, mode):
     p = tmp_path / "bad.spec"
     p.write_text(body)

@@ -18,6 +18,7 @@ from finalg.core import (
     Variable,
     eval_term,
     standard_signature,
+    table_error,
     table_from_fn,
     term_text,
     validate_algebra,
@@ -122,6 +123,22 @@ def test_validate_flags_wrong_length_and_missing_table():
         "bad3", sig, 2, {"f": DenseTable(2, (0, 1, 0, 1))}, {"c": 7}
     )
     assert not validate_algebra(alg3).ok
+
+
+def test_table_error_names_the_first_problem():
+    assert table_error("f", DenseTable(2, (0, 1, 1, 0)), 2, 2) is None
+    assert table_error("f", DenseTable(2, (0, 1, 1, 0)), 1, 2) == (
+        "symbol 'f': table arity 2 != declared 1")
+    assert table_error("f", DenseTable(2, (0, 1, 0)), 2, 2) == (
+        "symbol 'f': table length 3 != 2^2")
+    assert table_error("f", DenseTable(2, (0, 2, -1, 0)), 2, 2) == (
+        "symbol 'f': entry 2 out of range at flat index 1")
+    assert table_error("f", DenseTable(2, (0, 1, -1, 0)), 2, 2) == (
+        "symbol 'f': entry -1 out of range at flat index 2")
+    lazy = LazyTable(1, lambda a: a + 9)  # a lazy range is not checked
+    assert table_error("f", lazy, 1, 2) is None
+    assert table_error("f", lazy, 2, 2) == (
+        "symbol 'f': table arity 1 != declared 2")
 
 
 def test_structural_equality_ignores_name(z3_n2):

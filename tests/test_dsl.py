@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,8 @@ from finalg import catalog
 from finalg.core import Apply, Constant, Variable
 from finalg.dsl import (
     DslError,
+    _line_col,
+    _tokenize,
     parse_algebra,
     parse_file,
     parse_identity,
@@ -94,7 +97,35 @@ def test_error_reports_line_and_column():
     bad2 = "algebra X {\n  carrier 2\n  ops f/1 = [0, 1]\n}\n"
     with pytest.raises(DslError) as ei:
         parse_algebra(bad2)
-    assert ei.value.line == 3
+    assert (ei.value.line, ei.value.col) == (3, 3)
+    assert str(ei.value) == ("line 3, col 3: expected "
+                             "carrier/elem/const/op/require (got 'ops')")
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # unexpected character: found while tokenizing, before any parse error
+    ("algebra X {\n  carrier 2 ]\n  op f/1 = [0, @]\n}\n", 3, 16,
+     "unexpected character '@'"),
+    # bad element: reported at the statement that holds it
+    ("algebra X {\n  carrier 2\n  op f/1 = [0, top]\n}\n", 3, 3,
+     "expected an element (integer or declared alias)"),
+    # end of input, after trailing blank lines and a comment
+    ("algebra X {\n  carrier 2\n\n  # more\n  ", 5, 3,
+     "expected carrier/elem/const/op/require (got end of input)"),
+    # integer literals over Python's 4,300-digit conversion limit
+    ("algebra X {\n  carrier %s }" % ("1" * 5000), 2, 11,
+     "integer literal of 5000 digits is too long"),
+    ("algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000), 1, 36,
+     "integer literal of 5000 digits is too long"),
+], ids=["unexpected-character", "bad-element", "end-of-input",
+        "long-carrier", "long-entry"])
+def test_error_line_and_column_by_kind(text, line, col, message):
+    with pytest.raises(DslError) as ei:
+        parse_algebra(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value) == f"line {line}, col {col}: {message}"
+
+
 
 
 def test_wrong_entry_count_rejected():
@@ -109,6 +140,13 @@ def test_free_tables_only_in_search_specs():
         parse_algebra(text)
     raws, _ = parse_raw_blocks(text)
     assert raws[0].ops == [("f", 1, None)]
+    # so are require clauses, in parse_file as in parse_algebra
+    text = "algebra X { carrier 2 op f/1 = [1, 0] require 2assoc:7 }"
+    for parse in (parse_algebra, parse_file):
+        with pytest.raises(DslError, match="require clauses"):
+            parse(text)
+    raws, _ = parse_raw_blocks(text)
+    assert raws[0].requires == ["2assoc:7"]
 
 
 def test_require_clause_with_digit_prefixed_suite_names():
@@ -136,3 +174,65 @@ def test_comments_and_whitespace_ignored():
 def test_serialize_parse_round_trip_random(seed, m, n):
     alg = random_algebra(random.Random(seed), m, n)
     assert parse_algebra(serialize(alg)) == alg
+
+
+# The hand-stepped tokenizer that the offset-based one replaced, kept as a
+# reference: (kind, value, line, col) tokens, and the same DslError text.
+_REFERENCE_TOKEN = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<ident>\d*[A-Za-z_][A-Za-z0-9_\-]*)
+      | (?P<int>\d+)
+      | (?P<punct>[{}\[\](),=/:])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text):
+    toks = []
+    pos = 0
+    line, col = 1, 1
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        val = m.group()
+        if kind != "ws":
+            toks.append((kind, val, line, col))
+        nl = val.count("\n")
+        if nl:
+            line += nl
+            col = len(val) - val.rfind("\n")
+        else:
+            col += len(val)
+        pos = m.end()
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except DslError as e:
+        return str(e)
+
+
+_MUTATION_CHARS = "az_Z09-{}[](),=/:#@$ \n\t\r\x0c\u00e9\u0663"
+_BASES = [SAMPLE, "algebra A {\n carrier 2\n elem top = 1\n"
+          "  op f/1 = [top, 0] # c\n require 2assoc:1\n}\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_BASES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                          st.sampled_from(_MUTATION_CHARS)), max_size=6))
+def test_tokenizer_matches_reference_on_mutated_texts(base, edits):
+    text = base
+    for pos, op, ch in edits:  # insert, delete or replace one character
+        pos %= len(text) + 1
+        text = text[:pos] + ch * (op != 1) + text[pos + (op != 0):]
+    got = _tokens_or_error(_tokenize, text)
+    if isinstance(got, list):
+        got = [(k, v, *_line_col(text, off)) for k, v, off in got]
+    assert got == _tokens_or_error(_reference_tokenize, text)
