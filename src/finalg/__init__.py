@@ -16,6 +16,7 @@ from .core import (
     SymbolError,
     Variable,
     eval_term,
+    standard_algebra,
     standard_signature,
     table_from_fn,
     validate_algebra,
@@ -36,6 +37,7 @@ from .identities import (
     identity_unit_expansion,
     identity_unit_law,
     resolve_suite,
+    suite_identities,
     suite_protomodular,
     suite_semiabelian,
 )

@@ -18,6 +18,7 @@ from .core import (
     FiniteAlgebra,
     LazyTable,
     Signature,
+    standard_algebra,
     table_from_fn,
 )
 from .identities import (
@@ -232,14 +233,9 @@ def build_semigroup_algebra(sg: MonoidSpec, n: int, i: int) -> FiniteAlgebra:
 
     if not isinstance(sg, GroupSpec):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
-    ops = [("theta", n + 1)] + [(f"alpha{j}", 2) for j in range(1, n + 1)]
-    sig = Signature(tuple(ops), ("e",))
-    tables = {"theta": table_from_fn(n + 1, m, theta)}
-    alpha = table_from_fn(2, m, sg.div)
-    for j in range(1, n + 1):
-        tables[f"alpha{j}"] = alpha
-    return FiniteAlgebra(
-        f"Grp{m}n{n}i{i}", sig, m, tables, {"e": sg.unit}
+    return standard_algebra(
+        f"Grp{m}n{n}i{i}", m, table_from_fn(n + 1, m, theta),
+        [table_from_fn(2, m, sg.div)] * n, [sg.unit] * n,
     )
 
 
@@ -281,15 +277,11 @@ def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
         ta, tb = dec(a), dec(b)
         return enc([g.div(x, y) for g, x, y in zip(groups, ta, tb)])
 
-    ops = [("theta", n + 1)] + [(f"alpha{j}", 2) for j in range(1, n + 1)]
-    sig = Signature(tuple(ops), ("e",))
-    tables = {"theta": table_from_fn(n + 1, m, theta)}
-    atbl = table_from_fn(2, m, alpha)
-    for j in range(1, n + 1):
-        tables[f"alpha{j}"] = atbl
-    unit = enc([g.unit for g in groups])
     label = "x".join(str(s) for s in sizes)
-    return FiniteAlgebra(f"GrpProd{label}n{n}", sig, m, tables, {"e": unit})
+    return standard_algebra(
+        f"GrpProd{label}n{n}", m, table_from_fn(n + 1, m, theta),
+        [table_from_fn(2, m, alpha)] * n, [enc([g.unit for g in groups])] * n,
+    )
 
 
 def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
@@ -385,16 +377,11 @@ def build_boolean_protomodular(k: int) -> FiniteAlgebra:
         raise BudgetError(f"k = {k} out of the supported range 1..3")
     m = 1 << k
     full = m - 1
-    sig = Signature(
-        (("theta", 3), ("alpha1", 2), ("alpha2", 2)), ("e1", "e2")
-    )
-    tables = {
-        "theta": table_from_fn(3, m, lambda x, y, z: (x | z) & y),
-        "alpha1": table_from_fn(2, m, lambda x, y: x & (full ^ y)),
-        "alpha2": table_from_fn(2, m, lambda x, y: x | (full ^ y)),
-    }
-    return FiniteAlgebra(
-        f"Bool{m}", sig, m, tables, {"e1": 0, "e2": full}
+    return standard_algebra(
+        f"Bool{m}", m, table_from_fn(3, m, lambda x, y, z: (x | z) & y),
+        [table_from_fn(2, m, lambda x, y: x & (full ^ y)),
+         table_from_fn(2, m, lambda x, y: x | (full ^ y))],
+        (0, full),
     )
 
 
@@ -507,20 +494,11 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
                 f"section at b = {b} is not surjective (misses {missing[0]})"
             )
         preimage[b][tbl.lookup(units + (b,), m)] = units
-    shared_unit = len(set(units)) == 1
-    ops = [("theta", n + 1)] + [(f"alpha{i}", 2) for i in range(1, n + 1)]
-    consts = ("e",) if shared_unit else tuple(f"e{i}" for i in range(1, n + 1))
-    sig = Signature(tuple(ops), consts)
-    tables = {"theta": tbl}
-    for i in range(1, n + 1):
-        tables[f"alpha{i}"] = table_from_fn(
-            2, m, lambda a, b, i=i: preimage[b][a][i - 1]
-        )
-    cvals = (
-        {"e": units[0]} if shared_unit
-        else {f"e{i}": units[i - 1] for i in range(1, n + 1)}
-    )
-    return FiniteAlgebra(alg.name + "-alphas", sig, m, tables, cvals)
+    alphas = [
+        table_from_fn(2, m, lambda a, b, i=i: preimage[b][a][i])
+        for i in range(n)
+    ]
+    return standard_algebra(alg.name + "-alphas", m, tbl, alphas, units)
 
 
 def build_strict_semiloop(m: int, twisted: bool = False) -> FiniteAlgebra:
@@ -547,10 +525,8 @@ def build_strict_semiloop(m: int, twisted: bool = False) -> FiniteAlgebra:
     def alpha(a, b):
         return sigma(b, (a - b) % m)
 
-    sig = Signature((("theta", 2), ("alpha1", 2)), ("e",))
-    tables = {
-        "theta": table_from_fn(2, m, theta),
-        "alpha1": table_from_fn(2, m, alpha),
-    }
     label = "Semiloop" if twisted else "Cyclic"
-    return FiniteAlgebra(f"{label}{m}", sig, m, tables, {"e": 0})
+    return standard_algebra(
+        f"{label}{m}", m, table_from_fn(2, m, theta),
+        [table_from_fn(2, m, alpha)], [0],
+    )

@@ -18,13 +18,7 @@ from .core import (
     check_term,
     validate_algebra,
 )
-from .identities import (
-    EXHAUSTIVE_BUDGET,
-    check_identity,
-    resolve_suite,
-    suite_arity,
-    unit_constants,
-)
+from .identities import EXHAUSTIVE_BUDGET, check_identity, suite_identities
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,17 +63,6 @@ def _emit_reports(reports, fmt, out):
             out(r.line())
 
 
-def _suite_identities(alg, spec):
-    """The identities of suite spec ('name' or 'name:n'), over alg's unit
-    constants when it declares them; KeyError/ValueError as resolve_suite."""
-    n = suite_arity(spec)
-    try:
-        units = unit_constants(alg, n)
-    except AlgebraError:
-        units = None
-    return resolve_suite(spec, units).identities
-
-
 def cmd_check(args, out):
     alg, file_identities = _load_algebra(args.file)
     v = validate_algebra(alg)
@@ -88,7 +71,7 @@ def cmd_check(args, out):
     identities = []
     if args.suite:
         try:
-            identities.extend(_suite_identities(alg, args.suite))
+            identities.extend(suite_identities(alg, args.suite))
         except (KeyError, ValueError) as e:
             raise SystemExit2(e.args[0])
     by_name = {i.name: i for i in file_identities}
@@ -97,7 +80,7 @@ def cmd_check(args, out):
             identities.append(by_name[name])
             continue
         try:
-            identities.extend(_suite_identities(alg, name))
+            identities.extend(suite_identities(alg, name))
         except KeyError:
             raise SystemExit2(f"unknown identity or suite {name!r}")
         except ValueError as e:
@@ -146,10 +129,18 @@ def _c_semigroup(args):
     )
 
 
+def _int(option, text):
+    """An integer in an option value; anything else is an input error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit2(f"{option}: expected an integer, got {text!r}")
+
+
 @_construction("group-product")
 def _c_group_product(args):
-    orders = [int(x) for x in args.orders.split(",")]
-    indices = tuple(int(x) for x in args.indices.split(","))
+    orders = [_int("--orders", x) for x in args.orders.split(",")]
+    indices = tuple(_int("--indices", x) for x in args.indices.split(","))
     return catalog.build_group_product_algebra(
         [catalog.cyclic_group(k) for k in orders], indices, args.n
     )
@@ -170,7 +161,8 @@ def _c_bounded(args):
 @_construction("lattice")
 def _c_lattice(args):
     if args.shape.startswith("chain:"):
-        lat = catalog.chain_lattice(int(args.shape.split(":")[1]))
+        k = _int("--shape", args.shape.partition(":")[2])
+        lat = catalog.chain_lattice(k)
     elif args.shape == "2x2":
         lat = catalog.product_lattice(
             catalog.chain_lattice(2), catalog.chain_lattice(2)

@@ -62,6 +62,11 @@ class Signature:
         return name in self.constants
 
 
+def default_units(n: int) -> tuple:
+    """The unit constant names e1..en."""
+    return tuple(f"e{i}" for i in range(1, n + 1))
+
+
 def standard_signature(n: int, shared_unit: bool = False) -> Signature:
     """The signature {theta/(n+1), alpha1/2..alphan/2, e1..en}.
 
@@ -71,8 +76,7 @@ def standard_signature(n: int, shared_unit: bool = False) -> Signature:
     if n < 1:
         raise AlgebraError(f"n must be >= 1, got {n}")
     ops = [("theta", n + 1)] + [(f"alpha{i}", 2) for i in range(1, n + 1)]
-    consts = ("e",) if shared_unit else tuple(f"e{i}" for i in range(1, n + 1))
-    return Signature(tuple(ops), consts)
+    return Signature(tuple(ops), ("e",) if shared_unit else default_units(n))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,29 @@ class FiniteAlgebra:
             if a != b:
                 return False
         return True
+
+
+def standard_algebra(name, m, theta, alphas, units) -> FiniteAlgebra:
+    """theta and alpha1..alphan over standard_signature(n), with the unit
+    values units: one shared constant e when they are all equal, e1..en
+    otherwise (the unit rule unit_constants reads back)."""
+    units = tuple(units)
+    sig = standard_signature(len(units), shared_unit=len(set(units)) == 1)
+    tables = {"theta": theta}
+    tables.update((f"alpha{i}", al) for i, al in enumerate(alphas, start=1))
+    return FiniteAlgebra(name, sig, m, tables, dict(zip(sig.constants, units)))
+
+
+def unit_constants(alg: FiniteAlgebra, n: int):
+    """The n unit-constant names of alg: e1..en, or n copies of 'e'."""
+    sig = alg.signature
+    if all(sig.has_constant(f"e{i}") for i in range(1, n + 1)):
+        return default_units(n)
+    if sig.has_constant("e"):
+        return ("e",) * n
+    raise SymbolError(
+        f"{alg.name!r} declares neither e1..e{n} nor a shared constant e"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +399,11 @@ def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
     if not isinstance(tbl, DenseTable):
         return None
     entries = tbl.entries
-    if len(entries) != m ** arity:
-        return f"symbol {sym!r}: table length {len(entries)} != {m}^{arity}"
+    # m >= 2 and arity >= len.bit_length() give m^arity >= 2^arity > len,
+    # so a huge arity is refused without building m^arity
+    n = len(entries)
+    if (m > 1 and arity >= n.bit_length()) or n != m ** arity:
+        return f"symbol {sym!r}: table length {n} != {m}^{arity}"
     if entries and not (0 <= min(entries) and max(entries) < m):
         i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < m)
         return f"symbol {sym!r}: entry {v} out of range at flat index {i}"

@@ -19,25 +19,22 @@ from .core import (
     DenseTable,
     FiniteAlgebra,
     Signature,
+    standard_algebra,
     table_from_fn,
+    unit_constants,
 )
 from . import dsl
 from .identities import (
     ASSOCIATIVITY,
     GROUP_LAWS,
     check_identity,
-    check_suite,
     enriched_laws,
-    first_failure,
-    identity_2assoc,
     identity_malcev_assoc,
     identity_malcev_assoc_expanded,
     identities_malcev,
     monoid_algebra,
     require_laws,
-    suite_protomodular,
-    suite_semiabelian,
-    unit_constants,
+    suite_identities,
 )
 
 
@@ -53,40 +50,26 @@ class GroupLawError(AlgebraError):
     """A group/enriched-group law failed where theory guarantees it."""
 
 
-def _structure(alg: FiniteAlgebra, shared_unit: bool = True):
-    """Locate theta, the alphas, and the unit constants of alg.
-
-    With shared_unit=True (the semi-abelian operations) the unit constants
-    must coincide; the common value is returned.  Otherwise the returned
-    value is the first unit's.
-    """
+def _require(alg: FiniteAlgebra, *suite_names):
+    """(theta, n, e) of alg, after each named suite passes at theta's n
+    over alg's unit constants; e is the first unit's value.  A failing
+    identity raises PreconditionError with its report, so a semi-abelian
+    precondition refuses distinct units at its units-equal-i identity."""
     theta = alg.op("theta")
     n = theta.arity - 1
-    units = unit_constants(alg, n)
-    values = {alg.constant(u) for u in units}
-    if shared_unit and len(values) != 1:
+    if n < 1:
         raise PreconditionError(
-            f"{alg.name!r}: unit constants take distinct values {sorted(values)}"
-        )
-    return theta, n, units, alg.constant(units[0])
-
-
-def _require(alg, n, units, *, semiabelian=True):
-    suite = (suite_semiabelian if semiabelian else suite_protomodular)(n, units)
-    reports = check_suite(alg, suite)
-    bad = first_failure(reports)
-    if bad is not None:
-        raise PreconditionError(
-            f"{alg.name!r} fails {suite.name} at {bad.name}", bad
-        )
-
-
-def _require_2assoc(alg, n):
-    rep = check_identity(alg, identity_2assoc(n))
-    if not rep.ok:
-        raise PreconditionError(
-            f"{alg.name!r} is not 2-associative", rep
-        )
+            f"{alg.name!r}: theta has arity {theta.arity}, needs >= 2")
+    e = alg.constant(unit_constants(alg, n)[0])
+    for name in suite_names:
+        spec = f"{name}:{n}"
+        for ident in suite_identities(alg, spec):
+            rep = check_identity(alg, ident)
+            if not rep.ok:
+                raise PreconditionError(
+                    f"{alg.name!r} fails {spec} at {rep.name}", rep
+                )
+    return theta, n, e
 
 
 def algebra_hash(alg: FiniteAlgebra) -> str:
@@ -142,9 +125,7 @@ def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
     each closed-form inverse is checked against the unique brute-force
     inverse.
     """
-    theta, n, units, e = _structure(alg)
-    _require(alg, n, units, semiabelian=True)
-    _require_2assoc(alg, n)
+    theta, n, e = _require(alg, "semiabelian", "2assoc")
     m = alg.size
     product = table_from_fn(2, m, lambda a, b: theta.lookup((a,) * n + (b,), m))
 
@@ -175,9 +156,7 @@ def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
 def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
     """The element a with theta(a,...,a,b) = c, by diagonal_closed_form,
     verified against the equation."""
-    theta, n, units, _ = _structure(alg, shared_unit=False)
-    _require(alg, n, units, semiabelian=False)
-    _require_2assoc(alg, n)
+    theta, n, _ = _require(alg, "protomodular", "2assoc")
     m = alg.size
     a = diagonal_closed_form(alg, b, c)
     if theta.lookup((a,) * n + (b,), m) != c:
@@ -191,9 +170,7 @@ def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
 def check_diagonal_cancellation(alg: FiniteAlgebra) -> CheckReport:
     """On a 2-associative semi-abelian algebra: theta(a,...,a,e) = a, and
     theta(x,...,x,b) = c is uniquely solvable in either unknown."""
-    theta, n, units, e = _structure(alg)
-    _require(alg, n, units, semiabelian=True)
-    _require_2assoc(alg, n)
+    theta, n, e = _require(alg, "semiabelian", "2assoc")
     m = alg.size
     checked = 0
     for a in range(m):
@@ -245,8 +222,7 @@ class MalcevResult:
 def malcev_term(alg: FiniteAlgebra) -> MalcevResult:
     """Materialize mu(a,b,c) = theta(alpha*(a,b), c) on a protomodular
     algebra and check the Mal'cev laws plus associativity of mu."""
-    theta, n, units, _ = _structure(alg, shared_unit=False)
-    _require(alg, n, units, semiabelian=False)
+    theta, n, _ = _require(alg, "protomodular")
     m = alg.size
     alphas = [alg.op(f"alpha{i}") for i in range(1, n + 1)]
 
@@ -309,17 +285,17 @@ class EnrichedGroup:
 def to_enriched(alg: FiniteAlgebra) -> EnrichedGroup:
     """Convert a 2-associative semi-abelian algebra over the one-constant
     signature into an enriched group: gamma(a*) = theta(a*, e)."""
-    theta, n, units, e = _structure(alg)
+    dg = derive_group(alg)
     if not alg.signature.has_constant("e"):
         raise PreconditionError(
             f"{alg.name!r}: enriched conversion needs the one-constant "
             "signature (shared unit 'e')"
         )
-    dg = derive_group(alg)
-    m = alg.size
+    theta = alg.op("theta")
+    n, m, e = theta.arity - 1, alg.size, dg.unit
     gamma = table_from_fn(n, m, lambda *a: theta.lookup(a + (e,), m))
     alphas = tuple(alg.op(f"alpha{i}") for i in range(1, n + 1))
-    return EnrichedGroup(m, dg.product, dg.unit, gamma, alphas)
+    return EnrichedGroup(m, dg.product, e, gamma, alphas)
 
 
 def from_enriched(eg: EnrichedGroup, name: str = "FromEnriched") -> FiniteAlgebra:
@@ -331,14 +307,8 @@ def from_enriched(eg: EnrichedGroup, name: str = "FromEnriched") -> FiniteAlgebr
         n + 1, m,
         lambda *args: eg.mul(eg.gamma.lookup(args[:-1], m), args[-1]),
     )
-    ops = [("theta", n + 1)] + [(f"alpha{i}", 2) for i in range(1, n + 1)]
-    sig = Signature(tuple(ops), ("e",))
-    tables = {"theta": theta}
-    for i, al in enumerate(eg.alphas, start=1):
-        tables[f"alpha{i}"] = al
-    alg = FiniteAlgebra(name, sig, m, tables, {"e": eg.unit})
-    _require(alg, n, ("e",) * n, semiabelian=True)
-    _require_2assoc(alg, n)
+    alg = standard_algebra(name, m, theta, eg.alphas, (eg.unit,) * n)
+    _require(alg, "semiabelian", "2assoc")
     return alg
 
 

@@ -42,7 +42,9 @@ from .core import (
     SymbolError,
     Variable,
     check_term,
+    default_units,
     eval_term,
+    unit_constants,
     validate_algebra,
 )
 
@@ -254,22 +256,6 @@ def _theta(*args):
 
 def _avars(n, stem):
     return [Variable(f"{stem}{i}") for i in range(1, n + 1)]
-
-
-def default_units(n):
-    return tuple(f"e{i}" for i in range(1, n + 1))
-
-
-def unit_constants(alg: FiniteAlgebra, n: int):
-    """The n unit-constant names of alg: e1..en, or n copies of 'e'."""
-    sig = alg.signature
-    if all(sig.has_constant(f"e{i}") for i in range(1, n + 1)):
-        return default_units(n)
-    if sig.has_constant("e"):
-        return ("e",) * n
-    raise SymbolError(
-        f"{alg.name!r} declares neither e1..e{n} nor a shared constant e"
-    )
 
 
 def suite_protomodular(n: int, units=None) -> IdentitySuite:
@@ -683,7 +669,16 @@ def suite_arity(spec: str) -> int:
 def resolve_suite(spec: str, units=None) -> IdentitySuite:
     """Resolve a 'name' or 'name:n' string to an IdentitySuite (errors as
     in suite_arity)."""
-    n = suite_arity(spec)
-    if units is not None and len(units) == 1 and n > 1:
-        units = tuple(units) * n
-    return _SUITES[spec.partition(":")[0]](n, units)
+    return _SUITES[spec.partition(":")[0]](suite_arity(spec), units)
+
+
+def suite_identities(alg: FiniteAlgebra, spec: str) -> tuple:
+    """The identities of suite spec over alg's unit constants (e1..en or
+    a shared e, by unit_constants), or over e1..en when alg declares
+    neither; errors as in suite_arity.  The one suite lookup of check,
+    search specs and the group operations."""
+    try:
+        units = unit_constants(alg, suite_arity(spec))
+    except SymbolError:
+        units = None
+    return resolve_suite(spec, units).identities

@@ -25,6 +25,7 @@ rescan.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,7 +42,12 @@ from .core import (
     table_error,
 )
 from . import dsl
-from .identities import check_identity, identity_2assoc, resolve_suite
+from .identities import (
+    check_identity,
+    identity_2assoc,
+    suite_identities,
+    suite_semiabelian,
+)
 
 SEARCH_BUDGET = 10 ** 9
 
@@ -73,14 +79,6 @@ class SearchSpec:
             if cname not in self.pinned_constants:
                 cells.append((cname, None))
         return cells
-
-    def free_cell_count(self) -> int:
-        """len(free_cells()), without building the list."""
-        return sum(
-            self.size ** arity for name, arity in self.signature.ops
-            if name not in self.pinned_tables
-        ) + sum(c not in self.pinned_constants
-                for c in self.signature.constants)
 
 
 @dataclass
@@ -114,6 +112,11 @@ def _check_spec(spec: SearchSpec) -> None:
     for name, tbl in spec.pinned_tables.items():
         if not spec.signature.has_op(name):
             raise AlgebraError(f"pinned table {name!r} not in signature")
+        if not isinstance(tbl, DenseTable):
+            raise AlgebraError(
+                f"pinned table {name!r} is a {type(tbl).__name__}; "
+                "a search pins DenseTable entries"
+            )
         problem = table_error(name, tbl, spec.signature.arity(name), m)
         if problem is not None:
             raise AlgebraError(f"pinned table: {problem}")
@@ -232,6 +235,29 @@ def _recheck(instances, vals, watch, moved) -> tuple:
     return False, done
 
 
+def _space_size(spec: SearchSpec, budget: int) -> int:
+    """m^k for the k free cells of spec, or BudgetError when that exceeds
+    budget.  m >= 2 and k >= budget.bit_length() give m^k >= 2^k > budget,
+    so a huge space is refused without building m^k, and a free op of
+    such an arity without building m^arity; a k of 100 digits or more is
+    worded by its terms m^arity."""
+    m = spec.size
+    arities = [a for name, a in spec.signature.ops
+               if name not in spec.pinned_tables]
+    consts = sum(c not in spec.pinned_constants
+                 for c in spec.signature.constants)
+    bound = budget.bit_length() if m > 1 else math.inf
+    k = None
+    if max(arities, default=0) < bound:
+        k = sum(m ** a for a in arities) + consts
+        if k < bound and m ** k <= budget:
+            return m ** k
+    if k is None or k >= 10 ** 100:
+        terms = [f"{m}^{a}" for a in arities] + [str(consts)] * (consts > 0)
+        k = f"({' + '.join(terms)})"
+    raise BudgetError(f"search space {m}^{k} exceeds budget {budget}")
+
+
 def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     """Complete backtracking search in the requested mode.
 
@@ -244,12 +270,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     start = time.perf_counter()
     _check_spec(spec)
     m = spec.size
-    k = spec.free_cell_count()
-    # m >= 2 and k >= budget.bit_length() give m^k >= 2^k > budget, so a
-    # huge space is refused without building m^k
-    if (m > 1 and k >= budget.bit_length()) or m ** k > budget:
-        raise BudgetError(f"search space {m}^{k} exceeds budget {budget}")
-    space = m ** k
+    space = _space_size(spec, budget)
     cells = spec.free_cells()
     layout = _Cells(spec)
     vals = layout.vals
@@ -311,6 +332,15 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     )
 
 
+def _semiabelian_2assoc(name, m, n, mode="find-first") -> SearchSpec:
+    """The 2-associative semi-abelian theory over theta, alpha1..alphan
+    and one shared unit e, every symbol free."""
+    sig = standard_signature(n, shared_unit=True)
+    identities = (suite_semiabelian(n, sig.constants * n).identities
+                  + (identity_2assoc(n),))
+    return SearchSpec(name, m, sig, identities, mode=mode)
+
+
 def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     """Certify that no strict 2-associative structure exists on a carrier
     of size m >= 2 for n >= 2.
@@ -323,12 +353,7 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     (hence no full structure) can be strict.
     """
     if m == 1:
-        spec = SearchSpec(
-            "trivial-strict", 1, standard_signature(n, shared_unit=True),
-            tuple(resolve_suite(f"semiabelian:{n}", ("e",) * n).identities)
-            + (identity_2assoc(n),),
-        )
-        return search(spec)
+        return search(_semiabelian_2assoc("trivial-strict", 1, n))
     if n < 2 or m < 2:
         raise AlgebraError("requires n >= 2 and m >= 2 (or m = 1)")
     start = time.perf_counter()
@@ -362,14 +387,8 @@ def count_2assoc_semiabelian(
 ) -> SearchResult:
     """Count all (theta, alpha*, e) assignments on {0..m-1} satisfying the
     semi-abelian axioms plus 2-associativity."""
-    sig = standard_signature(n, shared_unit=True)
-    identities = tuple(
-        resolve_suite(f"semiabelian:{n}", ("e",) * n).identities
-    ) + (identity_2assoc(n),)
-    spec = SearchSpec(
-        f"count-2assoc-semiabelian-m{m}-n{n}", m, sig, identities,
-        mode="count-all",
-    )
+    spec = _semiabelian_2assoc(f"count-2assoc-semiabelian-m{m}-n{n}", m, n,
+                               mode="count-all")
     return search(spec, budget=budget)
 
 
@@ -383,10 +402,9 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     raw = raws[0]
     alg = dsl.raw_to_algebra(raw, allow_free=True)
     required = list(identities)
-    units = tuple(raw.const_order) or None
     for req in raw.requires:
         try:
-            required.extend(resolve_suite(req, units).identities)
+            required.extend(suite_identities(alg, req))
         except (KeyError, ValueError) as e:
             raise dsl.DslError(e.args[0])
     for ident in required:

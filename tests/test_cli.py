@@ -75,6 +75,8 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
         # integer literals over Python's 4,300-digit conversion limit
         "algebra X { carrier %s }" % ("1" * 5000),
         "algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000),
+        # a length that cannot match 3^10000000, decided without it
+        "algebra X {\n  carrier 3\n  op f/10000000 = [0]\n}\n",
     ]:
         p.write_text(text)
         assert main(["check", str(p), "--suite", "semiabelian:1"]) == 2
@@ -155,6 +157,19 @@ def test_construct_unknown_name_exit_2(capsys):
     assert main(["construct", "florble"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--shape", "chain:x"],
+    ["lattice", "--shape", "chain:"],
+    ["group-product", "--orders", "2,x"],
+    ["group-product", "--indices", "1,x"],
+])
+def test_construct_bad_integer_option_exit_2(capsys, argv):
+    assert main(["construct"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_construct_to_file_then_check(tmp_path, capsys):
     out = tmp_path / "z4.alg"
     assert main(["construct", "semigroup", "--order", "4", "--n", "1",
@@ -192,7 +207,7 @@ def test_enriched_round_trip_via_cli(tmp_path, z3_file, capsys):
     p.write_text(enriched_text)
     assert main(["from-enriched", str(p)]) == 0
     back = parse_algebra(capsys.readouterr().out)
-    original = parse_algebra(open(z3_file).read())
+    original = parse_algebra(pathlib.Path(z3_file).read_text())
     assert back.tables["theta"].entries == original.tables["theta"].entries
 
 
@@ -263,6 +278,13 @@ def test_search_budget_exit_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "budget: search space 20^8000 exceeds budget 1000000000\n")
+    # an arity of 10^7 is refused from the arity, 3^10000000 never built
+    huge.write_text("algebra H {\n  carrier 3\n  op f/10000000 = free\n}\n")
+    assert main(["search", str(huge)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: search space 3^(3^10000000) exceeds budget 1000000000\n")
     # a budget below 1 is an input error, not a refusal or the default
     for budget in ("0", "-5"):
         capsys.readouterr()
@@ -367,3 +389,39 @@ def test_search_prove_none_with_a_model_exit_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == found
     assert out.startswith("witness found (space 387420489, nodes 1509)")
+
+
+@pytest.mark.parametrize("n, consts, suite", [
+    (1, "const x = 1\n  const e = 0", "semiabelian:1"),
+    (2, "const e = 0\n  const x = 1", "semiabelian:2"),
+    (2, "const e2 = 1\n  const e1 = 0", "protomodular:2"),
+], ids=["x-before-e", "e-then-x", "e2-before-e1"])
+def test_search_witness_passes_check_with_the_same_suite(tmp_path, capsys,
+                                                         n, consts, suite):
+    # units are e1..en or a shared e for both commands, never x and never
+    # the declaration order
+    alphas = "".join(f"  op alpha{i}/2 = free\n" for i in range(1, n + 1))
+    spec = tmp_path / "units.spec"
+    spec.write_text(f"algebra S {{\n  carrier 2\n  op theta/{n + 1} = free\n"
+                    f"{alphas}  {consts}\n  require {suite}\n}}\n")
+    assert main(["search", str(spec)]) == 0
+    witness = capsys.readouterr().out.split("\n", 1)[1]
+    alg = tmp_path / "witness.alg"
+    alg.write_text(witness)
+    assert main(["check", str(alg), "--suite", suite]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_search_require_without_its_units_exit_2(tmp_path, capsys):
+    # two unit constants do not give semiabelian:3 its e3 (nor a shared e)
+    spec = tmp_path / "two.spec"
+    spec.write_text(
+        "algebra S {\n  carrier 2\n  op theta/4 = free\n"
+        "  op alpha1/2 = free\n  op alpha2/2 = free\n  op alpha3/2 = free\n"
+        "  const e1 = 0\n  const e2 = 0\n  require semiabelian:3\n}\n")
+    assert main(["search", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: identity 'alpha3-unit' does not fit the signature of 'S': "
+        "unknown constant 'e3'\n")

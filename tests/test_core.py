@@ -17,12 +17,15 @@ from finalg.core import (
     SymbolError,
     Variable,
     eval_term,
+    standard_algebra,
     standard_signature,
     table_error,
     table_from_fn,
     term_text,
+    unit_constants,
     validate_algebra,
 )
+from finalg import catalog
 
 from conftest import random_algebra
 
@@ -43,6 +46,33 @@ def test_standard_signature_shapes():
     shared = standard_signature(3, shared_unit=True)
     assert shared.constants == ("e",)
     assert dict(shared.ops)["theta"] == 4
+
+
+def test_standard_algebra_unit_rule():
+    theta = table_from_fn(3, 2, lambda a, b, c: c)
+    alpha = table_from_fn(2, 2, lambda a, b: 0)
+    shared = standard_algebra("S", 2, theta, [alpha, alpha], (1, 1))
+    assert shared.signature == standard_signature(2, shared_unit=True)
+    assert shared.constants == {"e": 1}
+    assert unit_constants(shared, 2) == ("e", "e")
+    split = standard_algebra("D", 2, theta, [alpha, alpha], (0, 1))
+    assert split.signature == standard_signature(2)
+    assert split.constants == {"e1": 0, "e2": 1}
+    assert unit_constants(split, 2) == ("e1", "e2")
+    assert validate_algebra(split).ok
+    # the catalog builds through the same rule
+    assert catalog.build_boolean_protomodular(2).constants == {"e1": 0,
+                                                               "e2": 3}
+    v2 = catalog.build_lattice_v2_algebra(catalog.chain_lattice(1))
+    assert v2.signature.constants == ("e",) and v2.constants == {"e": 0}
+
+
+def test_unit_constants_needs_e1_to_en_or_a_shared_e():
+    alg = FiniteAlgebra("X", Signature((("theta", 3),), ("e1", "x")), 2,
+                        {"theta": table_from_fn(3, 2, max)}, {"e1": 0, "x": 1})
+    with pytest.raises(SymbolError, match="neither e1..e2 nor"):
+        unit_constants(alg, 2)
+    assert unit_constants(alg, 1) == ("e1",)
 
 
 def test_dense_table_row_major_order():
@@ -135,6 +165,11 @@ def test_table_error_names_the_first_problem():
         "symbol 'f': entry 2 out of range at flat index 1")
     assert table_error("f", DenseTable(2, (0, 1, -1, 0)), 2, 2) == (
         "symbol 'f': entry -1 out of range at flat index 2")
+    assert table_error("f", DenseTable(3, (0,) * 8), 3, 2) is None
+    assert table_error("f", DenseTable(9, (0,)), 9, 1) is None
+    # decided from the arity alone: 3^10000000 is never built
+    assert table_error("f", DenseTable(10 ** 7, (0,)), 10 ** 7, 3) == (
+        "symbol 'f': table length 1 != 3^10000000")
     lazy = LazyTable(1, lambda a: a + 9)  # a lazy range is not checked
     assert table_error("f", lazy, 1, 2) is None
     assert table_error("f", lazy, 2, 2) == (

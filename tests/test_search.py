@@ -11,6 +11,7 @@ from finalg.core import (
     BudgetError,
     Constant,
     DenseTable,
+    LazyTable,
     Signature,
     Variable,
     standard_signature,
@@ -130,6 +131,13 @@ def test_search_budget_refusal():
     spec = _malcev_2assoc_spec(3)
     with pytest.raises(BudgetError):
         search(spec, budget=10)
+    # a cell count of 100 digits or more is worded by its terms m^arity
+    m = 10 ** 60
+    spec = SearchSpec("wide", m, standard_signature(1, shared_unit=True), ())
+    with pytest.raises(BudgetError) as ei:
+        search(spec)
+    assert str(ei.value) == (
+        f"search space {m}^({m}^2 + {m}^2 + 1) exceeds budget 1000000000")
 
 
 def test_parse_search_spec_round_trip():
@@ -370,7 +378,7 @@ def test_random_specs_match_full_rescan(seed, m, n, mode):
     idents = []
     for s in suites:
         idents.extend(resolve_suite(
-            s if s == "malcev" else f"{s}:{n}", ("e",)).identities)
+            s if s == "malcev" else f"{s}:{n}", ("e",) * n).identities)
     # pin a random subset of ops, then the largest free ones until the
     # naive space is small enough for the reference searcher
     pinned = {name for name, _ in ops if rng.random() < 0.3}
@@ -423,4 +431,12 @@ def test_search_rejects_pins_outside_carrier(size, tables, consts):
     spec = SearchSpec("bad", size, sig, idents, pinned_tables=tables,
                       pinned_constants=consts)
     with pytest.raises(AlgebraError):
+        search(spec)
+
+
+def test_search_rejects_a_lazy_pin():
+    sig = standard_signature(1, shared_unit=True)
+    spec = SearchSpec("lazy", 2, sig, (identity_2assoc(1),),
+                      pinned_tables={"theta": LazyTable(2, max)})
+    with pytest.raises(AlgebraError, match="pinned table 'theta'"):
         search(spec)
