@@ -11,6 +11,7 @@ from .core import (
     EvalError,
     FiniteAlgebra,
     Identity,
+    InputError,
     LazyTable,
     Signature,
     SymbolError,

@@ -16,6 +16,7 @@ from .core import (
     BudgetError,
     DenseTable,
     FiniteAlgebra,
+    InputError,
     LazyTable,
     Signature,
     standard_algebra,
@@ -81,13 +82,20 @@ class GroupSpec(MonoidSpec):
         return self.mul(a, self.inverse[b])
 
 
+def _at_least_1(what, k):
+    if k < 1:
+        raise InputError(f"{what} must be >= 1, got {k}")
+
+
 def cyclic_group(k: int) -> GroupSpec:
     """The additive group of integers mod k."""
+    _at_least_1("group order", k)
     tbl = table_from_fn(2, k, lambda a, b: (a + b) % k)
     return GroupSpec(k, tbl, 0, tuple((-a) % k for a in range(k)))
 
 
 def cyclic_monoid(k: int) -> MonoidSpec:
+    _at_least_1("monoid order", k)
     return MonoidSpec(k, table_from_fn(2, k, lambda a, b: (a + b) % k), 0)
 
 
@@ -140,6 +148,7 @@ class LatticeSpec:
 
 def chain_lattice(k: int) -> LatticeSpec:
     """The k-element chain 0 < 1 < ... < k-1."""
+    _at_least_1("chain length", k)
     return LatticeSpec(
         k,
         table_from_fn(2, k, max),
@@ -211,9 +220,8 @@ def _theta_only(name, m, n, fn):
 def build_projection_algebra(m: int, n: int, i: int) -> FiniteAlgebra:
     """theta(a1,...,an,a_{n+1}) = a_i; 2-associative for every i."""
     if not 1 <= i <= n + 1:
-        raise AlgebraError(f"projection index {i} out of range 1..{n + 1}")
-    if m < 1:
-        raise AlgebraError("carrier must be nonempty")
+        raise InputError(f"projection index {i} out of range 1..{n + 1}")
+    _at_least_1("carrier size", m)
     return _theta_only(f"Proj{m}n{n}i{i}", m, n, lambda *a: a[i - 1])
 
 
@@ -224,7 +232,7 @@ def build_semigroup_algebra(sg: MonoidSpec, n: int, i: int) -> FiniteAlgebra:
     attached, giving a 2-associative semi-abelian algebra.
     """
     if not 1 <= i <= n:
-        raise AlgebraError(f"translation index {i} out of range 1..{n}")
+        raise InputError(f"translation index {i} out of range 1..{n}")
     m = sg.size
     mul = _gather(sg.table.entries)
 
@@ -244,10 +252,10 @@ def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
     from groups[j] and uses the indices[j]-th tuple entry, so
     theta(a1,...,an,b)_j = (a_{indices[j]})_j * b_j."""
     if len(groups) != len(indices):
-        raise AlgebraError("need one index per group factor")
+        raise InputError("need one index per group factor")
     for idx in indices:
         if not 1 <= idx <= n:
-            raise AlgebraError(f"index {idx} out of range 1..{n}")
+            raise InputError(f"index {idx} out of range 1..{n}")
     sizes = [g.size for g in groups]
     m = 1
     for s in sizes:
@@ -288,8 +296,7 @@ def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
     """Carrier: all (n+1)x(n+1) matrices over a q-element entry set,
     encoded by row-major base-q digits.  theta assembles the matrix whose
     i-th row is the i-th row of the i-th argument."""
-    if q < 1:
-        raise AlgebraError("entry set must be nonempty")
+    _at_least_1("entry set size", q)
     d = n + 1
     m = q ** (d * d)
     if m > MATRIX_CARRIER_CAP:
@@ -355,7 +362,7 @@ def build_lattice_theta(lat: LatticeSpec, variant: str) -> FiniteAlgebra:
     elif variant == "meet-middle":
         fn = lambda a, b, c: meet(join(a * m + c) * m + b)
     else:
-        raise AlgebraError(f"unknown variant {variant!r}")
+        raise InputError(f"unknown variant {variant!r}")
     return _theta_only(f"Lat{lat.size}-{variant}", lat.size, 2, fn)
 
 
@@ -373,7 +380,8 @@ def build_boolean_protomodular(k: int) -> FiniteAlgebra:
     """The power set of a k-element set as a protomodular algebra (n = 2):
     theta(x,y,z) = (x v z) ^ y, alpha1(x,y) = x ^ ~y, alpha2(x,y) = x v ~y,
     e1 = empty set, e2 = whole set.  Elements are bitmasks."""
-    if not 1 <= k <= 3:
+    _at_least_1("k", k)
+    if k > 3:
         raise BudgetError(f"k = {k} out of the supported range 1..3")
     m = 1 << k
     full = m - 1
@@ -419,6 +427,8 @@ def _map_composition(m, n):
 def build_map_composition_algebra(m: int, n: int) -> FiniteAlgebra:
     """Carrier: all maps A^n -> A for |A| = m, encoded by their value
     tables as base-m digits; theta(f1,...,fn,g) = g o (f1,...,fn)."""
+    if m < 0 or n < 0:
+        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
     points = m ** n
     size = m ** points
     if size > MAP_CARRIER_CAP:
@@ -432,6 +442,8 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     """The maps g: A^n -> A with g(a,...,a) = a, under composition-with-
     tupling, with e_i = i-th projection and alphas attached by the
     surjective-section builder.  A 2-associative protomodular algebra."""
+    if m < 0 or n < 0:
+        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
     points = m ** n
     tuples = list(itertools.product(range(m), repeat=n))
     index = {t: i for i, t in enumerate(tuples)}
@@ -474,7 +486,7 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
     n = tbl.arity - 1
     units = tuple(units)
     if len(units) != n:
-        raise AlgebraError(f"need {n} unit elements, got {len(units)}")
+        raise InputError(f"need {n} unit elements, got {len(units)}")
     m = alg.size
     for b in range(m):
         if tbl.lookup(units + (b,), m) != b:
@@ -509,10 +521,9 @@ def build_strict_semiloop(m: int, twisted: bool = False) -> FiniteAlgebra:
     the section at b = m-1 composes with the transposition (1 2), which
     yields a left semiloop that is not associative.
     """
-    if m < 1:
-        raise AlgebraError("carrier must be nonempty")
+    _at_least_1("carrier size", m)
     if twisted and m < 3:
-        raise AlgebraError("twisted semiloop needs m >= 3")
+        raise InputError("twisted semiloop needs m >= 3")
 
     def sigma(b, a):
         if twisted and b == m - 1 and a in (1, 2):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 semantic failure (an identity or law
 fails), 2 input error (bad file, parse error, unknown name), 3 budget
-refusal.
+refusal.  main alone maps an exception to its exit code, by class:
+InputError 2, BudgetError 3, a group refusal or any other AlgebraError 1.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from . import catalog, dsl, groups, search, verify
 from .core import (
     AlgebraError,
     BudgetError,
-    SymbolError,
-    check_term,
+    InputError,
+    check_identity_terms,
     validate_algebra,
 )
 from .identities import EXHAUSTIVE_BUDGET, check_identity, suite_identities
@@ -26,23 +27,27 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _load_algebra(path):
+def _read(path):
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise SystemExit2(f"cannot read {path}: {e}")
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}")
+
+
+def _write(path, text):
     try:
-        algebras, identities = dsl.parse_file(text)
-    except dsl.DslError as e:
-        raise SystemExit2(f"{path}: {e}")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}")
+
+
+def _load_algebra(path):
+    algebras, identities = dsl.parse_file(_read(path))
     if len(algebras) != 1:
-        raise SystemExit2(f"{path}: expected exactly one algebra block")
+        raise InputError(f"{path}: expected exactly one algebra block")
     return algebras[0], identities
-
-
-class SystemExit2(Exception):
-    """Input error destined for exit code 2."""
 
 
 def _budget(args, default):
@@ -51,7 +56,7 @@ def _budget(args, default):
     if args.budget is None:
         return default
     if args.budget < 1:
-        raise SystemExit2(f"--budget must be >= 1, got {args.budget}")
+        raise InputError(f"--budget must be >= 1, got {args.budget}")
     return args.budget
 
 
@@ -67,41 +72,28 @@ def cmd_check(args, out):
     alg, file_identities = _load_algebra(args.file)
     v = validate_algebra(alg)
     if not v.ok:
-        raise SystemExit2(f"{args.file}: {v.detail}")
+        raise InputError(f"{args.file}: {v.detail}")
     identities = []
     if args.suite:
-        try:
-            identities.extend(suite_identities(alg, args.suite))
-        except (KeyError, ValueError) as e:
-            raise SystemExit2(e.args[0])
+        identities.extend(suite_identities(alg, args.suite))
     by_name = {i.name: i for i in file_identities}
     for name in args.identity or []:
         if name in by_name:
             identities.append(by_name[name])
-            continue
-        try:
+        else:
             identities.extend(suite_identities(alg, name))
-        except KeyError:
-            raise SystemExit2(f"unknown identity or suite {name!r}")
-        except ValueError as e:
-            raise SystemExit2(str(e))
     if not identities:
         identities = file_identities
     if not identities:
-        raise SystemExit2("nothing to check: give --suite or --identity "
-                          "or put identity statements in the file")
+        raise InputError("nothing to check: give --suite or --identity "
+                         "or put identity statements in the file")
+    # every identity fits before any is checked, so a misfit is exit 2
+    # even where an earlier check would be over budget
     for ident in identities:
-        try:
-            check_term(alg.signature, ident.lhs, set(ident.variables))
-            check_term(alg.signature, ident.rhs, set(ident.variables))
-        except SymbolError as e:
-            raise SystemExit2(f"identity {ident.name!r}: {e}")
+        check_identity_terms(alg.signature, ident, alg.name)
     kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed,
           "budget": _budget(args, EXHAUSTIVE_BUDGET)}
-    try:
-        reports = [check_identity(alg, i, **kw) for i in identities]
-    except ValueError as e:  # e.g. sampled mode with --samples < 1
-        raise SystemExit2(str(e))
+    reports = [check_identity(alg, i, **kw) for i in identities]
     _emit_reports(reports, args.format, out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
@@ -134,7 +126,7 @@ def _int(option, text):
     try:
         return int(text)
     except ValueError:
-        raise SystemExit2(f"{option}: expected an integer, got {text!r}")
+        raise InputError(f"{option}: expected an integer, got {text!r}")
 
 
 @_construction("group-product")
@@ -168,7 +160,7 @@ def _c_lattice(args):
             catalog.chain_lattice(2), catalog.chain_lattice(2)
         )
     else:
-        raise SystemExit2(f"unknown lattice shape {args.shape!r}")
+        raise InputError(f"unknown lattice shape {args.shape!r}")
     if args.with_alphas:
         return catalog.build_lattice_v2_algebra(lat)
     return catalog.build_lattice_theta(lat, args.variant)
@@ -197,15 +189,14 @@ def _c_semiloop(args):
 def cmd_construct(args, out):
     fn = _CONSTRUCTIONS.get(args.name)
     if fn is None:
-        raise SystemExit2(
+        raise InputError(
             f"unknown construction {args.name!r}; "
             f"known: {', '.join(sorted(_CONSTRUCTIONS))}"
         )
     alg = fn(args)
     text = dsl.serialize(alg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        _write(args.out, text)
     else:
         out(text.rstrip("\n"))
     return EXIT_OK
@@ -213,13 +204,7 @@ def cmd_construct(args, out):
 
 def cmd_derive_group(args, out):
     alg, _ = _load_algebra(args.file)
-    try:
-        dg = groups.derive_group(alg)
-    except groups.PreconditionError as e:
-        out(f"REFUSED: {e}")
-        if e.report is not None:
-            out(e.report.line())
-        return EXIT_FAIL
+    dg = groups.derive_group(alg)
     out(dsl.serialize(groups.group_to_algebra(dg)).rstrip("\n"))
     out(f"# group axioms verified exhaustively on {dg.size} elements; "
         f"source hash {dg.source_hash}")
@@ -228,34 +213,21 @@ def cmd_derive_group(args, out):
 
 def cmd_to_enriched(args, out):
     alg, _ = _load_algebra(args.file)
-    try:
-        eg = groups.to_enriched(alg)
-    except (groups.PreconditionError, groups.GroupLawError) as e:
-        out(f"REFUSED: {e}")
-        return EXIT_FAIL
+    eg = groups.to_enriched(alg)
     out(dsl.serialize(groups.enriched_to_algebra(eg)).rstrip("\n"))
     return EXIT_OK
 
 
 def cmd_from_enriched(args, out):
     alg, _ = _load_algebra(args.file)
-    try:
-        eg = groups.algebra_to_enriched(alg)
-        back = groups.from_enriched(eg)
-    except (AlgebraError, groups.GroupLawError) as e:
-        out(f"REFUSED: {e}")
-        return EXIT_FAIL
+    back = groups.from_enriched(groups.algebra_to_enriched(alg))
     out(dsl.serialize(back).rstrip("\n"))
     return EXIT_OK
 
 
 def cmd_malcev(args, out):
     alg, _ = _load_algebra(args.file)
-    try:
-        res = groups.malcev_term(alg)
-    except groups.PreconditionError as e:
-        out(f"REFUSED: {e}")
-        return EXIT_FAIL
+    res = groups.malcev_term(alg)
     entries = ", ".join(str(v) for v in res.table.entries)
     out(f"op mu/3 = [{entries}]")
     _emit_reports(res.law_reports + [res.assoc_report], args.format, out)
@@ -263,15 +235,7 @@ def cmd_malcev(args, out):
 
 
 def cmd_search(args, out):
-    try:
-        with open(args.file, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise SystemExit2(f"cannot read {args.file}: {e}")
-    try:
-        spec = search.parse_search_spec(text, mode=args.search_mode)
-    except dsl.DslError as e:
-        raise SystemExit2(str(e))
+    spec = search.parse_search_spec(_read(args.file), mode=args.search_mode)
     result = search.search(spec, budget=_budget(args, search.SEARCH_BUDGET))
     if args.format == "structured":
         out(json.dumps({
@@ -382,15 +346,18 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args, out)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except dsl.DslError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as e:
         print(f"budget: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except (groups.PreconditionError, groups.GroupLawError) as e:
+        out(f"REFUSED: {e}")
+        report = getattr(e, "report", None)
+        if report is not None:
+            out(report.line())
+        return EXIT_FAIL
     except AlgebraError as e:
         print(f"failure: {e}", file=sys.stderr)
         return EXIT_FAIL

@@ -16,12 +16,17 @@ class AlgebraError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SymbolError(AlgebraError):
+class InputError(AlgebraError):
+    """The request is malformed: a bad file, name, symbol or argument."""
+
+
+class SymbolError(InputError):
     """Unknown operation/constant symbol, or arity mismatch."""
 
 
 class EvalError(AlgebraError):
-    """Unbound variable or other evaluation failure."""
+    """Unbound variable or other evaluation failure; a disagreement
+    between evaluators is a defect, not an input error."""
 
 
 class BudgetError(AlgebraError):
@@ -74,7 +79,7 @@ def standard_signature(n: int, shared_unit: bool = False) -> Signature:
     (the simplest semi-abelian signature).
     """
     if n < 1:
-        raise AlgebraError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     ops = [("theta", n + 1)] + [(f"alpha{i}", 2) for i in range(1, n + 1)]
     return Signature(tuple(ops), ("e",) if shared_unit else default_units(n))
 
@@ -185,16 +190,16 @@ class FiniteAlgebra:
     constants: dict = field(default_factory=dict)
 
     def op(self, name: str):
-        try:
-            return self.tables[name]
-        except KeyError:
+        tbl = self.tables.get(name)
+        if tbl is None:
             raise SymbolError(f"symbol {name!r} uninterpreted in {self.name!r}")
+        return tbl
 
     def constant(self, name: str) -> int:
-        try:
-            return self.constants[name]
-        except KeyError:
+        v = self.constants.get(name)
+        if v is None:
             raise SymbolError(f"constant {name!r} uninterpreted in {self.name!r}")
+        return v
 
     def __eq__(self, other):
         if not isinstance(other, FiniteAlgebra):
@@ -328,6 +333,18 @@ def check_term(sig: Signature, t: Term, declared_vars) -> None:
         )
     for a in t.args:
         check_term(sig, a, declared_vars)
+
+
+def check_identity_terms(sig: Signature, ident: Identity, owner=None) -> None:
+    """Raise SymbolError unless both sides of ident are well-formed over
+    sig; the message names ident and owner, the algebra or spec of sig."""
+    try:
+        for side in (ident.lhs, ident.rhs):
+            check_term(sig, side, ident.variables)
+    except SymbolError as e:
+        of = "" if owner is None else f" of {owner!r}"
+        raise SymbolError(f"identity {ident.name!r} does not fit the "
+                          f"signature{of}: {e}") from None
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env: dict) -> int:

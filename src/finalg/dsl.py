@@ -25,16 +25,16 @@ from .core import (
     DenseTable,
     FiniteAlgebra,
     Identity,
+    InputError,
     LazyTable,
     Signature,
-    SymbolError,
     Variable,
-    check_term,
+    check_identity_terms,
     table_error,
 )
 
 
-class DslError(Exception):
+class DslError(InputError):
     def __init__(self, message, line=None, col=None):
         if line is not None:
             message = f"line {line}, col {col}: {message}"
@@ -249,13 +249,8 @@ def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
     m = raw.carrier
     if m < 1:
         raise DslError(f"algebra {raw.name!r}: carrier must be >= 1")
-    try:
-        sig = Signature(
-            tuple((n, a) for n, a, _ in raw.ops),
-            tuple(raw.const_order),
-        )
-    except SymbolError as e:
-        raise DslError(f"algebra {raw.name!r}: {e}") from e
+    sig = Signature(
+        tuple((n, a) for n, a, _ in raw.ops), tuple(raw.const_order))
     tables = {}
     for n, arity, entries in raw.ops:
         if entries is None:
@@ -290,16 +285,12 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 
 def parse_identity(text: str, signature: Signature | None = None) -> Identity:
     """Parse one identity statement, optionally validating against a
-    signature (arity and symbol checks)."""
+    signature (arity and symbol checks, SymbolError on a mismatch)."""
     p = _Parser(text)
     ident = p.identity_stmt()
     p.expect("eof")
     if signature is not None:
-        try:
-            check_term(signature, ident.lhs, set(ident.variables))
-            check_term(signature, ident.rhs, set(ident.variables))
-        except SymbolError as e:
-            raise DslError(f"identity {ident.name!r}: {e}") from e
+        check_identity_terms(signature, ident)
     return ident
 
 

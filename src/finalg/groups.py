@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import (
     AlgebraError,
+    BudgetError,
     CheckReport,
     DenseTable,
     FiniteAlgebra,
@@ -349,7 +350,7 @@ def count_enriched_groups(m: int, n: int) -> int:
     in; independent of the searcher."""
     k = m * m * (n + 1) + m ** n  # cells: product, n alphas, gamma
     if m ** k > ENRICHED_BUDGET:
-        raise AlgebraError(
+        raise BudgetError(
             f"enriched enumeration space {m}^{k} exceeds budget "
             f"{ENRICHED_BUDGET}"
         )

@@ -38,10 +38,11 @@ from .core import (
     EvalError,
     FiniteAlgebra,
     Identity,
+    InputError,
     Signature,
     SymbolError,
     Variable,
-    check_term,
+    check_identity_terms,
     default_units,
     eval_term,
     unit_constants,
@@ -74,19 +75,19 @@ def check_identity(
     """Check one identity over all (or sampled) assignments.
 
     Exhaustive mode refuses when m^k exceeds the budget (BudgetError);
-    callers then switch to mode="sampled".
+    callers then switch to mode="sampled".  An identity that does not fit
+    alg's signature, an unknown mode or samples < 1 is an InputError.
     """
-    check_term(alg.signature, ident.lhs, set(ident.variables))
-    check_term(alg.signature, ident.rhs, set(ident.variables))
+    check_identity_terms(alg.signature, ident, alg.name)
     variables = ident.variables
     m = alg.size
     k = len(variables)
     if mode == "sampled":
         if samples < 1:
-            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+            raise InputError(f"sampled mode needs samples >= 1, got {samples}")
         engine, report = "sampled", _check_sampled(alg, ident, samples, seed)
     elif mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     else:
         total = m ** k
         if total > budget:
@@ -201,7 +202,7 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
 
     bits = m.bit_length()
     if bits > 32:
-        raise ValueError(f"sampled mode needs a carrier below 2^32, got {m}")
+        raise InputError(f"sampled mode needs a carrier below 2^32, got {m}")
     pool = np.empty(0, dtype=np.int64)  # accepted draws not yet used
     while samples > 0:
         b = min(samples, _BATCH)
@@ -652,33 +653,49 @@ _SUITES = {
 def suite_arity(spec: str) -> int:
     """The n of a 'name' or 'name:n' suite string (1 when omitted).
 
-    Raises KeyError for an unknown name and ValueError when n is not an
-    integer >= 1."""
+    Raises InputError for an unknown name or when n is not an integer
+    >= 1."""
     name, _, ns = spec.partition(":")
     if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise InputError(f"unknown suite {name!r}; known: "
+                         f"{', '.join(sorted(_SUITES))}")
     try:
         n = int(ns) if ns else 1
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError(f"suite {spec!r}: arity must be an integer >= 1")
+        raise InputError(f"suite {spec!r}: arity must be an integer >= 1")
     return n
 
 
 def resolve_suite(spec: str, units=None) -> IdentitySuite:
-    """Resolve a 'name' or 'name:n' string to an IdentitySuite (errors as
-    in suite_arity)."""
-    return _SUITES[spec.partition(":")[0]](suite_arity(spec), units)
+    """Resolve a 'name' or 'name:n' string to an IdentitySuite over the n
+    unit-constant names units (e1..en when None).  Errors as in
+    suite_arity; fewer than n units is an InputError."""
+    n = suite_arity(spec)
+    if units is not None and len(units) < n:
+        raise InputError(f"suite {spec!r} needs {n} unit names, "
+                         f"got {len(units)}")
+    return _SUITES[spec.partition(":")[0]](n, units)
 
 
 def suite_identities(alg: FiniteAlgebra, spec: str) -> tuple:
     """The identities of suite spec over alg's unit constants (e1..en or
     a shared e, by unit_constants), or over e1..en when alg declares
-    neither; errors as in suite_arity.  The one suite lookup of check,
-    search specs and the group operations."""
+    neither; errors as in suite_arity.  Every suite but malcev and
+    malcev-assoc applies theta to n + 1 arguments, so one whose n does
+    not match alg's theta is refused (SymbolError) before it is built.
+    The one suite lookup of check, search specs and the group
+    operations."""
+    n = suite_arity(spec)
+    name = spec.partition(":")[0]
+    sig = alg.signature
+    if name not in ("malcev", "malcev-assoc") and (
+            not sig.has_op("theta") or sig.arity("theta") != n + 1):
+        raise SymbolError(f"suite {spec!r} needs theta/{n + 1}, which "
+                          f"{alg.name!r} does not declare")
     try:
-        units = unit_constants(alg, suite_arity(spec))
+        units = unit_constants(alg, n)
     except SymbolError:
         units = None
     return resolve_suite(spec, units).identities

@@ -35,9 +35,10 @@ from .core import (
     Constant,
     DenseTable,
     FiniteAlgebra,
+    InputError,
     Signature,
     Variable,
-    check_term,
+    check_identity_terms,
     standard_signature,
     table_error,
 )
@@ -108,21 +109,21 @@ def _check_spec(spec: SearchSpec) -> None:
     {0..m-1}: the search would index its cell array with them."""
     m = spec.size
     if m < 1:
-        raise AlgebraError(f"carrier must be >= 1, got {m}")
+        raise InputError(f"carrier must be >= 1, got {m}")
     for name, tbl in spec.pinned_tables.items():
         if not spec.signature.has_op(name):
-            raise AlgebraError(f"pinned table {name!r} not in signature")
+            raise InputError(f"pinned table {name!r} not in signature")
         if not isinstance(tbl, DenseTable):
-            raise AlgebraError(
+            raise InputError(
                 f"pinned table {name!r} is a {type(tbl).__name__}; "
                 "a search pins DenseTable entries"
             )
         problem = table_error(name, tbl, spec.signature.arity(name), m)
         if problem is not None:
-            raise AlgebraError(f"pinned table: {problem}")
+            raise InputError(f"pinned table: {problem}")
     for cname, v in spec.pinned_constants.items():
         if not 0 <= v < m:
-            raise AlgebraError(
+            raise InputError(
                 f"pinned constant {cname!r} = {v} is outside 0..{m - 1}"
             )
 
@@ -355,7 +356,7 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     if m == 1:
         return search(_semiabelian_2assoc("trivial-strict", 1, n))
     if n < 2 or m < 2:
-        raise AlgebraError("requires n >= 2 and m >= 2 (or m = 1)")
+        raise InputError("requires n >= 2 and m >= 2 (or m = 1)")
     start = time.perf_counter()
     section = m ** n
     nodes = 0
@@ -403,19 +404,9 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     alg = dsl.raw_to_algebra(raw, allow_free=True)
     required = list(identities)
     for req in raw.requires:
-        try:
-            required.extend(suite_identities(alg, req))
-        except (KeyError, ValueError) as e:
-            raise dsl.DslError(e.args[0])
+        required.extend(suite_identities(alg, req))
     for ident in required:
-        for side in (ident.lhs, ident.rhs):
-            try:
-                check_term(alg.signature, side, ident.variables)
-            except AlgebraError as e:
-                raise dsl.DslError(
-                    f"identity {ident.name!r} does not fit the "
-                    f"signature of {raw.name!r}: {e}"
-                )
+        check_identity_terms(alg.signature, ident, raw.name)
     return SearchSpec(
         raw.name, alg.size, alg.signature, tuple(required),
         pinned_tables=alg.tables,

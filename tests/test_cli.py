@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finalg import catalog
+from finalg import catalog, groups
 from finalg.cli import main
 from finalg.dsl import parse_algebra, serialize
 
@@ -60,8 +65,15 @@ def test_check_identity_from_file(tmp_path, z3_n2, capsys):
     assert "diag" in capsys.readouterr().out
 
 
-def test_check_missing_file_exit_2(capsys):
+def test_check_missing_file_exit_2(tmp_path, capsys):
     assert main(["check", "/nonexistent/x.alg"]) == 2
+    # a file that is not UTF-8 text cannot be read either
+    p = tmp_path / "binary.alg"
+    p.write_bytes(b"\xff\xfe\x00algebra")
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")
 
 
 def test_check_parse_error_exit_2(tmp_path, capsys):
@@ -133,6 +145,18 @@ def test_check_sampled_mode_refuses_no_samples(z3_file, capsys, samples):
     assert "Traceback" not in captured.err
 
 
+def test_check_sampled_mode_huge_carrier_exit_2(tmp_path, capsys):
+    # the sampler draws 32-bit words, so a carrier of 2^32 or more is refused
+    p = tmp_path / "huge.alg"
+    p.write_text("algebra H {\n  carrier 5000000000\n  const e = 0\n}\n"
+                 "identity two(a, b): e = e\n")
+    assert main(["check", str(p), "--mode", "sampled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_construct_output_parses_and_checks(tmp_path, capsys):
     for args in (
         ["construct", "boolean", "--k", "1"],
@@ -162,12 +186,35 @@ def test_construct_unknown_name_exit_2(capsys):
     ["lattice", "--shape", "chain:"],
     ["group-product", "--orders", "2,x"],
     ["group-product", "--indices", "1,x"],
+    # out-of-range sizes, indices and variants
+    ["semigroup", "--order", "0"],
+    ["semigroup", "--order", "2", "--i", "3"],
+    ["projection", "--m", "0"],
+    ["projection", "--i", "5"],
+    ["strict-semiloop", "--m", "0"],
+    ["strict-semiloop", "--m", "2", "--twisted"],
+    ["matrix-rows", "--q", "0"],
+    ["lattice", "--shape", "chain:0"],
+    ["boolean", "--k", "0"],
+    ["bounded-monoid", "--order", "0"],
+    ["group-product", "--orders", "0,2"],
+    ["group-product", "--indices", "1"],
+    ["map-composition", "--n", "-1"],
+    ["diagonal-retractions", "--n", "0"],
 ])
 def test_construct_bad_integer_option_exit_2(capsys, argv):
     assert main(["construct"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_construct_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "b.alg"
+    assert main(["construct", "boolean", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
 
 
 def test_construct_to_file_then_check(tmp_path, capsys):
@@ -214,6 +261,34 @@ def test_enriched_round_trip_via_cli(tmp_path, z3_file, capsys):
 def test_to_enriched_refuses_boolean(bool2_file, capsys):
     assert main(["to-enriched", bool2_file]) == 1
     assert "REFUSED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["derive-group", "to-enriched", "malcev"])
+def test_group_refusal_prints_failing_report(tmp_path, capsys, command):
+    # alpha1 is constant, so the retraction theta(alpha1(a, b), b) = a fails
+    p = tmp_path / "nonproto.alg"
+    p.write_text("algebra P {\n  carrier 2\n  const e = 0\n"
+                 "  op theta/2 = [0, 1, 1, 0]\n"
+                 "  op alpha1/2 = [0, 0, 0, 0]\n}\n")
+    assert main([command, str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("REFUSED: 'P' fails ")
+    assert lines[1].startswith("IDENTITY retraction FAIL [counterexample: ")
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("derive-group", "chain2_file"),
+    ("to-enriched", "chain2_file"),
+    ("malcev", "chain2_file"),
+    ("from-enriched", "z3_file"),
+])
+def test_group_command_missing_symbol_exit_2(request, capsys, command,
+                                             fixture):
+    # chain2 has theta only (no alphas, no units); z3 has no prod or gamma
+    assert main([command, request.getfixturevalue(fixture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_search_command_modes(tmp_path, capsys):
@@ -300,11 +375,24 @@ def test_verify_subcommand_single_criterion(capsys):
     assert out.count("PASS") == 1
 
 
+def test_verify_subcommand_unknown_criterion_exit_2(capsys):
+    # running nothing is not a pass: an unknown key names the valid ones
+    assert main(["verify-paper", "--only", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown criterion 'bogus'")
+    assert "13 (catalog-2assoc-examples)" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--suite", "--identity"])
 @pytest.mark.parametrize("suite", ["2assoc:x", "2assoc:0", "2assoc:-1",
-                                   "protomodular:5"])  # z3 has alpha1, alpha2
+                                   "protomodular:5",  # z3 has alpha1, alpha2
+                                   # refused from theta's arity, unbuilt
+                                   "protomodular:200000", "2assoc:3000"])
 def test_check_bad_suite_arity_exit_2(z3_file, capsys, flag, suite):
+    start = time.perf_counter()
     assert main(["check", z3_file, flag, suite]) == 2
+    assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
@@ -425,3 +513,100 @@ def test_search_require_without_its_units_exit_2(tmp_path, capsys):
     assert captured.err == (
         "error: identity 'alpha3-unit' does not fit the signature of 'S': "
         "unknown constant 'e3'\n")
+
+
+# --- fuzz: whatever the input, main returns an exit code ---------------------
+
+_FUZZ_ALGEBRAS = [
+    catalog.build_projection_algebra(2, 1, 1),
+    catalog.build_semigroup_algebra(catalog.cyclic_group(3), 1, 1),
+    catalog.build_semigroup_algebra(catalog.cyclic_group(2), 2, 1),
+    catalog.build_boolean_protomodular(1),
+    catalog.build_strict_semiloop(3, twisted=True),
+]
+_FUZZ_BASES = [serialize(a) for a in _FUZZ_ALGEBRAS] + [
+    serialize(groups.enriched_to_algebra(
+        groups.to_enriched(_FUZZ_ALGEBRAS[1]))),
+    "algebra S {\n  carrier 2\n  op theta/2 = free\n  op alpha1/2 = free\n"
+    "  const e = 0\n  require semiabelian:1 2assoc:1\n}\n",
+    "algebra U {\n  carrier 2\n  op mu/3 = free\n  require malcev\n}\n"
+    "identity idem(a): mu(a, a, a) = a\n",
+    "algebra T {\n  carrier 3\n  op theta/2 = [0, 1, 2, 1, 2, 0, 2, 0, 1]\n"
+    "  op alpha1/2 = free\n  const e = 0\n  require protomodular:1\n}\n",
+]
+# a piece of a base text is replaced by one of its own kind, so that many
+# mutants still parse and reach the checks, the search and the group
+# commands; inserted lines add statements
+_FUZZ_KINDS = {
+    "number": ["0", "1", "2", "3", "7", "-1"],
+    "word": ["free", "e", "e1", "e2", "theta", "alpha1", "alpha2", "mu",
+             "prod", "gamma", "const", "op", "carrier", "require",
+             "semiabelian", "2assoc", "malcev"],
+    "punct": list("{}[](),=/:"),
+}
+_FUZZ_LINES = [
+    "const e = 1", "const e2 = 0", "op f/2 = [0, 1, 1, 0]",
+    "op gamma/1 = [0, 1]", "op theta/2 = free", "require semiabelian:2",
+    "carrier 3", "identity i(a): theta(a, a) = a",
+    "algebra B { carrier 1 }",
+]
+
+
+def _kind(piece):
+    if piece.isdigit():
+        return "number"
+    return "punct" if piece in _FUZZ_KINDS["punct"] else "word"
+
+
+_FUZZ_SUITES = ["protomodular", "semiabelian", "2assoc", "1assoc", "strict",
+                "malcev", "malcev-assoc", "unit-law", "unit-expansion",
+                "bogus"]
+_COUNT = st.integers(-1, 10 ** 3).map(str)
+
+_fuzz_command = st.one_of(
+    st.tuples(st.sampled_from(["--suite", "--identity"]),
+              st.builds("{}:{}".format, st.sampled_from(_FUZZ_SUITES),
+                        st.sampled_from([1, 2, 3, 4, 0, -1])),
+              st.one_of(st.just([]),
+                        st.tuples(st.just("--budget"), _COUNT).map(list),
+                        st.tuples(st.just("--mode"), st.just("sampled"),
+                                  st.just("--samples"), _COUNT).map(list)))
+    .map(lambda t: ["check", "{}", t[0], t[1]] + t[2]),
+    st.just(["check", "{}"]),
+    st.sampled_from(["find-first", "count-all", "prove-none"]).map(
+        lambda mode: ["search", "{}", "--search-mode", mode,
+                      "--budget", "10000"]),
+    st.sampled_from(["derive-group", "to-enriched", "from-enriched",
+                     "malcev"]).map(lambda c: [c, "{}"]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_BASES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                          st.integers(0, 10 ** 6)), max_size=2),
+       _fuzz_command)
+def test_main_returns_an_exit_code_on_mutated_inputs(tmp_path_factory, base,
+                                                     edits, command):
+    pieces = re.findall(r"\s+|[{}\[\](),=/:]|[^\s{}\[\](),=/:]+", base)
+    for i, op, j in edits:
+        i %= len(pieces)
+        if op == 1:
+            del pieces[i]
+        elif op == 2:
+            pieces.insert(i, f"\n{_FUZZ_LINES[j % len(_FUZZ_LINES)]}\n")
+        elif not pieces[i].isspace():
+            kind = _FUZZ_KINDS[_kind(pieces[i])]
+            pieces[i] = kind[j % len(kind)]
+        pieces = pieces or [""]
+    text = "".join(pieces)
+    p = tmp_path_factory.getbasetemp() / "fuzz.alg"
+    p.write_text(text)
+    argv = [str(p) if a == "{}" else a for a in command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, text)
+    if code == 2:
+        assert out.getvalue() == "", (argv, text)
+        assert err.getvalue().startswith("error:"), (argv, text)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finalg import catalog
-from finalg.core import Apply, Constant, Variable
+from finalg.core import Apply, Constant, SymbolError, Variable
 from finalg.dsl import (
     DslError,
     _line_col,
@@ -82,7 +82,7 @@ def test_identity_round_trip():
 
 
 def test_parse_identity_checks_arity_against_signature(z3_n2):
-    with pytest.raises(DslError) as ei:
+    with pytest.raises(SymbolError) as ei:
         parse_identity(
             "identity bad(a): theta(a) = a", signature=z3_n2.signature
         )

@@ -15,6 +15,7 @@ from finalg.core import (
     FiniteAlgebra,
     DenseTable,
     Identity,
+    InputError,
     LazyTable,
     Signature,
     SymbolError,
@@ -304,7 +305,7 @@ def test_resolve_suite_names(z3_n2):
                  "strict:2", "unit-law:2", "unit-expansion:2"):
         suite = resolve_suite(name, units)
         assert suite.identities
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         resolve_suite("nonsense:2", units)
 
 
@@ -443,10 +444,10 @@ def test_sampled_tuples_are_the_randrange_stream(monkeypatch, batch, m, k):
 
 def test_sampled_mode_refuses_no_samples(z3_n2):
     for samples in (0, -5):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             check_identity(z3_n2, identity_2assoc(2), mode="sampled",
                            samples=samples)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         list(identities._sampled_tuples(random.Random(0), 2 ** 32, 1, 1))
 
 
@@ -481,10 +482,13 @@ def test_exhaustive_np_failure_eval_term_contradicts_raises(monkeypatch):
 
 def test_resolve_suite_rejects_bad_arity():
     for spec in ("2assoc:x", "2assoc:0", "semiabelian:-1", "2assoc:1.5"):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             resolve_suite(spec)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         resolve_suite("bogus:x")
+    # fewer unit names than the arity
+    with pytest.raises(InputError):
+        resolve_suite("semiabelian:2", ("e",))
     assert suite_arity("semiabelian") == 1
     assert suite_arity("2assoc:3") == 3
 
