@@ -43,8 +43,6 @@ from .identities import (
     suite_semiabelian,
 )
 from .groups import (
-    DerivedGroup,
-    EnrichedGroup,
     GroupLawError,
     PreconditionError,
     check_diagonal_cancellation,

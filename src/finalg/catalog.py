@@ -8,6 +8,7 @@ identity engine.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -97,24 +98,6 @@ def cyclic_group(k: int) -> GroupSpec:
 def cyclic_monoid(k: int) -> MonoidSpec:
     _at_least_1("monoid order", k)
     return MonoidSpec(k, table_from_fn(2, k, lambda a, b: (a + b) % k), 0)
-
-
-def product_group(g: GroupSpec, h: GroupSpec) -> GroupSpec:
-    """Direct product, elements encoded as a*|h| + b."""
-    m = g.size * h.size
-
-    def enc(a, b):
-        return a * h.size + b
-
-    def dec(x):
-        return divmod(x, h.size)
-
-    def mul(x, y):
-        (a1, b1), (a2, b2) = dec(x), dec(y)
-        return enc(g.mul(a1, a2), h.mul(b1, b2))
-
-    inv = tuple(enc(g.inv(a), h.inv(b)) for a, b in (dec(x) for x in range(m)))
-    return GroupSpec(m, table_from_fn(2, m, mul), enc(g.unit, h.unit), inv)
 
 
 @dataclass(frozen=True)
@@ -208,7 +191,9 @@ def _gather(values):
 
 def _theta_only(name, m, n, fn):
     """A theta-only algebra; fn must meet the LazyTable contract, since
-    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP."""
+    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP.
+    n < 1 is an InputError: theta needs at least two arguments."""
+    _at_least_1("n", n)
     sig = Signature((("theta", n + 1),))
     if m ** (n + 1) <= DENSE_TABLE_CAP:
         tbl = table_from_fn(n + 1, m, fn)
@@ -424,17 +409,27 @@ def _map_composition(m, n):
     return theta
 
 
+def _map_carrier(m, n, free, what):
+    """The number m^k of maps A^n -> A, |A| = m, with k = m^n - free
+    points left free; a BudgetError worded by m and n when it exceeds
+    MAP_CARRIER_CAP.  No huge power is built: for m >= 2, n > bits gives
+    k >= m^n / 2 >= 2^bits (free <= m), and k >= bits gives m^k > cap,
+    the test of core.table_error."""
+    if m < 0 or n < 0:
+        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
+    bits = MAP_CARRIER_CAP.bit_length()
+    if m < 2 or (n <= bits and (k := m ** n - free) < bits
+                 and m ** k <= MAP_CARRIER_CAP):
+        return m ** (m ** n - free)
+    k = f"{m}^{n}" + (f" - {free}" if free else "")
+    raise BudgetError(f"{what} carrier {m}^({k}) exceeds cap "
+                      f"{MAP_CARRIER_CAP}")
+
+
 def build_map_composition_algebra(m: int, n: int) -> FiniteAlgebra:
     """Carrier: all maps A^n -> A for |A| = m, encoded by their value
     tables as base-m digits; theta(f1,...,fn,g) = g o (f1,...,fn)."""
-    if m < 0 or n < 0:
-        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
-    points = m ** n
-    size = m ** points
-    if size > MAP_CARRIER_CAP:
-        raise BudgetError(
-            f"map carrier {m}^{points} = {size} exceeds cap {MAP_CARRIER_CAP}"
-        )
+    size = _map_carrier(m, n, 0, "map")
     return _theta_only(f"Maps-m{m}-n{n}", size, n, _map_composition(m, n))
 
 
@@ -442,33 +437,48 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     """The maps g: A^n -> A with g(a,...,a) = a, under composition-with-
     tupling, with e_i = i-th projection and alphas attached by the
     surjective-section builder.  A 2-associative protomodular algebra."""
-    if m < 0 or n < 0:
-        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
+    _map_carrier(m, n, m, "retraction")
     points = m ** n
     tuples = list(itertools.product(range(m), repeat=n))
     index = {t: i for i, t in enumerate(tuples)}
+    # the m diagonal points are fixed, so enumerating the other points in
+    # lex order gives the retractions in lex order of their value tables
+    diagonal = {index[(a,) * n]: a for a in range(m)}
+
+    def retraction(free):
+        it = iter(free)
+        return tuple(diagonal[p] if p in diagonal else next(it)
+                     for p in range(points))
+
     retractions = [
-        vals
-        for vals in itertools.product(range(m), repeat=points)
-        if all(vals[index[(a,) * n]] == a for a in range(m))
+        retraction(free)
+        for free in itertools.product(range(m), repeat=points - len(diagonal))
     ]
     size = len(retractions)
-    if size > MAP_CARRIER_CAP:
-        raise BudgetError(f"retraction carrier {size} exceeds cap")
-    # element i is the map with code codes[i]; rank inverts that
+    # element i is the map with code codes[i]; the codes ascend, so
+    # rank_of inverts code_of by binary search, with no table over all
+    # m^(m^n) maps
     codes = [_encode(vals, m) for vals in retractions]
-    rank = [-1] * m ** points
-    for i, c in enumerate(codes):
-        rank[c] = i
     compose = _map_composition(m, n)
-    code_of, rank_of = _gather(codes), _gather(rank)
+    code_of = _gather(codes)
+    sorted_codes = None
+
+    def rank_of(code):
+        nonlocal sorted_codes
+        if isinstance(code, int):
+            return bisect.bisect_left(codes, code)
+        if sorted_codes is None:
+            import numpy as np
+
+            sorted_codes = np.asarray(codes, dtype=np.int64)
+        return sorted_codes.searchsorted(code)
 
     def theta(*args):
         return rank_of(compose(*(code_of(a) for a in args)))
 
     base = _theta_only(f"Retr-m{m}-n{n}", size, n, theta)
     units = [
-        rank[_encode((t[i] for t in tuples), m)] for i in range(n)
+        rank_of(_encode((t[i] for t in tuples), m)) for i in range(n)
     ]
     return build_alphas_from_surjectivity(base, units)
 

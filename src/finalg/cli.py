@@ -204,24 +204,22 @@ def cmd_construct(args, out):
 
 def cmd_derive_group(args, out):
     alg, _ = _load_algebra(args.file)
-    dg = groups.derive_group(alg)
-    out(dsl.serialize(groups.group_to_algebra(dg)).rstrip("\n"))
-    out(f"# group axioms verified exhaustively on {dg.size} elements; "
-        f"source hash {dg.source_hash}")
+    group = groups.derive_group(alg)
+    out(dsl.serialize(group).rstrip("\n"))
+    out(f"# group axioms verified exhaustively on {group.size} elements; "
+        f"source hash {groups.algebra_hash(alg)}")
     return EXIT_OK
 
 
 def cmd_to_enriched(args, out):
     alg, _ = _load_algebra(args.file)
-    eg = groups.to_enriched(alg)
-    out(dsl.serialize(groups.enriched_to_algebra(eg)).rstrip("\n"))
+    out(dsl.serialize(groups.to_enriched(alg)).rstrip("\n"))
     return EXIT_OK
 
 
 def cmd_from_enriched(args, out):
     alg, _ = _load_algebra(args.file)
-    back = groups.from_enriched(groups.algebra_to_enriched(alg))
-    out(dsl.serialize(back).rstrip("\n"))
+    out(dsl.serialize(groups.from_enriched(alg)).rstrip("\n"))
     return EXIT_OK
 
 

@@ -2,10 +2,14 @@
 Mal'cev term of a protomodular algebra, and the conversion between
 2-associative semi-abelian algebras and enriched groups.
 
-The derived product is a*b = theta(a,...,a,b) with unit e.  The inverse
-formula composes theta over alpha_i(e, theta(b,...,b)); every computed
-inverse is cross-checked against the brute-force group inverse, so a
-defect in the formula cannot pass silently.
+Groups and enriched groups are FiniteAlgebras, validated by their laws
+when they are built.  Every derived operation is a term of the theory
+(identities.term_product, term_diagonal_solution, term_gamma and
+term_malcev, and prod(gamma(a*), b) on the way back), and term_table
+materializes it on the identity kernel.  The derived product is
+a*b = theta(a,...,a,b) with unit e; every inverse read off the diagonal
+solution term is cross-checked against the brute-force group inverse, so
+a defect in the formula cannot pass silently.
 """
 from __future__ import annotations
 
@@ -15,13 +19,15 @@ from dataclasses import dataclass
 
 from .core import (
     AlgebraError,
+    Apply,
     BudgetError,
     CheckReport,
     DenseTable,
     FiniteAlgebra,
     Signature,
+    Variable,
+    eval_term,
     standard_algebra,
-    table_from_fn,
     unit_constants,
 )
 from . import dsl
@@ -36,6 +42,11 @@ from .identities import (
     monoid_algebra,
     require_laws,
     suite_identities,
+    term_diagonal_solution,
+    term_gamma,
+    term_malcev,
+    term_product,
+    term_table,
 )
 
 
@@ -52,16 +63,15 @@ class GroupLawError(AlgebraError):
 
 
 def _require(alg: FiniteAlgebra, *suite_names):
-    """(theta, n, e) of alg, after each named suite passes at theta's n
-    over alg's unit constants; e is the first unit's value.  A failing
+    """(n, unit) of alg, after each named suite passes at theta's n over
+    alg's unit constants; unit names the first of them.  A failing
     identity raises PreconditionError with its report, so a semi-abelian
     precondition refuses distinct units at its units-equal-i identity."""
-    theta = alg.op("theta")
-    n = theta.arity - 1
+    n = alg.op("theta").arity - 1
     if n < 1:
         raise PreconditionError(
-            f"{alg.name!r}: theta has arity {theta.arity}, needs >= 2")
-    e = alg.constant(unit_constants(alg, n)[0])
+            f"{alg.name!r}: theta has arity {n + 1}, needs >= 2")
+    unit = unit_constants(alg, n)[0]
     for name in suite_names:
         spec = f"{name}:{n}"
         for ident in suite_identities(alg, spec):
@@ -70,97 +80,52 @@ def _require(alg: FiniteAlgebra, *suite_names):
                 raise PreconditionError(
                     f"{alg.name!r} fails {spec} at {rep.name}", rep
                 )
-    return theta, n, e
+    return n, unit
 
 
 def algebra_hash(alg: FiniteAlgebra) -> str:
     return hashlib.sha256(dsl.serialize(alg).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class DerivedGroup:
-    """A group extracted from a 2-associative semi-abelian algebra; all
-    group axioms are verified at construction, loudly."""
-
-    size: int
-    product: DenseTable
-    unit: int
-    inverse: tuple
-    source_hash: str = ""
-
-    def __post_init__(self):
-        require_laws(group_to_algebra(self), GROUP_LAWS, GroupLawError)
-
-    def mul(self, a, b):
-        return self.product.lookup((a, b), self.size)
-
-
-def group_to_algebra(dg: DerivedGroup, name: str = "DerivedGroup") -> FiniteAlgebra:
-    return monoid_algebra(name, dg.size, dg.product, dg.unit, dg.inverse)
-
-
-def diagonal_power(alg: FiniteAlgebra, b: int) -> int:
-    """theta(b, b, ..., b) with n+1 copies of b."""
-    theta = alg.op("theta")
-    return theta.lookup((b,) * theta.arity, alg.size)
-
-
-def diagonal_closed_form(alg: FiniteAlgebra, b: int, c: int) -> int:
-    """theta(alpha_i(c, theta(b,...,b)) over i, b): the solution a of
-    theta(a,...,a,b) = c, and with c = e the inverse of b."""
-    theta = alg.op("theta")
-    m = alg.size
-    d = diagonal_power(alg, b)
-    args = tuple(
-        alg.op(f"alpha{i}").lookup((c, d), m) for i in range(1, theta.arity)
-    ) + (b,)
-    return theta.lookup(args, m)
-
-
-def derive_group(alg: FiniteAlgebra) -> DerivedGroup:
-    """Extract the group of a 2-associative semi-abelian algebra.
+def derive_group(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """The group of a 2-associative semi-abelian algebra, as the algebra
+    DerivedGroup over prod/2, inv/1 and the constant e.
 
     Preconditions are re-verified here (semi-abelian suite and
     2-associativity); refusal raises PreconditionError with the failing
-    report.  Group axioms of the result are verified exhaustively, and
-    each closed-form inverse is checked against the unique brute-force
-    inverse.
+    report.  Each inverse, the column c = e of the diagonal solution
+    term, is checked against the unique brute-force inverse, and the
+    group laws of the result are verified exhaustively (GroupLawError).
     """
-    theta, n, e = _require(alg, "semiabelian", "2assoc")
-    m = alg.size
-    product = table_from_fn(2, m, lambda a, b: theta.lookup((a,) * n + (b,), m))
-
-    def brute_inverse(b):
-        xs = [
-            x for x in range(m)
-            if product.lookup((x, b), m) == e and product.lookup((b, x), m) == e
-        ]
+    n, unit = _require(alg, "semiabelian", "2assoc")
+    m, e = alg.size, alg.constant(unit)
+    product = term_table(alg, term_product(n), ("a", "b"))
+    inverse = term_table(alg, term_diagonal_solution(n),
+                         ("b", "c")).entries[e::m]
+    prod = product.entries
+    for b, via_formula in enumerate(inverse):
+        xs = [x for x in range(m)
+              if prod[x * m + b] == e and prod[b * m + x] == e]
         if len(xs) != 1:
             raise GroupLawError(
                 f"element {b} has {len(xs)} two-sided inverses"
             )
-        return xs[0]
-
-    inverse = []
-    for b in range(m):
-        via_formula = diagonal_closed_form(alg, b, e)
-        via_table = brute_inverse(b)
-        if via_formula != via_table:
+        if via_formula != xs[0]:
             raise GroupLawError(
                 f"closed-form inverse {via_formula} of {b} disagrees with "
-                f"the group inverse {via_table}"
+                f"the group inverse {xs[0]}"
             )
-        inverse.append(via_formula)
-    return DerivedGroup(m, product, e, tuple(inverse), algebra_hash(alg))
+    group = monoid_algebra("DerivedGroup", m, product, e, inverse)
+    require_laws(group, GROUP_LAWS, GroupLawError)
+    return group
 
 
 def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
-    """The element a with theta(a,...,a,b) = c, by diagonal_closed_form,
-    verified against the equation."""
-    theta, n, _ = _require(alg, "protomodular", "2assoc")
-    m = alg.size
-    a = diagonal_closed_form(alg, b, c)
-    if theta.lookup((a,) * n + (b,), m) != c:
+    """The element a with theta(a,...,a,b) = c, by the diagonal solution
+    term, verified against the equation."""
+    n, _ = _require(alg, "protomodular", "2assoc")
+    a = eval_term(alg, term_diagonal_solution(n), {"b": b, "c": c})
+    if eval_term(alg, term_product(n), {"a": a, "b": b}) != c:
         raise GroupLawError(
             f"closed-form solution a = {a} does not satisfy "
             f"theta(a,...,a,{b}) = {c}"
@@ -171,22 +136,22 @@ def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
 def check_diagonal_cancellation(alg: FiniteAlgebra) -> CheckReport:
     """On a 2-associative semi-abelian algebra: theta(a,...,a,e) = a, and
     theta(x,...,x,b) = c is uniquely solvable in either unknown."""
-    theta, n, e = _require(alg, "semiabelian", "2assoc")
-    m = alg.size
+    n, unit = _require(alg, "semiabelian", "2assoc")
+    m, e = alg.size, alg.constant(unit)
+    prod = term_table(alg, term_product(n), ("a", "b")).entries
     checked = 0
     for a in range(m):
         checked += 1
-        if theta.lookup((a,) * n + (e,), m) != a:
+        if prod[a * m + e] != a:
             return CheckReport(
                 "fail", "diagonal-cancellation",
                 counterexample={"a": a}, tuples_checked=checked,
                 detail="theta(a,...,a,e) != a",
             )
-    prod = [[theta.lookup((a,) * n + (b,), m) for b in range(m)] for a in range(m)]
     for b in range(m):
         for c in range(m):
             checked += 1
-            sols = [a for a in range(m) if prod[a][b] == c]
+            sols = [a for a in range(m) if prod[a * m + b] == c]
             if len(sols) != 1:
                 return CheckReport(
                     "fail", "diagonal-cancellation",
@@ -196,7 +161,7 @@ def check_diagonal_cancellation(alg: FiniteAlgebra) -> CheckReport:
     for a in range(m):
         for c in range(m):
             checked += 1
-            sols = [b for b in range(m) if prod[a][b] == c]
+            sols = [b for b in range(m) if prod[a * m + b] == c]
             if len(sols) != 1:
                 return CheckReport(
                     "fail", "diagonal-cancellation",
@@ -223,17 +188,11 @@ class MalcevResult:
 def malcev_term(alg: FiniteAlgebra) -> MalcevResult:
     """Materialize mu(a,b,c) = theta(alpha*(a,b), c) on a protomodular
     algebra and check the Mal'cev laws plus associativity of mu."""
-    theta, n, _ = _require(alg, "protomodular")
-    m = alg.size
-    alphas = [alg.op(f"alpha{i}") for i in range(1, n + 1)]
-
-    def mu(a, b, c):
-        args = tuple(al.lookup((a, b), m) for al in alphas) + (c,)
-        return theta.lookup(args, m)
-
-    table = table_from_fn(3, m, mu)
+    n, _ = _require(alg, "protomodular")
+    a, b, c = (Variable(v) for v in "abc")
+    table = term_table(alg, term_malcev(n, a, b, c), ("a", "b", "c"))
     sig = Signature((("mu", 3),))
-    mualg = FiniteAlgebra(alg.name + ".mu", sig, m, {"mu": table})
+    mualg = FiniteAlgebra(alg.name + ".mu", sig, alg.size, {"mu": table})
     law_reports = [check_identity(mualg, i) for i in identities_malcev()]
     assoc_report = check_identity(mualg, identity_malcev_assoc())
     return MalcevResult(table, law_reports, assoc_report)
@@ -256,70 +215,14 @@ def check_malcev_assoc_expanded(alg: FiniteAlgebra) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# enriched groups
+# enriched groups: a group with an n-ary map gamma and binary alphas
+# satisfying enriched_laws(n): gamma(alpha*(a,b)) * b = a, alpha_i(a,a) = e
+# and distributivity.  Inverses need no check: gamma(alpha*(e,b)) is a left
+# inverse of b.
 
-@dataclass(frozen=True)
-class EnrichedGroup:
-    """A group with an n-ary map gamma and binary alphas satisfying
-    gamma(alpha*(a,b)) * b = a, alpha_i(a,a) = e, and the distributivity
-    law; validated at construction with a named witness on failure.
-    Inverses need no check: gamma(alpha*(e,b)) is a left inverse of b."""
-
-    size: int
-    product: DenseTable
-    unit: int
-    gamma: DenseTable
-    alphas: tuple
-
-    @property
-    def n(self) -> int:
-        return self.gamma.arity
-
-    def __post_init__(self):
-        require_laws(enriched_to_algebra(self), enriched_laws(self.n),
-                     GroupLawError)
-
-    def mul(self, a, b):
-        return self.product.lookup((a, b), self.size)
-
-
-def to_enriched(alg: FiniteAlgebra) -> EnrichedGroup:
-    """Convert a 2-associative semi-abelian algebra over the one-constant
-    signature into an enriched group: gamma(a*) = theta(a*, e)."""
-    dg = derive_group(alg)
-    if not alg.signature.has_constant("e"):
-        raise PreconditionError(
-            f"{alg.name!r}: enriched conversion needs the one-constant "
-            "signature (shared unit 'e')"
-        )
-    theta = alg.op("theta")
-    n, m, e = theta.arity - 1, alg.size, dg.unit
-    gamma = table_from_fn(n, m, lambda *a: theta.lookup(a + (e,), m))
-    alphas = tuple(alg.op(f"alpha{i}") for i in range(1, n + 1))
-    return EnrichedGroup(m, dg.product, e, gamma, alphas)
-
-
-def from_enriched(eg: EnrichedGroup, name: str = "FromEnriched") -> FiniteAlgebra:
-    """Convert an enriched group back to a 2-associative semi-abelian
-    algebra: theta(a*, b) = gamma(a*) * b."""
-    n = eg.n
-    m = eg.size
-    theta = table_from_fn(
-        n + 1, m,
-        lambda *args: eg.mul(eg.gamma.lookup(args[:-1], m), args[-1]),
-    )
-    alg = standard_algebra(name, m, theta, eg.alphas, (eg.unit,) * n)
-    _require(alg, "semiabelian", "2assoc")
-    return alg
-
-
-def enriched_to_algebra(eg: EnrichedGroup, name: str = "Enriched") -> FiniteAlgebra:
-    """Serialize-friendly view: an algebra with prod/gamma/alpha symbols."""
-    return _enriched_view(name, eg.size, eg.product, eg.unit, eg.gamma,
-                          eg.alphas)
-
-
-def _enriched_view(name, m, product, unit, gamma, alphas) -> FiniteAlgebra:
+def enriched_algebra(name, m, product, unit, gamma, alphas) -> FiniteAlgebra:
+    """The algebra over prod/2, gamma/n, alpha1..alphan/2 and the constant
+    e that enriched_laws(n) are stated over."""
     n = gamma.arity
     ops = [("prod", 2), ("gamma", n)] + [
         (f"alpha{i}", 2) for i in range(1, n + 1)
@@ -331,14 +234,42 @@ def _enriched_view(name, m, product, unit, gamma, alphas) -> FiniteAlgebra:
     return FiniteAlgebra(name, sig, m, tables, {"e": unit})
 
 
-def algebra_to_enriched(alg: FiniteAlgebra) -> EnrichedGroup:
-    """Inverse of enriched_to_algebra; validates the enriched-group laws."""
-    gamma = alg.op("gamma")
-    n = gamma.arity
-    alphas = tuple(alg.op(f"alpha{i}") for i in range(1, n + 1))
-    return EnrichedGroup(
-        alg.size, alg.op("prod"), alg.constant("e"), gamma, alphas
+def to_enriched(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """Convert a 2-associative semi-abelian algebra over the one-constant
+    signature into the enriched group Enriched, gamma(a*) = theta(a*, e),
+    verified against enriched_laws(n) (GroupLawError)."""
+    group = derive_group(alg)
+    if not alg.signature.has_constant("e"):
+        raise PreconditionError(
+            f"{alg.name!r}: enriched conversion needs the one-constant "
+            "signature (shared unit 'e')"
+        )
+    n = alg.op("theta").arity - 1
+    avs = tuple(f"a{i}" for i in range(1, n + 1))
+    gamma = term_table(alg, term_gamma(n, unit_constants(alg, n)[0]), avs)
+    alphas = [alg.op(f"alpha{i}") for i in range(1, n + 1)]
+    eg = enriched_algebra("Enriched", alg.size, group.op("prod"),
+                          group.constant("e"), gamma, alphas)
+    require_laws(eg, enriched_laws(n), GroupLawError)
+    return eg
+
+
+def from_enriched(eg: FiniteAlgebra) -> FiniteAlgebra:
+    """Convert an enriched group, checked against enriched_laws(n) first
+    (GroupLawError names eg), back to the 2-associative semi-abelian
+    algebra FromEnriched: theta(a*, b) = prod(gamma(a*), b)."""
+    n = eg.op("gamma").arity
+    require_laws(eg, enriched_laws(n), GroupLawError)
+    avs = [Variable(f"a{i}") for i in range(1, n + 1)]
+    theta = term_table(
+        eg, Apply("prod", Apply("gamma", *avs), Variable("b")),
+        tuple(v.name for v in avs) + ("b",),
     )
+    alphas = [eg.op(f"alpha{i}") for i in range(1, n + 1)]
+    alg = standard_algebra("FromEnriched", eg.size, theta, alphas,
+                           (eg.constant("e"),) * n)
+    _require(alg, "semiabelian", "2assoc")
+    return alg
 
 
 ENRICHED_BUDGET = 10 ** 7
@@ -390,7 +321,7 @@ def count_enriched_groups(m: int, n: int) -> int:
             for offs in itertools.product(
                 itertools.product(range(m), repeat=m * m - m), repeat=n
             ):
-                view = _enriched_view("candidate", m, tbl, u, gamma,
-                                      tuple(map(alpha, offs)))
+                view = enriched_algebra("candidate", m, tbl, u, gamma,
+                                        tuple(map(alpha, offs)))
                 count += all(check_identity(view, law).ok for law in laws)
     return count

@@ -161,6 +161,17 @@ def _grid(m, inner):
     return grid
 
 
+def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
+    """The table of term over variables, row-major in their order, from
+    the identity kernel; a term that reads some or none of the variables
+    is broadcast to all m^k rows, so a constant term works too."""
+    import numpy as np
+
+    m, k = alg.size, len(variables)
+    values = _eval_np(alg, term, dict(zip(variables, _grid(m, k))))
+    return DenseTable(k, np.broadcast_to(values, (m ** k,)).tolist())
+
+
 def _check_exhaustive_np(alg, ident, total):
     import numpy as np
 
@@ -399,17 +410,43 @@ def identity_malcev_assoc() -> Identity:
 
 
 def identity_malcev_assoc_expanded(n: int) -> Identity:
-    """The malcev-assoc equation with mu expanded through theta/alpha:
-    mu(a,b,c) = theta(alpha1(a,b), ..., alphan(a,b), c)."""
-    def mu(a, b, c):
-        return _theta(*[Apply(f"alpha{i}", a, b) for i in range(1, n + 1)], c)
-
+    """The malcev-assoc equation with mu expanded by term_malcev."""
     a1, a2, b1, b2, c = (Variable(v) for v in ("a1", "a2", "b1", "b2", "c"))
     return Identity(
         f"malcev-assoc-expanded:{n}", ("a1", "a2", "b1", "b2", "c"),
-        mu(a1, a2, mu(b1, b2, c)),
-        mu(mu(a1, a2, b1), b2, c),
+        term_malcev(n, a1, a2, term_malcev(n, b1, b2, c)),
+        term_malcev(n, term_malcev(n, a1, a2, b1), b2, c),
     )
+
+
+# ---------------------------------------------------------------------------
+# derived operations as terms over the standard signature; term_table
+# materializes them
+
+def term_malcev(n: int, a, b, c):
+    """mu(a, b, c) = theta(alpha1(a, b), ..., alphan(a, b), c), on the
+    terms a, b and c."""
+    return _theta(*[Apply(f"alpha{i}", a, b) for i in range(1, n + 1)], c)
+
+
+def term_product(n: int):
+    """a * b = theta(a, ..., a, b), the group operation of a 2-associative
+    semi-abelian algebra; variables a, b."""
+    a = Variable("a")
+    return _theta(*[a] * n, Variable("b"))
+
+
+def term_diagonal_solution(n: int):
+    """mu(c, theta(b, ..., b), b): the a with a * b = c, so the inverse of
+    b at c = e; variables b, c."""
+    b = Variable("b")
+    return term_malcev(n, Variable("c"), _theta(*[b] * (n + 1)), b)
+
+
+def term_gamma(n: int, unit: str):
+    """gamma(a*) = theta(a1, ..., an, unit), the map of the enriched group;
+    variables a1..an."""
+    return _theta(*_avars(n, "a"), Constant(unit))
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,32 @@ def test_construct_unknown_name_exit_2(capsys):
     ["group-product", "--indices", "1"],
     ["map-composition", "--n", "-1"],
     ["diagonal-retractions", "--n", "0"],
+    # theta needs n >= 1
+    ["projection", "--n", "0"],
+    ["map-composition", "--n", "0"],
+    ["bounded-monoid", "--n", "0"],
+    ["matrix-rows", "--n", "0"],
 ])
 def test_construct_bad_integer_option_exit_2(capsys, argv):
     assert main(["construct"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["map-composition", "--m", "2", "--n", "30"],
+    ["diagonal-retractions", "--m", "4", "--n", "3"],
+    ["diagonal-retractions", "--m", "3", "--n", "3"],
+])
+def test_construct_over_cap_exit_3_before_building(capsys, argv):
+    start = time.perf_counter()
+    assert main(["construct"] + argv) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget:")
+    assert "exceeds cap" in captured.err
 
 
 def test_construct_unwritable_out_exit_2(tmp_path, capsys):
@@ -231,7 +251,10 @@ def test_derive_group_emits_verified_group(z3_file, capsys):
     body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     alg = parse_algebra(body)
     assert alg.tables["prod"].entries == catalog.cyclic_group(3).table.entries
-    assert "verified exhaustively" in out
+    source = parse_algebra(pathlib.Path(z3_file).read_text())
+    assert out.splitlines()[-1] == (
+        "# group axioms verified exhaustively on 3 elements; "
+        f"source hash {groups.algebra_hash(source)}")
 
 
 def test_derive_group_refuses_boolean(bool2_file, capsys):
@@ -256,6 +279,32 @@ def test_enriched_round_trip_via_cli(tmp_path, z3_file, capsys):
     back = parse_algebra(capsys.readouterr().out)
     original = parse_algebra(pathlib.Path(z3_file).read_text())
     assert back.tables["theta"].entries == original.tables["theta"].entries
+
+
+# Z/3 with n = 1: prod(a, b) = a + b, alpha1(a, b) = a - b
+_ENRICHED_Z3 = ("algebra MyEG {{\n  carrier 3\n  const e = 0\n"
+                "  op prod/2 = [0, 1, 2, 1, 2, 0, 2, 0, 1]\n"
+                "  op gamma/1 = {gamma}\n  op alpha1/{arity} = {alpha}\n}}\n")
+
+
+def test_from_enriched_refusal_names_the_input(tmp_path, capsys):
+    # gamma(2) = 1: prod(gamma(alpha1(0, 1)), 1) = 2, not 0
+    p = tmp_path / "bad.alg"
+    p.write_text(_ENRICHED_Z3.format(
+        gamma="[0, 2, 1]", arity=2, alpha="[0, 2, 1, 1, 0, 2, 2, 1, 0]"))
+    assert main(["from-enriched", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "REFUSED: MyEG: gamma-alpha fails at a=0, b=1\n")
+
+
+def test_from_enriched_wrong_alpha_arity_exit_2(tmp_path, capsys):
+    p = tmp_path / "arity.alg"
+    p.write_text(_ENRICHED_Z3.format(
+        gamma="[0, 1, 2]", arity=3, alpha=str([0] * 27)))
+    assert main(["from-enriched", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_to_enriched_refuses_boolean(bool2_file, capsys):
@@ -525,8 +574,7 @@ _FUZZ_ALGEBRAS = [
     catalog.build_strict_semiloop(3, twisted=True),
 ]
 _FUZZ_BASES = [serialize(a) for a in _FUZZ_ALGEBRAS] + [
-    serialize(groups.enriched_to_algebra(
-        groups.to_enriched(_FUZZ_ALGEBRAS[1]))),
+    serialize(groups.to_enriched(_FUZZ_ALGEBRAS[1])),
     "algebra S {\n  carrier 2\n  op theta/2 = free\n  op alpha1/2 = free\n"
     "  const e = 0\n  require semiabelian:1 2assoc:1\n}\n",
     "algebra U {\n  carrier 2\n  op mu/3 = free\n  require malcev\n}\n"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from finalg.core import (
     Signature,
     SymbolError,
     Variable,
+    check_term,
     eval_term,
     table_from_fn,
 )
 from finalg.groups import (
-    DerivedGroup,
-    EnrichedGroup,
     GroupLawError,
-    _enriched_view,
+    enriched_algebra,
+    from_enriched,
     to_enriched,
 )
 from finalg.identities import (
@@ -54,6 +55,11 @@ from finalg.identities import (
     suite_ok,
     suite_protomodular,
     suite_semiabelian,
+    term_diagonal_solution,
+    term_gamma,
+    term_malcev,
+    term_product,
+    term_table,
     unit_constants,
 )
 
@@ -640,13 +646,15 @@ def _law_sites():
     chain = catalog.chain_lattice(3)
     mono = (4, _changed(z4.table, 1 * 4 + 1, 3), 0)  # 1*1 = 3
     group = (3, _changed(z3.table, 1 * 3 + 0, 2), 0, z3.inverse)  # 1*0 = 2
-    derived = (3, _changed(z3.table, 2 * 3 + 2, 0), 0, z3.inverse)  # 2*2 = 0
     join = _changed(chain.join, 0 * 3 + 1, 2)  # join(0, 1) = 2
     eg = to_enriched(catalog.build_semigroup_algebra(z3, 2, 1))
+    prod, gamma = eg.op("prod"), eg.op("gamma")
+    alphas = (eg.op("alpha1"), eg.op("alpha2"))
     # gamma(0, 1) = 1: gamma-alpha reads gamma on the diagonal only
-    enriched = (3, eg.product, 0, _changed(eg.gamma, 1, 1), eg.alphas)
-    bad_alpha = (3, eg.product, 0, eg.gamma,
-                 (eg.alphas[0], _changed(eg.alphas[1], 4, 2)))
+    enriched = enriched_algebra("Enriched", 3, prod, 0,
+                                _changed(gamma, 1, 1), alphas)
+    bad_alpha = enriched_algebra("Enriched", 3, prod, 0, gamma,
+                                 (alphas[0], _changed(alphas[1], 4, 2)))
     return [
         pytest.param(lambda: catalog.MonoidSpec(*mono),
                      monoid_algebra("MonoidSpec", *mono), MONOID_LAWS,
@@ -662,16 +670,12 @@ def _law_sites():
                      _lattice_view(3, chain.join, chain.meet, top=1),
                      LATTICE_LAWS + (NEUTRAL_LAWS["top"],),
                      AlgebraError, "top-neutral", id="LatticeSpec-top"),
-        pytest.param(lambda: DerivedGroup(*derived),
-                     monoid_algebra("DerivedGroup", *derived), GROUP_LAWS,
-                     GroupLawError, "associativity", id="DerivedGroup"),
-        pytest.param(lambda: EnrichedGroup(*enriched),
-                     _enriched_view("Enriched", *enriched), enriched_laws(2),
-                     GroupLawError, "distributivity",
+        pytest.param(lambda: from_enriched(enriched), enriched,
+                     enriched_laws(2), GroupLawError, "distributivity",
                      id="EnrichedGroup-distributivity"),
-        pytest.param(lambda: EnrichedGroup(*bad_alpha),
-                     _enriched_view("Enriched", *bad_alpha), enriched_laws(2),
-                     GroupLawError, "alpha2-unit", id="EnrichedGroup-alpha"),
+        pytest.param(lambda: from_enriched(bad_alpha), bad_alpha,
+                     enriched_laws(2), GroupLawError, "alpha2-unit",
+                     id="EnrichedGroup-alpha"),
     ]
 
 
@@ -704,3 +708,54 @@ def test_structures_are_validated_beyond_the_exhaustive_budget():
     assert 465 ** 3 > identities.EXHAUSTIVE_BUDGET
     g = catalog.cyclic_group(465)
     assert g.mul(464, 2) == 1
+
+
+# --- derived terms materialized by term_table ----------------------------------
+
+_FORCED_LAZY = [
+    lambda: catalog.build_diagonal_retraction_algebra(2, 2),
+    lambda: catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1),
+    lambda: catalog.build_map_composition_algebra(2, 1),
+]
+
+
+def _derived_terms(alg, n):
+    """(term, variables) for the four derived terms and a constant term,
+    those of them that fit alg's signature."""
+    a, b, c = (Variable(v) for v in "abc")
+    terms = [(term_product(n), ("a", "b")),
+             (term_malcev(n, a, b, c), ("a", "b", "c"))]
+    if alg.signature.constants:
+        unit = alg.signature.constants[0]
+        terms += [(term_diagonal_solution(n), ("b", "c")),
+                  (term_gamma(n, unit),
+                   tuple(f"a{i}" for i in range(1, n + 1))),
+                  (Constant(unit), ("a", "b"))]
+    fitting = []
+    for term, variables in terms:
+        try:
+            check_term(alg.signature, term, variables)
+        except SymbolError:
+            continue
+        fitting.append((term, variables))
+    return fitting
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 2),
+       st.booleans(), st.sampled_from([None] + list(range(len(_FORCED_LAZY)))))
+def test_term_table_matches_eval_term(seed, m, n, shared_unit, lazy):
+    if lazy is None:
+        alg = random_algebra(random.Random(seed), m, n, shared_unit)
+    else:
+        with mock.patch.object(catalog, "DENSE_TABLE_CAP", 0):
+            alg = _FORCED_LAZY[lazy]()
+        assert isinstance(alg.op("theta"), LazyTable)
+        m, n = alg.size, alg.op("theta").arity - 1
+    terms = _derived_terms(alg, n)
+    # the theta-only algebras fit the product term alone
+    assert len(terms) == (1 if lazy in (1, 2) else 5)
+    for term, variables in terms:
+        want = table_from_fn(len(variables), m, lambda *xs: eval_term(
+            alg, term, dict(zip(variables, xs))))
+        assert term_table(alg, term, variables) == want
