@@ -19,6 +19,7 @@ from .core import (
     FiniteAlgebra,
     InputError,
     LazyTable,
+    MATERIALIZE_LIMIT,
     Signature,
     standard_algebra,
     table_from_fn,
@@ -490,8 +491,13 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
 
     alpha_i(a,b) is the i-th component of a chosen theta_b-preimage of a:
     the unit tuple itself when theta_b(e*) = a (forced by the diagonal
-    axiom), otherwise the lexicographically smallest preimage.
+    axiom), otherwise the lexicographically smallest preimage.  The scan
+    reads each section as one int64 array.  It reads every theta entry,
+    as materializing does, so above MATERIALIZE_LIMIT entries it is
+    refused before any is read.
     """
+    import numpy as np
+
     tbl = alg.op("theta")
     n = tbl.arity - 1
     units = tuple(units)
@@ -503,23 +509,29 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
             raise AlgebraError(
                 f"theta(e*, b) = b fails at b = {b}"
             )
-    # preimage[b][a]: chosen tuple with theta(tuple, b) = a
-    preimage = [[None] * m for _ in range(m)]
+    if m ** (n + 1) > MATERIALIZE_LIMIT:
+        raise BudgetError(f"alpha builder: theta has {m}^{n + 1} entries, "
+                          f"over limit {MATERIALIZE_LIMIT}")
+    # first[b, a]: the lex index of the chosen tuple xs with theta(xs, b) = a
+    size = m ** n
+    first = np.full((m, m), size, dtype=np.int64)
+    index = np.arange(size)
+    if isinstance(tbl, DenseTable):
+        rows = tbl.array().reshape(size, m)
+        section = lambda b: rows[:, b]
+    else:
+        grid = np.indices((m,) * n).reshape(n, size)
+        section = lambda b: tbl.fn(*grid, np.full(size, b, dtype=np.int64))
     for b in range(m):
-        for xs in itertools.product(range(m), repeat=n):
-            a = tbl.lookup(xs + (b,), m)
-            if preimage[b][a] is None:
-                preimage[b][a] = xs
-        missing = [a for a in range(m) if preimage[b][a] is None]
-        if missing:
+        np.minimum.at(first[b], section(b), index)
+        missing = np.flatnonzero(first[b] == size)
+        if missing.size:
             raise AlgebraError(
                 f"section at b = {b} is not surjective (misses {missing[0]})"
             )
-        preimage[b][tbl.lookup(units + (b,), m)] = units
-    alphas = [
-        table_from_fn(2, m, lambda a, b, i=i: preimage[b][a][i])
-        for i in range(n)
-    ]
+    first[range(m), range(m)] = _encode(units, m)  # theta(e*, b) = b
+    alphas = [DenseTable(2, (first.T // m ** (n - i) % m).ravel().tolist())
+              for i in range(1, n + 1)]
     return standard_algebra(alg.name + "-alphas", m, tbl, alphas, units)
 
 

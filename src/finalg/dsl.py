@@ -13,6 +13,14 @@
 Comments run from '#' to end of line.  Terms are prefix applications
 name(t1,...,tk); a bare identifier is a variable if declared in the
 identity head, otherwise a constant.
+
+Parsing starts with one check of the whole text's characters, so an
+unexpected character is reported before any parse error; then tokens are
+lexed one at a time as the parser asks for them.  A table literal whose
+body holds only ASCII digits, commas and whitespace is read in one step.
+Any other body, such as one with aliases, comments, empty slots or an
+integer over Python's conversion limit, is read token by token, which
+accepts the same tables and reports the errors.
 """
 from __future__ import annotations
 
@@ -43,17 +51,38 @@ class DslError(InputError):
         self.col = col
 
 
+# The token alternatives, shared by the lexer and the whole-text check.
+_SKIP = r"\s+|\#[^\n]*"
+_ALTERNATIVES = {
+    "ident": r"\d*[A-Za-z_][A-Za-z0-9_\-]*",
+    "int": r"\d+",
+    "punct": r"[{}\[\](),=/:]",
+}
+
+# One token after any whitespace and comments.  The text has passed
+# _check_characters first, so one alternative or the end always matches.
 _TOKEN = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-      (?: (?P<ident>\d*[A-Za-z_][A-Za-z0-9_\-]*)
-        | (?P<int>\d+)
-        | (?P<punct>[{}\[\](),=/:])
-        | (?P<eof>\Z)
-        | (?P<bad>.)
-      )
-    """,
-    re.VERBOSE,
+    f"(?:{_SKIP})*(?:"
+    + "".join(f"(?P<{k}>{v})|" for k, v in _ALTERNATIVES.items())
+    + r"(?P<eof>\Z))"
 )
+
+# A character other than ASCII token characters and whitespace: '#', a
+# '-' (valid only inside an identifier), a non-ASCII digit or space, or
+# one that is valid only in a comment.  Most files hold none, and then
+# no scan is needed.
+_SUSPECT = re.compile(r"[^\s{}\[\](),=/:A-Za-z0-9_]")
+
+# The longest run of whole tokens, each made atomic by the (?=(...))\1
+# idiom (Python 3.10 has no (?>...)), so that it splits the text exactly
+# as the lexer does: the first character it stops at is the lexer's
+# first unexpected one.
+_SCAN = re.compile(
+    "(?:(?=(" + "|".join((_SKIP, *_ALTERNATIVES.values())) + r"))\1)*")
+
+# The body of a table literal after its '[': ASCII digits, commas and
+# whitespace up to the closing ']'.
+_TABLE_BODY = re.compile(r"([0-9,\s]*)\]")
 
 
 _STATEMENTS = ("carrier", "elem", "const", "op", "require")
@@ -64,35 +93,56 @@ def _line_col(text, offset):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _check_characters(text):
+    """Raise at the first unexpected character, the one the lexer would
+    reach first, so that it is reported before any parse error.  No token
+    spans a newline except whitespace, so each line is checked alone, and
+    only a line holding a suspect character is scanned."""
+    pos = 0
+    while (suspect := _SUSPECT.search(text, pos)) is not None:
+        start = text.rfind("\n", 0, suspect.start()) + 1
+        pos = text.find("\n", suspect.start())
+        if pos < 0:
+            pos = len(text)
+        end = _SCAN.match(text, start, pos).end()
+        if end < pos:
+            raise DslError(f"unexpected character {text[end]!r}",
+                           *_line_col(text, end))
+
+
 def _tokenize(text):
     """(kind, value, offset) tokens ending in one eof token; whitespace and
-    comments are skipped inside the pattern, and the first unexpected
-    character raises."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok = (kind, m[kind], m.start(kind))
-        if kind == "bad":
-            raise DslError(f"unexpected character {tok[1]!r}",
-                           *_line_col(text, tok[2]))
-        toks.append(tok)
-        if kind == "eof":
-            return toks
+    comments are skipped, and the first unexpected character raises."""
+    p = _Parser(text)
+    toks = [p.peek()]
+    while toks[-1][0] != "eof":
+        p.next()
+        toks.append(p.peek())
+    return toks
 
 
 class _Parser:
+    """A recursive-descent parser over tokens lexed one at a time, on
+    demand, after one check of the whole text's characters."""
+
     def __init__(self, text):
+        _check_characters(text)
         self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.pos = 0  # where the token after the current one starts
+        self.tok = None
+        self.next()
 
     def peek(self):
-        return self.toks[self.i]
+        return self.tok
 
     def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+        """Consume the current token and lex the one after it."""
+        tok = self.tok
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        self.tok = (kind, m[kind], m.start(kind))
+        self.pos = m.end()
+        return tok
 
     def fail(self, msg, offset):
         raise DslError(msg, *_line_col(self.text, offset))
@@ -156,14 +206,7 @@ class _Parser:
                 if self.accept("ident", "free"):
                     raw.ops.append((oname, arity, None))
                 else:
-                    self.expect("punct", "[")
-                    entries = []
-                    if not self.accept("punct", "]"):
-                        entries.append(self.element(raw, start))
-                        while self.accept("punct", ","):
-                            entries.append(self.element(raw, start))
-                        self.expect("punct", "]")
-                    raw.ops.append((oname, arity, entries))
+                    raw.ops.append((oname, arity, self.table(raw, start)))
             elif v == "require":
                 while True:
                     k2, v2, _ = self.peek()
@@ -176,6 +219,32 @@ class _Parser:
                 if not raw.requires:
                     self.error("require needs at least one suite name")
         return raw
+
+    def table(self, raw, start):
+        """The entries of a table literal.  A body of ASCII digits, commas
+        and whitespace is read in one step when every slot holds an
+        integer; any other body (aliases, comments, empty slots, literals
+        over the int conversion limit) is read token by token, which
+        raises the errors."""
+        if self.peek()[:2] == ("punct", "["):
+            m = _TABLE_BODY.match(self.text, self.pos)
+            if m:
+                try:
+                    entries = list(map(int, m[1].split(",")))
+                except ValueError:
+                    pass
+                else:
+                    self.pos = m.end()
+                    self.next()
+                    return entries
+        self.expect("punct", "[")
+        entries = []
+        if not self.accept("punct", "]"):
+            entries.append(self.element(raw, start))
+            while self.accept("punct", ","):
+                entries.append(self.element(raw, start))
+            self.expect("punct", "]")
+        return entries
 
     def element(self, raw, start):
         """An integer or declared alias; a bad one is reported at start,

@@ -1,9 +1,11 @@
+import contextlib
 import itertools
 import random
+import re
 
 import pytest
 
-from finalg import catalog
+from finalg import catalog, dsl
 from finalg.core import DenseTable, FiniteAlgebra, Signature, standard_signature
 
 
@@ -56,3 +58,12 @@ def brute_first_counterexample(alg, ident):
         if eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env):
             return env
     return None
+
+
+@contextlib.contextmanager
+def tables_token_by_token():
+    """Parse with every table literal read token by token, as the one-step
+    read's pattern is swapped for one that never matches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_TABLE_BODY", re.compile(r"(?!)"))
+        yield

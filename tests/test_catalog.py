@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from finalg import catalog
-from finalg.core import AlgebraError, BudgetError, LazyTable, validate_algebra
+from finalg.core import (
+    AlgebraError,
+    BudgetError,
+    FiniteAlgebra,
+    LazyTable,
+    Signature,
+    validate_algebra,
+)
 from finalg.identities import (
     check_identity,
     check_strict_equivalence,
@@ -292,6 +299,59 @@ def test_alpha_builder_rejects_bad_inputs():
         catalog.build_alphas_from_surjectivity(meet3, units=(1, 1))
     assert "not surjective" in str(ei.value)
 
+
+
+def _reference_alphas(alg, units):
+    """The alpha tables of the lookup-at-a-time scan: the unit tuple where
+    theta(e*, b) = a, otherwise the lex-first theta_b-preimage of a."""
+    tbl, m = alg.op("theta"), alg.size
+    n = tbl.arity - 1
+    preimage = [[None] * m for _ in range(m)]
+    for b in range(m):
+        for xs in itertools.product(range(m), repeat=n):
+            a = tbl.lookup(xs + (b,), m)
+            if preimage[b][a] is None:
+                preimage[b][a] = xs
+        preimage[b][tbl.lookup(units + (b,), m)] = units
+    return [tuple(preimage[b][a][i] for a in range(m) for b in range(m))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_alpha_builder_takes_lex_first_preimages(monkeypatch, lazy):
+    if lazy:
+        monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
+    cases = [
+        (catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1),
+         (0, 0)),
+        (catalog.build_lattice_theta(catalog.chain_lattice(4),
+                                     "meet-middle"), (0, 3)),
+        (catalog.build_lattice_theta(catalog.product_lattice(
+            catalog.chain_lattice(2), catalog.chain_lattice(3)),
+            "meet-middle"), (0, 5)),
+    ]
+    for base, units in cases:
+        assert isinstance(base.op("theta"), LazyTable) == lazy
+        built = catalog.build_alphas_from_surjectivity(base, units)
+        expected = _reference_alphas(base, units)
+        got = [built.op(f"alpha{i}").entries
+               for i in range(1, len(units) + 1)]
+        assert got == expected
+        assert all(type(v) is int for v in got[0])
+
+
+def test_alpha_builder_refuses_before_reading_theta():
+    m = 2049  # m^2 entries, one row over the materialize limit
+
+    def theta(a, b):
+        if not isinstance(a, int):
+            raise AssertionError("theta read as an array")
+        return (a + b) % m
+
+    sig = Signature((("theta", 2),), ())
+    alg = FiniteAlgebra("Big", sig, m, {"theta": LazyTable(2, theta)}, {})
+    with pytest.raises(BudgetError, match="2049\\^2 entries"):
+        catalog.build_alphas_from_surjectivity(alg, (0,))
 
 # --- strict semiloops ---------------------------------------------------------
 

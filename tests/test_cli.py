@@ -13,7 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from finalg import catalog, groups
 from finalg.cli import main
-from finalg.dsl import parse_algebra, serialize
+from finalg.core import eval_term
+from finalg.dsl import parse_algebra, parse_file, serialize
+from finalg.identities import suite_identities
+
+from conftest import brute_first_counterexample, tables_token_by_token
 
 
 @pytest.fixture
@@ -629,6 +633,47 @@ _fuzz_command = st.one_of(
 )
 
 
+_REPORT_LINE = re.compile(
+    r"IDENTITY (\S+) (PASS|FAIL)(?: \[counterexample: ([^\]]*)\])? tuples=")
+
+
+def _recheck_verdicts(argv, text, stdout):
+    """Re-parse the file with every table literal read token by token,
+    select the identities as cmd_check does, and confirm each reported
+    verdict with eval_term: an exhaustive verdict and its lex-first
+    counterexample must be brute force's, and a sampled FAIL must be a
+    real violation.  So a one-step table read that returned wrong entries
+    would fail here."""
+    with tables_token_by_token():
+        (alg,), file_identities = parse_file(text)
+    if len(argv) == 2:
+        identities = file_identities
+    else:
+        option, spec = argv[2:4]
+        by_name = {i.name: i for i in file_identities}
+        if option == "--identity" and spec in by_name:
+            identities = [by_name[spec]]
+        else:
+            identities = suite_identities(alg, spec)
+    lines = stdout.splitlines()
+    assert len(lines) == len(identities)
+    sampled = "--mode" in argv
+    for ident, line in zip(identities, lines):
+        name, verdict, cx = _REPORT_LINE.match(line).groups()
+        assert name == ident.name
+        env = None
+        if cx is not None:
+            env = {k: int(v) for k, v in
+                   (item.split("=") for item in cx.split(",") if item)}
+        assert (verdict == "FAIL") == (env is not None)
+        if sampled:
+            if env is not None:
+                assert (eval_term(alg, ident.lhs, env)
+                        != eval_term(alg, ident.rhs, env)), line
+        else:
+            assert env == brute_first_counterexample(alg, ident), line
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_FUZZ_BASES),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
@@ -658,3 +703,5 @@ def test_main_returns_an_exit_code_on_mutated_inputs(tmp_path_factory, base,
     if code == 2:
         assert out.getvalue() == "", (argv, text)
         assert err.getvalue().startswith("error:"), (argv, text)
+    elif code in (0, 1) and argv[0] == "check":
+        _recheck_verdicts(argv, text, out.getvalue())

@@ -1,10 +1,12 @@
+import importlib
+import pkgutil
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog
+from finalg import catalog, dsl
 from finalg.core import Apply, Constant, SymbolError, Variable
 from finalg.dsl import (
     DslError,
@@ -18,7 +20,7 @@ from finalg.dsl import (
     serialize_identity,
 )
 
-from conftest import random_algebra
+from conftest import random_algebra, tables_token_by_token
 
 SAMPLE = """
 # a cyclic group presented as theta(a, b) = a + b
@@ -236,3 +238,103 @@ def test_tokenizer_matches_reference_on_mutated_texts(base, edits):
     if isinstance(got, list):
         got = [(k, v, *_line_col(text, off)) for k, v, off in got]
     assert got == _tokens_or_error(_reference_tokenize, text)
+
+
+# -- the one-step table literal against the token-by-token read -------------
+
+def _parse_or_error(text):
+    try:
+        algebras, identities = parse_file(text)
+    except DslError as e:
+        return str(e)
+    return algebras, [a.name for a in algebras], identities
+
+
+def _fast_and_slow(text):
+    """parse_file's outcome with the one-step table read, and with every
+    table literal read token by token."""
+    fast = _parse_or_error(text)
+    with tables_token_by_token():
+        slow = _parse_or_error(text)
+    return fast, slow
+
+
+_TABLE_BASES = [
+    # 16-element ternary theta tables, one under a name with dashes
+    serialize(catalog.build_group_product_algebra(
+        [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2)),
+    serialize(catalog.build_map_composition_algebra(2, 2)),
+    serialize(catalog.build_boolean_protomodular(2)),
+    "algebra A {\n carrier 3\n elem top = 2\n"
+    "  op f/2 = [top, 0, 1, # c\n 2, 1, 0,\n 0, 0, 0]\n"
+    "  op g/1 = [2, 1, 0] # tail\n}\n"
+    "identity inv(a): g(g(a)) = a\n",
+    # no space after a closing bracket
+    "algebra B{carrier 2 op f/2=[0,1,1,0]op g/1=[1,0]const e=0}"
+    "identity i(a):g(g(a))=a",
+]
+_TABLE_MUTATION_CHARS = _MUTATION_CHARS + "\x1c"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_TABLE_BASES + _BASES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                          st.sampled_from(_TABLE_MUTATION_CHARS)),
+                max_size=6))
+def test_table_fast_path_matches_token_by_token_read(base, edits):
+    text = base
+    for pos, op, ch in edits:  # insert, delete or replace one character
+        pos %= len(text) + 1
+        text = text[:pos] + ch * (op != 1) + text[pos + (op != 0):]
+    fast, slow = _fast_and_slow(text)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("body", [
+    "[]", "[0,]", "[0,,1]", "[0 1]", "[0, # c\n 1]", "[top, 0]",
+    "[٣, 0]", "[0, 1, 2, 3]", "[ 1 ,\x0c0\n, 2,3]", "[1,\x1c0, 2, 3]",
+])
+def test_table_fast_path_pinned_bodies(body):
+    text = "algebra X {\n  carrier 4\n  elem top = 1\n  op f/1 = %s}\n" % body
+    fast, slow = _fast_and_slow(text)
+    assert fast == slow
+
+
+def test_table_fast_path_long_entry_keeps_line_and_column():
+    text = "algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000)
+    fast, slow = _fast_and_slow(text)
+    assert fast == slow == ("line 1, col 36: integer literal of 5000 "
+                            "digits is too long")
+
+
+def test_plain_table_literal_is_read_in_one_step(monkeypatch):
+    def no_element(*args):
+        raise AssertionError("entry read token by token")
+
+    monkeypatch.setattr(dsl._Parser, "element", no_element)
+    alg = parse_algebra("algebra X { carrier 2 op f/2 = [0, 1,\n 1 , 0] }")
+    assert alg.tables["f"].entries == (0, 1, 1, 0)
+
+
+# -- the Python 3.10 floor ----------------------------------------------------
+
+# atomic groups and possessive quantifiers: re.error before Python 3.11
+_PY311_ONLY = re.compile(r"\(\?>|(?<!\\)[*+?}]\+")
+
+
+def test_module_patterns_use_no_python_3_11_syntax():
+    assert all(_PY311_ONLY.search(p) for p in
+               ("(?>a)", "a*+", "a++", "a?+", "a{2}+"))
+    assert not any(_PY311_ONLY.search(p) for p in
+                   (r"\++", "a+?", r"(?=(a+))\1", "(?:a)*"))
+    import finalg
+
+    patterns = 0
+    for info in pkgutil.iter_modules(finalg.__path__):
+        module = importlib.import_module(f"finalg.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                patterns += 1
+                assert not _PY311_ONLY.search(value.pattern), (
+                    f"finalg.{info.name}.{name}")
+    assert patterns >= 4
