@@ -19,7 +19,6 @@ from .core import (
     FiniteAlgebra,
     InputError,
     LazyTable,
-    MATERIALIZE_LIMIT,
     Signature,
     standard_algebra,
     table_from_fn,
@@ -492,9 +491,9 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
     alpha_i(a,b) is the i-th component of a chosen theta_b-preimage of a:
     the unit tuple itself when theta_b(e*) = a (forced by the diagonal
     axiom), otherwise the lexicographically smallest preimage.  The scan
-    reads each section as one int64 array.  It reads every theta entry,
-    as materializing does, so above MATERIALIZE_LIMIT entries it is
-    refused before any is read.
+    reads every theta entry, one section per int64 array, so a lazy theta
+    is materialized first; one too large to materialize is refused with
+    BudgetError.
     """
     import numpy as np
 
@@ -509,21 +508,14 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
             raise AlgebraError(
                 f"theta(e*, b) = b fails at b = {b}"
             )
-    if m ** (n + 1) > MATERIALIZE_LIMIT:
-        raise BudgetError(f"alpha builder: theta has {m}^{n + 1} entries, "
-                          f"over limit {MATERIALIZE_LIMIT}")
+    dense = tbl.materialize(m) if isinstance(tbl, LazyTable) else tbl
     # first[b, a]: the lex index of the chosen tuple xs with theta(xs, b) = a
     size = m ** n
+    rows = dense.array().reshape(size, m)
     first = np.full((m, m), size, dtype=np.int64)
     index = np.arange(size)
-    if isinstance(tbl, DenseTable):
-        rows = tbl.array().reshape(size, m)
-        section = lambda b: rows[:, b]
-    else:
-        grid = np.indices((m,) * n).reshape(n, size)
-        section = lambda b: tbl.fn(*grid, np.full(size, b, dtype=np.int64))
     for b in range(m):
-        np.minimum.at(first[b], section(b), index)
+        np.minimum.at(first[b], rows[:, b], index)
         missing = np.flatnonzero(first[b] == size)
         if missing.size:
             raise AlgebraError(

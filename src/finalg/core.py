@@ -127,7 +127,7 @@ class DenseTable:
         return f"DenseTable(arity={self.arity}, {len(self.entries)} entries)"
 
 
-MATERIALIZE_LIMIT = 1 << 22
+_MATERIALIZE_LIMIT = 1 << 22
 
 
 class LazyTable:
@@ -152,7 +152,7 @@ class LazyTable:
         return self.fn(*args)
 
     def materialize(self, m: int) -> DenseTable:
-        if m ** self.arity > MATERIALIZE_LIMIT:
+        if m ** self.arity > _MATERIALIZE_LIMIT:
             raise BudgetError(
                 f"cannot materialize table with {m}^{self.arity} entries"
             )

@@ -51,34 +51,23 @@ class DslError(InputError):
         self.col = col
 
 
-# The token alternatives, shared by the lexer and the whole-text check.
-_SKIP = r"\s+|\#[^\n]*"
-_ALTERNATIVES = {
-    "ident": r"\d*[A-Za-z_][A-Za-z0-9_\-]*",
-    "int": r"\d+",
-    "punct": r"[{}\[\](),=/:]",
-}
-
-# One token after any whitespace and comments.  The text has passed
-# _check_characters first, so one alternative or the end always matches.
 _TOKEN = re.compile(
-    f"(?:{_SKIP})*(?:"
-    + "".join(f"(?P<{k}>{v})|" for k, v in _ALTERNATIVES.items())
-    + r"(?P<eof>\Z))"
+    r"""(?:\s+|\#[^\n]*)*
+      (?: (?P<ident>\d*[A-Za-z_][A-Za-z0-9_\-]*)
+        | (?P<int>\d+)
+        | (?P<punct>[{}\[\](),=/:])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
+    """,
+    re.VERBOSE,
 )
 
 # A character other than ASCII token characters and whitespace: '#', a
 # '-' (valid only inside an identifier), a non-ASCII digit or space, or
 # one that is valid only in a comment.  Most files hold none, and then
-# no scan is needed.
+# no line needs lexing before the parse.
 _SUSPECT = re.compile(r"[^\s{}\[\](),=/:A-Za-z0-9_]")
-
-# The longest run of whole tokens, each made atomic by the (?=(...))\1
-# idiom (Python 3.10 has no (?>...)), so that it splits the text exactly
-# as the lexer does: the first character it stops at is the lexer's
-# first unexpected one.
-_SCAN = re.compile(
-    "(?:(?=(" + "|".join((_SKIP, *_ALTERNATIVES.values())) + r"))\1)*")
 
 # The body of a table literal after its '[': ASCII digits, commas and
 # whitespace up to the closing ']'.
@@ -96,18 +85,18 @@ def _line_col(text, offset):
 def _check_characters(text):
     """Raise at the first unexpected character, the one the lexer would
     reach first, so that it is reported before any parse error.  No token
-    spans a newline except whitespace, so each line is checked alone, and
-    only a line holding a suspect character is scanned."""
+    spans a newline except whitespace, so each line is lexed alone, and
+    only a line holding a suspect character is lexed."""
     pos = 0
     while (suspect := _SUSPECT.search(text, pos)) is not None:
         start = text.rfind("\n", 0, suspect.start()) + 1
         pos = text.find("\n", suspect.start())
         if pos < 0:
             pos = len(text)
-        end = _SCAN.match(text, start, pos).end()
-        if end < pos:
-            raise DslError(f"unexpected character {text[end]!r}",
-                           *_line_col(text, end))
+        for m in _TOKEN.finditer(text, start, pos):
+            if m.lastgroup == "bad":
+                raise DslError(f"unexpected character {m['bad']!r}",
+                               *_line_col(text, m.start("bad")))
 
 
 def _tokenize(text):
