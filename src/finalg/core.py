@@ -128,6 +128,8 @@ class DenseTable:
 
 
 _MATERIALIZE_LIMIT = 1 << 22
+EXHAUSTIVE_BUDGET = 10 ** 8  # tuples an exhaustive check may enumerate
+_RANGE_BLOCK = 1 << 16  # argument tuples per call in a lazy range check
 
 
 class LazyTable:
@@ -410,11 +412,15 @@ class CheckReport:
 def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
     """Why tbl is not a total arity-ary operation on {0..m-1}, or None.
     The one table check: a DenseTable needs m^arity entries, each in
-    range; a LazyTable is checked for its arity only."""
+    range.  A LazyTable needs the arity; while m^arity is within
+    EXHAUSTIVE_BUDGET its function is also evaluated once at every
+    argument tuple, through the array contract, and its first value out
+    of range is reported as for a dense table.  Above that budget a lazy
+    table is checked for its arity only."""
     if tbl.arity != arity:
         return f"symbol {sym!r}: table arity {tbl.arity} != declared {arity}"
     if not isinstance(tbl, DenseTable):
-        return None
+        return _lazy_range_error(sym, tbl, arity, m)
     entries = tbl.entries
     # m >= 2 and arity >= len.bit_length() give m^arity >= 2^arity > len,
     # so a huge arity is refused without building m^arity
@@ -423,7 +429,32 @@ def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
         return f"symbol {sym!r}: table length {n} != {m}^{arity}"
     if entries and not (0 <= min(entries) and max(entries) < m):
         i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < m)
-        return f"symbol {sym!r}: entry {v} out of range at flat index {i}"
+        return _range_error(sym, v, i)
+    return None
+
+
+def _range_error(sym, value, index):
+    return f"symbol {sym!r}: entry {value} out of range at flat index {index}"
+
+
+def _lazy_range_error(sym, tbl, arity, m):
+    """The range part of table_error for a LazyTable: its values at every
+    argument tuple, in flat order, _RANGE_BLOCK tuples per call."""
+    # as above, a huge arity is over budget without building m^arity
+    if ((m > 1 and arity >= EXHAUSTIVE_BUDGET.bit_length())
+            or m ** arity > EXHAUSTIVE_BUDGET):
+        return None
+    import numpy as np
+
+    total = m ** arity
+    for start in range(0, total, _RANGE_BLOCK):
+        flat = np.arange(start, min(start + _RANGE_BLOCK, total))
+        args = np.unravel_index(flat, (m,) * arity)
+        values = np.broadcast_to(tbl.fn(*args), flat.shape)
+        bad = (values < 0) | (values >= m)
+        i = int(bad.argmax())
+        if bad[i]:
+            return _range_error(sym, int(values[i]), start + i)
     return None
 
 

@@ -11,13 +11,16 @@ those of a loop of rng.randrange(m) calls; they are drawn in batches from
 that unchanged MT19937 stream and checked through numpy.  Every failure a
 vectorized path reports is re-confirmed with eval_term first.
 
-Both modes run one numpy kernel, _eval_np, which evaluates a term on
-arrays of assignments (CheckReport.engine is "np" or "sampled").  The
-exhaustive check loops over a lexicographic prefix of the variables and
-evaluates each prefix's block of suffix tuples at once; a block holds at
-most _BLOCK tuples (at least one whole variable), so its temporaries stay
-cache-sized and a failure near the start of the tuple order ends the check
-early.  An identity with no variables is one block of one tuple.
+Both modes run one numpy kernel, the partial evaluator _fold, which
+evaluates a term on arrays of assignments (CheckReport.engine is "np" or
+"sampled").  The exhaustive check loops over a lexicographic prefix of
+the variables and evaluates each prefix's block of suffix tuples at once;
+a block holds at most _BLOCK tuples (at least one whole variable), so its
+temporaries stay cache-sized and a failure near the start of the tuple
+order ends the check early.  Each side is folded once per check with the
+suffix values known: a subterm that reads no prefix variable is evaluated
+once, and the rest becomes a closure that each block calls with its
+prefix.  An identity with no variables is one block of one tuple.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 from . import dsl
 from .core import (
+    EXHAUSTIVE_BUDGET,
     AlgebraError,
     Apply,
     BudgetError,
@@ -45,11 +49,11 @@ from .core import (
     check_identity_terms,
     default_units,
     eval_term,
+    term_variables,
     unit_constants,
     validate_algebra,
 )
 
-EXHAUSTIVE_BUDGET = 10 ** 8
 _BLOCK = 1 << 14
 _GRIDS = 16  # suffix grids kept, one per (m, variables in a block)
 _BATCH = 1 << 16
@@ -100,39 +104,75 @@ def check_identity(
     return report
 
 
-def _eval_np(alg, t, env):
-    """Evaluate t elementwise; env maps each variable to an int or an int64
-    array, the arrays all of one length.  Constants and subterms that read
-    no array stay ints and broadcast against the arrays."""
+def _fold(alg, t, known):
+    """Evaluate t elementwise as far as known allows; known maps variables
+    to ints or int64 arrays, the arrays all of one length.
+
+    A subterm that reads only known variables is evaluated now, to an int
+    or an array: constants and subterms that read no array stay ints and
+    broadcast against the arrays.  Any other subterm becomes a closure
+    that takes a dict of the other variables' values and evaluates the
+    rest; it holds its table's array, so a call repeats no dispatch.
+    Returns the value, or the closure (the only callable result)."""
     import numpy as np
 
     if isinstance(t, Variable):
-        return env[t.name]
+        name = t.name
+        return known[name] if name in known else lambda env: env[name]
     if isinstance(t, Constant):
         return alg.constant(t.name)
     tbl = alg.op(t.op)
     if not isinstance(tbl, DenseTable):
-        args = [_eval_np(alg, a, env) for a in t.args]
-        if any(isinstance(a, np.ndarray) for a in args):
-            args = np.broadcast_arrays(*args)
-        return tbl.fn(*args)
-    # fold each argument into the flat index as soon as it is evaluated,
-    # so at most two argument-sized arrays are alive
-    flat = None
-    for a in t.args:
-        v = _eval_np(alg, a, env)
-        flat = v if flat is None else flat * alg.size + v
-    out = tbl.array()[flat]
-    return out if isinstance(out, np.ndarray) else int(out)
+        fn = tbl.fn
+        args = [_fold(alg, a, known) for a in t.args]
+        late = [callable(a) for a in args]
+        if not any(late):
+            return _apply_lazy(fn, args)
+        return lambda env: _apply_lazy(fn, [
+            a(env) if is_late else a for a, is_late in zip(args, late)])
+    # fold each known argument into the flat index as soon as it is
+    # evaluated, so at most two argument-sized arrays are alive; a late
+    # argument adds a zero digit here and its value times its stride later
+    m, r = alg.size, len(t.args)
+    flat, late = None, []
+    for i, a in enumerate(t.args):
+        v = _fold(alg, a, known)
+        if callable(v):
+            late.append((v, m ** (r - 1 - i)))
+            v = 0
+        flat = v if flat is None else flat * m + v
+    arr = tbl.array()
+    if not late:
+        out = arr[flat]
+        return out if isinstance(out, np.ndarray) else int(out)
+
+    def apply(env):
+        offset = 0
+        for f, s in late:
+            offset = offset + f(env) * s
+        return arr[flat + offset]
+
+    return apply
 
 
-def _first_bad(alg, ident, env):
-    """Index of the first assignment in env that violates ident, or None;
-    a side that reads no array is one value for every assignment."""
+def _apply_lazy(fn, args):
+    """fn on args under the LazyTable contract: int64 arrays of one
+    length, the ints broadcast, or else all ints (a dense closure's numpy
+    scalars become ints)."""
     import numpy as np
 
-    bad = np.asarray(_eval_np(alg, ident.lhs, env)
-                     != _eval_np(alg, ident.rhs, env))
+    if any(isinstance(a, np.ndarray) for a in args):
+        return fn(*np.broadcast_arrays(*args))
+    return fn(*map(int, args))
+
+
+def _first_bad(lhs, rhs):
+    """Index of the first assignment at which the values lhs and rhs of an
+    identity's sides differ, or None; a side that is one int holds for
+    every assignment."""
+    import numpy as np
+
+    bad = np.asarray(lhs != rhs)
     j = int(bad.argmax())
     return j if bad.flat[j] else None
 
@@ -164,11 +204,15 @@ def _grid(m, inner):
 def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
     """The table of term over variables, row-major in their order, from
     the identity kernel; a term that reads some or none of the variables
-    is broadcast to all m^k rows, so a constant term works too."""
+    is broadcast to all m^k rows, so a constant term works too.  A term
+    that reads a variable outside variables is an EvalError."""
     import numpy as np
 
+    unbound = term_variables(term) - set(variables)
+    if unbound:
+        raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, k = alg.size, len(variables)
-    values = _eval_np(alg, term, dict(zip(variables, _grid(m, k))))
+    values = _fold(alg, term, dict(zip(variables, _grid(m, k))))
     return DenseTable(k, np.broadcast_to(values, (m ** k,)).tolist())
 
 
@@ -185,17 +229,26 @@ def _check_exhaustive_np(alg, ident, total):
         inner -= 1
     outer = k - inner
     grid = _grid(m, inner)
+    # fold what reads only the suffix once; each block calls what is left
+    known = dict(zip(variables[outer:], grid))
+    lhs, rhs = (_closure(_fold(alg, side, known))
+                for side in (ident.lhs, ident.rhs))
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
-        env = dict(zip(variables[:outer], prefix))
-        env.update(zip(variables[outer:], grid))
-        j = _first_bad(alg, ident, env)
+        env = dict(zip(variables, prefix))
+        j = _first_bad(lhs(env), rhs(env))
         if j is not None:
             suffix = np.unravel_index(j, (m,) * inner)
             tup = prefix + tuple(int(x) for x in suffix)
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
         checked += grid.shape[1]
     return CheckReport("pass", ident.name, tuples_checked=total)
+
+
+def _closure(folded):
+    """A result of _fold as a closure: a value becomes one that ignores
+    its env."""
+    return folded if callable(folded) else lambda env: folded
 
 
 def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
@@ -234,7 +287,8 @@ def _check_sampled(alg, ident, samples, seed):
     rng = random.Random(seed)  # MT19937
     checked = 0
     for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
-        j = _first_bad(alg, ident, dict(zip(variables, cols)))
+        env = dict(zip(variables, cols))
+        j = _first_bad(_fold(alg, ident.lhs, env), _fold(alg, ident.rhs, env))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])
             return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)

@@ -7,15 +7,20 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog, groups
+from finalg import catalog, cli, groups
 from finalg.cli import main
 from finalg.core import eval_term
 from finalg.dsl import parse_algebra, parse_file, serialize
-from finalg.identities import suite_identities
+from finalg.identities import (
+    ASSOCIATIVITY,
+    identity_2assoc,
+    suite_identities,
+)
 
 from conftest import brute_first_counterexample, tables_token_by_token
 
@@ -507,6 +512,63 @@ def test_python_dash_m_finalg():
     assert proc.stdout.count("PASS") == 1
 
 
+def _run_main(argv):
+    """main(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, z3_n2,
+                                                   monkeypatch):
+    # a failing file identity: the plain check prints its counterexample
+    p = tmp_path / "z3.alg"
+    p.write_text(serialize(z3_n2) + "identity swap(a, b, c): "
+                 "theta(a, b, c) = theta(b, a, c)\n")
+    path = str(p)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "finalg", "check", path], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 1, fresh.stderr
+    assert "[counterexample: a=0,b=1,c=0]" in fresh.stdout
+
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    seen = []
+    parse = parser.parse_args
+
+    def recording(*args, **kwargs):
+        seen.append(parse(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recording)
+    code, out, _ = _run_main(["check", path, "--identity", "swap",
+                              "--identity", "unit-law:2", "--mode",
+                              "sampled", "--budget", "5"])
+    assert code == 1 and out.count("seed=0") == 2
+    assert (seen[-1].identity, seen[-1].mode, seen[-1].budget) == (
+        ["swap", "unit-law:2"], "sampled", 5)
+    assert _run_main(["check", path]) == (1, fresh.stdout, fresh.stderr)
+    assert (seen[-1].identity, seen[-1].mode, seen[-1].budget) == (
+        None, "exhaustive", None)
+    # a usage error leaves the next call as it would be
+    with pytest.raises(SystemExit) as ei:
+        _run_main(["check", "--mode", "bogus", path])
+    assert ei.value.code == 2
+    assert _run_main(["check", path]) == (1, fresh.stdout, fresh.stderr)
+    for key in ("12", "4"):
+        code, out, _ = _run_main(["verify-paper", "--only", key])
+        assert code == 0 and out.startswith(f"[{key:>2}] ")
+        assert out.count("PASS") == 1
+    assert seen[-1].only == "4"
+    assert cli.build_parser.cache_info().misses == 1
+    # five parsed calls, each into its own namespace
+    assert len({id(ns) for ns in seen}) == len(seen) == 5
+
+
 def test_check_zero_arity_op_exit_2(tmp_path, capsys):
     p = tmp_path / "zero.alg"
     p.write_text("algebra T {\n  carrier 2\n  op theta/0 = [0]\n}\n")
@@ -577,8 +639,12 @@ _FUZZ_ALGEBRAS = [
     catalog.build_boolean_protomodular(1),
     catalog.build_strict_semiloop(3, twisted=True),
 ]
-_FUZZ_BASES = [serialize(a) for a in _FUZZ_ALGEBRAS] + [
-    serialize(groups.to_enriched(_FUZZ_ALGEBRAS[1])),
+# each algebra file states a law, so a plain check has a verdict
+_FUZZ_BASES = [serialize(a) + replace(
+    identity_2assoc(a.op("theta").arity - 1), name="two-assoc").text() + "\n"
+    for a in _FUZZ_ALGEBRAS] + [
+    serialize(groups.to_enriched(_FUZZ_ALGEBRAS[1])) + ASSOCIATIVITY.text()
+    + "\n",
     "algebra S {\n  carrier 2\n  op theta/2 = free\n  op alpha1/2 = free\n"
     "  const e = 0\n  require semiabelian:1 2assoc:1\n}\n",
     "algebra U {\n  carrier 2\n  op mu/3 = free\n  require malcev\n}\n"
@@ -604,6 +670,22 @@ _FUZZ_LINES = [
 ]
 
 
+def _change_entry(pieces, i, j):
+    """Give the i-th table entry of the pieces (mod their count) another
+    value in range of the first carrier, so the mutant still loads and
+    its checks reach a verdict that may differ from the base's."""
+    entries, depth, m = [], 0, None
+    for k, piece in enumerate(pieces):
+        depth += (piece == "[") - (piece == "]")
+        if depth > 0 and piece.isdigit():
+            entries.append(k)
+        elif m is None and piece == "carrier":
+            m = next((int(p) for p in pieces[k + 1:k + 3] if p.isdigit()), 0)
+    if entries and (m or 0) > 1:
+        k = entries[i % len(entries)]
+        pieces[k] = str((int(pieces[k]) + 1 + j % (m - 1)) % m)
+
+
 def _kind(piece):
     if piece.isdigit():
         return "number"
@@ -625,11 +707,26 @@ _fuzz_command = st.one_of(
                                   st.just("--samples"), _COUNT).map(list)))
     .map(lambda t: ["check", "{}", t[0], t[1]] + t[2]),
     st.just(["check", "{}"]),
+    # a theta suite at the arity n of the file's theta, which most files fit
+    st.sampled_from([s for s in _FUZZ_SUITES
+                     if s not in ("malcev", "malcev-assoc", "bogus")]).map(
+        lambda suite: ["check", "{}", "--suite", f"{suite}:{{n}}"]),
     st.sampled_from(["find-first", "count-all", "prove-none"]).map(
         lambda mode: ["search", "{}", "--search-mode", mode,
                       "--budget", "10000"]),
     st.sampled_from(["derive-group", "to-enriched", "from-enriched",
                      "malcev"]).map(lambda c: [c, "{}"]),
+)
+
+
+# (piece index, op, choice): op 0 replaces a piece, 1 deletes it, 2
+# inserts a line, 3 changes a table entry.  Half the examples only change
+# entries: such a file still loads, so its check verdicts are re-checked.
+_fuzz_edits = st.one_of(
+    st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                       st.integers(0, 10 ** 6)), max_size=2),
+    st.lists(st.tuples(st.integers(0, 10 ** 6), st.just(3),
+                       st.integers(0, 10 ** 6)), min_size=1, max_size=2),
 )
 
 
@@ -675,10 +772,7 @@ def _recheck_verdicts(argv, text, stdout):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(_FUZZ_BASES),
-       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
-                          st.integers(0, 10 ** 6)), max_size=2),
-       _fuzz_command)
+@given(st.sampled_from(_FUZZ_BASES), _fuzz_edits, _fuzz_command)
 def test_main_returns_an_exit_code_on_mutated_inputs(tmp_path_factory, base,
                                                      edits, command):
     pieces = re.findall(r"\s+|[{}\[\](),=/:]|[^\s{}\[\](),=/:]+", base)
@@ -688,6 +782,8 @@ def test_main_returns_an_exit_code_on_mutated_inputs(tmp_path_factory, base,
             del pieces[i]
         elif op == 2:
             pieces.insert(i, f"\n{_FUZZ_LINES[j % len(_FUZZ_LINES)]}\n")
+        elif op == 3:
+            _change_entry(pieces, i, j)
         elif not pieces[i].isspace():
             kind = _FUZZ_KINDS[_kind(pieces[i])]
             pieces[i] = kind[j % len(kind)]
@@ -695,7 +791,9 @@ def test_main_returns_an_exit_code_on_mutated_inputs(tmp_path_factory, base,
     text = "".join(pieces)
     p = tmp_path_factory.getbasetemp() / "fuzz.alg"
     p.write_text(text)
-    argv = [str(p) if a == "{}" else a for a in command]
+    theta = re.search(r"op theta/(\d+)", text)
+    n = int(theta.group(1)) - 1 if theta else 1
+    argv = [str(p) if a == "{}" else a.format(n=n) for a in command]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from finalg.core import (
     unit_constants,
     validate_algebra,
 )
-from finalg import catalog
+from finalg import catalog, core
 
 from conftest import random_algebra
 
@@ -170,10 +171,49 @@ def test_table_error_names_the_first_problem():
     # decided from the arity alone: 3^10000000 is never built
     assert table_error("f", DenseTable(10 ** 7, (0,)), 10 ** 7, 3) == (
         "symbol 'f': table length 1 != 3^10000000")
-    lazy = LazyTable(1, lambda a: a + 9)  # a lazy range is not checked
-    assert table_error("f", lazy, 1, 2) is None
+    lazy = LazyTable(1, lambda a: a + 9)
+    assert table_error("f", lazy, 1, 2) == (
+        "symbol 'f': entry 9 out of range at flat index 0")
     assert table_error("f", lazy, 2, 2) == (
         "symbol 'f': table arity 1 != declared 2")
+
+
+def test_lazy_tables_are_range_checked_within_the_budget(monkeypatch):
+    # theta(a, b, c) = a, except 47 where a = 7, b = 3 and c >= 11: the
+    # first out-of-range value is at flat index 7*40^2 + 3*40 + 11
+    monkeypatch.setattr(core, "_RANGE_BLOCK", 1000)
+    seen = []
+
+    def fn(a, b, c):
+        seen.append(np.size(a))
+        return a + (a == 7) * (b == 3) * (c >= 11) * 40
+
+    lazy = LazyTable(3, fn)
+    want = "symbol 'theta': entry 47 out of range at flat index 11331"
+    assert table_error("theta", lazy, 3, 40) == want
+    assert table_error("theta", lazy.materialize(40), 3, 40) == want
+    alg = FiniteAlgebra("lazy40", Signature((("theta", 3),)), 40,
+                        {"theta": lazy})
+    assert validate_algebra(alg).detail == want
+    # an in-range lazy table is evaluated once at every tuple, per block
+    seen.clear()
+    assert table_error("g", LazyTable(3, lambda a, b, c: fn(a, b, c) % 40),
+                       3, 40) is None
+    assert sum(seen) == 40 ** 3 and max(seen) == 1000
+    # a constant function meets the contract by broadcasting
+    assert table_error("k", LazyTable(2, lambda a, b: -1), 2, 3) == (
+        "symbol 'k': entry -1 out of range at flat index 0")
+
+
+def test_lazy_tables_above_the_budget_are_checked_for_arity_only():
+    def never(*args):
+        raise AssertionError("evaluated above the budget")
+
+    assert 2 ** 27 > core.EXHAUSTIVE_BUDGET
+    for arity in (27, 10 ** 7):
+        assert table_error("f", LazyTable(arity, never), arity, 2) is None
+    assert table_error("f", LazyTable(2, never), 3, 2) == (
+        "symbol 'f': table arity 2 != declared 3")
 
 
 def test_structural_equality_ignores_name(z3_n2):

@@ -501,9 +501,10 @@ def test_resolve_suite_rejects_bad_arity():
 
 # --- exhaustive numpy kernel: blocks, lazy tables, small checks ------------
 
-def _lazy_view(alg):
-    """alg with every table behind a LazyTable whose function meets the
-    array contract: it computes the flat index and gathers the entries."""
+def _lazy_view(alg, names=None):
+    """alg with every table named in names (all when None) behind a
+    LazyTable whose function meets the array contract: it computes the
+    flat index and gathers the entries."""
     def lazy(t):
         get = catalog._gather(t.entries)
 
@@ -516,19 +517,21 @@ def _lazy_view(alg):
         return LazyTable(t.arity, fn)
 
     return FiniteAlgebra(alg.name, alg.signature, alg.size,
-                         {name: lazy(t) for name, t in alg.tables.items()},
+                         {name: t if names is not None and name not in names
+                          else lazy(t) for name, t in alg.tables.items()},
                          alg.constants)
 
 
 def _record_blocks(monkeypatch):
     """Wrap the numpy kernel's block check; returns the list of block
-    sizes (the length of its assignment arrays) it is called with."""
+    sizes (the number of assignments whose sides it compares) it is
+    called with."""
     sizes = []
     real = identities._first_bad
 
-    def recording(alg, ident, env):
-        sizes.append(max(np.size(v) for v in env.values()))
-        return real(alg, ident, env)
+    def recording(lhs, rhs):
+        sizes.append(np.broadcast(lhs, rhs).size)
+        return real(lhs, rhs)
 
     monkeypatch.setattr(identities, "_first_bad", recording)
     return sizes
@@ -580,6 +583,59 @@ def test_np_one_variable_floor(monkeypatch, dent):
         assert rep.counterexample == {"a": m - 1 - dent}
         assert rep.counterexample == brute_first_counterexample(alg, ident)
         assert rep.tuples_checked == m - dent
+
+
+def _fold_identities(alg, n):
+    """Identities whose subterms read only the prefix variables of a block,
+    only its suffix, both, or constants alone, as the block size moves."""
+    units = unit_constants(alg, n)
+    avs = [Variable(f"a{i}") for i in range(1, n + 1)]
+    b = Variable("b")
+    ground = Apply("theta", *[Constant(u) for u in units], Constant(units[0]))
+    return [identity_2assoc(n), *identities_1assoc(n),
+            identity_unit_expansion(n, units), identity_malcev_assoc(),
+            identities.identity_malcev_assoc_expanded(n),
+            Identity("ground", tuple(v.name for v in avs) + ("b",),
+                     Apply("theta", *avs, ground),
+                     Apply("theta", ground, *avs[1:], b))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 4), st.integers(1, 2),
+       st.sampled_from(["random", "group", "dented"]),
+       st.sampled_from([(), ("theta",), ("theta", "alpha1", "mu")]),
+       st.integers(1, 2))
+def test_folded_kernel_matches_the_oracle(seed, m, n, kind, lazy, power):
+    # a block of m or m^2 tuples makes the prefix loop run, so the folded
+    # suffix subterms are reused across many blocks
+    rng = random.Random(seed)
+    if kind == "random":
+        alg = random_algebra(rng, m, n, shared_unit=rng.random() < 0.5)
+    else:
+        alg = catalog.build_semigroup_algebra(catalog.cyclic_group(m), n, 1)
+    a, b, c = (Variable(v) for v in "abc")
+    mu = term_table(alg, term_malcev(n, a, b, c), ("a", "b", "c"))
+    if kind == "random":
+        mu = DenseTable(3, [rng.randrange(m) for _ in range(m ** 3)])
+    tables = dict(alg.tables, mu=mu)
+    if kind == "dented":
+        name = rng.choice(sorted(tables))
+        entries = list(tables[name].entries)
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i] + 1) % m
+        tables[name] = DenseTable(tables[name].arity, entries)
+    sig = Signature(alg.signature.ops + (("mu", 3),), alg.signature.constants)
+    alg = _lazy_view(FiniteAlgebra(alg.name, sig, m, tables, alg.constants),
+                     lazy)
+    with mock.patch.object(identities, "_BLOCK", m ** power):
+        for ident in _fold_identities(alg, n):
+            rep = check_identity(alg, ident)
+            cx = brute_first_counterexample(alg, ident)
+            k = len(ident.variables)
+            assert rep.counterexample == cx, ident.name
+            assert rep.verdict == ("pass" if cx is None else "fail")
+            assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
+                v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
 
 
 def _sum_identity(k):
@@ -759,3 +815,8 @@ def test_term_table_matches_eval_term(seed, m, n, shared_unit, lazy):
         want = table_from_fn(len(variables), m, lambda *xs: eval_term(
             alg, term, dict(zip(variables, xs))))
         assert term_table(alg, term, variables) == want
+
+
+def test_term_table_refuses_an_unbound_variable(bool2):
+    with pytest.raises(EvalError, match=r"unbound variables \['b'\]"):
+        term_table(bool2, term_product(2), ("a",))
