@@ -3,14 +3,20 @@ matrix row selection, bounded commutative monoids, distributive-lattice
 ternary operations, the Boolean protomodular structure, map-composition
 algebras, the alpha-builder for surjective sections, and strict semiloops.
 
-All constructions produce validated FiniteAlgebra values ready for the
+The monoids, groups and lattices they start from are FiniteAlgebras too,
+named MonoidSpec, GroupSpec and LatticeSpec and checked law by law
+(monoid, lattice).  Every table is the materialized array form of a
+function that meets the LazyTable contract, except a theta too large to
+materialize, which stays lazy; products of algebras (product_lattice,
+build_group_product_algebra) are built by numpy broadcasting.  All
+constructions produce validated FiniteAlgebra values ready for the
 identity engine.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+import math
 
 from .core import (
     AlgebraError,
@@ -20,8 +26,8 @@ from .core import (
     InputError,
     LazyTable,
     Signature,
+    require_materializable,
     standard_algebra,
-    table_from_fn,
 )
 from .identities import (
     COMMUTATIVITY,
@@ -41,46 +47,40 @@ DENSE_TABLE_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# input structures, table-checked at construction
+# input structures, law-checked at construction
 
-@dataclass(frozen=True)
-class MonoidSpec:
-    """A monoid given by its Cayley table; associativity and the unit laws
-    are verified eagerly."""
-
-    size: int
-    table: DenseTable
-    unit: int
-
-    def __post_init__(self):
-        require_laws(self._algebra(), MONOID_LAWS)
-
-    def _algebra(self) -> FiniteAlgebra:
-        """The prod/e algebra the laws are checked on."""
-        return monoid_algebra("MonoidSpec", self.size, self.table, self.unit)
-
-    def mul(self, a, b):
-        return self.table.lookup((a, b), self.size)
-
-    def is_commutative(self) -> bool:
-        return check_identity(self._algebra(), COMMUTATIVITY).ok
+def _table(arity, m, fn) -> DenseTable:
+    """The table of fn, which meets the LazyTable contract, read through
+    its array form; a BudgetError when m^arity is over the limit."""
+    return LazyTable(arity, fn).materialize(m)
 
 
-@dataclass(frozen=True)
-class GroupSpec(MonoidSpec):
-    """A group: a monoid plus an inverse table, verified eagerly."""
+def monoid(size, table, unit, inverse=None) -> FiniteAlgebra:
+    """The monoid MonoidSpec (prod/e) of a Cayley table, or the group
+    GroupSpec (prod/inv/e) when an inverse tuple is given; its laws are
+    checked eagerly, at any size."""
+    name, laws = (("MonoidSpec", MONOID_LAWS) if inverse is None
+                  else ("GroupSpec", GROUP_LAWS))
+    alg = monoid_algebra(name, size, table, unit, inverse)
+    require_laws(alg, laws)
+    return alg
 
-    inverse: tuple = ()
 
-    def __post_init__(self):
-        require_laws(monoid_algebra("GroupSpec", self.size, self.table,
-                                    self.unit, self.inverse), GROUP_LAWS)
+def lattice(size, join, meet, bottom=None, top=None) -> FiniteAlgebra:
+    """The lattice LatticeSpec (join/meet, with the constants bottom and
+    top when they are given); the lattice laws and the neutrality of its
+    constants are checked eagerly (distributivity by build_lattice_theta)."""
+    consts = {"bottom": bottom, "top": top}
+    consts = {c: v for c, v in consts.items() if v is not None}
+    sig = Signature((("join", 2), ("meet", 2)), tuple(consts))
+    return _checked_lattice(FiniteAlgebra(
+        "LatticeSpec", sig, size, {"join": join, "meet": meet}, consts))
 
-    def inv(self, a):
-        return self.inverse[a]
 
-    def div(self, a, b):
-        return self.mul(a, self.inverse[b])
+def _checked_lattice(alg):
+    require_laws(alg, LATTICE_LAWS
+                 + tuple(NEUTRAL_LAWS[c] for c in alg.signature.constants))
+    return alg
 
 
 def _at_least_1(what, k):
@@ -88,84 +88,60 @@ def _at_least_1(what, k):
         raise InputError(f"{what} must be >= 1, got {k}")
 
 
-def cyclic_group(k: int) -> GroupSpec:
+def cyclic_group(k: int) -> FiniteAlgebra:
     """The additive group of integers mod k."""
     _at_least_1("group order", k)
-    tbl = table_from_fn(2, k, lambda a, b: (a + b) % k)
-    return GroupSpec(k, tbl, 0, tuple((-a) % k for a in range(k)))
+    return monoid(k, _table(2, k, lambda a, b: (a + b) % k), 0,
+                  [-a % k for a in range(k)])
 
 
-def cyclic_monoid(k: int) -> MonoidSpec:
+def cyclic_monoid(k: int) -> FiniteAlgebra:
     _at_least_1("monoid order", k)
-    return MonoidSpec(k, table_from_fn(2, k, lambda a, b: (a + b) % k), 0)
+    return monoid(k, _table(2, k, lambda a, b: (a + b) % k), 0)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """A lattice given by join/meet tables; the lattice laws are verified,
-    distributivity on demand."""
-
-    size: int
-    join: DenseTable
-    meet: DenseTable
-    bottom: int | None = None
-    top: int | None = None
-
-    def __post_init__(self):
-        alg = self._algebra()
-        neutral = tuple(NEUTRAL_LAWS[c] for c in alg.constants)
-        require_laws(alg, LATTICE_LAWS + neutral)
-
-    def _algebra(self) -> FiniteAlgebra:
-        """The join/meet algebra the laws are checked on, with the
-        constants bottom and top when they are given."""
-        consts = {"bottom": self.bottom, "top": self.top}
-        consts = {c: v for c, v in consts.items() if v is not None}
-        sig = Signature((("join", 2), ("meet", 2)), tuple(consts))
-        tables = {"join": self.join, "meet": self.meet}
-        return FiniteAlgebra("LatticeSpec", sig, self.size, tables, consts)
-
-    def is_distributive(self) -> bool:
-        return check_identity(self._algebra(), DISTRIBUTIVITY).ok
-
-
-def chain_lattice(k: int) -> LatticeSpec:
+def chain_lattice(k: int) -> FiniteAlgebra:
     """The k-element chain 0 < 1 < ... < k-1."""
+    import numpy as np
+
     _at_least_1("chain length", k)
-    return LatticeSpec(
-        k,
-        table_from_fn(2, k, max),
-        table_from_fn(2, k, min),
-        bottom=0,
-        top=k - 1,
-    )
+    return lattice(k, _table(2, k, np.maximum), _table(2, k, np.minimum),
+                   bottom=0, top=k - 1)
 
 
-def product_lattice(p: LatticeSpec, q: LatticeSpec) -> LatticeSpec:
-    """Componentwise product, elements encoded as a*|q| + b."""
-    m = p.size * q.size
+def product_lattice(p: FiniteAlgebra, q: FiniteAlgebra) -> FiniteAlgebra:
+    """Componentwise product, elements encoded as a*|q| + b; bottom and
+    top where both factors have them."""
+    return _checked_lattice(_product("LatticeSpec", (p, q)))
 
-    def lift(f, g):
-        def h(x, y):
-            a1, b1 = divmod(x, q.size)
-            a2, b2 = divmod(y, q.size)
-            return (f.lookup((a1, a2), p.size) * q.size
-                    + g.lookup((b1, b2), q.size))
 
-        return h
-
-    bottom = top = None
-    if p.bottom is not None and q.bottom is not None:
-        bottom = p.bottom * q.size + q.bottom
-    if p.top is not None and q.top is not None:
-        top = p.top * q.size + q.top
-    return LatticeSpec(
-        m,
-        table_from_fn(2, m, lift(p.join, q.join)),
-        table_from_fn(2, m, lift(p.meet, q.meet)),
-        bottom=bottom,
-        top=top,
-    )
+def _product(name, factors) -> FiniteAlgebra:
+    """The componentwise product of factors over the operations and
+    constants they all interpret.  The element (x1, ..., xr) is encoded in
+    mixed radix, x1 most significant.  Each table is refused with
+    BudgetError over the materialize limit before it is built, and built
+    by numpy broadcasting: axis i*r + j of the product table is argument
+    i of factor j."""
+    sizes = [f.size for f in factors]
+    weights = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+    m, r = math.prod(sizes), len(factors)
+    first, *rest = factors
+    ops = tuple(op for op in first.signature.ops
+                if all(op in f.signature.ops for f in rest))
+    consts = tuple(c for c in first.signature.constants
+                   if all(f.signature.has_constant(c) for f in rest))
+    tables = {}
+    for sym, arity in ops:
+        require_materializable(m, arity)
+        out = 0
+        for j, (f, w) in enumerate(zip(factors, weights)):
+            shape = [1] * (r * arity)
+            shape[j::r] = [sizes[j]] * arity
+            out = out + w * f.op(sym).array().reshape(shape)
+        tables[sym] = DenseTable(arity, out.ravel().tolist())
+    values = {c: sum(w * f.constant(c) for f, w in zip(factors, weights))
+              for c in consts}
+    return FiniteAlgebra(name, Signature(ops, consts), m, tables, values)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +167,14 @@ def _gather(values):
 
 def _theta_only(name, m, n, fn):
     """A theta-only algebra; fn must meet the LazyTable contract, since
-    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP.
-    n < 1 is an InputError: theta needs at least two arguments."""
+    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP and
+    is materialized through the array form otherwise.  n < 1 is an
+    InputError: theta needs at least two arguments."""
     _at_least_1("n", n)
     sig = Signature((("theta", n + 1),))
+    tbl = LazyTable(n + 1, fn, note=name)
     if m ** (n + 1) <= DENSE_TABLE_CAP:
-        tbl = table_from_fn(n + 1, m, fn)
-    else:
-        tbl = LazyTable(n + 1, fn, note=name)
+        tbl = tbl.materialize(m)
     return FiniteAlgebra(name, sig, m, {"theta": tbl})
 
 
@@ -210,8 +186,9 @@ def build_projection_algebra(m: int, n: int, i: int) -> FiniteAlgebra:
     return _theta_only(f"Proj{m}n{n}i{i}", m, n, lambda *a: a[i - 1])
 
 
-def build_semigroup_algebra(sg: MonoidSpec, n: int, i: int) -> FiniteAlgebra:
-    """theta(a1,...,an,b) = a_i * b on a semigroup/monoid.
+def build_semigroup_algebra(sg: FiniteAlgebra, n: int,
+                            i: int) -> FiniteAlgebra:
+    """theta(a1,...,an,b) = a_i * b on a monoid (see monoid).
 
     When sg is a group, the unit e and alpha_j(a,b) = a * b^-1 are
     attached, giving a 2-associative semi-abelian algebra.
@@ -219,62 +196,37 @@ def build_semigroup_algebra(sg: MonoidSpec, n: int, i: int) -> FiniteAlgebra:
     if not 1 <= i <= n:
         raise InputError(f"translation index {i} out of range 1..{n}")
     m = sg.size
-    mul = _gather(sg.table.entries)
+    mul = _gather(sg.op("prod").entries)
 
     def theta(*args):
         return mul(args[i - 1] * m + args[-1])
 
-    if not isinstance(sg, GroupSpec):
+    if not sg.signature.has_op("inv"):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
+    inv = _gather(sg.op("inv").entries)
     return standard_algebra(
-        f"Grp{m}n{n}i{i}", m, table_from_fn(n + 1, m, theta),
-        [table_from_fn(2, m, sg.div)] * n, [sg.unit] * n,
+        f"Grp{m}n{n}i{i}", m, _table(n + 1, m, theta),
+        [_table(2, m, lambda a, b: mul(a * m + inv(b)))] * n,
+        [sg.constant("e")] * n,
     )
 
 
 def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
     """Componentwise translation algebra: component j of the carrier comes
     from groups[j] and uses the indices[j]-th tuple entry, so
-    theta(a1,...,an,b)_j = (a_{indices[j]})_j * b_j."""
+    theta(a1,...,an,b)_j = (a_{indices[j]})_j * b_j.  It is the product of
+    the factors' build_semigroup_algebra algebras."""
     if len(groups) != len(indices):
         raise InputError("need one index per group factor")
     for idx in indices:
         if not 1 <= idx <= n:
             raise InputError(f"index {idx} out of range 1..{n}")
     sizes = [g.size for g in groups]
-    m = 1
-    for s in sizes:
-        m *= s
-
-    def dec(x):
-        out = []
-        for s in reversed(sizes):
-            x, r = divmod(x, s)
-            out.append(r)
-        return list(reversed(out))
-
-    def enc(parts):
-        x = 0
-        for s, p in zip(sizes, parts):
-            x = x * s + p
-        return x
-
-    def theta(*args):
-        tuples = [dec(a) for a in args]
-        return enc([
-            g.mul(tuples[idx - 1][j], tuples[-1][j])
-            for j, (g, idx) in enumerate(zip(groups, indices))
-        ])
-
-    def alpha(a, b):
-        ta, tb = dec(a), dec(b)
-        return enc([g.div(x, y) for g, x, y in zip(groups, ta, tb)])
-
+    require_materializable(math.prod(sizes), n + 1)
     label = "x".join(str(s) for s in sizes)
-    return standard_algebra(
-        f"GrpProd{label}n{n}", m, table_from_fn(n + 1, m, theta),
-        [table_from_fn(2, m, alpha)] * n, [enc([g.unit for g in groups])] * n,
-    )
+    return _product(f"GrpProd{label}n{n}", [
+        build_semigroup_algebra(g, n, idx) for g, idx in zip(groups, indices)
+    ])
 
 
 def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
@@ -302,23 +254,24 @@ def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
     return _theta_only(f"MatRows-q{q}-n{n}", q ** (d * d), n, theta)
 
 
-def build_bounded_monoid_algebra(mo: MonoidSpec, n: int) -> FiniteAlgebra:
-    """theta(a1,...,an,b) = a1 + ... + an + b on a commutative monoid in
-    which every element's order divides n-1."""
-    if not mo.is_commutative():
-        raise AlgebraError("monoid must be commutative")
-    m = mo.size
-    if n >= 2:
-        for a in range(m):
-            acc = mo.unit
-            for _ in range(n - 1):
-                acc = mo.mul(acc, a)
-            if acc != mo.unit:
-                raise AlgebraError(
-                    f"element {a}: order does not divide n-1 = {n - 1}"
-                )
+def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
+    """theta(a1,...,an,b) = a1 + ... + an + b on a commutative monoid (see
+    monoid) in which every element's order divides n-1."""
+    import numpy as np
 
-    mul = _gather(mo.table.entries)
+    if not check_identity(mo, COMMUTATIVITY).ok:
+        raise AlgebraError("monoid must be commutative")
+    m, unit = mo.size, mo.constant("e")
+    mul = _gather(mo.op("prod").entries)
+    if n >= 2:
+        powers = np.full(m, unit)  # a^(n-1) for every element a
+        for _ in range(n - 1):
+            powers = mul(powers * m + np.arange(m))
+        bad = np.flatnonzero(powers != unit)
+        if bad.size:
+            raise AlgebraError(
+                f"element {bad[0]}: order does not divide n-1 = {n - 1}"
+            )
 
     def theta(*args):
         acc = args[0]
@@ -329,8 +282,8 @@ def build_bounded_monoid_algebra(mo: MonoidSpec, n: int) -> FiniteAlgebra:
     return _theta_only(f"BddMonoid{m}n{n}", m, n, theta)
 
 
-def build_lattice_theta(lat: LatticeSpec, variant: str) -> FiniteAlgebra:
-    """Ternary operation on a distributive lattice:
+def build_lattice_theta(lat: FiniteAlgebra, variant: str) -> FiniteAlgebra:
+    """Ternary operation on a distributive lattice (see lattice):
 
     variant "meet-last":   theta(a,b,c) = (a v b) ^ c
     variant "meet-middle": theta(a,b,c) = (a v c) ^ b
@@ -338,10 +291,10 @@ def build_lattice_theta(lat: LatticeSpec, variant: str) -> FiniteAlgebra:
     Both are 2-associative on every distributive lattice; neither is
     1-associative unless the lattice is trivial.
     """
-    if not lat.is_distributive():
+    if not check_identity(lat, DISTRIBUTIVITY).ok:
         raise AlgebraError("lattice is not distributive")
     m = lat.size
-    join, meet = _gather(lat.join.entries), _gather(lat.meet.entries)
+    join, meet = (_gather(lat.op(s).entries) for s in ("join", "meet"))
     if variant == "meet-last":
         fn = lambda a, b, c: meet(join(a * m + b) * m + c)
     elif variant == "meet-middle":
@@ -351,14 +304,15 @@ def build_lattice_theta(lat: LatticeSpec, variant: str) -> FiniteAlgebra:
     return _theta_only(f"Lat{lat.size}-{variant}", lat.size, 2, fn)
 
 
-def build_lattice_v2_algebra(lat: LatticeSpec) -> FiniteAlgebra:
+def build_lattice_v2_algebra(lat: FiniteAlgebra) -> FiniteAlgebra:
     """The meet-middle lattice operation with units e1 = bottom,
     e2 = top and alphas attached through the surjective-section builder,
     giving a 2-associative protomodular algebra."""
-    if lat.bottom is None or lat.top is None:
+    units = [lat.constants.get(c) for c in ("bottom", "top")]
+    if None in units:
         raise AlgebraError("lattice needs bottom and top")
     base = build_lattice_theta(lat, "meet-middle")
-    return build_alphas_from_surjectivity(base, (lat.bottom, lat.top))
+    return build_alphas_from_surjectivity(base, units)
 
 
 def build_boolean_protomodular(k: int) -> FiniteAlgebra:
@@ -371,9 +325,9 @@ def build_boolean_protomodular(k: int) -> FiniteAlgebra:
     m = 1 << k
     full = m - 1
     return standard_algebra(
-        f"Bool{m}", m, table_from_fn(3, m, lambda x, y, z: (x | z) & y),
-        [table_from_fn(2, m, lambda x, y: x & (full ^ y)),
-         table_from_fn(2, m, lambda x, y: x | (full ^ y))],
+        f"Bool{m}", m, _table(3, m, lambda x, y, z: (x | z) & y),
+        [_table(2, m, lambda x, y: x & (full ^ y)),
+         _table(2, m, lambda x, y: x | (full ^ y))],
         (0, full),
     )
 
@@ -535,14 +489,16 @@ def build_strict_semiloop(m: int, twisted: bool = False) -> FiniteAlgebra:
     the section at b = m-1 composes with the transposition (1 2), which
     yields a left semiloop that is not associative.
     """
+    import numpy as np
+
     _at_least_1("carrier size", m)
     if twisted and m < 3:
         raise InputError("twisted semiloop needs m >= 3")
 
     def sigma(b, a):
-        if twisted and b == m - 1 and a in (1, 2):
-            return 3 - a
-        return a
+        if not twisted:
+            return a
+        return np.where((b == m - 1) & ((a == 1) | (a == 2)), 3 - a, a)
 
     def theta(a, b):
         return (sigma(b, a) + b) % m
@@ -552,6 +508,6 @@ def build_strict_semiloop(m: int, twisted: bool = False) -> FiniteAlgebra:
 
     label = "Semiloop" if twisted else "Cyclic"
     return standard_algebra(
-        f"{label}{m}", m, table_from_fn(2, m, theta),
-        [table_from_fn(2, m, alpha)], [0],
+        f"{label}{m}", m, _table(2, m, theta),
+        [_table(2, m, alpha)], [0],
     )

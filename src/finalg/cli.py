@@ -4,6 +4,7 @@ Exit codes: 0 all checks passed, 1 semantic failure (an identity or law
 fails), 2 input error (bad file, parse error, unknown name), 3 budget
 refusal.  main alone maps an exception to its exit code, by class:
 InputError 2, BudgetError 3, a group refusal or any other AlgebraError 1.
+A usage error of the argument parser is an InputError too.
 
 The argument parser is built once per process (build_parser is cached),
 and main parses each argv into a fresh namespace, so calls of main share
@@ -266,11 +267,19 @@ def cmd_verify(args, out):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError instead of
+    exiting; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser():
     """The finalg argument parser, built on first use; callers must not
     change it."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="finalg",
         description="Finite universal-algebra workbench: check identities, "
         "build catalog algebras, derive groups, search small models.",
@@ -346,12 +355,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
     def out(line=""):
         print(line)
 
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args, out)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -129,7 +129,7 @@ class DenseTable:
 
 _MATERIALIZE_LIMIT = 1 << 22
 EXHAUSTIVE_BUDGET = 10 ** 8  # tuples an exhaustive check may enumerate
-_RANGE_BLOCK = 1 << 16  # argument tuples per call in a lazy range check
+_RANGE_BLOCK = 1 << 16  # argument tuples per call of a lazy table's fn
 
 
 class LazyTable:
@@ -140,7 +140,8 @@ class LazyTable:
     called with arity int64 arrays of one length it returns the int64
     array of its values at each position.  The identity kernel, exhaustive
     and sampled, relies on the array form (and passes it read-only
-    arrays); lookup and materialize use the int form.
+    arrays), and so do materialize and the range check of table_error,
+    which read it block by block; lookup uses the int form.
     """
 
     __slots__ = ("arity", "fn", "note")
@@ -154,21 +155,43 @@ class LazyTable:
         return self.fn(*args)
 
     def materialize(self, m: int) -> DenseTable:
-        if m ** self.arity > _MATERIALIZE_LIMIT:
-            raise BudgetError(
-                f"cannot materialize table with {m}^{self.arity} entries"
-            )
-        entries = [
-            self.fn(*args)
-            for args in itertools.product(range(m), repeat=self.arity)
-        ]
+        """The dense table of fn over {0..m-1}, one call of its array form
+        per block of argument tuples; a BudgetError over the limit."""
+        require_materializable(m, self.arity)
+        entries = []
+        for _, values in _blocks(self.fn, m, self.arity):
+            entries += values.tolist()
         return DenseTable(self.arity, entries)
 
     def __repr__(self):
         return f"LazyTable(arity={self.arity}, {self.note!r})"
 
 
+def require_materializable(m: int, arity: int) -> None:
+    """Raise BudgetError when a table of m^arity entries is over the
+    materialize limit; a huge arity is refused without building m^arity."""
+    if ((m > 1 and arity >= _MATERIALIZE_LIMIT.bit_length())
+            or m ** arity > _MATERIALIZE_LIMIT):
+        raise BudgetError(f"table with {m}^{arity} entries exceeds cap "
+                          f"{_MATERIALIZE_LIMIT}")
+
+
+def _blocks(fn, m: int, arity: int):
+    """(start, values): fn's values at every argument tuple over
+    {0..m-1} in flat order, from one call of its array form per block of
+    at most _RANGE_BLOCK tuples starting at flat index start."""
+    import numpy as np
+
+    total = m ** arity
+    for start in range(0, total, _RANGE_BLOCK):
+        flat = np.arange(start, min(start + _RANGE_BLOCK, total))
+        args = np.unravel_index(flat, (m,) * arity)
+        yield start, np.broadcast_to(fn(*args), flat.shape)
+
+
 def table_from_fn(arity: int, m: int, fn) -> DenseTable:
+    """The table of fn called with ints at each argument tuple in turn,
+    for callers whose fn has no array form."""
     return DenseTable(
         arity,
         (fn(*args) for args in itertools.product(range(m), repeat=arity)),
@@ -439,18 +462,12 @@ def _range_error(sym, value, index):
 
 def _lazy_range_error(sym, tbl, arity, m):
     """The range part of table_error for a LazyTable: its values at every
-    argument tuple, in flat order, _RANGE_BLOCK tuples per call."""
+    argument tuple, in flat order, block by block."""
     # as above, a huge arity is over budget without building m^arity
     if ((m > 1 and arity >= EXHAUSTIVE_BUDGET.bit_length())
             or m ** arity > EXHAUSTIVE_BUDGET):
         return None
-    import numpy as np
-
-    total = m ** arity
-    for start in range(0, total, _RANGE_BLOCK):
-        flat = np.arange(start, min(start + _RANGE_BLOCK, total))
-        args = np.unravel_index(flat, (m,) * arity)
-        values = np.broadcast_to(tbl.fn(*args), flat.shape)
+    for start, values in _blocks(tbl.fn, m, arity):
         bad = (values < 0) | (values >= m)
         i = int(bad.argmax())
         if bad[i]:

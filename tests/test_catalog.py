@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from finalg.core import (
     validate_algebra,
 )
 from finalg.identities import (
+    COMMUTATIVITY,
+    DISTRIBUTIVITY,
     check_identity,
     check_strict_equivalence,
     check_suite,
@@ -35,27 +38,31 @@ def test_group_spec_laws_enforced():
     from finalg.core import DenseTable
 
     g = catalog.cyclic_group(4)
-    assert g.mul(3, 2) == 1 and g.inv(3) == 1 and g.div(0, 3) == 1
-    assert g.is_commutative()
+    assert g.name == "GroupSpec"
+    assert g.op("prod").lookup((3, 2), 4) == 1 and g.op("inv").entries[3] == 1
+    assert check_identity(g, COMMUTATIVITY).ok
     with pytest.raises(AlgebraError):
-        catalog.GroupSpec(2, DenseTable(2, (0, 0, 0, 0)), 0)
+        catalog.monoid(2, DenseTable(2, (0, 0, 0, 0)), 0, (0, 1))
 
 
 def test_monoid_spec_laws_enforced():
     from finalg.core import DenseTable
 
     mo = catalog.cyclic_monoid(3)
-    assert mo.mul(2, 2) == 1
+    assert mo.name == "MonoidSpec" and not mo.signature.has_op("inv")
+    assert mo.op("prod").lookup((2, 2), 3) == 1
     with pytest.raises(AlgebraError):
-        catalog.MonoidSpec(2, DenseTable(2, (1, 0, 0, 1)), 0)  # unit wrong
+        catalog.monoid(2, DenseTable(2, (1, 0, 0, 1)), 0)  # unit wrong
 
 
 def test_lattice_specs():
     c3 = catalog.chain_lattice(3)
-    assert c3.is_distributive()
+    assert c3.name == "LatticeSpec"
+    assert check_identity(c3, DISTRIBUTIVITY).ok
     sq = catalog.product_lattice(catalog.chain_lattice(2),
                                  catalog.chain_lattice(2))
-    assert sq.size == 4 and sq.is_distributive()
+    assert sq.size == 4 and check_identity(sq, DISTRIBUTIVITY).ok
+    assert sq.constants == {"bottom": 0, "top": 3}
 
 
 def _diamond_m3():
@@ -80,14 +87,14 @@ def _diamond_m3():
 
     from finalg.core import table_from_fn
 
-    return catalog.LatticeSpec(
+    return catalog.lattice(
         size, table_from_fn(2, size, join), table_from_fn(2, size, meet)
     )
 
 
 def test_nondistributive_lattice_detected_and_rejected():
     m3 = _diamond_m3()
-    assert not m3.is_distributive()
+    assert not check_identity(m3, DISTRIBUTIVITY).ok
     with pytest.raises(AlgebraError):
         catalog.build_lattice_theta(m3, "meet-middle")
 
@@ -176,7 +183,7 @@ def test_bounded_monoid_rejects_noncommutative():
             return a
         return a
 
-    mo = catalog.MonoidSpec(3, table_from_fn(2, 3, mul), 0)
+    mo = catalog.monoid(3, table_from_fn(2, 3, mul), 0)
     with pytest.raises(AlgebraError):
         catalog.build_bounded_monoid_algebra(mo, 3)
 
@@ -416,3 +423,155 @@ def test_lazy_theta_is_elementwise_over_arrays(monkeypatch, name):
     got = theta.fn(*cols)
     assert got.dtype == np.int64
     assert got.tolist() == want
+
+
+# --- independent table references -----------------------------------------
+# every catalog table is built from the array form of its function; these
+# rebuild the tables with table_from_fn over int-form functions and compare
+
+@pytest.mark.parametrize("name", sorted(LAZY_CAPABLE))
+def test_lazy_theta_int_form_rebuilds_the_catalog_table(monkeypatch, name):
+    from finalg.core import table_from_fn
+
+    dense = LAZY_CAPABLE[name]().op("theta")
+    monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
+    alg = LAZY_CAPABLE[name]()
+    theta = alg.op("theta")
+    assert table_from_fn(theta.arity, alg.size, theta.fn) == dense
+
+
+def _scalar_semiloop(m, twisted):
+    """theta and alpha1 of the strict semiloop, one int at a time."""
+    def sigma(b, a):
+        if twisted and b == m - 1 and a in (1, 2):
+            return 3 - a
+        return a
+
+    return (lambda a, b: (sigma(b, a) + b) % m,
+            lambda a, b: sigma(b, (a - b) % m))
+
+
+def test_materialized_catalog_tables_match_scalar_references():
+    from finalg.core import table_from_fn
+
+    for k in (1, 2, 5):
+        g = catalog.cyclic_group(k)
+        assert g.op("prod") == table_from_fn(2, k, lambda a, b: (a + b) % k)
+        assert g.op("inv") == table_from_fn(1, k, lambda a: -a % k)
+        assert catalog.cyclic_monoid(k).op("prod") == g.op("prod")
+        chain = catalog.chain_lattice(k)
+        assert chain.op("join") == table_from_fn(2, k, max)
+        assert chain.op("meet") == table_from_fn(2, k, min)
+        for n, i in ((1, 1), (2, 2)):
+            alg = catalog.build_semigroup_algebra(g, n, i)
+            assert alg.op("theta") == table_from_fn(
+                n + 1, k, lambda *a: (a[i - 1] + a[-1]) % k)
+            for j in range(1, n + 1):
+                assert alg.op(f"alpha{j}") == table_from_fn(
+                    2, k, lambda a, b: (a - b) % k)
+    for k in (1, 2, 3):
+        alg, full = catalog.build_boolean_protomodular(k), (1 << k) - 1
+        assert alg.op("theta") == table_from_fn(
+            3, 1 << k, lambda x, y, z: (x | z) & y)
+        assert alg.op("alpha1") == table_from_fn(
+            2, 1 << k, lambda x, y: x & (full ^ y))
+        assert alg.op("alpha2") == table_from_fn(
+            2, 1 << k, lambda x, y: x | (full ^ y))
+    for m, twisted in ((1, False), (4, False), (3, True), (6, True)):
+        alg = catalog.build_strict_semiloop(m, twisted)
+        theta, alpha = _scalar_semiloop(m, twisted)
+        assert alg.op("theta") == table_from_fn(2, m, theta)
+        assert alg.op("alpha1") == table_from_fn(2, m, alpha)
+
+
+def _lift_lattice(p, q):
+    """The product of lattices p and q, elements encoded as a*|q| + b, by
+    per-pair lookups: the oracle of the broadcast product."""
+    from finalg.core import table_from_fn
+
+    def lift(sym):
+        f, g = p.op(sym), q.op(sym)
+
+        def h(x, y):
+            a1, b1 = divmod(x, q.size)
+            a2, b2 = divmod(y, q.size)
+            return (f.lookup((a1, a2), p.size) * q.size
+                    + g.lookup((b1, b2), q.size))
+
+        return table_from_fn(2, p.size * q.size, h)
+
+    consts = {c: p.constants[c] * q.size + q.constants[c]
+              for c in ("bottom", "top")
+              if c in p.constants and c in q.constants}
+    return lift("join"), lift("meet"), consts
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_product_lattice_matches_the_lift_oracle(bounded):
+    from finalg.core import table_from_fn
+
+    p = catalog.chain_lattice(2)
+    q = (catalog.chain_lattice(3) if bounded else catalog.lattice(
+        3, table_from_fn(2, 3, max), table_from_fn(2, 3, min)))
+    for left, right in ((p, q), (q, p)):
+        sq = catalog.product_lattice(left, right)
+        join, meet, consts = _lift_lattice(left, right)
+        assert (sq.op("join"), sq.op("meet")) == (join, meet)
+        assert sq.constants == consts
+        assert bool(consts) == bounded
+        assert sq.signature.constants == tuple(consts)
+
+
+def _dec_enc_group_product(groups, indices, n):
+    """theta, alpha and the unit of the componentwise translation algebra
+    over the groups, by mixed-radix decoding of each argument tuple: the
+    oracle of the broadcast product."""
+    from finalg.core import table_from_fn
+
+    sizes = [g.size for g in groups]
+    m = math.prod(sizes)
+
+    def dec(x):
+        out = []
+        for s in reversed(sizes):
+            x, r = divmod(x, s)
+            out.append(r)
+        return list(reversed(out))
+
+    def enc(parts):
+        x = 0
+        for s, p in zip(sizes, parts):
+            x = x * s + p
+        return x
+
+    def mul(g, a, b):
+        return g.op("prod").lookup((a, b), g.size)
+
+    def theta(*args):
+        tuples = [dec(a) for a in args]
+        return enc([mul(g, tuples[idx - 1][j], tuples[-1][j])
+                    for j, (g, idx) in enumerate(zip(groups, indices))])
+
+    def alpha(a, b):
+        return enc([mul(g, x, g.op("inv").entries[y])
+                    for g, x, y in zip(groups, dec(a), dec(b))])
+
+    return (table_from_fn(n + 1, m, theta), table_from_fn(2, m, alpha),
+            enc([g.constant("e") for g in groups]))
+
+
+@pytest.mark.parametrize("orders, indices, n", [
+    ((4, 4), (1, 2), 2),
+    ((2, 3), (1, 2), 2),
+    ((3, 2), (2, 2), 2),
+    ((2, 3, 2), (1, 2, 1), 2),
+    ((2, 2, 3), (3, 1, 2), 3),
+])
+def test_group_product_matches_the_dec_enc_oracle(orders, indices, n):
+    groups = [catalog.cyclic_group(k) for k in orders]
+    alg = catalog.build_group_product_algebra(groups, indices, n)
+    theta, alpha, unit = _dec_enc_group_product(groups, indices, n)
+    assert alg.op("theta") == theta
+    assert all(alg.op(f"alpha{i}") == alpha for i in range(1, n + 1))
+    assert alg.constants == {"e": unit}
+    assert alg.name == "GrpProd" + "x".join(map(str, orders)) + f"n{n}"

@@ -186,6 +186,25 @@ def test_construct_output_parses_and_checks(tmp_path, capsys):
         assert alg.size >= 1
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["check", "x.alg", "--mode", "bogus"], ["construct", "--m", "x"],
+    ["florble"],
+])
+def test_usage_errors_exit_2_through_main(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["check", "--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 def test_construct_unknown_name_exit_2(capsys):
     assert main(["construct", "florble"]) == 2
 
@@ -227,6 +246,12 @@ def test_construct_bad_integer_option_exit_2(capsys, argv):
     ["map-composition", "--m", "2", "--n", "30"],
     ["diagonal-retractions", "--m", "4", "--n", "3"],
     ["diagonal-retractions", "--m", "3", "--n", "3"],
+    # tables over the materialize limit, refused before they are built
+    ["strict-semiloop", "--m", "100000"],
+    ["group-product", "--orders", "100,100", "--n", "2"],
+    ["semigroup", "--order", "3000"],
+    ["lattice", "--shape", "chain:3000"],
+    ["bounded-monoid", "--order", "3000"],
 ])
 def test_construct_over_cap_exit_3_before_building(capsys, argv):
     start = time.perf_counter()
@@ -236,6 +261,59 @@ def test_construct_over_cap_exit_3_before_building(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("budget:")
     assert "exceeds cap" in captured.err
+
+
+# every construction at two or three small sizes; construct.txt holds
+# their stdout, written from the repository root by
+#   PYTHONPATH=src:tests python -c \
+#       "import test_cli; test_cli._write_construct_transcript()"
+_CONSTRUCT_GOLDEN = [
+    ["projection", "--m", "2", "--n", "1", "--i", "1"],
+    ["projection", "--m", "3", "--n", "2", "--i", "3"],
+    ["semigroup", "--order", "3", "--n", "1"],
+    ["semigroup", "--order", "2", "--n", "2", "--i", "2"],
+    ["group-product", "--orders", "2,2", "--indices", "1,1", "--n", "1"],
+    ["group-product", "--orders", "2,3", "--indices", "1,2", "--n", "2"],
+    ["group-product", "--orders", "2,3,2", "--indices", "1,2,1", "--n", "2"],
+    ["matrix-rows", "--q", "2", "--n", "1"],
+    ["matrix-rows", "--q", "1", "--n", "2"],
+    ["bounded-monoid", "--order", "2", "--n", "3"],
+    ["bounded-monoid", "--order", "3", "--n", "4"],
+    ["lattice", "--shape", "chain:2"],
+    ["lattice", "--shape", "chain:3", "--variant", "meet-last"],
+    ["lattice", "--shape", "2x2", "--with-alphas"],
+    ["lattice", "--shape", "chain:3", "--with-alphas"],
+    ["boolean", "--k", "1"],
+    ["boolean", "--k", "2"],
+    ["map-composition", "--m", "2", "--n", "1"],
+    ["map-composition", "--m", "3", "--n", "1"],
+    ["map-composition", "--m", "1", "--n", "3"],
+    ["diagonal-retractions", "--m", "2", "--n", "1"],
+    ["diagonal-retractions", "--m", "2", "--n", "2"],
+    ["strict-semiloop", "--m", "3"],
+    ["strict-semiloop", "--m", "4", "--twisted"],
+    ["strict-semiloop", "--m", "5", "--twisted"],
+]
+_CONSTRUCT_TXT = pathlib.Path(__file__).parent / "data" / "construct.txt"
+
+
+def _construct_transcript():
+    """Each golden construct command as a '# finalg construct ...' line,
+    followed by its stdout."""
+    pieces = []
+    for argv in _CONSTRUCT_GOLDEN:
+        code, out, err = _run_main(["construct"] + argv)
+        assert (code, err) == (0, ""), argv
+        pieces.append("# finalg construct " + " ".join(argv) + "\n" + out)
+    return "".join(pieces)
+
+
+def _write_construct_transcript():
+    _CONSTRUCT_TXT.write_text(_construct_transcript())
+
+
+def test_construct_output_matches_golden_file():
+    assert _construct_transcript() == _CONSTRUCT_TXT.read_text()
 
 
 def test_construct_unwritable_out_exit_2(tmp_path, capsys):
@@ -259,7 +337,7 @@ def test_derive_group_emits_verified_group(z3_file, capsys):
     out = capsys.readouterr().out
     body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     alg = parse_algebra(body)
-    assert alg.tables["prod"].entries == catalog.cyclic_group(3).table.entries
+    assert alg.tables["prod"].entries == catalog.cyclic_group(3).op("prod").entries
     source = parse_algebra(pathlib.Path(z3_file).read_text())
     assert out.splitlines()[-1] == (
         "# group axioms verified exhaustively on 3 elements; "
@@ -554,10 +632,11 @@ def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, z3_n2,
     assert _run_main(["check", path]) == (1, fresh.stdout, fresh.stderr)
     assert (seen[-1].identity, seen[-1].mode, seen[-1].budget) == (
         None, "exhaustive", None)
-    # a usage error leaves the next call as it would be
-    with pytest.raises(SystemExit) as ei:
-        _run_main(["check", "--mode", "bogus", path])
-    assert ei.value.code == 2
+    # a usage error exits 2 through main and leaves the next call as it
+    # would be
+    code, out, err = _run_main(["check", "--mode", "bogus", path])
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert err.count("\n") == 1
     assert _run_main(["check", path]) == (1, fresh.stdout, fresh.stderr)
     for key in ("12", "4"):
         code, out, _ = _run_main(["verify-paper", "--only", key])

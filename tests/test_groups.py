@@ -48,7 +48,7 @@ def test_derive_group_recovers_source_product():
             alg = catalog.build_semigroup_algebra(catalog.cyclic_group(k), n, i)
             dg = derive_group(alg)
             assert (dg.op("prod").entries
-                    == catalog.cyclic_group(k).table.entries)
+                    == catalog.cyclic_group(k).op("prod").entries)
             assert dg.constant("e") == 0
             assert dg.op("inv").entries == tuple((-a) % k for a in range(k))
 

@@ -700,9 +700,11 @@ def _law_sites():
     table entry or constant of a valid structure."""
     z3, z4 = catalog.cyclic_group(3), catalog.cyclic_monoid(4)
     chain = catalog.chain_lattice(3)
-    mono = (4, _changed(z4.table, 1 * 4 + 1, 3), 0)  # 1*1 = 3
-    group = (3, _changed(z3.table, 1 * 3 + 0, 2), 0, z3.inverse)  # 1*0 = 2
-    join = _changed(chain.join, 0 * 3 + 1, 2)  # join(0, 1) = 2
+    mono = (4, _changed(z4.op("prod"), 1 * 4 + 1, 3), 0)  # 1*1 = 3
+    group = (3, _changed(z3.op("prod"), 1 * 3 + 0, 2), 0,
+             z3.op("inv").entries)  # 1*0 = 2
+    chain_join, chain_meet = chain.op("join"), chain.op("meet")
+    join = _changed(chain_join, 0 * 3 + 1, 2)  # join(0, 1) = 2
     eg = to_enriched(catalog.build_semigroup_algebra(z3, 2, 1))
     prod, gamma = eg.op("prod"), eg.op("gamma")
     alphas = (eg.op("alpha1"), eg.op("alpha2"))
@@ -712,18 +714,18 @@ def _law_sites():
     bad_alpha = enriched_algebra("Enriched", 3, prod, 0, gamma,
                                  (alphas[0], _changed(alphas[1], 4, 2)))
     return [
-        pytest.param(lambda: catalog.MonoidSpec(*mono),
+        pytest.param(lambda: catalog.monoid(*mono),
                      monoid_algebra("MonoidSpec", *mono), MONOID_LAWS,
                      AlgebraError, "associativity", id="MonoidSpec"),
-        pytest.param(lambda: catalog.GroupSpec(*group),
+        pytest.param(lambda: catalog.monoid(*group),
                      monoid_algebra("GroupSpec", *group), GROUP_LAWS,
                      AlgebraError, "unit-right", id="GroupSpec"),
-        pytest.param(lambda: catalog.LatticeSpec(3, join, chain.meet),
-                     _lattice_view(3, join, chain.meet), LATTICE_LAWS,
+        pytest.param(lambda: catalog.lattice(3, join, chain_meet),
+                     _lattice_view(3, join, chain_meet), LATTICE_LAWS,
                      AlgebraError, "join-commutativity", id="LatticeSpec"),
-        pytest.param(lambda: catalog.LatticeSpec(3, chain.join, chain.meet,
-                                                 top=1),
-                     _lattice_view(3, chain.join, chain.meet, top=1),
+        pytest.param(lambda: catalog.lattice(3, chain_join, chain_meet,
+                                             top=1),
+                     _lattice_view(3, chain_join, chain_meet, top=1),
                      LATTICE_LAWS + (NEUTRAL_LAWS["top"],),
                      AlgebraError, "top-neutral", id="LatticeSpec-top"),
         pytest.param(lambda: from_enriched(enriched), enriched,
@@ -749,10 +751,11 @@ def test_law_sites_name_the_law_and_its_first_counterexample(
 
 
 @pytest.mark.parametrize("build", [
-    lambda: catalog.MonoidSpec(2, DenseTable(2, (0, 1, 1, 5)), 0),
-    lambda: catalog.GroupSpec(3, catalog.cyclic_group(3).table, 0, (0, 2, 4)),
-    lambda: catalog.LatticeSpec(2, catalog.chain_lattice(2).join,
-                                catalog.chain_lattice(2).meet, top=5),
+    lambda: catalog.monoid(2, DenseTable(2, (0, 1, 1, 5)), 0),
+    lambda: catalog.monoid(3, catalog.cyclic_group(3).op("prod"), 0,
+                           (0, 2, 4)),
+    lambda: catalog.lattice(2, catalog.chain_lattice(2).op("join"),
+                            catalog.chain_lattice(2).op("meet"), top=5),
 ], ids=["monoid-entry", "group-inverse", "lattice-top"])
 def test_out_of_range_spec_inputs_raise_algebra_error(build):
     with pytest.raises(AlgebraError, match="out of range"):
@@ -763,7 +766,7 @@ def test_structures_are_validated_beyond_the_exhaustive_budget():
     # 465^3 associativity tuples exceed EXHAUSTIVE_BUDGET
     assert 465 ** 3 > identities.EXHAUSTIVE_BUDGET
     g = catalog.cyclic_group(465)
-    assert g.mul(464, 2) == 1
+    assert g.op("prod").lookup((464, 2), 465) == 1
 
 
 # --- derived terms materialized by term_table ----------------------------------
