@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import catalog, dsl, groups, search, verify
@@ -25,6 +26,7 @@ from .core import (
     BudgetError,
     InputError,
     check_identity_terms,
+    require_materializable,
     validate_algebra,
 )
 from .identities import EXHAUSTIVE_BUDGET, check_identity, suite_identities
@@ -141,6 +143,9 @@ def _int(option, text):
 def _c_group_product(args):
     orders = [_int("--orders", x) for x in args.orders.split(",")]
     indices = tuple(_int("--indices", x) for x in args.indices.split(","))
+    if min(orders) >= 1:
+        # the product's tables are refused before any factor is built
+        require_materializable(math.prod(orders), args.n + 1)
     return catalog.build_group_product_algebra(
         [catalog.cyclic_group(k) for k in orders], indices, args.n
     )

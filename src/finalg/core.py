@@ -107,6 +107,15 @@ class DenseTable:
             self._array.setflags(write=False)
         return self._array
 
+    @classmethod
+    def of_array(cls, arity: int, array) -> DenseTable:
+        """The table of the entries of a flat int64 array, which it keeps,
+        read-only, as its array()."""
+        table = cls(arity, array.tolist())
+        array.setflags(write=False)
+        table._array = array
+        return table
+
     def lookup(self, args, m: int) -> int:
         idx = 0
         for a in args:
@@ -156,12 +165,15 @@ class LazyTable:
 
     def materialize(self, m: int) -> DenseTable:
         """The dense table of fn over {0..m-1}, one call of its array form
-        per block of argument tuples; a BudgetError over the limit."""
+        per block of argument tuples written into one int64 array, which
+        becomes the table's array(); a BudgetError over the limit."""
+        import numpy as np
+
         require_materializable(m, self.arity)
-        entries = []
-        for _, values in _blocks(self.fn, m, self.arity):
-            entries += values.tolist()
-        return DenseTable(self.arity, entries)
+        out = np.empty(m ** self.arity, dtype=np.int64)
+        for start, values in _blocks(self.fn, m, self.arity):
+            out[start:start + values.size] = values
+        return DenseTable.of_array(self.arity, out)
 
     def __repr__(self):
         return f"LazyTable(arity={self.arity}, {self.note!r})"

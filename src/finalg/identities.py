@@ -253,14 +253,17 @@ def _closure(folded):
 
 def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
     """The samples tuples of k draws rng.randrange(m) each, in order, as
-    (k, b) int64 arrays of at most _BATCH tuples.
+    C-contiguous (k, b) int64 arrays of at most _BATCH tuples.
 
     randrange(m) keeps the top m.bit_length() bits of one 32-bit MT19937
     word and draws again while the result is >= m
-    (Random._randbelow_with_getrandbits).  This takes the words of a
-    batch from one rng.getrandbits(32*W) call, whose words come least
-    significant first, and applies the same shift and rejection, so the
-    tuples are exactly those of the scalar loop.
+    (Random._randbelow_with_getrandbits).  This takes the words from
+    rng.getrandbits(32*W) calls of at most _BATCH words each, whose words
+    come least significant first, and applies the same shift and
+    rejection, so the tuples are exactly those of the scalar loop.  The
+    accepted draws are gathered by index (np.flatnonzero), which is
+    several times faster than a boolean mask, and each batch is copied
+    into rows once so that the kernel reads contiguous columns.
     """
     import numpy as np
 
@@ -271,13 +274,16 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
     while samples > 0:
         b = min(samples, _BATCH)
         need = b * k
-        while pool.size < need:
+        chunks, have = [pool], pool.size
+        while have < need:
             # a word is accepted with probability m / 2^bits >= 1/2
-            words = ((need - pool.size) << bits) // m + 64
+            words = min(((need - have) << bits) // m + 64, _BATCH)
             raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
             draws = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
-            pool = np.concatenate([pool, draws[draws < m]])
-        yield pool[:need].reshape(b, k).T
+            chunks.append(draws[np.flatnonzero(draws < m)])
+            have += chunks[-1].size
+        pool = np.concatenate(chunks)
+        yield np.ascontiguousarray(pool[:need].reshape(b, k).T)
         pool = pool[need:]
         samples -= b
 

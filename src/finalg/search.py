@@ -10,17 +10,20 @@ each instance becomes a pair of nested int tuples that index one flat cell
 array (pinned tables, free tables, constants and a read-only slot per
 carrier element), in which -1 marks a cell not yet decided.  Evaluating an
 instance lhs-then-rhs either decides it or stops at its first blocking
-cell, the first undecided cell the evaluation reaches.  An undecided
-instance waits on the watch list of that cell.  Because cells are assigned
-in the fixed free_cells() order, a cell that blocks an instance stays
-undecided until it is itself assigned, so assigning cell d can change the
-state of exactly the instances on watch[d]: each is re-evaluated and either
-decided (a mismatch prunes) or moved to the list of a deeper cell, and the
-moves are popped on backtrack.  Every other instance is as it was at the
-parent node, which had no decided violation, so a node is pruned exactly
-when re-evaluating every instance of every identity would find a decided
-violation: node counts, counts and witnesses equal those of that full
-rescan.
+cell, the first undecided cell the evaluation reaches.  A side that is a
+slot (a variable, a constant, or an op applied to variables only) costs
+one read of the cell array and no call; only a compound side goes through
+_value, which reads each slot argument inline and recurses only into a
+compound one.  An undecided instance waits on the watch list of that
+cell.  Because cells are assigned in the fixed free_cells() order, a cell
+that blocks an instance stays undecided until it is itself assigned, so
+assigning cell d can change the state of exactly the instances on
+watch[d]: each is re-evaluated and either decided (a mismatch prunes) or
+moved to the list of a deeper cell, and the moves are popped on
+backtrack.  Every other instance is as it was at the parent node, which
+had no decided violation, so a node is pruned exactly when re-evaluating
+every instance of every identity would find a decided violation: node
+counts, counts and witnesses equal those of that full rescan.
 """
 from __future__ import annotations
 
@@ -200,16 +203,19 @@ class _Cells:
 
 
 def _value(t, vals) -> int:
-    """The value of ground term t, or ~slot of the first undecided cell
-    its evaluation reaches (always negative)."""
-    if t.__class__ is int:
-        v = vals[t]
-        return v if v >= 0 else ~t
+    """The value of the compound ground term t = (base, kids), or ~slot
+    of the first undecided cell its evaluation reaches (always negative).
+    A kid that is a slot is read inline; only a compound kid recurses."""
     base, kids = t
     for w, kid in kids:
-        v = _value(kid, vals)
-        if v < 0:
-            return v
+        if kid.__class__ is int:
+            v = vals[kid]
+            if v < 0:
+                return ~kid
+        else:
+            v = _value(kid, vals)
+            if v < 0:
+                return v
         base += w * v
     v = vals[base]
     return v if v >= 0 else ~base
@@ -219,13 +225,25 @@ def _recheck(instances, vals, watch, moved) -> tuple:
     """Evaluate instances, appending each undecided one to the watch list
     of its first blocking cell and that cell's slot to moved.  Returns
     (violated, number evaluated), stopping at the first decided
-    mismatch."""
+    mismatch.  A side that is a slot is one read of vals; only a compound
+    side calls _value."""
     done = 0
     for inst in instances:
         done += 1
-        a = _value(inst[0], vals)
+        lhs, rhs = inst
+        if lhs.__class__ is int:
+            a = vals[lhs]
+            if a < 0:
+                a = ~lhs
+        else:
+            a = _value(lhs, vals)
         if a >= 0:
-            b = _value(inst[1], vals)
+            if rhs.__class__ is int:
+                b = vals[rhs]
+                if b < 0:
+                    b = ~rhs
+            else:
+                b = _value(rhs, vals)
             if b >= 0:
                 if a != b:
                     return True, done

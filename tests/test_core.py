@@ -93,6 +93,20 @@ def test_lazy_table_matches_dense():
     assert lazy.materialize(5).entries == dense.entries
 
 
+def test_materialize_keeps_its_block_array(monkeypatch):
+    # several blocks, so the array is assembled from more than one call
+    monkeypatch.setattr(core, "_RANGE_BLOCK", 7)
+    table = LazyTable(3, lambda a, b, c: (a * 9 + b * 3 + c * 2) % 4
+                      ).materialize(4)
+    arr = table.array()
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert arr.tolist() == list(table.entries)
+    assert all(type(x) is int for x in table.entries)
+    assert table.array() is arr
+    assert table == table_from_fn(3, 4, lambda a, b, c: (a * 9 + b * 3
+                                                         + c * 2) % 4)
+
+
 def test_eval_term_nested(bool2):
     # theta(x, y, z) = (x | z) & y on bitmask subsets of {0,1}
     theta = lambda x, y, z: (x | z) & y

@@ -432,17 +432,22 @@ def test_sampled_failure_after_several_batches(monkeypatch):
 
 
 @pytest.mark.parametrize("batch", [7, 1 << 16])
-@pytest.mark.parametrize("m", [1, 2, 3, 512, 1000, 2 ** 31 + 1, 2 ** 32 - 1])
+@pytest.mark.parametrize("m", [1, 2, 3, 512, 513, 1000, 2 ** 31 + 1,
+                               2 ** 32 - 1])
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_sampled_tuples_are_the_randrange_stream(monkeypatch, batch, m, k):
     # fails loudly if a Python upgrade changes how randrange draws
     monkeypatch.setattr(identities, "_BATCH", batch)
+    # m = 513 rejects almost half of the words, so a batch of 2^16 5-tuples
+    # needs about ten getrandbits calls of at most 2^16 words each
+    samples = 70_001 if (m, batch) == (513, 1 << 16) else 300
     for seed in (0, -42, 2 ** 80):
         rng = random.Random(seed)
-        want = [[rng.randrange(m) for _ in range(k)] for _ in range(300)]
+        want = [[rng.randrange(m) for _ in range(k)] for _ in range(samples)]
         batches = list(identities._sampled_tuples(
-            random.Random(seed), m, k, 300))
+            random.Random(seed), m, k, samples))
         assert all(b.dtype == np.int64 and b.shape[0] == k for b in batches)
+        assert all(b.flags.c_contiguous for b in batches)
         assert all(b.shape[1] <= batch for b in batches)
         got = np.concatenate(batches, axis=1).T.tolist()
         assert got == want

@@ -344,6 +344,33 @@ def test_group3_specs_match_full_rescan(e, mode):
         assert result.count == 1  # A034383(3) = 3 labeled groups, one per unit
 
 
+# (nodes, instances_evaluated): the rescan oracle pins nodes but only
+# bounds instances_evaluated, so a change to how instances are watched or
+# evaluated must leave both of these as they are
+@pytest.mark.parametrize("m, n, work", [
+    (1, 1, (3, 7)),
+    (2, 1, (92, 181)),
+    (3, 1, (3972, 7917)),
+    (2, 2, (5412, 8872)),
+])
+def test_census_work_counts_are_pinned(m, n, work):
+    result = count_2assoc_semiabelian(m, n, budget=10 ** 12)
+    assert (result.nodes, result.instances_evaluated) == work
+
+
+@pytest.mark.parametrize("e, mode, work", [
+    (0, "find-first", (1509, 3086)),
+    (1, "find-first", (1812, 4509)),
+    (2, "find-first", (1671, 4130)),
+    (0, "count-all", (2454, 6047)),
+    (1, "count-all", (2214, 5790)),
+    (2, "count-all", (2202, 5784)),
+])
+def test_group3_work_counts_are_pinned(e, mode, work):
+    result = search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
+    assert (result.nodes, result.instances_evaluated) == work
+
+
 def test_prove_none_stops_at_the_first_model():
     spec = parse_search_spec(GROUP3_SPEC.format(e=0), mode="prove-none")
     result = search(spec)
