@@ -138,7 +138,7 @@ def _product(name, factors) -> FiniteAlgebra:
             shape = [1] * (r * arity)
             shape[j::r] = [sizes[j]] * arity
             out = out + w * f.op(sym).array().reshape(shape)
-        tables[sym] = DenseTable(arity, out.ravel().tolist())
+        tables[sym] = DenseTable.of_array(arity, out.ravel())
     values = {c: sum(w * f.constant(c) for f, w in zip(factors, weights))
               for c in consts}
     return FiniteAlgebra(name, Signature(ops, consts), m, tables, values)
@@ -148,14 +148,15 @@ def _product(name, factors) -> FiniteAlgebra:
 # constructions
 
 def _gather(values):
-    """values[idx] elementwise, as the LazyTable contract asks: an int for
-    an int index, an int64 array for an int64 index array."""
+    """values[idx] elementwise for a sequence or an int64 array of values,
+    as the LazyTable contract asks: an int for an int index, an int64
+    array for an int64 index array."""
     arr = None
 
     def get(idx):
         nonlocal arr
         if isinstance(idx, int):
-            return values[idx]
+            return int(values[idx])
         if arr is None:
             import numpy as np
 
@@ -196,14 +197,14 @@ def build_semigroup_algebra(sg: FiniteAlgebra, n: int,
     if not 1 <= i <= n:
         raise InputError(f"translation index {i} out of range 1..{n}")
     m = sg.size
-    mul = _gather(sg.op("prod").entries)
+    mul = _gather(sg.op("prod").array())
 
     def theta(*args):
         return mul(args[i - 1] * m + args[-1])
 
     if not sg.signature.has_op("inv"):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
-    inv = _gather(sg.op("inv").entries)
+    inv = _gather(sg.op("inv").array())
     return standard_algebra(
         f"Grp{m}n{n}i{i}", m, _table(n + 1, m, theta),
         [_table(2, m, lambda a, b: mul(a * m + inv(b)))] * n,
@@ -262,7 +263,7 @@ def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
     if not check_identity(mo, COMMUTATIVITY).ok:
         raise AlgebraError("monoid must be commutative")
     m, unit = mo.size, mo.constant("e")
-    mul = _gather(mo.op("prod").entries)
+    mul = _gather(mo.op("prod").array())
     if n >= 2:
         powers = np.full(m, unit)  # a^(n-1) for every element a
         for _ in range(n - 1):
@@ -294,7 +295,7 @@ def build_lattice_theta(lat: FiniteAlgebra, variant: str) -> FiniteAlgebra:
     if not check_identity(lat, DISTRIBUTIVITY).ok:
         raise AlgebraError("lattice is not distributive")
     m = lat.size
-    join, meet = (_gather(lat.op(s).entries) for s in ("join", "meet"))
+    join, meet = (_gather(lat.op(s).array()) for s in ("join", "meet"))
     if variant == "meet-last":
         fn = lambda a, b, c: meet(join(a * m + b) * m + c)
     elif variant == "meet-middle":
@@ -476,7 +477,7 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
                 f"section at b = {b} is not surjective (misses {missing[0]})"
             )
     first[range(m), range(m)] = _encode(units, m)  # theta(e*, b) = b
-    alphas = [DenseTable(2, (first.T // m ** (n - i) % m).ravel().tolist())
+    alphas = [DenseTable.of_array(2, (first.T // m ** (n - i) % m).ravel())
               for i in range(1, n + 1)]
     return standard_algebra(alg.name + "-alphas", m, tbl, alphas, units)
 

@@ -90,12 +90,20 @@ def standard_signature(n: int, shared_unit: bool = False) -> Signature:
 class DenseTable:
     """A total operation as a flat tuple of m^arity entries, row-major."""
 
-    __slots__ = ("arity", "entries", "_array")
+    __slots__ = ("arity", "_entries", "_array", "_top")
 
     def __init__(self, arity: int, entries):
         self.arity = arity
-        self.entries = tuple(entries)
-        self._array = None
+        self._entries = tuple(entries)
+        self._array = self._top = None
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as a tuple of ints; a table made from an array
+        builds it on first use, as the numpy kernel never reads it."""
+        if self._entries is None:
+            self._entries = tuple(self._array.tolist())
+        return self._entries
 
     def array(self):
         """The entries as a read-only int64 numpy array, built on first use;
@@ -110,17 +118,40 @@ class DenseTable:
     @classmethod
     def of_array(cls, arity: int, array) -> DenseTable:
         """The table of the entries of a flat int64 array, which it keeps,
-        read-only, as its array()."""
-        table = cls(arity, array.tolist())
+        read-only, as its array(); its entries tuple is built on first
+        use."""
+        table = cls.__new__(cls)
         array.setflags(write=False)
-        table._array = array
+        table.arity, table._array = arity, array
+        table._entries = table._top = None
         return table
+
+    def __len__(self):
+        entries = self._entries
+        return self._array.size if entries is None else len(entries)
+
+    def first_out_of_range(self, m: int):
+        """(flat index, entry) of the first entry outside 0..m-1, or None.
+        A table made from an array is read there while its entries are
+        not built, by the largest entry as unsigned, found once and kept
+        (a negative entry reads as at least 2^63)."""
+        entries = self._entries
+        if entries is None:
+            if self._top is None:
+                self._top = int(self._array.view("u8").max(initial=0))
+            if self._top < m:
+                return None
+            i = int((self._array.view("u8") >= m).argmax())
+            return i, int(self._array[i])
+        if not entries or (0 <= min(entries) and max(entries) < m):
+            return None
+        return next((i, v) for i, v in enumerate(entries) if not 0 <= v < m)
 
     def lookup(self, args, m: int) -> int:
         idx = 0
         for a in args:
             idx = idx * m + a
-        return self.entries[idx]
+        return (self._entries or self.entries)[idx]
 
     def __eq__(self, other):
         return (
@@ -133,7 +164,7 @@ class DenseTable:
         return hash((self.arity, self.entries))
 
     def __repr__(self):
-        return f"DenseTable(arity={self.arity}, {len(self.entries)} entries)"
+        return f"DenseTable(arity={self.arity}, {len(self)} entries)"
 
 
 _MATERIALIZE_LIMIT = 1 << 22
@@ -146,10 +177,12 @@ class LazyTable:
     table; used when m^arity is too large to materialize.
 
     Contract: fn is elementwise.  Called with arity ints it returns an int;
-    called with arity int64 arrays of one length it returns the int64
-    array of its values at each position.  The identity kernel, exhaustive
-    and sampled, relies on the array form (and passes it read-only
-    arrays), and so do materialize and the range check of table_error,
+    called with arity one-dimensional int64 arrays of one length it
+    returns the int64 array of its values at each position, and writes
+    none of its arguments, which may be read-only or broadcast views.  The
+    identity kernel, exhaustive and sampled, relies on the array form
+    (values on the axes of an open mesh are raveled for fn and reshaped
+    back), and so do materialize and the range check of table_error,
     which read it block by block; lookup uses the int form.
     """
 
@@ -456,28 +489,35 @@ def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
         return f"symbol {sym!r}: table arity {tbl.arity} != declared {arity}"
     if not isinstance(tbl, DenseTable):
         return _lazy_range_error(sym, tbl, arity, m)
-    entries = tbl.entries
     # m >= 2 and arity >= len.bit_length() give m^arity >= 2^arity > len,
     # so a huge arity is refused without building m^arity
-    n = len(entries)
+    n = len(tbl)
     if (m > 1 and arity >= n.bit_length()) or n != m ** arity:
         return f"symbol {sym!r}: table length {n} != {m}^{arity}"
-    if entries and not (0 <= min(entries) and max(entries) < m):
-        i, v = next((i, v) for i, v in enumerate(entries) if not 0 <= v < m)
-        return _range_error(sym, v, i)
-    return None
+    bad = tbl.first_out_of_range(m)
+    return None if bad is None else _range_error(sym, bad[1], bad[0])
 
 
 def _range_error(sym, value, index):
     return f"symbol {sym!r}: entry {value} out of range at flat index {index}"
 
 
+def _range_checked(tbl, arity: int, m: int) -> int:
+    """How many values table_error range-checks in a table of the right
+    arity and length: all m^arity of a DenseTable, and of a LazyTable
+    within EXHAUSTIVE_BUDGET; none of a LazyTable above it."""
+    # as above, a huge arity is over budget without building m^arity
+    if not isinstance(tbl, DenseTable) and (
+            (m > 1 and arity >= EXHAUSTIVE_BUDGET.bit_length())
+            or m ** arity > EXHAUSTIVE_BUDGET):
+        return 0
+    return m ** arity
+
+
 def _lazy_range_error(sym, tbl, arity, m):
     """The range part of table_error for a LazyTable: its values at every
     argument tuple, in flat order, block by block."""
-    # as above, a huge arity is over budget without building m^arity
-    if ((m > 1 and arity >= EXHAUSTIVE_BUDGET.bit_length())
-            or m ** arity > EXHAUSTIVE_BUDGET):
+    if not _range_checked(tbl, arity, m):
         return None
     for start, values in _blocks(tbl.fn, m, arity):
         bad = (values < 0) | (values >= m)
@@ -490,12 +530,16 @@ def _lazy_range_error(sym, tbl, arity, m):
 def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
     """Check the structural invariants of a FiniteAlgebra.
 
-    Violations are reported (first one wins), never thrown.
+    Violations are reported (first one wins), never thrown.  A PASS
+    counts as its tuples_checked the table values and constants it
+    range-checked: every value of a dense table, and of a lazy one within
+    EXHAUSTIVE_BUDGET (see table_error).
     """
     name = f"validate:{alg.name}"
     m = alg.size
     if m < 1:
         return CheckReport("fail", name, detail=f"carrier size {m} < 1")
+    checked = len(alg.signature.constants)
     for sym, arity in alg.signature.ops:
         tbl = alg.tables.get(sym)
         if tbl is None:
@@ -503,6 +547,7 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
         problem = table_error(sym, tbl, arity, m)
         if problem is not None:
             return CheckReport("fail", name, detail=problem)
+        checked += _range_checked(tbl, arity, m)
     for sym in alg.tables:
         if not alg.signature.has_op(sym):
             return CheckReport(
@@ -521,4 +566,4 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
             return CheckReport(
                 "fail", name, detail=f"constant {c!r} not in signature"
             )
-    return CheckReport("pass", name, tuples_checked=0)
+    return CheckReport("pass", name, tuples_checked=checked)

@@ -21,6 +21,22 @@ order ends the check early.  Each side is folded once per check with the
 suffix values known: a subterm that reads no prefix variable is evaluated
 once, and the rest becomes a closure that each block calls with its
 prefix.  An identity with no variables is one block of one tuple.
+
+A check without a prefix loop (one block, as every small check is) reads
+its suffix as flat grid rows (_grid), and so do the sampled check and
+term_table: every value is one array of the block's length, and a table
+application is a flat index and one gather.  Under a prefix loop the
+suffix variables are the axes of an open mesh (_mesh): axis i is range(m)
+shaped (1, ..., m, ..., 1), and a term's values span only the axes of the
+variables it reads.  An application that reads a prefix variable gets a
+plan when it is folded (_plan): the arguments that read no suffix
+variable select a sub-table of the table's m x ... x m view by basic
+indexing, a view with no add and no gather; then one argument that reads
+several axes is one gather into that view, and arguments that read one
+axis each, in increasing axis order, are takes of rows along their axes
+(an argument that is its axis's own variable needs none).  Any other
+application keeps the flat index.  The sides compare by broadcasting, and
+a block's first failure is placed in the lex order of the whole block.
 """
 from __future__ import annotations
 
@@ -55,7 +71,7 @@ from .core import (
 )
 
 _BLOCK = 1 << 14
-_GRIDS = 16  # suffix grids kept, one per (m, variables in a block)
+_GRIDS = 16  # suffix grids and meshes kept, per (m, variables in a block)
 _BATCH = 1 << 16
 
 
@@ -106,13 +122,17 @@ def check_identity(
 
 def _fold(alg, t, known):
     """Evaluate t elementwise as far as known allows; known maps variables
-    to ints or int64 arrays, the arrays all of one length.
+    to ints or int64 arrays: flat arrays all of one length, or the axes of
+    an open mesh (see the module docstring).
 
     A subterm that reads only known variables is evaluated now, to an int
     or an array: constants and subterms that read no array stay ints and
     broadcast against the arrays.  Any other subterm becomes a closure
     that takes a dict of the other variables' values and evaluates the
     rest; it holds its table's array, so a call repeats no dispatch.
+    Such a late subterm arises only under a prefix loop, so a dense
+    application with a late argument reads a sub-table by its plan
+    (_sliced), or else adds the late arguments' digits to its flat index.
     Returns the value, or the closure (the only callable result)."""
     import numpy as np
 
@@ -145,6 +165,9 @@ def _fold(alg, t, known):
     if not late:
         out = arr[flat]
         return out if isinstance(out, np.ndarray) else int(out)
+    sliced = _sliced(alg, t, known, [f for f, _ in late])
+    if sliced is not None:
+        return sliced
 
     def apply(env):
         offset = 0
@@ -155,14 +178,89 @@ def _fold(alg, t, known):
     return apply
 
 
+def _plan(axes):
+    """How a late dense application reads its table, from the mesh axes
+    each argument reads (a sorted tuple; empty for a scalar): "take" when
+    every argument that reads an axis reads one, each a later axis than
+    the one before, "gather" when one argument reads several, and None
+    (the flat index) for any other shape.  Either plan needs the scalars
+    to lead."""
+    lead = 0
+    while lead < len(axes) and not axes[lead]:
+        lead += 1
+    rest = axes[lead:]
+    if all(len(ax) == 1 for ax in rest) and all(
+            p < q for (p,), (q,) in zip(rest, rest[1:])):
+        return "take"
+    return "gather" if len(rest) == 1 else None
+
+
+def _sliced(alg, t, known, late):
+    """The block closure of the late dense application t under its plan
+    (see _plan), or None for the flat index.  late holds the closures of
+    t's late arguments in order; a late argument arises only under a
+    prefix loop, where known holds the open mesh (see _mesh), one axis
+    per suffix variable."""
+    import numpy as np
+
+    m, r = alg.size, len(t.args)
+    axis = {name: np.shape(v).index(m) for name, v in known.items()}
+    reads = [term_variables(a) for a in t.args]
+    axes = [tuple(sorted(axis[x] for x in v if x in axis)) for v in reads]
+    plan = _plan(axes)
+    if plan is None:
+        return None
+    # the loop in _fold folded the known arguments into its flat index;
+    # fold them again on their own, once per check
+    late = iter(late)
+    args = [next(late) if v - axis.keys() else _fold(alg, a, known)
+            for a, v in zip(t.args, reads)]
+    lead = sum(not ax for ax in axes)
+    scalars = [_closure(v) for v in args[:lead]]
+    table = alg.op(t.op).array().reshape((m,) * r)
+    if plan == "gather":
+        index = _closure(args[-1])
+        return lambda env: table[tuple([f(env) for f in scalars])][index(env)]
+    # the sub-table is a view with each argument's axis in place; an
+    # argument that is not its axis's own variable takes its rows
+    used = {ax for ax, in axes[lead:]}
+    layout = tuple(slice(None) if i in used else None
+                   for i in range(len(known))) if used else ()
+    takes = [(_flat_closure(v), ax) for a, v, (ax,) in
+             zip(t.args[lead:], args[lead:], axes[lead:])
+             if not (isinstance(a, Variable) and a.name in known)]
+
+    def apply(env):
+        sub = table[tuple([f(env) for f in scalars]) + layout]
+        for f, ax in takes:
+            sub = sub.take(f(env), axis=ax)
+        return sub
+
+    return apply
+
+
+def _flat_closure(v):
+    """A value or closure of _fold, as a closure of its values raveled to
+    one dimension."""
+    if callable(v):
+        return lambda env: v(env).ravel()
+    flat = v.ravel()
+    return lambda env: flat
+
+
 def _apply_lazy(fn, args):
     """fn on args under the LazyTable contract: int64 arrays of one
     length, the ints broadcast, or else all ints (a dense closure's numpy
-    scalars become ints)."""
+    scalars become ints).  Arrays on the axes of an open mesh are
+    broadcast and raveled for fn, and its values reshaped back."""
     import numpy as np
 
     if any(isinstance(a, np.ndarray) for a in args):
-        return fn(*np.broadcast_arrays(*args))
+        args = np.broadcast_arrays(*args)
+        shape = args[0].shape
+        if len(shape) == 1:
+            return fn(*args)
+        return fn(*(a.ravel() for a in args)).reshape(shape)
     return fn(*map(int, args))
 
 
@@ -201,6 +299,19 @@ def _grid(m, inner):
     return grid
 
 
+@functools.lru_cache(maxsize=_GRIDS)
+def _mesh(m, inner):
+    """The open mesh of the m^inner tuples over range(m): axis i is
+    range(m) as a read-only int64 array of shape (1, ..., m, ..., 1), m
+    at i, so arrays of the values of terms broadcast to lex order."""
+    import numpy as np
+
+    axes = np.ix_(*[np.arange(m, dtype=np.int64)] * inner)
+    for axis in axes:
+        axis.setflags(write=False)
+    return axes
+
+
 def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
     """The table of term over variables, row-major in their order, from
     the identity kernel; a term that reads some or none of the variables
@@ -213,7 +324,8 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, k = alg.size, len(variables)
     values = _fold(alg, term, dict(zip(variables, _grid(m, k))))
-    return DenseTable(k, np.broadcast_to(values, (m ** k,)).tolist())
+    return DenseTable.of_array(
+        k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
 
 
 def _check_exhaustive_np(alg, ident, total):
@@ -228,20 +340,30 @@ def _check_exhaustive_np(alg, ident, total):
     while inner > 1 and m ** inner > _BLOCK:
         inner -= 1
     outer = k - inner
-    grid = _grid(m, inner)
-    # fold what reads only the suffix once; each block calls what is left
-    known = dict(zip(variables[outer:], grid))
+    # fold what reads only the suffix once; each block calls what is left.
+    # Under a prefix loop the suffix variables are the axes of an open
+    # mesh, so the values of a term span only the axes it reads; one
+    # block reads flat grid rows
+    known = dict(zip(variables[outer:],
+                     _mesh(m, inner) if outer else _grid(m, inner)))
     lhs, rhs = (_closure(_fold(alg, side, known))
                 for side in (ident.lhs, ident.rhs))
+    block, size = (m,) * inner, m ** inner
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables, prefix))
-        j = _first_bad(lhs(env), rhs(env))
+        left, right = lhs(env), rhs(env)
+        j = _first_bad(left, right)
         if j is not None:
-            suffix = np.unravel_index(j, (m,) * inner)
+            if outer:
+                # sides that miss a mesh axis compare with size 1 on it,
+                # where the first failure has a 0
+                shape = np.broadcast(left, right).shape or block
+                j = int(np.ravel_multi_index(np.unravel_index(j, shape), block))
+            suffix = np.unravel_index(j, block)
             tup = prefix + tuple(int(x) for x in suffix)
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
-        checked += grid.shape[1]
+        checked += size
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 

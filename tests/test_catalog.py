@@ -484,6 +484,76 @@ def test_materialized_catalog_tables_match_scalar_references():
         assert alg.op("alpha1") == table_from_fn(2, m, alpha)
 
 
+def test_derived_tables_keep_their_arrays():
+    # products, built alphas and term tables are made from the arrays
+    # that computed them; their entries tuple is built on first use
+    from finalg.core import Variable
+    from finalg.identities import term_malcev, term_table
+
+    product = catalog.build_group_product_algebra(
+        [catalog.cyclic_group(4), catalog.cyclic_group(3)], (1, 2), 2)
+    built = catalog.build_lattice_v2_algebra(catalog.chain_lattice(3))
+    mu = term_table(product, term_malcev(2, *(Variable(v) for v in "abc")),
+                    ("a", "b", "c"))
+    tables = [*product.tables.values(), built.op("alpha1"),
+              built.op("alpha2"), mu]
+    for table in tables:
+        assert table._entries is None  # not built yet
+        arr = table.array()
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.shape == (len(table),)
+        entries = table.entries
+        assert entries == tuple(arr.tolist()) and table.entries is entries
+        assert table.array() is arr
+
+
+def _validated_catalog():
+    """One algebra of every catalog builder, with a theta that stays lazy
+    within the exhaustive budget and one above it."""
+    from unittest import mock
+
+    chain2, chain3 = catalog.chain_lattice(2), catalog.chain_lattice(3)
+    algs = [
+        catalog.cyclic_group(5), catalog.cyclic_monoid(4), chain3,
+        catalog.product_lattice(chain2, chain3),
+        catalog.build_projection_algebra(3, 2, 1),
+        catalog.build_semigroup_algebra(catalog.cyclic_group(3), 2, 1),
+        catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 2),
+        catalog.build_group_product_algebra(
+            [catalog.cyclic_group(2), catalog.cyclic_group(3)], (1, 2), 2),
+        catalog.build_matrix_row_algebra(2, 1),
+        catalog.build_matrix_row_algebra(2, 2),
+        catalog.build_bounded_monoid_algebra(catalog.cyclic_monoid(2), 3),
+        catalog.build_lattice_theta(chain2, "meet-last"),
+        catalog.build_lattice_v2_algebra(chain3),
+        catalog.build_boolean_protomodular(2),
+        catalog.build_map_composition_algebra(2, 1),
+        catalog.build_diagonal_retraction_algebra(2, 2),
+        catalog.build_strict_semiloop(4, twisted=True),
+    ]
+    with mock.patch.object(catalog, "DENSE_TABLE_CAP", 0):
+        algs.append(catalog.build_map_composition_algebra(2, 2))
+    return algs
+
+
+def test_validation_pass_counts_the_checked_values():
+    # a PASS reports every table value and constant it range-checked; a
+    # lazy table above the exhaustive budget is not range-checked and
+    # adds none (the 512-element matrix algebra reports 0)
+    from finalg.core import EXHAUSTIVE_BUDGET
+
+    kinds = set()
+    for alg in _validated_catalog():
+        rep, m = validate_algebra(alg), alg.size
+        want = len(alg.signature.constants)
+        for sym, arity in alg.signature.ops:
+            lazy = isinstance(alg.op(sym), LazyTable)
+            kinds.add((lazy, m ** arity <= EXHAUSTIVE_BUDGET))
+            want += m ** arity if m ** arity <= EXHAUSTIVE_BUDGET else 0
+        assert (rep.verdict, rep.tuples_checked) == ("pass", want), alg.name
+    assert kinds == {(False, True), (True, True), (True, False)}
+
+
 def _lift_lattice(p, q):
     """The product of lattices p and q, elements encoded as a*|q| + b, by
     per-pair lookups: the oracle of the broadcast product."""

@@ -26,7 +26,7 @@ from finalg.core import (
     unit_constants,
     validate_algebra,
 )
-from finalg import catalog, core
+from finalg import catalog, core, dsl
 
 from conftest import random_algebra
 
@@ -105,6 +105,39 @@ def test_materialize_keeps_its_block_array(monkeypatch):
     assert table.array() is arr
     assert table == table_from_fn(3, 4, lambda a, b, c: (a * 9 + b * 3
                                                          + c * 2) % 4)
+
+
+def test_table_of_an_array_builds_its_entries_on_first_use():
+    arr = (np.arange(27, dtype=np.int64) * 5) % 3
+    table = DenseTable.of_array(3, arr)
+    plain = DenseTable(3, arr.tolist())
+    assert table.array() is arr and not arr.flags.writeable
+    assert len(table) == 27 and repr(table) == repr(plain)
+    assert table_error("f", table, 3, 3) is None
+    assert table._entries is None  # not built yet
+    assert table.lookup((2, 1, 0), 3) == plain.lookup((2, 1, 0), 3)
+    entries = table.entries
+    assert entries == tuple(arr.tolist()) and table.entries is entries
+    assert all(type(x) is int for x in entries)
+    assert table == plain and hash(table) == hash(plain)
+    assert table.array() is arr
+    alg, twin = (FiniteAlgebra("t", Signature((("f", 3),)), 3, {"f": t})
+                 for t in (DenseTable.of_array(3, arr.copy()), plain))
+    assert dsl.serialize(alg) == dsl.serialize(twin)
+
+
+@pytest.mark.parametrize("index, value", [(0, 3), (13, -1), (26, 7)])
+def test_table_of_an_array_range_error_matches_entries(index, value):
+    arr = np.zeros(27, dtype=np.int64)
+    arr[index] = value
+    want = table_error("f", DenseTable(3, arr.tolist()), 3, 3)
+    assert want == f"symbol 'f': entry {value} out of range at flat index {index}"
+    table = DenseTable.of_array(3, arr)
+    assert table_error("f", table, 3, 3) == want
+    # the largest entry is kept between checks against different carriers
+    if value > 0:
+        assert table.first_out_of_range(value + 1) is None
+        assert table.first_out_of_range(value) == (index, value)
 
 
 def test_eval_term_nested(bool2):

@@ -483,8 +483,10 @@ def test_exhaustive_np_failure_eval_term_contradicts_raises(monkeypatch):
     alg = catalog.build_map_composition_algebra(2, 2)
     ident = identity_2assoc(2)
     assert check_identity(alg, ident).ok
-    # the kernel reads the cached array, eval_term the entries
+    # the kernel reads the cached array, eval_term the entries, which a
+    # table made from an array builds on first use, so build them first
     for t in alg.tables.values():
+        assert len(t.entries) == alg.size ** t.arity
         shifted = (t.array() + 1) % alg.size
         monkeypatch.setattr(t, "_array", shifted)
     with pytest.raises(EvalError):
@@ -592,17 +594,60 @@ def test_np_one_variable_floor(monkeypatch, dent):
 
 def _fold_identities(alg, n):
     """Identities whose subterms read only the prefix variables of a block,
-    only its suffix, both, or constants alone, as the block size moves."""
+    only its suffix, both, or constants alone, as the block size moves;
+    the mu identities over (p, x, y) reach every case of _plan_case and a
+    side that reads no suffix variable when the block holds x and y."""
     units = unit_constants(alg, n)
     avs = [Variable(f"a{i}") for i in range(1, n + 1)]
     b = Variable("b")
     ground = Apply("theta", *[Constant(u) for u in units], Constant(units[0]))
+    p, x, y = (Variable(v) for v in "pxy")
+
+    def mu(*args):
+        return Apply("mu", *args)
+
+    def plan(name, lhs, rhs):
+        return Identity(name, ("p", "x", "y"), lhs, rhs)
+
     return [identity_2assoc(n), *identities_1assoc(n),
             identity_unit_expansion(n, units), identity_malcev_assoc(),
             identities.identity_malcev_assoc_expanded(n),
             Identity("ground", tuple(v.name for v in avs) + ("b",),
                      Apply("theta", *avs, ground),
-                     Apply("theta", ground, *avs[1:], b))]
+                     Apply("theta", ground, *avs[1:], b)),
+            plan("non-leading-scalar", mu(x, p, y), mu(p, x, y)),
+            plan("repeated-axis", mu(x, x, mu(p, p, y)), mu(mu(p, x, x), x, y)),
+            plan("out-of-axis-order", mu(p, y, x), mu(y, x, mu(p, x, y))),
+            plan("multi-axis-beside-array", mu(p, mu(x, y, y), x),
+                 mu(mu(p, x, y), y, x)),
+            plan("scalar-side", mu(p, p, p), mu(p, x, mu(x, p, y))),
+            plan("sides-miss-y", mu(p, p, x), mu(p, x, p))]
+
+
+def _plan_case(axes):
+    """The case of a late dense application, from the mesh axes each of
+    its arguments reads, stated apart from identities._plan."""
+    lead = 0
+    while lead < len(axes) and not axes[lead]:
+        lead += 1
+    rest = axes[lead:]
+    firsts = [ax[0] for ax in rest if ax]
+    if not rest:
+        return "scalars"
+    if not all(rest):
+        return "non-leading scalar"
+    if any(len(ax) > 1 for ax in rest):
+        return "gather" if len(rest) == 1 else "multi-axis beside an array"
+    if len(set(firsts)) < len(firsts):
+        return "repeated axis"
+    return "axes in order" if firsts == sorted(firsts) else "out of order"
+
+
+_PLAN_OF_CASE = {
+    "scalars": "take", "axes in order": "take", "gather": "gather",
+    "non-leading scalar": None, "multi-axis beside an array": None,
+    "repeated axis": None, "out of order": None,
+}
 
 
 @settings(max_examples=80, deadline=None)
@@ -641,6 +686,96 @@ def test_folded_kernel_matches_the_oracle(seed, m, n, kind, lazy, power):
             assert rep.verdict == ("pass" if cx is None else "fail")
             assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
                 v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+
+
+def _oracle_algebra(seed, m, n):
+    """A random algebra over the standard signature plus a random mu/3."""
+    rng = random.Random(seed)
+    alg = random_algebra(rng, m, n)
+    mu = DenseTable(3, [rng.randrange(m) for _ in range(m ** 3)])
+    sig = Signature(alg.signature.ops + (("mu", 3),), alg.signature.constants)
+    return FiniteAlgebra(alg.name, sig, m, dict(alg.tables, mu=mu),
+                         alg.constants)
+
+
+def test_every_plan_case_is_reached(monkeypatch):
+    # the oracle identities reach every evaluation case of a late dense
+    # application, each with the plan its case asks for, and blocks of a
+    # two-axis mesh whose sides read fewer axes: one side none, or
+    # neither side the second axis
+    cases, shapes = set(), set()
+    real_plan, real_bad = identities._plan, identities._first_bad
+
+    def plan(axes):
+        got = real_plan(axes)
+        case = _plan_case(axes)
+        assert got == _PLAN_OF_CASE[case], (axes, case)
+        cases.add(case)
+        return got
+
+    def first_bad(lhs, rhs):
+        shapes.add((np.shape(lhs), np.shape(rhs)))
+        return real_bad(lhs, rhs)
+
+    monkeypatch.setattr(identities, "_plan", plan)
+    monkeypatch.setattr(identities, "_first_bad", first_bad)
+    for seed, m, n in ((1, 3, 1), (2, 3, 2)):
+        alg = _oracle_algebra(seed, m, n)
+        with mock.patch.object(identities, "_BLOCK", m ** 2):
+            for ident in _fold_identities(alg, n):
+                rep = check_identity(alg, ident)
+                cx, k = brute_first_counterexample(alg, ident), len(
+                    ident.variables)
+                assert rep.counterexample == cx, ident.name
+                assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
+                    v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+    assert cases == set(_PLAN_OF_CASE)
+    assert ((), (3, 3)) in shapes and ((3, 1), (3, 1)) in shapes
+
+
+def _dented_table(alg, name, index):
+    entries = list(alg.op(name).entries)
+    entries[index] = (entries[index] + 1) % alg.size
+    table = DenseTable(alg.op(name).arity, entries)
+    return FiniteAlgebra(alg.name, alg.signature, alg.size,
+                         dict(alg.tables, **{name: table}), alg.constants)
+
+
+def _grp16_mu():
+    alg = catalog.build_semigroup_algebra(catalog.cyclic_group(16), 1, 1)
+    mu = term_table(alg, term_malcev(1, *(Variable(v) for v in "abc")),
+                    ("a", "b", "c"))
+    return FiniteAlgebra("grp16n1.mu", Signature((("mu", 3),)), 16,
+                         {"mu": mu})
+
+
+@pytest.mark.parametrize("build, name, ident", [
+    pytest.param(lambda: catalog.build_group_product_algebra(
+        [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2),
+        "theta", identity_2assoc(2), id="grpprod4x4n2-2assoc"),
+    pytest.param(_grp16_mu, "mu", identity_malcev_assoc(),
+                 id="grp16n1-malcev-assoc"),
+])
+@pytest.mark.parametrize("dent", [None, 16, -1])
+def test_real_size_multi_block_reports(build, name, ident, dent):
+    # at the real _BLOCK these m = 16 checks run 256 blocks of 16^3; the
+    # dents put the lex-first failure in the second block, at its second
+    # tuple (16) or at tuple 3,840 (the last dent that fails by 20,000)
+    alg = build()
+    assert alg.size ** 3 <= identities._BLOCK < alg.size ** 4
+    if dent == -1:
+        dent = 4047 if name == "theta" else 3839
+    if dent is not None:
+        alg = _dented_table(alg, name, dent)
+    rep = check_identity(alg, ident)
+    if dent is None:
+        assert (rep.verdict, rep.tuples_checked) == ("pass", 16 ** 5)
+        return
+    cx = brute_first_counterexample(alg, ident)
+    assert rep.counterexample == cx
+    assert 16 ** 3 < rep.tuples_checked <= 2 * 16 ** 3
+    assert rep.tuples_checked == 1 + sum(
+        v * 16 ** (4 - i) for i, v in enumerate(cx.values()))
 
 
 def _sum_identity(k):
