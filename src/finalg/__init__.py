@@ -12,7 +12,7 @@ from .core import (
     FiniteAlgebra,
     Identity,
     InputError,
-    LazyTable,
+    ProductTable,
     Signature,
     SymbolError,
     Variable,

@@ -5,16 +5,17 @@ algebras, the alpha-builder for surjective sections, and strict semiloops.
 
 The monoids, groups and lattices they start from are FiniteAlgebras too,
 named MonoidSpec, GroupSpec and LatticeSpec and checked law by law
-(monoid, lattice).  Every table is the materialized array form of a
-function that meets the LazyTable contract, except a theta too large to
-materialize, which stays lazy; products of algebras (product_lattice,
-build_group_product_algebra) are built by numpy broadcasting.  All
-constructions produce validated FiniteAlgebra values ready for the
-identity engine.
+(monoid, lattice).  Every table is built by _table from a function
+evaluated on whole int64 arrays, and one over the materialize limit is
+refused with BudgetError.  Products of algebras (product_lattice,
+build_group_product_algebra, build_matrix_row_algebra) are built by
+numpy broadcasting by _product, which records their factors so that
+check_identity decides them factor by factor; a product table over the
+limit stays a lookup-only ProductTable.  All constructions produce
+validated FiniteAlgebra values ready for the identity engine.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 
@@ -24,8 +25,9 @@ from .core import (
     DenseTable,
     FiniteAlgebra,
     InputError,
-    LazyTable,
+    ProductTable,
     Signature,
+    materializable,
     require_materializable,
     standard_algebra,
 )
@@ -43,16 +45,30 @@ from .identities import (
 
 MATRIX_CARRIER_CAP = 10 ** 6
 MAP_CARRIER_CAP = 10 ** 4
-DENSE_TABLE_CAP = 1 << 22
+_BLOCK = 1 << 16  # argument tuples per call of a table's function
 
 
 # ---------------------------------------------------------------------------
 # input structures, law-checked at construction
 
 def _table(arity, m, fn) -> DenseTable:
-    """The table of fn, which meets the LazyTable contract, read through
-    its array form; a BudgetError when m^arity is over the limit."""
-    return LazyTable(arity, fn).materialize(m)
+    """The table of fn over {0..m-1}; a BudgetError when m^arity is over
+    the materialize limit.  fn is elementwise: called with arity int64
+    arrays of one length, the argument tuples of a block of at most
+    _BLOCK in flat order, it returns the int64 array of its values (or
+    one int for all of them) and writes none of its arguments.  The
+    blocks are written into one int64 array, which becomes the table's
+    array()."""
+    import numpy as np
+
+    require_materializable(m, arity)
+    total = m ** arity
+    out = np.empty(total, dtype=np.int64)
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total))
+        args = np.unravel_index(flat, (m,) * arity)
+        out[start:start + flat.size] = fn(*args)
+    return DenseTable.of_array(arity, out)
 
 
 def monoid(size, table, unit, inverse=None) -> FiniteAlgebra:
@@ -117,11 +133,12 @@ def product_lattice(p: FiniteAlgebra, q: FiniteAlgebra) -> FiniteAlgebra:
 
 def _product(name, factors) -> FiniteAlgebra:
     """The componentwise product of factors over the operations and
-    constants they all interpret.  The element (x1, ..., xr) is encoded in
-    mixed radix, x1 most significant.  Each table is refused with
-    BudgetError over the materialize limit before it is built, and built
-    by numpy broadcasting: axis i*r + j of the product table is argument
-    i of factor j."""
+    constants they all interpret, with factors recorded on it (see
+    identities.check_identity).  The element (x1, ..., xr) is encoded in
+    mixed radix, x1 most significant.  A table within the materialize
+    limit is built by numpy broadcasting: axis i*r + j of the product
+    table is argument i of factor j; one over the limit is a
+    ProductTable of the factors' tables."""
     sizes = [f.size for f in factors]
     weights = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
     m, r = math.prod(sizes), len(factors)
@@ -132,7 +149,10 @@ def _product(name, factors) -> FiniteAlgebra:
                    if all(f.signature.has_constant(c) for f in rest))
     tables = {}
     for sym, arity in ops:
-        require_materializable(m, arity)
+        if not materializable(m, arity):
+            tables[sym] = ProductTable(
+                arity, [(f.op(sym), f.size) for f in factors])
+            continue
         out = 0
         for j, (f, w) in enumerate(zip(factors, weights)):
             shape = [1] * (r * arity)
@@ -141,42 +161,21 @@ def _product(name, factors) -> FiniteAlgebra:
         tables[sym] = DenseTable.of_array(arity, out.ravel())
     values = {c: sum(w * f.constant(c) for f, w in zip(factors, weights))
               for c in consts}
-    return FiniteAlgebra(name, Signature(ops, consts), m, tables, values)
+    alg = FiniteAlgebra(name, Signature(ops, consts), m, tables, values)
+    alg.factors = tuple(factors)
+    return alg
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
-def _gather(values):
-    """values[idx] elementwise for a sequence or an int64 array of values,
-    as the LazyTable contract asks: an int for an int index, an int64
-    array for an int64 index array."""
-    arr = None
-
-    def get(idx):
-        nonlocal arr
-        if isinstance(idx, int):
-            return int(values[idx])
-        if arr is None:
-            import numpy as np
-
-            arr = np.asarray(values, dtype=np.int64)
-        return arr[idx]
-
-    return get
-
-
 def _theta_only(name, m, n, fn):
-    """A theta-only algebra; fn must meet the LazyTable contract, since
-    theta stays lazy when its m^(n+1) entries exceed DENSE_TABLE_CAP and
-    is materialized through the array form otherwise.  n < 1 is an
-    InputError: theta needs at least two arguments."""
+    """A theta-only algebra with the table of fn (see _table), refused
+    with BudgetError over the materialize limit.  n < 1 is an InputError:
+    theta needs at least two arguments."""
     _at_least_1("n", n)
-    sig = Signature((("theta", n + 1),))
-    tbl = LazyTable(n + 1, fn, note=name)
-    if m ** (n + 1) <= DENSE_TABLE_CAP:
-        tbl = tbl.materialize(m)
-    return FiniteAlgebra(name, sig, m, {"theta": tbl})
+    return FiniteAlgebra(name, Signature((("theta", n + 1),)), m,
+                         {"theta": _table(n + 1, m, fn)})
 
 
 def build_projection_algebra(m: int, n: int, i: int) -> FiniteAlgebra:
@@ -197,17 +196,17 @@ def build_semigroup_algebra(sg: FiniteAlgebra, n: int,
     if not 1 <= i <= n:
         raise InputError(f"translation index {i} out of range 1..{n}")
     m = sg.size
-    mul = _gather(sg.op("prod").array())
+    mul = sg.op("prod").array()
 
     def theta(*args):
-        return mul(args[i - 1] * m + args[-1])
+        return mul[args[i - 1] * m + args[-1]]
 
     if not sg.signature.has_op("inv"):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
-    inv = _gather(sg.op("inv").array())
+    inv = sg.op("inv").array()
     return standard_algebra(
         f"Grp{m}n{n}i{i}", m, _table(n + 1, m, theta),
-        [_table(2, m, lambda a, b: mul(a * m + inv(b)))] * n,
+        [_table(2, m, lambda a, b: mul[a * m + inv[b]])] * n,
         [sg.constant("e")] * n,
     )
 
@@ -233,26 +232,19 @@ def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
 def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
     """Carrier: all (n+1)x(n+1) matrices over a q-element entry set,
     encoded by row-major base-q digits.  theta assembles the matrix whose
-    i-th row is the i-th row of the i-th argument."""
+    i-th row is the i-th row of the i-th argument: it is the product of
+    the n+1 projection algebras on the q^(n+1) rows, the i-th projecting
+    to argument i, as row i is the i-th component of the encoding."""
     _at_least_1("entry set size", q)
+    _at_least_1("n", n)
     d = n + 1
     m = q ** (d * d)
     if m > MATRIX_CARRIER_CAP:
         raise BudgetError(
             f"matrix carrier {q}^{d * d} = {m} exceeds cap {MATRIX_CARRIER_CAP}"
         )
-
-    row_weight = q ** d  # one row spans d base-q digits
-    shifts = [row_weight ** (d - 1 - i) for i in range(d)]
-
-    def theta(*mats):
-        out = 0
-        for i in range(d):
-            # row i sits at digit offset i*d from the most significant end
-            out = out * row_weight + (mats[i] // shifts[i]) % row_weight
-        return out
-
-    return _theta_only(f"MatRows-q{q}-n{n}", q ** (d * d), n, theta)
+    return _product(f"MatRows-q{q}-n{n}", [
+        build_projection_algebra(q ** d, n, i) for i in range(1, d + 1)])
 
 
 def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
@@ -263,11 +255,11 @@ def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
     if not check_identity(mo, COMMUTATIVITY).ok:
         raise AlgebraError("monoid must be commutative")
     m, unit = mo.size, mo.constant("e")
-    mul = _gather(mo.op("prod").array())
+    mul = mo.op("prod").array()
     if n >= 2:
         powers = np.full(m, unit)  # a^(n-1) for every element a
         for _ in range(n - 1):
-            powers = mul(powers * m + np.arange(m))
+            powers = mul[powers * m + np.arange(m)]
         bad = np.flatnonzero(powers != unit)
         if bad.size:
             raise AlgebraError(
@@ -277,7 +269,7 @@ def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
     def theta(*args):
         acc = args[0]
         for x in args[1:]:
-            acc = mul(acc * m + x)
+            acc = mul[acc * m + x]
         return acc
 
     return _theta_only(f"BddMonoid{m}n{n}", m, n, theta)
@@ -295,11 +287,11 @@ def build_lattice_theta(lat: FiniteAlgebra, variant: str) -> FiniteAlgebra:
     if not check_identity(lat, DISTRIBUTIVITY).ok:
         raise AlgebraError("lattice is not distributive")
     m = lat.size
-    join, meet = (_gather(lat.op(s).array()) for s in ("join", "meet"))
+    join, meet = (lat.op(s).array() for s in ("join", "meet"))
     if variant == "meet-last":
-        fn = lambda a, b, c: meet(join(a * m + b) * m + c)
+        fn = lambda a, b, c: meet[join[a * m + b] * m + c]
     elif variant == "meet-middle":
-        fn = lambda a, b, c: meet(join(a * m + c) * m + b)
+        fn = lambda a, b, c: meet[join[a * m + c] * m + b]
     else:
         raise InputError(f"unknown variant {variant!r}")
     return _theta_only(f"Lat{lat.size}-{variant}", lat.size, 2, fn)
@@ -345,11 +337,14 @@ def _map_composition(m, n):
     |A| = m, each encoded by its value table over A^n in lexicographic
     point order as base-m digits, most significant first.  Digit
     arithmetic only, so it is elementwise over int64 arrays."""
+    import numpy as np
+
     points = m ** n
-    weight = _gather(tuple(m ** (points - 1 - p) for p in range(points)))
+    weights = np.array([m ** (points - 1 - p) for p in range(points)],
+                       dtype=np.int64)
 
     def value(code, p):
-        return code // weight(p) % m
+        return code // weights[p] % m
 
     def theta(*codes):
         out = 0
@@ -392,6 +387,8 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     """The maps g: A^n -> A with g(a,...,a) = a, under composition-with-
     tupling, with e_i = i-th projection and alphas attached by the
     surjective-section builder.  A 2-associative protomodular algebra."""
+    import numpy as np
+
     _map_carrier(m, n, m, "retraction")
     points = m ** n
     tuples = list(itertools.product(range(m), repeat=n))
@@ -409,32 +406,18 @@ def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
         retraction(free)
         for free in itertools.product(range(m), repeat=points - len(diagonal))
     ]
-    size = len(retractions)
-    # element i is the map with code codes[i]; the codes ascend, so
-    # rank_of inverts code_of by binary search, with no table over all
-    # m^(m^n) maps
-    codes = [_encode(vals, m) for vals in retractions]
+    # element i is the map with code codes[i]; the codes ascend, so a
+    # binary search inverts codes, with no table over all m^(m^n) maps
+    codes = np.array([_encode(vals, m) for vals in retractions],
+                     dtype=np.int64)
     compose = _map_composition(m, n)
-    code_of = _gather(codes)
-    sorted_codes = None
-
-    def rank_of(code):
-        nonlocal sorted_codes
-        if isinstance(code, int):
-            return bisect.bisect_left(codes, code)
-        if sorted_codes is None:
-            import numpy as np
-
-            sorted_codes = np.asarray(codes, dtype=np.int64)
-        return sorted_codes.searchsorted(code)
 
     def theta(*args):
-        return rank_of(compose(*(code_of(a) for a in args)))
+        return codes.searchsorted(compose(*(codes[a] for a in args)))
 
-    base = _theta_only(f"Retr-m{m}-n{n}", size, n, theta)
-    units = [
-        rank_of(_encode((t[i] for t in tuples), m)) for i in range(n)
-    ]
+    base = _theta_only(f"Retr-m{m}-n{n}", codes.size, n, theta)
+    units = [int(codes.searchsorted(_encode((t[i] for t in tuples), m)))
+             for i in range(n)]
     return build_alphas_from_surjectivity(base, units)
 
 
@@ -446,9 +429,9 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
     alpha_i(a,b) is the i-th component of a chosen theta_b-preimage of a:
     the unit tuple itself when theta_b(e*) = a (forced by the diagonal
     axiom), otherwise the lexicographically smallest preimage.  The scan
-    reads every theta entry, one section per int64 array, so a lazy theta
-    is materialized first; one too large to materialize is refused with
-    BudgetError.
+    reads every theta entry as one int64 array, so a product theta over
+    the materialize limit is refused with BudgetError.  Unit elements
+    outside the carrier are an InputError, raised before any lookup.
     """
     import numpy as np
 
@@ -458,15 +441,16 @@ def build_alphas_from_surjectivity(alg: FiniteAlgebra, units) -> FiniteAlgebra:
     if len(units) != n:
         raise InputError(f"need {n} unit elements, got {len(units)}")
     m = alg.size
+    if not all(0 <= u < m for u in units):
+        raise InputError(f"unit elements {units} outside 0..{m - 1}")
     for b in range(m):
         if tbl.lookup(units + (b,), m) != b:
             raise AlgebraError(
                 f"theta(e*, b) = b fails at b = {b}"
             )
-    dense = tbl.materialize(m) if isinstance(tbl, LazyTable) else tbl
     # first[b, a]: the lex index of the chosen tuple xs with theta(xs, b) = a
     size = m ** n
-    rows = dense.array().reshape(size, m)
+    rows = tbl.array().reshape(size, m)
     first = np.full((m, m), size, dtype=np.int64)
     index = np.arange(size)
     for b in range(m):

@@ -1,14 +1,17 @@
 """Core types: signatures, finite algebras as operation tables, terms,
 identities, and ground term evaluation.
 
-Carrier elements are always the integers 0..m-1.  Operation tables are
-flat, row-major over the argument tuple, so lookup is a single index
-computation.  Everything here is immutable after construction and safe to
-share across workers.
+Carrier elements are always the integers 0..m-1.  An operation table is
+a DenseTable, flat and row-major over the argument tuple, so lookup is a
+single index computation; the one other kind is the lookup-only
+ProductTable of a product of algebras too large to materialize, whose
+algebra records its factors.  Everything here is immutable after
+construction and safe to share across workers.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 
@@ -169,69 +172,55 @@ class DenseTable:
 
 _MATERIALIZE_LIMIT = 1 << 22
 EXHAUSTIVE_BUDGET = 10 ** 8  # tuples an exhaustive check may enumerate
-_RANGE_BLOCK = 1 << 16  # argument tuples per call of a lazy table's fn
 
 
-class LazyTable:
-    """A total operation backed by a Python function instead of a stored
-    table; used when m^arity is too large to materialize.
-
-    Contract: fn is elementwise.  Called with arity ints it returns an int;
-    called with arity one-dimensional int64 arrays of one length it
-    returns the int64 array of its values at each position, and writes
-    none of its arguments, which may be read-only or broadcast views.  The
-    identity kernel, exhaustive and sampled, relies on the array form
-    (values on the axes of an open mesh are raveled for fn and reshaped
-    back), and so do materialize and the range check of table_error,
-    which read it block by block; lookup uses the int form.
-    """
-
-    __slots__ = ("arity", "fn", "note")
-
-    def __init__(self, arity: int, fn, note: str = ""):
-        self.arity = arity
-        self.fn = fn
-        self.note = note
-
-    def lookup(self, args, m: int) -> int:
-        return self.fn(*args)
-
-    def materialize(self, m: int) -> DenseTable:
-        """The dense table of fn over {0..m-1}, one call of its array form
-        per block of argument tuples written into one int64 array, which
-        becomes the table's array(); a BudgetError over the limit."""
-        import numpy as np
-
-        require_materializable(m, self.arity)
-        out = np.empty(m ** self.arity, dtype=np.int64)
-        for start, values in _blocks(self.fn, m, self.arity):
-            out[start:start + values.size] = values
-        return DenseTable.of_array(self.arity, out)
-
-    def __repr__(self):
-        return f"LazyTable(arity={self.arity}, {self.note!r})"
+def materializable(m: int, arity: int) -> bool:
+    """Whether a table of m^arity entries is within the materialize
+    limit; a huge arity is decided without building m^arity."""
+    return not ((m > 1 and arity >= _MATERIALIZE_LIMIT.bit_length())
+                or m ** arity > _MATERIALIZE_LIMIT)
 
 
 def require_materializable(m: int, arity: int) -> None:
     """Raise BudgetError when a table of m^arity entries is over the
-    materialize limit; a huge arity is refused without building m^arity."""
-    if ((m > 1 and arity >= _MATERIALIZE_LIMIT.bit_length())
-            or m ** arity > _MATERIALIZE_LIMIT):
+    materialize limit."""
+    if not materializable(m, arity):
         raise BudgetError(f"table with {m}^{arity} entries exceeds cap "
                           f"{_MATERIALIZE_LIMIT}")
 
 
-def _blocks(fn, m: int, arity: int):
-    """(start, values): fn's values at every argument tuple over
-    {0..m-1} in flat order, from one call of its array form per block of
-    at most _RANGE_BLOCK tuples starting at flat index start."""
-    import numpy as np
+class ProductTable:
+    """One operation of a product of algebras whose m^arity entries are
+    over the materialize limit (see catalog._product): the factors'
+    tables, looked up one component at a time.  parts holds (table,
+    carrier size) per factor, the most significant component first.  It
+    is lookup-only: reading its array or entries raises BudgetError."""
 
-    total = m ** arity
-    for start in range(0, total, _RANGE_BLOCK):
-        flat = np.arange(start, min(start + _RANGE_BLOCK, total))
-        args = np.unravel_index(flat, (m,) * arity)
-        yield start, np.broadcast_to(fn(*args), flat.shape)
+    __slots__ = ("arity", "parts", "size")
+
+    def __init__(self, arity: int, parts):
+        self.arity = arity
+        self.parts = tuple(parts)
+        self.size = math.prod(size for _, size in self.parts)
+
+    def lookup(self, args, m: int) -> int:
+        out, weight = 0, m
+        for tbl, size in self.parts:
+            weight //= size
+            out = out * size + tbl.lookup(
+                [a // weight % size for a in args], size)
+        return out
+
+    def array(self):
+        """Refused with BudgetError: _product makes a product table only
+        over the materialize limit."""
+        require_materializable(self.size, self.arity)
+        raise AssertionError("a product table within the materialize limit")
+
+    entries = property(array)
+
+    def __repr__(self):
+        return f"ProductTable(arity={self.arity}, {len(self.parts)} factors)"
 
 
 def table_from_fn(arity: int, m: int, fn) -> DenseTable:
@@ -258,6 +247,11 @@ class FiniteAlgebra:
     size: int
     tables: dict
     constants: dict = field(default_factory=dict)
+    # the algebras this one is the product of, set by catalog._product
+    # alone; check_identity decides the product through them.  Left out
+    # of ==, and never carried to a copy (the constructor and
+    # dataclasses.replace start without it)
+    factors: tuple = field(default=(), init=False, repr=False)
 
     def op(self, name: str):
         tbl = self.tables.get(name)
@@ -280,17 +274,8 @@ class FiniteAlgebra:
             or self.constants != other.constants
         ):
             return False
-        for sym in self.tables:
-            a, b = self.tables[sym], other.tables.get(sym)
-            if b is None:
-                return False
-            if isinstance(a, LazyTable):
-                a = a.materialize(self.size)
-            if isinstance(b, LazyTable):
-                b = b.materialize(other.size)
-            if a != b:
-                return False
-        return True
+        return all(tbl == other.tables.get(sym)
+                   for sym, tbl in self.tables.items())
 
 
 def standard_algebra(name, m, theta, alphas, units) -> FiniteAlgebra:
@@ -447,8 +432,9 @@ class CheckReport:
     tuples_checked: int = 0
     seed: int | None = None
     detail: str | None = None
-    # how check_identity checked: "np" (exhaustive) or "sampled"; left
-    # out of ==, so a report compares by its outcome alone
+    # how check_identity checked: "np" (exhaustive), "product" (through
+    # the factors) or "sampled"; left out of ==, so a report compares by
+    # its outcome alone
     engine: str | None = field(default=None, compare=False)
 
     @property
@@ -480,15 +466,16 @@ class CheckReport:
 def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
     """Why tbl is not a total arity-ary operation on {0..m-1}, or None.
     The one table check: a DenseTable needs m^arity entries, each in
-    range.  A LazyTable needs the arity; while m^arity is within
-    EXHAUSTIVE_BUDGET its function is also evaluated once at every
-    argument tuple, through the array contract, and its first value out
-    of range is reported as for a dense table.  Above that budget a lazy
-    table is checked for its arity only."""
+    range; a ProductTable needs the carrier m, and each factor's table
+    is checked over that factor's carrier."""
     if tbl.arity != arity:
         return f"symbol {sym!r}: table arity {tbl.arity} != declared {arity}"
-    if not isinstance(tbl, DenseTable):
-        return _lazy_range_error(sym, tbl, arity, m)
+    if isinstance(tbl, ProductTable):
+        if tbl.size != m:
+            return (f"symbol {sym!r}: product table on {tbl.size} "
+                    f"elements != {m}")
+        return next(filter(None, (table_error(sym, part, arity, size)
+                                  for part, size in tbl.parts)), None)
     # m >= 2 and arity >= len.bit_length() give m^arity >= 2^arity > len,
     # so a huge arity is refused without building m^arity
     n = len(tbl)
@@ -502,29 +489,12 @@ def _range_error(sym, value, index):
     return f"symbol {sym!r}: entry {value} out of range at flat index {index}"
 
 
-def _range_checked(tbl, arity: int, m: int) -> int:
-    """How many values table_error range-checks in a table of the right
-    arity and length: all m^arity of a DenseTable, and of a LazyTable
-    within EXHAUSTIVE_BUDGET; none of a LazyTable above it."""
-    # as above, a huge arity is over budget without building m^arity
-    if not isinstance(tbl, DenseTable) and (
-            (m > 1 and arity >= EXHAUSTIVE_BUDGET.bit_length())
-            or m ** arity > EXHAUSTIVE_BUDGET):
-        return 0
-    return m ** arity
-
-
-def _lazy_range_error(sym, tbl, arity, m):
-    """The range part of table_error for a LazyTable: its values at every
-    argument tuple, in flat order, block by block."""
-    if not _range_checked(tbl, arity, m):
-        return None
-    for start, values in _blocks(tbl.fn, m, arity):
-        bad = (values < 0) | (values >= m)
-        i = int(bad.argmax())
-        if bad[i]:
-            return _range_error(sym, int(values[i]), start + i)
-    return None
+def _checked_values(tbl) -> int:
+    """How many values table_error range-checks in a valid table: every
+    entry of a DenseTable, every factor's value of a ProductTable."""
+    if isinstance(tbl, ProductTable):
+        return sum(_checked_values(part) for part, _ in tbl.parts)
+    return len(tbl)
 
 
 def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
@@ -532,8 +502,8 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
 
     Violations are reported (first one wins), never thrown.  A PASS
     counts as its tuples_checked the table values and constants it
-    range-checked: every value of a dense table, and of a lazy one within
-    EXHAUSTIVE_BUDGET (see table_error).
+    range-checked: every entry of a dense table, and every factor's value
+    of a product table (see table_error).
     """
     name = f"validate:{alg.name}"
     m = alg.size
@@ -547,7 +517,7 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
         problem = table_error(sym, tbl, arity, m)
         if problem is not None:
             return CheckReport("fail", name, detail=problem)
-        checked += _range_checked(tbl, arity, m)
+        checked += _checked_values(tbl)
     for sym in alg.tables:
         if not alg.signature.has_op(sym):
             return CheckReport(

@@ -34,7 +34,6 @@ from .core import (
     FiniteAlgebra,
     Identity,
     InputError,
-    LazyTable,
     Signature,
     Variable,
     check_identity_terms,
@@ -380,16 +379,14 @@ def parse_raw_blocks(text: str):
 def serialize(alg: FiniteAlgebra) -> str:
     """Emit DSL text; parse(serialize(a)) is structurally equal to a.
 
-    Lazy tables are materialized, so very large ones are refused.
+    A product table over the materialize limit is refused (BudgetError),
+    and the text records no factors.
     """
     lines = [f"algebra {alg.name} {{", f"  carrier {alg.size}"]
     for c in alg.signature.constants:
         lines.append(f"  const {c} = {alg.constants[c]}")
     for n, arity in alg.signature.ops:
-        tbl = alg.tables[n]
-        if isinstance(tbl, LazyTable):
-            tbl = tbl.materialize(alg.size)
-        body = ", ".join(str(v) for v in tbl.entries)
+        body = ", ".join(str(v) for v in alg.tables[n].entries)
         lines.append(f"  op {n}/{arity} = [{body}]")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from .core import (
     CheckReport,
     DenseTable,
     FiniteAlgebra,
+    InputError,
     Signature,
     Variable,
     eval_term,
@@ -122,7 +123,10 @@ def derive_group(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
     """The element a with theta(a,...,a,b) = c, by the diagonal solution
-    term, verified against the equation."""
+    term, verified against the equation; b or c outside the carrier is
+    an InputError, raised before any lookup."""
+    if not (0 <= b < alg.size and 0 <= c < alg.size):
+        raise InputError(f"b = {b}, c = {c}: outside 0..{alg.size - 1}")
     n, _ = _require(alg, "protomodular", "2assoc")
     a = eval_term(alg, term_diagonal_solution(n), {"b": b, "c": c})
     if eval_term(alg, term_product(n), {"a": a, "b": b}) != c:

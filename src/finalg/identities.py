@@ -13,7 +13,11 @@ vectorized path reports is re-confirmed with eval_term first.
 
 Both modes run one numpy kernel, the partial evaluator _fold, which
 evaluates a term on arrays of assignments (CheckReport.engine is "np" or
-"sampled").  The exhaustive check loops over a lexicographic prefix of
+"sampled").  An exhaustive check of a product that records its factors
+(catalog._product) runs the kernel on each factor instead, since an
+identity holds in a product iff it holds in every factor, and places the
+first counterexample from theirs (engine "product", _check_product).
+The exhaustive check loops over a lexicographic prefix of
 the variables and evaluates each prefix's block of suffix tuples at once;
 a block holds at most _BLOCK tuples (at least one whole variable), so its
 temporaries stay cache-sized and a failure near the start of the tuple
@@ -95,8 +99,11 @@ def check_identity(
     """Check one identity over all (or sampled) assignments.
 
     Exhaustive mode refuses when m^k exceeds the budget (BudgetError);
-    callers then switch to mode="sampled".  An identity that does not fit
-    alg's signature, an unknown mode or samples < 1 is an InputError.
+    callers then switch to mode="sampled".  It decides a product that
+    records its factors through them (engine "product", see
+    _check_product), and the budget then bounds the factors' tuples.  An
+    identity that does not fit alg's signature, an unknown mode or
+    samples < 1 is an InputError.
     """
     check_identity_terms(alg.signature, ident, alg.name)
     variables = ident.variables
@@ -108,6 +115,8 @@ def check_identity(
         engine, report = "sampled", _check_sampled(alg, ident, samples, seed)
     elif mode != "exhaustive":
         raise InputError(f"unknown mode {mode!r}")
+    elif alg.factors:
+        engine, report = "product", _check_product(alg, ident, budget)
     else:
         total = m ** k
         if total > budget:
@@ -130,7 +139,7 @@ def _fold(alg, t, known):
     broadcast against the arrays.  Any other subterm becomes a closure
     that takes a dict of the other variables' values and evaluates the
     rest; it holds its table's array, so a call repeats no dispatch.
-    Such a late subterm arises only under a prefix loop, so a dense
+    Such a late subterm arises only under a prefix loop, so an
     application with a late argument reads a sub-table by its plan
     (_sliced), or else adds the late arguments' digits to its flat index.
     Returns the value, or the closure (the only callable result)."""
@@ -142,14 +151,6 @@ def _fold(alg, t, known):
     if isinstance(t, Constant):
         return alg.constant(t.name)
     tbl = alg.op(t.op)
-    if not isinstance(tbl, DenseTable):
-        fn = tbl.fn
-        args = [_fold(alg, a, known) for a in t.args]
-        late = [callable(a) for a in args]
-        if not any(late):
-            return _apply_lazy(fn, args)
-        return lambda env: _apply_lazy(fn, [
-            a(env) if is_late else a for a, is_late in zip(args, late)])
     # fold each known argument into the flat index as soon as it is
     # evaluated, so at most two argument-sized arrays are alive; a late
     # argument adds a zero digit here and its value times its stride later
@@ -246,22 +247,6 @@ def _flat_closure(v):
         return lambda env: v(env).ravel()
     flat = v.ravel()
     return lambda env: flat
-
-
-def _apply_lazy(fn, args):
-    """fn on args under the LazyTable contract: int64 arrays of one
-    length, the ints broadcast, or else all ints (a dense closure's numpy
-    scalars become ints).  Arrays on the axes of an open mesh are
-    broadcast and raveled for fn, and its values reshaped back."""
-    import numpy as np
-
-    if any(isinstance(a, np.ndarray) for a in args):
-        args = np.broadcast_arrays(*args)
-        shape = args[0].shape
-        if len(shape) == 1:
-            return fn(*args)
-        return fn(*(a.ravel() for a in args)).reshape(shape)
-    return fn(*map(int, args))
 
 
 def _first_bad(lhs, rhs):
@@ -365,6 +350,47 @@ def _check_exhaustive_np(alg, ident, total):
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
         checked += size
     return CheckReport("pass", ident.name, tuples_checked=total)
+
+
+def _leaves(alg):
+    """The factors of alg, each product among them replaced by its own
+    factors, most significant first; [alg] when it has none.  A product
+    of products encodes its elements as the product of these leaves."""
+    if not alg.factors:
+        return [alg]
+    return [leaf for f in alg.factors for leaf in _leaves(f)]
+
+
+def _check_product(alg, ident, budget):
+    """The exhaustive report of ident on the product alg, from one check
+    of every factor (every leaf, see _leaves): an identity holds in a
+    product iff it holds in every factor.
+
+    On a failure the lex-first counterexample is the least, over the
+    failing factors f, of f's lex-first counterexample with every other
+    component 0.  Any failing tuple fails in some factor g; its
+    g-components are, in lex order, no smaller than g's first
+    counterexample, so the tuple is no smaller than that
+    counterexample's embedding, which fails too.  tuples_checked is the
+    sum over the factors."""
+    variables = ident.variables
+    leaves = _leaves(alg)
+    totals = [f.size ** len(variables) for f in leaves]
+    if sum(totals) > budget:
+        raise BudgetError(
+            f"identity {ident.name!r}: {sum(totals)} assignments of the "
+            f"factors of {alg.name!r} exceed budget {budget}")
+    weight, first, checked = alg.size, None, 0
+    for f, total in zip(leaves, totals):
+        weight //= f.size
+        report = _check_exhaustive_np(f, ident, total)
+        checked += report.tuples_checked
+        if not report.ok:
+            tup = tuple(report.counterexample[v] * weight for v in variables)
+            first = tup if first is None else min(first, tup)
+    if first is None:
+        return CheckReport("pass", ident.name, tuples_checked=checked)
+    return _confirmed_fail(alg, ident, first, checked)
 
 
 def _closure(folded):

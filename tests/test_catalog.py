@@ -9,7 +9,8 @@ from finalg.core import (
     AlgebraError,
     BudgetError,
     FiniteAlgebra,
-    LazyTable,
+    InputError,
+    ProductTable,
     Signature,
     validate_algebra,
 )
@@ -139,15 +140,22 @@ def test_matrix_row_operation_exhaustive_small():
     assert _passes_2assoc(alg, 1)
 
 
-def test_matrix_row_operation_sampled_large():
+def test_matrix_row_operation_exact_large():
+    # the 512-element algebra is the product of the projection algebras
+    # on its 8 rows; its theta is over the materialize limit, so it is
+    # decided exactly through them and cannot be sampled
     alg = catalog.build_matrix_row_algebra(2, 2)
     assert alg.size == 2 ** 9
-    assert isinstance(alg.tables["theta"], LazyTable)
-    rep = check_identity(alg, identity_2assoc(2), mode="sampled",
-                         samples=2000, seed=99)
-    assert rep.verdict == "sampled-pass"
-    with pytest.raises(BudgetError):
-        check_identity(alg, identity_2assoc(2))
+    assert isinstance(alg.tables["theta"], ProductTable)
+    assert alg.factors == tuple(catalog.build_projection_algebra(8, 2, i)
+                                for i in (1, 2, 3))
+    rep = check_identity(alg, identity_2assoc(2))
+    assert (rep.verdict, rep.tuples_checked, rep.engine) == (
+        "pass", 3 * 8 ** 5, "product")
+    with pytest.raises(BudgetError, match="98304 assignments"):
+        check_identity(alg, identity_2assoc(2), budget=3 * 8 ** 5 - 1)
+    with pytest.raises(BudgetError, match="512\\^3 entries"):
+        check_identity(alg, identity_2assoc(2), mode="sampled", samples=10)
 
 
 def test_matrix_row_assembly_oracle():
@@ -251,13 +259,12 @@ def test_map_composition_2assoc():
         assert _passes_2assoc(alg, n)
 
 
-def test_map_composition_sampled_large():
-    alg = catalog.build_map_composition_algebra(2, 3)
-    assert alg.size == 2 ** 8
-    assert isinstance(alg.tables["theta"], LazyTable)
-    rep = check_identity(alg, identity_2assoc(3), mode="sampled",
-                         samples=3000, seed=5)
-    assert (rep.verdict, rep.tuples_checked) == ("sampled-pass", 3000)
+def test_theta_over_the_limit_is_refused():
+    # 256^4 theta entries: refused before any is computed
+    with pytest.raises(BudgetError, match="256\\^4 entries"):
+        catalog.build_map_composition_algebra(2, 3)
+    with pytest.raises(BudgetError, match="2049\\^2 entries"):
+        catalog.build_projection_algebra(2049, 1, 1)
 
 
 def test_diagonal_retraction_protomodular():
@@ -324,10 +331,7 @@ def _reference_alphas(alg, units):
             for i in range(n)]
 
 
-@pytest.mark.parametrize("lazy", [False, True])
-def test_alpha_builder_takes_lex_first_preimages(monkeypatch, lazy):
-    if lazy:
-        monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
+def test_alpha_builder_takes_lex_first_preimages():
     cases = [
         (catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1),
          (0, 0)),
@@ -338,7 +342,6 @@ def test_alpha_builder_takes_lex_first_preimages(monkeypatch, lazy):
             "meet-middle"), (0, 5)),
     ]
     for base, units in cases:
-        assert isinstance(base.op("theta"), LazyTable) == lazy
         built = catalog.build_alphas_from_surjectivity(base, units)
         expected = _reference_alphas(base, units)
         got = [built.op(f"alpha{i}").entries
@@ -348,17 +351,21 @@ def test_alpha_builder_takes_lex_first_preimages(monkeypatch, lazy):
 
 
 def test_alpha_builder_refuses_before_reading_theta():
-    m = 2049  # m^2 entries, one row over the materialize limit
-
-    def theta(a, b):
-        if not isinstance(a, int):
-            raise AssertionError("theta read as an array")
-        return (a + b) % m
-
-    sig = Signature((("theta", 2),), ())
-    alg = FiniteAlgebra("Big", sig, m, {"theta": LazyTable(2, theta)}, {})
-    with pytest.raises(BudgetError, match="2049\\^2 entries"):
+    # theta(a, b) = b on 64 * 33 elements: its 2112^2 entries are over
+    # the materialize limit, so theta is a lookup-only product table
+    alg = catalog._product("Big", [catalog.build_projection_algebra(k, 1, 2)
+                                   for k in (64, 33)])
+    assert isinstance(alg.op("theta"), ProductTable)
+    with pytest.raises(BudgetError, match="2112\\^2 entries"):
         catalog.build_alphas_from_surjectivity(alg, (0,))
+
+
+@pytest.mark.parametrize("units", [(3, 0), (0, -1)])
+def test_alpha_builder_refuses_units_outside_the_carrier(units):
+    # a lookup would raise IndexError at 3 and wrap around at -1
+    base = catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1)
+    with pytest.raises(InputError, match="outside 0..2"):
+        catalog.build_alphas_from_surjectivity(base, units)
 
 # --- strict semiloops ---------------------------------------------------------
 
@@ -378,66 +385,75 @@ def test_twisted_semiloop_not_2assoc_but_strict():
     assert suite_ok(check_suite(alg, suite_semiabelian(1, units)))
 
 
-# --- the LazyTable contract ----------------------------------------------------
+# --- independent table references -----------------------------------------
+# every catalog table is built from the array form of its function; these
+# rebuild the tables with table_from_fn over scalar references and compare
 
-LAZY_CAPABLE = {
-    "projection": lambda: catalog.build_projection_algebra(3, 2, 2),
-    "semigroup": lambda: catalog.build_semigroup_algebra(
-        catalog.cyclic_monoid(4), 2, 1),
-    "matrix-row": lambda: catalog.build_matrix_row_algebra(2, 1),
-    "bounded-monoid": lambda: catalog.build_bounded_monoid_algebra(
-        catalog.cyclic_monoid(3), 4),
-    "lattice": lambda: catalog.build_lattice_theta(
+def _digits(x, base, count):
+    """The count base-`base` digits of x, most significant first."""
+    return [x // base ** (count - 1 - i) % base for i in range(count)]
+
+
+def _maps_theta(m, n):
+    """g o (f1, ..., fn) on the maps A^n -> A, |A| = m, each encoded by
+    its values at the points of A^n in lex order as base-m digits."""
+    points = list(itertools.product(range(m), repeat=n))
+    k = len(points)
+
+    def theta(*codes):
+        *fs, g = (_digits(c, m, k) for c in codes)
+        values = [g[points.index(tuple(f[p] for f in fs))] for p in range(k)]
+        return sum(v * m ** (k - 1 - p) for p, v in enumerate(values))
+
+    return theta
+
+
+def _retractions_theta(m, n):
+    """theta of the maps g with g(a, ..., a) = a, numbered by their codes
+    in ascending order."""
+    compose = _maps_theta(m, n)
+    points = list(itertools.product(range(m), repeat=n))
+    codes = [c for c in range(m ** len(points)) if all(
+        _digits(c, m, len(points))[points.index((a,) * n)] == a
+        for a in range(m))]
+    return lambda *xs: codes.index(compose(*(codes[x] for x in xs)))
+
+
+def _chain2x3_meet_last(x, y, z):
+    """(x v y) ^ z on the product of the 2- and 3-chains, componentwise."""
+    (x1, x2), (y1, y2), (z1, z2) = (divmod(v, 3) for v in (x, y, z))
+    return min(max(x1, y1), z1) * 3 + min(max(x2, y2), z2)
+
+
+SCALAR_THETA = {
+    "projection": (lambda: catalog.build_projection_algebra(3, 2, 2),
+                   lambda a1, a2, b: a2),
+    "semigroup": (lambda: catalog.build_semigroup_algebra(
+        catalog.cyclic_monoid(4), 2, 1), lambda a1, a2, b: (a1 + b) % 4),
+    "matrix-row": (lambda: catalog.build_matrix_row_algebra(2, 1),
+                   lambda a, b: (a & 0b1100) | (b & 0b0011)),
+    "bounded-monoid": (lambda: catalog.build_bounded_monoid_algebra(
+        catalog.cyclic_monoid(3), 4), lambda *a: sum(a) % 3),
+    "lattice": (lambda: catalog.build_lattice_theta(
         catalog.product_lattice(catalog.chain_lattice(2),
                                 catalog.chain_lattice(3)), "meet-last"),
-    "map-composition": lambda: catalog.build_map_composition_algebra(2, 2),
-    "diagonal-retraction": lambda: (
-        catalog.build_diagonal_retraction_algebra(2, 2)),
+                _chain2x3_meet_last),
+    "map-composition": (lambda: catalog.build_map_composition_algebra(2, 2),
+                        _maps_theta(2, 2)),
+    "diagonal-retraction": (
+        lambda: catalog.build_diagonal_retraction_algebra(2, 2),
+        _retractions_theta(2, 2)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(LAZY_CAPABLE))
-def test_lazy_theta_is_elementwise_over_arrays(monkeypatch, name):
-    dense_alg = LAZY_CAPABLE[name]()
-    monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
-    alg = LAZY_CAPABLE[name]()
-    theta = alg.op("theta")
-    assert isinstance(theta, LazyTable)
-    assert theta.materialize(alg.size) == dense_alg.op("theta")
-    # sampled and exhaustive reports agree whether theta is lazy or dense;
-    # the retraction algebra mixes its lazy theta with dense alpha tables
-    n = theta.arity - 1
-    idents = [identity_2assoc(n)]
-    if alg.signature.has_op("alpha1"):
-        idents += suite_protomodular(n, unit_constants(alg, n)).identities
-    for mode in ("sampled", "exhaustive"):
-        for ident in idents:
-            reports = [check_identity(a, ident, mode=mode, samples=500,
-                                      seed=3).to_dict()
-                       for a in (alg, dense_alg)]
-            assert reports[0] == reports[1]
-    rng = np.random.default_rng(11)
-    cols = [rng.integers(0, alg.size, 400) for _ in range(theta.arity)]
-    want = [theta.fn(*(int(c[j]) for c in cols)) for j in range(400)]
-    assert all(type(v) is int for v in want)
-    got = theta.fn(*cols)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
-
-
-# --- independent table references -----------------------------------------
-# every catalog table is built from the array form of its function; these
-# rebuild the tables with table_from_fn over int-form functions and compare
-
-@pytest.mark.parametrize("name", sorted(LAZY_CAPABLE))
-def test_lazy_theta_int_form_rebuilds_the_catalog_table(monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(SCALAR_THETA))
+def test_catalog_theta_matches_its_scalar_reference(name):
     from finalg.core import table_from_fn
 
-    dense = LAZY_CAPABLE[name]().op("theta")
-    monkeypatch.setattr(catalog, "DENSE_TABLE_CAP", 0)
-    alg = LAZY_CAPABLE[name]()
+    build, reference = SCALAR_THETA[name]
+    alg = build()
     theta = alg.op("theta")
-    assert table_from_fn(theta.arity, alg.size, theta.fn) == dense
+    assert theta == table_from_fn(theta.arity, alg.size, reference)
 
 
 def _scalar_semiloop(m, twisted):
@@ -508,10 +524,8 @@ def test_derived_tables_keep_their_arrays():
 
 
 def _validated_catalog():
-    """One algebra of every catalog builder, with a theta that stays lazy
-    within the exhaustive budget and one above it."""
-    from unittest import mock
-
+    """One algebra of every catalog builder, with the 512-element matrix
+    algebra, whose theta is a product table."""
     chain2, chain3 = catalog.chain_lattice(2), catalog.chain_lattice(3)
     algs = [
         catalog.cyclic_group(5), catalog.cyclic_monoid(4), chain3,
@@ -531,27 +545,24 @@ def _validated_catalog():
         catalog.build_diagonal_retraction_algebra(2, 2),
         catalog.build_strict_semiloop(4, twisted=True),
     ]
-    with mock.patch.object(catalog, "DENSE_TABLE_CAP", 0):
-        algs.append(catalog.build_map_composition_algebra(2, 2))
     return algs
 
 
 def test_validation_pass_counts_the_checked_values():
-    # a PASS reports every table value and constant it range-checked; a
-    # lazy table above the exhaustive budget is not range-checked and
-    # adds none (the 512-element matrix algebra reports 0)
-    from finalg.core import EXHAUSTIVE_BUDGET
-
+    # a PASS reports every table value and constant it range-checked: all
+    # m^arity entries of a dense table, and the factors' values of a
+    # product table (3 * 8^3 for the 512-element matrix algebra)
     kinds = set()
     for alg in _validated_catalog():
         rep, m = validate_algebra(alg), alg.size
         want = len(alg.signature.constants)
         for sym, arity in alg.signature.ops:
-            lazy = isinstance(alg.op(sym), LazyTable)
-            kinds.add((lazy, m ** arity <= EXHAUSTIVE_BUDGET))
-            want += m ** arity if m ** arity <= EXHAUSTIVE_BUDGET else 0
+            product = isinstance(alg.op(sym), ProductTable)
+            kinds.add(product)
+            want += (sum(f.size ** arity for f in alg.factors) if product
+                     else m ** arity)
         assert (rep.verdict, rep.tuples_checked) == ("pass", want), alg.name
-    assert kinds == {(False, True), (True, True), (True, False)}
+    assert kinds == {False, True}
 
 
 def _lift_lattice(p, q):

@@ -249,8 +249,9 @@ def test_construct_bad_integer_option_exit_2(capsys, argv):
     # tables over the materialize limit, refused before they are built
     ["strict-semiloop", "--m", "100000"],
     ["group-product", "--orders", "100,100", "--n", "2"],
-    # a factor that builds but whose product is over the limit
+    # factors that build but whose product is over the limit
     ["group-product", "--orders", "2000,2", "--n", "2"],
+    ["matrix-rows", "--q", "2", "--n", "2"],
     ["semigroup", "--order", "3000"],
     ["lattice", "--shape", "chain:3000"],
     ["bounded-monoid", "--order", "3000"],

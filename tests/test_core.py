@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from finalg.core import (
     AlgebraError,
     Apply,
+    BudgetError,
     Constant,
     DenseTable,
     EvalError,
     FiniteAlgebra,
     Identity,
-    LazyTable,
+    ProductTable,
     Signature,
     SymbolError,
     Variable,
@@ -26,7 +27,7 @@ from finalg.core import (
     unit_constants,
     validate_algebra,
 )
-from finalg import catalog, core, dsl
+from finalg import catalog, dsl
 
 from conftest import random_algebra
 
@@ -84,20 +85,10 @@ def test_dense_table_row_major_order():
     assert t.lookup((0, 1), 3) == 1
 
 
-def test_lazy_table_matches_dense():
-    fn = lambda a, b: (a * b) % 5
-    lazy = LazyTable(2, fn)
-    dense = table_from_fn(2, 5, fn)
-    for args in itertools.product(range(5), repeat=2):
-        assert lazy.lookup(args, 5) == dense.lookup(args, 5)
-    assert lazy.materialize(5).entries == dense.entries
-
-
 def test_materialize_keeps_its_block_array(monkeypatch):
     # several blocks, so the array is assembled from more than one call
-    monkeypatch.setattr(core, "_RANGE_BLOCK", 7)
-    table = LazyTable(3, lambda a, b, c: (a * 9 + b * 3 + c * 2) % 4
-                      ).materialize(4)
+    monkeypatch.setattr(catalog, "_BLOCK", 7)
+    table = catalog._table(3, 4, lambda a, b, c: (a * 9 + b * 3 + c * 2) % 4)
     arr = table.array()
     assert arr.dtype == np.int64 and not arr.flags.writeable
     assert arr.tolist() == list(table.entries)
@@ -218,49 +209,42 @@ def test_table_error_names_the_first_problem():
     # decided from the arity alone: 3^10000000 is never built
     assert table_error("f", DenseTable(10 ** 7, (0,)), 10 ** 7, 3) == (
         "symbol 'f': table length 1 != 3^10000000")
-    lazy = LazyTable(1, lambda a: a + 9)
-    assert table_error("f", lazy, 1, 2) == (
-        "symbol 'f': entry 9 out of range at flat index 0")
-    assert table_error("f", lazy, 2, 2) == (
-        "symbol 'f': table arity 1 != declared 2")
-
-
-def test_lazy_tables_are_range_checked_within_the_budget(monkeypatch):
-    # theta(a, b, c) = a, except 47 where a = 7, b = 3 and c >= 11: the
-    # first out-of-range value is at flat index 7*40^2 + 3*40 + 11
-    monkeypatch.setattr(core, "_RANGE_BLOCK", 1000)
-    seen = []
-
-    def fn(a, b, c):
-        seen.append(np.size(a))
-        return a + (a == 7) * (b == 3) * (c >= 11) * 40
-
-    lazy = LazyTable(3, fn)
-    want = "symbol 'theta': entry 47 out of range at flat index 11331"
-    assert table_error("theta", lazy, 3, 40) == want
-    assert table_error("theta", lazy.materialize(40), 3, 40) == want
-    alg = FiniteAlgebra("lazy40", Signature((("theta", 3),)), 40,
-                        {"theta": lazy})
-    assert validate_algebra(alg).detail == want
-    # an in-range lazy table is evaluated once at every tuple, per block
-    seen.clear()
-    assert table_error("g", LazyTable(3, lambda a, b, c: fn(a, b, c) % 40),
-                       3, 40) is None
-    assert sum(seen) == 40 ** 3 and max(seen) == 1000
-    # a constant function meets the contract by broadcasting
-    assert table_error("k", LazyTable(2, lambda a, b: -1), 2, 3) == (
-        "symbol 'k': entry -1 out of range at flat index 0")
-
-
-def test_lazy_tables_above_the_budget_are_checked_for_arity_only():
-    def never(*args):
-        raise AssertionError("evaluated above the budget")
-
-    assert 2 ** 27 > core.EXHAUSTIVE_BUDGET
-    for arity in (27, 10 ** 7):
-        assert table_error("f", LazyTable(arity, never), arity, 2) is None
-    assert table_error("f", LazyTable(2, never), 3, 2) == (
+    # a product table is checked through its factors' tables
+    good, bad = DenseTable(2, (0, 1, 1, 0)), DenseTable(2, (0, 1, 9, 0))
+    assert table_error("f", ProductTable(2, [(good, 2), (good, 2)]),
+                       2, 4) is None
+    assert table_error("f", ProductTable(2, [(good, 2), (bad, 2)]), 2, 4) == (
+        "symbol 'f': entry 9 out of range at flat index 2")
+    assert table_error("f", ProductTable(2, [(good, 2)] * 2), 2, 5) == (
+        "symbol 'f': product table on 4 elements != 5")
+    assert table_error("f", ProductTable(2, [(good, 2)] * 2), 3, 4) == (
         "symbol 'f': table arity 2 != declared 3")
+
+
+def test_product_tables_look_up_through_their_factors():
+    # the 512-element matrix algebra is the product of three projection
+    # algebras on 8 rows, and its theta is over the materialize limit
+    big = catalog.build_matrix_row_algebra(2, 2)
+    theta = big.op("theta")
+    assert isinstance(theta, ProductTable) and theta.size == 512
+    rng = random.Random(5)
+    for _ in range(200):
+        mats = [rng.randrange(512) for _ in range(3)]
+        # row i (three bits, row 0 most significant) of argument i
+        want = sum(mats[i] & (0b111 << 3 * (2 - i)) for i in range(3))
+        assert theta.lookup(mats, 512) == want
+    for read in (theta.array, lambda: theta.entries,
+                 lambda: dsl.serialize(big)):
+        with pytest.raises(BudgetError, match="512\\^3 entries"):
+            read()
+    # validation range-checks the factors' 3 * 8^3 values
+    rep = validate_algebra(big)
+    assert (rep.verdict, rep.tuples_checked) == ("pass", 3 * 8 ** 3)
+    dented = FiniteAlgebra("dented", big.signature, 512, {
+        "theta": ProductTable(3, [(DenseTable(3, [9] + [0] * 511), 8)]
+                              + list(theta.parts[1:]))})
+    assert validate_algebra(dented).detail == (
+        "symbol 'theta': entry 9 out of range at flat index 0")
 
 
 def test_structural_equality_ignores_name(z3_n2):

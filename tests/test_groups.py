@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from finalg import catalog, groups
-from finalg.core import table_from_fn
+from finalg.core import InputError, table_from_fn
 from finalg.groups import (
     GroupLawError,
     PreconditionError,
@@ -106,6 +106,14 @@ def test_solve_diagonal_on_catalog():
         for b, c in itertools.product(range(m), repeat=2):
             x = solve_diagonal(alg, b, c)
             assert theta.lookup((x,) * n + (b,), m) == c
+
+
+@pytest.mark.parametrize("b, c", [(5, 0), (0, 7), (-1, 0)])
+def test_solve_diagonal_refuses_elements_outside_the_carrier(z4_group, b, c):
+    # a lookup would raise IndexError at 5 or 7, and at -1 wrap around to
+    # a solution that the equation then refutes
+    with pytest.raises(InputError, match="outside 0..3"):
+        solve_diagonal(z4_group, b, c)
 
 
 def test_diagonal_cancellation_on_catalog():

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog, identities
+from finalg import catalog, dsl, identities
 from finalg.core import (
     AlgebraError,
     Apply,
@@ -17,7 +19,6 @@ from finalg.core import (
     DenseTable,
     Identity,
     InputError,
-    LazyTable,
     Signature,
     SymbolError,
     Variable,
@@ -32,6 +33,7 @@ from finalg.groups import (
     to_enriched,
 )
 from finalg.identities import (
+    ASSOCIATIVITY,
     GROUP_LAWS,
     LATTICE_LAWS,
     MONOID_LAWS,
@@ -249,18 +251,6 @@ def test_exhaustive_counterexample_is_lex_first(bool2):
             assert rep.counterexample == expected
 
 
-def test_numpy_and_python_paths_agree():
-    # Map(A^2, A) on a 2-element base: 16 elements, 16^5 tuples; the same
-    # algebra behind Python LazyTable functions gives the same reports
-    alg = catalog.build_map_composition_algebra(2, 2)
-    ident = identity_2assoc(2)
-    fast = check_identity(alg, ident)
-    slow = check_identity(_lazy_view(alg), ident)
-    assert fast.verdict == slow.verdict == "pass"
-    assert fast.to_dict() == slow.to_dict()
-    assert fast.tuples_checked == 16 ** 5
-
-
 def test_budget_refusal_and_sampled_fallback(z3_n2):
     ident = identity_2assoc(2)
     with pytest.raises(BudgetError):
@@ -464,13 +454,13 @@ def test_sampled_mode_refuses_no_samples(z3_n2):
 
 # --- vectorized failures are re-confirmed with eval_term ----------------------
 
-def test_sampled_failure_eval_term_contradicts_raises():
-    # array form shifts every value, int form is the left projection
-    def two_faced(a, b):
-        return (a + 1) % 3 if isinstance(a, np.ndarray) else a
-
+def test_sampled_failure_eval_term_contradicts_raises(monkeypatch):
+    # the kernel reads an array that shifts every value, eval_term the
+    # entries of the left projection
+    theta = table_from_fn(2, 3, lambda a, b: a)
+    monkeypatch.setattr(theta, "_array", (theta.array() + 1) % 3)
     alg = FiniteAlgebra("two-faced", Signature((("theta", 2),)), 3,
-                        {"theta": LazyTable(2, two_faced)})
+                        {"theta": theta})
     a, b = Variable("a"), Variable("b")
     ident = Identity("left-projection", ("a", "b"), Apply("theta", a, b), a)
     with pytest.raises(EvalError):
@@ -506,28 +496,7 @@ def test_resolve_suite_rejects_bad_arity():
     assert suite_arity("2assoc:3") == 3
 
 
-# --- exhaustive numpy kernel: blocks, lazy tables, small checks ------------
-
-def _lazy_view(alg, names=None):
-    """alg with every table named in names (all when None) behind a
-    LazyTable whose function meets the array contract: it computes the
-    flat index and gathers the entries."""
-    def lazy(t):
-        get = catalog._gather(t.entries)
-
-        def fn(*args):
-            flat = 0
-            for a in args:
-                flat = flat * alg.size + a
-            return get(flat)
-
-        return LazyTable(t.arity, fn)
-
-    return FiniteAlgebra(alg.name, alg.signature, alg.size,
-                         {name: t if names is not None and name not in names
-                          else lazy(t) for name, t in alg.tables.items()},
-                         alg.constants)
-
+# --- exhaustive numpy kernel: blocks and small checks ------------------------
 
 def _record_blocks(monkeypatch):
     """Wrap the numpy kernel's block check; returns the list of block
@@ -652,10 +621,8 @@ _PLAN_OF_CASE = {
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(2, 4), st.integers(1, 2),
-       st.sampled_from(["random", "group", "dented"]),
-       st.sampled_from([(), ("theta",), ("theta", "alpha1", "mu")]),
-       st.integers(1, 2))
-def test_folded_kernel_matches_the_oracle(seed, m, n, kind, lazy, power):
+       st.sampled_from(["random", "group", "dented"]), st.integers(1, 2))
+def test_folded_kernel_matches_the_oracle(seed, m, n, kind, power):
     # a block of m or m^2 tuples makes the prefix loop run, so the folded
     # suffix subterms are reused across many blocks
     rng = random.Random(seed)
@@ -675,8 +642,7 @@ def test_folded_kernel_matches_the_oracle(seed, m, n, kind, lazy, power):
         entries[i] = (entries[i] + 1) % m
         tables[name] = DenseTable(tables[name].arity, entries)
     sig = Signature(alg.signature.ops + (("mu", 3),), alg.signature.constants)
-    alg = _lazy_view(FiniteAlgebra(alg.name, sig, m, tables, alg.constants),
-                     lazy)
+    alg = FiniteAlgebra(alg.name, sig, m, tables, alg.constants)
     with mock.patch.object(identities, "_BLOCK", m ** power):
         for ident in _fold_identities(alg, n):
             rep = check_identity(alg, ident)
@@ -750,8 +716,10 @@ def _grp16_mu():
 
 
 @pytest.mark.parametrize("build, name, ident", [
-    pytest.param(lambda: catalog.build_group_product_algebra(
-        [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2),
+    # a copy has no factors, so the kernel checks the product's own table
+    pytest.param(lambda: dataclasses.replace(
+        catalog.build_group_product_algebra(
+            [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2)),
         "theta", identity_2assoc(2), id="grpprod4x4n2-2assoc"),
     pytest.param(_grp16_mu, "mu", identity_malcev_assoc(),
                  id="grp16n1-malcev-assoc"),
@@ -800,8 +768,8 @@ def _sum_identity(k):
 ])
 @pytest.mark.parametrize("dent", [None, 0, -1])
 def test_dispatch_at_the_numpy_threshold(m, k, dent):
-    # both sides of the old threshold, on dense and on lazy tables, run on
-    # the one numpy kernel and give the oracle's reports
+    # both sides of the old threshold run on the one numpy kernel and
+    # give the oracle's reports
     entries = [(a + b) % m for a in range(m) for b in range(m)]
     if dent is not None:
         i = dent % m * m  # change f(0, 0) or f(m-1, 0)
@@ -810,9 +778,7 @@ def test_dispatch_at_the_numpy_threshold(m, k, dent):
                         {"f": DenseTable(2, tuple(entries))}, {"e": 0})
     ident = _sum_identity(k)
     rep = check_identity(alg, ident)
-    lazy = check_identity(_lazy_view(alg), ident)
-    assert (rep.engine, lazy.engine) == ("np", "np")
-    assert rep.to_dict() == lazy.to_dict()
+    assert rep.engine == "np"
     assert rep.counterexample == brute_first_counterexample(alg, ident)
     assert rep.ok == (dent is None)
     if dent is None:
@@ -911,7 +877,7 @@ def test_structures_are_validated_beyond_the_exhaustive_budget():
 
 # --- derived terms materialized by term_table ----------------------------------
 
-_FORCED_LAZY = [
+_CATALOG_THETAS = [
     lambda: catalog.build_diagonal_retraction_algebra(2, 2),
     lambda: catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1),
     lambda: catalog.build_map_composition_algebra(2, 1),
@@ -942,18 +908,17 @@ def _derived_terms(alg, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 2),
-       st.booleans(), st.sampled_from([None] + list(range(len(_FORCED_LAZY)))))
-def test_term_table_matches_eval_term(seed, m, n, shared_unit, lazy):
-    if lazy is None:
+       st.booleans(),
+       st.sampled_from([None] + list(range(len(_CATALOG_THETAS)))))
+def test_term_table_matches_eval_term(seed, m, n, shared_unit, built):
+    if built is None:
         alg = random_algebra(random.Random(seed), m, n, shared_unit)
     else:
-        with mock.patch.object(catalog, "DENSE_TABLE_CAP", 0):
-            alg = _FORCED_LAZY[lazy]()
-        assert isinstance(alg.op("theta"), LazyTable)
+        alg = _CATALOG_THETAS[built]()
         m, n = alg.size, alg.op("theta").arity - 1
     terms = _derived_terms(alg, n)
     # the theta-only algebras fit the product term alone
-    assert len(terms) == (1 if lazy in (1, 2) else 5)
+    assert len(terms) == (1 if built in (1, 2) else 5)
     for term, variables in terms:
         want = table_from_fn(len(variables), m, lambda *xs: eval_term(
             alg, term, dict(zip(variables, xs))))
@@ -963,3 +928,89 @@ def test_term_table_matches_eval_term(seed, m, n, shared_unit, lazy):
 def test_term_table_refuses_an_unbound_variable(bool2):
     with pytest.raises(EvalError, match=r"unbound variables \['b'\]"):
         term_table(bool2, term_product(2), ("a",))
+
+
+# --- products decided through their factors ----------------------------------
+
+def _random_ops(rng, ops, m, constants=()):
+    """An algebra of random tables for ops, with constants that are 0."""
+    tables = {name: DenseTable(arity, [rng.randrange(m)
+                                       for _ in range(m ** arity)])
+              for name, arity in ops}
+    return FiniteAlgebra(f"rand{m}", Signature(ops, constants), m, tables,
+                         dict.fromkeys(constants, 0))
+
+
+def _random_factor(rng, kind, n, m):
+    """A factor of m elements over the operations of kind: theta/(n+1)
+    (a projection or random theta), prod and e (a cyclic group or monoid,
+    or a random operation), or join and meet (a chain, or random
+    operations)."""
+    pick = rng.randrange(4)  # half of the factors are random
+    if kind == "theta":
+        if pick < 2:
+            i = rng.randint(1, n + 1)
+            return catalog.build_projection_algebra(m, n, i)
+        return _random_ops(rng, (("theta", n + 1),), m)
+    if kind == "prod":
+        if pick < 2:
+            return (catalog.cyclic_group, catalog.cyclic_monoid)[pick](m)
+        return _random_ops(rng, (("prod", 2),), m, ("e",))
+    if pick < 2:
+        return catalog.chain_lattice(m)
+    return _random_ops(rng, (("join", 2), ("meet", 2)), m)
+
+
+def _factor_identities(kind, n):
+    if kind == "theta":
+        return [identity_2assoc(n)] + identities_1assoc(n)
+    return [ASSOCIATIVITY] if kind == "prod" else list(LATTICE_LAWS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["theta", "prod", "lattice"]),
+       st.integers(1, 2), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.booleans())
+def test_products_are_decided_through_their_factors(seed, kind, n, sizes,
+                                                    nested):
+    # up to 4^5 tuples for the brute-force oracle at n = 2, 8^3 otherwise
+    cap = 4 if kind == "theta" and n == 2 else 8
+    while math.prod(sizes) > cap:
+        sizes = sizes[:-1]
+    rng = random.Random(seed)
+    factors = [_random_factor(rng, kind, n, m) for m in sizes]
+    if nested and len(factors) > 1:
+        factors = [catalog._product("inner", factors[:2])] + factors[2:]
+    prod = catalog._product("P", factors)
+    plain = dataclasses.replace(prod)  # the same tables, no factors
+    for ident in _factor_identities(kind, n):
+        rep = check_identity(prod, ident)
+        kernel = check_identity(plain, ident)
+        assert (rep.engine, kernel.engine) == ("product", "np")
+        cx = brute_first_counterexample(plain, ident)
+        assert rep.counterexample == kernel.counterexample == cx, ident.name
+        assert rep.verdict == kernel.verdict == ("pass" if cx is None
+                                                 else "fail")
+        assert rep.tuples_checked == sum(
+            check_identity(f, ident).tuples_checked for f in factors)
+
+
+@pytest.mark.parametrize("copy", [
+    lambda alg: FiniteAlgebra(alg.name, alg.signature, alg.size,
+                              dict(alg.tables), dict(alg.constants)),
+    lambda alg: dataclasses.replace(alg, tables=dict(alg.tables)),
+    lambda alg: dsl.parse_algebra(dsl.serialize(alg)),
+], ids=["constructor", "replace", "round-trip"])
+def test_factors_never_vouch_for_an_edited_table(copy):
+    prod = catalog.build_matrix_row_algebra(2, 1)
+    ident = identity_2assoc(1)
+    alg = copy(prod)
+    assert prod.factors and alg.factors == ()
+    assert alg == prod
+    entries = list(alg.op("theta").entries)
+    entries[37] = (entries[37] + 1) % alg.size
+    alg.tables["theta"] = DenseTable(2, entries)
+    rep = check_identity(alg, ident)
+    assert (rep.verdict, rep.engine) == ("fail", "np")
+    assert rep.counterexample == brute_first_counterexample(alg, ident)
+    assert alg != prod and check_identity(prod, ident).ok

@@ -11,7 +11,7 @@ from finalg.core import (
     BudgetError,
     Constant,
     DenseTable,
-    LazyTable,
+    InputError,
     Signature,
     Variable,
     standard_signature,
@@ -461,9 +461,12 @@ def test_search_rejects_pins_outside_carrier(size, tables, consts):
         search(spec)
 
 
-def test_search_rejects_a_lazy_pin():
-    sig = standard_signature(1, shared_unit=True)
-    spec = SearchSpec("lazy", 2, sig, (identity_2assoc(1),),
-                      pinned_tables={"theta": LazyTable(2, max)})
-    with pytest.raises(AlgebraError, match="pinned table 'theta'"):
+def test_search_rejects_a_product_pin():
+    # a lookup-only product table has no entries to pin
+    theta = catalog.build_matrix_row_algebra(2, 2).op("theta")
+    sig = Signature((("theta", 3),))
+    spec = SearchSpec("product", 2, sig, (identity_2assoc(2),),
+                      pinned_tables={"theta": theta})
+    with pytest.raises(InputError, match="pinned table 'theta' is a "
+                                         "ProductTable"):
         search(spec)
