@@ -57,8 +57,10 @@ def _table(arity, m, fn) -> DenseTable:
     arrays of one length, the argument tuples of a block of at most
     _BLOCK in flat order, it returns the int64 array of its values (or
     one int for all of them) and writes none of its arguments.  The
-    blocks are written into one int64 array, which becomes the table's
-    array()."""
+    arguments are the base-m digits of the flat indices, taken by
+    arithmetic, so any arity works (numpy refuses arrays of more than 64
+    dimensions, and a one-element carrier admits any arity).  The blocks
+    are written into one int64 array, which becomes the table's array()."""
     import numpy as np
 
     require_materializable(m, arity)
@@ -66,8 +68,11 @@ def _table(arity, m, fn) -> DenseTable:
     out = np.empty(total, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         flat = np.arange(start, min(start + _BLOCK, total))
-        args = np.unravel_index(flat, (m,) * arity)
-        out[start:start + flat.size] = fn(*args)
+        args, rest = [], flat
+        for _ in range(arity - 1):
+            rest, digit = np.divmod(rest, m)
+            args.append(digit)
+        out[start:start + flat.size] = fn(rest, *reversed(args))
     return DenseTable.of_array(arity, out)
 
 
@@ -238,11 +243,12 @@ def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
     _at_least_1("entry set size", q)
     _at_least_1("n", n)
     d = n + 1
-    m = q ** (d * d)
-    if m > MATRIX_CARRIER_CAP:
-        raise BudgetError(
-            f"matrix carrier {q}^{d * d} = {m} exceeds cap {MATRIX_CARRIER_CAP}"
-        )
+    # q >= 2 and d^2 >= bits give q^(d^2) >= 2^bits > cap, as q > cap
+    # does, so the power is built only when it is small
+    cap = MATRIX_CARRIER_CAP
+    if q > 1 and (d * d >= cap.bit_length() or q > cap
+                  or q ** (d * d) > cap):
+        raise BudgetError(f"matrix carrier {q}^{d * d} exceeds cap {cap}")
     return _product(f"MatRows-q{q}-n{n}", [
         build_projection_algebra(q ** d, n, i) for i in range(1, d + 1)])
 

@@ -11,9 +11,19 @@ those of a loop of rng.randrange(m) calls; they are drawn in batches from
 that unchanged MT19937 stream and checked through numpy.  Every failure a
 vectorized path reports is re-confirmed with eval_term first.
 
-Both modes run one numpy kernel, the partial evaluator _fold, which
-evaluates a term on arrays of assignments (CheckReport.engine is "np" or
-"sampled").  An exhaustive check of a product that records its factors
+Both modes run one numpy kernel (CheckReport.engine is "np" or
+"sampled"), a partial evaluator in two steps.  _plan turns each side of
+an identity into a table-free plan for one carrier size m and one block
+layout: which variables are flat grid rows, which are mesh axes and
+which are bound per block or per batch.  A check binds the plans to its
+algebra's table arrays and constants, so a subterm that reads only known
+variables is evaluated at once, to an int or an array, and the rest
+becomes a closure that each block calls.  Plans are kept in a bounded
+cache keyed by the identity object, m and the layout (_planned), and the
+builders below return the same identity objects on repeated calls, so a
+law checked on many algebras is planned once; whether an identity fits
+a signature is likewise decided once per signature (_require_fit).  An
+exhaustive check of a product that records its factors
 (catalog._product) runs the kernel on each factor instead, since an
 identity holds in a product iff it holds in every factor, and places the
 first counterexample from theirs (engine "product", _check_product).
@@ -21,26 +31,27 @@ The exhaustive check loops over a lexicographic prefix of
 the variables and evaluates each prefix's block of suffix tuples at once;
 a block holds at most _BLOCK tuples (at least one whole variable), so its
 temporaries stay cache-sized and a failure near the start of the tuple
-order ends the check early.  Each side is folded once per check with the
-suffix values known: a subterm that reads no prefix variable is evaluated
-once, and the rest becomes a closure that each block calls with its
-prefix.  An identity with no variables is one block of one tuple.
+order ends the check early.  An identity with no variables is one block
+of one tuple.
 
 A check without a prefix loop (one block, as every small check is) reads
-its suffix as flat grid rows (_grid), and so do the sampled check and
-term_table: every value is one array of the block's length, and a table
-application is a flat index and one gather.  Under a prefix loop the
-suffix variables are the axes of an open mesh (_mesh): axis i is range(m)
-shaped (1, ..., m, ..., 1), and a term's values span only the axes of the
-variables it reads.  An application that reads a prefix variable gets a
-plan when it is folded (_plan): the arguments that read no suffix
-variable select a sub-table of the table's m x ... x m view by basic
-indexing, a view with no add and no gather; then one argument that reads
-several axes is one gather into that view, and arguments that read one
-axis each, in increasing axis order, are takes of rows along their axes
-(an argument that is its axis's own variable needs none).  Any other
-application keeps the flat index.  The sides compare by broadcasting, and
-a block's first failure is placed in the lex order of the whole block.
+its suffix as flat grid rows (_grid), and so does term_table; a sampled
+check binds every variable per batch.  A table application is then one
+flat index and one gather, and its plan holds the sum of its variable
+arguments' shares of that index (each grid row times its stride), so
+theta(a1, a2, theta(b1, b2, c)) is two gathers and one add.  Under a
+prefix loop the suffix variables are the axes of an open mesh (_mesh):
+axis i is range(m) shaped (1, ..., m, ..., 1), and a term's values span
+only the axes of the variables it reads.  An application that reads a
+prefix variable is planned by _slicing: the arguments that read no
+suffix variable select a sub-table of the table's m x ... x m view by
+basic indexing, a view with no add and no gather; then one argument that
+reads several axes is one gather into that view, and arguments that read
+one axis each, in increasing axis order, are takes of rows along their
+axes (an argument that is its axis's own variable needs none).  Any
+other application keeps the flat index.  The sides compare by
+broadcasting, and a block's first failure is placed in the lex order of
+the whole block.
 """
 from __future__ import annotations
 
@@ -48,6 +59,7 @@ import functools
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 
 from . import dsl
@@ -76,6 +88,8 @@ from .core import (
 
 _BLOCK = 1 << 14
 _GRIDS = 16  # suffix grids and meshes kept, per (m, variables in a block)
+_PLANS = 256  # planned identities kept, and identity/signature fits
+_PLAN_BYTES = 1 << 23  # bound on the arrays the kept plans hold
 _BATCH = 1 << 16
 
 
@@ -105,7 +119,7 @@ def check_identity(
     identity that does not fit alg's signature, an unknown mode or
     samples < 1 is an InputError.
     """
-    check_identity_terms(alg.signature, ident, alg.name)
+    _require_fit(alg, ident)
     variables = ident.variables
     m = alg.size
     k = len(variables)
@@ -129,62 +143,84 @@ def check_identity(
     return report
 
 
-def _fold(alg, t, known):
-    """Evaluate t elementwise as far as known allows; known maps variables
-    to ints or int64 arrays: flat arrays all of one length, or the axes of
-    an open mesh (see the module docstring).
+def _plan(t, m, known, axis):
+    """The table-free plan of term t over carrier size m: a function
+    bind(alg) that reads alg's tables and constants and evaluates t
+    elementwise as far as known allows.  known maps variables to int64
+    arrays, flat arrays all of one length or the axes of an open mesh (see
+    the module docstring); axis maps each mesh variable to its axis, and
+    is empty for flat arrays.
 
-    A subterm that reads only known variables is evaluated now, to an int
-    or an array: constants and subterms that read no array stay ints and
-    broadcast against the arrays.  Any other subterm becomes a closure
-    that takes a dict of the other variables' values and evaluates the
-    rest; it holds its table's array, so a call repeats no dispatch.
-    Such a late subterm arises only under a prefix loop, so an
-    application with a late argument reads a sub-table by its plan
-    (_sliced), or else adds the late arguments' digits to its flat index.
-    Returns the value, or the closure (the only callable result)."""
+    bind returns t's value when t reads only known variables, an int or
+    an array: constants and subterms that read no array stay ints and
+    broadcast against the arrays.  Otherwise it returns a closure that
+    takes a dict of the other variables' values and evaluates the rest; it
+    holds its tables' arrays, so a call repeats no dispatch.  The plan
+    holds what depends on t, m and the layout alone: each known variable
+    argument's share of its application's flat index, summed once, and
+    the slicing of an application that reads a late variable under a
+    prefix loop (_slicing).  It holds no table and no constant value, so
+    one plan serves every algebra on m elements."""
     import numpy as np
 
     if isinstance(t, Variable):
         name = t.name
-        return known[name] if name in known else lambda env: env[name]
+        if name in known:
+            value = known[name].copy()  # keeps a row, not the grid it views
+            return lambda alg: value
+        return lambda alg: lambda env: env[name]
     if isinstance(t, Constant):
-        return alg.constant(t.name)
-    tbl = alg.op(t.op)
-    # fold each known argument into the flat index as soon as it is
-    # evaluated, so at most two argument-sized arrays are alive; a late
-    # argument adds a zero digit here and its value times its stride later
-    m, r = alg.size, len(t.args)
-    flat, late = None, []
+        name = t.name
+        return lambda alg: int(alg.constant(name))
+    op, r = t.op, len(t.args)
+    if axis and term_variables(t) - known.keys():
+        sliced = _sliced_plan(t, m, known, axis)
+        if sliced is not None:
+            return sliced
+    # the known variable arguments' shares of the flat index are summed
+    # now; every other argument adds its value times its stride when bound
+    base, parts = None, []
     for i, a in enumerate(t.args):
-        v = _fold(alg, a, known)
-        if callable(v):
-            late.append((v, m ** (r - 1 - i)))
-            v = 0
-        flat = v if flat is None else flat * m + v
-    arr = tbl.array()
-    if not late:
-        out = arr[flat]
+        stride = m ** (r - 1 - i)
+        if isinstance(a, Variable) and a.name in known:
+            share = known[a.name] * stride
+            base = share if base is None else base + share
+        else:
+            parts.append((_plan(a, m, known, axis), stride))
+
+    def bind(alg):
+        arr = alg.op(op).array()
+        index, calls = base, []
+        for sub, stride in parts:
+            v = sub(alg)
+            if callable(v):
+                calls.append((v, stride))
+                continue
+            if stride > 1:
+                v = v * stride
+            index = v if index is None else index + v
+        if calls:
+            index = 0 if index is None else index
+
+            def apply(env):
+                flat = index
+                for f, s in calls:
+                    flat = flat + f(env) * s
+                return arr[flat]
+
+            return apply
+        out = arr[index]
         return out if isinstance(out, np.ndarray) else int(out)
-    sliced = _sliced(alg, t, known, [f for f, _ in late])
-    if sliced is not None:
-        return sliced
 
-    def apply(env):
-        offset = 0
-        for f, s in late:
-            offset = offset + f(env) * s
-        return arr[flat + offset]
-
-    return apply
+    return bind
 
 
-def _plan(axes):
+def _slicing(axes):
     """How a late dense application reads its table, from the mesh axes
     each argument reads (a sorted tuple; empty for a scalar): "take" when
     every argument that reads an axis reads one, each a later axis than
     the one before, "gather" when one argument reads several, and None
-    (the flat index) for any other shape.  Either plan needs the scalars
+    (the flat index) for any other shape.  Either way needs the scalars
     to lead."""
     lead = 0
     while lead < len(axes) and not axes[lead]:
@@ -196,53 +232,58 @@ def _plan(axes):
     return "gather" if len(rest) == 1 else None
 
 
-def _sliced(alg, t, known, late):
-    """The block closure of the late dense application t under its plan
-    (see _plan), or None for the flat index.  late holds the closures of
-    t's late arguments in order; a late argument arises only under a
-    prefix loop, where known holds the open mesh (see _mesh), one axis
-    per suffix variable."""
-    import numpy as np
-
-    m, r = alg.size, len(t.args)
-    axis = {name: np.shape(v).index(m) for name, v in known.items()}
+def _sliced_plan(t, m, known, axis):
+    """The plan of the late dense application t under a prefix loop when
+    _slicing gives it one, or None for the flat index.  Bound, it is a
+    closure that selects a sub-table by the leading scalar arguments, then
+    gathers or takes the rest (see the module docstring)."""
+    r = len(t.args)
     reads = [term_variables(a) for a in t.args]
     axes = [tuple(sorted(axis[x] for x in v if x in axis)) for v in reads]
-    plan = _plan(axes)
-    if plan is None:
+    slicing = _slicing(axes)
+    if slicing is None:
         return None
-    # the loop in _fold folded the known arguments into its flat index;
-    # fold them again on their own, once per check
-    late = iter(late)
-    args = [next(late) if v - axis.keys() else _fold(alg, a, known)
-            for a, v in zip(t.args, reads)]
+    op = t.op
+    args = [_plan(a, m, known, axis) for a in t.args]
     lead = sum(not ax for ax in axes)
-    scalars = [_closure(v) for v in args[:lead]]
-    table = alg.op(t.op).array().reshape((m,) * r)
-    if plan == "gather":
-        index = _closure(args[-1])
-        return lambda env: table[tuple([f(env) for f in scalars])][index(env)]
+    if slicing == "gather":
+        def bind(alg):
+            table = alg.op(op).array().reshape((m,) * r)
+            scalars = [_closure(arg(alg)) for arg in args[:-1]]
+            index = _closure(args[-1](alg))
+            return lambda env: table[tuple([f(env) for f in scalars])][
+                index(env)]
+
+        return bind
     # the sub-table is a view with each argument's axis in place; an
     # argument that is not its axis's own variable takes its rows
     used = {ax for ax, in axes[lead:]}
     layout = tuple(slice(None) if i in used else None
-                   for i in range(len(known))) if used else ()
-    takes = [(_flat_closure(v), ax) for a, v, (ax,) in
-             zip(t.args[lead:], args[lead:], axes[lead:])
+                   for i in range(len(axis))) if used else ()
+    takes = [(i, ax) for i, (a, (ax,)) in
+             enumerate(zip(t.args[lead:], axes[lead:]), start=lead)
              if not (isinstance(a, Variable) and a.name in known)]
 
-    def apply(env):
-        sub = table[tuple([f(env) for f in scalars]) + layout]
-        for f, ax in takes:
-            sub = sub.take(f(env), axis=ax)
-        return sub
+    def bind(alg):
+        table = alg.op(op).array().reshape((m,) * r)
+        values = [arg(alg) for arg in args]
+        scalars = [_closure(v) for v in values[:lead]]
+        rows = [(_flat_closure(values[i]), ax) for i, ax in takes]
 
-    return apply
+        def apply(env):
+            sub = table[tuple([f(env) for f in scalars]) + layout]
+            for f, ax in rows:
+                sub = sub.take(f(env), axis=ax)
+            return sub
+
+        return apply
+
+    return bind
 
 
 def _flat_closure(v):
-    """A value or closure of _fold, as a closure of its values raveled to
-    one dimension."""
+    """A value or closure of a bound plan, as a closure of its values
+    raveled to one dimension."""
     if callable(v):
         return lambda env: v(env).ravel()
     flat = v.ravel()
@@ -276,10 +317,14 @@ def _confirmed_fail(alg, ident, tup, checked, seed=None):
 @functools.lru_cache(maxsize=_GRIDS)
 def _grid(m, inner):
     """The m^inner tuples over range(m) in lex order, as a read-only
-    (inner, m^inner) int64 array."""
+    (inner, m^inner) int64 array.  Row i repeats each digit m^(inner-1-i)
+    times in turn, so no array has more than three dimensions (numpy
+    refuses more than 64, and a one-element carrier admits any inner)."""
     import numpy as np
 
-    grid = np.indices((m,) * inner).reshape(inner, m ** inner)
+    grid = np.empty((inner, m ** inner), dtype=np.int64)
+    for i, row in enumerate(grid):
+        row.reshape(m ** i, m, -1)[...] = np.arange(m)[:, None]
     grid.setflags(write=False)
     return grid
 
@@ -308,9 +353,95 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
     if unbound:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, k = alg.size, len(variables)
-    values = _fold(alg, term, dict(zip(variables, _grid(m, k))))
+    values = _plan(term, m, dict(zip(variables, _grid(m, k))), {})(alg)
     return DenseTable.of_array(
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
+
+
+class _Kept:
+    """A cache of the values used last: at most count of them, whose
+    weights sum to at most weight.  A dict keeps insertion order, so a
+    hit moves its key to the end, and a miss drops keys from the front
+    until the new value fits; a value heavier than weight alone is not
+    kept.  A lock makes each lookup atomic, so threads may share it."""
+
+    def __init__(self, count, weight=math.inf):
+        self.count, self.weight = count, weight
+        self.entries, self.total = {}, 0  # key -> (weight, value)
+        self.lock = threading.Lock()
+
+    def get(self, key, build):
+        """The value of key, from build() -> (weight, value) on a miss."""
+        with self.lock:
+            entries = self.entries
+            entry = entries.pop(key, None)
+            if entry is None:
+                entry = build()
+                if entry[0] > self.weight:
+                    return entry[1]
+                while entries and (len(entries) >= self.count
+                                   or self.total + entry[0] > self.weight):
+                    self.total -= entries.pop(next(iter(entries)))[0]
+                self.total += entry[0]
+            entries[key] = entry
+            return entry[1]
+
+
+# (id(identity), m, inner) -> (identity, lhs plan, rhs plan), weighed by
+# the bytes its arrays may hold; (signature, id(identity)) -> identity,
+# once it fits.  Each entry keeps its identity alive, so no other
+# identity takes its id while it is kept
+_plans = _Kept(_PLANS, _PLAN_BYTES)
+_fits = _Kept(_PLANS)
+
+
+def _planned(ident, m, inner):
+    """The plans of ident's sides (see _plan) for carrier size m when its
+    last inner variables are known, from the bounded cache _plans: flat
+    grid rows when inner covers every variable, the axes of an open mesh
+    under a prefix loop, and none in a sampled check (inner 0), where
+    every variable is bound per batch."""
+    return _plans.get((id(ident), m, inner),
+                      lambda: _plan_sides(ident, m, inner))[1:]
+
+
+def _plan_sides(ident, m, inner):
+    """(bytes, (ident, lhs plan, rhs plan)) for _planned.  A plan holds at
+    most one array of a block's m^inner values per table application and
+    per side that is a bare variable, which bounds its bytes."""
+    variables = ident.variables
+    outer = len(variables) - inner
+    mesh = bool(outer and inner)
+    suffix = variables[outer:]
+    known = dict(zip(suffix, _mesh(m, inner) if mesh else _grid(m, inner)))
+    axis = {x: i for i, x in enumerate(suffix)} if mesh else {}
+    sides = (ident.lhs, ident.rhs)
+    arrays = 2 + sum(map(_applications, sides))
+    return 8 * m ** inner * arrays, (ident, *(_plan(side, m, known, axis)
+                                              for side in sides))
+
+
+def _applications(t):
+    """The number of table applications in term t."""
+    return 1 + sum(map(_applications, t.args)) if isinstance(t, Apply) else 0
+
+
+def _require_fit(alg, ident):
+    """check_identity_terms on alg's signature, decided once per signature
+    and identity: a fit is kept, and a misfit raises its message every
+    time."""
+    sig = alg.signature
+    _fits.get((sig, id(ident)), lambda: (
+        0, check_identity_terms(sig, ident, alg.name) or ident))
+
+
+def _digits(j, shape):
+    """The digits of j in the mixed radix shape, most significant first."""
+    out = []
+    for size in reversed(shape):
+        j, d = divmod(j, size)
+        out.append(d)
+    return out[::-1]
 
 
 def _check_exhaustive_np(alg, ident, total):
@@ -325,14 +456,11 @@ def _check_exhaustive_np(alg, ident, total):
     while inner > 1 and m ** inner > _BLOCK:
         inner -= 1
     outer = k - inner
-    # fold what reads only the suffix once; each block calls what is left.
-    # Under a prefix loop the suffix variables are the axes of an open
-    # mesh, so the values of a term span only the axes it reads; one
-    # block reads flat grid rows
-    known = dict(zip(variables[outer:],
-                     _mesh(m, inner) if outer else _grid(m, inner)))
-    lhs, rhs = (_closure(_fold(alg, side, known))
-                for side in (ident.lhs, ident.rhs))
+    # bind the planned sides: what reads only the suffix is evaluated
+    # now, and each block calls what is left.  Under a prefix loop the
+    # suffix variables are the axes of an open mesh, so the values of a
+    # term span only the axes it reads; one block reads flat grid rows
+    lhs, rhs = (_closure(plan(alg)) for plan in _planned(ident, m, inner))
     block, size = (m,) * inner, m ** inner
     checked = 0
     for prefix in itertools.product(range(m), repeat=outer):
@@ -344,9 +472,9 @@ def _check_exhaustive_np(alg, ident, total):
                 # sides that miss a mesh axis compare with size 1 on it,
                 # where the first failure has a 0
                 shape = np.broadcast(left, right).shape or block
-                j = int(np.ravel_multi_index(np.unravel_index(j, shape), block))
-            suffix = np.unravel_index(j, block)
-            tup = prefix + tuple(int(x) for x in suffix)
+                j = functools.reduce(lambda acc, d: acc * m + d,
+                                     _digits(j, shape), 0)
+            tup = prefix + tuple(_digits(j, block))
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
         checked += size
     return CheckReport("pass", ident.name, tuples_checked=total)
@@ -394,7 +522,7 @@ def _check_product(alg, ident, budget):
 
 
 def _closure(folded):
-    """A result of _fold as a closure: a value becomes one that ignores
+    """A bound plan's result as a closure: a value becomes one that ignores
     its env."""
     return folded if callable(folded) else lambda env: folded
 
@@ -438,11 +566,12 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
 
 def _check_sampled(alg, ident, samples, seed):
     variables = ident.variables
+    lhs, rhs = (_closure(plan(alg)) for plan in _planned(ident, alg.size, 0))
     rng = random.Random(seed)  # MT19937
     checked = 0
     for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
         env = dict(zip(variables, cols))
-        j = _first_bad(_fold(alg, ident.lhs, env), _fold(alg, ident.rhs, env))
+        j = _first_bad(lhs(env), rhs(env))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])
             return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)
@@ -511,6 +640,7 @@ def suite_semiabelian(n: int, units=None) -> IdentitySuite:
     return IdentitySuite(f"semiabelian:{n}", n, tuple(ids))
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def identity_2assoc(n: int, op: str = "theta") -> Identity:
     """theta(a*, theta(b*, c)) = theta(theta(a*,b1), ..., theta(a*,bn), c)."""
     avs = _avars(n, "a")
@@ -536,13 +666,18 @@ def identities_1assoc(n: int) -> list:
     For n=1 this is exactly ordinary associativity, term-for-term the same
     equation as identity_2assoc(1).
     """
+    return list(_identities_1assoc(n))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _identities_1assoc(n):
     leaves = _avars(n, "a") + _avars(n, "b") + [Variable("c")]
     variables = tuple(t.name for t in leaves)
     base = _grouped(leaves, n + 1, n)
-    return [
+    return tuple(
         Identity(f"1assoc:{n}:pos{j}", variables, base, _grouped(leaves, j, n))
         for j in range(1, n + 1)
-    ]
+    )
 
 
 def suite_1assoc(n: int) -> IdentitySuite:
@@ -555,16 +690,21 @@ def suite_2assoc(n: int) -> IdentitySuite:
 
 def identities_strict(n: int) -> list:
     """alpha_i(theta(a1..an, b), b) = a_i for each i."""
+    return list(_identities_strict(n))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _identities_strict(n):
     avs = _avars(n, "a")
     b = Variable("b")
     variables = tuple(v.name for v in avs) + ("b",)
-    return [
+    return tuple(
         Identity(
             f"strict:{n}:alpha{i}", variables,
             Apply(f"alpha{i}", _theta(*avs, b), b), avs[i - 1],
         )
         for i in range(1, n + 1)
-    ]
+    )
 
 
 def suite_strict(n: int) -> IdentitySuite:
@@ -573,7 +713,15 @@ def suite_strict(n: int) -> IdentitySuite:
 
 def identity_unit_law(n: int, units=None) -> Identity:
     """theta(e1, ..., en, a) = a (a consequence of the protomodular axioms)."""
-    units = default_units(n) if units is None else tuple(units)
+    return _identity_unit_law(n, _unit_names(n, units))
+
+
+def _unit_names(n, units):
+    return default_units(n) if units is None else tuple(units)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _identity_unit_law(n, units):
     a = Variable("a")
     return Identity(
         f"unit-law:{n}", ("a",),
@@ -584,7 +732,11 @@ def identity_unit_law(n: int, units=None) -> Identity:
 def identity_unit_expansion(n: int, units=None) -> Identity:
     """theta(a*, b) = theta(theta(a*,e1), ..., theta(a*,en), b);
     holds in every 2-associative algebra with the protomodular units."""
-    units = default_units(n) if units is None else tuple(units)
+    return _identity_unit_expansion(n, _unit_names(n, units))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _identity_unit_expansion(n, units):
     avs = _avars(n, "a")
     b = Variable("b")
     lhs = _theta(*avs, b)
@@ -596,17 +748,23 @@ def identity_unit_expansion(n: int, units=None) -> Identity:
 
 def identities_malcev() -> list:
     """mu(a,b,b) = a and mu(a,a,b) = b."""
+    return list(_identities_malcev())
+
+
+@functools.cache
+def _identities_malcev():
     a, b = Variable("a"), Variable("b")
-    return [
+    return (
         Identity("malcev-right", ("a", "b"), Apply("mu", a, b, b), a),
         Identity("malcev-left", ("a", "b"), Apply("mu", a, a, b), b),
-    ]
+    )
 
 
 def suite_malcev() -> IdentitySuite:
     return IdentitySuite("malcev", 1, tuple(identities_malcev()))
 
 
+@functools.cache
 def identity_malcev_assoc() -> Identity:
     """mu(a,b,mu(c,d,x)) = mu(mu(a,b,c),d,x)."""
     a, b, c, d, x = (Variable(v) for v in "abcdx")
@@ -617,6 +775,7 @@ def identity_malcev_assoc() -> Identity:
     )
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def identity_malcev_assoc_expanded(n: int) -> Identity:
     """The malcev-assoc equation with mu expanded by term_malcev."""
     a1, a2, b1, b2, c = (Variable(v) for v in ("a1", "a2", "b1", "b2", "c"))
@@ -916,12 +1075,19 @@ def suite_arity(spec: str) -> int:
 def resolve_suite(spec: str, units=None) -> IdentitySuite:
     """Resolve a 'name' or 'name:n' string to an IdentitySuite over the n
     unit-constant names units (e1..en when None).  Errors as in
-    suite_arity; fewer than n units is an InputError."""
+    suite_arity; fewer than n units is an InputError.  A repeated call
+    returns the same suite, so its identities keep their plans."""
     n = suite_arity(spec)
     if units is not None and len(units) < n:
         raise InputError(f"suite {spec!r} needs {n} unit names, "
                          f"got {len(units)}")
-    return _SUITES[spec.partition(":")[0]](n, units)
+    return _resolved_suite(spec.partition(":")[0], n,
+                           None if units is None else tuple(units))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _resolved_suite(name, n, units):
+    return _SUITES[name](n, units)
 
 
 def suite_identities(alg: FiniteAlgebra, spec: str) -> tuple:

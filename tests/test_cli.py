@@ -137,6 +137,16 @@ def test_check_budget_refusal_exit_3(tmp_path, z3_file, capsys):
     assert "^5 assignments exceed budget" in captured.err
 
 
+def test_check_one_element_carrier_with_64_variables(tmp_path, capsys):
+    # one tuple of 64 zeros: no array of more than 64 dimensions is made
+    p = tmp_path / "one.alg"
+    xs = ", ".join(f"x{i}" for i in range(1, 65))
+    p.write_text("algebra One {\n  carrier 1\n  op f/1 = [0]\n}\n"
+                 f"identity wide({xs}): f(x1) = f(x64)\n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == "IDENTITY wide PASS tuples=1\n"
+
+
 def test_check_sampled_mode(z3_file, capsys):
     assert main(["check", z3_file, "--suite", "2assoc:2", "--mode",
                  "sampled", "--samples", "300", "--seed", "5"]) == 0
@@ -252,6 +262,8 @@ def test_construct_bad_integer_option_exit_2(capsys, argv):
     # factors that build but whose product is over the limit
     ["group-product", "--orders", "2000,2", "--n", "2"],
     ["matrix-rows", "--q", "2", "--n", "2"],
+    # a carrier of 2^14641 elements, refused before the power is built
+    ["matrix-rows", "--q", "2", "--n", "120"],
     ["semigroup", "--order", "3000"],
     ["lattice", "--shape", "chain:3000"],
     ["bounded-monoid", "--order", "3000"],
@@ -317,6 +329,14 @@ def _write_construct_transcript():
 
 def test_construct_output_matches_golden_file():
     assert _construct_transcript() == _CONSTRUCT_TXT.read_text()
+
+
+def test_construct_one_element_table_of_arity_65(capsys):
+    # the one-entry table of theta/65, as --n 63 gives for theta/64
+    assert main(["construct", "projection", "--m", "1", "--n", "64",
+                 "--i", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "algebra Proj1n64i1 {\n  carrier 1\n  op theta/65 = [0]\n}\n")
 
 
 def test_construct_unwritable_out_exit_2(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -670,7 +672,7 @@ def test_every_plan_case_is_reached(monkeypatch):
     # two-axis mesh whose sides read fewer axes: one side none, or
     # neither side the second axis
     cases, shapes = set(), set()
-    real_plan, real_bad = identities._plan, identities._first_bad
+    real_plan, real_bad = identities._slicing, identities._first_bad
 
     def plan(axes):
         got = real_plan(axes)
@@ -683,8 +685,11 @@ def test_every_plan_case_is_reached(monkeypatch):
         shapes.add((np.shape(lhs), np.shape(rhs)))
         return real_bad(lhs, rhs)
 
-    monkeypatch.setattr(identities, "_plan", plan)
+    monkeypatch.setattr(identities, "_slicing", plan)
     monkeypatch.setattr(identities, "_first_bad", first_bad)
+    # an empty plan cache, so the builders' identities are planned here
+    monkeypatch.setattr(identities, "_plans", identities._Kept(
+        identities._PLANS, identities._PLAN_BYTES))
     for seed, m, n in ((1, 3, 1), (2, 3, 2)):
         alg = _oracle_algebra(seed, m, n)
         with mock.patch.object(identities, "_BLOCK", m ** 2):
@@ -697,6 +702,101 @@ def test_every_plan_case_is_reached(monkeypatch):
                     v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
     assert cases == set(_PLAN_OF_CASE)
     assert ((), (3, 3)) in shapes and ((3, 1), (3, 1)) in shapes
+
+
+def _reused_identities(n):
+    """Builder identities, each object reused by every check of a test:
+    the unit identities read constants, and semiabelian:n over e1..en
+    adds the zero-variable units-equal-i for n >= 2."""
+    return [identity_2assoc(n), *identities_1assoc(n), *identities_strict(n),
+            identity_unit_law(n), identity_unit_expansion(n),
+            *resolve_suite(f"semiabelian:{n}").identities]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 3), st.integers(1, 2),
+       st.sampled_from([None, 1, 2]))
+def test_plans_do_not_leak_between_algebras(seed, m, n, power):
+    # one plan per identity, m and layout serves algebras with different
+    # tables and unit values, checked in both orders; power moves the
+    # block size, so the plans of several layouts are reused too
+    rng = random.Random(seed)
+    algs = [random_algebra(rng, m, n) for _ in range(3)]
+    ids = _reused_identities(n)
+    assert all(a is b for a, b in zip(ids, _reused_identities(n)))
+    block = identities._BLOCK if power is None else m ** power
+    with mock.patch.object(identities, "_BLOCK", block):
+        for order in (algs, algs[::-1]):
+            for alg in order:
+                for ident in ids:
+                    rep = check_identity(alg, ident)
+                    cx = brute_first_counterexample(alg, ident)
+                    k = len(ident.variables)
+                    assert rep.counterexample == cx, ident.name
+                    assert rep.verdict == ("pass" if cx is None else "fail")
+                    assert rep.tuples_checked == (
+                        m ** k if cx is None else 1 + sum(
+                            v * m ** (k - 1 - i)
+                            for i, v in enumerate(cx.values())))
+
+
+def test_signature_fit_is_decided_per_signature():
+    # a fit is remembered per signature: the same identity object still
+    # refuses, every time and with the same message, a signature it
+    # does not fit
+    ident = identity_2assoc(2)
+    theta3 = catalog.build_semigroup_algebra(catalog.cyclic_group(3), 2, 1)
+    theta2 = catalog.build_semigroup_algebra(catalog.cyclic_group(3), 1, 1)
+    assert check_identity(theta3, ident).ok
+    for _ in range(2):
+        with pytest.raises(SymbolError) as err:
+            check_identity(theta2, ident)
+        assert str(err.value) == (
+            "identity '2assoc:2' does not fit the signature of 'Grp3n1i1': "
+            "'theta' expects 2 arguments, got 3")
+    unit_law = identity_unit_law(2)
+    assert check_identity(catalog.build_boolean_protomodular(2), unit_law).ok
+    for _ in range(2):
+        with pytest.raises(SymbolError) as err:
+            check_identity(theta3, unit_law)
+        assert str(err.value) == (
+            "identity 'unit-law:2' does not fit the signature of 'Grp3n2i1': "
+            "unknown constant 'e1'")
+
+
+def test_plan_cache_is_bounded(monkeypatch):
+    # each cyclic group checks its group laws and then associativity at
+    # its own size; with room for 16 plans, at most 16 stay alive
+    built = []
+    real = identities._plan_sides
+
+    def recording(ident, m, inner):
+        weight, sides = real(ident, m, inner)
+        built.append(weakref.ref(sides[1]))
+        return weight, sides
+
+    monkeypatch.setattr(identities, "_plan_sides", recording)
+    monkeypatch.setattr(identities, "_plans", identities._Kept(16))
+    for m in range(1, 41):
+        assert check_identity(catalog.cyclic_group(m), ASSOCIATIVITY).ok
+    gc.collect()
+    assert len(built) >= 40
+    assert sum(ref() is not None for ref in built) <= 16
+
+
+def test_kept_values_are_bounded_by_count_and_weight():
+    kept = identities._Kept(3, weight=10)
+    for key, weight in enumerate((4, 4, 1, 1)):
+        assert kept.get(key, lambda: (weight, f"v{key}")) == f"v{key}"
+    # 4 + 4 + 1 + 1 is over the weight: key 0 went first
+    assert list(kept.entries) == [1, 2, 3] and kept.total == 6
+    # a hit moves its key to the end, so key 2 is dropped before it
+    assert kept.get(1, lambda: pytest.fail("rebuilt a kept value")) == "v1"
+    kept.get(4, lambda: (1, "v4"))
+    assert list(kept.entries) == [3, 1, 4] and kept.total == 6
+    # a value heavier than the whole weight is returned, not kept
+    assert kept.get(5, lambda: (11, "v5")) == "v5"
+    assert list(kept.entries) == [3, 1, 4]
 
 
 def _dented_table(alg, name, index):
