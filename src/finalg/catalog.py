@@ -6,17 +6,19 @@ algebras, the alpha-builder for surjective sections, and strict semiloops.
 The monoids, groups and lattices they start from are FiniteAlgebras too,
 named MonoidSpec, GroupSpec and LatticeSpec and checked law by law
 (monoid, lattice).  Every table is built by _table from a function
-evaluated on whole int64 arrays, and one over the materialize limit is
-refused with BudgetError.  Products of algebras (product_lattice,
-build_group_product_algebra, build_matrix_row_algebra) are built by
-numpy broadcasting by _product, which records their factors so that
-check_identity decides them factor by factor; a product table over the
-limit stays a lookup-only ProductTable.  All constructions produce
-validated FiniteAlgebra values ready for the identity engine.
+evaluated on whole int64 arrays.  One size rule bounds every
+construction: before anything is built, each table or array it would
+build is asked core.require_materializable, and one of more than 2^22
+entries or arguments is refused with BudgetError.  Products of algebras
+(product_lattice, build_group_product_algebra, build_matrix_row_algebra)
+are built by numpy broadcasting by _product, which records their
+factors so that check_identity decides them factor by factor; a product
+table over the limit stays a lookup-only ProductTable.  All
+constructions produce validated FiniteAlgebra values ready for the
+identity engine.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 from .core import (
@@ -43,8 +45,6 @@ from .identities import (
     require_laws,
 )
 
-MATRIX_CARRIER_CAP = 10 ** 6
-MAP_CARRIER_CAP = 10 ** 4
 _BLOCK = 1 << 16  # argument tuples per call of a table's function
 
 
@@ -141,12 +141,18 @@ def _product(name, factors) -> FiniteAlgebra:
     constants they all interpret, with factors recorded on it (see
     identities.check_identity).  The element (x1, ..., xr) is encoded in
     mixed radix, x1 most significant.  A table within the materialize
-    limit is built by numpy broadcasting: axis i*r + j of the product
-    table is argument i of factor j; one over the limit is a
-    ProductTable of the factors' tables."""
+    limit is built by numpy broadcasting over the r factors of two or
+    more elements (a one-element factor adds 0 to every entry, and r
+    times the arity is then at most 22 axes): axis i*r + j of the
+    product table is argument i of the j-th of them.  A table over the
+    limit is a ProductTable of the factors' tables."""
+    import numpy as np
+
     sizes = [f.size for f in factors]
     weights = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
-    m, r = math.prod(sizes), len(factors)
+    m = math.prod(sizes)
+    wide = [(f, w) for f, w in zip(factors, weights) if f.size > 1]
+    r = len(wide)
     first, *rest = factors
     ops = tuple(op for op in first.signature.ops
                 if all(op in f.signature.ops for f in rest))
@@ -159,11 +165,11 @@ def _product(name, factors) -> FiniteAlgebra:
                 arity, [(f.op(sym), f.size) for f in factors])
             continue
         out = 0
-        for j, (f, w) in enumerate(zip(factors, weights)):
+        for j, (f, w) in enumerate(wide):
             shape = [1] * (r * arity)
-            shape[j::r] = [sizes[j]] * arity
+            shape[j::r] = [f.size] * arity
             out = out + w * f.op(sym).array().reshape(shape)
-        tables[sym] = DenseTable.of_array(arity, out.ravel())
+        tables[sym] = DenseTable.of_array(arity, np.ravel(out))
     values = {c: sum(w * f.constant(c) for f, w in zip(factors, weights))
               for c in consts}
     alg = FiniteAlgebra(name, Signature(ops, consts), m, tables, values)
@@ -174,20 +180,27 @@ def _product(name, factors) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # constructions
 
-def _theta_only(name, m, n, fn):
-    """A theta-only algebra with the table of fn (see _table), refused
-    with BudgetError over the materialize limit.  n < 1 is an InputError:
-    theta needs at least two arguments."""
+def _require_theta(m, n):
+    """Refuse theta's table of n+1 arguments over {0..m-1} before anything
+    is built: n < 1 is an InputError (theta needs at least two arguments),
+    a table over the materialize limit a BudgetError."""
     _at_least_1("n", n)
+    require_materializable(m, n + 1, f"{n} + 1")
+
+
+def _theta_only(name, m, n, fn):
+    """A theta-only algebra with theta's table of fn (see _table)."""
+    _require_theta(m, n)
     return FiniteAlgebra(name, Signature((("theta", n + 1),)), m,
                          {"theta": _table(n + 1, m, fn)})
 
 
 def build_projection_algebra(m: int, n: int, i: int) -> FiniteAlgebra:
     """theta(a1,...,an,a_{n+1}) = a_i; 2-associative for every i."""
+    _at_least_1("carrier size", m)
+    _require_theta(m, n)
     if not 1 <= i <= n + 1:
         raise InputError(f"projection index {i} out of range 1..{n + 1}")
-    _at_least_1("carrier size", m)
     return _theta_only(f"Proj{m}n{n}i{i}", m, n, lambda *a: a[i - 1])
 
 
@@ -208,6 +221,7 @@ def build_semigroup_algebra(sg: FiniteAlgebra, n: int,
 
     if not sg.signature.has_op("inv"):
         return _theta_only(f"Sgrp{m}n{n}i{i}", m, n, theta)
+    _require_theta(m, n)
     inv = sg.op("inv").array()
     return standard_algebra(
         f"Grp{m}n{n}i{i}", m, _table(n + 1, m, theta),
@@ -220,15 +234,14 @@ def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
     """Componentwise translation algebra: component j of the carrier comes
     from groups[j] and uses the indices[j]-th tuple entry, so
     theta(a1,...,an,b)_j = (a_{indices[j]})_j * b_j.  It is the product of
-    the factors' build_semigroup_algebra algebras."""
+    the factors' build_semigroup_algebra algebras, built through them
+    when its tables are over the materialize limit (see _product)."""
     if len(groups) != len(indices):
         raise InputError("need one index per group factor")
     for idx in indices:
         if not 1 <= idx <= n:
             raise InputError(f"index {idx} out of range 1..{n}")
-    sizes = [g.size for g in groups]
-    require_materializable(math.prod(sizes), n + 1)
-    label = "x".join(str(s) for s in sizes)
+    label = "x".join(str(g.size) for g in groups)
     return _product(f"GrpProd{label}n{n}", [
         build_semigroup_algebra(g, n, idx) for g, idx in zip(groups, indices)
     ])
@@ -239,16 +252,13 @@ def build_matrix_row_algebra(q: int, n: int) -> FiniteAlgebra:
     encoded by row-major base-q digits.  theta assembles the matrix whose
     i-th row is the i-th row of the i-th argument: it is the product of
     the n+1 projection algebras on the q^(n+1) rows, the i-th projecting
-    to argument i, as row i is the i-th component of the encoding."""
+    to argument i, as row i is the i-th component of the encoding.  Each
+    factor's theta has q^(d^2) entries, d = n+1, and all d factors have
+    d^2 arguments, so one test refuses them before any is built."""
     _at_least_1("entry set size", q)
     _at_least_1("n", n)
     d = n + 1
-    # q >= 2 and d^2 >= bits give q^(d^2) >= 2^bits > cap, as q > cap
-    # does, so the power is built only when it is small
-    cap = MATRIX_CARRIER_CAP
-    if q > 1 and (d * d >= cap.bit_length() or q > cap
-                  or q ** (d * d) > cap):
-        raise BudgetError(f"matrix carrier {q}^{d * d} exceeds cap {cap}")
+    require_materializable(q, d * d, f"({n} + 1)^2")
     return _product(f"MatRows-q{q}-n{n}", [
         build_projection_algebra(q ** d, n, i) for i in range(1, d + 1)])
 
@@ -262,15 +272,14 @@ def build_bounded_monoid_algebra(mo: FiniteAlgebra, n: int) -> FiniteAlgebra:
         raise AlgebraError("monoid must be commutative")
     m, unit = mo.size, mo.constant("e")
     mul = mo.op("prod").array()
-    if n >= 2:
-        powers = np.full(m, unit)  # a^(n-1) for every element a
-        for _ in range(n - 1):
-            powers = mul[powers * m + np.arange(m)]
-        bad = np.flatnonzero(powers != unit)
-        if bad.size:
-            raise AlgebraError(
-                f"element {bad[0]}: order does not divide n-1 = {n - 1}"
-            )
+    _require_theta(m, n)
+    powers = np.full(m, unit)  # a^(n-1) for every element a
+    for _ in range(n - 1):
+        powers = mul[powers * m + np.arange(m)]
+    bad = np.flatnonzero(powers != unit)
+    if bad.size:
+        raise AlgebraError(
+            f"element {bad[0]}: order does not divide n-1 = {n - 1}")
 
     def theta(*args):
         acc = args[0]
@@ -338,92 +347,64 @@ def _encode(values, m):
     return code
 
 
-def _map_composition(m, n):
-    """theta(f1,...,fn,g) = g o (f1,...,fn) on the maps A^n -> A for
-    |A| = m, each encoded by its value table over A^n in lexicographic
-    point order as base-m digits, most significant first.  Digit
-    arithmetic only, so it is elementwise over int64 arrays."""
+def _maps(m, n, retractions):
+    """The maps A^n -> A for |A| = m, or with retractions only those that
+    fix every diagonal point (a, ..., a) to a: the free points, at which
+    their values are not fixed (none when m = 1), and theta(f1,...,fn,g)
+    = g o (f1,...,fn) on them, elementwise over int64 arrays.  A map is
+    encoded by its values at the free points, in lex order of A^n, as
+    base-m digits, most significant first: the codes are 0..m^len(free)-1,
+    in lex order of the maps' value tables.  The m^n points and the
+    m^len(free) maps are refused over the materialize limit first."""
     import numpy as np
 
+    if m < 0:
+        raise InputError(f"maps A^n -> A need m >= 0, got {m}")
+    _at_least_1("n", n)
+    require_materializable(m, n)
     points = m ** n
-    weights = np.array([m ** (points - 1 - p) for p in range(points)],
-                       dtype=np.int64)
-
-    def value(code, p):
-        return code // weights[p] % m
+    values = np.arange(m if retractions else 0)
+    ones = (points - 1) // (m - 1) if m > 1 else 0  # the point (1, ..., 1)
+    require_materializable(m, points - values.size)
+    # the value of a code at point p: code // weight[p] % radix[p] +
+    # offset[p], a digit at a free point and the fixed value elsewhere
+    radix = np.full(points, m, dtype=np.int64)
+    offset = np.zeros(points, dtype=np.int64)
+    radix[values * ones], offset[values * ones] = 1, values
+    free = np.flatnonzero(radix > 1).tolist()
+    weight = np.ones(points, dtype=np.int64)
+    weight[free] = [m ** k for k in range(len(free) - 1, -1, -1)]
 
     def theta(*codes):
         out = 0
-        for i in range(points):
+        for i in free:
             # lexicographic index of the point (f1(i), ..., fn(i))
             p = 0
             for f in codes[:-1]:
-                p = p * m + value(f, i)
-            out = out * m + value(codes[-1], p)
+                p = p * m + f // weight[i] % m
+            out = out * m + codes[-1] // weight[p] % radix[p] + offset[p]
         return out
 
-    return theta
-
-
-def _map_carrier(m, n, free, what):
-    """The number m^k of maps A^n -> A, |A| = m, with k = m^n - free
-    points left free; a BudgetError worded by m and n when it exceeds
-    MAP_CARRIER_CAP.  No huge power is built: for m >= 2, n > bits gives
-    k >= m^n / 2 >= 2^bits (free <= m), and k >= bits gives m^k > cap,
-    the test of core.table_error."""
-    if m < 0 or n < 0:
-        raise InputError(f"maps A^n -> A need m, n >= 0, got {m}, {n}")
-    bits = MAP_CARRIER_CAP.bit_length()
-    if m < 2 or (n <= bits and (k := m ** n - free) < bits
-                 and m ** k <= MAP_CARRIER_CAP):
-        return m ** (m ** n - free)
-    k = f"{m}^{n}" + (f" - {free}" if free else "")
-    raise BudgetError(f"{what} carrier {m}^({k}) exceeds cap "
-                      f"{MAP_CARRIER_CAP}")
+    return free, theta
 
 
 def build_map_composition_algebra(m: int, n: int) -> FiniteAlgebra:
     """Carrier: all maps A^n -> A for |A| = m, encoded by their value
     tables as base-m digits; theta(f1,...,fn,g) = g o (f1,...,fn)."""
-    size = _map_carrier(m, n, 0, "map")
-    return _theta_only(f"Maps-m{m}-n{n}", size, n, _map_composition(m, n))
+    free, theta = _maps(m, n, False)
+    return _theta_only(f"Maps-m{m}-n{n}", m ** len(free), n, theta)
 
 
 def build_diagonal_retraction_algebra(m: int, n: int) -> FiniteAlgebra:
     """The maps g: A^n -> A with g(a,...,a) = a, under composition-with-
     tupling, with e_i = i-th projection and alphas attached by the
-    surjective-section builder.  A 2-associative protomodular algebra."""
-    import numpy as np
-
-    _map_carrier(m, n, m, "retraction")
-    points = m ** n
-    tuples = list(itertools.product(range(m), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-    # the m diagonal points are fixed, so enumerating the other points in
-    # lex order gives the retractions in lex order of their value tables
-    diagonal = {index[(a,) * n]: a for a in range(m)}
-
-    def retraction(free):
-        it = iter(free)
-        return tuple(diagonal[p] if p in diagonal else next(it)
-                     for p in range(points))
-
-    retractions = [
-        retraction(free)
-        for free in itertools.product(range(m), repeat=points - len(diagonal))
-    ]
-    # element i is the map with code codes[i]; the codes ascend, so a
-    # binary search inverts codes, with no table over all m^(m^n) maps
-    codes = np.array([_encode(vals, m) for vals in retractions],
-                     dtype=np.int64)
-    compose = _map_composition(m, n)
-
-    def theta(*args):
-        return codes.searchsorted(compose(*(codes[a] for a in args)))
-
-    base = _theta_only(f"Retr-m{m}-n{n}", codes.size, n, theta)
-    units = [int(codes.searchsorted(_encode((t[i] for t in tuples), m)))
-             for i in range(n)]
+    surjective-section builder.  A 2-associative protomodular algebra.
+    Element i is the retraction whose values at the non-diagonal points
+    are the base-m digits of i (see _maps)."""
+    free, theta = _maps(m, n, True)
+    base = _theta_only(f"Retr-m{m}-n{n}", m ** len(free), n, theta)
+    units = [_encode((p // m ** (n - i) % m for p in free), m)
+             for i in range(1, n + 1)]
     return build_alphas_from_surjectivity(base, units)
 
 

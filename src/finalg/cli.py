@@ -108,29 +108,6 @@ def cmd_check(args, out):
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
 
-_CONSTRUCTIONS = {}
-
-
-def _construction(name):
-    def reg(fn):
-        _CONSTRUCTIONS[name] = fn
-        return fn
-
-    return reg
-
-
-@_construction("projection")
-def _c_projection(args):
-    return catalog.build_projection_algebra(args.m, args.n, args.i)
-
-
-@_construction("semigroup")
-def _c_semigroup(args):
-    return catalog.build_semigroup_algebra(
-        catalog.cyclic_group(args.order), args.n, args.i
-    )
-
-
 def _int(option, text):
     """An integer in an option value; anything else is an input error."""
     try:
@@ -139,32 +116,19 @@ def _int(option, text):
         raise InputError(f"{option}: expected an integer, got {text!r}")
 
 
-@_construction("group-product")
-def _c_group_product(args):
+def _group_product(args):
     orders = [_int("--orders", x) for x in args.orders.split(",")]
     indices = tuple(_int("--indices", x) for x in args.indices.split(","))
-    if min(orders) >= 1:
-        # the product's tables are refused before any factor is built
-        require_materializable(math.prod(orders), args.n + 1)
+    if min(orders) >= 1 and args.n >= 1:  # all tables, before any is built
+        for k in orders:
+            require_materializable(k, 2)
+        require_materializable(math.prod(orders), args.n + 1, f"{args.n} + 1")
     return catalog.build_group_product_algebra(
         [catalog.cyclic_group(k) for k in orders], indices, args.n
     )
 
 
-@_construction("matrix-rows")
-def _c_matrix(args):
-    return catalog.build_matrix_row_algebra(args.q, args.n)
-
-
-@_construction("bounded-monoid")
-def _c_bounded(args):
-    return catalog.build_bounded_monoid_algebra(
-        catalog.cyclic_monoid(args.order), args.n
-    )
-
-
-@_construction("lattice")
-def _c_lattice(args):
+def _lattice(args):
     if args.shape.startswith("chain:"):
         k = _int("--shape", args.shape.partition(":")[2])
         lat = catalog.chain_lattice(k)
@@ -179,24 +143,24 @@ def _c_lattice(args):
     return catalog.build_lattice_theta(lat, args.variant)
 
 
-@_construction("boolean")
-def _c_boolean(args):
-    return catalog.build_boolean_protomodular(args.k)
-
-
-@_construction("map-composition")
-def _c_maps(args):
-    return catalog.build_map_composition_algebra(args.m, args.n)
-
-
-@_construction("diagonal-retractions")
-def _c_retr(args):
-    return catalog.build_diagonal_retraction_algebra(args.m, args.n)
-
-
-@_construction("strict-semiloop")
-def _c_semiloop(args):
-    return catalog.build_strict_semiloop(args.m, twisted=args.twisted)
+# each construction: its builder called with the parsed options
+_CONSTRUCTIONS = {
+    "projection": lambda a: catalog.build_projection_algebra(a.m, a.n, a.i),
+    "semigroup": lambda a: catalog.build_semigroup_algebra(
+        catalog.cyclic_group(a.order), a.n, a.i),
+    "group-product": _group_product,
+    "matrix-rows": lambda a: catalog.build_matrix_row_algebra(a.q, a.n),
+    "bounded-monoid": lambda a: catalog.build_bounded_monoid_algebra(
+        catalog.cyclic_monoid(a.order), a.n),
+    "lattice": _lattice,
+    "boolean": lambda a: catalog.build_boolean_protomodular(a.k),
+    "map-composition": lambda a: catalog.build_map_composition_algebra(
+        a.m, a.n),
+    "diagonal-retractions":
+        lambda a: catalog.build_diagonal_retraction_algebra(a.m, a.n),
+    "strict-semiloop": lambda a: catalog.build_strict_semiloop(
+        a.m, twisted=a.twisted),
+}
 
 
 def cmd_construct(args, out):

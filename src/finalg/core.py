@@ -174,19 +174,41 @@ _MATERIALIZE_LIMIT = 1 << 22
 EXHAUSTIVE_BUDGET = 10 ** 8  # tuples an exhaustive check may enumerate
 
 
+def power_exceeds(base: int, exp: int, bound: int) -> bool:
+    """Whether base**exp > bound (all >= 0), the one size test of every
+    limit and budget.  No power of more than twice bound's bits is built:
+    base of b >= 2 bits gives base**exp >= 2^(exp*(b-1)) > bound once
+    exp*(b-1) reaches bound's bit length."""
+    if base < 2 or exp == 0:
+        return (base if exp else 1) > bound
+    return (exp * (base.bit_length() - 1) >= bound.bit_length()
+            or base ** exp > bound)
+
+
+def exponent_text(exp, parts: str = "") -> str:
+    """exp as a refusal message writes it, or (parts), the sum or product
+    it is computed from, when exp has 100 digits or more or is None (too
+    large to build); Python prints no int of more than 4300 digits."""
+    if parts and (exp is None or exp >= 10 ** 99):
+        return f"({parts})"
+    return str(exp)
+
+
 def materializable(m: int, arity: int) -> bool:
-    """Whether a table of m^arity entries is within the materialize
-    limit; a huge arity is decided without building m^arity."""
-    return not ((m > 1 and arity >= _MATERIALIZE_LIMIT.bit_length())
-                or m ** arity > _MATERIALIZE_LIMIT)
+    """Whether a table of m^arity entries is within the materialize limit
+    in its entries and its arity (one digit array per argument)."""
+    return (arity <= _MATERIALIZE_LIMIT
+            and not power_exceeds(m, arity, _MATERIALIZE_LIMIT))
 
 
-def require_materializable(m: int, arity: int) -> None:
-    """Raise BudgetError when a table of m^arity entries is over the
-    materialize limit."""
-    if not materializable(m, arity):
-        raise BudgetError(f"table with {m}^{arity} entries exceeds cap "
-                          f"{_MATERIALIZE_LIMIT}")
+def require_materializable(m: int, arity: int, parts: str = "") -> None:
+    """Raise BudgetError unless materializable(m, arity); an arity of 100
+    digits or more is written as parts (see exponent_text)."""
+    if not materializable(m, arity):  # by its arity only when m <= 1
+        a = exponent_text(arity, parts)
+        what = f"{m}^{a} entries" if m > 1 else f"{a} arguments"
+        raise BudgetError(
+            f"table with {what} exceeds cap {_MATERIALIZE_LIMIT}")
 
 
 class ProductTable:
@@ -476,10 +498,8 @@ def table_error(sym: str, tbl, arity: int, m: int) -> str | None:
                     f"elements != {m}")
         return next(filter(None, (table_error(sym, part, arity, size)
                                   for part, size in tbl.parts)), None)
-    # m >= 2 and arity >= len.bit_length() give m^arity >= 2^arity > len,
-    # so a huge arity is refused without building m^arity
     n = len(tbl)
-    if (m > 1 and arity >= n.bit_length()) or n != m ** arity:
+    if power_exceeds(m, arity, n) or m ** arity != n:
         return f"symbol {sym!r}: table length {n} != {m}^{arity}"
     bad = tbl.first_out_of_range(m)
     return None if bad is None else _range_error(sym, bad[1], bad[0])

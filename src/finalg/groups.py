@@ -28,6 +28,9 @@ from .core import (
     Signature,
     Variable,
     eval_term,
+    exponent_text,
+    power_exceeds,
+    require_materializable,
     standard_algebra,
     unit_constants,
 )
@@ -283,12 +286,14 @@ def count_enriched_groups(m: int, n: int) -> int:
     """Count enriched-group structures on {0..m-1} by direct enumeration
     of (group table, gamma, alpha*) triples, with alpha_i(a,a) = e built
     in; independent of the searcher."""
-    k = m * m * (n + 1) + m ** n  # cells: product, n alphas, gamma
-    if m ** k > ENRICHED_BUDGET:
-        raise BudgetError(
-            f"enriched enumeration space {m}^{k} exceeds budget "
-            f"{ENRICHED_BUDGET}"
-        )
+    # cells: product, n alphas, gamma; over budget with m^n
+    k = (None if power_exceeds(m, n, ENRICHED_BUDGET)
+         else m * m * (n + 1) + m ** n)
+    if k is None or power_exceeds(m, k, ENRICHED_BUDGET):
+        k = exponent_text(k, f"{m}^2 * ({n} + 1) + {m}^{n}")
+        raise BudgetError(f"enriched enumeration space {m}^{k} exceeds "
+                          f"budget {ENRICHED_BUDGET}")
+    require_materializable(m, n)  # gamma's table, of n arguments
     groups = []
     for entries in itertools.product(range(m), repeat=m * m):
         tbl = DenseTable(2, entries)

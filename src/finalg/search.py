@@ -28,7 +28,6 @@ counts, counts and witnesses equal those of that full rescan.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +41,9 @@ from .core import (
     Signature,
     Variable,
     check_identity_terms,
+    exponent_text,
+    power_exceeds,
+    require_materializable,
     standard_signature,
     table_error,
 )
@@ -256,25 +258,23 @@ def _recheck(instances, vals, watch, moved) -> tuple:
 
 def _space_size(spec: SearchSpec, budget: int) -> int:
     """m^k for the k free cells of spec, or BudgetError when that exceeds
-    budget.  m >= 2 and k >= budget.bit_length() give m^k >= 2^k > budget,
-    so a huge space is refused without building m^k, and a free op of
-    such an arity without building m^arity; a k of 100 digits or more is
-    worded by its terms m^arity."""
+    budget.  A free op whose m^arity cells exceed budget makes k exceed
+    it too, so k is built only from terms within budget, and a k too
+    large to build or of 100 digits or more is worded by its terms
+    m^arity."""
     m = spec.size
     arities = [a for name, a in spec.signature.ops
                if name not in spec.pinned_tables]
     consts = sum(c not in spec.pinned_constants
                  for c in spec.signature.constants)
-    bound = budget.bit_length() if m > 1 else math.inf
     k = None
-    if max(arities, default=0) < bound:
+    if not any(power_exceeds(m, a, budget) for a in arities):
         k = sum(m ** a for a in arities) + consts
-        if k < bound and m ** k <= budget:
+        if not power_exceeds(m, k, budget):
             return m ** k
-    if k is None or k >= 10 ** 100:
-        terms = [f"{m}^{a}" for a in arities] + [str(consts)] * (consts > 0)
-        k = f"({' + '.join(terms)})"
-    raise BudgetError(f"search space {m}^{k} exceeds budget {budget}")
+    terms = [f"{m}^{a}" for a in arities] + [str(consts)] * (consts > 0)
+    raise BudgetError(f"search space {m}^{exponent_text(k, ' + '.join(terms))}"
+                      f" exceeds budget {budget}")
 
 
 def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
@@ -371,10 +371,11 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     and exhausting the pruned tree certifies that no full theta table
     (hence no full structure) can be strict.
     """
+    if m != 1 and (n < 2 or m < 2):
+        raise InputError("requires n >= 2 and m >= 2 (or m = 1)")
+    require_materializable(m, n + 1, f"{n} + 1")
     if m == 1:
         return search(_semiabelian_2assoc("trivial-strict", 1, n))
-    if n < 2 or m < 2:
-        raise InputError("requires n >= 2 and m >= 2 (or m = 1)")
     start = time.perf_counter()
     section = m ** n
     nodes = 0

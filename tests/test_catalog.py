@@ -169,6 +169,33 @@ def test_matrix_row_assembly_oracle():
         assert theta.lookup((a, b), 16) == expect
 
 
+def test_matrix_rows_are_bounded_by_their_factor_tables():
+    # each factor's theta table has q^(d^2) entries, the carrier's size:
+    # at q = 45, n = 1 the two 2025-row factors fit the materialize limit
+    # and the product's own table stays a ProductTable; at q = 46 they
+    # do not, and nothing is built
+    alg = catalog.build_matrix_row_algebra(45, 1)
+    assert alg.size == 45 ** 4
+    assert isinstance(alg.op("theta"), ProductTable)
+    assert [f.size for f in alg.factors] == [45 ** 2] * 2
+    with pytest.raises(BudgetError, match="4100625\\^2 entries"):
+        alg.op("theta").array()
+    with pytest.raises(BudgetError, match="46\\^4 entries"):
+        catalog.build_matrix_row_algebra(46, 1)
+
+
+def test_products_of_one_element_factors():
+    # a one-element factor adds no axis to the broadcast: 9 factors of a
+    # 9-ary theta would otherwise need 81 axes, over numpy's 64
+    alg = catalog.build_matrix_row_algebra(1, 8)
+    assert alg.size == 1 and alg.op("theta").entries == (0,)
+    assert validate_algebra(alg).ok
+    z1, z2 = catalog.cyclic_group(1), catalog.cyclic_group(2)
+    alg = catalog.build_group_product_algebra([z1] * 33 + [z2], (1,) * 34, 1)
+    assert alg.op("theta") == catalog.build_semigroup_algebra(
+        z2, 1, 1).op("theta")
+
+
 # --- bounded monoid --------------------------------------------------------
 
 def test_bounded_monoid_requires_order_condition():

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -267,6 +268,8 @@ def test_construct_bad_integer_option_exit_2(capsys, argv):
     ["semigroup", "--order", "3000"],
     ["lattice", "--shape", "chain:3000"],
     ["bounded-monoid", "--order", "3000"],
+    # an exponent (n+1)^2 of 6,001 digits, written as its parts
+    ["matrix-rows", "--q", "2", "--n", "9" * 3000],
 ])
 def test_construct_over_cap_exit_3_before_building(capsys, argv):
     start = time.perf_counter()
@@ -276,6 +279,110 @@ def test_construct_over_cap_exit_3_before_building(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("budget:")
     assert "exceeds cap" in captured.err
+
+
+# every integer option each construction reads, at its default; a list
+# option is tried element by element, and --shape as chain:N
+_INT_OPTIONS = {
+    "projection": {"--m": "2", "--n": "1", "--i": "1"},
+    "semigroup": {"--order": "2", "--n": "1", "--i": "1"},
+    "group-product": {"--n": "1", "--orders": "2,3", "--indices": "1,2"},
+    "matrix-rows": {"--q": "2", "--n": "1"},
+    "bounded-monoid": {"--order": "2", "--n": "1"},
+    "lattice": {"--shape": "chain:2"},
+    "boolean": {"--k": "1"},
+    "map-composition": {"--m": "2", "--n": "1"},
+    "diagonal-retractions": {"--m": "2", "--n": "1"},
+    "strict-semiloop": {"--m": "3"},
+}
+_HOSTILE = {"0": "0", "-1": "-1", "31digits": str(10 ** 30),
+            "4300digits": "9" * 4300}
+
+
+def _hostile_cases():
+    for name, options in _INT_OPTIONS.items():
+        for option, default in options.items():
+            prefix, _, rest = default.rpartition(":")
+            slots = rest.split(",")
+            for at in range(len(slots)):
+                for label, value in _HOSTILE.items():
+                    text = ",".join(slots[:at] + [value] + slots[at + 1:])
+                    if prefix:
+                        text = f"{prefix}:{text}"
+                    yield pytest.param(
+                        [name, option, text],
+                        id=f"{name}{option}[{at}]={label}")
+
+
+def _expire(signum, frame):
+    raise TimeoutError("construct ran past its time")
+
+
+def _construct_within(seconds, argv):
+    """_run_main of a construct command, failed by an alarm (instead of
+    hanging) when it runs past seconds."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(seconds)
+    try:
+        return _run_main(["construct"] + argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", list(_hostile_cases()))
+def test_construct_answers_hostile_integers_in_time(argv):
+    # each integer option at 0, -1, 10^30 and a 4,300-digit value, the
+    # others at their defaults: exit 0, or 2 or 3 with one message line
+    # and no output, within 2 s
+    code, out, err = _construct_within(2, argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error:" if code == 2 else "budget:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["projection", "--m", "1"],
+    ["semigroup", "--order", "1"],
+    ["bounded-monoid", "--order", "1"],
+    ["matrix-rows", "--q", "1"],
+    ["map-composition", "--m", "1"],
+    ["group-product", "--orders", "1,1"],
+    ["diagonal-retractions", "--m", "1"],
+])
+def test_one_element_carrier_refuses_a_huge_arity(argv):
+    # one entry at any arity, but n+1 digit arrays are refused by the
+    # arity before any is built (or any loop over n runs)
+    start = time.perf_counter()
+    code, out, err = _construct_within(2, argv + ["--n", str(10 ** 30)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("budget: table with ")
+    assert err.endswith(" arguments exceeds cap 4194304\n")
+
+
+def test_retractions_of_a_wide_carrier_need_no_wide_codes():
+    # for n = 1 every point is diagonal: the identity map is the only
+    # retraction, at m = 20 as at m = 16 (its value table as one base-m
+    # number would not fit in int64); a carrier of 10^8 is refused
+    for m in (16, 20):
+        code, out, err = _run_main(["construct", "diagonal-retractions",
+                                    "--m", str(m), "--n", "1"])
+        assert (code, err) == (0, "")
+        assert out == _run_main(["construct", "diagonal-retractions",
+                                 "--m", "2", "--n", "1"])[1].replace(
+            "Retr-m2-n1", f"Retr-m{m}-n1")
+    start = time.perf_counter()
+    code, out, err = _run_main(["construct", "diagonal-retractions",
+                                "--m", "100000000", "--n", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget: table with 100000000^1 entries exceeds cap 4194304\n")
 
 
 # every construction at two or three small sizes; construct.txt holds

@@ -19,6 +19,10 @@ from finalg.core import (
     SymbolError,
     Variable,
     eval_term,
+    exponent_text,
+    materializable,
+    power_exceeds,
+    require_materializable,
     standard_algebra,
     standard_signature,
     table_error,
@@ -219,6 +223,50 @@ def test_table_error_names_the_first_problem():
         "symbol 'f': product table on 4 elements != 5")
     assert table_error("f", ProductTable(2, [(good, 2)] * 2), 3, 4) == (
         "symbol 'f': table arity 2 != declared 3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 80), st.integers(0, 2 ** 70))
+def test_power_exceeds_is_the_power_compared(base, exp, bound):
+    assert power_exceeds(base, exp, bound) == (base ** exp > bound)
+
+
+def test_power_exceeds_never_builds_a_huge_power():
+    # each decided from bit lengths: the power would have 10^30 digits
+    assert power_exceeds(2, 10 ** 30, 10 ** 9)
+    assert power_exceeds(10 ** 30, 10 ** 30, 10 ** 9)
+    assert not power_exceeds(1, 10 ** 30, 1)
+    assert not power_exceeds(0, 10 ** 30, 0)
+    # a budget of 2,000 digits: the power built stays within twice its bits
+    bound = 10 ** 2000
+    assert not power_exceeds(10, 2000, bound)
+    assert power_exceeds(10, 2001, bound)
+
+
+def test_one_size_rule_counts_entries_and_arguments():
+    limit = 1 << 22
+    assert materializable(2, 22) and not materializable(2, 23)
+    assert materializable(limit, 1) and not materializable(limit + 1, 1)
+    # one element: a single entry at any arity, but one digit array per
+    # argument, so the arity is bounded too
+    assert materializable(1, limit) and not materializable(1, limit + 1)
+    assert materializable(0, 5)
+    with pytest.raises(BudgetError) as ei:
+        require_materializable(3, 10 ** 30)
+    assert str(ei.value) == (
+        f"table with 3^{10 ** 30} entries exceeds cap {limit}")
+    with pytest.raises(BudgetError) as ei:
+        require_materializable(1, limit + 1)
+    assert str(ei.value) == (
+        f"table with {limit + 1} arguments exceeds cap {limit}")
+    # an arity of 100 digits or more is written as its parts
+    n = 10 ** 4299 - 1  # 4299 digits; n + 1 would print 4300 of them
+    with pytest.raises(BudgetError) as ei:
+        require_materializable(2, (n + 1) ** 2, f"({n} + 1)^2")
+    assert str(ei.value) == (
+        f"table with 2^(({n} + 1)^2) entries exceeds cap {limit}")
+    assert exponent_text(10 ** 99 - 1, "x") == "9" * 99
+    assert exponent_text(10 ** 99, "x") == exponent_text(None, "x") == "(x)"
 
 
 def test_product_tables_look_up_through_their_factors():

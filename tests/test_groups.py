@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 
 from finalg import catalog, groups
-from finalg.core import InputError, table_from_fn
+from finalg.core import BudgetError, InputError, table_from_fn
 from finalg.groups import (
     GroupLawError,
     PreconditionError,
@@ -229,6 +230,16 @@ def test_enriched_census_small():
     assert count_2assoc_semiabelian(2, 2).count == 16
     with pytest.raises(AlgebraError):
         count_enriched_groups(4, 2)  # over enumeration budget
+
+
+def test_enriched_census_refuses_a_huge_space_at_once():
+    # 2^40 gamma cells: refused from the power test, m^k never built
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="2\\^40\\) exceeds budget"):
+        count_enriched_groups(2, 40)
+    with pytest.raises(BudgetError, match="table with 10{30} arguments"):
+        count_enriched_groups(1, 10 ** 30)
+    assert time.perf_counter() - start < 1
 
 
 def test_algebra_hash_is_stable(z3_n2):

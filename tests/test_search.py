@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +174,13 @@ def test_no_strict_2assoc_beyond_singletons():
         assert result.nodes > 0
     result = prove_no_strict_2assoc(1, 2)
     assert result.outcome == "witness"
+    # a theta table of 3^41 entries is refused before m^(m^(n+1)) is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="3\\^41 entries"):
+        prove_no_strict_2assoc(3, 40)
+    with pytest.raises(BudgetError, match="arguments exceeds cap"):
+        prove_no_strict_2assoc(1, 10 ** 30)  # one element, 10^30 alphas
+    assert time.perf_counter() - start < 1
 
 
 def test_witnesses_are_independently_verified():
