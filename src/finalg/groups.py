@@ -13,6 +13,7 @@ a defect in the formula cannot pass silently.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -261,17 +262,23 @@ def to_enriched(alg: FiniteAlgebra) -> FiniteAlgebra:
     return eg
 
 
+@functools.cache
+def _enriched_theta(n):
+    """prod(gamma(a1, ..., an), b), the same object on repeated calls, so
+    term_table plans it once per carrier size."""
+    return Apply("prod", Apply("gamma", *(Variable(f"a{i}")
+                                          for i in range(1, n + 1))),
+                 Variable("b"))
+
+
 def from_enriched(eg: FiniteAlgebra) -> FiniteAlgebra:
     """Convert an enriched group, checked against enriched_laws(n) first
     (GroupLawError names eg), back to the 2-associative semi-abelian
     algebra FromEnriched: theta(a*, b) = prod(gamma(a*), b)."""
     n = eg.op("gamma").arity
     require_laws(eg, enriched_laws(n), GroupLawError)
-    avs = [Variable(f"a{i}") for i in range(1, n + 1)]
-    theta = term_table(
-        eg, Apply("prod", Apply("gamma", *avs), Variable("b")),
-        tuple(v.name for v in avs) + ("b",),
-    )
+    theta = term_table(eg, _enriched_theta(n),
+                       tuple(f"a{i}" for i in range(1, n + 1)) + ("b",))
     alphas = [eg.op(f"alpha{i}") for i in range(1, n + 1)]
     alg = standard_algebra("FromEnriched", eg.size, theta, alphas,
                            (eg.constant("e"),) * n)

@@ -21,8 +21,12 @@ variables is evaluated at once, to an int or an array, and the rest
 becomes a closure that each block calls.  Plans are kept in a bounded
 cache keyed by the identity object, m and the layout (_planned), and the
 builders below return the same identity objects on repeated calls, so a
-law checked on many algebras is planned once; whether an identity fits
-a signature is likewise decided once per signature (_require_fit).  An
+law checked on many algebras is planned once; term_table's plans are
+kept there too, keyed by the term object, m and the variables, and the
+term builders return the same objects as well.  The grids and meshes
+plans are built from are kept in one cache under the same byte bound
+(_grids).  Whether an identity fits a signature is likewise decided
+once per signature (_require_fit).  An
 exhaustive check of a product that records its factors
 (catalog._product) runs the kernel on each factor instead, since an
 identity holds in a product iff it holds in every factor, and places the
@@ -52,6 +56,31 @@ axes (an argument that is its axis's own variable needs none).  Any
 other application keeps the flat index.  The sides compare by
 broadcasting, and a block's first failure is placed in the lex order of
 the whole block.
+
+Under a prefix loop a block may be skipped by its sections.  The leading
+arguments of an application are its longest run of first arguments that
+read no suffix variable; they select the sub-table T[s1..sl] the block
+reads, its section.  When every occurrence of a prefix variable lies
+inside some application's leading arguments (decided once per plan, by
+_keyed; 2assoc:n, 1assoc:n and malcev-assoc qualify), a block's values
+depend on the prefix only through the sections of the outermost such
+applications, so a block whose sections all equal those of a block that
+passed passes too.  Once the first block has passed (a check that fails
+at once does no section work), _section_key gives the rows of each keyed
+table at their depth class ids, equal rows equal ids, in one np.unique
+pass.  A block's key is the mixed-radix code of its class ids, and one
+byte per code marks the keys of passed blocks; a marked block adds its
+m^inner tuples to the count and is skipped.  The first failing block is
+the first with its key, so lex order, the first counterexample and
+tuples_checked are those of the full loop.  The memo is used only when
+the class counts multiply to fewer than the m^outer blocks, since
+otherwise no block need repeat another.  The paper's theorem is why it
+pays: a 2-associative semi-abelian theta is theta(a*, b) = gamma(a*) * b
+in a group, so its m^n sections theta(a*, -) are left translations, at
+most m of them distinct, and the Mal'cev term a * b^-1 * c has at most m
+distinct sections mu(a, b, -) among its m^2.  Where the sections all
+differ, as in a random table or a group's associativity, every block
+runs.
 """
 from __future__ import annotations
 
@@ -87,8 +116,7 @@ from .core import (
 )
 
 _BLOCK = 1 << 14
-_GRIDS = 16  # suffix grids and meshes kept, per (m, variables in a block)
-_PLANS = 256  # planned identities kept, and identity/signature fits
+_PLANS = 256  # plans, identity/signature fits and grids kept
 _PLAN_BYTES = 1 << 23  # bound on the arrays the kept plans hold
 _BATCH = 1 << 16
 
@@ -314,32 +342,38 @@ def _confirmed_fail(alg, ident, tup, checked, seed=None):
                        tuples_checked=checked, seed=seed)
 
 
-@functools.lru_cache(maxsize=_GRIDS)
 def _grid(m, inner):
     """The m^inner tuples over range(m) in lex order, as a read-only
-    (inner, m^inner) int64 array.  Row i repeats each digit m^(inner-1-i)
-    times in turn, so no array has more than three dimensions (numpy
-    refuses more than 64, and a one-element carrier admits any inner)."""
-    import numpy as np
+    (inner, m^inner) int64 array, kept in _grids.  Row i repeats each
+    digit m^(inner-1-i) times in turn, so no array has more than three
+    dimensions (numpy refuses more than 64, and a one-element carrier
+    admits any inner)."""
+    def build():
+        import numpy as np
 
-    grid = np.empty((inner, m ** inner), dtype=np.int64)
-    for i, row in enumerate(grid):
-        row.reshape(m ** i, m, -1)[...] = np.arange(m)[:, None]
-    grid.setflags(write=False)
-    return grid
+        grid = np.empty((inner, m ** inner), dtype=np.int64)
+        for i, row in enumerate(grid):
+            row.reshape(m ** i, m, -1)[...] = np.arange(m)[:, None]
+        grid.setflags(write=False)
+        return grid.nbytes, grid
+
+    return _grids.get((m, inner, "grid"), build)
 
 
-@functools.lru_cache(maxsize=_GRIDS)
 def _mesh(m, inner):
-    """The open mesh of the m^inner tuples over range(m): axis i is
-    range(m) as a read-only int64 array of shape (1, ..., m, ..., 1), m
-    at i, so arrays of the values of terms broadcast to lex order."""
-    import numpy as np
+    """The open mesh of the m^inner tuples over range(m), kept in _grids:
+    axis i is range(m) as a read-only int64 array of shape
+    (1, ..., m, ..., 1), m at i, so arrays of the values of terms
+    broadcast to lex order."""
+    def build():
+        import numpy as np
 
-    axes = np.ix_(*[np.arange(m, dtype=np.int64)] * inner)
-    for axis in axes:
-        axis.setflags(write=False)
-    return axes
+        axes = np.ix_(*[np.arange(m, dtype=np.int64)] * inner)
+        for axis in axes:
+            axis.setflags(write=False)
+        return 8 * m * inner, axes
+
+    return _grids.get((m, inner, "mesh"), build)
 
 
 def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
@@ -352,8 +386,12 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
     unbound = term_variables(term) - set(variables)
     if unbound:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
-    m, k = alg.size, len(variables)
-    values = _plan(term, m, dict(zip(variables, _grid(m, k))), {})(alg)
+    m, variables = alg.size, tuple(variables)
+    k = len(variables)
+    plan = _plans.get((id(term), m, variables), lambda: (
+        8 * m ** k * (1 + _applications(term)),
+        (term, _plan(term, m, dict(zip(variables, _grid(m, k))), {}))))[1]
+    values = plan(alg)
     return DenseTable.of_array(
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
 
@@ -387,12 +425,15 @@ class _Kept:
             return entry[1]
 
 
-# (id(identity), m, inner) -> (identity, lhs plan, rhs plan), weighed by
-# the bytes its arrays may hold; (signature, id(identity)) -> identity,
-# once it fits.  Each entry keeps its identity alive, so no other
-# identity takes its id while it is kept
+# (id(identity), m, inner) -> (identity, lhs plan, rhs plan, keyed
+# sections) and (id(term), m, variables) -> (term, plan) of term_table,
+# weighed by the bytes their arrays may hold; (signature, id(identity))
+# -> identity, once it fits; (m, inner, kind) -> a grid or mesh, weighed
+# by its bytes.  Each plan keeps its identity or term alive, so no other
+# takes its id while it is kept
 _plans = _Kept(_PLANS, _PLAN_BYTES)
 _fits = _Kept(_PLANS)
+_grids = _Kept(_PLANS, _PLAN_BYTES)
 
 
 def _planned(ident, m, inner):
@@ -400,15 +441,19 @@ def _planned(ident, m, inner):
     last inner variables are known, from the bounded cache _plans: flat
     grid rows when inner covers every variable, the axes of an open mesh
     under a prefix loop, and none in a sampled check (inner 0), where
-    every variable is bound per batch."""
+    every variable is bound per batch.  A third item lists the sections
+    that key a block under a prefix loop (_keyed), each as (op, depth,
+    plans of its leading arguments), and is None when the identity does
+    not qualify or has no prefix loop."""
     return _plans.get((id(ident), m, inner),
                       lambda: _plan_sides(ident, m, inner))[1:]
 
 
 def _plan_sides(ident, m, inner):
-    """(bytes, (ident, lhs plan, rhs plan)) for _planned.  A plan holds at
-    most one array of a block's m^inner values per table application and
-    per side that is a bare variable, which bounds its bytes."""
+    """(bytes, (ident, lhs plan, rhs plan, keyed sections)) for _planned.
+    A plan holds at most one array of a block's m^inner values per table
+    application and per side that is a bare variable, which bounds its
+    bytes."""
     variables = ident.variables
     outer = len(variables) - inner
     mesh = bool(outer and inner)
@@ -416,9 +461,37 @@ def _plan_sides(ident, m, inner):
     known = dict(zip(suffix, _mesh(m, inner) if mesh else _grid(m, inner)))
     axis = {x: i for i, x in enumerate(suffix)} if mesh else {}
     sides = (ident.lhs, ident.rhs)
+    keyed = _keyed(sides, set(suffix)) if mesh else None
+    if keyed is not None:
+        keyed = [(op, len(args), [_plan(a, m, {}, {}) for a in args])
+                 for op, args in keyed]
     arrays = 2 + sum(map(_applications, sides))
     return 8 * m ** inner * arrays, (ident, *(_plan(side, m, known, axis)
-                                              for side in sides))
+                                              for side in sides), keyed)
+
+
+def _keyed(sides, suffix):
+    """The distinct (op, leading arguments) of the applications whose
+    sections key a block under a prefix loop, or None when an identity
+    with these sides does not qualify: when a prefix variable occurs
+    outside the leading arguments of every application (see the module
+    docstring).  An application is keyed when its leading arguments read
+    a variable and it lies in no other's leading arguments."""
+    keyed = {}
+
+    def qualifies(t):
+        if isinstance(t, Variable):
+            return t.name in suffix
+        if isinstance(t, Constant):
+            return True
+        lead = 0
+        while lead < len(t.args) and not term_variables(t.args[lead]) & suffix:
+            lead += 1
+        if any(map(term_variables, t.args[:lead])):
+            keyed[t.op, t.args[:lead]] = None
+        return all(map(qualifies, t.args[lead:]))
+
+    return list(keyed) if all(map(qualifies, sides)) else None
 
 
 def _applications(t):
@@ -460,11 +533,18 @@ def _check_exhaustive_np(alg, ident, total):
     # now, and each block calls what is left.  Under a prefix loop the
     # suffix variables are the axes of an open mesh, so the values of a
     # term span only the axes it reads; one block reads flat grid rows
-    lhs, rhs = (_closure(plan(alg)) for plan in _planned(ident, m, inner))
+    lhs, rhs, keyed = _planned(ident, m, inner)
+    lhs, rhs = _closure(lhs(alg)), _closure(rhs(alg))
     block, size = (m,) * inner, m ** inner
-    checked = 0
+    checked, key, passed = 0, None, None
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables, prefix))
+        if key:
+            # a block whose sections equal those of a passed block passes
+            code = key(env)
+            if passed[code]:
+                checked += size
+                continue
         left, right = lhs(env), rhs(env)
         j = _first_bad(left, right)
         if j is not None:
@@ -476,8 +556,53 @@ def _check_exhaustive_np(alg, ident, total):
                                      _digits(j, shape), 0)
             tup = prefix + tuple(_digits(j, block))
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
+        if key:
+            passed[code] = 1
+        elif keyed is not None and not checked:
+            key, passed = _section_key(alg, keyed, m ** outer, env)
         checked += size
     return CheckReport("pass", ident.name, tuples_checked=total)
+
+
+def _section_key(alg, keyed, blocks, env):
+    """(key, passed) for the blocks after the first, which passed at env:
+    key(env) codes a block's sections (see the module docstring) in the
+    mixed radix of their class counts, and passed, one byte per code,
+    marks the codes of passed blocks, the first one's already.  keyed
+    lists (op, depth, leading argument plans) as _plan_sides made them.
+    Each keyed table's rows at its depth get class ids, equal rows equal
+    ids, in one np.unique pass; (None, None) when the class counts
+    multiply to blocks or more, so that no block need repeat another's."""
+    import numpy as np
+
+    classes, parts, count = {}, [], 1
+    for op, depth, args in keyed:
+        if (op, depth) not in classes:
+            rows = np.ascontiguousarray(
+                alg.op(op).array().reshape(alg.size ** depth, -1))
+            row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+            ids = np.unique(rows.view(row).ravel(), return_inverse=True)[1]
+            classes[op, depth] = ids.tolist(), int(ids.max()) + 1
+        ids, size = classes[op, depth]
+        count *= size
+        if count >= blocks:
+            return None, None
+        strides = [alg.size ** (depth - 1 - i) for i in range(depth)]
+        parts.append((ids, size, [(_closure(arg(alg)), stride)
+                                  for arg, stride in zip(args, strides)]))
+
+    def key(env):
+        code = 0
+        for ids, size, args in parts:
+            row = 0
+            for f, stride in args:
+                row += f(env) * stride
+            code = code * size + ids[row]
+        return code
+
+    passed = bytearray(count)
+    passed[key(env)] = 1
+    return key, passed
 
 
 def _leaves(alg):
@@ -566,7 +691,8 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
 
 def _check_sampled(alg, ident, samples, seed):
     variables = ident.variables
-    lhs, rhs = (_closure(plan(alg)) for plan in _planned(ident, alg.size, 0))
+    lhs, rhs, _ = _planned(ident, alg.size, 0)
+    lhs, rhs = _closure(lhs(alg)), _closure(rhs(alg))
     rng = random.Random(seed)  # MT19937
     checked = 0
     for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
@@ -788,14 +914,17 @@ def identity_malcev_assoc_expanded(n: int) -> Identity:
 
 # ---------------------------------------------------------------------------
 # derived operations as terms over the standard signature; term_table
-# materializes them
+# materializes them.  Each builder returns the same object on repeated
+# calls, so term_table plans it once per carrier size
 
+@functools.lru_cache(maxsize=_PLANS)
 def term_malcev(n: int, a, b, c):
     """mu(a, b, c) = theta(alpha1(a, b), ..., alphan(a, b), c), on the
     terms a, b and c."""
     return _theta(*[Apply(f"alpha{i}", a, b) for i in range(1, n + 1)], c)
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def term_product(n: int):
     """a * b = theta(a, ..., a, b), the group operation of a 2-associative
     semi-abelian algebra; variables a, b."""
@@ -803,6 +932,7 @@ def term_product(n: int):
     return _theta(*[a] * n, Variable("b"))
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def term_diagonal_solution(n: int):
     """mu(c, theta(b, ..., b), b): the a with a * b = c, so the inverse of
     b at c = e; variables b, c."""
@@ -810,6 +940,7 @@ def term_diagonal_solution(n: int):
     return term_malcev(n, Variable("c"), _theta(*[b] * (n + 1)), b)
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def term_gamma(n: int, unit: str):
     """gamma(a*) = theta(a1, ..., an, unit), the map of the enriched group;
     variables a1..an."""

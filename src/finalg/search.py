@@ -369,13 +369,22 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     section prunes.  The search enumerates fillings of the first section
     under that constraint; with m^n > m every branch dies by depth m+1,
     and exhausting the pruned tree certifies that no full theta table
-    (hence no full structure) can be strict.
+    (hence no full structure) can be strict.  The walk visits exactly
+    m * sum(m!/(m-d)! for d = 0..m) nodes; a walk over SEARCH_BUDGET nodes
+    is refused (BudgetError) before it starts.
     """
     if m != 1 and (n < 2 or m < 2):
         raise InputError("requires n >= 2 and m >= 2 (or m = 1)")
     require_materializable(m, n + 1, f"{n} + 1")
     if m == 1:
         return search(_semiabelian_2assoc("trivial-strict", 1, n))
+    walk, prefixes = 1, 1
+    for d in range(m):
+        prefixes *= m - d
+        walk += prefixes
+    if m * walk > SEARCH_BUDGET:
+        raise BudgetError(f"no-strict walk of {m * walk} nodes exceeds "
+                          f"budget {SEARCH_BUDGET}")
     start = time.perf_counter()
     section = m ** n
     nodes = 0

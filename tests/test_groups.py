@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from finalg import catalog, groups
+from finalg import catalog, groups, identities
 from finalg.core import BudgetError, InputError, table_from_fn
 from finalg.groups import (
     GroupLawError,
@@ -42,6 +42,31 @@ def _catalog_algebras():
 
 
 # --- derived groups -----------------------------------------------------
+
+def test_repeated_conversions_build_no_plan(monkeypatch):
+    # the term builders and the laws return the same objects on repeated
+    # calls, so a second conversion of an algebra finds every term and
+    # identity it evaluates planned
+    monkeypatch.setattr(identities, "_plans", identities._Kept(
+        identities._PLANS, identities._PLAN_BYTES))
+    alg = catalog.build_group_product_algebra(
+        (catalog.cyclic_group(2), catalog.cyclic_group(3)), (1, 2), 2)
+    first = [derive_group(alg), to_enriched(alg), from_enriched(
+        to_enriched(alg)), malcev_term(alg)]
+    planned = []
+    real = identities._plan
+
+    def recording(t, m, known, axis):
+        planned.append(t)
+        return real(t, m, known, axis)
+
+    monkeypatch.setattr(identities, "_plan", recording)
+    again = [derive_group(alg), to_enriched(alg), from_enriched(
+        to_enriched(alg)), malcev_term(alg)]
+    assert planned == []
+    assert [g.tables for g in again[:3]] == [g.tables for g in first[:3]]
+    assert again[3].table == first[3].table
+
 
 def test_derive_group_recovers_source_product():
     for k in (2, 3, 4, 5):

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
+import importlib
 import itertools
 import math
 import random
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -68,6 +70,8 @@ from finalg.identities import (
 )
 
 from conftest import brute_first_counterexample, random_algebra
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --- suites on known algebras -------------------------------------------
@@ -825,7 +829,8 @@ def _grp16_mu():
                  id="grp16n1-malcev-assoc"),
 ])
 @pytest.mark.parametrize("dent", [None, 16, -1])
-def test_real_size_multi_block_reports(build, name, ident, dent):
+def test_real_size_multi_block_reports(monkeypatch, build, name, ident,
+                                      dent):
     # at the real _BLOCK these m = 16 checks run 256 blocks of 16^3; the
     # dents put the lex-first failure in the second block, at its second
     # tuple (16) or at tuple 3,840 (the last dent that fails by 20,000)
@@ -835,15 +840,132 @@ def test_real_size_multi_block_reports(build, name, ident, dent):
         dent = 4047 if name == "theta" else 3839
     if dent is not None:
         alg = _dented_table(alg, name, dent)
+    sizes = _record_blocks(monkeypatch)
     rep = check_identity(alg, ident)
     if dent is None:
         assert (rep.verdict, rep.tuples_checked) == ("pass", 16 ** 5)
+        # both sections are left translations, by gamma(a1, a2) or by
+        # a * b^-1: 16 distinct among the 256 blocks, and a block
+        # whose sections an earlier block had is not evaluated
+        assert len(sizes) == 16
         return
     cx = brute_first_counterexample(alg, ident)
     assert rep.counterexample == cx
     assert 16 ** 3 < rep.tuples_checked <= 2 * 16 ** 3
     assert rep.tuples_checked == 1 + sum(
         v * 16 ** (4 - i) for i, v in enumerate(cx.values()))
+
+
+def test_a_first_block_failure_builds_no_class_ids(monkeypatch):
+    # the sections are classed only once the first block has passed
+    alg = dataclasses.replace(catalog.build_group_product_algebra(
+        [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2))
+    built = []
+    real = identities._section_key
+    monkeypatch.setattr(identities, "_section_key",
+                        lambda *args: built.append(args) or real(*args))
+    rep = check_identity(_dented_table(alg, "theta", 0), identity_2assoc(2))
+    assert rep.verdict == "fail" and rep.tuples_checked <= 16 ** 3
+    assert built == []
+    assert check_identity(alg, identity_2assoc(2)).ok
+    assert len(built) == 1
+
+
+def _random_group(rng, m):
+    """The product and inverse lists of a random group on range(m): Z/m or,
+    at m = 4, the Klein group, under a random relabeling."""
+    klein = m == 4 and rng.random() < 0.5
+    perm = rng.sample(range(m), m)
+    prod = [0] * (m * m)
+    for a, b in itertools.product(range(m), repeat=2):
+        prod[perm[a] * m + perm[b]] = perm[a ^ b if klein else (a + b) % m]
+    e = perm[0]
+    inv = [next(y for y in range(m) if prod[x * m + y] == e)
+           for x in range(m)]
+    return prod, inv
+
+
+def _copied_rows(rng, m, arity):
+    """A random table of arity arguments whose rows at a random depth are
+    copies of at most three distinct rows."""
+    depth = rng.randint(1, arity)
+    width = m ** (arity - depth)
+    rows = [[rng.randrange(m) for _ in range(width)]
+            for _ in range(rng.randint(1, 3))]
+    return [x for _ in range(m ** depth) for x in rng.choice(rows)]
+
+
+def _section_identities(n):
+    """Identities whose blocks are keyed by their sections under a prefix
+    loop: over theta/(n+1) 2assoc:n and 1assoc:n, and over mu/3
+    malcev-assoc and a law whose right side reads a section its left
+    side does not."""
+    a, b, c, d, x = (Variable(v) for v in "abcdx")
+    return [identity_2assoc(n), *identities_1assoc(n),
+            identity_malcev_assoc(),
+            Identity("mu-sections", ("a", "b", "c", "x"),
+                     Apply("mu", a, b, x),
+                     Apply("mu", Apply("mu", a, c, c), Apply("mu", b, c, c),
+                           x))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 4), st.integers(1, 2),
+       st.sampled_from(["group", "copied"]), st.booleans(),
+       st.integers(1, 2))
+def test_section_keyed_blocks_match_the_oracle(seed, m, n, kind, dent, power):
+    # blocks whose sections repeat: theta(a*, b) = gamma(a*) * b and
+    # mu(a, b, c) = a * b^-1 * c of a random group and a random gamma, or
+    # random tables whose rows are copies of a few; a dent makes one
+    # section differ from its copies
+    rng = random.Random(seed)
+    if kind == "group":
+        prod, inv = _random_group(rng, m)
+        gamma = [rng.randrange(m) for _ in range(m ** n)]
+        theta = [prod[g * m + b] for g in gamma for b in range(m)]
+        mu = [prod[prod[a * m + inv[b]] * m + c]
+              for a, b, c in itertools.product(range(m), repeat=3)]
+    else:
+        theta, mu = _copied_rows(rng, m, n + 1), _copied_rows(rng, m, 3)
+    tables = {"theta": theta, "mu": mu}
+    if dent:
+        entries = tables[rng.choice(sorted(tables))]
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i] + 1) % m
+    alg = FiniteAlgebra("sections", Signature((("theta", n + 1), ("mu", 3))),
+                        m, {"theta": DenseTable(n + 1, theta),
+                            "mu": DenseTable(3, mu)})
+    with mock.patch.object(identities, "_BLOCK", m ** power):
+        for ident in _section_identities(n):
+            rep = check_identity(alg, ident)
+            cx = brute_first_counterexample(alg, ident)
+            k = len(ident.variables)
+            assert rep.counterexample == cx, ident.name
+            assert rep.verdict == ("pass" if cx is None else "fail")
+            assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
+                v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+
+
+def test_a_second_tables_pass_builds_no_grid(monkeypatch, tmp_path):
+    # the grids and meshes the tables benchmark workload uses fit the
+    # byte bound of _grids, so after one warm-up pass a second builds none
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build("tables", 911, tmp_path)
+    monkeypatch.setattr(identities, "_plans", identities._Kept(
+        identities._PLANS, identities._PLAN_BYTES))
+    grids = identities._Kept(identities._PLANS, identities._PLAN_BYTES)
+    monkeypatch.setattr(identities, "_grids", grids)
+    for op in ops:
+        op.call()
+    assert grids.entries
+    built = []
+    real = grids.get
+    monkeypatch.setattr(grids, "get", lambda key, build: real(
+        key, lambda: built.append(key) or build()))
+    for op in ops:
+        op.call()
+    assert built == []
 
 
 def _sum_identity(k):

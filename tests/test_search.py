@@ -168,10 +168,11 @@ def test_parse_search_spec_rejects_bad_entry_counts():
 
 
 def test_no_strict_2assoc_beyond_singletons():
-    for m in (2, 3):
+    # the walk visits m * sum(m!/(m-d)!, d = 0..m) nodes
+    for m, nodes in ((2, 10), (3, 48), (8, 876808)):
         result = prove_no_strict_2assoc(m, 2)
         assert result.outcome == "none-exists"
-        assert result.nodes > 0
+        assert result.nodes == nodes
     result = prove_no_strict_2assoc(1, 2)
     assert result.outcome == "witness"
     # a theta table of 3^41 entries is refused before m^(m^(n+1)) is built
@@ -180,6 +181,9 @@ def test_no_strict_2assoc_beyond_singletons():
         prove_no_strict_2assoc(3, 40)
     with pytest.raises(BudgetError, match="arguments exceeds cap"):
         prove_no_strict_2assoc(1, 10 ** 30)  # one element, 10^30 alphas
+    # a walk of 15,624,736,140 nodes is refused before it starts
+    with pytest.raises(BudgetError, match="15624736140 nodes exceeds"):
+        prove_no_strict_2assoc(12, 2)
     assert time.perf_counter() - start < 1
 
 
