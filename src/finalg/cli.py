@@ -203,8 +203,7 @@ def cmd_from_enriched(args, out):
 def cmd_malcev(args, out):
     alg, _ = _load_algebra(args.file)
     res = groups.malcev_term(alg)
-    entries = ", ".join(str(v) for v in res.table.entries)
-    out(f"op mu/3 = [{entries}]")
+    out(f"op mu/3 = {dsl.table_literal(res.table, alg.size)}")
     _emit_reports(res.law_reports + [res.assoc_report], args.format, out)
     return EXIT_OK if res.laws_ok else EXIT_FAIL
 

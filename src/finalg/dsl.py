@@ -15,12 +15,17 @@ name(t1,...,tk); a bare identifier is a variable if declared in the
 identity head, otherwise a constant.
 
 Parsing starts with one check of the whole text's characters, so an
-unexpected character is reported before any parse error; then tokens are
-lexed one at a time as the parser asks for them.  A table literal whose
-body holds only ASCII digits, commas and whitespace is read in one step.
-Any other body, such as one with aliases, comments, empty slots or an
-integer over Python's conversion limit, is read token by token, which
-accepts the same tables and reports the errors.
+unexpected character is reported before any parse error; an ASCII text
+of token characters and ASCII whitespace alone skips the scan, as it
+holds none.  Then tokens are lexed one at a time as the parser asks for
+them.  A table literal whose body is integers of at most 18 ASCII digits
+separated by commas, with ASCII whitespace around them, is read in one
+step (np.fromstring) into an int64 array, which its DenseTable keeps:
+the range check and the identity kernel read that array, and no entries
+tuple is built.  Any other body, such as one with aliases, comments,
+empty slots or longer integers, is read token by token, which accepts
+the same tables and reports the errors.  serialize and the CLI write
+every table literal through table_literal.
 """
 from __future__ import annotations
 
@@ -68,12 +73,44 @@ _TOKEN = re.compile(
 # no line needs lexing before the parse.
 _SUSPECT = re.compile(r"[^\s{}\[\](),=/:A-Za-z0-9_]")
 
-# The body of a table literal after its '[': ASCII digits, commas and
-# whitespace up to the closing ']'.
-_TABLE_BODY = re.compile(r"([0-9,\s]*)\]")
+# The ASCII characters that are not suspect: token characters and ASCII
+# whitespace (not \x1c-\x1f, which \s matches too).
+_PLAIN = (b"{}[](),=/:_ \t\n\r\x0b\x0c0123456789"
+          b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+# A table body's shape: each ASCII digit becomes '0', each ASCII
+# whitespace character ' ', a comma stays and any other byte is 'x'.
+_SHAPE = bytes(48 if 48 <= c <= 57 else 32 if c in b" \t\n\r\x0b\x0c"
+               else 44 if c == 44 else 120 for c in range(256))
 
 
 _STATEMENTS = ("carrier", "elem", "const", "op", "require")
+
+
+def _table_array(body):
+    """The int64 array of a table literal's body (the text between its
+    brackets) when np.fromstring reads it exactly as the token-by-token
+    read would, else None.  That holds when the body is blank (no
+    entries) or its shape (_SHAPE) is one run of '0' per comma-separated
+    slot, with spaces only around the runs and no run over 18 digits:
+    fromstring reads a blank slot as 0, drops a trailing comma and
+    saturates at 2^63 - 1."""
+    if not body.isascii():
+        return None
+    data = body.encode()
+    shape = data.translate(_SHAPE)
+    if b"x" in shape or b"0" * 19 in shape:
+        return None
+    import numpy as np
+
+    packed = shape.translate(None, b" ")
+    if not packed:
+        return np.empty(0, dtype=np.int64)
+    commas = packed.count(b",")
+    runs = shape.count(b" 0") + shape.count(b",0") + (shape[0] == 48)
+    if packed[0] != 48 or packed.count(b",0") != commas or runs != commas + 1:
+        return None  # an empty slot, or a space inside an integer
+    return np.fromstring(data, dtype=np.int64, sep=",")
 
 
 def _line_col(text, offset):
@@ -85,7 +122,10 @@ def _check_characters(text):
     """Raise at the first unexpected character, the one the lexer would
     reach first, so that it is reported before any parse error.  No token
     spans a newline except whitespace, so each line is lexed alone, and
-    only a line holding a suspect character is lexed."""
+    only a line holding a suspect character is lexed.  An ASCII text of
+    _PLAIN characters alone holds none."""
+    if text.isascii() and not text.encode().translate(None, _PLAIN):
+        return
     pos = 0
     while (suspect := _SUSPECT.search(text, pos)) is not None:
         start = text.rfind("\n", 0, suspect.start()) + 1
@@ -194,7 +234,8 @@ class _Parser:
                 if self.accept("ident", "free"):
                     raw.ops.append((oname, arity, None))
                 else:
-                    raw.ops.append((oname, arity, self.table(raw, start)))
+                    raw.ops.append(
+                        (oname, arity, self.table(raw, arity, start)))
             elif v == "require":
                 while True:
                     k2, v2, _ = self.peek()
@@ -208,23 +249,18 @@ class _Parser:
                     self.error("require needs at least one suite name")
         return raw
 
-    def table(self, raw, start):
-        """The entries of a table literal.  A body of ASCII digits, commas
-        and whitespace is read in one step when every slot holds an
-        integer; any other body (aliases, comments, empty slots, literals
-        over the int conversion limit) is read token by token, which
-        raises the errors."""
+    def table(self, raw, arity, start):
+        """The DenseTable of a table literal: read in one step when
+        _table_array takes its body, else token by token, which raises
+        the errors."""
         if self.peek()[:2] == ("punct", "["):
-            m = _TABLE_BODY.match(self.text, self.pos)
-            if m:
-                try:
-                    entries = list(map(int, m[1].split(",")))
-                except ValueError:
-                    pass
-                else:
-                    self.pos = m.end()
+            end = self.text.find("]", self.pos)
+            if end >= 0:
+                array = _table_array(self.text[self.pos:end])
+                if array is not None:
+                    self.pos = end + 1
                     self.next()
-                    return entries
+                    return DenseTable.of_array(arity, array)
         self.expect("punct", "[")
         entries = []
         if not self.accept("punct", "]"):
@@ -232,7 +268,7 @@ class _Parser:
             while self.accept("punct", ","):
                 entries.append(self.element(raw, start))
             self.expect("punct", "]")
-        return entries
+        return DenseTable(arity, entries)
 
     def element(self, raw, start):
         """An integer or declared alias; a bad one is reported at start,
@@ -284,8 +320,8 @@ class _Parser:
 class RawAlgebra:
     """Parse product of an algebra block, before semantic checks.
 
-    ops entries are (name, arity, entries-or-None); None marks a 'free'
-    table, which only search specs accept.
+    ops entries are (name, arity, DenseTable-or-None); None marks a
+    'free' table, which only search specs accept.
     """
 
     name: str
@@ -309,16 +345,16 @@ def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
     sig = Signature(
         tuple((n, a) for n, a, _ in raw.ops), tuple(raw.const_order))
     tables = {}
-    for n, arity, entries in raw.ops:
-        if entries is None:
+    for n, arity, table in raw.ops:
+        if table is None:
             if not allow_free:
                 raise DslError(
                     f"algebra {raw.name!r}: op {n!r} is free; "
                     "free tables are only valid in search specs"
                 )
             continue
-        tables[n] = DenseTable(arity, entries)
-        problem = table_error(n, tables[n], arity, m)
+        tables[n] = table
+        problem = table_error(n, table, arity, m)
         if problem is not None:
             raise DslError(f"algebra {raw.name!r}: {problem}")
     if raw.requires and not allow_free:
@@ -386,10 +422,26 @@ def serialize(alg: FiniteAlgebra) -> str:
     for c in alg.signature.constants:
         lines.append(f"  const {c} = {alg.constants[c]}")
     for n, arity in alg.signature.ops:
-        body = ", ".join(str(v) for v in alg.tables[n].entries)
-        lines.append(f"  op {n}/{arity} = [{body}]")
+        lines.append(
+            f"  op {n}/{arity} = {table_literal(alg.tables[n], alg.size)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def table_literal(table, m: int) -> str:
+    """The DSL literal of a table on {0..m-1}: its entries in row-major
+    order, joined by ", " in brackets.  The strings of 0..m-1 are made
+    once per call, so an entry costs one dict read rather than a str()
+    call; if any entry is outside 0..m-1 (in an unvalidated DenseTable,
+    even beyond int64) every entry is written by str().  A ProductTable
+    over the materialize limit raises BudgetError."""
+    values = table.entries
+    names = {v: str(v) for v in range(min(m, len(values)))}
+    try:
+        body = ", ".join(map(names.__getitem__, values))
+    except KeyError:
+        body = ", ".join(map(str, values))
+    return f"[{body}]"
 
 
 def serialize_identity(ident: Identity) -> str:

@@ -3,11 +3,12 @@ import pkgutil
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog, dsl
-from finalg.core import Apply, Constant, SymbolError, Variable
+from finalg import catalog, cli, core, dsl
+from finalg.core import Apply, Constant, DenseTable, SymbolError, Variable
 from finalg.dsl import (
     DslError,
     _line_col,
@@ -220,6 +221,13 @@ def _tokens_or_error(tokenize, text):
         return str(e)
 
 
+def _mutated(text, edits):
+    for pos, op, ch in edits:  # insert, delete or replace one character
+        pos %= len(text) + 1
+        text = text[:pos] + ch * (op != 1) + text[pos + (op != 0):]
+    return text
+
+
 _MUTATION_CHARS = "az_Z09-{}[](),=/:#@$ \n\t\r\x0c\u00e9\u0663"
 _BASES = [SAMPLE, "algebra A {\n carrier 2\n elem top = 1\n"
           "  op f/1 = [top, 0] # c\n require 2assoc:1\n}\n"]
@@ -230,10 +238,7 @@ _BASES = [SAMPLE, "algebra A {\n carrier 2\n elem top = 1\n"
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
                           st.sampled_from(_MUTATION_CHARS)), max_size=6))
 def test_tokenizer_matches_reference_on_mutated_texts(base, edits):
-    text = base
-    for pos, op, ch in edits:  # insert, delete or replace one character
-        pos %= len(text) + 1
-        text = text[:pos] + ch * (op != 1) + text[pos + (op != 0):]
+    text = _mutated(base, edits)
     got = _tokens_or_error(_tokenize, text)
     if isinstance(got, list):
         got = [(k, v, *_line_col(text, off)) for k, v, off in got]
@@ -282,10 +287,7 @@ _TABLE_MUTATION_CHARS = _MUTATION_CHARS + "\x1c"
                           st.sampled_from(_TABLE_MUTATION_CHARS)),
                 max_size=6))
 def test_table_fast_path_matches_token_by_token_read(base, edits):
-    text = base
-    for pos, op, ch in edits:  # insert, delete or replace one character
-        pos %= len(text) + 1
-        text = text[:pos] + ch * (op != 1) + text[pos + (op != 0):]
+    text = _mutated(base, edits)
     fast, slow = _fast_and_slow(text)
     assert fast == slow
 
@@ -293,6 +295,13 @@ def test_table_fast_path_matches_token_by_token_read(base, edits):
 @pytest.mark.parametrize("body", [
     "[]", "[0,]", "[0,,1]", "[0 1]", "[0, # c\n 1]", "[top, 0]",
     "[٣, 0]", "[0, 1, 2, 3]", "[ 1 ,\x0c0\n, 2,3]", "[1,\x1c0, 2, 3]",
+    "[0, ,1]", "[0,1,]", "[,0]", "[,0 1, 2, 3]", "[007, 1]", "[ ]",
+    "[0, 1, 2, 3 ]", "[0, 1, 2, 3 4]", "[0, 1,\n\n 2, 3,]", "[0, 1, 2, 3, ]",
+    "[0 1, ]",
+    "[0, 1, 2, 000000000000000000003]", "[0, 1, 2, %s]" % ("9" * 18),
+    "[0, 1, 2, %s]" % ("9" * 19), "[0, 1, 2, 9223372036854775808]",
+    "[\x0b0,\x0c1]", "[0,\u00a01]", "[0,\u20031]",
+    "[\x0b0,\x0c1, 2,\t3\r]", "[0,\u00a01, 2, 3]",
 ])
 def test_table_fast_path_pinned_bodies(body):
     text = "algebra X {\n  carrier 4\n  elem top = 1\n  op f/1 = %s}\n" % body
@@ -316,6 +325,66 @@ def test_plain_table_literal_is_read_in_one_step(monkeypatch):
     assert alg.tables["f"].entries == (0, 1, 1, 0)
 
 
+def test_digits_only_tables_build_no_entries_tuple(tmp_path, monkeypatch):
+    text = serialize(catalog.build_group_product_algebra(
+        [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2))
+    alg = parse_algebra(text)
+    assert all(t._entries is None for t in alg.tables.values())
+    with tables_token_by_token():
+        slow = parse_algebra(text)
+    assert all(t._entries is not None for t in slow.tables.values())
+    assert alg == slow
+
+    def no_entries(table):
+        raise AssertionError("entries tuple built")
+
+    monkeypatch.setattr(core.DenseTable, "entries", property(no_entries))
+    path = tmp_path / "g.alg"
+    path.write_text(text)
+    assert cli.main(["check", str(path), "--suite", "semiabelian:2",
+                     "--suite", "2assoc:2"]) == 0
+
+
+_CHARACTER_MUTATIONS = _TABLE_MUTATION_CHARS + "\x0b\x1f\u00a0\u2003~%"
+
+
+def _character_error(text):
+    try:
+        dsl._check_characters(text)
+    except DslError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_TABLE_BASES + _BASES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                          st.sampled_from(_CHARACTER_MUTATIONS)),
+                max_size=6))
+def test_character_check_shortcut_matches_full_scan(base, edits):
+    text = _mutated(base, edits)
+    got = _character_error(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsl, "_PLAIN", b"")  # no text skips the scan
+        assert got == _character_error(text)
+
+
+_ENTRIES = st.one_of(st.integers(-3, 24), st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.lists(_ENTRIES, max_size=60), st.booleans(),
+       st.sampled_from([0, 2 ** 63, 10 ** 30]))
+def test_table_literal_is_str_of_each_entry(m, entries, from_array, huge):
+    if from_array:
+        table = DenseTable.of_array(1, np.array(entries, dtype=np.int64))
+    else:  # a tuple table may hold entries beyond int64
+        entries += [huge] * (huge > 0)
+        table = DenseTable(1, entries)
+    want = "[" + ", ".join(map(str, entries)) + "]"
+    assert dsl.table_literal(table, m) == want
+
+
 # -- the Python 3.10 floor ----------------------------------------------------
 
 # atomic groups and possessive quantifiers: re.error before Python 3.11
@@ -337,5 +406,4 @@ def test_module_patterns_use_no_python_3_11_syntax():
                 seen.add(f"finalg.{info.name}.{name}")
                 assert not _PY311_ONLY.search(value.pattern), (
                     f"finalg.{info.name}.{name}")
-    assert {"finalg.dsl._TOKEN", "finalg.dsl._SUSPECT",
-            "finalg.dsl._TABLE_BODY"} <= seen
+    assert {"finalg.dsl._TOKEN", "finalg.dsl._SUSPECT"} <= seen
