@@ -138,17 +138,6 @@ def _check_characters(text):
                                *_line_col(text, m.start("bad")))
 
 
-def _tokenize(text):
-    """(kind, value, offset) tokens ending in one eof token; whitespace and
-    comments are skipped, and the first unexpected character raises."""
-    p = _Parser(text)
-    toks = [p.peek()]
-    while toks[-1][0] != "eof":
-        p.next()
-        toks.append(p.peek())
-    return toks
-
-
 class _Parser:
     """A recursive-descent parser over tokens lexed one at a time, on
     demand, after one check of the whole text's characters."""

@@ -10,20 +10,27 @@ each instance becomes a pair of nested int tuples that index one flat cell
 array (pinned tables, free tables, constants and a read-only slot per
 carrier element), in which -1 marks a cell not yet decided.  Evaluating an
 instance lhs-then-rhs either decides it or stops at its first blocking
-cell, the first undecided cell the evaluation reaches.  A side that is a
-slot (a variable, a constant, or an op applied to variables only) costs
-one read of the cell array and no call; only a compound side goes through
-_value, which reads each slot argument inline and recurses only into a
-compound one.  An undecided instance waits on the watch list of that
-cell.  Because cells are assigned in the fixed free_cells() order, a cell
-that blocks an instance stays undecided until it is itself assigned, so
-assigning cell d can change the state of exactly the instances on
-watch[d]: each is re-evaluated and either decided (a mismatch prunes) or
-moved to the list of a deeper cell, and the moves are popped on
-backtrack.  Every other instance is as it was at the parent node, which
-had no decided violation, so a node is pruned exactly when re-evaluating
-every instance of every identity would find a decided violation: node
-counts, counts and witnesses equal those of that full rescan.
+cell, the first undecided cell the evaluation reaches.
+
+The search is one iterative depth-first loop.  Per depth it keeps the
+cell's current value, tried in order 0..m-1, and the watch entries that
+value moved; backtracking pops them and moves to the next value.  The
+loop evaluates each instance inline: a side that is a slot (a variable, a
+constant, or an op applied to variables only) is one read of the cell
+array, a compound side reads its slot arguments in place, and only an
+argument that is itself compound goes through _value.  The root pass over
+every instance is the loop's first step and runs the same code.  An
+undecided instance waits on the watch list of its blocking cell.  Because
+cells are assigned in the fixed free_cells() order, a cell that blocks an
+instance stays undecided until it is itself assigned, so assigning cell d
+can change the state of exactly the instances on watch[d]: each is
+re-evaluated and either decided (a mismatch prunes) or moved to the list
+of a deeper cell.  Every other instance is as it was at the parent node,
+which had no decided violation, so a node is pruned exactly when
+re-evaluating every instance of every identity would find a decided
+violation: node counts, counts and witnesses equal those of that full
+rescan.  The loop keeps no Python frame per depth, so the depth of the
+tree is bounded by memory alone.
 """
 from __future__ import annotations
 
@@ -207,7 +214,8 @@ class _Cells:
 def _value(t, vals) -> int:
     """The value of the compound ground term t = (base, kids), or ~slot
     of the first undecided cell its evaluation reaches (always negative).
-    A kid that is a slot is read inline; only a compound kid recurses."""
+    The search calls it for a compound argument of a compound side; a kid
+    that is a slot is read inline and only a compound kid recurses."""
     base, kids = t
     for w, kid in kids:
         if kid.__class__ is int:
@@ -221,39 +229,6 @@ def _value(t, vals) -> int:
         base += w * v
     v = vals[base]
     return v if v >= 0 else ~base
-
-
-def _recheck(instances, vals, watch, moved) -> tuple:
-    """Evaluate instances, appending each undecided one to the watch list
-    of its first blocking cell and that cell's slot to moved.  Returns
-    (violated, number evaluated), stopping at the first decided
-    mismatch.  A side that is a slot is one read of vals; only a compound
-    side calls _value."""
-    done = 0
-    for inst in instances:
-        done += 1
-        lhs, rhs = inst
-        if lhs.__class__ is int:
-            a = vals[lhs]
-            if a < 0:
-                a = ~lhs
-        else:
-            a = _value(lhs, vals)
-        if a >= 0:
-            if rhs.__class__ is int:
-                b = vals[rhs]
-                if b < 0:
-                    b = ~rhs
-            else:
-                b = _value(rhs, vals)
-            if b >= 0:
-                if a != b:
-                    return True, done
-                continue
-            a = b
-        watch[~a].append(inst)
-        moved.append(~a)
-    return False, done
 
 
 def _space_size(spec: SearchSpec, budget: int) -> int:
@@ -290,50 +265,109 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     _check_spec(spec)
     m = spec.size
     space = _space_size(spec, budget)
-    cells = spec.free_cells()
     layout = _Cells(spec)
     vals = layout.vals
     watch = [[] for _ in vals]
-    violated, evaluated = _recheck(
-        layout.instances(spec.identities), vals, watch, []
-    )
-    if violated:
-        # pins alone already falsify an identity
-        return SearchResult(
-            "none-exists", space_size=space, nodes=1,
-            instances_evaluated=evaluated,
-            elapsed_s=time.perf_counter() - start,
-        )
-    slots = [layout.cell_slot(c) for c in cells]
-    nodes = 0
-    count = 0
+    slots = [layout.cell_slot(c) for c in spec.free_cells()]
+    k = len(slots)
+    counting = spec.mode == "count-all"
+    top = m - 1  # the last value of a cell
+    # grown[d]: the slots whose watch lists gained an instance when cell
+    # d - 1 took its current value (grown[0]: in the root pass)
+    grown = [[] for _ in range(k + 1)]
+    depth = 0  # cells assigned
+    todo = layout.instances(spec.identities)  # the root pass: every instance
+    nodes = count = evaluated = 0
+    refuted = False  # the pins alone falsify an identity (one node)
     witness = None
-
-    def assign(depth):
-        nonlocal nodes, count, witness, evaluated
-        if depth == len(slots):
-            if spec.mode == "count-all":
-                count += 1
-                return False
-            witness = layout.algebra(spec)
-            return True  # find-first is done; prove-none has failed
-        s = slots[depth]
-        watched = watch[s]
-        for v in range(m):
-            nodes += 1
-            vals[s] = v
-            moved = []
-            violated, done = _recheck(watched, vals, watch, moved)
-            evaluated += done
-            if not violated and assign(depth + 1):
-                return True
-            for t in moved:
-                watch[t].pop()
-        vals[s] = -1
-        return False
-
-    assign(0)
-    if spec.mode == "count-all":
+    while True:
+        grew = grown[depth]
+        for inst in todo:
+            evaluated += 1
+            lhs, rhs = inst
+            if lhs.__class__ is int:
+                a = vals[lhs]
+                if a < 0:
+                    a = ~lhs
+            else:
+                a, kids = lhs
+                for w, kid in kids:
+                    if kid.__class__ is int:
+                        v = vals[kid]
+                        if v < 0:
+                            a = ~kid
+                            break
+                    else:
+                        v = _value(kid, vals)
+                        if v < 0:
+                            a = v
+                            break
+                    a += w * v
+                else:
+                    v = vals[a]
+                    a = v if v >= 0 else ~a
+            if a >= 0:
+                if rhs.__class__ is int:
+                    b = vals[rhs]
+                    if b < 0:
+                        b = ~rhs
+                else:
+                    b, kids = rhs
+                    for w, kid in kids:
+                        if kid.__class__ is int:
+                            v = vals[kid]
+                            if v < 0:
+                                b = ~kid
+                                break
+                        else:
+                            v = _value(kid, vals)
+                            if v < 0:
+                                b = v
+                                break
+                        b += w * v
+                    else:
+                        v = vals[b]
+                        b = v if v >= 0 else ~b
+                if b >= 0:
+                    if a != b:
+                        refuted = not depth
+                        break
+                    continue
+                a = b
+            a = ~a
+            watch[a].append(inst)
+            grew.append(a)
+        else:
+            if depth < k:
+                s = slots[depth]
+                depth += 1
+                nodes += 1
+                vals[s] = 0
+                todo = watch[s]
+                continue
+            if not counting:
+                witness = layout.algebra(spec)
+                break  # find-first is done; prove-none has failed
+            count += 1
+        # next value at the deepest cell with one left, undoing the watch
+        # moves of each value left behind
+        while depth:
+            grew = grown[depth]
+            while grew:
+                watch[grew.pop()].pop()
+            s = slots[depth - 1]
+            if vals[s] < top:
+                vals[s] += 1
+                nodes += 1
+                todo = watch[s]
+                break
+            vals[s] = -1
+            depth -= 1
+        else:
+            break
+    if refuted:
+        outcome, nodes = "none-exists", 1
+    elif counting:
         outcome = "count"
     elif witness is None:
         outcome = "none-exists"
@@ -388,24 +422,22 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     start = time.perf_counter()
     section = m ** n
     nodes = 0
-    seen = []
-
-    def extend():
-        nonlocal nodes
-        if len(seen) == section:
-            return True  # a full section with all-distinct values: impossible
-        for v in range(m):
+    seen = []  # the values of the section's first cells, all distinct
+    v = 0  # the next value to try for the cell after them
+    while True:
+        if v < m:
             nodes += 1
             if v in seen:
-                continue  # unique-preimage constraint violated
+                v += 1  # unique-preimage constraint violated
+                continue
             seen.append(v)
-            if extend():
-                return True
-            seen.pop()
-        return False
-
-    if extend():  # pragma: no cover - unreachable for m >= 2, n >= 2
-        raise AlgebraError("unexpected strict candidate found")
+            if len(seen) == section:  # pragma: no cover - m^n > m
+                raise AlgebraError("unexpected strict candidate found")
+            v = 0
+        elif seen:
+            v = seen.pop() + 1
+        else:
+            break
     theta_space = m ** (m ** (n + 1))
     return SearchResult("none-exists", space_size=theta_space, nodes=nodes,
                         elapsed_s=time.perf_counter() - start)

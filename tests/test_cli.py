@@ -709,6 +709,35 @@ def test_search_structured_reports_work(tmp_path, capsys):
     assert rec["instances_evaluated"] > 0 and rec["elapsed_s"] >= 0
 
 
+@pytest.mark.parametrize("mode, work", [
+    # one root evaluation per instance, then one per node
+    ("count-all", (2048, 3072)),
+    ("find-first", (1536, 2560)),
+])
+def test_search_a_tree_deeper_than_the_recursion_limit(tmp_path, capsys,
+                                                       mode, work):
+    # f/10 on two elements has 1,024 free cells, each a level of the tree
+    args = ", ".join(f"x{i}" for i in range(1, 11))
+    p = tmp_path / "proj.alg"
+    p.write_text(
+        "algebra P {\n  carrier 2\n  op f/10 = free\n}\n"
+        f"identity proj({args}): f({args}) = x1\n"
+    )
+    assert main(["search", str(p), "--budget", str(10 ** 400),
+                 "--search-mode", mode, "--format", "structured"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rec = json.loads(lines[0])
+    assert (rec["nodes"], rec["instances_evaluated"]) == work
+    if mode == "count-all":
+        assert (rec["outcome"], rec["count"]) == ("count", 1)
+    else:
+        # the one model is the projection onto the first argument
+        assert rec["outcome"] == "witness"
+        witness = parse_algebra("\n".join(lines[1:]))
+        assert witness.tables["f"].entries == tuple(
+            idx >> 9 for idx in range(1024))
+
+
 def test_python_dash_m_finalg():
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

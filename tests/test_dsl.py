@@ -11,8 +11,8 @@ from finalg import catalog, cli, core, dsl
 from finalg.core import Apply, Constant, DenseTable, SymbolError, Variable
 from finalg.dsl import (
     DslError,
+    _Parser,
     _line_col,
-    _tokenize,
     parse_algebra,
     parse_file,
     parse_identity,
@@ -191,6 +191,18 @@ _REFERENCE_TOKEN = re.compile(
 )
 
 
+def _tokenize(text):
+    """(kind, value, offset) tokens ending in one eof token, read off the
+    parser's lexer; whitespace and comments are skipped, and the first
+    unexpected character raises."""
+    p = _Parser(text)
+    toks = [p.peek()]
+    while toks[-1][0] != "eof":
+        p.next()
+        toks.append(p.peek())
+    return toks
+
+
 def _reference_tokenize(text):
     toks = []
     pos = 0
@@ -248,9 +260,10 @@ def test_tokenizer_matches_reference_on_mutated_texts(base, edits):
 # -- the one-step table literal against the token-by-token read -------------
 
 def _parse_or_error(text):
+    # a mutated signature (op g/0, a repeated name) is a SymbolError
     try:
         algebras, identities = parse_file(text)
-    except DslError as e:
+    except (DslError, SymbolError) as e:
         return str(e)
     return algebras, [a.name for a in algebras], identities
 

@@ -24,6 +24,7 @@ from finalg.identities import (
     check_suite,
     identities_malcev,
     identity_2assoc,
+    identity_malcev_assoc_expanded,
     resolve_suite,
     suite_ok,
     suite_semiabelian,
@@ -383,6 +384,27 @@ def test_group3_work_counts_are_pinned(e, mode, work):
     assert (result.nodes, result.instances_evaluated) == work
 
 
+# malcev-assoc-expanded:n grounds to theta applied to alpha applications
+# that themselves take a theta application, so these pin the evaluation of
+# a compound argument of a compound side, which the census never reaches
+@pytest.mark.parametrize("m, n, mode, work, count", [
+    (2, 1, "count-all", (134, 580), 2),
+    (2, 2, "find-first", (1908, 11497), 0),
+    (2, 2, "count-all", (33630, 212136), 144),
+])
+def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
+    idents = tuple(
+        resolve_suite(f"semiabelian:{n}", ("e",) * n).identities
+    ) + (identity_malcev_assoc_expanded(n),)
+    spec = SearchSpec(f"nested-{m}-{n}", m,
+                      standard_signature(n, shared_unit=True), idents,
+                      mode=mode)
+    result = search(spec)
+    assert (result.nodes, result.instances_evaluated) == work
+    assert result.count == count
+    assert (result.witness is not None) == (mode == "find-first")
+
+
 def test_prove_none_stops_at_the_first_model():
     spec = parse_search_spec(GROUP3_SPEC.format(e=0), mode="prove-none")
     result = search(spec)
@@ -409,21 +431,30 @@ def _model_tables(m, n):
        st.sampled_from(["find-first", "count-all", "prove-none"]))
 def test_random_specs_match_full_rescan(seed, m, n, mode):
     rng = random.Random(seed)
-    suites = rng.sample(["semiabelian", "2assoc", "1assoc", "malcev"],
-                        rng.randint(1, 3))
+    # malcev-assoc-expanded:n nests applications in arguments; its m^5
+    # instances per rescan are drawn only for m <= 2
+    pool = ["semiabelian", "2assoc", "1assoc", "malcev"]
+    if m <= 2:
+        pool.append("malcev-assoc-expanded")
+    suites = rng.sample(pool, rng.randint(1, 3))
     ops = list(standard_signature(n, shared_unit=True).ops)
     if "malcev" in suites:
         ops.append(("mu", 3))
     idents = []
     for s in suites:
-        idents.extend(resolve_suite(
-            s if s == "malcev" else f"{s}:{n}", ("e",) * n).identities)
+        if s == "malcev-assoc-expanded":
+            idents.append(identity_malcev_assoc_expanded(n))
+        else:
+            idents.extend(resolve_suite(
+                s if s == "malcev" else f"{s}:{n}", ("e",) * n).identities)
     # pin a random subset of ops, then the largest free ones until the
-    # naive space is small enough for the reference searcher
+    # naive space is small enough for the reference searcher, whose
+    # rescans of nested instances cost more
+    cap = 4096 if "malcev-assoc-expanded" in suites else 20000
     pinned = {name for name, _ in ops if rng.random() < 0.3}
     for name, arity in sorted(ops, key=lambda na: -na[1]):
         free = 1 + sum(m ** a for nm, a in ops if nm not in pinned)
-        if m ** free <= 20000:
+        if m ** free <= cap:
             break
         pinned.add(name)
     models = _model_tables(m, n)
