@@ -51,7 +51,6 @@ from .groups import (
     derive_group,
     from_enriched,
     malcev_term,
-    solve_diagonal,
     to_enriched,
 )
 from .search import (

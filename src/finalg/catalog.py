@@ -58,9 +58,12 @@ def _table(arity, m, fn) -> DenseTable:
     _BLOCK in flat order, it returns the int64 array of its values (or
     one int for all of them) and writes none of its arguments.  The
     arguments are the base-m digits of the flat indices, taken by
-    arithmetic, so any arity works (numpy refuses arrays of more than 64
-    dimensions, and a one-element carrier admits any arity).  The blocks
-    are written into one int64 array, which becomes the table's array()."""
+    arithmetic, so any arity works (numpy 1.x refuses arrays of more than
+    32 dimensions and 2.x more than 64, and a one-element carrier admits
+    any arity).  Once the quotient is all zero, that one zero array is
+    every leading digit, so a one-element carrier costs one array.  The
+    blocks are written into one int64 array, which becomes the table's
+    array()."""
     import numpy as np
 
     require_materializable(m, arity)
@@ -69,9 +72,10 @@ def _table(arity, m, fn) -> DenseTable:
     for start in range(0, total, _BLOCK):
         flat = np.arange(start, min(start + _BLOCK, total))
         args, rest = [], flat
-        for _ in range(arity - 1):
+        while len(args) < arity - 1 and rest.any():
             rest, digit = np.divmod(rest, m)
             args.append(digit)
+        args += [rest] * (arity - 1 - len(args))
         out[start:start + flat.size] = fn(rest, *reversed(args))
     return DenseTable.of_array(arity, out)
 

@@ -371,6 +371,8 @@ class Identity:
     """A universally quantified equation lhs = rhs over declared variables.
 
     Zero declared variables is allowed (ground equations like e1 = e2).
+    The kernel's caches are keyed by identity value, so its hash is
+    computed once, outside the fields.
     """
 
     name: str
@@ -385,6 +387,11 @@ class Identity:
             raise EvalError(
                 f"identity {self.name!r} uses undeclared variables {sorted(undeclared)}"
             )
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.variables, self.lhs, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
 
     def text(self) -> str:
         vs = ", ".join(self.variables)

@@ -6,14 +6,14 @@ Groups and enriched groups are FiniteAlgebras, validated by their laws
 when they are built.  Every derived operation is a term of the theory
 (identities.term_product, term_diagonal_solution, term_gamma and
 term_malcev, and prod(gamma(a*), b) on the way back), and term_table
-materializes it on the identity kernel.  The derived product is
+materializes it on the identity kernel, which plans each term once per
+carrier size whichever call built it.  The derived product is
 a*b = theta(a,...,a,b) with unit e; every inverse read off the diagonal
 solution term is cross-checked against the brute-force group inverse, so
 a defect in the formula cannot pass silently.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -25,10 +25,8 @@ from .core import (
     CheckReport,
     DenseTable,
     FiniteAlgebra,
-    InputError,
     Signature,
     Variable,
-    eval_term,
     exponent_text,
     power_exceeds,
     require_materializable,
@@ -123,22 +121,6 @@ def derive_group(alg: FiniteAlgebra) -> FiniteAlgebra:
     group = monoid_algebra("DerivedGroup", m, product, e, inverse)
     require_laws(group, GROUP_LAWS, GroupLawError)
     return group
-
-
-def solve_diagonal(alg: FiniteAlgebra, b: int, c: int) -> int:
-    """The element a with theta(a,...,a,b) = c, by the diagonal solution
-    term, verified against the equation; b or c outside the carrier is
-    an InputError, raised before any lookup."""
-    if not (0 <= b < alg.size and 0 <= c < alg.size):
-        raise InputError(f"b = {b}, c = {c}: outside 0..{alg.size - 1}")
-    n, _ = _require(alg, "protomodular", "2assoc")
-    a = eval_term(alg, term_diagonal_solution(n), {"b": b, "c": c})
-    if eval_term(alg, term_product(n), {"a": a, "b": b}) != c:
-        raise GroupLawError(
-            f"closed-form solution a = {a} does not satisfy "
-            f"theta(a,...,a,{b}) = {c}"
-        )
-    return a
 
 
 def check_diagonal_cancellation(alg: FiniteAlgebra) -> CheckReport:
@@ -262,23 +244,15 @@ def to_enriched(alg: FiniteAlgebra) -> FiniteAlgebra:
     return eg
 
 
-@functools.cache
-def _enriched_theta(n):
-    """prod(gamma(a1, ..., an), b), the same object on repeated calls, so
-    term_table plans it once per carrier size."""
-    return Apply("prod", Apply("gamma", *(Variable(f"a{i}")
-                                          for i in range(1, n + 1))),
-                 Variable("b"))
-
-
 def from_enriched(eg: FiniteAlgebra) -> FiniteAlgebra:
     """Convert an enriched group, checked against enriched_laws(n) first
     (GroupLawError names eg), back to the 2-associative semi-abelian
     algebra FromEnriched: theta(a*, b) = prod(gamma(a*), b)."""
     n = eg.op("gamma").arity
     require_laws(eg, enriched_laws(n), GroupLawError)
-    theta = term_table(eg, _enriched_theta(n),
-                       tuple(f"a{i}" for i in range(1, n + 1)) + ("b",))
+    avs = tuple(f"a{i}" for i in range(1, n + 1))
+    term = Apply("prod", Apply("gamma", *map(Variable, avs)), Variable("b"))
+    theta = term_table(eg, term, avs + ("b",))
     alphas = [eg.op(f"alpha{i}") for i in range(1, n + 1)]
     alg = standard_algebra("FromEnriched", eg.size, theta, alphas,
                            (eg.constant("e"),) * n)

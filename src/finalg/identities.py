@@ -19,24 +19,22 @@ which are bound per block or per batch.  A check binds the plans to its
 algebra's table arrays and constants, so a subterm that reads only known
 variables is evaluated at once, to an int or an array, and the rest
 becomes a closure that each block calls.  Plans are kept in a bounded
-cache keyed by the identity object, m and the layout (_planned), and the
-builders below return the same identity objects on repeated calls, so a
-law checked on many algebras is planned once; term_table's plans are
-kept there too, keyed by the term object, m and the variables, and the
-term builders return the same objects as well.  The grids and meshes
-plans are built from are kept in one cache under the same byte bound
-(_grids).  Whether an identity fits a signature is likewise decided
-once per signature (_require_fit).  An
-exhaustive check of a product that records its factors
-(catalog._product) runs the kernel on each factor instead, since an
-identity holds in a product iff it holds in every factor, and places the
-first counterexample from theirs (engine "product", _check_product).
-The exhaustive check loops over a lexicographic prefix of
-the variables and evaluates each prefix's block of suffix tuples at once;
-a block holds at most _BLOCK tuples (at least one whole variable), so its
-temporaries stay cache-sized and a failure near the start of the tuple
-order ends the check early.  An identity with no variables is one block
-of one tuple.
+cache keyed by the identity's value, m and the layout (_planned), so a
+law checked on many algebras is planned once, and so is an equal
+identity built again or parsed again from text; term_table's plans are
+kept there too, keyed by the term's value, m and the variables.  The
+grids and meshes plans are built from are kept in one cache under the
+same byte bound (_grids).  Whether an identity fits a signature is
+likewise decided once per signature (_require_fit).  An exhaustive
+check of a product that records its factors (catalog._product) runs the
+kernel on each factor instead, since an identity holds in a product iff
+it holds in every factor, and places the first counterexample from
+theirs (engine "product", _check_product).  The exhaustive check loops
+over a lexicographic prefix of the variables and evaluates each prefix's
+block of suffix tuples at once; a block holds at most _BLOCK tuples (at
+least one whole variable), so its temporaries stay cache-sized and a
+failure near the start of the tuple order ends the check early.  An
+identity with no variables is one block of one tuple.
 
 A check without a prefix loop (one block, as every small check is) reads
 its suffix as flat grid rows (_grid), and so does term_table; a sampled
@@ -123,10 +121,9 @@ _BATCH = 1 << 16
 
 @dataclass(frozen=True)
 class IdentitySuite:
-    """A named bundle of identities sharing the arity parameter n."""
+    """A named bundle of identities."""
 
     name: str
-    n: int
     identities: tuple
 
 
@@ -346,8 +343,8 @@ def _grid(m, inner):
     """The m^inner tuples over range(m) in lex order, as a read-only
     (inner, m^inner) int64 array, kept in _grids.  Row i repeats each
     digit m^(inner-1-i) times in turn, so no array has more than three
-    dimensions (numpy refuses more than 64, and a one-element carrier
-    admits any inner)."""
+    dimensions (numpy 1.x refuses more than 32 and 2.x more than 64, and
+    a one-element carrier admits any inner)."""
     def build():
         import numpy as np
 
@@ -388,9 +385,9 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, variables = alg.size, tuple(variables)
     k = len(variables)
-    plan = _plans.get((id(term), m, variables), lambda: (
+    plan = _plans.get((term, m, variables), lambda: (
         8 * m ** k * (1 + _applications(term)),
-        (term, _plan(term, m, dict(zip(variables, _grid(m, k))), {}))))[1]
+        _plan(term, m, dict(zip(variables, _grid(m, k))), {})))
     values = plan(alg)
     return DenseTable.of_array(
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
@@ -425,12 +422,12 @@ class _Kept:
             return entry[1]
 
 
-# (id(identity), m, inner) -> (identity, lhs plan, rhs plan, keyed
-# sections) and (id(term), m, variables) -> (term, plan) of term_table,
-# weighed by the bytes their arrays may hold; (signature, id(identity))
-# -> identity, once it fits; (m, inner, kind) -> a grid or mesh, weighed
-# by its bytes.  Each plan keeps its identity or term alive, so no other
-# takes its id while it is kept
+# (identity, m, inner) -> (lhs plan, rhs plan, keyed sections) and
+# (term, m, variables) -> the plan of term_table, weighed by the bytes
+# their arrays may hold; (signature, identity) -> None, once it fits;
+# (m, inner, kind) -> a grid or mesh, weighed by its bytes.  Identities
+# and terms are keyed by value, so an equal one parsed again is planned
+# once
 _plans = _Kept(_PLANS, _PLAN_BYTES)
 _fits = _Kept(_PLANS)
 _grids = _Kept(_PLANS, _PLAN_BYTES)
@@ -445,12 +442,11 @@ def _planned(ident, m, inner):
     that key a block under a prefix loop (_keyed), each as (op, depth,
     plans of its leading arguments), and is None when the identity does
     not qualify or has no prefix loop."""
-    return _plans.get((id(ident), m, inner),
-                      lambda: _plan_sides(ident, m, inner))[1:]
+    return _plans.get((ident, m, inner), lambda: _plan_sides(ident, m, inner))
 
 
 def _plan_sides(ident, m, inner):
-    """(bytes, (ident, lhs plan, rhs plan, keyed sections)) for _planned.
+    """(bytes, (lhs plan, rhs plan, keyed sections)) for _planned.
     A plan holds at most one array of a block's m^inner values per table
     application and per side that is a bare variable, which bounds its
     bytes."""
@@ -466,8 +462,8 @@ def _plan_sides(ident, m, inner):
         keyed = [(op, len(args), [_plan(a, m, {}, {}) for a in args])
                  for op, args in keyed]
     arrays = 2 + sum(map(_applications, sides))
-    return 8 * m ** inner * arrays, (ident, *(_plan(side, m, known, axis)
-                                              for side in sides), keyed)
+    return 8 * m ** inner * arrays, (*(_plan(side, m, known, axis)
+                                       for side in sides), keyed)
 
 
 def _keyed(sides, suffix):
@@ -504,8 +500,8 @@ def _require_fit(alg, ident):
     and identity: a fit is kept, and a misfit raises its message every
     time."""
     sig = alg.signature
-    _fits.get((sig, id(ident)), lambda: (
-        0, check_identity_terms(sig, ident, alg.name) or ident))
+    _fits.get((sig, ident), lambda: (
+        0, check_identity_terms(sig, ident, alg.name)))
 
 
 def _digits(j, shape):
@@ -749,7 +745,7 @@ def suite_protomodular(n: int, units=None) -> IdentitySuite:
         _theta(*[Apply(f"alpha{i}", a, b) for i in range(1, n + 1)], b),
         a,
     ))
-    return IdentitySuite(f"protomodular:{n}", n, tuple(ids))
+    return IdentitySuite(f"protomodular:{n}", tuple(ids))
 
 
 def suite_semiabelian(n: int, units=None) -> IdentitySuite:
@@ -763,7 +759,7 @@ def suite_semiabelian(n: int, units=None) -> IdentitySuite:
                 f"units-equal-{i}", (),
                 Constant(units[i - 1]), Constant(units[i]),
             ))
-    return IdentitySuite(f"semiabelian:{n}", n, tuple(ids))
+    return IdentitySuite(f"semiabelian:{n}", tuple(ids))
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -784,7 +780,8 @@ def _grouped(leaves, j, n):
     return _theta(*leaves[:j - 1], inner, *leaves[j + n:])
 
 
-def identities_1assoc(n: int) -> list:
+@functools.lru_cache(maxsize=_PLANS)
+def identities_1assoc(n: int) -> tuple:
     """Parenthesis-moving associativity: the canonical nesting (inner
     application in the last slot) equals the nesting with the inner
     application moved to each of the other n slots.
@@ -792,11 +789,6 @@ def identities_1assoc(n: int) -> list:
     For n=1 this is exactly ordinary associativity, term-for-term the same
     equation as identity_2assoc(1).
     """
-    return list(_identities_1assoc(n))
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _identities_1assoc(n):
     leaves = _avars(n, "a") + _avars(n, "b") + [Variable("c")]
     variables = tuple(t.name for t in leaves)
     base = _grouped(leaves, n + 1, n)
@@ -807,20 +799,16 @@ def _identities_1assoc(n):
 
 
 def suite_1assoc(n: int) -> IdentitySuite:
-    return IdentitySuite(f"1assoc:{n}", n, tuple(identities_1assoc(n)))
+    return IdentitySuite(f"1assoc:{n}", identities_1assoc(n))
 
 
 def suite_2assoc(n: int) -> IdentitySuite:
-    return IdentitySuite(f"2assoc:{n}", n, (identity_2assoc(n),))
-
-
-def identities_strict(n: int) -> list:
-    """alpha_i(theta(a1..an, b), b) = a_i for each i."""
-    return list(_identities_strict(n))
+    return IdentitySuite(f"2assoc:{n}", (identity_2assoc(n),))
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _identities_strict(n):
+def identities_strict(n: int) -> tuple:
+    """alpha_i(theta(a1..an, b), b) = a_i for each i."""
     avs = _avars(n, "a")
     b = Variable("b")
     variables = tuple(v.name for v in avs) + ("b",)
@@ -834,20 +822,12 @@ def _identities_strict(n):
 
 
 def suite_strict(n: int) -> IdentitySuite:
-    return IdentitySuite(f"strict:{n}", n, tuple(identities_strict(n)))
+    return IdentitySuite(f"strict:{n}", identities_strict(n))
 
 
 def identity_unit_law(n: int, units=None) -> Identity:
     """theta(e1, ..., en, a) = a (a consequence of the protomodular axioms)."""
-    return _identity_unit_law(n, _unit_names(n, units))
-
-
-def _unit_names(n, units):
-    return default_units(n) if units is None else tuple(units)
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _identity_unit_law(n, units):
+    units = default_units(n) if units is None else units
     a = Variable("a")
     return Identity(
         f"unit-law:{n}", ("a",),
@@ -858,11 +838,7 @@ def _identity_unit_law(n, units):
 def identity_unit_expansion(n: int, units=None) -> Identity:
     """theta(a*, b) = theta(theta(a*,e1), ..., theta(a*,en), b);
     holds in every 2-associative algebra with the protomodular units."""
-    return _identity_unit_expansion(n, _unit_names(n, units))
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _identity_unit_expansion(n, units):
+    units = default_units(n) if units is None else units
     avs = _avars(n, "a")
     b = Variable("b")
     lhs = _theta(*avs, b)
@@ -872,13 +848,9 @@ def _identity_unit_expansion(n, units):
     )
 
 
-def identities_malcev() -> list:
-    """mu(a,b,b) = a and mu(a,a,b) = b."""
-    return list(_identities_malcev())
-
-
 @functools.cache
-def _identities_malcev():
+def identities_malcev() -> tuple:
+    """mu(a,b,b) = a and mu(a,a,b) = b."""
     a, b = Variable("a"), Variable("b")
     return (
         Identity("malcev-right", ("a", "b"), Apply("mu", a, b, b), a),
@@ -887,7 +859,7 @@ def _identities_malcev():
 
 
 def suite_malcev() -> IdentitySuite:
-    return IdentitySuite("malcev", 1, tuple(identities_malcev()))
+    return IdentitySuite("malcev", identities_malcev())
 
 
 @functools.cache
@@ -914,8 +886,7 @@ def identity_malcev_assoc_expanded(n: int) -> Identity:
 
 # ---------------------------------------------------------------------------
 # derived operations as terms over the standard signature; term_table
-# materializes them.  Each builder returns the same object on repeated
-# calls, so term_table plans it once per carrier size
+# materializes them, planning each once per carrier size
 
 @functools.lru_cache(maxsize=_PLANS)
 def term_malcev(n: int, a, b, c):
@@ -1174,13 +1145,13 @@ _SUITES = {
     "strict": lambda n, units: suite_strict(n),
     "malcev": lambda n, units: suite_malcev(),
     "malcev-assoc": lambda n, units: IdentitySuite(
-        "malcev-assoc", 1, (identity_malcev_assoc(),)
+        "malcev-assoc", (identity_malcev_assoc(),)
     ),
     "unit-law": lambda n, units: IdentitySuite(
-        f"unit-law:{n}", n, (identity_unit_law(n, units),)
+        f"unit-law:{n}", (identity_unit_law(n, units),)
     ),
     "unit-expansion": lambda n, units: IdentitySuite(
-        f"unit-expansion:{n}", n, (identity_unit_expansion(n, units),)
+        f"unit-expansion:{n}", (identity_unit_expansion(n, units),)
     ),
 }
 
@@ -1207,7 +1178,7 @@ def resolve_suite(spec: str, units=None) -> IdentitySuite:
     """Resolve a 'name' or 'name:n' string to an IdentitySuite over the n
     unit-constant names units (e1..en when None).  Errors as in
     suite_arity; fewer than n units is an InputError.  A repeated call
-    returns the same suite, so its identities keep their plans."""
+    returns the suite built by the first."""
     n = suite_arity(spec)
     if units is not None and len(units) < n:
         raise InputError(f"suite {spec!r} needs {n} unit names, "

@@ -111,6 +111,27 @@ def test_projection_operation_is_2assoc():
         catalog.build_projection_algebra(2, 2, 5)
 
 
+def test_a_one_element_table_passes_one_argument_array():
+    # at m = 1 every digit is 0, so fn gets the one all-zero quotient
+    # for every argument, and a large arity costs one array
+    seen = []
+
+    def first(*args):
+        seen.append(len({id(a) for a in args}))
+        return args[0]
+
+    assert catalog._table(1000, 1, first).entries == (0,)
+    assert seen == [1]
+
+
+def test_table_digits_stop_at_an_all_zero_quotient(monkeypatch):
+    # blocks of 4 at m = 3: the leading digits of the first blocks are
+    # zero quotients, and every entry is still its flat index
+    monkeypatch.setattr(catalog, "_BLOCK", 4)
+    table = catalog._table(4, 3, lambda a, b, c, d: 27 * a + 9 * b + 3 * c + d)
+    assert table.array().tolist() == list(range(81))
+
+
 def test_semigroup_operation_is_2assoc_and_semiabelian():
     for k, n, i in ((3, 2, 1), (3, 2, 2), (2, 1, 1), (5, 1, 1)):
         alg = catalog.build_semigroup_algebra(catalog.cyclic_group(k), n, i)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -170,6 +171,22 @@ def test_term_text():
 def test_identity_rejects_undeclared_variables():
     with pytest.raises(AlgebraError):
         Identity("bad", ("a",), Variable("a"), Variable("b"))
+
+
+def test_identity_hash_is_by_value_and_no_field():
+    # the hash kept by __post_init__ is that of the four fields, which
+    # alone make up ==, repr and replace
+    a, b = Variable("a"), Variable("b")
+    ident = Identity("comm", ("a", "b"), Apply("f", a, b), Apply("f", b, a))
+    again = Identity("comm", ("a", "b"), Apply("f", a, b), Apply("f", b, a))
+    assert ident == again and hash(ident) == hash(again)
+    assert [f.name for f in dataclasses.fields(Identity)] == [
+        "name", "variables", "lhs", "rhs"]
+    assert repr(ident).startswith("Identity(name='comm', variables=")
+    assert "_hash" not in repr(ident)
+    swap = dataclasses.replace(ident, name="swap")
+    assert swap != ident
+    assert hash(swap) == hash(("swap", ident.variables, ident.lhs, ident.rhs))
 
 
 def test_validate_accepts_catalog(bool2, z3_n2, z4_group):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from finalg import catalog, groups, identities
-from finalg.core import BudgetError, InputError, table_from_fn
+from finalg.core import BudgetError, table_from_fn
 from finalg.groups import (
     GroupLawError,
     PreconditionError,
@@ -15,7 +15,6 @@ from finalg.groups import (
     enriched_algebra,
     from_enriched,
     malcev_term,
-    solve_diagonal,
     to_enriched,
 )
 from finalg.identities import (
@@ -44,9 +43,9 @@ def _catalog_algebras():
 # --- derived groups -----------------------------------------------------
 
 def test_repeated_conversions_build_no_plan(monkeypatch):
-    # the term builders and the laws return the same objects on repeated
-    # calls, so a second conversion of an algebra finds every term and
-    # identity it evaluates planned
+    # plans are keyed by the value of a term or identity, so a second
+    # conversion of an algebra finds every term and identity it
+    # evaluates planned, although from_enriched builds its term afresh
     monkeypatch.setattr(identities, "_plans", identities._Kept(
         identities._PLANS, identities._PLAN_BYTES))
     alg = catalog.build_group_product_algebra(
@@ -105,7 +104,8 @@ def test_derive_group_refuses_non_2assoc():
 
 def test_product_and_solution_terms_frozen(z3_n2):
     # theta(a1, a2, b) = a1 + b on Z/3: a * b = a + b, and the solution a
-    # of a * b = c is c - b (c = 0 gives the inverse)
+    # of a * b = c is c - b (c = 0 gives the inverse; theta(x, x, 1) = 0
+    # has the unique solution x = 2)
     product = term_table(z3_n2, term_product(2), ("a", "b"))
     assert product.entries == (0, 1, 2, 1, 2, 0, 2, 0, 1)
     solution = term_table(z3_n2, term_diagonal_solution(2), ("b", "c"))
@@ -114,32 +114,18 @@ def test_product_and_solution_terms_frozen(z3_n2):
 
 # --- diagonal equations ----------------------------------------------------
 
-def test_solve_diagonal_frozen_example(z3_n2):
-    # theta(x, x, 1) = 0 has the unique solution x = 2
-    assert solve_diagonal(z3_n2, 1, 0) == 2
-    # brute-force cross-check over all (b, c)
-    theta = z3_n2.op("theta")
-    for b, c in itertools.product(range(3), repeat=2):
-        x = solve_diagonal(z3_n2, b, c)
-        assert theta.lookup((x, x, b), 3) == c
-
-
-def test_solve_diagonal_on_catalog():
+def test_diagonal_solution_term_on_catalog():
+    # the diagonal solution term's entry x at (b, c) solves
+    # theta(x, ..., x, b) = c at every (b, c), not only at c = e, the
+    # column derive_group reads
     for alg in _catalog_algebras():
         theta = alg.op("theta")
         n = theta.arity - 1
         m = alg.size
+        solution = term_table(alg, term_diagonal_solution(n), ("b", "c"))
         for b, c in itertools.product(range(m), repeat=2):
-            x = solve_diagonal(alg, b, c)
+            x = solution.entries[b * m + c]
             assert theta.lookup((x,) * n + (b,), m) == c
-
-
-@pytest.mark.parametrize("b, c", [(5, 0), (0, 7), (-1, 0)])
-def test_solve_diagonal_refuses_elements_outside_the_carrier(z4_group, b, c):
-    # a lookup would raise IndexError at 5 or 7, and at -1 wrap around to
-    # a solution that the equation then refutes
-    with pytest.raises(InputError, match="outside 0..3"):
-        solve_diagonal(z4_group, b, c)
 
 
 def test_diagonal_cancellation_on_catalog():

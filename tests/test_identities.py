@@ -359,9 +359,8 @@ def sampled(alg, ident, samples, seed):
 
 
 def _standard_identities(alg, n):
-    return (list(suite_semiabelian(n, unit_constants(alg, n)).identities)
-            + [identity_2assoc(n)] + identities_strict(n)
-            + identities_1assoc(n))
+    return [*suite_semiabelian(n, unit_constants(alg, n)).identities,
+            identity_2assoc(n), *identities_strict(n), *identities_1assoc(n)]
 
 
 def _dented_group(rng, m, n):
@@ -709,9 +708,9 @@ def test_every_plan_case_is_reached(monkeypatch):
 
 
 def _reused_identities(n):
-    """Builder identities, each object reused by every check of a test:
-    the unit identities read constants, and semiabelian:n over e1..en
-    adds the zero-variable units-equal-i for n >= 2."""
+    """Builder identities, equal on every call: the unit identities read
+    constants, and semiabelian:n over e1..en adds the zero-variable
+    units-equal-i for n >= 2."""
     return [identity_2assoc(n), *identities_1assoc(n), *identities_strict(n),
             identity_unit_law(n), identity_unit_expansion(n),
             *resolve_suite(f"semiabelian:{n}").identities]
@@ -727,7 +726,7 @@ def test_plans_do_not_leak_between_algebras(seed, m, n, power):
     rng = random.Random(seed)
     algs = [random_algebra(rng, m, n) for _ in range(3)]
     ids = _reused_identities(n)
-    assert all(a is b for a, b in zip(ids, _reused_identities(n)))
+    assert ids == _reused_identities(n)
     block = identities._BLOCK if power is None else m ** power
     with mock.patch.object(identities, "_BLOCK", block):
         for order in (algs, algs[::-1]):
@@ -768,6 +767,32 @@ def test_signature_fit_is_decided_per_signature():
             "unknown constant 'e1'")
 
 
+def test_an_identity_parsed_again_is_planned_once(monkeypatch):
+    # plans are keyed by the identity's value: three parses of one text
+    # are three equal objects, and all three checks share one plan
+    group = catalog.cyclic_group(5)
+    monkeypatch.setattr(identities, "_plans", identities._Kept(
+        identities._PLANS, identities._PLAN_BYTES))
+    built = []
+    real = identities._plan_sides
+
+    def recording(ident, m, inner):
+        built.append(ident)
+        return real(ident, m, inner)
+
+    monkeypatch.setattr(identities, "_plan_sides", recording)
+    text = ("identity assoc(a, b, c): "
+            "prod(prod(a, b), c) = prod(a, prod(b, c))")
+    parsed = [dsl.parse_identity(text) for _ in range(3)]
+    assert len(set(map(id, parsed))) == 3
+    for ident in parsed:
+        assert ident == parsed[0]
+        rep = check_identity(group, ident)
+        assert rep.ok and rep.tuples_checked == 5 ** 3
+    assert len(built) == 1
+    assert len(identities._plans.entries) == 1
+
+
 def test_plan_cache_is_bounded(monkeypatch):
     # each cyclic group checks its group laws and then associativity at
     # its own size; with room for 16 plans, at most 16 stay alive
@@ -776,7 +801,7 @@ def test_plan_cache_is_bounded(monkeypatch):
 
     def recording(ident, m, inner):
         weight, sides = real(ident, m, inner)
-        built.append(weakref.ref(sides[1]))
+        built.append(weakref.ref(sides[0]))
         return weight, sides
 
     monkeypatch.setattr(identities, "_plan_sides", recording)
@@ -1185,7 +1210,7 @@ def _random_factor(rng, kind, n, m):
 
 def _factor_identities(kind, n):
     if kind == "theta":
-        return [identity_2assoc(n)] + identities_1assoc(n)
+        return [identity_2assoc(n), *identities_1assoc(n)]
     return [ASSOCIATIVITY] if kind == "prod" else list(LATTICE_LAWS)
 
 
