@@ -104,8 +104,7 @@ def test_derive_group_refuses_non_2assoc():
 
 def test_product_and_solution_terms_frozen(z3_n2):
     # theta(a1, a2, b) = a1 + b on Z/3: a * b = a + b, and the solution a
-    # of a * b = c is c - b (c = 0 gives the inverse; theta(x, x, 1) = 0
-    # has the unique solution x = 2)
+    # of a * b = c is c - b (c = 0 gives the inverse)
     product = term_table(z3_n2, term_product(2), ("a", "b"))
     assert product.entries == (0, 1, 2, 1, 2, 0, 2, 0, 1)
     solution = term_table(z3_n2, term_diagonal_solution(2), ("b", "c"))
@@ -113,6 +112,18 @@ def test_product_and_solution_terms_frozen(z3_n2):
 
 
 # --- diagonal equations ----------------------------------------------------
+
+def test_solve_diagonal_frozen_example(z3_n2):
+    # theta(x, x, 1) = 0 has the unique solution x = 2
+    solution = term_table(z3_n2, term_diagonal_solution(2), ("b", "c"))
+    assert solution.entries[1 * 3 + 0] == 2
+    # brute-force cross-check over all (b, c)
+    theta = z3_n2.op("theta")
+    for b, c in itertools.product(range(3), repeat=2):
+        x = solution.entries[b * 3 + c]
+        assert theta.lookup((x, x, b), 3) == c
+        assert [y for y in range(3) if theta.lookup((y, y, b), 3) == c] == [x]
+
 
 def test_diagonal_solution_term_on_catalog():
     # the diagonal solution term's entry x at (b, c) solves
