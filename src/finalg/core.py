@@ -338,12 +338,19 @@ class Constant:
 
 @dataclass(frozen=True)
 class Apply:
+    """op applied to args.  The kernel's caches are keyed by term value,
+    so, as for Identity, the hash is computed once, outside the fields."""
+
     op: str
     args: tuple
 
     def __init__(self, op, *args):
         object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", tuple(args))
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((op, args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Variable | Constant | Apply

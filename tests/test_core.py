@@ -189,6 +189,21 @@ def test_identity_hash_is_by_value_and_no_field():
     assert hash(swap) == hash(("swap", ident.variables, ident.lhs, ident.rhs))
 
 
+def test_apply_hash_is_by_value_and_no_field():
+    # the hash kept by __init__ is that of the two fields, which alone
+    # make up == and repr
+    a, b = Variable("a"), Variable("b")
+    term = Apply("f", Apply("g", a), b)
+    again = Apply("f", Apply("g", a), b)
+    assert term == again and hash(term) == hash(again)
+    assert hash(term) == hash(("f", (Apply("g", a), b)))
+    assert term != Apply("f", b, Apply("g", a))
+    assert [f.name for f in dataclasses.fields(Apply)] == ["op", "args"]
+    assert repr(term) == (
+        "Apply(op='f', args=(Apply(op='g', args=(Variable(name='a'),)), "
+        "Variable(name='b')))")
+
+
 def test_validate_accepts_catalog(bool2, z3_n2, z4_group):
     for alg in (bool2, z3_n2, z4_group):
         rep = validate_algebra(alg)

@@ -30,6 +30,7 @@ from finalg.identities import (
     suite_semiabelian,
 )
 from finalg.search import (
+    SEARCH_BUDGET,
     SearchSpec,
     count_2assoc_semiabelian,
     parse_search_spec,
@@ -357,18 +358,23 @@ def test_group3_specs_match_full_rescan(e, mode):
         assert result.count == 1  # A034383(3) = 3 labeled groups, one per unit
 
 
-# (nodes, instances_evaluated): the rescan oracle pins nodes but only
-# bounds instances_evaluated, so a change to how instances are watched or
-# evaluated must leave both of these as they are
+# (nodes, instances_evaluated) of the e = 0 tree the census searches: the
+# rescan oracle pins nodes but only bounds instances_evaluated, so a change
+# to how instances are watched or evaluated must leave both as they are
 @pytest.mark.parametrize("m, n, work", [
-    (1, 1, (3, 7)),
-    (2, 1, (92, 181)),
-    (3, 1, (3972, 7917)),
-    (2, 2, (5412, 8872)),
+    (1, 1, (2, 6)),
+    (2, 1, (68, 142)),
+    (3, 1, (2454, 6047)),
+    (2, 2, (1428, 2872)),
 ])
 def test_census_work_counts_are_pinned(m, n, work):
-    result = count_2assoc_semiabelian(m, n, budget=10 ** 12)
+    result = count_2assoc_semiabelian(m, n)
     assert (result.nodes, result.instances_evaluated) == work
+    if (m, n) == (3, 1):
+        # the census at e = 0 is the group3 e = 0 count-all spec
+        group3 = search(parse_search_spec(GROUP3_SPEC.format(e=0),
+                                          mode="count-all"))
+        assert (group3.nodes, group3.instances_evaluated) == work
 
 
 @pytest.mark.parametrize("e, mode, work", [
@@ -413,8 +419,32 @@ def test_prove_none_stops_at_the_first_model():
     assert search(spec) == result
 
 
-def test_census_m4_matches_labeled_groups():
-    assert count_2assoc_semiabelian(4, 1, budget=10 ** 30).count == 16
+# labeled groups on m elements (OEIS A034383)
+A034383 = {1: 1, 2: 2, 3: 3, 4: 16}
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3),
+])
+def test_census_matches_closed_form(m, n):
+    # one labeled group, then gamma on one point of each of the other
+    # m^(n-1) - 1 orbits and alpha*(a, b), a != b, in a fibre of m^(n-1)
+    # points: the enriched count, equal to the census by the theorem
+    expected = A034383[m] * m ** (m ** (n - 1) - 1 + (n - 1) * m * (m - 1))
+    result = count_2assoc_semiabelian(m, n, budget=10 ** 30)
+    assert (result.outcome, result.count) == ("count", expected)
+    cells = m ** (n + 1) + n * m ** 2 + 1  # theta, alpha1..alphan, e
+    assert result.space_size == m ** cells
+
+
+def test_census_budget_bounds_the_searched_space():
+    # the budget bounds the e = 0 space m^(cells - 1), not m^cells
+    result = count_2assoc_semiabelian(3, 1)
+    assert result.count == 3
+    assert result.space_size == 3 ** 19 > SEARCH_BUDGET
+    with pytest.raises(BudgetError) as ei:
+        count_2assoc_semiabelian(4, 1)
+    assert str(ei.value) == "search space 4^32 exceeds budget 1000000000"
 
 
 def _model_tables(m, n):
