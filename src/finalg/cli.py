@@ -218,6 +218,7 @@ def cmd_search(args, out):
             "space_size": result.space_size,
             "nodes": result.nodes,
             "instances_evaluated": result.instances_evaluated,
+            "forced": result.forced,
             "elapsed_s": result.elapsed_s,
         }))
     else:

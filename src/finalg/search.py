@@ -8,29 +8,44 @@ returns the lexicographically smallest witness under that ordering.
 Before the search starts every identity is ground once over the carrier:
 each instance becomes a pair of nested int tuples that index one flat cell
 array (pinned tables, free tables, constants and a read-only slot per
-carrier element), in which -1 marks a cell not yet decided.  Evaluating an
-instance lhs-then-rhs either decides it or stops at its first blocking
-cell, the first undecided cell the evaluation reaches.
+carrier element), in which -1 marks a cell not yet decided.  Evaluating a
+side either gives its value or stops at its blocking cell, the first
+undecided cell the evaluation reaches: an inner cell, or the side's own
+outermost cell once every argument of it is decided.
 
 The search is one iterative depth-first loop.  Per depth it keeps the
-cell's current value, tried in order 0..m-1, and the watch entries that
-value moved; backtracking pops them and moves to the next value.  The
-loop evaluates each instance inline: a side that is a slot (a variable, a
-constant, or an op applied to variables only) is one read of the cell
-array, a compound side reads its slot arguments in place, and only an
-argument that is itself compound goes through _value.  The root pass over
-every instance is the loop's first step and runs the same code.  An
-undecided instance waits on the watch list of its blocking cell.  Because
-cells are assigned in the fixed free_cells() order, a cell that blocks an
-instance stays undecided until it is itself assigned, so assigning cell d
-can change the state of exactly the instances on watch[d]: each is
-re-evaluated and either decided (a mismatch prunes) or moved to the list
-of a deeper cell.  Every other instance is as it was at the parent node,
-which had no decided violation, so a node is pruned exactly when
-re-evaluating every instance of every identity would find a decided
-violation: node counts, counts and witnesses equal those of that full
-rescan.  The loop keeps no Python frame per depth, so the depth of the
-tree is bounded by memory alone.
+cell it branched on, whose current value is tried in order 0..m-1, and
+the cells forced and watch entries moved since that value was set;
+backtracking undoes them and moves to the next value.  The loop evaluates
+each instance inline: a side that is a slot (a variable, a constant, or an
+op applied to variables only) is one read of the cell array, a compound
+side reads its slot arguments in place, and only an argument that is
+itself compound goes through _value.
+
+An instance that is not decided is either forcing or waiting.  It forces
+when one side is decided as v and the other is blocked only at its own
+outermost cell X, every argument of X decided: X must be v in every
+model, so the loop assigns it at this depth and queues watch[X].  It waits
+on the watch list of an inner cell that blocks its lhs, else of an inner
+cell that blocks its rhs, else, when both sides are blocked at their
+outermost cells, on the lists of both (assigning either forces the
+other).  Nothing but that cell can make a waiting instance decided or
+forcing, and every assigned cell, branched or forced, has its watch list
+processed, so at the end of a node every instance is decided, waiting or
+has forced its cell: the node is the fixpoint of forcing.  That fixpoint
+does not depend on the order instances are processed in, so a node is
+pruned exactly when forcing to the fixpoint from a full rescan of every
+instance would meet a decided violation, and node counts equal that
+rescan's.  The static order then branches on the first cell still
+undecided; a forced cell is never branched on.  Forcing only assigns the
+one value a model can take, so counts, find-first's lex-first witness and
+prove-none's verdict are those of the plain search.
+
+The root pass over every instance is the loop's first step and runs the
+same code, with forcing held back: the pins alone decide whether the root
+is refuted (outcome none-exists), and the instances that force wait until
+the pass is over.  The loop keeps no Python frame per depth, so the depth
+of the tree is bounded by memory alone.
 """
 from __future__ import annotations
 
@@ -102,6 +117,7 @@ class SearchResult:
     space_size: int = 0
     nodes: int = 0
     instances_evaluated: int = 0  # ground identity instances, root pass included
+    forced: int = 0  # cells assigned because an instance determined them
     # wall time; left out of ==, so two runs of one search compare equal
     elapsed_s: float = field(default=0.0, compare=False)
 
@@ -256,10 +272,14 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     """Complete backtracking search in the requested mode.
 
     prove-none results are exhaustive: the traversal visits or prunes
-    every candidate, and pruning happens only on a decided identity
-    violation.  find-first and prove-none stop at the first model, which
-    for prove-none refutes the non-existence claim (outcome "witness").
-    Witnesses are re-verified exhaustively before return.
+    every candidate, pruning happens only on an identity violation that is
+    decided once the forced cells are assigned, and a cell is forced only
+    to the one value every model extending the node gives it.  find-first
+    and prove-none stop at the first model, which for prove-none refutes
+    the non-existence claim (outcome "witness").  Witnesses are
+    re-verified exhaustively before return.  A root refuted by its pins is
+    none-exists; one refuted only once cells are forced is count 0 in
+    count-all mode.  Either counts as one node.
     """
     start = time.perf_counter()
     _check_spec(spec)
@@ -272,101 +292,149 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     k = len(slots)
     counting = spec.mode == "count-all"
     top = m - 1  # the last value of a cell
-    # grown[d]: the slots whose watch lists gained an instance when cell
-    # d - 1 took its current value (grown[0]: in the root pass)
+    # per depth d, the number of cells branched on: at[d], the position in
+    # slots of the cell branched on at depth d; grown[d], the slots whose
+    # watch lists gained an instance, and forced[d], the cells forced, since
+    # that cell took its current value (at depth 0: at the root)
+    at = [-1] * (k + 1)
     grown = [[] for _ in range(k + 1)]
-    depth = 0  # cells assigned
-    todo = layout.instances(spec.identities)  # the root pass: every instance
-    nodes = count = evaluated = 0
-    refuted = False  # the pins alone falsify an identity (one node)
+    forced = [[] for _ in range(k + 1)]
+    depth = 0
+    # the lists of instances to evaluate at this node: the root pass is
+    # every instance, a branch the watch list of its cell, and each forced
+    # cell appends its watch list
+    queue = [layout.instances(spec.identities)]
+    forcing = False  # off in the root pass, which only decides refuted
+    deferred = []  # root-pass instances that force a cell, forced after it
+    nodes = count = evaluated = nforced = 0
+    refuted = False  # the pins alone falsify an identity
     witness = None
     while True:
         grew = grown[depth]
-        for inst in todo:
-            evaluated += 1
-            lhs, rhs = inst
-            if lhs.__class__ is int:
-                a = vals[lhs]
-                if a < 0:
-                    a = ~lhs
-            else:
-                a, kids = lhs
-                for w, kid in kids:
-                    if kid.__class__ is int:
-                        v = vals[kid]
-                        if v < 0:
-                            a = ~kid
-                            break
-                    else:
-                        v = _value(kid, vals)
-                        if v < 0:
-                            a = v
-                            break
-                    a += w * v
+        trail = forced[depth]
+        for todo in queue:
+            for inst in todo:
+                evaluated += 1
+                lhs, rhs = inst
+                # x: the outermost cell of lhs once its arguments are
+                # decided, else ~c for the inner cell c that blocks it
+                if lhs.__class__ is int:
+                    x = lhs
                 else:
-                    v = vals[a]
-                    a = v if v >= 0 else ~a
-            if a >= 0:
-                if rhs.__class__ is int:
-                    b = vals[rhs]
-                    if b < 0:
-                        b = ~rhs
-                else:
-                    b, kids = rhs
+                    x, kids = lhs
                     for w, kid in kids:
                         if kid.__class__ is int:
                             v = vals[kid]
                             if v < 0:
-                                b = ~kid
+                                x = ~kid
                                 break
                         else:
                             v = _value(kid, vals)
                             if v < 0:
-                                b = v
+                                x = v
                                 break
-                        b += w * v
-                    else:
-                        v = vals[b]
-                        b = v if v >= 0 else ~b
-                if b >= 0:
-                    if a != b:
-                        refuted = not depth
-                        break
+                        x += w * v
+                if x < 0:
+                    x = ~x
+                    watch[x].append(inst)
+                    grew.append(x)
                     continue
-                a = b
-            a = ~a
-            watch[a].append(inst)
-            grew.append(a)
+                a = vals[x]
+                if rhs.__class__ is int:
+                    y = rhs
+                else:
+                    y, kids = rhs
+                    for w, kid in kids:
+                        if kid.__class__ is int:
+                            v = vals[kid]
+                            if v < 0:
+                                y = ~kid
+                                break
+                        else:
+                            v = _value(kid, vals)
+                            if v < 0:
+                                y = v
+                                break
+                        y += w * v
+                if y < 0:
+                    y = ~y
+                    watch[y].append(inst)
+                    grew.append(y)
+                    continue
+                b = vals[y]
+                if a >= 0:
+                    if b >= 0:
+                        if a != b:
+                            if not depth:  # the root dies: one node
+                                refuted = not forcing
+                                nodes = 1
+                            break
+                        continue
+                    x = y  # rhs's cell must equal a
+                elif b >= 0:
+                    a = b  # lhs's cell must equal b
+                else:
+                    # both outermost cells undecided: either one, once
+                    # assigned, forces the other
+                    watch[x].append(inst)
+                    watch[y].append(inst)
+                    grew.append(x)
+                    grew.append(y)
+                    continue
+                if not forcing:
+                    deferred.append(inst)
+                    continue
+                vals[x] = a
+                trail.append(x)
+                nforced += 1
+                queue.append(watch[x])
+            else:
+                continue
+            break  # a decided violation prunes this node
         else:
-            if depth < k:
-                s = slots[depth]
+            if not forcing:
+                forcing = True
+                if deferred:
+                    queue = [deferred]
+                    continue
+            # branch on the next cell in the static order that no instance
+            # forced
+            p = at[depth] + 1
+            while p < k and vals[slots[p]] >= 0:
+                p += 1
+            if p < k:
                 depth += 1
-                nodes += 1
+                at[depth] = p
+                s = slots[p]
                 vals[s] = 0
-                todo = watch[s]
+                nodes += 1
+                queue = [watch[s]]
                 continue
             if not counting:
                 witness = layout.algebra(spec)
                 break  # find-first is done; prove-none has failed
             count += 1
-        # next value at the deepest cell with one left, undoing the watch
-        # moves of each value left behind
+        # next value at the deepest cell with one left, undoing the forced
+        # cells and watch moves of each value left behind
         while depth:
             grew = grown[depth]
             while grew:
                 watch[grew.pop()].pop()
-            s = slots[depth - 1]
+            trail = forced[depth]
+            while trail:
+                vals[trail.pop()] = -1
+            s = slots[at[depth]]
             if vals[s] < top:
                 vals[s] += 1
                 nodes += 1
-                todo = watch[s]
+                queue = [watch[s]]
                 break
             vals[s] = -1
             depth -= 1
         else:
             break
     if refuted:
-        outcome, nodes = "none-exists", 1
+        outcome = "none-exists"
     elif counting:
         outcome = "count"
     elif witness is None:
@@ -381,7 +449,8 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
                 )
     return SearchResult(
         outcome, witness=witness, count=count, space_size=space, nodes=nodes,
-        instances_evaluated=evaluated, elapsed_s=time.perf_counter() - start,
+        instances_evaluated=evaluated, forced=nforced,
+        elapsed_s=time.perf_counter() - start,
     )
 
 

@@ -703,39 +703,51 @@ def test_search_structured_reports_work(tmp_path, capsys):
                  "--format", "structured"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert list(rec) == ["outcome", "count", "space_size", "nodes",
-                         "instances_evaluated", "elapsed_s"]
+                         "instances_evaluated", "forced", "elapsed_s"]
     assert (rec["outcome"], rec["count"], rec["space_size"]) == (
         "count", 1, 256)
     assert rec["instances_evaluated"] > 0 and rec["elapsed_s"] >= 0
+    # alpha1(a, a) = e forces both diagonal cells of alpha1 at the root
+    assert rec["forced"] >= 2
 
 
 @pytest.mark.parametrize("mode, work", [
-    # one root evaluation per instance, then one per node
-    ("count-all", (2048, 3072)),
-    ("find-first", (1536, 2560)),
+    # (nodes, instances_evaluated, forced): 2,052 evaluations at the root
+    # (unit's twice), then proj at every node, and copy twice at each node
+    # proj accepts, before and after it forces h's cell
+    ("count-all", (2048, 6148, 1026)),
+    ("find-first", (1536, 5636, 1026)),
 ])
 def test_search_a_tree_deeper_than_the_recursion_limit(tmp_path, capsys,
                                                        mode, work):
-    # f/10 on two elements has 1,024 free cells, each a level of the tree
+    # f/10 on two elements has 1,024 free cells, each a level of the tree:
+    # an f cell blocks proj inside g, so no instance forces it, while unit
+    # forces g at the root and copy forces each cell of h from f's
     args = ", ".join(f"x{i}" for i in range(1, 11))
     p = tmp_path / "proj.alg"
     p.write_text(
-        "algebra P {\n  carrier 2\n  op f/10 = free\n}\n"
-        f"identity proj({args}): f({args}) = x1\n"
+        "algebra P {\n  carrier 2\n  op f/10 = free\n  op g/1 = free\n"
+        "  op h/10 = free\n}\n"
+        "identity unit(x): g(x) = x\n"
+        f"identity proj({args}): g(f({args})) = x1\n"
+        f"identity copy({args}): h({args}) = f({args})\n"
     )
-    assert main(["search", str(p), "--budget", str(10 ** 400),
+    assert main(["search", str(p), "--budget", str(10 ** 700),
                  "--search-mode", mode, "--format", "structured"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rec = json.loads(lines[0])
-    assert (rec["nodes"], rec["instances_evaluated"]) == work
+    assert (rec["nodes"], rec["instances_evaluated"], rec["forced"]) == work
+    assert rec["nodes"] >= 1024
     if mode == "count-all":
         assert (rec["outcome"], rec["count"]) == ("count", 1)
     else:
-        # the one model is the projection onto the first argument
+        # the one model: f and h project onto the first argument, g = id
         assert rec["outcome"] == "witness"
         witness = parse_algebra("\n".join(lines[1:]))
-        assert witness.tables["f"].entries == tuple(
-            idx >> 9 for idx in range(1024))
+        proj = tuple(idx >> 9 for idx in range(1024))
+        assert witness.tables["f"].entries == proj
+        assert witness.tables["h"].entries == proj
+        assert witness.tables["g"].entries == (0, 1)
 
 
 def test_python_dash_m_finalg():
@@ -829,7 +841,7 @@ def test_search_prove_none_with_a_model_exit_1(tmp_path, capsys):
     assert main(["search", str(p), "--search-mode", "prove-none"]) == 1
     out = capsys.readouterr().out
     assert out == found
-    assert out.startswith("witness found (space 387420489, nodes 1509)")
+    assert out.startswith("witness found (space 387420489, nodes 105)")
 
 
 @pytest.mark.parametrize("n, consts, suite", [

@@ -218,52 +218,104 @@ class _RescanState:
             c: spec.pinned_constants.get(c) for c in spec.signature.constants
         }
 
-    def eval(self, t, env):
-        """Evaluate a term over the partial tables; None = not yet known."""
-        if isinstance(t, Variable):
-            return env[t.name]
+    def get(self, cell):
+        sym, idx = cell
+        return self.constants[sym] if idx is None else self.tables[sym][idx]
+
+    def set(self, cell, v):
+        sym, idx = cell
+        if idx is None:
+            self.constants[sym] = v
+        else:
+            self.tables[sym][idx] = v
+
+    def cell(self, t, env):
+        """The outermost cell of the application or constant t, or None
+        while an argument of t is not yet known."""
         if isinstance(t, Constant):
-            return self.constants[t.name]
+            return t.name, None
         idx = 0
         for a in t.args:
             v = self.eval(a, env)
             if v is None:
                 return None
             idx = idx * self.m + v
-        return self.tables[t.op][idx]
+        return t.op, idx
+
+    def eval(self, t, env):
+        """Evaluate a term over the partial tables; None = not yet known."""
+        if isinstance(t, Variable):
+            return env[t.name]
+        cell = self.cell(t, env)
+        return None if cell is None else self.get(cell)
+
+
+def _rescan_instances(state, identities):
+    for ident in identities:
+        for tup in itertools.product(range(state.m),
+                                     repeat=len(ident.variables)):
+            yield ident, dict(zip(ident.variables, tup))
 
 
 def _rescan_violated(state, identities):
-    m = state.m
-    for ident in identities:
-        for tup in itertools.product(range(m), repeat=len(ident.variables)):
-            env = dict(zip(ident.variables, tup))
-            lhs = state.eval(ident.lhs, env)
-            if lhs is None:
-                continue
-            rhs = state.eval(ident.rhs, env)
-            if rhs is None:
-                continue
-            if lhs != rhs:
-                return True
+    for ident, env in _rescan_instances(state, identities):
+        lhs = state.eval(ident.lhs, env)
+        if lhs is None:
+            continue
+        rhs = state.eval(ident.rhs, env)
+        if rhs is None:
+            continue
+        if lhs != rhs:
+            return True
     return False
 
 
-def rescan_search(spec):
+def _rescan_settle(state, identities, trail):
+    """Force cells until no instance forces one: an instance with one side
+    decided as v and the other undecided only at its outermost cell sets
+    that cell to v (appended to trail).  False on a decided violation."""
+    changed = True
+    while changed:
+        changed = False
+        for ident, env in _rescan_instances(state, identities):
+            lhs = state.eval(ident.lhs, env)
+            rhs = state.eval(ident.rhs, env)
+            if lhs is not None and rhs is not None:
+                if lhs != rhs:
+                    return False
+                continue
+            # the other side is undecided, so it is no variable
+            for v, side in ((lhs, ident.rhs), (rhs, ident.lhs)):
+                cell = None if v is None else state.cell(side, env)
+                if cell is not None:
+                    state.set(cell, v)
+                    trail.append(cell)
+                    changed = True
+    return True
+
+
+def rescan_search(spec, forcing=True):
     """Reference searcher: after every assignment it re-evaluates every
-    ground instance of every identity.  Returns (outcome, count, nodes,
-    witness) with the witness as (op tables, constants) or None."""
+    ground instance of every identity, with forcing rescanned to its
+    fixpoint, and branches on the first cell left undecided.  Returns
+    (outcome, count, nodes, witness) with the witness as (op tables,
+    constants) or None."""
     state = _RescanState(spec)
     if _rescan_violated(state, spec.identities):
         return "none-exists", 0, 1, None
+    counting = spec.mode == "count-all"
+    if forcing and not _rescan_settle(state, spec.identities, []):
+        return ("count" if counting else "none-exists"), 0, 1, None
     cells = spec.free_cells()
     nodes = count = 0
     witness = None
 
-    def assign(depth):
+    def assign(pos):
         nonlocal nodes, count, witness
-        if depth == len(cells):
-            if spec.mode == "count-all":
+        while pos < len(cells) and state.get(cells[pos]) is not None:
+            pos += 1
+        if pos == len(cells):
+            if counting:
                 count += 1
                 return False
             witness = (
@@ -271,24 +323,23 @@ def rescan_search(spec):
                 dict(state.constants),
             )
             return spec.mode == "find-first"
-        sym, idx = cells[depth]
         for v in range(state.m):
             nodes += 1
-            if idx is None:
-                state.constants[sym] = v
+            state.set(cells[pos], v)
+            trail = []
+            if forcing:
+                ok = _rescan_settle(state, spec.identities, trail)
             else:
-                state.tables[sym][idx] = v
-            if not _rescan_violated(state, spec.identities):
-                if assign(depth + 1):
-                    return True
-            if idx is None:
-                state.constants[sym] = None
-            else:
-                state.tables[sym][idx] = None
+                ok = not _rescan_violated(state, spec.identities)
+            if ok and assign(pos + 1):
+                return True
+            for cell in trail:
+                state.set(cell, None)
+        state.set(cells[pos], None)
         return False
 
     assign(0)
-    if spec.mode == "count-all":
+    if counting:
         return "count", count, nodes, None
     if witness is None:
         return "none-exists", 0, nodes, None
@@ -304,6 +355,10 @@ def _assert_matches_rescan(spec):
     assert (result.outcome, result.count, result.nodes) == (
         outcome, count, nodes
     )
+    # forcing prunes no model: the reference without it agrees on all but
+    # the nodes
+    unforced = rescan_search(spec, forcing=False)
+    assert (unforced[0], unforced[1], unforced[3]) == (outcome, count, witness)
     if witness is None:
         assert result.witness is None
     else:
@@ -358,45 +413,50 @@ def test_group3_specs_match_full_rescan(e, mode):
         assert result.count == 1  # A034383(3) = 3 labeled groups, one per unit
 
 
-# (nodes, instances_evaluated) of the e = 0 tree the census searches: the
-# rescan oracle pins nodes but only bounds instances_evaluated, so a change
-# to how instances are watched or evaluated must leave both as they are
+def _work(result):
+    return result.nodes, result.instances_evaluated, result.forced
+
+
+# (nodes, instances_evaluated, forced) of the e = 0 tree the census
+# searches: the rescan oracle pins nodes but neither instances_evaluated
+# nor how many cells were forced before a conflict, so a change to how
+# instances are watched, evaluated or forced must leave all three as they are
 @pytest.mark.parametrize("m, n, work", [
-    (1, 1, (2, 6)),
-    (2, 1, (68, 142)),
-    (3, 1, (2454, 6047)),
-    (2, 2, (1428, 2872)),
+    (1, 1, (0, 6, 2)),
+    (2, 1, (12, 51, 5)),
+    (3, 1, (126, 575, 32)),
+    (2, 2, (128, 377, 19)),
 ])
 def test_census_work_counts_are_pinned(m, n, work):
     result = count_2assoc_semiabelian(m, n)
-    assert (result.nodes, result.instances_evaluated) == work
+    assert _work(result) == work
     if (m, n) == (3, 1):
         # the census at e = 0 is the group3 e = 0 count-all spec
         group3 = search(parse_search_spec(GROUP3_SPEC.format(e=0),
                                           mode="count-all"))
-        assert (group3.nodes, group3.instances_evaluated) == work
+        assert _work(group3) == work
 
 
 @pytest.mark.parametrize("e, mode, work", [
-    (0, "find-first", (1509, 3086)),
-    (1, "find-first", (1812, 4509)),
-    (2, "find-first", (1671, 4130)),
-    (0, "count-all", (2454, 6047)),
-    (1, "count-all", (2214, 5790)),
-    (2, "count-all", (2202, 5784)),
+    (0, "find-first", (105, 450, 21)),
+    (1, "find-first", (183, 533, 26)),
+    (2, "find-first", (194, 556, 32)),
+    (0, "count-all", (126, 575, 32)),
+    (1, "count-all", (201, 605, 33)),
+    (2, "count-all", (216, 609, 34)),
 ])
 def test_group3_work_counts_are_pinned(e, mode, work):
     result = search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
-    assert (result.nodes, result.instances_evaluated) == work
+    assert _work(result) == work
 
 
 # malcev-assoc-expanded:n grounds to theta applied to alpha applications
 # that themselves take a theta application, so these pin the evaluation of
 # a compound argument of a compound side, which the census never reaches
 @pytest.mark.parametrize("m, n, mode, work, count", [
-    (2, 1, "count-all", (134, 580), 2),
-    (2, 2, "find-first", (1908, 11497), 0),
-    (2, 2, "count-all", (33630, 212136), 144),
+    (2, 1, "count-all", (82, 454, 48), 2),
+    (2, 2, "find-first", (88, 765, 80), 0),
+    (2, 2, "count-all", (3198, 28472, 2048), 144),
 ])
 def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
     idents = tuple(
@@ -406,7 +466,7 @@ def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
                       standard_signature(n, shared_unit=True), idents,
                       mode=mode)
     result = search(spec)
-    assert (result.nodes, result.instances_evaluated) == work
+    assert _work(result) == work
     assert result.count == count
     assert (result.witness is not None) == (mode == "find-first")
 
@@ -414,26 +474,26 @@ def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
 def test_prove_none_stops_at_the_first_model():
     spec = parse_search_spec(GROUP3_SPEC.format(e=0), mode="prove-none")
     result = search(spec)
-    assert (result.outcome, result.nodes) == ("witness", 1509)
+    assert (result.outcome, result.nodes) == ("witness", 105)
     spec.mode = "find-first"
     assert search(spec) == result
 
 
 # labeled groups on m elements (OEIS A034383)
-A034383 = {1: 1, 2: 2, 3: 3, 4: 16}
+A034383 = {1: 1, 2: 2, 3: 3, 4: 16, 5: 30}
 
 
 @pytest.mark.parametrize("m, n", [
-    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3),
+    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1),
 ])
 def test_census_matches_closed_form(m, n):
     # one labeled group, then gamma on one point of each of the other
     # m^(n-1) - 1 orbits and alpha*(a, b), a != b, in a fibre of m^(n-1)
     # points: the enriched count, equal to the census by the theorem
     expected = A034383[m] * m ** (m ** (n - 1) - 1 + (n - 1) * m * (m - 1))
-    result = count_2assoc_semiabelian(m, n, budget=10 ** 30)
-    assert (result.outcome, result.count) == ("count", expected)
     cells = m ** (n + 1) + n * m ** 2 + 1  # theta, alpha1..alphan, e
+    result = count_2assoc_semiabelian(m, n, budget=m ** cells)
+    assert (result.outcome, result.count) == ("count", expected)
     assert result.space_size == m ** cells
 
 
@@ -517,6 +577,24 @@ def test_root_violation_reports_one_node():
     # alpha1(0, 0) = 1 != e is the first instance evaluated
     assert result.instances_evaluated == 1
     assert result.elapsed_s >= 0
+
+
+@pytest.mark.parametrize("mode, outcome", [
+    ("count-all", "count"),
+    ("find-first", "none-exists"),
+    ("prove-none", "none-exists"),
+])
+def test_root_refuted_by_forcing_reports_one_node(mode, outcome):
+    # no pinned instance is decided, so the root pass refutes nothing; then
+    # alpha1(0, 0) = e forces e = 0 and alpha1(1, 1) = e contradicts it
+    sig = standard_signature(1, shared_unit=True)
+    idents = tuple(suite_semiabelian(1, ("e",)).identities)
+    spec = SearchSpec("forced-out", 2, sig, idents,
+                      pinned_tables={"alpha1": DenseTable(2, (0, 1, 1, 1))},
+                      mode=mode)
+    result = _assert_matches_rescan(spec)
+    assert (result.outcome, result.count, result.nodes) == (outcome, 0, 1)
+    assert result.forced == 1
 
 
 @pytest.mark.parametrize("size, tables, consts", [
