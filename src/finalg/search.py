@@ -1,9 +1,13 @@
 """Finite model search: enumerate operation tables on a small carrier
 satisfying an identity set, by backtracking over table cells.
 
-Cell order is theta's table first (row-major), then the other ops, then
-constants, so the most-constrained symbol fails fastest.  find-first
-returns the lexicographically smallest witness under that ordering.
+find-first branches on theta's table first (row-major), then the other
+ops, then constants (SearchSpec.free_cells), and returns the
+lexicographically smallest witness under that order.  count-all and
+prove-none, whose results do not depend on the order, branch on inner
+symbols first (SearchSpec.branch_cells): a cell of theta in
+theta(alpha1(a, b), b) = a can be forced only once the alpha1 cell under
+it is decided, so deciding alpha1 first lets forcing fill theta.
 
 Before the search starts every identity is ground once over the carrier:
 each instance becomes a pair of nested int tuples that index one flat cell
@@ -36,10 +40,11 @@ has forced its cell: the node is the fixpoint of forcing.  That fixpoint
 does not depend on the order instances are processed in, so a node is
 pruned exactly when forcing to the fixpoint from a full rescan of every
 instance would meet a decided violation, and node counts equal that
-rescan's.  The static order then branches on the first cell still
-undecided; a forced cell is never branched on.  Forcing only assigns the
-one value a model can take, so counts, find-first's lex-first witness and
-prove-none's verdict are those of the plain search.
+rescan's in the same branching order.  The loop then branches on the
+first cell of that order still undecided; a forced cell is never branched
+on.  Forcing only assigns the one value a model can take, so counts,
+find-first's lex-first witness and prove-none's verdict are those of the
+plain search.
 
 The root pass over every instance is the loop's first step and runs the
 same code, with forcing held back: the pins alone decide whether the root
@@ -94,6 +99,9 @@ class SearchSpec:
     mode: str = "find-first"  # find-first | count-all | prove-none
 
     def free_cells(self):
+        """The cells no pin decides, theta's table first (row-major), then
+        the other ops, then the constants: the order find-first branches
+        in, so its witness is the lex-first one in this order."""
         cells = []
         ops = sorted(
             self.signature.ops, key=lambda na: (na[0] != "theta",)
@@ -107,6 +115,51 @@ class SearchSpec:
             if cname not in self.pinned_constants:
                 cells.append((cname, None))
         return cells
+
+    def branch_cells(self):
+        """The free cells in the order the search branches on them.
+        find-first keeps free_cells().  count-all and prove-none sort them
+        by (symbol rank, table index, position in free_cells()), a
+        constant's cell at index 0, so inner symbols are decided first and
+        the cells of one rank interleave: alpha1(a, b) and alpha2(a, b)
+        are decided together and force the theta cell above them."""
+        cells = self.free_cells()
+        if self.mode == "find-first":
+            return cells
+        rank = symbol_ranks(self.identities)
+        return sorted(cells, key=lambda c: (rank.get(c[0], 0), c[1] or 0))
+
+
+def symbol_ranks(identities) -> dict:
+    """rank[f]: the number of other symbols whose applications or
+    constants occur inside the arguments of f's applications in the
+    identities, at any depth and through other identities (h inside g and
+    g inside f puts h inside f), so the symbols of a cycle share one rank.
+    A symbol applied to variables only, or to no argument, has rank 0."""
+    inside = {}
+
+    def walk(t):  # the symbols of t, recording those inside each op
+        if isinstance(t, Variable):
+            return set()
+        if isinstance(t, Constant):
+            return {t.name}
+        below = set().union(*map(walk, t.args))
+        inside.setdefault(t.op, set()).update(below)
+        return below | {t.op}
+
+    for ident in identities:
+        walk(ident.lhs)
+        walk(ident.rhs)
+    rank = {}
+    for sym in inside:
+        seen, todo = set(), [sym]
+        while todo:
+            for g in inside.get(todo.pop(), ()):
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+        rank[sym] = len(seen - {sym})
+    return rank
 
 
 @dataclass
@@ -276,7 +329,9 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     decided once the forced cells are assigned, and a cell is forced only
     to the one value every model extending the node gives it.  find-first
     and prove-none stop at the first model, which for prove-none refutes
-    the non-existence claim (outcome "witness").  Witnesses are
+    the non-existence claim (outcome "witness").  prove-none branches in
+    count-all's order, so its model is the first of that order, in
+    general not find-first's lex-first witness.  Witnesses are
     re-verified exhaustively before return.  A root refuted by its pins is
     none-exists; one refuted only once cells are forced is count 0 in
     count-all mode.  Either counts as one node.
@@ -288,7 +343,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     layout = _Cells(spec)
     vals = layout.vals
     watch = [[] for _ in vals]
-    slots = [layout.cell_slot(c) for c in spec.free_cells()]
+    slots = [layout.cell_slot(c) for c in spec.branch_cells()]
     k = len(slots)
     counting = spec.mode == "count-all"
     top = m - 1  # the last value of a cell
@@ -397,8 +452,8 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
                 if deferred:
                     queue = [deferred]
                     continue
-            # branch on the next cell in the static order that no instance
-            # forced
+            # branch on the next cell in the branching order that no
+            # instance forced
             p = at[depth] + 1
             while p < k and vals[slots[p]] >= 0:
                 p += 1

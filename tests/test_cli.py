@@ -836,12 +836,16 @@ def test_search_prove_none_with_a_model_exit_1(tmp_path, capsys):
         "  op alpha1/2 = free\n  const e = 0\n"
         "  require semiabelian:1 2assoc:1\n}\n"
     )
-    assert main(["search", str(p)]) == 0
-    found = capsys.readouterr().out
+    # prove-none branches in count-all's order, not find-first's, and stops
+    # at its first model, which it prints as a checkable algebra
     assert main(["search", str(p), "--search-mode", "prove-none"]) == 1
-    out = capsys.readouterr().out
-    assert out == found
-    assert out.startswith("witness found (space 387420489, nodes 105)")
+    head, witness = capsys.readouterr().out.split("\n", 1)
+    assert head == "witness found (space 387420489, nodes 24)"
+    alg = tmp_path / "witness.alg"
+    alg.write_text(witness)
+    for suite in ("semiabelian:1", "2assoc:1"):
+        assert main(["check", str(alg), "--suite", suite]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n, consts, suite", [

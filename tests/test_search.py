@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -9,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from finalg import catalog
 from finalg.core import (
     AlgebraError,
+    Apply,
     BudgetError,
     Constant,
     DenseTable,
+    Identity,
     InputError,
     Signature,
     Variable,
@@ -36,6 +37,7 @@ from finalg.search import (
     parse_search_spec,
     prove_no_strict_2assoc,
     search,
+    symbol_ranks,
 )
 
 
@@ -294,10 +296,10 @@ def _rescan_settle(state, identities, trail):
     return True
 
 
-def rescan_search(spec, forcing=True):
+def rescan_search(spec, cells, forcing=True):
     """Reference searcher: after every assignment it re-evaluates every
     ground instance of every identity, with forcing rescanned to its
-    fixpoint, and branches on the first cell left undecided.  Returns
+    fixpoint, and branches on the first of cells left undecided.  Returns
     (outcome, count, nodes, witness) with the witness as (op tables,
     constants) or None."""
     state = _RescanState(spec)
@@ -306,7 +308,6 @@ def rescan_search(spec, forcing=True):
     counting = spec.mode == "count-all"
     if forcing and not _rescan_settle(state, spec.identities, []):
         return ("count" if counting else "none-exists"), 0, 1, None
-    cells = spec.free_cells()
     nodes = count = 0
     witness = None
 
@@ -322,7 +323,7 @@ def rescan_search(spec, forcing=True):
                 {k: tuple(v) for k, v in state.tables.items()},
                 dict(state.constants),
             )
-            return spec.mode == "find-first"
+            return True
         for v in range(state.m):
             nodes += 1
             state.set(cells[pos], v)
@@ -348,17 +349,17 @@ def rescan_search(spec, forcing=True):
 
 def _assert_matches_rescan(spec):
     result = search(spec, budget=10 ** 30)
-    # prove-none stops at the first model, so its tree is find-first's
-    if spec.mode == "prove-none":
-        spec = dataclasses.replace(spec, mode="find-first")
-    outcome, count, nodes, witness = rescan_search(spec)
+    outcome, count, nodes, witness = rescan_search(spec, spec.branch_cells())
     assert (result.outcome, result.count, result.nodes) == (
         outcome, count, nodes
     )
-    # forcing prunes no model: the reference without it agrees on all but
-    # the nodes
-    unforced = rescan_search(spec, forcing=False)
-    assert (unforced[0], unforced[1], unforced[3]) == (outcome, count, witness)
+    # forcing prunes no model and the order changes no count: the
+    # reference without forcing, in find-first's order, agrees on outcome
+    # and count, and on the witness where the search uses that order too
+    unforced = rescan_search(spec, spec.free_cells(), forcing=False)
+    assert unforced[:2] == (outcome, count)
+    if spec.mode == "find-first":
+        assert unforced[3] == witness
     if witness is None:
         assert result.witness is None
     else:
@@ -382,9 +383,10 @@ def test_census_matches_full_rescan(m, n):
     spec = _census_spec(m, n)
     result = _assert_matches_rescan(spec)
     assert result.count == count_2assoc_semiabelian(m, n, 10 ** 30).count
-    # a full rescan evaluates every instance at every node
+    # a full rescan evaluates every instance at every node, and twice at
+    # the root: the pins' pass, then forcing's
     per_pass = sum(spec.size ** len(i.variables) for i in spec.identities)
-    assert 0 < result.instances_evaluated < per_pass * (result.nodes + 1)
+    assert 0 < result.instances_evaluated < per_pass * (result.nodes + 2)
 
 
 def test_malcev_prove_none_matches_full_rescan():
@@ -423,9 +425,9 @@ def _work(result):
 # instances are watched, evaluated or forced must leave all three as they are
 @pytest.mark.parametrize("m, n, work", [
     (1, 1, (0, 6, 2)),
-    (2, 1, (12, 51, 5)),
-    (3, 1, (126, 575, 32)),
-    (2, 2, (128, 377, 19)),
+    (2, 1, (4, 32, 6)),
+    (3, 1, (27, 140, 20)),
+    (2, 2, (38, 420, 47)),
 ])
 def test_census_work_counts_are_pinned(m, n, work):
     result = count_2assoc_semiabelian(m, n)
@@ -441,9 +443,12 @@ def test_census_work_counts_are_pinned(m, n, work):
     (0, "find-first", (105, 450, 21)),
     (1, "find-first", (183, 533, 26)),
     (2, "find-first", (194, 556, 32)),
-    (0, "count-all", (126, 575, 32)),
-    (1, "count-all", (201, 605, 33)),
-    (2, "count-all", (216, 609, 34)),
+    (0, "count-all", (27, 140, 20)),
+    (1, "count-all", (33, 216, 28)),
+    (2, "count-all", (48, 278, 36)),
+    (0, "prove-none", (24, 133, 18)),
+    (1, "prove-none", (18, 133, 18)),
+    (2, "prove-none", (30, 204, 27)),
 ])
 def test_group3_work_counts_are_pinned(e, mode, work):
     result = search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
@@ -454,9 +459,9 @@ def test_group3_work_counts_are_pinned(e, mode, work):
 # that themselves take a theta application, so these pin the evaluation of
 # a compound argument of a compound side, which the census never reaches
 @pytest.mark.parametrize("m, n, mode, work, count", [
-    (2, 1, "count-all", (82, 454, 48), 2),
+    (2, 1, "count-all", (24, 170, 9), 2),
     (2, 2, "find-first", (88, 765, 80), 0),
-    (2, 2, "count-all", (3198, 28472, 2048), 144),
+    (2, 2, "count-all", (410, 2185, 72), 144),
 ])
 def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
     idents = tuple(
@@ -474,17 +479,52 @@ def test_nested_instance_work_counts_are_pinned(m, n, mode, work, count):
 def test_prove_none_stops_at_the_first_model():
     spec = parse_search_spec(GROUP3_SPEC.format(e=0), mode="prove-none")
     result = search(spec)
-    assert (result.outcome, result.nodes) == ("witness", 105)
+    assert (result.outcome, result.nodes) == ("witness", 24)
+    w = result.witness
+    assert suite_ok(check_suite(w, suite_semiabelian(1, ("e",))))
+    assert check_identity(w, identity_2assoc(1)).ok
+    # it walks count-all's order, stopping at its first model: find-first's
+    # order takes 105 nodes to its lex-first witness
+    spec.mode = "count-all"
+    assert search(spec).nodes > result.nodes
     spec.mode = "find-first"
-    assert search(spec) == result
+    assert search(spec).nodes == 105
+
+
+def test_branch_order_depends_on_the_mode_only():
+    # theta's arguments hold alpha1 and alpha2 applications, whose
+    # arguments are variables: theta has rank 2, the alphas and e rank 0
+    spec = _census_spec(2, 2)
+    assert symbol_ranks(spec.identities) == {
+        "alpha1": 0, "alpha2": 0, "theta": 2}
+    cells = spec.free_cells()
+    assert cells[0] == ("theta", 0)
+    spec.mode = "find-first"
+    assert spec.branch_cells() == cells
+    for mode in ("count-all", "prove-none"):
+        spec.mode = mode
+        inner = spec.branch_cells()
+        assert sorted(inner, key=cells.index) == cells
+        # the alpha cells of one index are decided together, then theta
+        assert inner[:5] == [("alpha1", 0), ("alpha2", 0), ("e", None),
+                             ("alpha1", 1), ("alpha2", 1)]
+        assert inner[-8:] == [("theta", i) for i in range(8)]
+    # theta and alpha1 occur inside each other, a cycle: one rank
+    idents = (identity_malcev_assoc_expanded(1),)
+    assert symbol_ranks(idents) == {"alpha1": 1, "theta": 1}
+    # h inside g and g inside f put h inside f
+    x = Variable("x")
+    chain = (Identity("fg", ("x",), Apply("f", Apply("g", x)), x),
+             Identity("gh", ("x",), Apply("g", Apply("h", x)), x))
+    assert symbol_ranks(chain) == {"f": 2, "g": 1, "h": 0}
 
 
 # labeled groups on m elements (OEIS A034383)
-A034383 = {1: 1, 2: 2, 3: 3, 4: 16, 5: 30}
+A034383 = {1: 1, 2: 2, 3: 3, 4: 16, 5: 30, 6: 480}
 
 
 @pytest.mark.parametrize("m, n", [
-    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1),
+    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1), (6, 1),
 ])
 def test_census_matches_closed_form(m, n):
     # one labeled group, then gamma on one point of each of the other
