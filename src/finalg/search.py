@@ -132,10 +132,9 @@ class SearchSpec:
 
 def symbol_ranks(identities) -> dict:
     """rank[f]: the number of other symbols whose applications or
-    constants occur inside the arguments of f's applications in the
-    identities, at any depth and through other identities (h inside g and
-    g inside f puts h inside f), so the symbols of a cycle share one rank.
-    A symbol applied to variables only, or to no argument, has rank 0."""
+    constants occur, at any depth, inside the arguments of f's
+    applications in the identities.  A symbol applied to variables only,
+    or to no argument, has rank 0."""
     inside = {}
 
     def walk(t):  # the symbols of t, recording those inside each op
@@ -150,16 +149,7 @@ def symbol_ranks(identities) -> dict:
     for ident in identities:
         walk(ident.lhs)
         walk(ident.rhs)
-    rank = {}
-    for sym in inside:
-        seen, todo = set(), [sym]
-        while todo:
-            for g in inside.get(todo.pop(), ()):
-                if g not in seen:
-                    seen.add(g)
-                    todo.append(g)
-        rank[sym] = len(seen - {sym})
-    return rank
+    return {sym: len(below - {sym}) for sym, below in inside.items()}
 
 
 @dataclass
