@@ -41,7 +41,10 @@ class Signature:
     """Operation symbols with arities, plus named constants.
 
     Constants are kept apart from arity-0 operations: they are
-    distinguished data in the axiom schemes, not table-backed ops.
+    distinguished data in the axiom schemes, not table-backed ops.  The
+    kernel's fit cache is keyed by signature value, so, as for Identity,
+    the hash is computed once, outside the fields, and again on
+    unpickling, since str hashes differ between processes.
     """
 
     ops: tuple[tuple[str, int], ...]
@@ -54,6 +57,13 @@ class Signature:
         for name, arity in self.ops:
             if arity < 1:
                 raise SymbolError(f"op {name!r} must have arity >= 1, got {arity}")
+        object.__setattr__(self, "_hash", hash((self.ops, self.constants)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Signature, (self.ops, self.constants)
 
     def arity(self, name: str) -> int:
         for n, a in self.ops:
@@ -339,7 +349,8 @@ class Constant:
 @dataclass(frozen=True)
 class Apply:
     """op applied to args.  The kernel's caches are keyed by term value,
-    so, as for Identity, the hash is computed once, outside the fields."""
+    so, as for Identity, the hash is computed once, outside the fields,
+    and again on unpickling."""
 
     op: str
     args: tuple
@@ -351,6 +362,9 @@ class Apply:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return Apply, (self.op, *self.args)
 
 
 Term = Variable | Constant | Apply
@@ -379,7 +393,8 @@ class Identity:
 
     Zero declared variables is allowed (ground equations like e1 = e2).
     The kernel's caches are keyed by identity value, so its hash is
-    computed once, outside the fields.
+    computed once, outside the fields, and again on unpickling, since str
+    hashes differ between processes.
     """
 
     name: str
@@ -399,6 +414,9 @@ class Identity:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return Identity, (self.name, self.variables, self.lhs, self.rhs)
 
     def text(self) -> str:
         vs = ", ".join(self.variables)

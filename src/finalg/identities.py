@@ -25,35 +25,38 @@ identity built again or parsed again from text; term_table's plans are
 kept there too, keyed by the term's value, m and the variables.  The
 grids and meshes plans are built from are kept in one cache under the
 same byte bound (_grids).  Whether an identity fits a signature is
-likewise decided once per signature (_require_fit).  An exhaustive
-check of a product that records its factors (catalog._product) runs the
-kernel on each factor instead, since an identity holds in a product iff
-it holds in every factor, and places the first counterexample from
-theirs (engine "product", _check_product).  The exhaustive check loops
-over a lexicographic prefix of the variables and evaluates each prefix's
-block of suffix tuples at once; a block holds at most _BLOCK tuples (at
-least one whole variable), so its temporaries stay cache-sized and a
-failure near the start of the tuple order ends the check early.  An
-identity with no variables is one block of one tuple.
+likewise decided once per signature (_require_fit); a Signature, like
+an Identity, computes its hash once.  An exhaustive check of a product
+that records its factors (catalog._product) runs the kernel on each
+factor instead, since an identity holds in a product iff it holds in
+every factor, and places the first counterexample from theirs (engine
+"product", _check_product).  The exhaustive check loops over a
+lexicographic prefix of the variables and evaluates each prefix's block
+of suffix tuples at once; a block holds at most _BLOCK tuples (at least
+one whole variable), so its temporaries stay cache-sized and a failure
+near the start of the tuple order ends the check early.  An identity
+with no variables is one block of one tuple.
 
 A check without a prefix loop (one block, as every small check is) reads
 its suffix as flat grid rows (_grid), and so does term_table; a sampled
-check binds every variable per batch.  A table application is then one
-flat index and one gather, and its plan holds the sum of its variable
-arguments' shares of that index (each grid row times its stride), so
-theta(a1, a2, theta(b1, b2, c)) is two gathers and one add.  Under a
-prefix loop the suffix variables are the axes of an open mesh (_mesh):
-axis i is range(m) shaped (1, ..., m, ..., 1), and a term's values span
-only the axes of the variables it reads.  An application that reads a
-prefix variable is planned by _slicing: the arguments that read no
-suffix variable select a sub-table of the table's m x ... x m view by
-basic indexing, a view with no add and no gather; then one argument that
-reads several axes is one gather into that view, and arguments that read
-one axis each, in increasing axis order, are takes of rows along their
-axes (an argument that is its axis's own variable needs none).  Any
-other application keeps the flat index.  The sides compare by
-broadcasting, and a block's first failure is placed in the lex order of
-the whole block.
+check binds every variable per batch.  With every variable a grid row,
+both sides of a one-block check bind to values (an int or an array in
+lex order), which are compared once, with no loop, env or closure.  A
+table application is then one flat index and one gather, and its plan
+holds the sum of its variable arguments' shares of that index (each grid
+row times its stride), so theta(a1, a2, theta(b1, b2, c)) is two gathers
+and one add.  Under a prefix loop the suffix variables are the axes of
+an open mesh (_mesh): axis i is range(m) shaped (1, ..., m, ..., 1), and
+a term's values span only the axes of the variables it reads.  An
+application that reads a prefix variable is planned by _slicing: the
+arguments that read no suffix variable select a sub-table of the table's
+m x ... x m view by basic indexing, a view with no add and no gather;
+then one argument that reads several axes is one gather into that view,
+and arguments that read one axis each, in increasing axis order, are
+takes of rows along their axes (an argument that is its axis's own
+variable needs none).  Any other application keeps the flat index.  The
+sides compare by broadcasting, and a block's first failure is placed in
+the lex order of the whole block.
 
 Under a prefix loop a block may be skipped by its sections.  The leading
 arguments of an application are its longest run of first arguments that
@@ -142,7 +145,8 @@ def check_identity(
     records its factors through them (engine "product", see
     _check_product), and the budget then bounds the factors' tuples.  An
     identity that does not fit alg's signature, an unknown mode or
-    samples < 1 is an InputError.
+    samples < 1 is an InputError.  The fit is decided first, so a misfit
+    raises the same SymbolError in every mode and at any budget.
     """
     _require_fit(alg, ident)
     variables = ident.variables
@@ -318,12 +322,14 @@ def _flat_closure(v):
 def _first_bad(lhs, rhs):
     """Index of the first assignment at which the values lhs and rhs of an
     identity's sides differ, or None; a side that is one int holds for
-    every assignment."""
-    import numpy as np
-
-    bad = np.asarray(lhs != rhs)
+    every assignment.  One argmax and a read of the element it names, by
+    flat index, decide it with no copy: numpy's any() is a Python-level
+    wrapper that costs more than both."""
+    bad = lhs != rhs
+    if isinstance(bad, bool):  # two ints
+        return 0 if bad else None
     j = int(bad.argmax())
-    return j if bad.flat[j] else None
+    return j if bad.item(j) else None
 
 
 def _confirmed_fail(alg, ident, tup, checked, seed=None):
@@ -514,8 +520,6 @@ def _digits(j, shape):
 
 
 def _check_exhaustive_np(alg, ident, total):
-    import numpy as np
-
     m = alg.size
     variables = ident.variables
     k = len(variables)
@@ -526,12 +530,20 @@ def _check_exhaustive_np(alg, ident, total):
         inner -= 1
     outer = k - inner
     # bind the planned sides: what reads only the suffix is evaluated
-    # now, and each block calls what is left.  Under a prefix loop the
-    # suffix variables are the axes of an open mesh, so the values of a
-    # term span only the axes it reads; one block reads flat grid rows
+    # now, and each block calls what is left
     lhs, rhs, keyed = _planned(ident, m, inner)
+    block = (m,) * inner
+    if not outer:
+        # one block: every variable is a flat grid row, so both sides
+        # bind to values, compared once in lex order
+        j = _first_bad(lhs(alg), rhs(alg))
+        if j is None:
+            return CheckReport("pass", ident.name, tuples_checked=total)
+        return _confirmed_fail(alg, ident, tuple(_digits(j, block)), j + 1)
+    # under a prefix loop the suffix variables are the axes of an open
+    # mesh, so the values of a term span only the axes it reads
     lhs, rhs = _closure(lhs(alg)), _closure(rhs(alg))
-    block, size = (m,) * inner, m ** inner
+    size = m ** inner
     checked, key, passed = 0, None, None
     for prefix in itertools.product(range(m), repeat=outer):
         env = dict(zip(variables, prefix))
@@ -544,12 +556,13 @@ def _check_exhaustive_np(alg, ident, total):
         left, right = lhs(env), rhs(env)
         j = _first_bad(left, right)
         if j is not None:
-            if outer:
-                # sides that miss a mesh axis compare with size 1 on it,
-                # where the first failure has a 0
-                shape = np.broadcast(left, right).shape or block
-                j = functools.reduce(lambda acc, d: acc * m + d,
-                                     _digits(j, shape), 0)
+            import numpy as np
+
+            # sides that miss a mesh axis compare with size 1 on it, where
+            # the first failure has a 0
+            shape = np.broadcast(left, right).shape or block
+            j = functools.reduce(lambda acc, d: acc * m + d,
+                                 _digits(j, shape), 0)
             tup = prefix + tuple(_digits(j, block))
             return _confirmed_fail(alg, ident, tup, checked + j + 1)
         if key:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -202,6 +204,34 @@ def test_apply_hash_is_by_value_and_no_field():
     assert repr(term) == (
         "Apply(op='f', args=(Apply(op='g', args=(Variable(name='a'),)), "
         "Variable(name='b')))")
+
+
+def test_signature_hash_is_by_value_and_no_field():
+    sig = Signature((("f", 2), ("g", 1)), ("e",))
+    again = Signature((("f", 2), ("g", 1)), ("e",))
+    assert sig == again and hash(sig) == hash(again)
+    assert hash(sig) == hash(((("f", 2), ("g", 1)), ("e",)))
+    assert sig != Signature((("f", 2), ("g", 1)), ())
+    assert [f.name for f in dataclasses.fields(Signature)] == [
+        "ops", "constants"]
+    assert repr(sig) == (
+        "Signature(ops=(('f', 2), ('g', 1)), constants=('e',))")
+    extended = dataclasses.replace(sig, constants=("e", "u"))
+    assert hash(extended) == hash((sig.ops, ("e", "u")))
+
+
+def test_kept_hashes_are_computed_again_on_unpickling():
+    # str hashes differ between processes, so a hash kept in a pickle
+    # would be stale in another one; a stale one is faked here
+    sig = Signature((("f", 1),), ("e",))
+    term = Apply("f", Variable("a"))
+    ident = Identity("i", ("a",), term, Variable("a"))
+    for obj in (sig, term, ident):
+        right = hash(obj)
+        object.__setattr__(obj, "_hash", right + 1)
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == right
+        assert copy.deepcopy(obj) == obj
 
 
 def test_validate_accepts_catalog(bool2, z3_n2, z4_group):

@@ -717,12 +717,13 @@ def _reused_identities(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9), st.integers(2, 3), st.integers(1, 2),
+@given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(1, 2),
        st.sampled_from([None, 1, 2]))
 def test_plans_do_not_leak_between_algebras(seed, m, n, power):
     # one plan per identity, m and layout serves algebras with different
     # tables and unit values, checked in both orders; power moves the
-    # block size, so the plans of several layouts are reused too
+    # block size, so the plans of several layouts are reused too, and a
+    # one-element carrier is always one block
     rng = random.Random(seed)
     algs = [random_algebra(rng, m, n) for _ in range(3)]
     ids = _reused_identities(n)
@@ -765,6 +766,45 @@ def test_signature_fit_is_decided_per_signature():
         assert str(err.value) == (
             "identity 'unit-law:2' does not fit the signature of 'Grp3n2i1': "
             "unknown constant 'e1'")
+
+
+def test_a_misfit_is_refused_before_anything_else():
+    # the fit is decided first: each call below would fail otherwise too
+    # (over budget, an unknown mode, no samples), and a sampled check or
+    # a product decided through its factors plans nothing before it
+    ident = identity_2assoc(2)
+    theta2 = catalog.build_semigroup_algebra(catalog.cyclic_group(3), 1, 1)
+    product = catalog.build_group_product_algebra(
+        [catalog.cyclic_group(2), catalog.cyclic_group(3)], [1, 1], 1)
+    assert product.factors
+    assert check_identity(product, identity_2assoc(1)).engine == "product"
+    calls = [
+        (theta2, {}),
+        (theta2, {"budget": 1}),
+        (theta2, {"mode": "unknown"}),
+        (theta2, {"mode": "sampled"}),
+        (theta2, {"mode": "sampled", "samples": 0}),
+        (product, {}),
+        (product, {"budget": 1}),
+        (product, {"mode": "sampled"}),
+    ]
+    for alg, kw in calls:
+        for _ in range(2):
+            with pytest.raises(SymbolError) as err:
+                check_identity(alg, ident, **kw)
+            assert str(err.value) == (
+                f"identity '2assoc:2' does not fit the signature of "
+                f"{alg.name!r}: 'theta' expects 2 arguments, got 3"), kw
+    # the same calls on a fitting identity fail for their own reasons
+    fit = identity_2assoc(1)
+    with pytest.raises(BudgetError):
+        check_identity(theta2, fit, budget=1)
+    with pytest.raises(BudgetError):
+        check_identity(product, fit, budget=1)
+    with pytest.raises(InputError, match="unknown mode 'unknown'"):
+        check_identity(theta2, fit, mode="unknown")
+    with pytest.raises(InputError, match="samples >= 1"):
+        check_identity(theta2, fit, mode="sampled", samples=0)
 
 
 def test_an_identity_parsed_again_is_planned_once(monkeypatch):

@@ -33,6 +33,7 @@ from finalg.identities import (
 from finalg.search import (
     SEARCH_BUDGET,
     SearchSpec,
+    _Cells,
     count_2assoc_semiabelian,
     parse_search_spec,
     prove_no_strict_2assoc,
@@ -202,6 +203,34 @@ def test_witnesses_are_independently_verified():
     w = result.witness
     assert suite_ok(check_suite(w, suite_semiabelian(2, ("e", "e"))))
     assert check_identity(w, identity_2assoc(2)).ok
+
+
+def test_a_witness_that_fails_its_identities_is_refused(monkeypatch):
+    # find-first checks its witness again with check_identity: one
+    # corrupted cell of the algebra it emits is refused, not returned
+    sig = standard_signature(1, shared_unit=True)
+    idents = tuple(suite_semiabelian(1, ("e",)).identities) + (
+        identity_2assoc(1),
+    )
+    spec = SearchSpec("grp2", 2, sig, idents)
+    assert search(spec).outcome == "witness"
+    real = _Cells.algebra
+
+    def corrupted(self, spec):
+        alg = real(self, spec)
+        theta = alg.tables["theta"]
+        entries = list(theta.entries)
+        entries[0] = 1 - entries[0]  # theta(0, 0)
+        alg.tables["theta"] = DenseTable(theta.arity, entries)
+        return alg
+
+    monkeypatch.setattr(_Cells, "algebra", corrupted)
+    # theta(-, b) of a witness is a bijection (the retraction), so the
+    # corrupted theta(-, 0) is not, and alpha1-unit reads no theta
+    with pytest.raises(AlgebraError) as err:
+        search(spec)
+    assert str(err.value) == (
+        "internal error: emitted witness fails 'retraction'")
 
 
 # -- the full-rescan reference searcher ---------------------------------------
