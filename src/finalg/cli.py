@@ -215,7 +215,6 @@ def cmd_search(args, out):
         out(json.dumps({
             "outcome": result.outcome,
             "count": result.count,
-            "space_size": result.space_size,
             "nodes": result.nodes,
             "instances_evaluated": result.instances_evaluated,
             "forced": result.forced,
@@ -311,7 +310,7 @@ def build_parser():
     sp = sub.add_parser("search", help="search small models for a spec file")
     sp.add_argument("file")
     sp.add_argument("--search-mode", default="find-first",
-                    choices=["find-first", "count-all", "prove-none"])
+                    choices=search.MODES)
     sp.add_argument("--budget", type=int)
     sp.add_argument("--format", choices=["text", "structured"], default="text")
     sp.set_defaults(fn=cmd_search)

@@ -51,6 +51,12 @@ same code, with forcing held back: the pins alone decide whether the root
 is refuted (outcome none-exists), and the instances that force wait until
 the pass is over.  The loop keeps no Python frame per depth, so the depth
 of the tree is bounded by memory alone.
+
+The budget bounds the work done: ground instances evaluated plus nodes,
+which count a branch on a cell no identity reads.  The root pass
+evaluates every instance once, so a spec with more instances than the
+budget (or the materialize limit) is refused before anything is built,
+and the loop refuses at its first node once the work is over budget.
 """
 from __future__ import annotations
 
@@ -67,9 +73,9 @@ from .core import (
     InputError,
     Signature,
     Variable,
+    _MATERIALIZE_LIMIT,
     check_identity_terms,
-    exponent_text,
-    power_exceeds,
+    materializable,
     require_materializable,
     standard_signature,
     table_error,
@@ -82,7 +88,8 @@ from .identities import (
     suite_semiabelian,
 )
 
-SEARCH_BUDGET = 10 ** 9
+SEARCH_BUDGET = 10 ** 8  # ground instances evaluated plus nodes
+MODES = ("find-first", "count-all", "prove-none")
 
 
 @dataclass
@@ -157,7 +164,6 @@ class SearchResult:
     outcome: str  # "witness" | "none-exists" | "count"
     witness: FiniteAlgebra | None = None
     count: int = 0
-    space_size: int = 0
     nodes: int = 0
     instances_evaluated: int = 0  # ground identity instances, root pass included
     forced: int = 0  # cells assigned because an instance determined them
@@ -166,19 +172,20 @@ class SearchResult:
 
     def summary(self) -> str:
         if self.outcome == "witness":
-            return f"witness found (space {self.space_size}, nodes {self.nodes})"
+            return f"witness found (nodes {self.nodes})"
         if self.outcome == "none-exists":
-            return (
-                f"no model exists (space {self.space_size}, "
-                f"nodes examined {self.nodes})"
-            )
-        return f"count = {self.count} (space {self.space_size}, nodes {self.nodes})"
+            return f"no model exists (nodes examined {self.nodes})"
+        return f"count = {self.count} (nodes {self.nodes})"
 
 
-def _check_spec(spec: SearchSpec) -> None:
-    """Reject a spec whose carrier or pins are not a partial algebra on
-    {0..m-1}: the search would index its cell array with them."""
+def _check_spec(spec: SearchSpec, budget: int) -> None:
+    """Refuse a spec before anything is built: InputError for an unknown
+    mode, or a carrier or pins that are not a partial algebra on {0..m-1}
+    (they index the cell array); BudgetError for a free table over the
+    materialize limit, or ground instances over that limit or budget."""
     m = spec.size
+    if spec.mode not in MODES:
+        raise InputError(f"unknown search mode {spec.mode!r}")
     if m < 1:
         raise InputError(f"carrier must be >= 1, got {m}")
     for name, tbl in spec.pinned_tables.items():
@@ -193,10 +200,24 @@ def _check_spec(spec: SearchSpec) -> None:
         if problem is not None:
             raise InputError(f"pinned table: {problem}")
     for cname, v in spec.pinned_constants.items():
+        if cname not in spec.signature.constants:
+            raise InputError(f"pinned constant {cname!r} not in signature")
         if not 0 <= v < m:
             raise InputError(
                 f"pinned constant {cname!r} = {v} is outside 0..{m - 1}"
             )
+    for name, arity in spec.signature.ops:
+        if name not in spec.pinned_tables and not materializable(m, arity):
+            raise BudgetError(f"search table {name!r} of {m}^{arity} cells "
+                              f"exceeds cap {_MATERIALIZE_LIMIT}")
+    bound, what = min((budget, "budget"), (_MATERIALIZE_LIMIT, "cap"))
+    total = 0
+    for ident in spec.identities:
+        k = len(ident.variables)
+        if not materializable(m, k) or total + m ** k > bound:
+            raise BudgetError(f"search ground instances exceed {what} "
+                              f"{bound} at identity {ident.name!r} ({m}^{k})")
+        total += m ** k
 
 
 class _Cells:
@@ -290,27 +311,6 @@ def _value(t, vals) -> int:
     return v if v >= 0 else ~base
 
 
-def _space_size(spec: SearchSpec, budget: int) -> int:
-    """m^k for the k free cells of spec, or BudgetError when that exceeds
-    budget.  A free op whose m^arity cells exceed budget makes k exceed
-    it too, so k is built only from terms within budget, and a k too
-    large to build or of 100 digits or more is worded by its terms
-    m^arity."""
-    m = spec.size
-    arities = [a for name, a in spec.signature.ops
-               if name not in spec.pinned_tables]
-    consts = sum(c not in spec.pinned_constants
-                 for c in spec.signature.constants)
-    k = None
-    if not any(power_exceeds(m, a, budget) for a in arities):
-        k = sum(m ** a for a in arities) + consts
-        if not power_exceeds(m, k, budget):
-            return m ** k
-    terms = [f"{m}^{a}" for a in arities] + [str(consts)] * (consts > 0)
-    raise BudgetError(f"search space {m}^{exponent_text(k, ' + '.join(terms))}"
-                      f" exceeds budget {budget}")
-
-
 def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     """Complete backtracking search in the requested mode.
 
@@ -327,9 +327,8 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     count-all mode.  Either counts as one node.
     """
     start = time.perf_counter()
-    _check_spec(spec)
+    _check_spec(spec, budget)
     m = spec.size
-    space = _space_size(spec, budget)
     layout = _Cells(spec)
     vals = layout.vals
     watch = [[] for _ in vals]
@@ -355,6 +354,9 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     refuted = False  # the pins alone falsify an identity
     witness = None
     while True:
+        if evaluated + nodes > budget:
+            raise BudgetError(f"search evaluated {evaluated} ground instances "
+                              f"in {nodes} nodes, over budget {budget}")
         grew = grown[depth]
         trail = forced[depth]
         for todo in queue:
@@ -493,7 +495,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
                     f"internal error: emitted witness fails {ident.name!r}"
                 )
     return SearchResult(
-        outcome, witness=witness, count=count, space_size=space, nodes=nodes,
+        outcome, witness=witness, count=count, nodes=nodes,
         instances_evaluated=evaluated, forced=nforced,
         elapsed_s=time.perf_counter() - start,
     )
@@ -552,8 +554,7 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
             v = seen.pop() + 1
         else:
             break
-    theta_space = m ** (m ** (n + 1))
-    return SearchResult("none-exists", space_size=theta_space, nodes=nodes,
+    return SearchResult("none-exists", nodes=nodes,
                         elapsed_s=time.perf_counter() - start)
 
 
@@ -566,16 +567,14 @@ def count_2assoc_semiabelian(
     The theory names no carrier element, so relabeling by the
     transposition (0 v) maps the models with e = v one to one onto those
     with e = 0.  The search therefore runs with e pinned to 0 and the
-    count is m times its count.  nodes and instances_evaluated are those
-    of the e = 0 tree; space_size is still m^cells, m times the space of
-    the e = 0 search, which is the space the budget bounds.
+    count is m times its count.  nodes, instances_evaluated and the
+    budget are those of the e = 0 search.
     """
     spec = _semiabelian_2assoc(f"count-2assoc-semiabelian-m{m}-n{n}", m, n,
                                mode="count-all")
     spec.pinned_constants = {"e": 0}
     result = search(spec, budget=budget)
     result.count *= m
-    result.space_size *= m
     return result
 
 

@@ -607,25 +607,51 @@ def test_search_budget_exit_3(tmp_path, capsys):
         "algebra B {\n  carrier 3\n  op mu/3 = free\n  require malcev\n}\n"
     )
     assert main(["search", str(p), "--budget", "10"]) == 3
-    # a space of 20^8000 is refused from its cell count, never printed
+    # 20^5 ground instances of 2assoc:2 are refused before any is ground
     huge = tmp_path / "huge.alg"
     huge.write_text(
         "algebra H {\n  carrier 20\n  op theta/3 = free\n"
         "  require 2assoc:2\n}\n"
     )
     capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["search", str(huge), "--budget", str(10 ** 6)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget: search ground instances exceed budget "
+                            "1000000 at identity '2assoc:2' (20^5)\n")
+    # 4 free cells, but an identity of 24 variables: 2^24 instances are
+    # over the materialize limit at the default budget
+    args = ", ".join(f"x{i}" for i in range(1, 25))
+    huge.write_text("algebra W {\n  carrier 2\n  op f/2 = free\n}\n"
+                    f"identity wide({args}): f(x1, x2) = f(x2, x1)\n")
     assert main(["search", str(huge)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "budget: search space 20^8000 exceeds budget 1000000000\n")
+    assert captured.err == ("budget: search ground instances exceed cap "
+                            "4194304 at identity 'wide' (2^24)\n")
     # an arity of 10^7 is refused from the arity, 3^10000000 never built
     huge.write_text("algebra H {\n  carrier 3\n  op f/10000000 = free\n}\n")
     assert main(["search", str(huge)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "budget: search space 3^(3^10000000) exceeds budget 1000000000\n")
+        "budget: search table 'f' of 3^10000000 cells exceeds cap 4194304\n")
+    assert time.perf_counter() - start < 1
+    # a search over its budget stops and reports the work done: the group
+    # spec on three elements grounds 39 instances and evaluates 140
+    group = tmp_path / "group3.alg"
+    group.write_text(
+        "algebra G {\n  carrier 3\n  op theta/2 = free\n"
+        "  op alpha1/2 = free\n  const e = 0\n"
+        "  require semiabelian:1 2assoc:1\n}\n"
+    )
+    assert main(["search", str(group), "--search-mode", "count-all",
+                 "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"budget: search evaluated \d+ ground instances in "
+                        r"\d+ nodes, over budget 100\n", captured.err)
     # a budget below 1 is an input error, not a refusal or the default
     for budget in ("0", "-5"):
         capsys.readouterr()
@@ -702,10 +728,9 @@ def test_search_structured_reports_work(tmp_path, capsys):
     assert main(["search", str(p), "--search-mode", "count-all",
                  "--format", "structured"]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert list(rec) == ["outcome", "count", "space_size", "nodes",
+    assert list(rec) == ["outcome", "count", "nodes",
                          "instances_evaluated", "forced", "elapsed_s"]
-    assert (rec["outcome"], rec["count"], rec["space_size"]) == (
-        "count", 1, 256)
+    assert (rec["outcome"], rec["count"]) == ("count", 1)
     assert rec["instances_evaluated"] > 0 and rec["elapsed_s"] >= 0
     # alpha1(a, a) = e forces both diagonal cells of alpha1 at the root
     assert rec["forced"] >= 2
@@ -732,8 +757,8 @@ def test_search_a_tree_deeper_than_the_recursion_limit(tmp_path, capsys,
         f"identity proj({args}): g(f({args})) = x1\n"
         f"identity copy({args}): h({args}) = f({args})\n"
     )
-    assert main(["search", str(p), "--budget", str(10 ** 700),
-                 "--search-mode", mode, "--format", "structured"]) == 0
+    assert main(["search", str(p), "--search-mode", mode,
+                 "--format", "structured"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rec = json.loads(lines[0])
     assert (rec["nodes"], rec["instances_evaluated"], rec["forced"]) == work
@@ -840,7 +865,7 @@ def test_search_prove_none_with_a_model_exit_1(tmp_path, capsys):
     # at its first model, which it prints as a checkable algebra
     assert main(["search", str(p), "--search-mode", "prove-none"]) == 1
     head, witness = capsys.readouterr().out.split("\n", 1)
-    assert head == "witness found (space 387420489, nodes 24)"
+    assert head == "witness found (nodes 24)"
     alg = tmp_path / "witness.alg"
     alg.write_text(witness)
     for suite in ("semiabelian:1", "2assoc:1"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -53,8 +54,7 @@ def test_prove_none_malcev_2assoc_on_two_elements():
     spec.mode = "prove-none"
     result = search(spec)
     assert result.outcome == "none-exists"
-    assert result.space_size == 256
-    assert result.nodes < 256  # pruning must do real work
+    assert result.nodes < 256  # of the 2^8 tables: pruning does real work
 
 
 def test_find_first_returns_lex_smallest_witness():
@@ -97,7 +97,8 @@ def test_count_all_matches_independent_enumeration():
     result = count_2assoc_semiabelian(2, 1)
     assert result.outcome == "count"
     assert result.count == 2
-    assert result.space_size == 2 ** 4 * 2 ** 4 * 2
+    # the work of the e = 0 search
+    assert (result.nodes, result.instances_evaluated) == (4, 32)
 
 
 def test_find_first_none_when_unsatisfiable():
@@ -134,16 +135,82 @@ def test_pinned_tables_constrain_search():
 
 
 def test_search_budget_refusal():
+    # the root pass evaluates every ground instance once, so 3^2 + 3^2
+    # instances of the Mal'cev laws are over a budget of 10 before the
+    # search grounds any
     spec = _malcev_2assoc_spec(3)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as ei:
         search(spec, budget=10)
-    # a cell count of 100 digits or more is worded by its terms m^arity
+    assert str(ei.value) == ("search ground instances exceed budget 10 at "
+                             "identity 'malcev-left' (3^2)")
+    # a free table over the materialize limit is refused before it is
+    # built, whatever the budget
     m = 10 ** 60
     spec = SearchSpec("wide", m, standard_signature(1, shared_unit=True), ())
     with pytest.raises(BudgetError) as ei:
-        search(spec)
+        search(spec, budget=10 ** 100)
     assert str(ei.value) == (
-        f"search space {m}^({m}^2 + {m}^2 + 1) exceeds budget 1000000000")
+        f"search table 'theta' of {m}^2 cells exceeds cap 4194304")
+
+
+def test_search_budget_bounds_the_work_done():
+    # the group spec on three elements with e = 0: its 3 + 3^2 + 3^3 = 39
+    # ground instances are within each budget, its whole search is not
+    spec = parse_search_spec(
+        "algebra G { carrier 3 op theta/2 = free op alpha1/2 = free "
+        "const e = 0 require semiabelian:1 2assoc:1 }", mode="count-all")
+    done = search(spec)
+    work = done.instances_evaluated + done.nodes
+    for budget in (60, work // 2, work - done.nodes):
+        with pytest.raises(BudgetError) as ei:
+            search(spec, budget=budget)
+        evaluated, nodes = map(int, re.fullmatch(
+            r"search evaluated (\d+) ground instances in (\d+) nodes, "
+            rf"over budget {budget}", str(ei.value)).groups())
+        # refused at the first node reached over budget, within the search
+        assert budget < evaluated + nodes <= work
+        assert evaluated <= done.instances_evaluated and nodes <= done.nodes
+    assert search(spec, budget=work) == done
+    # a cell that no identity reads costs a node and no evaluation: the
+    # nodes alone are bounded too (4^64 tables of f, none refuted)
+    sig = Signature((("f", 3),))
+    spec = SearchSpec("unread", 4, sig, (), mode="count-all")
+    with pytest.raises(BudgetError, match="evaluated 0 ground instances in "
+                                          "1001 nodes, over budget 1000"):
+        search(spec, budget=1000)
+
+
+def test_search_refuses_too_many_ground_instances_at_once():
+    # 4 free cells, but one identity of 24 variables grounds 2^24
+    # instances: over the materialize limit at any budget, refused before
+    # anything is ground
+    names = tuple(f"x{i}" for i in range(1, 25))
+    x1, x2 = Variable("x1"), Variable("x2")
+    wide = Identity("wide", names, Apply("f", x1, x2), Apply("f", x2, x1))
+    spec = SearchSpec("wide", 2, Signature((("f", 2),)), (wide,))
+    start = time.perf_counter()
+    for budget in (SEARCH_BUDGET, 10 ** 100):
+        with pytest.raises(BudgetError) as ei:
+            search(spec, budget=budget)
+        assert str(ei.value) == ("search ground instances exceed cap "
+                                 "4194304 at identity 'wide' (2^24)")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("mode", ["count", "first", ""])
+def test_search_rejects_an_unknown_mode(mode):
+    spec = _malcev_2assoc_spec(2)
+    spec.mode = mode
+    with pytest.raises(InputError, match=f"unknown search mode {mode!r}"):
+        search(spec)
+
+
+def test_search_rejects_a_pinned_constant_outside_the_signature():
+    spec = _malcev_2assoc_spec(2)  # mu alone, no constant
+    spec.pinned_constants = {"e": 0}
+    with pytest.raises(InputError, match="pinned constant 'e' not in "
+                                         "signature"):
+        search(spec)
 
 
 def test_parse_search_spec_round_trip():
@@ -381,7 +448,7 @@ def rescan_search(spec, cells, forcing=True):
 
 def _assert_matches_rescan(spec):
     """The search's result and the instances the reference evaluated."""
-    result = search(spec, budget=10 ** 30)
+    result = search(spec)
     outcome, count, nodes, witness, evaluated = rescan_search(
         spec, spec.branch_cells())
     assert (result.outcome, result.count, result.nodes) == (
@@ -416,7 +483,7 @@ def _census_spec(m, n):
 def test_census_matches_full_rescan(m, n):
     spec = _census_spec(m, n)
     result, reference_evaluated = _assert_matches_rescan(spec)
-    assert result.count == count_2assoc_semiabelian(m, n, 10 ** 30).count
+    assert result.count == count_2assoc_semiabelian(m, n).count
     # watching never evaluates more instances than a full rescan of the
     # same tree
     assert 0 < result.instances_evaluated <= reference_evaluated
@@ -565,20 +632,21 @@ def test_census_matches_closed_form(m, n):
     # m^(n-1) - 1 orbits and alpha*(a, b), a != b, in a fibre of m^(n-1)
     # points: the enriched count, equal to the census by the theorem
     expected = A034383[m] * m ** (m ** (n - 1) - 1 + (n - 1) * m * (m - 1))
-    cells = m ** (n + 1) + n * m ** 2 + 1  # theta, alpha1..alphan, e
-    result = count_2assoc_semiabelian(m, n, budget=m ** cells)
+    result = count_2assoc_semiabelian(m, n)  # at the default budget
     assert (result.outcome, result.count) == ("count", expected)
-    assert result.space_size == m ** cells
 
 
-def test_census_budget_bounds_the_searched_space():
-    # the budget bounds the e = 0 space m^(cells - 1), not m^cells
-    result = count_2assoc_semiabelian(3, 1)
-    assert result.count == 3
-    assert result.space_size == 3 ** 19 > SEARCH_BUDGET
-    with pytest.raises(BudgetError) as ei:
-        count_2assoc_semiabelian(4, 1)
-    assert str(ei.value) == "search space 4^32 exceeds budget 1000000000"
+def test_census_budget_bounds_the_work_done():
+    # (4,1) has 4^32 assignments with e = 0 but takes 810 evaluations in
+    # 192 nodes, and (5,1) 4,602 in 845: both run at the default budget
+    for m, count, work in ((4, 16, (192, 810)), (5, 30, (845, 4602))):
+        result = count_2assoc_semiabelian(m, 1)
+        assert result.count == count
+        assert (result.nodes, result.instances_evaluated) == work
+    # the budget bounds the e = 0 search's work, not m times it
+    with pytest.raises(BudgetError, match="over budget 1000$"):
+        count_2assoc_semiabelian(5, 1, budget=1000)
+    assert count_2assoc_semiabelian(4, 1, budget=810 + 192).count == 16
 
 
 def _model_tables(m, n):
