@@ -42,9 +42,10 @@ class Signature:
 
     Constants are kept apart from arity-0 operations: they are
     distinguished data in the axiom schemes, not table-backed ops.  The
-    kernel's fit cache is keyed by signature value, so, as for Identity,
-    the hash is computed once, outside the fields, and again on
-    unpickling, since str hashes differ between processes.
+    hash is computed once, outside the fields, and again on unpickling,
+    since str hashes differ between processes, and so is the set of
+    symbols an identity's fit is read against (check_identity_terms):
+    each (name, arity) of an op and the name of each constant.
     """
 
     ops: tuple[tuple[str, int], ...]
@@ -58,6 +59,8 @@ class Signature:
             if arity < 1:
                 raise SymbolError(f"op {name!r} must have arity >= 1, got {arity}")
         object.__setattr__(self, "_hash", hash((self.ops, self.constants)))
+        object.__setattr__(self, "_symbols",
+                           frozenset(self.ops) | frozenset(self.constants))
 
     def __hash__(self):
         return self._hash
@@ -391,10 +394,13 @@ def term_variables(t: Term) -> set:
 class Identity:
     """A universally quantified equation lhs = rhs over declared variables.
 
-    Zero declared variables is allowed (ground equations like e1 = e2).
-    The kernel's caches are keyed by identity value, so its hash is
-    computed once, outside the fields, and again on unpickling, since str
-    hashes differ between processes.
+    Zero declared variables is allowed (ground equations like e1 = e2);
+    a variable declared twice is an InputError.  The kernel's caches are
+    keyed by identity value, so its hash is computed once, outside the
+    fields, and again on unpickling, since str hashes differ between
+    processes, and so is the set of symbols its sides apply, read by
+    check_identity_terms: each (op, number of arguments) and the name of
+    each constant.
     """
 
     name: str
@@ -403,14 +409,24 @@ class Identity:
     rhs: Term
 
     def __post_init__(self):
+        declared = set()
+        for v in self.variables:
+            if v in declared:
+                raise InputError(
+                    f"identity {self.name!r} declares variable {v!r} twice")
+            declared.add(v)
         free = term_variables(self.lhs) | term_variables(self.rhs)
-        undeclared = free - set(self.variables)
+        undeclared = free - declared
         if undeclared:
             raise EvalError(
                 f"identity {self.name!r} uses undeclared variables {sorted(undeclared)}"
             )
         object.__setattr__(self, "_hash", hash(
             (self.name, self.variables, self.lhs, self.rhs)))
+        symbols = set()
+        for side in (self.lhs, self.rhs):
+            _add_symbols(side, symbols)
+        object.__setattr__(self, "_symbols", frozenset(symbols))
 
     def __hash__(self):
         return self._hash
@@ -421,6 +437,16 @@ class Identity:
     def text(self) -> str:
         vs = ", ".join(self.variables)
         return f"identity {self.name}({vs}): {term_text(self.lhs)} = {term_text(self.rhs)}"
+
+
+def _add_symbols(t: Term, out: set) -> None:
+    """Add each (op, number of arguments) and constant name t applies."""
+    if isinstance(t, Constant):
+        out.add(t.name)
+    elif isinstance(t, Apply):
+        out.add((t.op, len(t.args)))
+        for a in t.args:
+            _add_symbols(a, out)
 
 
 def check_term(sig: Signature, t: Term, declared_vars) -> None:
@@ -446,7 +472,15 @@ def check_term(sig: Signature, t: Term, declared_vars) -> None:
 
 def check_identity_terms(sig: Signature, ident: Identity, owner=None) -> None:
     """Raise SymbolError unless both sides of ident are well-formed over
-    sig; the message names ident and owner, the algebra or spec of sig."""
+    sig; the message names ident and owner, the algebra or spec of sig.
+
+    An identity's variables are declared (Identity checks them), so it
+    fits exactly when sig declares every op it applies with that many
+    arguments and every constant it names: one subset test of the symbol
+    sets both keep decides it, and the sides are walked only to word a
+    misfit."""
+    if ident._symbols <= sig._symbols:
+        return
     try:
         for side in (ident.lhs, ident.rhs):
             check_term(sig, side, ident.variables)

@@ -15,39 +15,49 @@ Both modes run one numpy kernel (CheckReport.engine is "np" or
 "sampled"), a partial evaluator in two steps.  _plan turns each side of
 an identity into a table-free plan for one carrier size m and one block
 layout: which variables are flat grid rows, which are mesh axes and
-which are bound per block or per batch.  A check binds the plans to its
-algebra's table arrays and constants, so a subterm that reads only known
-variables is evaluated at once, to an int or an array, and the rest
-becomes a closure that each block calls.  Plans are kept in a bounded
-cache keyed by the identity's value, m and the layout (_planned), so a
-law checked on many algebras is planned once, and so is an equal
-identity built again or parsed again from text; term_table's plans are
-kept there too, keyed by the term's value, m and the variables.  The
-grids and meshes plans are built from are kept in one cache under the
-same byte bound (_grids).  Whether an identity fits a signature is
-likewise decided once per signature (_require_fit); a Signature, like
-an Identity, computes its hash once.  An exhaustive check of a product
-that records its factors (catalog._product) runs the kernel on each
-factor instead, since an identity holds in a product iff it holds in
-every factor, and places the first counterexample from theirs (engine
-"product", _check_product).  The exhaustive check loops over a
-lexicographic prefix of the variables and evaluates each prefix's block
-of suffix tuples at once; a block holds at most _BLOCK tuples (at least
-one whole variable), so its temporaries stay cache-sized and a failure
-near the start of the tuple order ends the check early.  An identity
-with no variables is one block of one tuple.
+which are bound per block or per batch.  A plan is one straight-line
+Python function, bind, whose arguments are the algebra's table arrays
+and constant values: it evaluates at once, to an int or an array, every
+subterm that reads only known variables, and returns the value of its
+side, or a function block of the other variables that evaluates the
+rest, statement by statement, with no recursion, closure per
+application or type test.  Its source is written per term and layout
+(_shape, _Writer) from generic names (t0 for a table, c0 for a
+constant, k0 for a plan array or stride), so no symbol name reaches
+it, and each distinct source is compiled once (_made); what the plan
+holds for one m, each known variable's share of a flat index and the
+strides, is computed from the term's recipe at that m.  Plans are kept
+in a bounded cache keyed by the identity's value, m and the layout
+(_planned), so a law checked on many algebras is planned once, and so
+is an equal identity built again or parsed again from text; a check
+makes that one lookup.  term_table's plans are kept there too, keyed by
+the term's value, m and the variables.  The grids and meshes plans are
+built from are kept in one cache under the same byte bound (_grids).
+Whether an identity fits a signature is one subset test of the symbol
+sets each keeps (core.check_identity_terms), decided before anything
+else.  An exhaustive check of a product that records its factors
+(catalog._product) runs the kernel on each factor instead, since an
+identity holds in a product iff it holds in every factor, and places
+the first counterexample from theirs (engine "product",
+_check_product).  The exhaustive check loops over a lexicographic
+prefix of the variables and evaluates each prefix's block of suffix
+tuples at once; a block holds at most _BLOCK tuples (at least one whole
+variable), so its temporaries stay cache-sized and a failure near the
+start of the tuple order ends the check early.  An identity with no
+variables is one block of one tuple.
 
 A check without a prefix loop (one block, as every small check is) reads
 its suffix as flat grid rows (_grid), and so does term_table; a sampled
-check binds every variable per batch.  With every variable a grid row,
-both sides of a one-block check bind to values (an int or an array in
-lex order), which are compared once, with no loop, env or closure.  A
-table application is then one flat index and one gather, and its plan
-holds the sum of its variable arguments' shares of that index (each grid
-row times its stride), so theta(a1, a2, theta(b1, b2, c)) is two gathers
-and one add.  Under a prefix loop the suffix variables are the axes of
-an open mesh (_mesh): axis i is range(m) shaped (1, ..., m, ..., 1), and
-a term's values span only the axes of the variables it reads.  An
+check binds every variable per batch, as the columns of the batch.
+With every variable a grid row, both sides of a one-block check bind to
+values (an int or an array in lex order), which are compared once, with
+no loop.  A table application is then one flat index and one gather,
+and its plan holds the sum of its variable arguments' shares of that
+index (each grid row times its stride), so theta(a1, a2, theta(b1, b2,
+c)) is two gathers and one add.  Under a prefix loop the suffix
+variables are the axes of an open mesh (_mesh): axis i is range(m)
+shaped (1, ..., m, ..., 1), and a term's values span only the axes of
+the variables it reads; block takes the prefix values as ints.  An
 application that reads a prefix variable is planned by _slicing: the
 arguments that read no suffix variable select a sub-table of the table's
 m x ... x m view by basic indexing, a view with no add and no gather;
@@ -117,7 +127,7 @@ from .core import (
 )
 
 _BLOCK = 1 << 14
-_PLANS = 256  # plans, identity/signature fits and grids kept
+_PLANS = 256  # plans, term shapes, sources and grids kept
 _PLAN_BYTES = 1 << 23  # bound on the arrays the kept plans hold
 _BATCH = 1 << 16
 
@@ -143,18 +153,21 @@ def check_identity(
     Exhaustive mode refuses when m^k exceeds the budget (BudgetError);
     callers then switch to mode="sampled".  It decides a product that
     records its factors through them (engine "product", see
-    _check_product), and the budget then bounds the factors' tuples.  An
-    identity that does not fit alg's signature, an unknown mode or
-    samples < 1 is an InputError.  The fit is decided first, so a misfit
-    raises the same SymbolError in every mode and at any budget.
+    _check_product), and the budget then bounds the factors' tuples.
+    Sampled mode refuses more samples than the budget before it draws
+    any.  An identity that does not fit alg's signature, an unknown mode
+    or samples < 1 is an InputError.  The fit is decided first, so a
+    misfit raises the same SymbolError in every mode and at any budget.
     """
-    _require_fit(alg, ident)
-    variables = ident.variables
+    check_identity_terms(alg.signature, ident, alg.name)
     m = alg.size
-    k = len(variables)
+    k = len(ident.variables)
     if mode == "sampled":
         if samples < 1:
             raise InputError(f"sampled mode needs samples >= 1, got {samples}")
+        if samples > budget:
+            raise BudgetError(f"identity {ident.name!r}: {samples} samples "
+                              f"exceed budget {budget}")
         engine, report = "sampled", _check_sampled(alg, ident, samples, seed)
     elif mode != "exhaustive":
         raise InputError(f"unknown mode {mode!r}")
@@ -172,76 +185,235 @@ def check_identity(
     return report
 
 
-def _plan(t, m, known, axis):
+# the stage at which the evaluator of a side computes a value: when the
+# plan is built, once per check, or once per block or batch
+_AT_PLAN, _AT_BIND, _PER_BLOCK = 0, 1, 2
+
+
+def _plan(t, m, known, mesh, late, symbols):
     """The table-free plan of term t over carrier size m: a function
-    bind(alg) that reads alg's tables and constants and evaluates t
-    elementwise as far as known allows.  known maps variables to int64
-    arrays, flat arrays all of one length or the axes of an open mesh (see
-    the module docstring); axis maps each mesh variable to its axis, and
-    is empty for flat arrays.
+    bind(*values) of the values of symbols, the identity's op tables as
+    arrays and then its constants as ints (see _arguments), that
+    evaluates t elementwise as far as known allows.  known maps variables
+    to int64 arrays: flat arrays all of one length or, when mesh, the axes
+    of an open mesh in their order (see the module docstring).  late
+    lists the other variables, ints per block under a mesh and arrays per
+    batch otherwise, and is None in a one-block layout, where every
+    variable is known.
 
-    bind returns t's value when t reads only known variables, an int or
-    an array: constants and subterms that read no array stay ints and
-    broadcast against the arrays.  Otherwise it returns a closure that
-    takes a dict of the other variables' values and evaluates the rest; it
-    holds its tables' arrays, so a call repeats no dispatch.  The plan
-    holds what depends on t, m and the layout alone: each known variable
-    argument's share of its application's flat index, summed once, and
-    the slicing of an application that reads a late variable under a
-    prefix loop (_slicing).  It holds no table and no constant value, so
-    one plan serves every algebra on m elements."""
-    import numpy as np
-
-    if isinstance(t, Variable):
-        name = t.name
-        if name in known:
-            value = known[name].copy()  # keeps a row, not the grid it views
-            return lambda alg: value
-        return lambda alg: lambda env: env[name]
-    if isinstance(t, Constant):
-        name = t.name
-        return lambda alg: int(alg.constant(name))
-    op, r = t.op, len(t.args)
-    if axis and term_variables(t) - known.keys():
-        sliced = _sliced_plan(t, m, known, axis)
-        if sliced is not None:
-            return sliced
-    # the known variable arguments' shares of the flat index are summed
-    # now; every other argument adds its value times its stride when bound
-    base, parts = None, []
-    for i, a in enumerate(t.args):
-        stride = m ** (r - 1 - i)
-        if isinstance(a, Variable) and a.name in known:
-            share = known[a.name] * stride
-            base = share if base is None else base + share
+    With late None bind returns t's value, an int or an array: constants
+    and subterms that read no array stay ints and broadcast against the
+    arrays.  Otherwise it returns block(*late), which evaluates the rest
+    from the late variables' values.  Both are one straight-line function
+    (see _shape): what reads only known variables and constants is
+    computed once per bind, and block holds only what reads a late
+    variable.  The plan holds what depends on t, m and the layout alone:
+    each known variable argument's share of its application's flat index,
+    summed once, the strides and the m x ... x m shapes of the tables.  It
+    holds no table and no constant value, so one plan serves every
+    algebra on m elements."""
+    make, recipe = _shape(t, tuple(known), mesh, late, symbols)
+    consts = []
+    for kind, data in recipe:
+        if kind == "share":  # the sum of known[x] * m^e over data's (x, e)
+            total = None
+            for x, exp in data:
+                part = known[x] * m ** exp
+                total = part if total is None else total + part
+            consts.append(total)
+        elif kind == "stride":
+            consts.append(m ** data)
+        elif kind == "shape":
+            consts.append((m,) * data)
         else:
-            parts.append((_plan(a, m, known, axis), stride))
+            consts.append(data)
+    return make(*consts)
 
-    def bind(alg):
-        arr = alg.op(op).array()
-        index, calls = base, []
-        for sub, stride in parts:
-            v = sub(alg)
-            if callable(v):
-                calls.append((v, stride))
+
+@functools.lru_cache(maxsize=_PLANS)
+def _shape(t, suffix, mesh, late, symbols):
+    """(make, recipe) of term t's evaluator in a layout whose known
+    variables are suffix, the axes of a mesh when mesh, else flat rows
+    (see _plan): make(*consts) returns bind, and recipe lists what each
+    const is, for _plan to compute at its m.  Kept per term and layout,
+    for every carrier size."""
+    w = _Writer(suffix, mesh, late, symbols)
+    source = w.source(w.value(t)[0])
+    return _made(source), tuple(w.recipe)
+
+
+class _Writer:
+    """Writes the source of one side's evaluator for _shape.  The source
+    names nothing from the input: tables are t0, t1, ..., constants c0,
+    ..., late variables x0, ..., values v0, ..., and the plan's arrays,
+    strides and slicings are k0, ..., arguments of the function it
+    defines, make(k0, ...), which returns bind.  So equal term shapes
+    write equal sources, and _made compiles each source once."""
+
+    def __init__(self, suffix, mesh, late, symbols):
+        self.known = frozenset(suffix)
+        self.axis = {x: i for i, x in enumerate(suffix)} if mesh else {}
+        self.blockwise = late is not None
+        self.late = {x: f"x{i}" for i, x in enumerate(late or ())}
+        ops, constants = symbols
+        self.tables = {op: f"t{i}" for i, op in enumerate(ops)}
+        self.constants = {c: f"c{i}" for i, c in enumerate(constants)}
+        self.recipe, self.lines, self.views = [], ([], []), {}
+
+    def const(self, kind, data):
+        """The name of a plan-time value (see _plan for the kinds)."""
+        self.recipe.append((kind, data))
+        return f"k{len(self.recipe) - 1}"
+
+    def emit(self, stage, expr):
+        """The name of a new value, computed by expr at stage."""
+        bind, block = self.lines
+        name = f"v{len(bind) + len(block)}"
+        (block if stage == _PER_BLOCK else bind).append(f"{name} = {expr}")
+        return name
+
+    def value(self, t):
+        """(name, stage, whether it is an array) of t's value."""
+        if isinstance(t, Variable):
+            if t.name in self.known:  # a side that is a known variable
+                return (self.const("share", ((t.name, 0),)), _AT_PLAN,
+                        True)
+            return self.late[t.name], _PER_BLOCK, not self.axis
+        if isinstance(t, Constant):
+            return self.constants[t.name], _AT_BIND, False
+        if self.axis and not term_variables(t) <= self.known:
+            sliced = self.sliced(t)
+            if sliced is not None:
+                return sliced
+        return self.indexed(t)
+
+    def indexed(self, t):
+        """An application read at its flat index.  The known variable
+        arguments' shares of the index are summed when the plan is built;
+        every other argument adds its value times its stride, once per
+        bind or per block, as early as its value is known."""
+        last, share, array = len(t.args) - 1, [], False
+        terms = ([], [])  # the parts of the index known at bind, per block
+        for i, a in enumerate(t.args):
+            if isinstance(a, Variable) and a.name in self.known:
+                share.append((a.name, last - i))
                 continue
-            if stride > 1:
-                v = v * stride
-            index = v if index is None else index + v
-        if calls:
-            index = 0 if index is None else index
+            name, stage, is_array = self.value(a)
+            array |= is_array
+            terms[stage == _PER_BLOCK].append(
+                name if i == last else
+                f"{name} * {self.const('stride', last - i)}")
+        if share:
+            array = True
+            terms[0].insert(0, self.const("share", tuple(share)))
+        read = "{}[{}]" if array else "{}.item({})"
+        table = self.tables[t.op]
+        bind, block = terms
+        if not block:
+            return (self.emit(_AT_BIND, read.format(table, " + ".join(bind))),
+                    _AT_BIND, array)
+        if len(bind) > 1:
+            bind = [self.emit(_AT_BIND, " + ".join(bind))]
+        return (self.emit(_PER_BLOCK, read.format(table, " + ".join(
+            bind + block))), _PER_BLOCK, array)
 
-            def apply(env):
-                flat = index
-                for f, s in calls:
-                    flat = flat + f(env) * s
-                return arr[flat]
+    def sliced(self, t):
+        """A late dense application under a prefix loop read by its
+        slicing (see the module docstring), or None for the flat index:
+        the leading scalar arguments select a sub-table of the table's
+        m x ... x m view, then one gather or a take per row argument."""
+        axis = self.axis
+        axes = [tuple(sorted(axis[x] for x in term_variables(a) if x in axis))
+                for a in t.args]
+        slicing = _slicing(axes)
+        if slicing is None:
+            return None
+        if t.op not in self.views:
+            self.views[t.op] = self.emit(_AT_BIND, "{}.reshape({})".format(
+                self.tables[t.op], self.const("shape", len(t.args))))
+        view = self.views[t.op]
+        lead = sum(not ax for ax in axes)
+        scalars = [self.value(a)[0] for a in t.args[:lead]]
+        if slicing == "gather":
+            index = self.value(t.args[-1])[0]
+            head = f"{view}[{', '.join(scalars)}]" if scalars else view
+            return self.emit(_PER_BLOCK, f"{head}[{index}]"), _PER_BLOCK, True
+        # the sub-table is a view with each argument's axis in place; an
+        # argument that is not its axis's own variable takes its rows
+        used = {ax for ax, in axes[lead:]}
+        index = "".join(f"{s}, " for s in scalars)
+        if used:
+            layout = self.const("value", tuple(
+                slice(None) if i in used else None for i in range(len(axis))))
+            index = f"({index}) + {layout}" if scalars else layout
+        expr = f"{view}[{index}]"
+        for a, (ax,) in zip(t.args[lead:], axes[lead:]):
+            if isinstance(a, Variable) and a.name in self.known:
+                continue
+            name, stage, _ = self.value(a)
+            rows = f"{name}.ravel()"
+            if stage != _PER_BLOCK:
+                rows = self.emit(_AT_BIND, rows)
+            expr += f".take({rows}, axis={self.const('value', ax)})"
+        return self.emit(_PER_BLOCK, expr), _PER_BLOCK, bool(used)
 
-            return apply
-        out = arr[index]
-        return out if isinstance(out, np.ndarray) else int(out)
+    def source(self, value):
+        """The source of make, whose bind returns value, or block when
+        the layout has late variables."""
+        bind, block = self.lines
+        out = ["def make({}):".format(", ".join(
+                   f"k{i}" for i in range(len(self.recipe)))),
+               "    def bind({}):".format(", ".join(
+                   [*self.tables.values(), *self.constants.values()]))]
+        out += [f"        {line}" for line in bind]
+        if self.blockwise:
+            out.append("        def block({}):".format(
+                ", ".join(self.late.values())))
+            out += [f"            {line}" for line in block]
+            out += [f"            return {value}", "        return block"]
+        else:
+            out.append(f"        return {value}")
+        out.append("    return bind")
+        return "\n".join(out)
 
-    return bind
+
+@functools.lru_cache(maxsize=_PLANS)
+def _made(source):
+    """The make function of a side's source (see _Writer), compiled once
+    per source: sides of equal shape share it."""
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<identity kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _symbols(terms):
+    """(ops, constants) the terms read, each in order of first use: the
+    symbols a plan's bind takes the values of."""
+    ops, constants = {}, {}
+
+    def walk(t):
+        if isinstance(t, Constant):
+            constants[t.name] = None
+        elif isinstance(t, Apply):
+            ops[t.op] = None
+            for a in t.args:
+                walk(a)
+
+    for t in terms:
+        walk(t)
+    return tuple(ops), tuple(constants)
+
+
+def _arguments(alg, symbols):
+    """The values a plan's bind takes: alg's tables of the ops of symbols
+    as arrays, then its values of their constants as ints."""
+    ops, constants = symbols
+    values = []  # two plain loops: cheaper than comprehensions here
+    for op in ops:
+        values.append(alg.op(op).array())
+    for c in constants:
+        values.append(int(alg.constant(c)))
+    return values
 
 
 def _slicing(axes):
@@ -259,64 +431,6 @@ def _slicing(axes):
             p < q for (p,), (q,) in zip(rest, rest[1:])):
         return "take"
     return "gather" if len(rest) == 1 else None
-
-
-def _sliced_plan(t, m, known, axis):
-    """The plan of the late dense application t under a prefix loop when
-    _slicing gives it one, or None for the flat index.  Bound, it is a
-    closure that selects a sub-table by the leading scalar arguments, then
-    gathers or takes the rest (see the module docstring)."""
-    r = len(t.args)
-    reads = [term_variables(a) for a in t.args]
-    axes = [tuple(sorted(axis[x] for x in v if x in axis)) for v in reads]
-    slicing = _slicing(axes)
-    if slicing is None:
-        return None
-    op = t.op
-    args = [_plan(a, m, known, axis) for a in t.args]
-    lead = sum(not ax for ax in axes)
-    if slicing == "gather":
-        def bind(alg):
-            table = alg.op(op).array().reshape((m,) * r)
-            scalars = [_closure(arg(alg)) for arg in args[:-1]]
-            index = _closure(args[-1](alg))
-            return lambda env: table[tuple([f(env) for f in scalars])][
-                index(env)]
-
-        return bind
-    # the sub-table is a view with each argument's axis in place; an
-    # argument that is not its axis's own variable takes its rows
-    used = {ax for ax, in axes[lead:]}
-    layout = tuple(slice(None) if i in used else None
-                   for i in range(len(axis))) if used else ()
-    takes = [(i, ax) for i, (a, (ax,)) in
-             enumerate(zip(t.args[lead:], axes[lead:]), start=lead)
-             if not (isinstance(a, Variable) and a.name in known)]
-
-    def bind(alg):
-        table = alg.op(op).array().reshape((m,) * r)
-        values = [arg(alg) for arg in args]
-        scalars = [_closure(v) for v in values[:lead]]
-        rows = [(_flat_closure(values[i]), ax) for i, ax in takes]
-
-        def apply(env):
-            sub = table[tuple([f(env) for f in scalars]) + layout]
-            for f, ax in rows:
-                sub = sub.take(f(env), axis=ax)
-            return sub
-
-        return apply
-
-    return bind
-
-
-def _flat_closure(v):
-    """A value or closure of a bound plan, as a closure of its values
-    raveled to one dimension."""
-    if callable(v):
-        return lambda env: v(env).ravel()
-    flat = v.ravel()
-    return lambda env: flat
 
 
 def _first_bad(lhs, rhs):
@@ -391,10 +505,15 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, variables = alg.size, tuple(variables)
     k = len(variables)
-    plan = _plans.get((term, m, variables), lambda: (
-        8 * m ** k * (1 + _applications(term)),
-        _plan(term, m, dict(zip(variables, _grid(m, k))), {})))
-    values = plan(alg)
+
+    def plan():
+        symbols = _symbols((term,))
+        known = dict(zip(variables, _grid(m, k)))
+        return 8 * m ** k * (1 + _applications(term)), (
+            _plan(term, m, known, False, None, symbols), symbols)
+
+    bind, symbols = _plans.get((term, m, variables), plan)
+    values = bind(*_arguments(alg, symbols))
     return DenseTable.of_array(
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
 
@@ -428,14 +547,12 @@ class _Kept:
             return entry[1]
 
 
-# (identity, m, inner) -> (lhs plan, rhs plan, keyed sections) and
-# (term, m, variables) -> the plan of term_table, weighed by the bytes
-# their arrays may hold; (signature, identity) -> None, once it fits;
-# (m, inner, kind) -> a grid or mesh, weighed by its bytes.  Identities
-# and terms are keyed by value, so an equal one parsed again is planned
-# once
+# (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
+# and (term, m, variables) -> (plan, symbols) of term_table, weighed by
+# the bytes their arrays may hold; (m, inner, kind) -> a grid or mesh,
+# weighed by its bytes.  Identities and terms are keyed by value, so an
+# equal one parsed again is planned once
 _plans = _Kept(_PLANS, _PLAN_BYTES)
-_fits = _Kept(_PLANS)
 _grids = _Kept(_PLANS, _PLAN_BYTES)
 
 
@@ -443,33 +560,40 @@ def _planned(ident, m, inner):
     """The plans of ident's sides (see _plan) for carrier size m when its
     last inner variables are known, from the bounded cache _plans: flat
     grid rows when inner covers every variable, the axes of an open mesh
-    under a prefix loop, and none in a sampled check (inner 0), where
+    under a prefix loop, and none in a sampled check (inner None), where
     every variable is bound per batch.  A third item lists the sections
     that key a block under a prefix loop (_keyed), each as (op, depth,
     plans of its leading arguments), and is None when the identity does
-    not qualify or has no prefix loop."""
+    not qualify or has no prefix loop; the fourth is the symbols every
+    plan's bind takes the values of (_arguments)."""
     return _plans.get((ident, m, inner), lambda: _plan_sides(ident, m, inner))
 
 
 def _plan_sides(ident, m, inner):
-    """(bytes, (lhs plan, rhs plan, keyed sections)) for _planned.
-    A plan holds at most one array of a block's m^inner values per table
-    application and per side that is a bare variable, which bounds its
-    bytes."""
+    """(bytes, (lhs plan, rhs plan, keyed sections, symbols)) for
+    _planned.  A plan holds at most one array of a block's m^inner values
+    per table application and per side that is a bare variable, which
+    bounds its bytes."""
     variables = ident.variables
-    outer = len(variables) - inner
-    mesh = bool(outer and inner)
-    suffix = variables[outer:]
-    known = dict(zip(suffix, _mesh(m, inner) if mesh else _grid(m, inner)))
-    axis = {x: i for i, x in enumerate(suffix)} if mesh else {}
+    if inner is None:  # sampled: every variable is bound per batch
+        late, suffix, inner = variables, (), 0
+    else:
+        outer = len(variables) - inner
+        late, suffix = variables[:outer] or None, variables[outer:]
+    mesh = bool(late and suffix)
+    known = dict(zip(suffix, (_mesh if mesh else _grid)(m, inner)))
     sides = (ident.lhs, ident.rhs)
+    symbols = _symbols(sides)
+
+    def plan(t):
+        return _plan(t, m, known, mesh, late, symbols)
+
     keyed = _keyed(sides, set(suffix)) if mesh else None
     if keyed is not None:
-        keyed = [(op, len(args), [_plan(a, m, {}, {}) for a in args])
+        keyed = [(op, len(args), [plan(a) for a in args])
                  for op, args in keyed]
     arrays = 2 + sum(map(_applications, sides))
-    return 8 * m ** inner * arrays, (*(_plan(side, m, known, axis)
-                                       for side in sides), keyed)
+    return 8 * m ** inner * arrays, (*map(plan, sides), keyed, symbols)
 
 
 def _keyed(sides, suffix):
@@ -501,15 +625,6 @@ def _applications(t):
     return 1 + sum(map(_applications, t.args)) if isinstance(t, Apply) else 0
 
 
-def _require_fit(alg, ident):
-    """check_identity_terms on alg's signature, decided once per signature
-    and identity: a fit is kept, and a misfit raises its message every
-    time."""
-    sig = alg.signature
-    _fits.get((sig, ident), lambda: (
-        0, check_identity_terms(sig, ident, alg.name)))
-
-
 def _digits(j, shape):
     """The digits of j in the mixed radix shape, most significant first."""
     out = []
@@ -530,30 +645,30 @@ def _check_exhaustive_np(alg, ident, total):
         inner -= 1
     outer = k - inner
     # bind the planned sides: what reads only the suffix is evaluated
-    # now, and each block calls what is left
-    lhs, rhs, keyed = _planned(ident, m, inner)
+    # now, and each block evaluates what is left
+    lhs, rhs, keyed, symbols = _planned(ident, m, inner)
+    args = _arguments(alg, symbols)
+    lhs, rhs = lhs(*args), rhs(*args)
     block = (m,) * inner
     if not outer:
         # one block: every variable is a flat grid row, so both sides
         # bind to values, compared once in lex order
-        j = _first_bad(lhs(alg), rhs(alg))
+        j = _first_bad(lhs, rhs)
         if j is None:
             return CheckReport("pass", ident.name, tuples_checked=total)
         return _confirmed_fail(alg, ident, tuple(_digits(j, block)), j + 1)
     # under a prefix loop the suffix variables are the axes of an open
     # mesh, so the values of a term span only the axes it reads
-    lhs, rhs = _closure(lhs(alg)), _closure(rhs(alg))
     size = m ** inner
     checked, key, passed = 0, None, None
     for prefix in itertools.product(range(m), repeat=outer):
-        env = dict(zip(variables, prefix))
         if key:
             # a block whose sections equal those of a passed block passes
-            code = key(env)
+            code = key(prefix)
             if passed[code]:
                 checked += size
                 continue
-        left, right = lhs(env), rhs(env)
+        left, right = lhs(*prefix), rhs(*prefix)
         j = _first_bad(left, right)
         if j is not None:
             import numpy as np
@@ -568,24 +683,26 @@ def _check_exhaustive_np(alg, ident, total):
         if key:
             passed[code] = 1
         elif keyed is not None and not checked:
-            key, passed = _section_key(alg, keyed, m ** outer, env)
+            key, passed = _section_key(alg, keyed, m ** outer, args, prefix)
         checked += size
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
-def _section_key(alg, keyed, blocks, env):
-    """(key, passed) for the blocks after the first, which passed at env:
-    key(env) codes a block's sections (see the module docstring) in the
-    mixed radix of their class counts, and passed, one byte per code,
-    marks the codes of passed blocks, the first one's already.  keyed
-    lists (op, depth, leading argument plans) as _plan_sides made them.
-    Each keyed table's rows at its depth get class ids, equal rows equal
-    ids, in one np.unique pass; (None, None) when the class counts
-    multiply to blocks or more, so that no block need repeat another's."""
+def _section_key(alg, keyed, blocks, args, prefix):
+    """(key, passed) for the blocks after the first, which passed at
+    prefix: key(prefix) codes a block's sections (see the module
+    docstring) in the mixed radix of their class counts, and passed, one
+    byte per code, marks the codes of passed blocks, the first one's
+    already.  keyed lists (op, depth, leading argument plans) as
+    _plan_sides made them, and args, the values of the identity's
+    symbols, binds those plans.  Each keyed table's rows at its depth get
+    class ids, equal rows equal ids, in one np.unique pass; (None, None)
+    when the class counts multiply to blocks or more, so that no block
+    need repeat another's."""
     import numpy as np
 
     classes, parts, count = {}, [], 1
-    for op, depth, args in keyed:
+    for op, depth, plans in keyed:
         if (op, depth) not in classes:
             rows = np.ascontiguousarray(
                 alg.op(op).array().reshape(alg.size ** depth, -1))
@@ -597,20 +714,20 @@ def _section_key(alg, keyed, blocks, env):
         if count >= blocks:
             return None, None
         strides = [alg.size ** (depth - 1 - i) for i in range(depth)]
-        parts.append((ids, size, [(_closure(arg(alg)), stride)
-                                  for arg, stride in zip(args, strides)]))
+        parts.append((ids, size, [(plan(*args), stride)
+                                  for plan, stride in zip(plans, strides)]))
 
-    def key(env):
+    def key(prefix):
         code = 0
-        for ids, size, args in parts:
+        for ids, size, rows in parts:
             row = 0
-            for f, stride in args:
-                row += f(env) * stride
+            for f, stride in rows:
+                row += f(*prefix) * stride
             code = code * size + ids[row]
         return code
 
     passed = bytearray(count)
-    passed[key(env)] = 1
+    passed[key(prefix)] = 1
     return key, passed
 
 
@@ -655,12 +772,6 @@ def _check_product(alg, ident, budget):
     return _confirmed_fail(alg, ident, first, checked)
 
 
-def _closure(folded):
-    """A bound plan's result as a closure: a value becomes one that ignores
-    its env."""
-    return folded if callable(folded) else lambda env: folded
-
-
 def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
     """The samples tuples of k draws rng.randrange(m) each, in order, as
     C-contiguous (k, b) int64 arrays of at most _BATCH tuples.
@@ -699,14 +810,13 @@ def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
 
 
 def _check_sampled(alg, ident, samples, seed):
-    variables = ident.variables
-    lhs, rhs, _ = _planned(ident, alg.size, 0)
-    lhs, rhs = _closure(lhs(alg)), _closure(rhs(alg))
+    lhs, rhs, _, symbols = _planned(ident, alg.size, None)
+    args = _arguments(alg, symbols)
+    lhs, rhs = lhs(*args), rhs(*args)
     rng = random.Random(seed)  # MT19937
     checked = 0
-    for cols in _sampled_tuples(rng, alg.size, len(variables), samples):
-        env = dict(zip(variables, cols))
-        j = _first_bad(lhs(env), rhs(env))
+    for cols in _sampled_tuples(rng, alg.size, len(ident.variables), samples):
+        j = _first_bad(lhs(*cols), rhs(*cols))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])
             return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)

@@ -165,6 +165,38 @@ def test_check_sampled_mode_refuses_no_samples(z3_file, capsys, samples):
     assert "Traceback" not in captured.err
 
 
+def test_check_sampled_mode_over_budget_exit_3(z3_file, capsys):
+    # more samples than the budget are refused before any is drawn
+    start = time.perf_counter()
+    assert main(["check", z3_file, "--suite", "2assoc:2", "--mode",
+                 "sampled", "--samples", str(10 ** 12), "--budget",
+                 "1000"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget: identity '2assoc:2': 1000000000000 "
+                            "samples exceed budget 1000\n")
+    assert main(["check", z3_file, "--suite", "2assoc:2", "--mode",
+                 "sampled", "--samples", "1000", "--budget", "1000"]) == 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "identity d(x, y, x): theta(x, y) = theta(y, x)\n"),
+    ("search", "identity d(x, x): theta(x, x) = x\n"),
+])
+def test_an_identity_that_declares_a_variable_twice_exit_2(
+        tmp_path, capsys, command, text):
+    p = tmp_path / "twice.alg"
+    body = "op theta/2 = free" if command == "search" else (
+        "op theta/2 = [0, 1, 1, 0]")
+    p.write_text(f"algebra T {{\n  carrier 2\n  {body}\n}}\n{text}")
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: identity 'd' declares variable 'x' "
+                            "twice\n")
+
+
 def test_check_sampled_mode_huge_carrier_exit_2(tmp_path, capsys):
     # the sampler draws 32-bit words, so a carrier of 2^32 or more is refused
     p = tmp_path / "huge.alg"
@@ -821,10 +853,11 @@ def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, z3_n2,
     monkeypatch.setattr(parser, "parse_args", recording)
     code, out, _ = _run_main(["check", path, "--identity", "swap",
                               "--identity", "unit-law:2", "--mode",
-                              "sampled", "--budget", "5"])
+                              "sampled", "--samples", "500", "--budget",
+                              "500"])
     assert code == 1 and out.count("seed=0") == 2
     assert (seen[-1].identity, seen[-1].mode, seen[-1].budget) == (
-        ["swap", "unit-law:2"], "sampled", 5)
+        ["swap", "unit-law:2"], "sampled", 500)
     assert _run_main(["check", path]) == (1, fresh.stdout, fresh.stderr)
     assert (seen[-1].identity, seen[-1].mode, seen[-1].budget) == (
         None, "exhaustive", None)

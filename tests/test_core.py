@@ -17,10 +17,13 @@ from finalg.core import (
     EvalError,
     FiniteAlgebra,
     Identity,
+    InputError,
     ProductTable,
     Signature,
     SymbolError,
     Variable,
+    check_identity_terms,
+    check_term,
     eval_term,
     exponent_text,
     materializable,
@@ -173,6 +176,55 @@ def test_term_text():
 def test_identity_rejects_undeclared_variables():
     with pytest.raises(AlgebraError):
         Identity("bad", ("a",), Variable("a"), Variable("b"))
+
+
+def test_identity_rejects_a_variable_declared_twice():
+    x, y = Variable("x"), Variable("y")
+    for variables in (("x", "y", "x"), ("x", "x")):
+        with pytest.raises(InputError, match=(
+                "identity 'd' declares variable 'x' twice")):
+            Identity("d", variables, Apply("f", x, y), Apply("f", y, x))
+
+
+def _random_term(rng, depth, variables):
+    """A random term over f/1, g/2, h/3 and the constants e and z, with
+    symbols outside the signature below (bad/2, h/2, e/1, f() and q)
+    mixed in."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(4)
+        if pick == 0 and variables:
+            return Variable(rng.choice(variables))
+        return Constant(rng.choice(["e", "z", "q", "f"]) if pick < 3 else "e")
+    op, arity = rng.choice([("f", 1), ("g", 2), ("h", 3), ("bad", 2),
+                            ("h", 2), ("e", 1), ("f", 0)])
+    return Apply(op, *[_random_term(rng, depth - 1, variables)
+                       for _ in range(arity)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_fit_by_symbol_sets_matches_the_term_walk(seed):
+    # check_identity_terms decides a fit by the symbol sets Identity and
+    # Signature keep; the walk of check_term, which words a misfit,
+    # agrees with it on every identity
+    rng = random.Random(seed)
+    variables = ("a", "b")
+    ident = Identity("t", variables, _random_term(rng, 3, variables),
+                     _random_term(rng, 3, variables))
+    sig = Signature((("f", 1), ("g", 2), ("h", 3)), ("e", "z"))
+    try:
+        for side in (ident.lhs, ident.rhs):
+            check_term(sig, side, variables)
+        walk = None
+    except SymbolError as e:
+        walk = str(e)
+    try:
+        check_identity_terms(sig, ident, "S")
+        fit = None
+    except SymbolError as e:
+        fit = str(e)
+    assert fit == (None if walk is None else
+                   f"identity 't' does not fit the signature of 'S': {walk}")
 
 
 def test_identity_hash_is_by_value_and_no_field():

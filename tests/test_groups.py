@@ -55,9 +55,9 @@ def test_repeated_conversions_build_no_plan(monkeypatch):
     planned = []
     real = identities._plan
 
-    def recording(t, m, known, axis):
+    def recording(t, *args):
         planned.append(t)
-        return real(t, m, known, axis)
+        return real(t, *args)
 
     monkeypatch.setattr(identities, "_plan", recording)
     again = [derive_group(alg), to_enriched(alg), from_enriched(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import importlib
 import itertools
@@ -690,9 +691,12 @@ def test_every_plan_case_is_reached(monkeypatch):
 
     monkeypatch.setattr(identities, "_slicing", plan)
     monkeypatch.setattr(identities, "_first_bad", first_bad)
-    # an empty plan cache, so the builders' identities are planned here
+    # empty plan and shape caches, so the builders' identities are
+    # planned here
     monkeypatch.setattr(identities, "_plans", identities._Kept(
         identities._PLANS, identities._PLAN_BYTES))
+    monkeypatch.setattr(identities, "_shape", functools.lru_cache(
+        identities._PLANS)(identities._shape.__wrapped__))
     for seed, m, n in ((1, 3, 1), (2, 3, 2)):
         alg = _oracle_algebra(seed, m, n)
         with mock.patch.object(identities, "_BLOCK", m ** 2):
@@ -1071,6 +1075,116 @@ def test_dispatch_at_the_numpy_threshold(m, k, dent):
     if dent is None:
         assert rep.tuples_checked == m ** k
     assert list(rep.to_dict())[-1] == "engine"
+
+
+# --- random identities against the oracles -----------------------------------
+
+_RANDOM_OPS = (("f", 1), ("g", 2), ("h", 3))
+
+
+@st.composite
+def _random_identities(draw):
+    """An identity over f/1, g/2, h/3 and the constants e and z: each side
+    a random term of depth at most 3 over 0 to 4 declared variables, in a
+    random declaration order, which it may read any number of times or
+    not at all; a side may read constants only."""
+    names = draw(st.permutations([f"x{i}" for i in range(draw(
+        st.sampled_from([0, 1, 2, 3, 4, 4, 4])))]))
+
+    def term(leaves, depth):
+        if depth == 0 or draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(leaves))
+        op, arity = draw(st.sampled_from(_RANDOM_OPS))
+        return Apply(op, *[term(leaves, depth - 1) for _ in range(arity)])
+
+    constants = [Constant("e"), Constant("z")]
+    sides = []
+    for _ in range(2):
+        ground = not names or draw(st.integers(0, 4)) == 0
+        leaves = constants + ([] if ground else [Variable(v)
+                                                 for v in names] * 2)
+        sides.append(term(leaves, draw(st.sampled_from([0, 1, 2, 3, 3]))))
+    return Identity("random", tuple(names), *sides)
+
+
+def _random_term_algebra(rng, m, kind):
+    """f, g and h on range(m): random tables, or a - b + c, a + b and -a
+    on Z/m, where many identities hold, or those with one entry redrawn."""
+    if kind == "random":
+        tables = {op: [rng.randrange(m) for _ in range(m ** r)]
+                  for op, r in _RANDOM_OPS}
+    else:
+        tables = {op: [fn(args) % m for args in itertools.product(
+                           range(m), repeat=r)]
+                  for (op, r), fn in zip(_RANDOM_OPS, (
+                      lambda a: -a[0], lambda a: a[0] + a[1],
+                      lambda a: a[0] - a[1] + a[2]))}
+    if kind == "dented":
+        entries = tables[rng.choice(sorted(tables))]
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i] + 1) % m
+    return FiniteAlgebra(
+        f"{kind}{m}", Signature(_RANDOM_OPS, ("e", "z")), m,
+        {op: DenseTable(r, tables[op]) for op, r in _RANDOM_OPS},
+        {"e": 0, "z": rng.randrange(m)})
+
+
+@settings(max_examples=250, deadline=None)
+@given(_random_identities(), st.integers(0, 10 ** 9), st.integers(1, 4),
+       st.sampled_from(["random", "group", "dented"]), st.integers(1, 2),
+       st.integers(1, 60))
+def test_random_identities_match_the_oracles(ident, seed, m, kind, power,
+                                             samples):
+    # the one-block check, the prefix loop of blocks of m or m^2 tuples
+    # and the sampled check each give their oracle's report
+    alg = _random_term_algebra(random.Random(seed), m, kind)
+    cx = brute_first_counterexample(alg, ident)
+    k = len(ident.variables)
+    want = ("pass" if cx is None else "fail", cx, m ** k if cx is None else
+            1 + sum(v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+    for block in (identities._BLOCK, m ** power):
+        with mock.patch.object(identities, "_BLOCK", block):
+            rep = check_identity(alg, ident)
+        assert (rep.verdict, rep.counterexample, rep.tuples_checked) == want
+    assert sampled(alg, ident, samples, seed) == scalar_sampled(
+        alg, ident, samples, seed)
+
+
+def test_symbol_names_never_reach_the_evaluator_source(monkeypatch):
+    # the evaluator's source names tables, constants and variables by
+    # their slots, so names that are code, or the source's own names,
+    # change nothing; no source holds any of them
+    sources = []
+    real = identities._made.__wrapped__
+    monkeypatch.setattr(identities, "_made", functools.lru_cache(
+        identities._PLANS)(lambda source: sources.append(source) or real(
+            source)))
+    monkeypatch.setattr(identities, "_shape", functools.lru_cache(
+        identities._PLANS)(identities._shape.__wrapped__))
+    f, g, c = "t1", "v0 = __import__('os')", "__builtins__"
+    names = ("x1", "block", "k0")
+    x, y, z = (Variable(v) for v in names)
+    m = 3
+    alg = FiniteAlgebra("code", Signature(((f, 2), (g, 3)), (c,)), m, {
+        f: DenseTable(2, [(a + b) % m for a in range(m) for b in range(m)]),
+        g: DenseTable(3, [(a - b + d) % m for a in range(m)
+                          for b in range(m) for d in range(m)])}, {c: 1})
+    for lhs, rhs in [
+            (Apply(f, x, Apply(f, y, z)), Apply(f, Apply(f, x, y), z)),
+            (Apply(g, x, y, Apply(f, z, Constant(c))),
+             Apply(f, Apply(g, x, y, z), Constant(c))),
+            (Apply(g, x, x, y), Apply(f, y, Constant(c)))]:
+        ident = Identity("named", names, lhs, rhs)
+        for block in (identities._BLOCK, m):
+            with mock.patch.object(identities, "_BLOCK", block):
+                rep = check_identity(alg, ident)
+            assert rep.counterexample == brute_first_counterexample(
+                alg, ident)
+        assert sampled(alg, ident, 40, 3) == scalar_sampled(
+            alg, ident, 40, 3)
+    assert sources
+    for name in (g, c, "__import__", "block = ", "x1 ="):
+        assert not any(name in source for source in sources), name
 
 
 # --- structural laws -------------------------------------------------------
