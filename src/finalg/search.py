@@ -9,13 +9,19 @@ symbols first (SearchSpec.branch_cells): a cell of theta in
 theta(alpha1(a, b), b) = a can be forced only once the alpha1 cell under
 it is decided, so deciding alpha1 first lets forcing fill theta.
 
-Before the search starts every identity is ground once over the carrier:
-each instance becomes a pair of nested int tuples that index one flat cell
+Every identity is ground over the carrier before the search starts: each
+instance becomes a pair of nested int tuples that index one flat cell
 array (pinned tables, free tables, constants and a read-only slot per
-carrier element), in which -1 marks a cell not yet decided.  Evaluating a
-side either gives its value or stops at its blocking cell, the first
-undecided cell the evaluation reaches: an inner cell, or the side's own
-outermost cell once every argument of it is decided.
+carrier element), in which -1 marks a cell not yet decided.  The
+signature alone fixes where each table and slot lies, and pins only fill
+the cells, so the instances are a function of (identity, carrier size,
+signature): they are ground once per such triple, a column per term node
+over all the variable tuples, and kept in a bounded cache that every
+search of the same theory on the same carrier reads, whatever its pins
+or mode.  Evaluating a side either gives its value or stops at its
+blocking cell, the first undecided cell the evaluation reaches: an inner
+cell, or the side's own outermost cell once every argument of it is
+decided.
 
 The search is one iterative depth-first loop.  Per depth it keeps the
 cell it branched on, whose current value is tried in order 0..m-1, and
@@ -56,16 +62,21 @@ The budget bounds the work done: ground instances evaluated plus nodes,
 which count a branch on a cell no identity reads.  The root pass
 evaluates every instance once, so a spec with more instances than the
 budget (or the materialize limit) is refused before anything is built,
-and the loop refuses at its first node once the work is over budget.
+as is one whose ground size, the instances times the applications and
+constants each holds, is over the materialize limit; the loop refuses at
+its first node once the work is over budget.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import add
 
 from .core import (
     AlgebraError,
+    Apply,
     BudgetError,
     Constant,
     DenseTable,
@@ -82,6 +93,7 @@ from .core import (
 )
 from . import dsl
 from .identities import (
+    _Kept,
     check_identity,
     identity_2assoc,
     suite_identities,
@@ -90,6 +102,14 @@ from .identities import (
 
 SEARCH_BUDGET = 10 ** 8  # ground instances evaluated plus nodes
 MODES = ("find-first", "count-all", "prove-none")
+_GROUNDS = 256  # ground identities kept
+_GROUND_WEIGHT = 1 << 16  # bound on their instances plus what those hold
+
+# (identity, m, signature) -> the identity's ground instances.  The
+# signature fixes every offset and slot of the cell array and pins only
+# fill it, so every search of one theory on one carrier shares them;
+# identities are keyed by value, so an equal one parsed again hits
+_grounds = _Kept(_GROUNDS, _GROUND_WEIGHT)
 
 
 @dataclass
@@ -182,7 +202,9 @@ def _check_spec(spec: SearchSpec, budget: int) -> None:
     """Refuse a spec before anything is built: InputError for an unknown
     mode, or a carrier or pins that are not a partial algebra on {0..m-1}
     (they index the cell array); BudgetError for a free table over the
-    materialize limit, or ground instances over that limit or budget."""
+    materialize limit, ground instances over that limit or budget, or a
+    ground size (instances times the applications and constants each
+    holds) over that limit."""
     m = spec.size
     if spec.mode not in MODES:
         raise InputError(f"unknown search mode {spec.mode!r}")
@@ -211,21 +233,44 @@ def _check_spec(spec: SearchSpec, budget: int) -> None:
             raise BudgetError(f"search table {name!r} of {m}^{arity} cells "
                               f"exceeds cap {_MATERIALIZE_LIMIT}")
     bound, what = min((budget, "budget"), (_MATERIALIZE_LIMIT, "cap"))
-    total = 0
+    total = size = 0
     for ident in spec.identities:
         k = len(ident.variables)
         if not materializable(m, k) or total + m ** k > bound:
             raise BudgetError(f"search ground instances exceed {what} "
                               f"{bound} at identity {ident.name!r} ({m}^{k})")
         total += m ** k
+        reads = _reads(ident)
+        size += m ** k * reads
+        if size > _MATERIALIZE_LIMIT:
+            raise BudgetError(
+                f"search ground size {size} exceeds cap {_MATERIALIZE_LIMIT} "
+                f"at identity {ident.name!r} ({m}^{k} instances of {reads} "
+                "applications and constants)")
+
+
+@functools.lru_cache(maxsize=_GROUNDS)
+def _reads(ident) -> int:
+    """The applications and constants in ident's sides: the cells of one
+    ground instance that are not a variable's."""
+    def held(t):
+        if isinstance(t, Apply):
+            return 1 + sum(map(held, t.args))
+        return int(isinstance(t, Constant))
+    return held(ident.lhs) + held(ident.rhs)
 
 
 class _Cells:
     """The flat cell array: every op table at its offset, one slot per
-    constant, then slot lit + v holding the carrier element v."""
+    constant, then slot lit + v holding the carrier element v.  The
+    offsets, slots and lit depend on the signature and carrier size only,
+    and pins fill vals, so the ground instances (ground) depend on the
+    identity, m and the signature alone, and instances reads them from
+    the bounded cache _grounds."""
 
     def __init__(self, spec: SearchSpec):
         self.m = m = spec.size
+        self.signature = spec.signature
         self.offset = {}
         self.vals = []
         for name, arity in spec.signature.ops:
@@ -245,36 +290,55 @@ class _Cells:
         sym, idx = cell
         return self.slot[sym] if idx is None else self.offset[sym] + idx
 
-    def ground(self, t, env: dict):
-        """t with its variables bound by env: a slot (int), or (base,
-        ((weight, subterm), ...)) reading slot base + sum weight * value.
-        Variable arguments are folded into base."""
-        if isinstance(t, Variable):
-            return self.lit + env[t.name]
-        if isinstance(t, Constant):
-            return self.slot[t.name]
-        base = self.offset[t.op]
-        kids = []
-        w = self.m ** len(t.args)
-        for a in t.args:
-            w //= self.m
-            if isinstance(a, Variable):
-                base += w * env[a.name]
-            else:
-                kids.append((w, self.ground(a, env)))
-        return (base, tuple(kids)) if kids else base
-
     def instances(self, identities) -> list:
-        """Every ground instance (lhs, rhs), identity by identity and
-        variable tuples in lexicographic order."""
+        """Every ground instance (lhs, rhs), identity by identity, each
+        identity's from the bounded cache _grounds (see ground)."""
         out = []
         for ident in identities:
-            for tup in itertools.product(range(self.m),
-                                         repeat=len(ident.variables)):
-                env = dict(zip(ident.variables, tup))
-                out.append((self.ground(ident.lhs, env),
-                            self.ground(ident.rhs, env)))
+            out += _grounds.get((ident, self.m, self.signature),
+                                lambda: self.ground(ident))
         return out
+
+    def ground(self, ident):
+        """(weight, instances) of ident: its instances (lhs, rhs), variable
+        tuples in lexicographic order, each side a slot (int) or (base,
+        ((weight, subterm), ...)) reading slot base + sum weight * value,
+        variable arguments folded into base.  They are built a column at a
+        time: one list per term node of its ground value at each of the
+        m^k tuples.  The weight is the instances plus the applications and
+        constants they hold."""
+        m = self.m
+        names = ident.variables
+        n = m ** len(names)
+
+        def spread(name, w, base):  # base + w * name's value, tuple by tuple
+            # variable i of k keeps each value for m^(k-1-i) tuples in a
+            # row, and that run of m values repeats m^i times
+            cycles = m ** names.index(name)
+            return list(chain.from_iterable(map(
+                repeat, range(base, base + w * m, w),
+                repeat(n // m // cycles, m)))) * cycles
+
+        def column(t):
+            if isinstance(t, Variable):
+                return spread(t.name, 1, self.lit)
+            if isinstance(t, Constant):
+                return [self.slot[t.name]] * n
+            base, kids = self.offset[t.op], []
+            folded = None
+            w = m ** len(t.args)
+            for a in t.args:
+                w //= m
+                if isinstance(a, Variable):
+                    part = spread(a.name, w, 0 if folded else base)
+                    folded = list(map(add, folded, part)) if folded else part
+                else:
+                    kids.append(zip(repeat(w), column(a)))
+            folded = folded or [base] * n
+            return list(zip(folded, zip(*kids))) if kids else folded
+
+        found = tuple(zip(column(ident.lhs), column(ident.rhs)))
+        return n * (1 + _reads(ident)), found
 
     def algebra(self, spec: SearchSpec) -> FiniteAlgebra:
         m = self.m

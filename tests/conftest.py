@@ -3,9 +3,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from finalg import catalog, dsl
-from finalg.core import DenseTable, FiniteAlgebra, Signature, standard_signature
+from finalg.core import (
+    Apply,
+    Constant,
+    DenseTable,
+    FiniteAlgebra,
+    Identity,
+    Signature,
+    Variable,
+    standard_signature,
+)
 
 
 @pytest.fixture
@@ -66,3 +76,31 @@ def tables_token_by_token():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dsl, "_table_array", lambda body: None)
         yield
+
+
+RANDOM_OPS = (("f", 1), ("g", 2), ("h", 3))
+
+
+@st.composite
+def random_identities(draw):
+    """An identity over f/1, g/2, h/3 and the constants e and z: each side
+    a random term of depth at most 3 over 0 to 4 declared variables, in a
+    random declaration order, which it may read any number of times or
+    not at all; a side may read constants only."""
+    names = draw(st.permutations([f"x{i}" for i in range(draw(
+        st.sampled_from([0, 1, 2, 3, 4, 4, 4])))]))
+
+    def term(leaves, depth):
+        if depth == 0 or draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(leaves))
+        op, arity = draw(st.sampled_from(RANDOM_OPS))
+        return Apply(op, *[term(leaves, depth - 1) for _ in range(arity)])
+
+    constants = [Constant("e"), Constant("z")]
+    sides = []
+    for _ in range(2):
+        ground = not names or draw(st.integers(0, 4)) == 0
+        leaves = constants + ([] if ground else [Variable(v)
+                                                 for v in names] * 2)
+        sides.append(term(leaves, draw(st.sampled_from([0, 1, 2, 3, 3]))))
+    return Identity("random", tuple(names), *sides)

@@ -693,6 +693,53 @@ def test_search_budget_exit_3(tmp_path, capsys):
         assert captured.err.startswith("error:")
 
 
+def test_search_ground_size_over_the_cap_exit_3(tmp_path, capsys):
+    # 2^18 instances of an 18-variable chain, 34 applications each: the
+    # ground size is refused before any instance is ground
+    xs = [f"x{i}" for i in range(1, 19)]
+    lhs = xs[-1]
+    for x in reversed(xs[:-1]):
+        lhs = f"f({x}, {lhs})"
+    rhs = xs[0]
+    for x in xs[1:]:
+        rhs = f"f({rhs}, {x})"
+    p = tmp_path / "chain.alg"
+    p.write_text("algebra C {\n  carrier 2\n  op f/2 = free\n}\n"
+                 f"identity chain({', '.join(xs)}): {lhs} = {rhs}\n")
+    start = time.perf_counter()
+    assert main(["search", str(p), "--search-mode", "count-all"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: search ground size 8912896 exceeds cap 4194304 at identity "
+        "'chain' (2^18 instances of 34 applications and constants)\n")
+
+
+def test_a_count_all_search_imports_no_numpy(tmp_path):
+    # the search and its CLI path stay pure Python: a process that only
+    # counts models never pays for importing numpy
+    p = tmp_path / "group3.alg"
+    p.write_text(
+        "algebra G {\n  carrier 3\n  op theta/2 = free\n"
+        "  op alpha1/2 = free\n  const e = 0\n"
+        "  require semiabelian:1 2assoc:1\n}\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from finalg import cli\n"
+            f"code = cli.main(['search', {str(p)!r}, '--search-mode', "
+            "'count-all'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("count = 1 ")
+
+
 def test_verify_subcommand_single_criterion(capsys):
     assert main(["verify-paper", "--only", "1"]) == 0
     out = capsys.readouterr().out

@@ -70,7 +70,12 @@ from finalg.identities import (
     unit_constants,
 )
 
-from conftest import brute_first_counterexample, random_algebra
+from conftest import (
+    RANDOM_OPS,
+    brute_first_counterexample,
+    random_algebra,
+    random_identities,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -1079,44 +1084,16 @@ def test_dispatch_at_the_numpy_threshold(m, k, dent):
 
 # --- random identities against the oracles -----------------------------------
 
-_RANDOM_OPS = (("f", 1), ("g", 2), ("h", 3))
-
-
-@st.composite
-def _random_identities(draw):
-    """An identity over f/1, g/2, h/3 and the constants e and z: each side
-    a random term of depth at most 3 over 0 to 4 declared variables, in a
-    random declaration order, which it may read any number of times or
-    not at all; a side may read constants only."""
-    names = draw(st.permutations([f"x{i}" for i in range(draw(
-        st.sampled_from([0, 1, 2, 3, 4, 4, 4])))]))
-
-    def term(leaves, depth):
-        if depth == 0 or draw(st.integers(0, 4)) == 0:
-            return draw(st.sampled_from(leaves))
-        op, arity = draw(st.sampled_from(_RANDOM_OPS))
-        return Apply(op, *[term(leaves, depth - 1) for _ in range(arity)])
-
-    constants = [Constant("e"), Constant("z")]
-    sides = []
-    for _ in range(2):
-        ground = not names or draw(st.integers(0, 4)) == 0
-        leaves = constants + ([] if ground else [Variable(v)
-                                                 for v in names] * 2)
-        sides.append(term(leaves, draw(st.sampled_from([0, 1, 2, 3, 3]))))
-    return Identity("random", tuple(names), *sides)
-
-
 def _random_term_algebra(rng, m, kind):
     """f, g and h on range(m): random tables, or a - b + c, a + b and -a
     on Z/m, where many identities hold, or those with one entry redrawn."""
     if kind == "random":
         tables = {op: [rng.randrange(m) for _ in range(m ** r)]
-                  for op, r in _RANDOM_OPS}
+                  for op, r in RANDOM_OPS}
     else:
         tables = {op: [fn(args) % m for args in itertools.product(
                            range(m), repeat=r)]
-                  for (op, r), fn in zip(_RANDOM_OPS, (
+                  for (op, r), fn in zip(RANDOM_OPS, (
                       lambda a: -a[0], lambda a: a[0] + a[1],
                       lambda a: a[0] - a[1] + a[2]))}
     if kind == "dented":
@@ -1124,13 +1101,13 @@ def _random_term_algebra(rng, m, kind):
         i = rng.randrange(len(entries))
         entries[i] = (entries[i] + 1) % m
     return FiniteAlgebra(
-        f"{kind}{m}", Signature(_RANDOM_OPS, ("e", "z")), m,
-        {op: DenseTable(r, tables[op]) for op, r in _RANDOM_OPS},
+        f"{kind}{m}", Signature(RANDOM_OPS, ("e", "z")), m,
+        {op: DenseTable(r, tables[op]) for op, r in RANDOM_OPS},
         {"e": 0, "z": rng.randrange(m)})
 
 
 @settings(max_examples=250, deadline=None)
-@given(_random_identities(), st.integers(0, 10 ** 9), st.integers(1, 4),
+@given(random_identities(), st.integers(0, 10 ** 9), st.integers(1, 4),
        st.sampled_from(["random", "group", "dented"]), st.integers(1, 2),
        st.integers(1, 60))
 def test_random_identities_match_the_oracles(ident, seed, m, kind, power,

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finalg.search as engine
 from finalg import catalog
 from finalg.core import (
     AlgebraError,
@@ -22,6 +23,7 @@ from finalg.core import (
     validate_algebra,
 )
 from finalg.identities import (
+    _Kept,
     check_identity,
     check_suite,
     identities_malcev,
@@ -35,12 +37,18 @@ from finalg.search import (
     SEARCH_BUDGET,
     SearchSpec,
     _Cells,
+    _GROUND_WEIGHT,
+    _GROUNDS,
+    _check_spec,
+    _semiabelian_2assoc,
     count_2assoc_semiabelian,
     parse_search_spec,
     prove_no_strict_2assoc,
     search,
     symbol_ranks,
 )
+
+from conftest import RANDOM_OPS, random_identities
 
 
 def _malcev_2assoc_spec(m):
@@ -195,6 +203,43 @@ def test_search_refuses_too_many_ground_instances_at_once():
         assert str(ei.value) == ("search ground instances exceed cap "
                                  "4194304 at identity 'wide' (2^24)")
     assert time.perf_counter() - start < 1
+
+
+def _chain_identity(k):
+    """f(x1, f(x2, ..., f(xk-1, xk))) = f(...f(f(x1, x2), x3)..., xk): k
+    variables and 2(k - 1) applications per instance."""
+    xs = [Variable(f"x{i}") for i in range(1, k + 1)]
+    lhs = xs[-1]
+    for x in reversed(xs[:-1]):
+        lhs = Apply("f", x, lhs)
+    rhs = xs[0]
+    for x in xs[1:]:
+        rhs = Apply("f", rhs, x)
+    return Identity(f"chain{k}", tuple(x.name for x in xs), lhs, rhs)
+
+
+def test_search_refuses_a_ground_size_over_the_cap():
+    # 2^18 instances are within the instance cap, but each holds 34
+    # applications: 8,912,896 cells over the materialize limit, refused
+    # before anything is ground, at any budget
+    spec = SearchSpec("chain", 2, Signature((("f", 2),)),
+                      (_chain_identity(18),))
+    start = time.perf_counter()
+    for budget in (SEARCH_BUDGET, 10 ** 100):
+        with pytest.raises(BudgetError) as ei:
+            search(spec, budget=budget)
+        assert str(ei.value) == (
+            "search ground size 8912896 exceeds cap 4194304 at identity "
+            "'chain18' (2^18 instances of 34 applications and constants)")
+    assert time.perf_counter() - start < 1
+    # the size is summed over the identities, and 2^16 instances of 30
+    # (1,966,080) are admitted
+    spec.identities = (_chain_identity(16),)
+    _check_spec(spec, SEARCH_BUDGET)
+    spec.identities = (_chain_identity(16),) * 3
+    with pytest.raises(BudgetError, match="ground size 5898240 exceeds cap "
+                                          "4194304 at identity 'chain16'"):
+        _check_spec(spec, SEARCH_BUDGET)
 
 
 @pytest.mark.parametrize("mode", ["count", "first", ""])
@@ -763,3 +808,157 @@ def test_search_rejects_a_product_pin():
     with pytest.raises(InputError, match="pinned table 'theta' is a "
                                          "ProductTable"):
         search(spec)
+
+
+# -- grounding ------------------------------------------------------------------
+
+def _reference_ground(cells, t, env):
+    """t with its variables bound by env, one instance at a time: a slot
+    (int), or (base, ((weight, subterm), ...)) reading slot base + sum
+    weight * value.  Variable arguments are folded into base."""
+    if isinstance(t, Variable):
+        return cells.lit + env[t.name]
+    if isinstance(t, Constant):
+        return cells.slot[t.name]
+    base = cells.offset[t.op]
+    kids = []
+    w = cells.m ** len(t.args)
+    for a in t.args:
+        w //= cells.m
+        if isinstance(a, Variable):
+            base += w * env[a.name]
+        else:
+            kids.append((w, _reference_ground(cells, a, env)))
+    return (base, tuple(kids)) if kids else base
+
+
+def _reference_instances(cells, identities):
+    """Every ground instance (lhs, rhs), identity by identity and
+    variable tuples in lexicographic order."""
+    out = []
+    for ident in identities:
+        for tup in itertools.product(range(cells.m),
+                                     repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, tup))
+            out.append((_reference_ground(cells, ident.lhs, env),
+                        _reference_ground(cells, ident.rhs, env)))
+    return out
+
+
+def _assert_grounds_as_the_reference(spec):
+    """The search's instances of spec, cached and freshly ground, are the
+    reference's: the same nested tuples in the same order."""
+    cells = _Cells(spec)
+    expected = _reference_instances(cells, spec.identities)
+    assert cells.instances(spec.identities) == expected
+    fresh = []
+    for ident in spec.identities:
+        fresh.extend(cells.ground(ident)[1])
+    assert fresh == expected
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1), (6, 1), (3, 2),
+])
+def test_census_grounds_as_the_reference(m, n):
+    _assert_grounds_as_the_reference(_census_spec(m, n))
+
+
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_group3_and_nested_specs_ground_as_the_reference(e):
+    _assert_grounds_as_the_reference(
+        parse_search_spec(GROUP3_SPEC.format(e=e)))
+    # malcev-assoc-expanded:n nests theta applications in alpha ones
+    for m, n in ((2, 1), (2, 2), (3, 1)):
+        idents = tuple(
+            resolve_suite(f"semiabelian:{n}", ("e",) * n).identities
+        ) + (identity_malcev_assoc_expanded(n),)
+        _assert_grounds_as_the_reference(SearchSpec(
+            "nested", m, standard_signature(n, shared_unit=True), idents))
+    _assert_grounds_as_the_reference(_malcev_2assoc_spec(e + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_identities(), st.integers(1, 4))
+def test_random_identities_ground_as_the_reference(ident, m):
+    spec = SearchSpec("random", m, Signature(RANDOM_OPS, ("e", "z")),
+                      (ident,))
+    _assert_grounds_as_the_reference(spec)
+
+
+@pytest.fixture
+def grounder_calls(monkeypatch):
+    """The identities _Cells.ground is called on, with an empty cache."""
+    calls = []
+    real = _Cells.ground
+
+    def counted(self, ident):
+        calls.append((ident.name, self.m))
+        return real(self, ident)
+
+    monkeypatch.setattr(_Cells, "ground", counted)
+    monkeypatch.setattr(engine, "_grounds", _Kept(_GROUNDS, _GROUND_WEIGHT))
+    return calls
+
+
+def test_a_theory_is_ground_once_per_carrier_and_signature(grounder_calls):
+    names = [("alpha1-unit", 3), ("retraction", 3), ("2assoc:1", 3)]
+    first = parse_search_spec(GROUP3_SPEC.format(e=0), mode="count-all")
+    search(first)
+    assert grounder_calls == names
+    # every other pin and mode, and the census at (3,1), ground nothing
+    for e in range(3):
+        for mode in ("find-first", "count-all", "prove-none"):
+            search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
+    count_2assoc_semiabelian(3, 1)
+    assert grounder_calls == names
+    # another carrier size or signature grounds the theory again
+    count_2assoc_semiabelian(2, 1)
+    assert grounder_calls[3:] == [(name, 2) for name, _ in names]
+    widened = SearchSpec("wide", 3, Signature(first.signature.ops
+                                              + (("mu", 3),), ("e",)),
+                         first.identities, pinned_constants={"e": 0})
+    search(widened)
+    assert grounder_calls[6:] == names
+
+
+def test_an_equal_identity_parsed_again_hits_its_entry(grounder_calls):
+    text = ("algebra M { carrier 2 op mu/3 = free }\n"
+            "identity malcev-right(a, b): mu(a, b, b) = a\n")
+    first, again = (parse_search_spec(text, mode="count-all")
+                    for _ in range(2))
+    assert first.identities == again.identities
+    assert first.identities[0] is not again.identities[0]
+    assert search(first) == search(again)
+    assert grounder_calls == [("malcev-right", 2)]
+    assert len(engine._grounds.entries) == 1
+
+
+def test_pinned_tables_do_not_enter_the_key(grounder_calls):
+    sig = standard_signature(1, shared_unit=True)
+    idents = _semiabelian_2assoc("pins", 3, 1).identities
+    z3 = _model_tables(3, 1)
+    for pins in ({}, {"theta": z3["theta"]},
+                 {"theta": z3["theta"], "alpha1": z3["alpha1"]},
+                 {"alpha1": DenseTable(2, (0,) * 9)}):
+        spec = SearchSpec("pins", 3, sig, idents, pinned_tables=pins,
+                          pinned_constants={"e": 0}, mode="count-all")
+        search(spec)
+    assert len(grounder_calls) == len(idents)
+    assert set(engine._grounds.entries) == {(i, 3, sig) for i in idents}
+
+
+def test_a_grounding_over_the_weight_bound_is_not_kept(grounder_calls):
+    # 2^12 instances of 22 applications weigh 4,096 * 23 = 94,208, over
+    # the cache's bound: ground on every use and never kept
+    spec = SearchSpec("chain", 2, Signature((("f", 2),)),
+                      (_chain_identity(12),))
+    assert _Cells(spec).ground(spec.identities[0])[0] == 94208 > _GROUND_WEIGHT
+    for _ in range(2):
+        assert len(_Cells(spec).instances(spec.identities)) == 4096
+    assert grounder_calls == [("chain12", 2)] * 3
+    assert not engine._grounds.entries
+    # the largest census theory tier-1 and CI run, (3,2), is kept whole
+    census = _census_spec(3, 2)
+    _Cells(census).instances(census.identities)
+    assert len(engine._grounds.entries) == len(census.identities)
