@@ -29,6 +29,7 @@ every table literal through table_literal.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -78,6 +79,9 @@ _SUSPECT = re.compile(r"[^\s{}\[\](),=/:A-Za-z0-9_]")
 _PLAIN = (b"{}[](),=/:_ \t\n\r\x0b\x0c0123456789"
           b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
+# A translation table marking each byte of _PLAIN '.' and any other 'x'.
+_MARKS = bytes(46 if c in _PLAIN else 120 for c in range(256))
+
 # A table body's shape: each ASCII digit becomes '0', each ASCII
 # whitespace character ' ', a comma stays and any other byte is 'x'.
 _SHAPE = bytes(48 if 48 <= c <= 57 else 32 if c in b" \t\n\r\x0b\x0c"
@@ -123,19 +127,30 @@ def _check_characters(text):
     reach first, so that it is reported before any parse error.  No token
     spans a newline except whitespace, so each line is lexed alone, and
     only a line holding a suspect character is lexed.  An ASCII text of
-    _PLAIN characters alone holds none."""
-    if text.isascii() and not text.encode().translate(None, _PLAIN):
-        return
-    pos = 0
-    while (suspect := _SUSPECT.search(text, pos)) is not None:
-        start = text.rfind("\n", 0, suspect.start()) + 1
-        pos = text.find("\n", suspect.start())
-        if pos < 0:
-            pos = len(text)
-        for m in _TOKEN.finditer(text, start, pos):
+    _PLAIN characters alone holds none.  In any other ASCII text the
+    suspects are the bytes outside _PLAIN, marked by one translate
+    (_MARKS) and found with bytes.find; a non-ASCII text is searched with
+    _SUSPECT."""
+    if text.isascii():
+        data = text.encode()
+        if not data.translate(None, _PLAIN):
+            return
+        find = functools.partial(data.translate(_MARKS).find, b"x")
+    else:
+        def find(pos):
+            suspect = _SUSPECT.search(text, pos)
+            return -1 if suspect is None else suspect.start()
+    at = find(0)
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
+        for m in _TOKEN.finditer(text, start, end):
             if m.lastgroup == "bad":
                 raise DslError(f"unexpected character {m['bad']!r}",
                                *_line_col(text, m.start("bad")))
+        at = find(end)
 
 
 class _Parser:

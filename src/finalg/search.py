@@ -18,10 +18,14 @@ the cells, so the instances are a function of (identity, carrier size,
 signature): they are ground once per such triple, a column per term node
 over all the variable tuples, and kept in a bounded cache that every
 search of the same theory on the same carrier reads, whatever its pins
-or mode.  Evaluating a side either gives its value or stops at its
-blocking cell, the first undecided cell the evaluation reaches: an inner
-cell, or the side's own outermost cell once every argument of it is
-decided.
+or mode.  A search is planned once per theory, carrier size, signature,
+pinned names and mode: its plan, the branch slots and the concatenated
+ground instances, is kept in a second bounded cache, so a search makes
+one cache lookup for it, and its pins only fill the cells.
+
+Evaluating a side either gives its value or stops at its blocking cell,
+the first undecided cell the evaluation reaches: an inner cell, or the
+side's own outermost cell once every argument of it is decided.
 
 The search is one iterative depth-first loop.  Per depth it keeps the
 cell it branched on, whose current value is tried in order 0..m-1, and
@@ -96,13 +100,13 @@ from .identities import (
     _Kept,
     check_identity,
     identity_2assoc,
+    resolve_suite,
     suite_identities,
-    suite_semiabelian,
 )
 
 SEARCH_BUDGET = 10 ** 8  # ground instances evaluated plus nodes
 MODES = ("find-first", "count-all", "prove-none")
-_GROUNDS = 256  # ground identities kept
+_GROUNDS = 256  # ground identities kept, and plans
 _GROUND_WEIGHT = 1 << 16  # bound on their instances plus what those hold
 
 # (identity, m, signature) -> the identity's ground instances.  The
@@ -110,6 +114,13 @@ _GROUND_WEIGHT = 1 << 16  # bound on their instances plus what those hold
 # fill it, so every search of one theory on one carrier shares them;
 # identities are keyed by value, so an equal one parsed again hits
 _grounds = _Kept(_GROUNDS, _GROUND_WEIGHT)
+
+# (identities, m, signature, pinned table names, pinned constant names,
+# mode) -> a search's plan (_plan): its branch slots and ground instances.
+# The free cells depend on the pinned names alone, and pin values only
+# fill the cell array, so every search of one theory on one carrier with
+# the same pin layout and mode shares one plan
+_plans = _Kept(_GROUNDS, _GROUND_WEIGHT)
 
 
 @dataclass
@@ -355,6 +366,19 @@ class _Cells:
         )
 
 
+def _plan(spec: SearchSpec, layout: _Cells):
+    """(weight, (slots, instances)) of spec's search: the slots of its
+    free cells in branching order (branch_cells) and every ground
+    instance, identity by identity (_Cells.instances).  The weight is the
+    slots plus the weight of the groundings the instances come from."""
+    m = spec.size
+    slots = tuple(map(layout.cell_slot, spec.branch_cells()))
+    instances = tuple(layout.instances(spec.identities))
+    weight = len(slots) + sum(m ** len(ident.variables) * (1 + _reads(ident))
+                              for ident in spec.identities)
+    return weight, (slots, instances)
+
+
 def _value(t, vals) -> int:
     """The value of the compound ground term t = (base, kids), or ~slot
     of the first undecided cell its evaluation reaches (always negative).
@@ -396,7 +420,11 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     layout = _Cells(spec)
     vals = layout.vals
     watch = [[] for _ in vals]
-    slots = [layout.cell_slot(c) for c in spec.branch_cells()]
+    slots, instances = _plans.get(
+        (tuple(spec.identities), m, spec.signature,
+         frozenset(spec.pinned_tables), frozenset(spec.pinned_constants),
+         spec.mode),
+        lambda: _plan(spec, layout))
     k = len(slots)
     counting = spec.mode == "count-all"
     top = m - 1  # the last value of a cell
@@ -411,7 +439,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
     # the lists of instances to evaluate at this node: the root pass is
     # every instance, a branch the watch list of its cell, and each forced
     # cell appends its watch list
-    queue = [layout.instances(spec.identities)]
+    queue = [instances]
     forcing = False  # off in the root pass, which only decides refuted
     deferred = []  # root-pass instances that force a cell, forced after it
     nodes = count = evaluated = nforced = 0
@@ -569,8 +597,8 @@ def _semiabelian_2assoc(name, m, n, mode="find-first") -> SearchSpec:
     """The 2-associative semi-abelian theory over theta, alpha1..alphan
     and one shared unit e, every symbol free."""
     sig = standard_signature(n, shared_unit=True)
-    identities = (suite_semiabelian(n, sig.constants * n).identities
-                  + (identity_2assoc(n),))
+    identities = (resolve_suite(f"semiabelian:{n}", sig.constants * n)
+                  .identities + (identity_2assoc(n),))
     return SearchSpec(name, m, sig, identities, mode=mode)
 
 

@@ -129,6 +129,25 @@ def test_error_line_and_column_by_kind(text, line, col, message):
     assert str(ei.value) == f"line {line}, col {col}: {message}"
 
 
+@pytest.mark.parametrize("header", [
+    "algebra maps-2n2 {",  # ASCII: the suspect bytes are marked
+    "algebra maps-2n2 { # é",  # non-ASCII: the suspects are searched
+])
+def test_a_bad_character_after_suspect_lines_is_found(header):
+    # line 1 and line 100 hold suspect characters that lex; the check
+    # goes on past them to an '@' at the end of a 4,096-entry table
+    rows = [", ".join(["1"] * 16) for _ in range(256)]
+    rows[97] += "  # row 98"
+    rows[-1] = rows[-1][:-1] + "@"
+    text = (header + "\n  carrier 16\n  op theta/3 = [" + ",\n".join(rows)
+            + "]\n}\n")
+    assert len(text) > 12_000
+    with pytest.raises(DslError) as ei:
+        parse_algebra(text)
+    assert (ei.value.line, ei.value.col) == (258, 46)
+    assert str(ei.value) == "line 258, col 46: unexpected character '@'"
+
+
 
 
 def test_wrong_entry_count_rejected():

@@ -34,6 +34,7 @@ from finalg.identities import (
     suite_semiabelian,
 )
 from finalg.search import (
+    MODES,
     SEARCH_BUDGET,
     SearchSpec,
     _Cells,
@@ -888,7 +889,8 @@ def test_random_identities_ground_as_the_reference(ident, m):
 
 @pytest.fixture
 def grounder_calls(monkeypatch):
-    """The identities _Cells.ground is called on, with an empty cache."""
+    """The identities _Cells.ground is called on, with empty caches of
+    groundings and plans."""
     calls = []
     real = _Cells.ground
 
@@ -898,6 +900,7 @@ def grounder_calls(monkeypatch):
 
     monkeypatch.setattr(_Cells, "ground", counted)
     monkeypatch.setattr(engine, "_grounds", _Kept(_GROUNDS, _GROUND_WEIGHT))
+    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
     return calls
 
 
@@ -962,3 +965,95 @@ def test_a_grounding_over_the_weight_bound_is_not_kept(grounder_calls):
     census = _census_spec(3, 2)
     _Cells(census).instances(census.identities)
     assert len(engine._grounds.entries) == len(census.identities)
+
+
+# -- search plans ---------------------------------------------------------------
+
+@pytest.fixture
+def planner_calls(monkeypatch):
+    """The mode of each spec SearchSpec.branch_cells is called on, with an
+    empty plan cache: one call per plan built."""
+    calls = []
+    real = SearchSpec.branch_cells
+
+    def counted(self):
+        calls.append(self.mode)
+        return real(self)
+
+    monkeypatch.setattr(SearchSpec, "branch_cells", counted)
+    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
+    return calls
+
+
+def test_a_search_is_planned_once_per_pin_layout_and_mode(planner_calls):
+    # the unit's value differs, its name does not: one plan per mode
+    for e in range(3):
+        for mode in MODES:
+            search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
+    assert planner_calls == list(MODES)
+    assert len(engine._plans.entries) == 3
+
+
+def test_pinned_names_enter_the_plan_key(planner_calls, monkeypatch):
+    # each pinned table leaves its cells out of the branch order, so each
+    # set of pinned names plans its own search, whatever was planned first
+    z3 = _model_tables(3, 1)
+    idents = _semiabelian_2assoc("pins", 3, 1).identities
+    specs = [SearchSpec("pins", 3, standard_signature(1, shared_unit=True),
+                        idents, pinned_tables={n: z3[n] for n in names},
+                        pinned_constants={"e": 0}, mode="count-all")
+             for names in (("theta", "alpha1"), ("theta",), ("alpha1",), ())]
+    warm = [search(spec) for spec in specs]
+    assert len(planner_calls) == len(specs)
+    for spec, result in zip(specs, warm):
+        monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
+        assert search(spec) == result
+
+
+def _assert_cold_equals_warm(run, monkeypatch):
+    """run() after emptying the plan cache equals run() on its plan."""
+    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
+    cold = run()
+    assert len(engine._plans.entries) == 1
+    assert run() == cold
+    assert len(engine._plans.entries) == 1
+
+
+@pytest.mark.parametrize("m, n", [
+    (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, 3),
+])
+def test_census_cold_equals_warm(m, n, monkeypatch):
+    _assert_cold_equals_warm(lambda: count_2assoc_semiabelian(m, n),
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_group3_and_malcev_cold_equal_warm(e, mode, monkeypatch):
+    group3 = parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode)
+    _assert_cold_equals_warm(lambda: search(group3), monkeypatch)
+    malcev = _malcev_2assoc_spec(e + 1)
+    malcev.mode = mode
+    _assert_cold_equals_warm(lambda: search(malcev), monkeypatch)
+
+
+def test_a_list_of_identities_hits_the_tuples_plan(planner_calls):
+    spec = _malcev_2assoc_spec(2)
+    listed = SearchSpec(spec.name, spec.size, spec.signature,
+                        list(spec.identities))
+    assert search(spec) == search(listed)
+    assert planner_calls == ["find-first"]
+
+
+def test_a_plan_over_the_weight_bound_is_not_kept(planner_calls):
+    # chain12 weighs 94,208 on 2 elements, over the bound: the plan is
+    # built on every search and never kept
+    spec = SearchSpec("chain", 2, Signature((("f", 2),)),
+                      (_chain_identity(12),))
+    first = search(spec)
+    assert search(spec) == first
+    assert planner_calls == ["find-first"] * 2
+    assert not engine._plans.entries
+    # the plan of the largest census tier-1 and CI run, (3,2), fits
+    census = _census_spec(3, 2)
+    assert engine._plan(census, _Cells(census))[0] < _GROUND_WEIGHT
