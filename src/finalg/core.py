@@ -530,13 +530,22 @@ class CheckReport:
         return self.verdict != "fail"
 
     def line(self) -> str:
-        out = f"IDENTITY {self.name} {'FAIL' if self.verdict == 'fail' else 'PASS'}"
+        """The text report.  A sampled check with no failure proves
+        nothing, so it reads UNREFUTED, not PASS, and states what K
+        uniform samples without a failure show: by the rule of three,
+        fewer than 3/K of all tuples fail, at 95% confidence."""
+        verdict = {"fail": "FAIL", "sampled-pass": "UNREFUTED"}.get(
+            self.verdict, "PASS")
+        out = f"IDENTITY {self.name} {verdict}"
         if self.counterexample is not None:
             cx = ",".join(f"{k}={v}" for k, v in self.counterexample.items())
             out += f" [counterexample: {cx}]"
         out += f" tuples={self.tuples_checked}"
         if self.seed is not None:
             out += f" seed={self.seed}"
+        if self.verdict == "sampled-pass":
+            out += (f" [failing fraction < 3/{self.tuples_checked} "
+                    "at 95% confidence]")
         return out
 
     def to_dict(self) -> dict:

@@ -5,11 +5,16 @@ higher-arity associativity, and strictness.
 Exhaustive checks enumerate assignment tuples in lexicographic order over
 the declared variable list, so a reported counterexample is always the
 lexicographically first one.  Sampled mode draws tuples from a Mersenne
-Twister (random.Random) seeded with a caller-supplied 64-bit seed, which
-is recorded in the report for reproducibility.  The tuples are exactly
-those of a loop of rng.randrange(m) calls; they are drawn in batches from
-that unchanged MT19937 stream and checked through numpy.  Every failure a
-vectorized path reports is re-confirmed with eval_term first.
+Twister seeded with a caller-supplied int seed, of any size or sign,
+which is recorded in the report for reproducibility.  The tuples are
+exactly those of a loop of random.Random(seed).randrange(m) calls, but
+no Python generator or big int is made: the MT19937 words come from one
+shared legacy numpy RandomState, seeded with the key random.seed would
+use, one batch at a time under a lock (_sampled_tuples), and get
+randrange's shift and rejection in numpy.  A sampled check with no
+failure is no proof; its text line reads UNREFUTED (CheckReport.line).
+Every failure a vectorized path reports is re-confirmed with eval_term
+first.
 
 Both modes run one numpy kernel (CheckReport.engine is "np" or
 "sampled"), a partial evaluator in two steps.  _plan turns each side of
@@ -77,28 +82,31 @@ _keyed; 2assoc:n, 1assoc:n and malcev-assoc qualify), a block's values
 depend on the prefix only through the sections of the outermost such
 applications, so a block whose sections all equal those of a block that
 passed passes too.  Once the first block has passed (a check that fails
-at once does no section work), _section_key gives the rows of each keyed
-table at their depth class ids, equal rows equal ids, in one np.unique
-pass.  A block's key is the mixed-radix code of its class ids, and one
-byte per code marks the keys of passed blocks; a marked block adds its
-m^inner tuples to the count and is skipped.  The first failing block is
-the first with its key, so lex order, the first counterexample and
-tuples_checked are those of the full loop.  The memo is used only when
-the class counts multiply to fewer than the m^outer blocks, since
-otherwise no block need repeat another.  The paper's theorem is why it
-pays: a 2-associative semi-abelian theta is theta(a*, b) = gamma(a*) * b
-in a group, so its m^n sections theta(a*, -) are left translations, at
-most m of them distinct, and the Mal'cev term a * b^-1 * c has at most m
-distinct sections mu(a, b, -) among its m^2.  Where the sections all
-differ, as in a random table or a group's associativity, every block
-runs.
+at once does no section work), _section_classes gives the rows of each
+keyed table at their depth class ids, equal rows equal ids, in one
+np.unique pass.  A block's code is the mixed-radix number of its class
+ids, computed for every prefix in numpy (_representatives): the leading
+arguments are planned with the prefix variables bound as the columns of
+a chunk of at most _BLOCK prefixes, as in a sampled check.  Only the
+first block of each code in lex order is evaluated, so a skipped block
+costs no Python work, and one that fails at block r, at its j-th tuple,
+has checked r * m^inner + j + 1 tuples.  Every block before the first
+failing one passed or shares its code with an earlier one that did, so
+lex order, the first counterexample and tuples_checked are those of the
+full loop.  The memo is used only when the class counts multiply to
+fewer than the m^outer blocks, since otherwise no block need repeat
+another.  The paper's theorem is why it pays: a 2-associative
+semi-abelian theta is theta(a*, b) = gamma(a*) * b in a group, so its
+m^n sections theta(a*, -) are left translations, at most m of them
+distinct, and the Mal'cev term a * b^-1 * c has at most m distinct
+sections mu(a, b, -) among its m^2.  Where the sections all differ, as
+in a random table or a group's associativity, every block runs.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import random
 import threading
 from dataclasses import dataclass
 
@@ -150,13 +158,14 @@ def check_identity(
 ) -> CheckReport:
     """Check one identity over all (or sampled) assignments.
 
-    Exhaustive mode refuses when m^k exceeds the budget (BudgetError);
-    callers then switch to mode="sampled".  It decides a product that
-    records its factors through them (engine "product", see
-    _check_product), and the budget then bounds the factors' tuples.
-    Sampled mode refuses more samples than the budget before it draws
-    any.  An identity that does not fit alg's signature, an unknown mode
-    or samples < 1 is an InputError.  The fit is decided first, so a
+    Exhaustive mode refuses when m^k exceeds the budget (BudgetError).
+    It decides a product that records its factors through them (engine
+    "product", see _check_product), and the budget then bounds the
+    factors' tuples.  Sampled mode refuses more samples than the budget
+    before it draws any; its tuples are those of random.Random(seed), for
+    any int seed, and a sampled-pass proves nothing.  An identity that
+    does not fit alg's signature, an unknown mode, samples < 1 or a seed
+    that is not an int is an InputError.  The fit is decided first, so a
     misfit raises the same SymbolError in every mode and at any budget.
     """
     check_identity_terms(alg.signature, ident, alg.name)
@@ -178,7 +187,7 @@ def check_identity(
         if total > budget:
             raise BudgetError(
                 f"identity {ident.name!r}: {m}^{k} assignments exceed "
-                f"budget {budget}; use sampled mode"
+                f"budget {budget} (finalg check --budget raises it)"
             )
         engine, report = "np", _check_exhaustive_np(alg, ident, total)
     report.engine = engine
@@ -590,7 +599,10 @@ def _plan_sides(ident, m, inner):
 
     keyed = _keyed(sides, set(suffix)) if mesh else None
     if keyed is not None:
-        keyed = [(op, len(args), [plan(a) for a in args])
+        # leading arguments read only prefix variables, bound as the
+        # columns of a chunk of prefixes (see _representatives)
+        keyed = [(op, len(args), [_plan(a, m, {}, False, late, symbols)
+                                  for a in args])
                  for op, args in keyed]
     arrays = 2 + sum(map(_applications, sides))
     return 8 * m ** inner * arrays, (*map(plan, sides), keyed, symbols)
@@ -660,45 +672,47 @@ def _check_exhaustive_np(alg, ident, total):
     # under a prefix loop the suffix variables are the axes of an open
     # mesh, so the values of a term span only the axes it reads
     size = m ** inner
-    checked, key, passed = 0, None, None
-    for prefix in itertools.product(range(m), repeat=outer):
-        if key:
-            # a block whose sections equal those of a passed block passes
-            code = key(prefix)
-            if passed[code]:
-                checked += size
-                continue
+
+    def failure(r, prefix):
+        """The FAIL report of block r, at prefix, or None if it passes."""
         left, right = lhs(*prefix), rhs(*prefix)
         j = _first_bad(left, right)
-        if j is not None:
-            import numpy as np
+        if j is None:
+            return None
+        import numpy as np
 
-            # sides that miss a mesh axis compare with size 1 on it, where
-            # the first failure has a 0
-            shape = np.broadcast(left, right).shape or block
-            j = functools.reduce(lambda acc, d: acc * m + d,
-                                 _digits(j, shape), 0)
-            tup = prefix + tuple(_digits(j, block))
-            return _confirmed_fail(alg, ident, tup, checked + j + 1)
-        if key:
-            passed[code] = 1
-        elif keyed is not None and not checked:
-            key, passed = _section_key(alg, keyed, m ** outer, args, prefix)
-        checked += size
+        # sides that miss a mesh axis compare with size 1 on it, where the
+        # first failure has a 0
+        shape = np.broadcast(left, right).shape or block
+        j = functools.reduce(lambda acc, d: acc * m + d, _digits(j, shape), 0)
+        tup = prefix + tuple(_digits(j, block))
+        return _confirmed_fail(alg, ident, tup, r * size + j + 1)
+
+    blocks = enumerate(itertools.product(range(m), repeat=outer))
+    report = failure(*next(blocks))
+    if report is not None:
+        return report
+    if keyed is not None:
+        # the first block passed: evaluate one block per section class
+        classes = _section_classes(alg, keyed, m ** outer, args)
+        if classes is not None:
+            blocks = _representatives(*classes, m, outer)
+    for r, prefix in blocks:
+        report = failure(r, prefix)
+        if report is not None:
+            return report
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
-def _section_key(alg, keyed, blocks, args, prefix):
-    """(key, passed) for the blocks after the first, which passed at
-    prefix: key(prefix) codes a block's sections (see the module
-    docstring) in the mixed radix of their class counts, and passed, one
-    byte per code, marks the codes of passed blocks, the first one's
-    already.  keyed lists (op, depth, leading argument plans) as
-    _plan_sides made them, and args, the values of the identity's
-    symbols, binds those plans.  Each keyed table's rows at its depth get
-    class ids, equal rows equal ids, in one np.unique pass; (None, None)
-    when the class counts multiply to blocks or more, so that no block
-    need repeat another's."""
+def _section_classes(alg, keyed, blocks, args):
+    """(parts, count) that code a block's sections (see the module
+    docstring) in the mixed radix of their class counts, count codes in
+    all, or None when count would be blocks or more, so that no block
+    need repeat another's.  keyed lists (op, depth, leading argument
+    plans) as _plan_sides made them, and args, the values of the
+    identity's symbols, binds those plans; each part is (class ids,
+    class count, [(bound plan, stride)]).  Each keyed table's rows at its
+    depth get class ids, equal rows equal ids, in one np.unique pass."""
     import numpy as np
 
     classes, parts, count = {}, [], 1
@@ -708,27 +722,44 @@ def _section_key(alg, keyed, blocks, args, prefix):
                 alg.op(op).array().reshape(alg.size ** depth, -1))
             row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
             ids = np.unique(rows.view(row).ravel(), return_inverse=True)[1]
-            classes[op, depth] = ids.tolist(), int(ids.max()) + 1
+            classes[op, depth] = ids.ravel(), int(ids.max()) + 1
         ids, size = classes[op, depth]
         count *= size
         if count >= blocks:
-            return None, None
+            return None
         strides = [alg.size ** (depth - 1 - i) for i in range(depth)]
         parts.append((ids, size, [(plan(*args), stride)
                                   for plan, stride in zip(plans, strides)]))
+    return parts, count
 
-    def key(prefix):
+
+def _representatives(parts, count, m, outer):
+    """(r, prefix) of the first block of each section class, in lex
+    order, but block 0's, which has run: r is the block's index and
+    prefix its outer values as ints.  The codes of _section_classes are
+    computed for chunks of at most _BLOCK prefixes, whose values are the
+    columns the leading argument plans take; a code first seen in a
+    chunk is first seen at its least index there."""
+    import numpy as np
+
+    blocks = m ** outer
+    seen = np.zeros(count, dtype=bool)
+    for lo in range(0, blocks, _BLOCK):
+        flat = np.arange(lo, min(lo + _BLOCK, blocks), dtype=np.int64)
+        cols = [flat // m ** (outer - 1 - i) % m for i in range(outer)]
         code = 0
         for ids, size, rows in parts:
             row = 0
             for f, stride in rows:
-                row += f(*prefix) * stride
+                row = row + f(*cols) * stride
             code = code * size + ids[row]
-        return code
-
-    passed = bytearray(count)
-    passed[key(prefix)] = 1
-    return key, passed
+        codes, first = np.unique(code, return_index=True)
+        first = np.sort(first[~seen[codes]])
+        seen[codes] = True
+        for r, *prefix in zip((first + lo).tolist(),
+                              *(col[first].tolist() for col in cols)):
+            if r:
+                yield r, tuple(prefix)
 
 
 def _leaves(alg):
@@ -772,39 +803,78 @@ def _check_product(alg, ident, budget):
     return _confirmed_fail(alg, ident, first, checked)
 
 
-def _sampled_tuples(rng: random.Random, m: int, k: int, samples: int):
-    """The samples tuples of k draws rng.randrange(m) each, in order, as
-    C-contiguous (k, b) int64 arrays of at most _BATCH tuples.
+# the MT19937 generator every sampled check draws its words from, made on
+# first use (numpy.random is imported only then), and the lock that makes
+# a check's seeding or restoring, drawing and saving of it atomic
+_mt = None
+_mt_lock = threading.Lock()
+
+
+def _seed_key(seed):
+    """The key random.seed(seed) hands MT19937's init_by_array for an int
+    seed: the 32-bit words of abs(seed), least significant first, at
+    least one.  Any other seed is an InputError."""
+    if not isinstance(seed, int):
+        raise InputError(f"sampled mode needs an integer seed, got {seed!r}")
+    n = abs(seed)
+    return [(n >> s) & 0xFFFFFFFF
+            for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _sampled_tuples(seed: int, m: int, k: int, samples: int):
+    """The samples tuples of k draws random.Random(seed).randrange(m)
+    each, in order, as C-contiguous (k, b) int64 arrays of at most _BATCH
+    tuples.
 
     randrange(m) keeps the top m.bit_length() bits of one 32-bit MT19937
     word and draws again while the result is >= m
-    (Random._randbelow_with_getrandbits).  This takes the words from
-    rng.getrandbits(32*W) calls of at most _BATCH words each, whose words
-    come least significant first, and applies the same shift and
-    rejection, so the tuples are exactly those of the scalar loop.  The
-    accepted draws are gathered by index (np.flatnonzero), which is
-    several times faster than a boolean mask, and each batch is copied
-    into rows once so that the kernel reads contiguous columns.
+    (Random._randbelow_with_getrandbits).  This takes the words from the
+    legacy numpy RandomState _mt, seeded with random.seed's key (a list:
+    one ndarray element would be seeded by init_genrand instead), whose
+    randint(0, 2^32) with a uint32 dtype gives one MT19937 word per value,
+    in the order getrandbits(32) gives them, and applies the same shift
+    and rejection, so the tuples are exactly those of the scalar loop.  A
+    batch's words are drawn when it is, under _mt_lock, and the
+    generator's state is saved after them when another batch follows and
+    restored before its words, so threads may share _mt and a check that
+    fails early draws no further words.  The accepted draws are gathered
+    by index (np.flatnonzero), which is several times faster than a
+    boolean mask, and kept as uint32 until each batch is copied into
+    int64 rows, in one pass, so that the kernel reads contiguous columns.
     """
+    global _mt
     import numpy as np
 
+    key = _seed_key(seed)
     bits = m.bit_length()
     if bits > 32:
         raise InputError(f"sampled mode needs a carrier below 2^32, got {m}")
-    pool = np.empty(0, dtype=np.int64)  # accepted draws not yet used
+    pool = np.empty(0, dtype=np.uint32)  # accepted draws not yet used
+    state = None  # the generator's state after the last words drawn
     while samples > 0:
         b = min(samples, _BATCH)
         need = b * k
         chunks, have = [pool], pool.size
-        while have < need:
-            # a word is accepted with probability m / 2^bits >= 1/2
-            words = min(((need - have) << bits) // m + 64, _BATCH)
-            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            draws = np.frombuffer(raw, dtype="<u4") >> (32 - bits)
-            chunks.append(draws[np.flatnonzero(draws < m)])
-            have += chunks[-1].size
+        if have < need:
+            with _mt_lock:
+                if _mt is None:
+                    _mt = np.random.RandomState(0)
+                if state is None:
+                    _mt.seed(key)
+                else:
+                    _mt.set_state(state)
+                while have < need:
+                    # a word is accepted with probability m / 2^bits >= 1/2
+                    words = min(((need - have) << bits) // m + 64, _BATCH)
+                    draws = _mt.randint(0, 1 << 32, words,
+                                        dtype=np.uint32) >> (32 - bits)
+                    chunks.append(draws[np.flatnonzero(draws < m)])
+                    have += chunks[-1].size
+                if samples > b:
+                    state = _mt.get_state()
         pool = np.concatenate(chunks)
-        yield np.ascontiguousarray(pool[:need].reshape(b, k).T)
+        yield np.ascontiguousarray(pool[:need].reshape(b, k).T,
+                                   dtype=np.int64)
         pool = pool[need:]
         samples -= b
 
@@ -813,9 +883,8 @@ def _check_sampled(alg, ident, samples, seed):
     lhs, rhs, _, symbols = _planned(ident, alg.size, None)
     args = _arguments(alg, symbols)
     lhs, rhs = lhs(*args), rhs(*args)
-    rng = random.Random(seed)  # MT19937
     checked = 0
-    for cols in _sampled_tuples(rng, alg.size, len(ident.variables), samples):
+    for cols in _sampled_tuples(seed, alg.size, len(ident.variables), samples):
         j = _first_bad(lhs(*cols), rhs(*cols))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])

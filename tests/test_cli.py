@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from finalg import catalog, cli, groups
 from finalg.cli import main
-from finalg.core import eval_term
+from finalg.core import (
+    BudgetError,
+    DenseTable,
+    FiniteAlgebra,
+    Signature,
+    eval_term,
+)
 from finalg.dsl import parse_algebra, parse_file, serialize
 from finalg.identities import (
     ASSOCIATIVITY,
@@ -138,6 +144,30 @@ def test_check_budget_refusal_exit_3(tmp_path, z3_file, capsys):
     assert "^5 assignments exceed budget" in captured.err
 
 
+def test_an_exhaustive_refusal_names_the_budget_not_sampling(
+        z3_file, capsys):
+    assert main(["check", z3_file, "--suite", "2assoc:2",
+                 "--budget", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "budget: identity '2assoc:2': 3^5 assignments exceed budget 5 "
+        "(finalg check --budget raises it)\n")
+    # construct has no --mode: a lattice whose distributivity is over the
+    # default budget is refused with the same words; its laws are not
+    # checked here, as construct would check them first
+    m = 500
+    chain = FiniteAlgebra(
+        "chain", Signature((("join", 2), ("meet", 2))), m,
+        {"join": DenseTable(2, [max(a, b) for a in range(m)
+                                for b in range(m)]),
+         "meet": DenseTable(2, [min(a, b) for a in range(m)
+                                for b in range(m)])})
+    with pytest.raises(BudgetError) as refused:
+        catalog.build_lattice_theta(chain, "meet-middle")
+    assert str(refused.value) == (
+        "identity 'distributivity': 500^3 assignments exceed budget "
+        "100000000 (finalg check --budget raises it)")
+
+
 def test_check_one_element_carrier_with_64_variables(tmp_path, capsys):
     # one tuple of 64 zeros: no array of more than 64 dimensions is made
     p = tmp_path / "one.alg"
@@ -153,6 +183,26 @@ def test_check_sampled_mode(z3_file, capsys):
                  "sampled", "--samples", "300", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "seed=5" in out
+
+
+def test_a_sampled_check_without_failure_reads_unrefuted(z3_file, capsys):
+    # no failure in K samples is no proof: the text line says UNREFUTED
+    # and states the rule-of-three bound; exit 0 and the structured
+    # verdict sampled-pass stay
+    argv = ["check", z3_file, "--suite", "2assoc:2", "--mode", "sampled",
+            "--samples", "300", "--seed", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "IDENTITY 2assoc:2 UNREFUTED tuples=300 seed=5 "
+        "[failing fraction < 3/300 at 95% confidence]\n")
+    assert main(argv + ["--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "sampled-pass"
+    # a failure found by sampling is a proof, and stays FAIL
+    assert main(["check", z3_file, "--suite", "1assoc:2", "--mode",
+                 "sampled", "--samples", "300", "--seed", "5"]) == 1
+    out = capsys.readouterr().out
+    verdicts = [line.split()[2] for line in out.splitlines()]
+    assert "FAIL" in verdicts and set(verdicts) <= {"FAIL", "UNREFUTED"}
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -1089,8 +1139,8 @@ _fuzz_edits = st.one_of(
 )
 
 
-_REPORT_LINE = re.compile(
-    r"IDENTITY (\S+) (PASS|FAIL)(?: \[counterexample: ([^\]]*)\])? tuples=")
+_REPORT_LINE = re.compile(r"IDENTITY (\S+) (PASS|UNREFUTED|FAIL)"
+                          r"(?: \[counterexample: ([^\]]*)\])? tuples=")
 
 
 def _recheck_verdicts(argv, text, stdout):
@@ -1122,6 +1172,7 @@ def _recheck_verdicts(argv, text, stdout):
             env = {k: int(v) for k, v in
                    (item.split("=") for item in cx.split(",") if item)}
         assert (verdict == "FAIL") == (env is not None)
+        assert verdict != ("PASS" if sampled else "UNREFUTED"), line
         if sampled:
             if env is not None:
                 assert (eval_term(alg, ident.lhs, env)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import gc
@@ -5,6 +6,7 @@ import importlib
 import itertools
 import math
 import random
+import sys
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -417,15 +419,7 @@ def test_sampled_zero_variable_identity(bool2):
 
 
 def test_sampled_failure_after_several_batches(monkeypatch):
-    # Z/16 with one dented theta entry: 2-associativity fails only on the
-    # rare tuples that reach theta(15, 15)
-    g = catalog.build_semigroup_algebra(catalog.cyclic_group(16), 1, 1)
-    entries = list(g.tables["theta"].entries)
-    entries[-1] = (entries[-1] + 1) % 16
-    alg = FiniteAlgebra("z16-dent", g.signature, 16,
-                        {**g.tables, "theta": DenseTable(2, entries)},
-                        g.constants)
-    ident = identity_2assoc(1)
+    alg, ident = _z16_dented(), identity_2assoc(1)
     monkeypatch.setattr(identities, "_BATCH", 16)
     want = scalar_sampled(alg, ident, 5000, 0)
     assert want[0] == "fail" and want[2] > 3 * 16
@@ -440,13 +434,15 @@ def test_sampled_tuples_are_the_randrange_stream(monkeypatch, batch, m, k):
     # fails loudly if a Python upgrade changes how randrange draws
     monkeypatch.setattr(identities, "_BATCH", batch)
     # m = 513 rejects almost half of the words, so a batch of 2^16 5-tuples
-    # needs about ten getrandbits calls of at most 2^16 words each
-    samples = 70_001 if (m, batch) == (513, 1 << 16) else 300
-    for seed in (0, -42, 2 ** 80):
+    # needs about ten draws of at most 2^16 words each; the seeds after
+    # the first three test the seed's key, on fewer samples
+    for seed in (0, -42, 2 ** 80, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                 -(2 ** 40)):
+        samples = 70_001 if (m, batch) == (513, 1 << 16) and seed in (
+            0, -42, 2 ** 80) else 300
         rng = random.Random(seed)
         want = [[rng.randrange(m) for _ in range(k)] for _ in range(samples)]
-        batches = list(identities._sampled_tuples(
-            random.Random(seed), m, k, samples))
+        batches = list(identities._sampled_tuples(seed, m, k, samples))
         assert all(b.dtype == np.int64 and b.shape[0] == k for b in batches)
         assert all(b.flags.c_contiguous for b in batches)
         assert all(b.shape[1] <= batch for b in batches)
@@ -460,7 +456,83 @@ def test_sampled_mode_refuses_no_samples(z3_n2):
             check_identity(z3_n2, identity_2assoc(2), mode="sampled",
                            samples=samples)
     with pytest.raises(InputError):
-        list(identities._sampled_tuples(random.Random(0), 2 ** 32, 1, 1))
+        list(identities._sampled_tuples(0, 2 ** 32, 1, 1))
+
+
+def _z16_dented():
+    """Z/16 with theta(15, 15) changed: 2-associativity fails only on the
+    rare tuples that reach that entry."""
+    g = catalog.build_semigroup_algebra(catalog.cyclic_group(16), 1, 1)
+    entries = list(g.tables["theta"].entries)
+    entries[-1] = (entries[-1] + 1) % 16
+    return FiniteAlgebra("z16-dent", g.signature, 16,
+                         {**g.tables, "theta": DenseTable(2, entries)},
+                         g.constants)
+
+
+def test_sampled_checks_in_threads_match_a_sequential_run(monkeypatch):
+    # four threads share the one generator, each check restoring its own
+    # state before every batch of 16 tuples; where a check fails, after
+    # several batches, depends on every word of its own stream
+    monkeypatch.setattr(identities, "_BATCH", 16)
+    alg, ident = _z16_dented(), identity_2assoc(1)
+
+    def run(seed):
+        return [check_identity(alg, ident, mode="sampled", samples=5000,
+                               seed=seed + i) for i in range(0, 400, 20)]
+
+    seeds = [0, -42, 2 ** 80, 12345]
+    sequential = [run(seed) for seed in seeds]
+    assert all(r.verdict == "fail" for reports in sequential for r in reports)
+    assert max(r.tuples_checked for r in sequential[0]) > 3 * 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+
+
+def test_a_sampled_failure_in_the_first_batch_draws_no_second(monkeypatch):
+    calls = []
+
+    class Spy(np.random.RandomState):
+        def randint(self, *args, **kw):
+            calls.append("randint")
+            return super().randint(*args, **kw)
+
+        def set_state(self, state):
+            calls.append("set_state")
+            return super().set_state(state)
+
+    monkeypatch.setattr(identities, "_mt", Spy())
+    monkeypatch.setattr(identities, "_BATCH", 16)
+    # the left projection fails commutativity at almost every tuple
+    alg = FiniteAlgebra("left", Signature((("prod", 2),)), 5,
+                        {"prod": table_from_fn(2, 5, lambda a, b: a)})
+    rep = check_identity(alg, identities.COMMUTATIVITY, mode="sampled",
+                         samples=5000, seed=1)
+    assert rep.verdict == "fail" and rep.tuples_checked <= 16
+    # words for the first batch only (a few draws of at most 16 words)
+    assert calls and set(calls) == {"randint"}
+    # a pass draws every batch, restoring the state before each but the
+    # first
+    calls.clear()
+    square = table_from_fn(2, 5, lambda a, b: (a + b) % 5)
+    rep = check_identity(dataclasses.replace(alg, tables={"prod": square}),
+                         identities.COMMUTATIVITY, mode="sampled",
+                         samples=160, seed=1)
+    assert rep.verdict == "sampled-pass"
+    assert calls.count("set_state") == 9 and calls[-1] == "randint"
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", None, np.int64(3), b"\x01"])
+def test_a_sampled_check_needs_an_int_seed(z3_n2, seed):
+    with pytest.raises(InputError):
+        check_identity(z3_n2, identity_2assoc(2), mode="sampled",
+                       samples=10, seed=seed)
 
 
 # --- vectorized failures are re-confirmed with eval_term ----------------------
@@ -935,8 +1007,8 @@ def test_a_first_block_failure_builds_no_class_ids(monkeypatch):
     alg = dataclasses.replace(catalog.build_group_product_algebra(
         [catalog.cyclic_group(4), catalog.cyclic_group(4)], (1, 2), 2))
     built = []
-    real = identities._section_key
-    monkeypatch.setattr(identities, "_section_key",
+    real = identities._section_classes
+    monkeypatch.setattr(identities, "_section_classes",
                         lambda *args: built.append(args) or real(*args))
     rep = check_identity(_dented_table(alg, "theta", 0), identity_2assoc(2))
     assert rep.verdict == "fail" and rep.tuples_checked <= 16 ** 3
@@ -1018,6 +1090,60 @@ def test_section_keyed_blocks_match_the_oracle(seed, m, n, kind, dent, power):
             assert rep.verdict == ("pass" if cx is None else "fail")
             assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
                 v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(3, 5), st.integers(1, 2),
+       st.integers(1, 2), st.booleans())
+def test_the_section_memo_matches_every_block(seed, m, n, power, dent):
+    # group-type tables under a prefix loop: theta(a*, b) = gamma(a*) * b
+    # with gamma(a*) = a_i * z or e, which makes theta 2-associative, and
+    # mu(a, b, c) = a * b^-1 * c, one entry dented or not; the memo on
+    # and off must give the same report
+    rng = random.Random(seed)
+    prod, inv = _random_group(rng, m)
+    e, z, i = prod[inv[0]], rng.randrange(m), rng.randint(0, n)
+    theta = [prod[(prod[a[i - 1] * m + z] if i else e) * m + b]
+             for a in itertools.product(range(m), repeat=n)
+             for b in range(m)]
+    mu = [prod[prod[a * m + inv[b]] * m + c]
+          for a, b, c in itertools.product(range(m), repeat=3)]
+    if dent:
+        entries = rng.choice([theta, mu])
+        j = rng.randrange(len(entries))
+        entries[j] = (entries[j] + 1) % m
+    alg = FiniteAlgebra("sections", Signature((("theta", n + 1), ("mu", 3))),
+                        m, {"theta": DenseTable(n + 1, theta),
+                            "mu": DenseTable(3, mu)})
+    with mock.patch.object(identities, "_BLOCK", m ** power):
+        for ident in _section_identities(n):
+            memo = check_identity(alg, ident)
+            # memo off: no identity qualifies, and no plan made with the
+            # memo is reused
+            with mock.patch.object(identities, "_keyed",
+                                   lambda *args: None), \
+                    mock.patch.object(identities, "_plans", identities._Kept(
+                        identities._PLANS, identities._PLAN_BYTES)):
+                plain = check_identity(alg, ident)
+            assert (memo.verdict, memo.counterexample,
+                    memo.tuples_checked) == (plain.verdict,
+                                             plain.counterexample,
+                                             plain.tuples_checked)
+
+
+def test_the_memo_binds_one_block_per_section_class(monkeypatch):
+    # Z8 x Z4 with theta(a1, a2, b) = a2 * b, read from DSL text so that
+    # the kernel checks its own 32-element table: the 32^3 prefixes of
+    # 2assoc:2 fall into the 32 classes of the section theta(a1, a2, -),
+    # and only one block of each is evaluated
+    built = catalog.build_group_product_algebra(
+        [catalog.cyclic_group(8), catalog.cyclic_group(4)], (2, 2), 2)
+    alg = dsl.parse_algebra(dsl.serialize(built))
+    assert not alg.factors and alg.size == 32
+    sizes = _record_blocks(monkeypatch)
+    rep = check_identity(alg, identity_2assoc(2))
+    assert (rep.verdict, rep.tuples_checked) == ("pass", 32 ** 5)
+    assert len(sizes) == 32 and set(sizes) == {32 ** 2}
 
 
 def test_a_second_tables_pass_builds_no_grid(monkeypatch, tmp_path):
