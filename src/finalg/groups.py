@@ -25,10 +25,9 @@ from .core import (
     CheckReport,
     DenseTable,
     FiniteAlgebra,
+    InputError,
     Signature,
     Variable,
-    exponent_text,
-    power_exceeds,
     require_materializable,
     standard_algebra,
     unit_constants,
@@ -260,20 +259,17 @@ def from_enriched(eg: FiniteAlgebra) -> FiniteAlgebra:
     return alg
 
 
-ENRICHED_BUDGET = 10 ** 7
-
-
 def count_enriched_groups(m: int, n: int) -> int:
     """Count enriched-group structures on {0..m-1} by direct enumeration
     of (group table, gamma, alpha*) triples, with alpha_i(a,a) = e built
-    in; independent of the searcher."""
-    # cells: product, n alphas, gamma; over budget with m^n
-    k = (None if power_exceeds(m, n, ENRICHED_BUDGET)
-         else m * m * (n + 1) + m ** n)
-    if k is None or power_exceeds(m, k, ENRICHED_BUDGET):
-        k = exponent_text(k, f"{m}^2 * ({n} + 1) + {m}^{n}")
-        raise BudgetError(f"enriched enumeration space {m}^{k} exceeds "
-                          f"budget {ENRICHED_BUDGET}")
+    in; independent of the searcher.  It enumerates only m = 1, (2, 1)
+    and (2, 2), the sizes it is an oracle at: m < 1 is an InputError and
+    any other size a BudgetError, refused before anything is built."""
+    if m < 1:
+        raise InputError(f"carrier must be >= 1, got {m}")
+    if m != 1 and (m, n) not in ((2, 1), (2, 2)):
+        raise BudgetError(f"enriched enumeration at ({m}, {n}) is refused: "
+                          "only m = 1, (2, 1) and (2, 2) are enumerated")
     require_materializable(m, n)  # gamma's table, of n arguments
     groups = []
     for entries in itertools.product(range(m), repeat=m * m):

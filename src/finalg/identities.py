@@ -27,17 +27,17 @@ subterm that reads only known variables, and returns the value of its
 side, or a function block of the other variables that evaluates the
 rest, statement by statement, with no recursion, closure per
 application or type test.  Its source is written per term and layout
-(_shape, _Writer) from generic names (t0 for a table, c0 for a
-constant, k0 for a plan array or stride), so no symbol name reaches
-it, and each distinct source is compiled once (_made); what the plan
-holds for one m, each known variable's share of a flat index and the
-strides, is computed from the term's recipe at that m.  Plans are kept
-in a bounded cache keyed by the identity's value, m and the layout
-(_planned), so a law checked on many algebras is planned once, and so
-is an equal identity built again or parsed again from text; a check
-makes that one lookup.  term_table's plans are kept there too, keyed by
-the term's value, m and the variables.  The grids and meshes plans are
-built from are kept in one cache under the same byte bound (_grids).
+(_Writer) from generic names (t0 for a table, c0 for a constant, k0
+for a plan array or stride), so no symbol name reaches it, and each
+distinct source is compiled once (_made): sides of equal shape share
+it.  What the plan holds for one m, each known variable's share of a
+flat index and the strides, is computed from the writer's recipe at
+that m, from a grid or mesh built for the plan and then dropped.  Plans
+are kept in a bounded cache keyed by the identity's value, m and the
+layout (_planned), so a law checked on many algebras is planned once,
+and so is an equal identity built again or parsed again from text; a
+check makes that one lookup.  term_table's plans are kept there too,
+keyed by the term's value, m and the variables.
 Whether an identity fits a signature is one subset test of the symbol
 sets each keeps (core.check_identity_terms), decided before anything
 else.  An exhaustive check of a product that records its factors
@@ -135,7 +135,7 @@ from .core import (
 )
 
 _BLOCK = 1 << 14
-_PLANS = 256  # plans, term shapes, sources and grids kept
+_PLANS = 256  # plans, compiled sources and built identities kept
 _PLAN_BYTES = 1 << 23  # bound on the arrays the kept plans hold
 _BATCH = 1 << 16
 
@@ -213,17 +213,19 @@ def _plan(t, m, known, mesh, late, symbols):
     With late None bind returns t's value, an int or an array: constants
     and subterms that read no array stay ints and broadcast against the
     arrays.  Otherwise it returns block(*late), which evaluates the rest
-    from the late variables' values.  Both are one straight-line function
-    (see _shape): what reads only known variables and constants is
-    computed once per bind, and block holds only what reads a late
-    variable.  The plan holds what depends on t, m and the layout alone:
-    each known variable argument's share of its application's flat index,
-    summed once, the strides and the m x ... x m shapes of the tables.  It
-    holds no table and no constant value, so one plan serves every
-    algebra on m elements."""
-    make, recipe = _shape(t, tuple(known), mesh, late, symbols)
+    from the late variables' values.  Both are one straight-line function,
+    written by _Writer and compiled once per distinct source (_made):
+    what reads only known variables and constants is computed once per
+    bind, and block holds only what reads a late variable.  The plan
+    holds what depends on t, m and the layout alone: each known variable
+    argument's share of its application's flat index, summed once, the
+    strides and the m x ... x m shapes of the tables.  It holds no table
+    and no constant value, so one plan serves every algebra on m
+    elements."""
+    w = _Writer(known, mesh, late, symbols)
+    make = _made(w.source(w.value(t)[0]))
     consts = []
-    for kind, data in recipe:
+    for kind, data in w.recipe:
         if kind == "share":  # the sum of known[x] * m^e over data's (x, e)
             total = None
             for x, exp in data:
@@ -239,25 +241,16 @@ def _plan(t, m, known, mesh, late, symbols):
     return make(*consts)
 
 
-@functools.lru_cache(maxsize=_PLANS)
-def _shape(t, suffix, mesh, late, symbols):
-    """(make, recipe) of term t's evaluator in a layout whose known
-    variables are suffix, the axes of a mesh when mesh, else flat rows
-    (see _plan): make(*consts) returns bind, and recipe lists what each
-    const is, for _plan to compute at its m.  Kept per term and layout,
-    for every carrier size."""
-    w = _Writer(suffix, mesh, late, symbols)
-    source = w.source(w.value(t)[0])
-    return _made(source), tuple(w.recipe)
-
-
 class _Writer:
-    """Writes the source of one side's evaluator for _shape.  The source
-    names nothing from the input: tables are t0, t1, ..., constants c0,
-    ..., late variables x0, ..., values v0, ..., and the plan's arrays,
-    strides and slicings are k0, ..., arguments of the function it
-    defines, make(k0, ...), which returns bind.  So equal term shapes
-    write equal sources, and _made compiles each source once."""
+    """Writes the source of one side's evaluator for _plan, in a layout
+    whose known variables are suffix, in order: the axes of a mesh when
+    mesh, else flat rows.  The source names nothing from the input:
+    tables are t0, t1, ..., constants c0, ..., late variables x0, ...,
+    values v0, ..., and the plan's arrays, strides and slicings are k0,
+    ..., arguments of the function it defines, make(k0, ...), which
+    returns bind; recipe lists what each k is, for _plan to compute at
+    its m.  So equal term shapes write equal sources, and _made compiles
+    each source once."""
 
     def __init__(self, suffix, mesh, late, symbols):
         self.known = frozenset(suffix)
@@ -469,37 +462,28 @@ def _confirmed_fail(alg, ident, tup, checked, seed=None):
 
 
 def _grid(m, inner):
-    """The m^inner tuples over range(m) in lex order, as a read-only
-    (inner, m^inner) int64 array, kept in _grids.  Row i repeats each
-    digit m^(inner-1-i) times in turn, so no array has more than three
+    """The m^inner tuples over range(m) in lex order, as an (inner,
+    m^inner) int64 array, built for one plan, which keeps the shares
+    computed from its rows and not the grid.  Row i repeats each digit
+    m^(inner-1-i) times in turn, so no array has more than three
     dimensions (numpy 1.x refuses more than 32 and 2.x more than 64, and
     a one-element carrier admits any inner)."""
-    def build():
-        import numpy as np
+    import numpy as np
 
-        grid = np.empty((inner, m ** inner), dtype=np.int64)
-        for i, row in enumerate(grid):
-            row.reshape(m ** i, m, -1)[...] = np.arange(m)[:, None]
-        grid.setflags(write=False)
-        return grid.nbytes, grid
-
-    return _grids.get((m, inner, "grid"), build)
+    grid = np.empty((inner, m ** inner), dtype=np.int64)
+    for i, row in enumerate(grid):
+        row.reshape(m ** i, m, -1)[...] = np.arange(m)[:, None]
+    return grid
 
 
 def _mesh(m, inner):
-    """The open mesh of the m^inner tuples over range(m), kept in _grids:
-    axis i is range(m) as a read-only int64 array of shape
+    """The open mesh of the m^inner tuples over range(m), built for one
+    plan as _grid is: axis i is range(m) as an int64 array of shape
     (1, ..., m, ..., 1), m at i, so arrays of the values of terms
     broadcast to lex order."""
-    def build():
-        import numpy as np
+    import numpy as np
 
-        axes = np.ix_(*[np.arange(m, dtype=np.int64)] * inner)
-        for axis in axes:
-            axis.setflags(write=False)
-        return 8 * m * inner, axes
-
-    return _grids.get((m, inner, "mesh"), build)
+    return np.ix_(*[np.arange(m, dtype=np.int64)] * inner)
 
 
 def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
@@ -558,11 +542,9 @@ class _Kept:
 
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
 # and (term, m, variables) -> (plan, symbols) of term_table, weighed by
-# the bytes their arrays may hold; (m, inner, kind) -> a grid or mesh,
-# weighed by its bytes.  Identities and terms are keyed by value, so an
-# equal one parsed again is planned once
+# the bytes their arrays may hold.  Identities and terms are keyed by
+# value, so an equal one parsed again is planned once
 _plans = _Kept(_PLANS, _PLAN_BYTES)
-_grids = _Kept(_PLANS, _PLAN_BYTES)
 
 
 def _planned(ident, m, inner):

@@ -15,13 +15,11 @@ array (pinned tables, free tables, constants and a read-only slot per
 carrier element), in which -1 marks a cell not yet decided.  The
 signature alone fixes where each table and slot lies, and pins only fill
 the cells, so the instances are a function of (identity, carrier size,
-signature): they are ground once per such triple, a column per term node
-over all the variable tuples, and kept in a bounded cache that every
-search of the same theory on the same carrier reads, whatever its pins
-or mode.  A search is planned once per theory, carrier size, signature,
-pinned names and mode: its plan, the branch slots and the concatenated
-ground instances, is kept in a second bounded cache, so a search makes
-one cache lookup for it, and its pins only fill the cells.
+signature), ground a column per term node over all the variable tuples.
+A search is planned once per theory, carrier size, signature, pinned
+names and mode: its plan, the branch slots and the ground instances of
+every identity, is kept in a bounded cache, so a search makes one cache
+lookup for it, and its pins only fill the cells.
 
 Evaluating a side either gives its value or stops at its blocking cell,
 the first undecided cell the evaluation reaches: an inner cell, or the
@@ -106,20 +104,16 @@ from .identities import (
 
 SEARCH_BUDGET = 10 ** 8  # ground instances evaluated plus nodes
 MODES = ("find-first", "count-all", "prove-none")
-_GROUNDS = 256  # ground identities kept, and plans
-_GROUND_WEIGHT = 1 << 16  # bound on their instances plus what those hold
-
-# (identity, m, signature) -> the identity's ground instances.  The
-# signature fixes every offset and slot of the cell array and pins only
-# fill it, so every search of one theory on one carrier shares them;
-# identities are keyed by value, so an equal one parsed again hits
-_grounds = _Kept(_GROUNDS, _GROUND_WEIGHT)
+_GROUNDS = 256  # search plans kept, and identities' read counts
+_GROUND_WEIGHT = 1 << 16  # bound on the plans' slots, instances and reads
 
 # (identities, m, signature, pinned table names, pinned constant names,
 # mode) -> a search's plan (_plan): its branch slots and ground instances.
-# The free cells depend on the pinned names alone, and pin values only
-# fill the cell array, so every search of one theory on one carrier with
-# the same pin layout and mode shares one plan
+# The signature fixes every offset and slot of the cell array, the free
+# cells depend on the pinned names alone, and pin values only fill the
+# cell array, so every search of one theory on one carrier with the same
+# pin layout and mode shares one plan; identities are keyed by value, so
+# an equal theory parsed again hits
 _plans = _Kept(_GROUNDS, _GROUND_WEIGHT)
 
 
@@ -276,12 +270,11 @@ class _Cells:
     constant, then slot lit + v holding the carrier element v.  The
     offsets, slots and lit depend on the signature and carrier size only,
     and pins fill vals, so the ground instances (ground) depend on the
-    identity, m and the signature alone, and instances reads them from
-    the bounded cache _grounds."""
+    identity, m and the signature alone: _plan grounds them once per
+    plan, whatever the pin values."""
 
     def __init__(self, spec: SearchSpec):
         self.m = m = spec.size
-        self.signature = spec.signature
         self.offset = {}
         self.vals = []
         for name, arity in spec.signature.ops:
@@ -302,22 +295,19 @@ class _Cells:
         return self.slot[sym] if idx is None else self.offset[sym] + idx
 
     def instances(self, identities) -> list:
-        """Every ground instance (lhs, rhs), identity by identity, each
-        identity's from the bounded cache _grounds (see ground)."""
+        """Every ground instance (lhs, rhs), identity by identity (see
+        ground)."""
         out = []
         for ident in identities:
-            out += _grounds.get((ident, self.m, self.signature),
-                                lambda: self.ground(ident))
+            out += self.ground(ident)
         return out
 
     def ground(self, ident):
-        """(weight, instances) of ident: its instances (lhs, rhs), variable
-        tuples in lexicographic order, each side a slot (int) or (base,
-        ((weight, subterm), ...)) reading slot base + sum weight * value,
-        variable arguments folded into base.  They are built a column at a
-        time: one list per term node of its ground value at each of the
-        m^k tuples.  The weight is the instances plus the applications and
-        constants they hold."""
+        """ident's instances (lhs, rhs), variable tuples in lexicographic
+        order, each side a slot (int) or (base, ((weight, subterm), ...))
+        reading slot base + sum weight * value, variable arguments folded
+        into base.  They are built a column at a time: one list per term
+        node of its ground value at each of the m^k tuples."""
         m = self.m
         names = ident.variables
         n = m ** len(names)
@@ -348,8 +338,7 @@ class _Cells:
             folded = folded or [base] * n
             return list(zip(folded, zip(*kids))) if kids else folded
 
-        found = tuple(zip(column(ident.lhs), column(ident.rhs)))
-        return n * (1 + _reads(ident)), found
+        return tuple(zip(column(ident.lhs), column(ident.rhs)))
 
     def algebra(self, spec: SearchSpec) -> FiniteAlgebra:
         m = self.m
@@ -370,7 +359,8 @@ def _plan(spec: SearchSpec, layout: _Cells):
     """(weight, (slots, instances)) of spec's search: the slots of its
     free cells in branching order (branch_cells) and every ground
     instance, identity by identity (_Cells.instances).  The weight is the
-    slots plus the weight of the groundings the instances come from."""
+    slots plus the instances and the applications and constants they
+    hold."""
     m = spec.size
     slots = tuple(map(layout.cell_slot, spec.branch_cells()))
     instances = tuple(layout.instances(spec.identities))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from finalg import catalog, dsl
+from finalg import catalog, dsl, identities, search
 from finalg.core import (
     Apply,
     Constant,
@@ -40,6 +40,23 @@ def z4_group():
 def chain2_theta():
     """(a1 v b) ^ a2 on the 2-chain: 2-associative but not 1-associative."""
     return catalog.build_lattice_theta(catalog.chain_lattice(2), "meet-middle")
+
+
+@pytest.fixture
+def cold_plans(monkeypatch):
+    """Empty plan caches: the identity kernel's and the search's _plans
+    are swapped for empty ones with their modules' own bounds, and the
+    kernel's compiled sources (_made) are dropped, so every plan is built
+    afresh.  Its value empties them again when called."""
+    def empty():
+        monkeypatch.setattr(identities, "_plans", identities._Kept(
+            identities._PLANS, identities._PLAN_BYTES))
+        monkeypatch.setattr(search, "_plans", identities._Kept(
+            search._GROUNDS, search._GROUND_WEIGHT))
+        identities._made.cache_clear()
+
+    empty()
+    return empty
 
 
 def random_algebra(rng, m, n, shared_unit=False):

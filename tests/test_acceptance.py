@@ -55,3 +55,12 @@ def test_full_verification_command(capsys):
     assert "FAIL" not in out
     # every criterion detail and counterexample, byte for byte
     assert out == (Path(__file__).parent / "data" / "verify_paper.txt").read_text()
+
+
+def test_verify_paper_prints_the_same_cold_and_warm(cold_plans, capsys):
+    # the first run builds every plan it reads, the second reads them
+    # from the caches; both print the golden output byte for byte
+    golden = (Path(__file__).parent / "data" / "verify_paper.txt").read_text()
+    for _ in range(2):
+        assert cli.main(["verify-paper"]) == 0
+        assert capsys.readouterr().out == golden

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from finalg import identities, search
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -20,3 +22,25 @@ def test_every_bench_operation_agrees_with_its_oracle(workload, tmp_path,
     for op in ops:
         result, text = op.call()
         assert op.check(result, text) == [], op.label
+
+
+@pytest.mark.parametrize("workload", ["paper", "census", "tables"])
+def test_a_second_bench_pass_builds_no_plan(workload, tmp_path, monkeypatch,
+                                            cold_plans):
+    # the plans a pass of each workload needs fit both plan caches, so
+    # with caches emptied before its set-up, a second pass builds none
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    built = []
+    for module in (identities, search):
+        kept = module._plans
+        monkeypatch.setattr(kept, "get", lambda key, build, real=kept.get: (
+            real(key, lambda: built.append(key) or build())))
+    ops = workloads.build(workload, 911, tmp_path)
+    for op in ops:
+        op.call()
+    assert built
+    built.clear()
+    for op in ops:
+        op.call()
+    assert built == []

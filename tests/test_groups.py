@@ -1,10 +1,11 @@
 import itertools
+import re
 import time
 
 import pytest
 
 from finalg import catalog, groups, identities
-from finalg.core import BudgetError, table_from_fn
+from finalg.core import BudgetError, InputError, table_from_fn
 from finalg.groups import (
     GroupLawError,
     PreconditionError,
@@ -42,12 +43,10 @@ def _catalog_algebras():
 
 # --- derived groups -----------------------------------------------------
 
-def test_repeated_conversions_build_no_plan(monkeypatch):
+def test_repeated_conversions_build_no_plan(monkeypatch, cold_plans):
     # plans are keyed by the value of a term or identity, so a second
     # conversion of an algebra finds every term and identity it
     # evaluates planned, although from_enriched builds its term afresh
-    monkeypatch.setattr(identities, "_plans", identities._Kept(
-        identities._PLANS, identities._PLAN_BYTES))
     alg = catalog.build_group_product_algebra(
         (catalog.cyclic_group(2), catalog.cyclic_group(3)), (1, 2), 2)
     first = [derive_group(alg), to_enriched(alg), from_enriched(
@@ -243,25 +242,39 @@ def test_derived_laws_of_enriched_groups():
 
 
 def test_enriched_census_small():
-    from finalg.core import AlgebraError
     from finalg.search import count_2assoc_semiabelian
 
+    assert count_enriched_groups(1, 1) == 1
     assert count_enriched_groups(2, 1) == 2
     # correspondence with the table searcher, counted independently
     assert count_enriched_groups(2, 2) == 16
     assert count_2assoc_semiabelian(2, 2).count == 16
-    with pytest.raises(AlgebraError):
-        count_enriched_groups(4, 2)  # over enumeration budget
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (3, 1), (2, 3), (2, 0)])
+def test_enriched_census_refuses_every_other_size(m, n):
+    with pytest.raises(BudgetError, match=re.escape(
+            f"enriched enumeration at ({m}, {n}) is refused: only m = 1, "
+            "(2, 1) and (2, 2) are enumerated")):
+        count_enriched_groups(m, n)
 
 
 def test_enriched_census_refuses_a_huge_space_at_once():
-    # 2^40 gamma cells: refused from the power test, m^k never built
+    # 2^40 gamma cells or a gamma of 10^30 arguments: refused before
+    # anything is built
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="2\\^40\\) exceeds budget"):
+    with pytest.raises(BudgetError, match=re.escape(
+            "enriched enumeration at (2, 40) is refused")):
         count_enriched_groups(2, 40)
     with pytest.raises(BudgetError, match="table with 10{30} arguments"):
         count_enriched_groups(1, 10 ** 30)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_enriched_census_needs_a_carrier(m):
+    with pytest.raises(InputError, match=f"carrier must be >= 1, got {m}"):
+        count_enriched_groups(m, 1)
 
 
 def test_algebra_hash_is_stable(z3_n2):

@@ -2,18 +2,16 @@ import concurrent.futures
 import dataclasses
 import functools
 import gc
-import importlib
 import itertools
 import math
 import random
 import sys
 import weakref
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from finalg import catalog, dsl, identities
 from finalg.core import (
@@ -78,9 +76,6 @@ from conftest import (
     random_algebra,
     random_identities,
 )
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
 
 # --- suites on known algebras -------------------------------------------
 
@@ -747,7 +742,7 @@ def _oracle_algebra(seed, m, n):
                          alg.constants)
 
 
-def test_every_plan_case_is_reached(monkeypatch):
+def test_every_plan_case_is_reached(monkeypatch, cold_plans):
     # the oracle identities reach every evaluation case of a late dense
     # application, each with the plan its case asks for, and blocks of a
     # two-axis mesh whose sides read fewer axes: one side none, or
@@ -768,12 +763,8 @@ def test_every_plan_case_is_reached(monkeypatch):
 
     monkeypatch.setattr(identities, "_slicing", plan)
     monkeypatch.setattr(identities, "_first_bad", first_bad)
-    # empty plan and shape caches, so the builders' identities are
-    # planned here
-    monkeypatch.setattr(identities, "_plans", identities._Kept(
-        identities._PLANS, identities._PLAN_BYTES))
-    monkeypatch.setattr(identities, "_shape", functools.lru_cache(
-        identities._PLANS)(identities._shape.__wrapped__))
+    # the plan cache is empty (cold_plans), so the builders' identities
+    # are planned here
     for seed, m, n in ((1, 3, 1), (2, 3, 2)):
         alg = _oracle_algebra(seed, m, n)
         with mock.patch.object(identities, "_BLOCK", m ** 2):
@@ -888,12 +879,11 @@ def test_a_misfit_is_refused_before_anything_else():
         check_identity(theta2, fit, mode="sampled", samples=0)
 
 
-def test_an_identity_parsed_again_is_planned_once(monkeypatch):
+def test_an_identity_parsed_again_is_planned_once(monkeypatch, cold_plans):
     # plans are keyed by the identity's value: three parses of one text
     # are three equal objects, and all three checks share one plan
     group = catalog.cyclic_group(5)
-    monkeypatch.setattr(identities, "_plans", identities._Kept(
-        identities._PLANS, identities._PLAN_BYTES))
+    cold_plans()  # drop the plans of the group's own validation
     built = []
     real = identities._plan_sides
 
@@ -1092,10 +1082,14 @@ def test_section_keyed_blocks_match_the_oracle(seed, m, n, kind, dent, power):
                 v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
 
 
-@settings(max_examples=40, deadline=None)
+# cold_plans is emptied around each example's memo-off checks, so no
+# plan is shared between the memo on and off, whatever the examples
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(0, 10 ** 9), st.integers(3, 5), st.integers(1, 2),
        st.integers(1, 2), st.booleans())
-def test_the_section_memo_matches_every_block(seed, m, n, power, dent):
+def test_the_section_memo_matches_every_block(cold_plans, seed, m, n, power,
+                                              dent):
     # group-type tables under a prefix loop: theta(a*, b) = gamma(a*) * b
     # with gamma(a*) = a_i * z or e, which makes theta 2-associative, and
     # mu(a, b, c) = a * b^-1 * c, one entry dented or not; the memo on
@@ -1119,12 +1113,11 @@ def test_the_section_memo_matches_every_block(seed, m, n, power, dent):
         for ident in _section_identities(n):
             memo = check_identity(alg, ident)
             # memo off: no identity qualifies, and no plan made with the
-            # memo is reused
-            with mock.patch.object(identities, "_keyed",
-                                   lambda *args: None), \
-                    mock.patch.object(identities, "_plans", identities._Kept(
-                        identities._PLANS, identities._PLAN_BYTES)):
+            # memo is reused, nor one made without it kept
+            cold_plans()
+            with mock.patch.object(identities, "_keyed", lambda *args: None):
                 plain = check_identity(alg, ident)
+            cold_plans()
             assert (memo.verdict, memo.counterexample,
                     memo.tuples_checked) == (plain.verdict,
                                              plain.counterexample,
@@ -1144,28 +1137,6 @@ def test_the_memo_binds_one_block_per_section_class(monkeypatch):
     rep = check_identity(alg, identity_2assoc(2))
     assert (rep.verdict, rep.tuples_checked) == ("pass", 32 ** 5)
     assert len(sizes) == 32 and set(sizes) == {32 ** 2}
-
-
-def test_a_second_tables_pass_builds_no_grid(monkeypatch, tmp_path):
-    # the grids and meshes the tables benchmark workload uses fit the
-    # byte bound of _grids, so after one warm-up pass a second builds none
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    ops = workloads.build("tables", 911, tmp_path)
-    monkeypatch.setattr(identities, "_plans", identities._Kept(
-        identities._PLANS, identities._PLAN_BYTES))
-    grids = identities._Kept(identities._PLANS, identities._PLAN_BYTES)
-    monkeypatch.setattr(identities, "_grids", grids)
-    for op in ops:
-        op.call()
-    assert grids.entries
-    built = []
-    real = grids.get
-    monkeypatch.setattr(grids, "get", lambda key, build: real(
-        key, lambda: built.append(key) or build()))
-    for op in ops:
-        op.call()
-    assert built == []
 
 
 def _sum_identity(k):
@@ -1253,7 +1224,8 @@ def test_random_identities_match_the_oracles(ident, seed, m, kind, power,
         alg, ident, samples, seed)
 
 
-def test_symbol_names_never_reach_the_evaluator_source(monkeypatch):
+def test_symbol_names_never_reach_the_evaluator_source(monkeypatch,
+                                                      cold_plans):
     # the evaluator's source names tables, constants and variables by
     # their slots, so names that are code, or the source's own names,
     # change nothing; no source holds any of them
@@ -1262,8 +1234,6 @@ def test_symbol_names_never_reach_the_evaluator_source(monkeypatch):
     monkeypatch.setattr(identities, "_made", functools.lru_cache(
         identities._PLANS)(lambda source: sources.append(source) or real(
             source)))
-    monkeypatch.setattr(identities, "_shape", functools.lru_cache(
-        identities._PLANS)(identities._shape.__wrapped__))
     f, g, c = "t1", "v0 = __import__('os')", "__builtins__"
     names = ("x1", "block", "k0")
     x, y, z = (Variable(v) for v in names)

@@ -23,7 +23,6 @@ from finalg.core import (
     validate_algebra,
 )
 from finalg.identities import (
-    _Kept,
     check_identity,
     check_suite,
     identities_malcev,
@@ -39,7 +38,6 @@ from finalg.search import (
     SearchSpec,
     _Cells,
     _GROUND_WEIGHT,
-    _GROUNDS,
     _check_spec,
     _semiabelian_2assoc,
     count_2assoc_semiabelian,
@@ -847,14 +845,15 @@ def _reference_instances(cells, identities):
 
 
 def _assert_grounds_as_the_reference(spec):
-    """The search's instances of spec, cached and freshly ground, are the
-    reference's: the same nested tuples in the same order."""
+    """The search's instances of spec, of the whole theory and ground one
+    identity at a time, are the reference's: the same nested tuples in
+    the same order."""
     cells = _Cells(spec)
     expected = _reference_instances(cells, spec.identities)
     assert cells.instances(spec.identities) == expected
     fresh = []
     for ident in spec.identities:
-        fresh.extend(cells.ground(ident)[1])
+        fresh.extend(cells.ground(ident))
     assert fresh == expected
 
 
@@ -888,9 +887,9 @@ def test_random_identities_ground_as_the_reference(ident, m):
 
 
 @pytest.fixture
-def grounder_calls(monkeypatch):
-    """The identities _Cells.ground is called on, with empty caches of
-    groundings and plans."""
+def grounder_calls(monkeypatch, cold_plans):
+    """The identities _Cells.ground is called on, with an empty plan
+    cache."""
     calls = []
     real = _Cells.ground
 
@@ -899,30 +898,21 @@ def grounder_calls(monkeypatch):
         return real(self, ident)
 
     monkeypatch.setattr(_Cells, "ground", counted)
-    monkeypatch.setattr(engine, "_grounds", _Kept(_GROUNDS, _GROUND_WEIGHT))
-    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
     return calls
 
 
-def test_a_theory_is_ground_once_per_carrier_and_signature(grounder_calls):
+def test_a_plan_miss_grounds_each_identity_once(grounder_calls):
     names = [("alpha1-unit", 3), ("retraction", 3), ("2assoc:1", 3)]
-    first = parse_search_spec(GROUP3_SPEC.format(e=0), mode="count-all")
-    search(first)
+    search(parse_search_spec(GROUP3_SPEC.format(e=0), mode="count-all"))
     assert grounder_calls == names
-    # every other pin and mode, and the census at (3,1), ground nothing
+    # a plan hit grounds nothing, whatever the unit's value
     for e in range(3):
-        for mode in ("find-first", "count-all", "prove-none"):
-            search(parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode))
-    count_2assoc_semiabelian(3, 1)
+        search(parse_search_spec(GROUP3_SPEC.format(e=e), mode="count-all"))
     assert grounder_calls == names
-    # another carrier size or signature grounds the theory again
-    count_2assoc_semiabelian(2, 1)
-    assert grounder_calls[3:] == [(name, 2) for name, _ in names]
-    widened = SearchSpec("wide", 3, Signature(first.signature.ops
-                                              + (("mu", 3),), ("e",)),
-                         first.identities, pinned_constants={"e": 0})
-    search(widened)
-    assert grounder_calls[6:] == names
+    # another mode is another plan, which grounds the theory again
+    for mode in ("find-first", "prove-none"):
+        search(parse_search_spec(GROUP3_SPEC.format(e=1), mode=mode))
+    assert grounder_calls == names * 3
 
 
 def test_an_equal_identity_parsed_again_hits_its_entry(grounder_calls):
@@ -934,43 +924,28 @@ def test_an_equal_identity_parsed_again_hits_its_entry(grounder_calls):
     assert first.identities[0] is not again.identities[0]
     assert search(first) == search(again)
     assert grounder_calls == [("malcev-right", 2)]
-    assert len(engine._grounds.entries) == 1
+    assert len(engine._plans.entries) == 1
 
 
 def test_pinned_tables_do_not_enter_the_key(grounder_calls):
+    # pin values only fill the cell array: every value of the same pinned
+    # names reads one plan, ground once
     sig = standard_signature(1, shared_unit=True)
     idents = _semiabelian_2assoc("pins", 3, 1).identities
     z3 = _model_tables(3, 1)
-    for pins in ({}, {"theta": z3["theta"]},
-                 {"theta": z3["theta"], "alpha1": z3["alpha1"]},
-                 {"alpha1": DenseTable(2, (0,) * 9)}):
-        spec = SearchSpec("pins", 3, sig, idents, pinned_tables=pins,
-                          pinned_constants={"e": 0}, mode="count-all")
-        search(spec)
+    for theta in (z3["theta"], z3["alpha1"], DenseTable(2, (0,) * 9)):
+        for e in range(3):
+            search(SearchSpec("pins", 3, sig, idents,
+                              pinned_tables={"theta": theta},
+                              pinned_constants={"e": e}, mode="count-all"))
     assert len(grounder_calls) == len(idents)
-    assert set(engine._grounds.entries) == {(i, 3, sig) for i in idents}
-
-
-def test_a_grounding_over_the_weight_bound_is_not_kept(grounder_calls):
-    # 2^12 instances of 22 applications weigh 4,096 * 23 = 94,208, over
-    # the cache's bound: ground on every use and never kept
-    spec = SearchSpec("chain", 2, Signature((("f", 2),)),
-                      (_chain_identity(12),))
-    assert _Cells(spec).ground(spec.identities[0])[0] == 94208 > _GROUND_WEIGHT
-    for _ in range(2):
-        assert len(_Cells(spec).instances(spec.identities)) == 4096
-    assert grounder_calls == [("chain12", 2)] * 3
-    assert not engine._grounds.entries
-    # the largest census theory tier-1 and CI run, (3,2), is kept whole
-    census = _census_spec(3, 2)
-    _Cells(census).instances(census.identities)
-    assert len(engine._grounds.entries) == len(census.identities)
+    assert len(engine._plans.entries) == 1
 
 
 # -- search plans ---------------------------------------------------------------
 
 @pytest.fixture
-def planner_calls(monkeypatch):
+def planner_calls(monkeypatch, cold_plans):
     """The mode of each spec SearchSpec.branch_cells is called on, with an
     empty plan cache: one call per plan built."""
     calls = []
@@ -981,7 +956,6 @@ def planner_calls(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(SearchSpec, "branch_cells", counted)
-    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
     return calls
 
 
@@ -994,7 +968,7 @@ def test_a_search_is_planned_once_per_pin_layout_and_mode(planner_calls):
     assert len(engine._plans.entries) == 3
 
 
-def test_pinned_names_enter_the_plan_key(planner_calls, monkeypatch):
+def test_pinned_names_enter_the_plan_key(planner_calls, cold_plans):
     # each pinned table leaves its cells out of the branch order, so each
     # set of pinned names plans its own search, whatever was planned first
     z3 = _model_tables(3, 1)
@@ -1006,13 +980,13 @@ def test_pinned_names_enter_the_plan_key(planner_calls, monkeypatch):
     warm = [search(spec) for spec in specs]
     assert len(planner_calls) == len(specs)
     for spec, result in zip(specs, warm):
-        monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
+        cold_plans()
         assert search(spec) == result
 
 
-def _assert_cold_equals_warm(run, monkeypatch):
+def _assert_cold_equals_warm(run, cold_plans):
     """run() after emptying the plan cache equals run() on its plan."""
-    monkeypatch.setattr(engine, "_plans", _Kept(_GROUNDS, _GROUND_WEIGHT))
+    cold_plans()
     cold = run()
     assert len(engine._plans.entries) == 1
     assert run() == cold
@@ -1022,19 +996,19 @@ def _assert_cold_equals_warm(run, monkeypatch):
 @pytest.mark.parametrize("m, n", [
     (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, 3),
 ])
-def test_census_cold_equals_warm(m, n, monkeypatch):
+def test_census_cold_equals_warm(m, n, cold_plans):
     _assert_cold_equals_warm(lambda: count_2assoc_semiabelian(m, n),
-                             monkeypatch)
+                             cold_plans)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("e", [0, 1, 2])
-def test_group3_and_malcev_cold_equal_warm(e, mode, monkeypatch):
+def test_group3_and_malcev_cold_equal_warm(e, mode, cold_plans):
     group3 = parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode)
-    _assert_cold_equals_warm(lambda: search(group3), monkeypatch)
+    _assert_cold_equals_warm(lambda: search(group3), cold_plans)
     malcev = _malcev_2assoc_spec(e + 1)
     malcev.mode = mode
-    _assert_cold_equals_warm(lambda: search(malcev), monkeypatch)
+    _assert_cold_equals_warm(lambda: search(malcev), cold_plans)
 
 
 def test_a_list_of_identities_hits_the_tuples_plan(planner_calls):
