@@ -16,6 +16,7 @@ from .core import (
     Signature,
     SymbolError,
     Variable,
+    clear_caches,
     eval_term,
     standard_algebra,
     standard_signature,

@@ -6,16 +6,16 @@ refusal.  main alone maps an exception to its exit code, by class:
 InputError 2, BudgetError 3, a group refusal or any other AlgebraError 1.
 A usage error of the argument parser is an InputError too.
 
-The argument parser is built once per process (build_parser is cached),
-and main parses each argv into a fresh namespace, so calls of main share
-no parsed state.  A `finalg` process runs main once and still builds the
-parser once; only callers that run main many times in one process save
-the 1.5 ms or so it takes to build.
+The argument parser is built once per process (build_parser is a
+core.memo, which finalg.clear_caches() empties), and main parses each
+argv into a fresh namespace, so calls of main share no parsed state.  A
+`finalg` process runs main once and still builds the parser once; only
+callers that run main many times in one process save the 1.5 ms or so
+it takes to build.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -26,6 +26,7 @@ from .core import (
     BudgetError,
     InputError,
     check_identity_terms,
+    memo,
     require_materializable,
     validate_algebra,
 )
@@ -243,7 +244,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-@functools.cache
+@memo()
 def build_parser():
     """The finalg argument parser, built on first use; callers must not
     change it."""

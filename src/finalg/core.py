@@ -5,13 +5,16 @@ Carrier elements are always the integers 0..m-1.  An operation table is
 a DenseTable, flat and row-major over the argument tuple, so lookup is a
 single index computation; the one other kind is the lookup-only
 ProductTable of a product of algebras too large to materialize, whose
-algebra records its factors.  Everything here is immutable after
-construction and safe to share across workers.
+algebra records its factors.  Everything here but the registry of the
+package's caches at the end (kept, memo, clear_caches) is immutable
+after construction and safe to share across workers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 
@@ -632,3 +635,63 @@ def validate_algebra(alg: FiniteAlgebra) -> CheckReport:
                 "fail", name, detail=f"constant {c!r} not in signature"
             )
     return CheckReport("pass", name, tuples_checked=checked)
+
+
+# ---------------------------------------------------------------------------
+# caches
+
+_caches = []  # every module-level cache, each declared by kept or memo
+
+
+class _Kept:
+    """A cache of the values used last: at most count of them, whose
+    weights sum to at most weight.  A dict keeps insertion order, so a
+    hit moves its key to the end, and a miss drops keys from the front
+    until the new value fits; a value heavier than weight alone is not
+    kept.  A lock makes each lookup atomic, so threads may share it."""
+
+    def __init__(self, count, weight):
+        self.count, self.weight = count, weight
+        self.entries, self.total = {}, 0  # key -> (weight, value)
+        self.lock = threading.Lock()
+
+    def get(self, key, build):
+        """The value of key, from build() -> (weight, value) on a miss."""
+        with self.lock:
+            entries = self.entries
+            entry = entries.pop(key, None)
+            if entry is None:
+                entry = build()
+                if entry[0] > self.weight:
+                    return entry[1]
+                while entries and (len(entries) >= self.count
+                                   or self.total + entry[0] > self.weight):
+                    self.total -= entries.pop(next(iter(entries)))[0]
+                self.total += entry[0]
+            entries[key] = entry
+            return entry[1]
+
+    def cache_clear(self):
+        with self.lock:
+            self.entries, self.total = {}, 0
+
+
+def kept(count, weight) -> _Kept:
+    """A registered _Kept of at most count values weighing at most weight."""
+    _caches.append(_Kept(count, weight))
+    return _caches[-1]
+
+
+def memo(maxsize=None):
+    """functools.lru_cache(maxsize), registered: the function it decorates
+    is that lru_cache object itself, so a hit costs what it costs there."""
+    def register(fn):
+        _caches.append(functools.lru_cache(maxsize)(fn))
+        return _caches[-1]
+    return register
+
+
+def clear_caches() -> None:
+    """Empty every registered cache, so that what runs next runs cold."""
+    for cache in _caches:
+        cache.cache_clear()

@@ -37,7 +37,8 @@ are kept in a bounded cache keyed by the identity's value, m and the
 layout (_planned), so a law checked on many algebras is planned once,
 and so is an equal identity built again or parsed again from text; a
 check makes that one lookup.  term_table's plans are kept there too,
-keyed by the term's value, m and the variables.
+keyed by the term's value, m and the variables.  Like every cache here,
+it is declared in core's registry, which finalg.clear_caches() empties.
 Whether an identity fits a signature is one subset test of the symbol
 sets each keeps (core.check_identity_terms), decided before anything
 else.  An exhaustive check of a product that records its factors
@@ -129,6 +130,8 @@ from .core import (
     check_identity_terms,
     default_units,
     eval_term,
+    kept,
+    memo,
     term_variables,
     unit_constants,
     validate_algebra,
@@ -192,11 +195,6 @@ def check_identity(
         engine, report = "np", _check_exhaustive_np(alg, ident, total)
     report.engine = engine
     return report
-
-
-# the stage at which the evaluator of a side computes a value: when the
-# plan is built, once per check, or once per block or batch
-_AT_PLAN, _AT_BIND, _PER_BLOCK = 0, 1, 2
 
 
 def _plan(t, m, known, mesh, late, symbols):
@@ -267,22 +265,21 @@ class _Writer:
         self.recipe.append((kind, data))
         return f"k{len(self.recipe) - 1}"
 
-    def emit(self, stage, expr):
-        """The name of a new value, computed by expr at stage."""
+    def emit(self, late, expr):
+        """The name of a new value, computed by expr per block if late."""
         bind, block = self.lines
         name = f"v{len(bind) + len(block)}"
-        (block if stage == _PER_BLOCK else bind).append(f"{name} = {expr}")
+        (block if late else bind).append(f"{name} = {expr}")
         return name
 
     def value(self, t):
-        """(name, stage, whether it is an array) of t's value."""
+        """(name, whether it is late, whether it is an array) of t's value."""
         if isinstance(t, Variable):
             if t.name in self.known:  # a side that is a known variable
-                return (self.const("share", ((t.name, 0),)), _AT_PLAN,
-                        True)
-            return self.late[t.name], _PER_BLOCK, not self.axis
+                return self.const("share", ((t.name, 0),)), False, True
+            return self.late[t.name], True, not self.axis
         if isinstance(t, Constant):
-            return self.constants[t.name], _AT_BIND, False
+            return self.constants[t.name], False, False
         if self.axis and not term_variables(t) <= self.known:
             sliced = self.sliced(t)
             if sliced is not None:
@@ -300,9 +297,9 @@ class _Writer:
             if isinstance(a, Variable) and a.name in self.known:
                 share.append((a.name, last - i))
                 continue
-            name, stage, is_array = self.value(a)
+            name, late, is_array = self.value(a)
             array |= is_array
-            terms[stage == _PER_BLOCK].append(
+            terms[late].append(
                 name if i == last else
                 f"{name} * {self.const('stride', last - i)}")
         if share:
@@ -312,12 +309,12 @@ class _Writer:
         table = self.tables[t.op]
         bind, block = terms
         if not block:
-            return (self.emit(_AT_BIND, read.format(table, " + ".join(bind))),
-                    _AT_BIND, array)
+            return (self.emit(False, read.format(table, " + ".join(bind))),
+                    False, array)
         if len(bind) > 1:
-            bind = [self.emit(_AT_BIND, " + ".join(bind))]
-        return (self.emit(_PER_BLOCK, read.format(table, " + ".join(
-            bind + block))), _PER_BLOCK, array)
+            bind = [self.emit(False, " + ".join(bind))]
+        return (self.emit(True, read.format(table, " + ".join(
+            bind + block))), True, array)
 
     def sliced(self, t):
         """A late dense application under a prefix loop read by its
@@ -331,7 +328,7 @@ class _Writer:
         if slicing is None:
             return None
         if t.op not in self.views:
-            self.views[t.op] = self.emit(_AT_BIND, "{}.reshape({})".format(
+            self.views[t.op] = self.emit(False, "{}.reshape({})".format(
                 self.tables[t.op], self.const("shape", len(t.args))))
         view = self.views[t.op]
         lead = sum(not ax for ax in axes)
@@ -339,7 +336,7 @@ class _Writer:
         if slicing == "gather":
             index = self.value(t.args[-1])[0]
             head = f"{view}[{', '.join(scalars)}]" if scalars else view
-            return self.emit(_PER_BLOCK, f"{head}[{index}]"), _PER_BLOCK, True
+            return self.emit(True, f"{head}[{index}]"), True, True
         # the sub-table is a view with each argument's axis in place; an
         # argument that is not its axis's own variable takes its rows
         used = {ax for ax, in axes[lead:]}
@@ -352,12 +349,12 @@ class _Writer:
         for a, (ax,) in zip(t.args[lead:], axes[lead:]):
             if isinstance(a, Variable) and a.name in self.known:
                 continue
-            name, stage, _ = self.value(a)
+            name, late, _ = self.value(a)
             rows = f"{name}.ravel()"
-            if stage != _PER_BLOCK:
-                rows = self.emit(_AT_BIND, rows)
+            if not late:
+                rows = self.emit(False, rows)
             expr += f".take({rows}, axis={self.const('value', ax)})"
-        return self.emit(_PER_BLOCK, expr), _PER_BLOCK, bool(used)
+        return self.emit(True, expr), True, bool(used)
 
     def source(self, value):
         """The source of make, whose bind returns value, or block when
@@ -379,7 +376,7 @@ class _Writer:
         return "\n".join(out)
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def _made(source):
     """The make function of a side's source (see _Writer), compiled once
     per source: sides of equal shape share it."""
@@ -511,40 +508,11 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
 
 
-class _Kept:
-    """A cache of the values used last: at most count of them, whose
-    weights sum to at most weight.  A dict keeps insertion order, so a
-    hit moves its key to the end, and a miss drops keys from the front
-    until the new value fits; a value heavier than weight alone is not
-    kept.  A lock makes each lookup atomic, so threads may share it."""
-
-    def __init__(self, count, weight=math.inf):
-        self.count, self.weight = count, weight
-        self.entries, self.total = {}, 0  # key -> (weight, value)
-        self.lock = threading.Lock()
-
-    def get(self, key, build):
-        """The value of key, from build() -> (weight, value) on a miss."""
-        with self.lock:
-            entries = self.entries
-            entry = entries.pop(key, None)
-            if entry is None:
-                entry = build()
-                if entry[0] > self.weight:
-                    return entry[1]
-                while entries and (len(entries) >= self.count
-                                   or self.total + entry[0] > self.weight):
-                    self.total -= entries.pop(next(iter(entries)))[0]
-                self.total += entry[0]
-            entries[key] = entry
-            return entry[1]
-
-
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
 # and (term, m, variables) -> (plan, symbols) of term_table, weighed by
 # the bytes their arrays may hold.  Identities and terms are keyed by
 # value, so an equal one parsed again is planned once
-_plans = _Kept(_PLANS, _PLAN_BYTES)
+_plans = kept(_PLANS, _PLAN_BYTES)
 
 
 def _planned(ident, m, inner):
@@ -886,10 +854,7 @@ def suite_ok(reports) -> bool:
 
 
 def first_failure(reports):
-    for r in reports:
-        if not r.ok:
-            return r
-    return None
+    return next((r for r in reports if not r.ok), None)
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +901,7 @@ def suite_semiabelian(n: int, units=None) -> IdentitySuite:
     return IdentitySuite(f"semiabelian:{n}", tuple(ids))
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def identity_2assoc(n: int, op: str = "theta") -> Identity:
     """theta(a*, theta(b*, c)) = theta(theta(a*,b1), ..., theta(a*,bn), c)."""
     avs = _avars(n, "a")
@@ -954,7 +919,7 @@ def _grouped(leaves, j, n):
     return _theta(*leaves[:j - 1], inner, *leaves[j + n:])
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def identities_1assoc(n: int) -> tuple:
     """Parenthesis-moving associativity: the canonical nesting (inner
     application in the last slot) equals the nesting with the inner
@@ -972,15 +937,7 @@ def identities_1assoc(n: int) -> tuple:
     )
 
 
-def suite_1assoc(n: int) -> IdentitySuite:
-    return IdentitySuite(f"1assoc:{n}", identities_1assoc(n))
-
-
-def suite_2assoc(n: int) -> IdentitySuite:
-    return IdentitySuite(f"2assoc:{n}", (identity_2assoc(n),))
-
-
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def identities_strict(n: int) -> tuple:
     """alpha_i(theta(a1..an, b), b) = a_i for each i."""
     avs = _avars(n, "a")
@@ -993,10 +950,6 @@ def identities_strict(n: int) -> tuple:
         )
         for i in range(1, n + 1)
     )
-
-
-def suite_strict(n: int) -> IdentitySuite:
-    return IdentitySuite(f"strict:{n}", identities_strict(n))
 
 
 def identity_unit_law(n: int, units=None) -> Identity:
@@ -1022,7 +975,7 @@ def identity_unit_expansion(n: int, units=None) -> Identity:
     )
 
 
-@functools.cache
+@memo()
 def identities_malcev() -> tuple:
     """mu(a,b,b) = a and mu(a,a,b) = b."""
     a, b = Variable("a"), Variable("b")
@@ -1032,11 +985,7 @@ def identities_malcev() -> tuple:
     )
 
 
-def suite_malcev() -> IdentitySuite:
-    return IdentitySuite("malcev", identities_malcev())
-
-
-@functools.cache
+@memo()
 def identity_malcev_assoc() -> Identity:
     """mu(a,b,mu(c,d,x)) = mu(mu(a,b,c),d,x)."""
     a, b, c, d, x = (Variable(v) for v in "abcdx")
@@ -1047,7 +996,7 @@ def identity_malcev_assoc() -> Identity:
     )
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def identity_malcev_assoc_expanded(n: int) -> Identity:
     """The malcev-assoc equation with mu expanded by term_malcev."""
     a1, a2, b1, b2, c = (Variable(v) for v in ("a1", "a2", "b1", "b2", "c"))
@@ -1062,14 +1011,14 @@ def identity_malcev_assoc_expanded(n: int) -> Identity:
 # derived operations as terms over the standard signature; term_table
 # materializes them, planning each once per carrier size
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def term_malcev(n: int, a, b, c):
     """mu(a, b, c) = theta(alpha1(a, b), ..., alphan(a, b), c), on the
     terms a, b and c."""
     return _theta(*[Apply(f"alpha{i}", a, b) for i in range(1, n + 1)], c)
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def term_product(n: int):
     """a * b = theta(a, ..., a, b), the group operation of a 2-associative
     semi-abelian algebra; variables a, b."""
@@ -1077,7 +1026,7 @@ def term_product(n: int):
     return _theta(*[a] * n, Variable("b"))
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def term_diagonal_solution(n: int):
     """mu(c, theta(b, ..., b), b): the a with a * b = c, so the inverse of
     b at c = e; variables b, c."""
@@ -1085,7 +1034,7 @@ def term_diagonal_solution(n: int):
     return term_malcev(n, Variable("c"), _theta(*[b] * (n + 1)), b)
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def term_gamma(n: int, unit: str):
     """gamma(a*) = theta(a1, ..., an, unit), the map of the enriched group;
     variables a1..an."""
@@ -1127,7 +1076,7 @@ identity distributivity(a, b, c): meet(a, join(b, c)) = join(meet(a, b), meet(a,
 """)
 
 
-@functools.cache
+@memo()
 def enriched_laws(n: int) -> tuple:
     """The enriched-group laws over prod/gamma/alpha1..alphan/e:
     alpha_i(a,a) = e, gamma(alpha*(a,b))*b = a, the monoid laws and
@@ -1291,15 +1240,10 @@ def check_strict_equivalence(alg: FiniteAlgebra, n: int) -> StrictnessReport:
             break
 
     # (iii) solvability of the alpha system
-    solvable = True
     alphas = [alg.op(f"alpha{i}") for i in range(1, n + 1)]
-    for b in range(m):
-        images = {
-            tuple(a.lookup((x, b), m) for a in alphas) for x in range(m)
-        }
-        if len(images) != m ** n:
-            solvable = False
-            break
+    solvable = all(
+        len({tuple(a.lookup((x, b), m) for a in alphas) for x in range(m)})
+        == m ** n for b in range(m))
 
     reports = [check_identity(alg, ident) for ident in identities_strict(n)]
     identity_holds = all(r.ok for r in reports)
@@ -1314,19 +1258,19 @@ def check_strict_equivalence(alg: FiniteAlgebra, n: int) -> StrictnessReport:
 _SUITES = {
     "protomodular": suite_protomodular,
     "semiabelian": suite_semiabelian,
-    "2assoc": lambda n, units: suite_2assoc(n),
-    "1assoc": lambda n, units: suite_1assoc(n),
-    "strict": lambda n, units: suite_strict(n),
-    "malcev": lambda n, units: suite_malcev(),
+    "2assoc": lambda n, units: IdentitySuite(
+        f"2assoc:{n}", (identity_2assoc(n),)),
+    "1assoc": lambda n, units: IdentitySuite(
+        f"1assoc:{n}", identities_1assoc(n)),
+    "strict": lambda n, units: IdentitySuite(
+        f"strict:{n}", identities_strict(n)),
+    "malcev": lambda n, units: IdentitySuite("malcev", identities_malcev()),
     "malcev-assoc": lambda n, units: IdentitySuite(
-        "malcev-assoc", (identity_malcev_assoc(),)
-    ),
+        "malcev-assoc", (identity_malcev_assoc(),)),
     "unit-law": lambda n, units: IdentitySuite(
-        f"unit-law:{n}", (identity_unit_law(n, units),)
-    ),
+        f"unit-law:{n}", (identity_unit_law(n, units),)),
     "unit-expansion": lambda n, units: IdentitySuite(
-        f"unit-expansion:{n}", (identity_unit_expansion(n, units),)
-    ),
+        f"unit-expansion:{n}", (identity_unit_expansion(n, units),)),
 }
 
 
@@ -1361,7 +1305,7 @@ def resolve_suite(spec: str, units=None) -> IdentitySuite:
                            None if units is None else tuple(units))
 
 
-@functools.lru_cache(maxsize=_PLANS)
+@memo(_PLANS)
 def _resolved_suite(name, n, units):
     return _SUITES[name](n, units)
 

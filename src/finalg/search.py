@@ -19,7 +19,8 @@ signature), ground a column per term node over all the variable tuples.
 A search is planned once per theory, carrier size, signature, pinned
 names and mode: its plan, the branch slots and the ground instances of
 every identity, is kept in a bounded cache, so a search makes one cache
-lookup for it, and its pins only fill the cells.
+lookup for it, and its pins only fill the cells.  It and _reads are
+declared in core's cache registry, which finalg.clear_caches() empties.
 
 Evaluating a side either gives its value or stops at its blocking cell,
 the first undecided cell the evaluation reaches: an inner cell, or the
@@ -70,7 +71,6 @@ its first node once the work is over budget.
 """
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -88,15 +88,17 @@ from .core import (
     Variable,
     _MATERIALIZE_LIMIT,
     check_identity_terms,
+    kept,
     materializable,
+    memo,
     require_materializable,
     standard_signature,
     table_error,
 )
 from . import dsl
 from .identities import (
-    _Kept,
     check_identity,
+    identities_strict,
     identity_2assoc,
     resolve_suite,
     suite_identities,
@@ -114,7 +116,7 @@ _GROUND_WEIGHT = 1 << 16  # bound on the plans' slots, instances and reads
 # cell array, so every search of one theory on one carrier with the same
 # pin layout and mode shares one plan; identities are keyed by value, so
 # an equal theory parsed again hits
-_plans = _Kept(_GROUNDS, _GROUND_WEIGHT)
+_plans = kept(_GROUNDS, _GROUND_WEIGHT)
 
 
 @dataclass
@@ -135,9 +137,7 @@ class SearchSpec:
         the other ops, then the constants: the order find-first branches
         in, so its witness is the lex-first one in this order."""
         cells = []
-        ops = sorted(
-            self.signature.ops, key=lambda na: (na[0] != "theta",)
-        )
+        ops = sorted(self.signature.ops, key=lambda na: na[0] != "theta")
         for name, arity in ops:
             if name in self.pinned_tables:
                 continue
@@ -254,7 +254,7 @@ def _check_spec(spec: SearchSpec, budget: int) -> None:
                 "applications and constants)")
 
 
-@functools.lru_cache(maxsize=_GROUNDS)
+@memo(_GROUNDS)
 def _reads(ident) -> int:
     """The applications and constants in ident's sides: the cells of one
     ground instance that are not a variable's."""
@@ -603,13 +603,16 @@ def prove_no_strict_2assoc(m: int, n: int) -> SearchResult:
     and exhausting the pruned tree certifies that no full theta table
     (hence no full structure) can be strict.  The walk visits exactly
     m * sum(m!/(m-d)! for d = 0..m) nodes; a walk over SEARCH_BUDGET nodes
-    is refused (BudgetError) before it starts.
+    is refused (BudgetError) before it starts.  At m = 1 the search of the
+    strict 2-associative theory finds the one-element model (witness).
     """
     if m != 1 and (n < 2 or m < 2):
         raise InputError("requires n >= 2 and m >= 2 (or m = 1)")
     require_materializable(m, n + 1, f"{n} + 1")
     if m == 1:
-        return search(_semiabelian_2assoc("trivial-strict", 1, n))
+        return search(SearchSpec(
+            "trivial-strict", 1, standard_signature(n, shared_unit=True),
+            identities_strict(n) + (identity_2assoc(n),)))
     walk, prefixes = 1, 1
     for d in range(m):
         prefixes *= m - d

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from finalg import catalog, dsl, identities, search
+from finalg import catalog, clear_caches, dsl
 from finalg.core import (
     Apply,
     Constant,
@@ -43,20 +43,14 @@ def chain2_theta():
 
 
 @pytest.fixture
-def cold_plans(monkeypatch):
-    """Empty plan caches: the identity kernel's and the search's _plans
-    are swapped for empty ones with their modules' own bounds, and the
-    kernel's compiled sources (_made) are dropped, so every plan is built
-    afresh.  Its value empties them again when called."""
-    def empty():
-        monkeypatch.setattr(identities, "_plans", identities._Kept(
-            identities._PLANS, identities._PLAN_BYTES))
-        monkeypatch.setattr(search, "_plans", identities._Kept(
-            search._GROUNDS, search._GROUND_WEIGHT))
-        identities._made.cache_clear()
-
-    empty()
-    return empty
+def cold_caches():
+    """Every cache emptied by finalg.clear_caches before the test and
+    after it: each plan the test reads is built in it, and none it
+    builds, under a patch or not, outlives it.  Its value is
+    clear_caches, to empty them again."""
+    clear_caches()
+    yield clear_caches
+    clear_caches()
 
 
 def random_algebra(rng, m, n, shared_unit=False):

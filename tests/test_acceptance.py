@@ -57,7 +57,7 @@ def test_full_verification_command(capsys):
     assert out == (Path(__file__).parent / "data" / "verify_paper.txt").read_text()
 
 
-def test_verify_paper_prints_the_same_cold_and_warm(cold_plans, capsys):
+def test_verify_paper_prints_the_same_cold_and_warm(cold_caches, capsys):
     # the first run builds every plan it reads, the second reads them
     # from the caches; both print the golden output byte for byte
     golden = (Path(__file__).parent / "data" / "verify_paper.txt").read_text()

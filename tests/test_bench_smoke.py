@@ -26,7 +26,7 @@ def test_every_bench_operation_agrees_with_its_oracle(workload, tmp_path,
 
 @pytest.mark.parametrize("workload", ["paper", "census", "tables"])
 def test_a_second_bench_pass_builds_no_plan(workload, tmp_path, monkeypatch,
-                                            cold_plans):
+                                            cold_caches):
     # the plans a pass of each workload needs fit both plan caches, so
     # with caches emptied before its set-up, a second pass builds none
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -100,6 +100,15 @@ def test_nondistributive_lattice_detected_and_rejected():
         catalog.build_lattice_theta(m3, "meet-middle")
 
 
+def test_lattice_builders_refuse_a_bad_variant_or_missing_bounds():
+    chain = catalog.chain_lattice(2)
+    with pytest.raises(InputError, match="unknown variant 'bogus'"):
+        catalog.build_lattice_theta(chain, "bogus")
+    unbounded = catalog.lattice(2, chain.op("join"), chain.op("meet"))
+    with pytest.raises(AlgebraError, match="lattice needs bottom and top"):
+        catalog.build_lattice_v2_algebra(unbounded)
+
+
 # --- projection / semigroup / product -------------------------------------
 
 def test_projection_operation_is_2assoc():
@@ -414,6 +423,12 @@ def test_alpha_builder_refuses_units_outside_the_carrier(units):
     base = catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1)
     with pytest.raises(InputError, match="outside 0..2"):
         catalog.build_alphas_from_surjectivity(base, units)
+
+
+def test_alpha_builder_refuses_a_wrong_number_of_units():
+    base = catalog.build_semigroup_algebra(catalog.cyclic_monoid(3), 2, 1)
+    with pytest.raises(InputError, match="need 2 unit elements, got 1"):
+        catalog.build_alphas_from_surjectivity(base, (0,))
 
 # --- strict semiloops ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg import catalog, cli, groups
+from finalg import catalog, clear_caches, cli, groups
 from finalg.cli import main
 from finalg.core import (
     BudgetError,
@@ -105,6 +105,8 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
         "algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000),
         # a length that cannot match 3^10000000, decided without it
         "algebra X {\n  carrier 3\n  op f/10000000 = [0]\n}\n",
+        # check reads exactly one algebra block
+        "algebra X { carrier 1 }\nalgebra Y { carrier 1 }\n",
     ]:
         p.write_text(text)
         assert main(["check", str(p), "--suite", "semiabelian:1"]) == 2
@@ -305,6 +307,7 @@ def test_construct_unknown_name_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["lattice", "--shape", "chain:x"],
     ["lattice", "--shape", "chain:"],
+    ["lattice", "--shape", "bogus"],
     ["group-product", "--orders", "2,x"],
     ["group-product", "--indices", "1,x"],
     # out-of-range sizes, indices and variants
@@ -835,8 +838,12 @@ SPEC_HEAD = "algebra S {\n  carrier %d\n  op theta/2 = %s\n"
     (SPEC_HEAD % (2, "free") + "  op beta/0 = free\n  require 2assoc:1\n}\n",
      "find-first"),
     (SPEC_HEAD % (2, "[0, 1, 0]") + "  require 2assoc:1\n}\n", "find-first"),
+    (SPEC_HEAD % (2, "free") + "  require\n}\n", "find-first"),
+    (SPEC_HEAD % (2, "free") + "}\n" + SPEC_HEAD % (2, "free") + "}\n",
+     "count-all"),
 ], ids=["carrier-0", "carrier-0-count", "const-outside", "entry-outside",
-        "require-arity-0", "require-unknown", "op-arity-0", "pin-length"])
+        "require-arity-0", "require-unknown", "op-arity-0", "pin-length",
+        "require-nothing", "two-blocks"])
 def test_search_malformed_spec_exit_2(tmp_path, capsys, body, mode):
     p = tmp_path / "bad.spec"
     p.write_text(body)
@@ -938,7 +945,7 @@ def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, z3_n2,
     assert fresh.returncode == 1, fresh.stderr
     assert "[counterexample: a=0,b=1,c=0]" in fresh.stdout
 
-    cli.build_parser.cache_clear()
+    clear_caches()
     parser = cli.build_parser()
     seen = []
     parse = parser.parse_args

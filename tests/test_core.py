@@ -58,6 +58,8 @@ def test_standard_signature_shapes():
     shared = standard_signature(3, shared_unit=True)
     assert shared.constants == ("e",)
     assert dict(shared.ops)["theta"] == 4
+    with pytest.raises(InputError, match="n must be >= 1, got 0"):
+        standard_signature(0)
 
 
 def test_standard_algebra_unit_rule():
@@ -310,6 +312,21 @@ def test_validate_flags_wrong_length_and_missing_table():
         "bad3", sig, 2, {"f": DenseTable(2, (0, 1, 0, 1))}, {"c": 7}
     )
     assert not validate_algebra(alg3).ok
+
+
+@pytest.mark.parametrize("size, tables, consts, detail", [
+    (0, {}, {}, "carrier size 0 < 1"),
+    (2, {"f": DenseTable(1, (0, 1)), "g": DenseTable(1, (1, 0))}, {"c": 0},
+     "table for 'g' not in signature"),
+    (2, {"f": DenseTable(1, (0, 1))}, {}, "symbol 'c' uninterpreted"),
+    (2, {"f": DenseTable(1, (0, 1))}, {"c": 0, "d": 1},
+     "constant 'd' not in signature"),
+])
+def test_validate_reports_each_broken_invariant(size, tables, consts,
+                                                detail):
+    sig = Signature((("f", 1),), ("c",))
+    rep = validate_algebra(FiniteAlgebra("bad", sig, size, tables, consts))
+    assert (rep.verdict, rep.detail) == ("fail", detail)
 
 
 def test_table_error_names_the_first_problem():

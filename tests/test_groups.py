@@ -43,7 +43,7 @@ def _catalog_algebras():
 
 # --- derived groups -----------------------------------------------------
 
-def test_repeated_conversions_build_no_plan(monkeypatch, cold_plans):
+def test_repeated_conversions_build_no_plan(monkeypatch, cold_caches):
     # plans are keyed by the value of a term or identity, so a second
     # conversion of an algebra finds every term and identity it
     # evaluates planned, although from_enriched builds its term afresh

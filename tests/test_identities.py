@@ -1,6 +1,5 @@
 import concurrent.futures
 import dataclasses
-import functools
 import gc
 import itertools
 import math
@@ -11,9 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from finalg import catalog, dsl, identities
+from finalg import catalog, clear_caches, core, dsl, identities
 from finalg.core import (
     AlgebraError,
     Apply,
@@ -205,6 +204,13 @@ def test_functional_check_agrees_on_random_tables(seed, m, n):
 def test_functional_check_rejects_wrong_theta_arity(z3_n2):
     with pytest.raises(SymbolError, match="theta has arity 3, expected 2"):
         check_2assoc_functional(z3_n2, 1)
+
+
+def test_functional_check_refuses_over_budget():
+    # 40^2 x 40^3 section points are over 10^8, refused before any is read
+    alg = catalog.build_projection_algebra(40, 2, 1)
+    with pytest.raises(BudgetError, match="40\\^2 x 40\\^3 section points"):
+        check_2assoc_functional(alg, 2)
 
 
 # --- strictness ----------------------------------------------------------
@@ -742,7 +748,7 @@ def _oracle_algebra(seed, m, n):
                          alg.constants)
 
 
-def test_every_plan_case_is_reached(monkeypatch, cold_plans):
+def test_every_plan_case_is_reached(monkeypatch, cold_caches):
     # the oracle identities reach every evaluation case of a late dense
     # application, each with the plan its case asks for, and blocks of a
     # two-axis mesh whose sides read fewer axes: one side none, or
@@ -763,7 +769,7 @@ def test_every_plan_case_is_reached(monkeypatch, cold_plans):
 
     monkeypatch.setattr(identities, "_slicing", plan)
     monkeypatch.setattr(identities, "_first_bad", first_bad)
-    # the plan cache is empty (cold_plans), so the builders' identities
+    # the plan cache is empty (cold_caches), so the builders' identities
     # are planned here
     for seed, m, n in ((1, 3, 1), (2, 3, 2)):
         alg = _oracle_algebra(seed, m, n)
@@ -879,11 +885,11 @@ def test_a_misfit_is_refused_before_anything_else():
         check_identity(theta2, fit, mode="sampled", samples=0)
 
 
-def test_an_identity_parsed_again_is_planned_once(monkeypatch, cold_plans):
+def test_an_identity_parsed_again_is_planned_once(monkeypatch, cold_caches):
     # plans are keyed by the identity's value: three parses of one text
     # are three equal objects, and all three checks share one plan
     group = catalog.cyclic_group(5)
-    cold_plans()  # drop the plans of the group's own validation
+    cold_caches()  # drop the plans of the group's own validation
     built = []
     real = identities._plan_sides
 
@@ -904,10 +910,11 @@ def test_an_identity_parsed_again_is_planned_once(monkeypatch, cold_plans):
     assert len(identities._plans.entries) == 1
 
 
-def test_plan_cache_is_bounded(monkeypatch):
-    # each cyclic group checks its group laws and then associativity at
-    # its own size; with room for 16 plans, at most 16 stay alive
-    built = []
+def test_plan_cache_is_bounded(monkeypatch, cold_caches):
+    # associativity under a new name on each check is a new key each
+    # time: of more plans than _PLANS, at most _PLANS stay alive
+    built, count = [], identities._PLANS + 40
+    group = catalog.cyclic_group(3)  # its laws are planned before
     real = identities._plan_sides
 
     def recording(ident, m, inner):
@@ -916,16 +923,17 @@ def test_plan_cache_is_bounded(monkeypatch):
         return weight, sides
 
     monkeypatch.setattr(identities, "_plan_sides", recording)
-    monkeypatch.setattr(identities, "_plans", identities._Kept(16))
-    for m in range(1, 41):
-        assert check_identity(catalog.cyclic_group(m), ASSOCIATIVITY).ok
+    for i in range(count):
+        law = dataclasses.replace(ASSOCIATIVITY, name=f"associativity-{i}")
+        assert check_identity(group, law).ok
     gc.collect()
-    assert len(built) >= 40
-    assert sum(ref() is not None for ref in built) <= 16
+    assert len(built) == count
+    assert sum(ref() is not None for ref in built) <= identities._PLANS
+    assert len(identities._plans.entries) <= identities._PLANS
 
 
 def test_kept_values_are_bounded_by_count_and_weight():
-    kept = identities._Kept(3, weight=10)
+    kept = core._Kept(3, weight=10)
     for key, weight in enumerate((4, 4, 1, 1)):
         assert kept.get(key, lambda: (weight, f"v{key}")) == f"v{key}"
     # 4 + 4 + 1 + 1 is over the weight: key 0 went first
@@ -937,6 +945,8 @@ def test_kept_values_are_bounded_by_count_and_weight():
     # a value heavier than the whole weight is returned, not kept
     assert kept.get(5, lambda: (11, "v5")) == "v5"
     assert list(kept.entries) == [3, 1, 4]
+    kept.cache_clear()
+    assert (kept.entries, kept.total) == ({}, 0)
 
 
 def _dented_table(alg, name, index):
@@ -1082,14 +1092,12 @@ def test_section_keyed_blocks_match_the_oracle(seed, m, n, kind, dent, power):
                 v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
 
 
-# cold_plans is emptied around each example's memo-off checks, so no
+# the caches are emptied around each example's memo-off checks, so no
 # plan is shared between the memo on and off, whatever the examples
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(3, 5), st.integers(1, 2),
        st.integers(1, 2), st.booleans())
-def test_the_section_memo_matches_every_block(cold_plans, seed, m, n, power,
-                                              dent):
+def test_the_section_memo_matches_every_block(seed, m, n, power, dent):
     # group-type tables under a prefix loop: theta(a*, b) = gamma(a*) * b
     # with gamma(a*) = a_i * z or e, which makes theta 2-associative, and
     # mu(a, b, c) = a * b^-1 * c, one entry dented or not; the memo on
@@ -1114,10 +1122,10 @@ def test_the_section_memo_matches_every_block(cold_plans, seed, m, n, power,
             memo = check_identity(alg, ident)
             # memo off: no identity qualifies, and no plan made with the
             # memo is reused, nor one made without it kept
-            cold_plans()
+            clear_caches()
             with mock.patch.object(identities, "_keyed", lambda *args: None):
                 plain = check_identity(alg, ident)
-            cold_plans()
+            clear_caches()
             assert (memo.verdict, memo.counterexample,
                     memo.tuples_checked) == (plain.verdict,
                                              plain.counterexample,
@@ -1225,15 +1233,14 @@ def test_random_identities_match_the_oracles(ident, seed, m, kind, power,
 
 
 def test_symbol_names_never_reach_the_evaluator_source(monkeypatch,
-                                                      cold_plans):
+                                                      cold_caches):
     # the evaluator's source names tables, constants and variables by
     # their slots, so names that are code, or the source's own names,
     # change nothing; no source holds any of them
     sources = []
-    real = identities._made.__wrapped__
-    monkeypatch.setattr(identities, "_made", functools.lru_cache(
-        identities._PLANS)(lambda source: sources.append(source) or real(
-            source)))
+    real = identities._Writer.source
+    monkeypatch.setattr(identities._Writer, "source", lambda self, value: (
+        sources.append(real(self, value)) or sources[-1]))
     f, g, c = "t1", "v0 = __import__('os')", "__builtins__"
     names = ("x1", "block", "k0")
     x, y, z = (Variable(v) for v in names)

@@ -257,6 +257,14 @@ def test_search_rejects_a_pinned_constant_outside_the_signature():
         search(spec)
 
 
+def test_search_rejects_a_pinned_table_outside_the_signature():
+    spec = _malcev_2assoc_spec(2)  # mu alone
+    spec.pinned_tables = {"theta": DenseTable(2, (0, 1, 1, 0))}
+    with pytest.raises(InputError, match="pinned table 'theta' not in "
+                                         "signature"):
+        search(spec)
+
+
 def test_parse_search_spec_round_trip():
     text = """
     algebra S {
@@ -283,14 +291,26 @@ def test_parse_search_spec_rejects_bad_entry_counts():
         parse_search_spec(text)
 
 
-def test_no_strict_2assoc_beyond_singletons():
+def test_no_strict_2assoc_beyond_singletons(monkeypatch):
     # the walk visits m * sum(m!/(m-d)!, d = 0..m) nodes
     for m, nodes in ((2, 10), (3, 48), (8, 876808)):
         result = prove_no_strict_2assoc(m, 2)
         assert result.outcome == "none-exists"
         assert result.nodes == nodes
-    result = prove_no_strict_2assoc(1, 2)
-    assert result.outcome == "witness"
+    # at m = 1 it searches the strict 2-associative theory, whose
+    # one-element model is the witness, for every n
+    searched = []
+    monkeypatch.setattr(engine, "search", lambda spec: searched.append(
+        spec) or search(spec))
+    for n in (1, 2, 3):
+        result = prove_no_strict_2assoc(1, n)
+        assert result.outcome == "witness"
+        assert [i.name for i in searched[-1].identities] == [
+            *(f"strict:{n}:alpha{i}" for i in range(1, n + 1)), f"2assoc:{n}"]
+        for spec in (f"strict:{n}", f"2assoc:{n}"):
+            assert suite_ok(check_suite(result.witness, resolve_suite(spec)))
+    with pytest.raises(InputError, match="requires n >= 2 and m >= 2"):
+        prove_no_strict_2assoc(2, 1)
     # a theta table of 3^41 entries is refused before m^(m^(n+1)) is built
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="3\\^41 entries"):
@@ -887,7 +907,7 @@ def test_random_identities_ground_as_the_reference(ident, m):
 
 
 @pytest.fixture
-def grounder_calls(monkeypatch, cold_plans):
+def grounder_calls(monkeypatch, cold_caches):
     """The identities _Cells.ground is called on, with an empty plan
     cache."""
     calls = []
@@ -945,7 +965,7 @@ def test_pinned_tables_do_not_enter_the_key(grounder_calls):
 # -- search plans ---------------------------------------------------------------
 
 @pytest.fixture
-def planner_calls(monkeypatch, cold_plans):
+def planner_calls(monkeypatch, cold_caches):
     """The mode of each spec SearchSpec.branch_cells is called on, with an
     empty plan cache: one call per plan built."""
     calls = []
@@ -968,7 +988,7 @@ def test_a_search_is_planned_once_per_pin_layout_and_mode(planner_calls):
     assert len(engine._plans.entries) == 3
 
 
-def test_pinned_names_enter_the_plan_key(planner_calls, cold_plans):
+def test_pinned_names_enter_the_plan_key(planner_calls, cold_caches):
     # each pinned table leaves its cells out of the branch order, so each
     # set of pinned names plans its own search, whatever was planned first
     z3 = _model_tables(3, 1)
@@ -980,13 +1000,13 @@ def test_pinned_names_enter_the_plan_key(planner_calls, cold_plans):
     warm = [search(spec) for spec in specs]
     assert len(planner_calls) == len(specs)
     for spec, result in zip(specs, warm):
-        cold_plans()
+        cold_caches()
         assert search(spec) == result
 
 
-def _assert_cold_equals_warm(run, cold_plans):
+def _assert_cold_equals_warm(run, cold_caches):
     """run() after emptying the plan cache equals run() on its plan."""
-    cold_plans()
+    cold_caches()
     cold = run()
     assert len(engine._plans.entries) == 1
     assert run() == cold
@@ -996,19 +1016,19 @@ def _assert_cold_equals_warm(run, cold_plans):
 @pytest.mark.parametrize("m, n", [
     (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, 3),
 ])
-def test_census_cold_equals_warm(m, n, cold_plans):
+def test_census_cold_equals_warm(m, n, cold_caches):
     _assert_cold_equals_warm(lambda: count_2assoc_semiabelian(m, n),
-                             cold_plans)
+                             cold_caches)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("e", [0, 1, 2])
-def test_group3_and_malcev_cold_equal_warm(e, mode, cold_plans):
+def test_group3_and_malcev_cold_equal_warm(e, mode, cold_caches):
     group3 = parse_search_spec(GROUP3_SPEC.format(e=e), mode=mode)
-    _assert_cold_equals_warm(lambda: search(group3), cold_plans)
+    _assert_cold_equals_warm(lambda: search(group3), cold_caches)
     malcev = _malcev_2assoc_spec(e + 1)
     malcev.mode = mode
-    _assert_cold_equals_warm(lambda: search(malcev), cold_plans)
+    _assert_cold_equals_warm(lambda: search(malcev), cold_caches)
 
 
 def test_a_list_of_identities_hits_the_tuples_plan(planner_calls):
