@@ -30,7 +30,13 @@ from .core import (
     require_materializable,
     validate_algebra,
 )
-from .identities import EXHAUSTIVE_BUDGET, check_identity, suite_identities
+from .identities import (
+    DISTRIBUTIVITY,
+    EXHAUSTIVE_BUDGET,
+    check_identity,
+    exhaustive_assignments,
+    suite_identities,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,6 +138,10 @@ def _group_product(args):
 def _lattice(args):
     if args.shape.startswith("chain:"):
         k = _int("--shape", args.shape.partition(":")[2])
+        # the lattice theta's distributivity check is refused before the
+        # chain's own law checks run, which no budget bounds
+        require_materializable(k, 2)
+        exhaustive_assignments(DISTRIBUTIVITY, k)
         lat = catalog.chain_lattice(k)
     elif args.shape == "2x2":
         lat = catalog.product_lattice(

@@ -45,12 +45,14 @@ else.  An exhaustive check of a product that records its factors
 (catalog._product) runs the kernel on each factor instead, since an
 identity holds in a product iff it holds in every factor, and places
 the first counterexample from theirs (engine "product",
-_check_product).  The exhaustive check loops over a lexicographic
-prefix of the variables and evaluates each prefix's block of suffix
-tuples at once; a block holds at most _BLOCK tuples (at least one whole
-variable), so its temporaries stay cache-sized and a failure near the
-start of the tuple order ends the check early.  An identity with no
-variables is one block of one tuple.
+_check_product).  The exhaustive check vectorizes the longest suffix
+of the variables whose tuples fit in _BLOCK (one variable at least) and
+loops over the prefix.  A block is a run of consecutive values of the
+last prefix variable under fixed values of the others, as many as fit
+in _BLOCK tuples with the suffix (at least one), so its tuples are
+contiguous in lex order, its temporaries stay cache-sized on any
+carrier, and a failure near the start of the tuple order ends the check
+early.  An identity with no variables is one block of one tuple.
 
 A check without a prefix loop (one block, as every small check is) reads
 its suffix as flat grid rows (_grid), and so does term_table; a sampled
@@ -60,48 +62,59 @@ values (an int or an array in lex order), which are compared once, with
 no loop.  A table application is then one flat index and one gather,
 and its plan holds the sum of its variable arguments' shares of that
 index (each grid row times its stride), so theta(a1, a2, theta(b1, b2,
-c)) is two gathers and one add.  Under a prefix loop the suffix
-variables are the axes of an open mesh (_mesh): axis i is range(m)
-shaped (1, ..., m, ..., 1), and a term's values span only the axes of
-the variables it reads; block takes the prefix values as ints.  An
-application that reads a prefix variable is planned by _slicing: the
-arguments that read no suffix variable select a sub-table of the table's
-m x ... x m view by basic indexing, a view with no add and no gather;
-then one argument that reads several axes is one gather into that view,
-and arguments that read one axis each, in increasing axis order, are
-takes of rows along their axes (an argument that is its axis's own
-variable needs none).  Any other application keeps the flat index.  The
-sides compare by broadcasting, and a block's first failure is placed in
-the lex order of the whole block.
+c)) is two gathers and one add.  Under a prefix loop a block is an
+open mesh: axis 0 is the run, which block takes as an ascending int64
+array, and the suffix variables are axes 1, 2, ... (_mesh: range(m)
+shaped (1, ..., m, ..., 1)); a term's values span only the axes of the
+variables it reads, and block takes the other prefix values as ints.
+An application that reads a prefix variable is planned by _slicing.
+Its leading arguments that read no axis select a sub-table of the
+table's m x ... x m view by basic indexing, a view with no add and no
+gather.  Then one argument that reads several axes is one gather into
+that view; arguments that read one axis each, in increasing axis order,
+are takes of rows along their axes (an argument that is a suffix
+variable, its axis's own, needs none); arguments that read only the run
+pick one row of the sub-table per run value, a (run, m) array that the
+one argument after them, reading only suffix axes, indexes with one
+take; and when the last arguments are the suffix variables of the last
+axes in order (_tail), the others' flat index, computed on the block's
+shape without those axes, takes rows of the table.  So what reads the
+run is computed on small shapes, and one take or gather fills the
+block.  Any other application keeps the flat index.  The sides compare
+by broadcasting, and a block's first failure is placed in the lex order
+of the whole block.
 
-Under a prefix loop a block may be skipped by its sections.  The leading
-arguments of an application are its longest run of first arguments that
-read no suffix variable; they select the sub-table T[s1..sl] the block
-reads, its section.  When every occurrence of a prefix variable lies
-inside some application's leading arguments (decided once per plan, by
-_keyed; 2assoc:n, 1assoc:n and malcev-assoc qualify), a block's values
-depend on the prefix only through the sections of the outermost such
-applications, so a block whose sections all equal those of a block that
-passed passes too.  Once the first block has passed (a check that fails
-at once does no section work), _section_classes gives the rows of each
-keyed table at their depth class ids, equal rows equal ids, in one
-np.unique pass.  A block's code is the mixed-radix number of its class
-ids, computed for every prefix in numpy (_representatives): the leading
-arguments are planned with the prefix variables bound as the columns of
-a chunk of at most _BLOCK prefixes, as in a sampled check.  Only the
-first block of each code in lex order is evaluated, so a skipped block
-costs no Python work, and one that fails at block r, at its j-th tuple,
-has checked r * m^inner + j + 1 tuples.  Every block before the first
-failing one passed or shares its code with an earlier one that did, so
-lex order, the first counterexample and tuples_checked are those of the
-full loop.  The memo is used only when the class counts multiply to
-fewer than the m^outer blocks, since otherwise no block need repeat
-another.  The paper's theorem is why it pays: a 2-associative
-semi-abelian theta is theta(a*, b) = gamma(a*) * b in a group, so its
-m^n sections theta(a*, -) are left translations, at most m of them
-distinct, and the Mal'cev term a * b^-1 * c has at most m distinct
-sections mu(a, b, -) among its m^2.  Where the sections all differ, as
-in a random table or a group's associativity, every block runs.
+Under a prefix loop a prefix may be skipped by its sections.  The
+leading arguments of an application are its longest run of first
+arguments that read no suffix variable; they select the sub-table
+T[s1..sl] a prefix's suffix tuples read, its section.  When every
+occurrence of a prefix variable lies inside some application's leading
+arguments (decided once per plan, by _keyed; 2assoc:n, 1assoc:n and
+malcev-assoc qualify), the values at a prefix depend on it only through
+the sections of the outermost such applications, so a prefix whose
+sections all equal those of a prefix that passed passes too.  Once the
+first run has passed (a check that fails at once does no section work),
+_section_classes gives the rows of each keyed table at their depth
+class ids, equal rows equal ids, in one np.unique pass.  A prefix's
+code is the mixed-radix number of its class ids, computed for every
+prefix in numpy (_representatives): the leading arguments are planned
+with the prefix variables bound as the columns of a chunk of whole rows
+of prefixes, as in a sampled check.  Only the
+first prefix of each code in lex order is evaluated, and those that
+share the values of all but the last prefix variable run as one block,
+so a skipped prefix costs no Python work, and a failure at prefix r, at
+its j-th suffix tuple, has checked r * m^inner + j + 1 tuples.  Every
+prefix before the first failing one passed or shares its code with an
+earlier one that did, so lex order, the first counterexample and
+tuples_checked are those of the full loop.  The memo is used only when
+the class counts multiply to fewer than the m^outer prefixes, since
+otherwise no prefix need repeat another.  The paper's theorem is why it
+pays: a 2-associative semi-abelian theta is theta(a*, b) = gamma(a*) * b
+in a group, so its m^n sections theta(a*, -) are left translations, at
+most m of them distinct, and the Mal'cev term a * b^-1 * c has at most m
+distinct sections mu(a, b, -) among its m^2.  Where the sections all
+differ, as in a random table or a group's associativity, every prefix
+runs.
 """
 from __future__ import annotations
 
@@ -186,15 +199,26 @@ def check_identity(
     elif alg.factors:
         engine, report = "product", _check_product(alg, ident, budget)
     else:
-        total = m ** k
-        if total > budget:
-            raise BudgetError(
-                f"identity {ident.name!r}: {m}^{k} assignments exceed "
-                f"budget {budget} (finalg check --budget raises it)"
-            )
+        total = exhaustive_assignments(ident, m, budget)
         engine, report = "np", _check_exhaustive_np(alg, ident, total)
     report.engine = engine
     return report
+
+
+def exhaustive_assignments(ident: Identity, m: int,
+                           budget: int = EXHAUSTIVE_BUDGET) -> int:
+    """The m^k assignments an exhaustive check of ident over m elements
+    enumerates, or the BudgetError check_identity refuses it with when
+    they exceed budget, so a caller can refuse a check before building
+    its algebra."""
+    k = len(ident.variables)
+    total = m ** k
+    if total > budget:
+        raise BudgetError(
+            f"identity {ident.name!r}: {m}^{k} assignments exceed "
+            f"budget {budget} (finalg check --budget raises it)"
+        )
+    return total
 
 
 def _plan(t, m, known, mesh, late, symbols):
@@ -204,9 +228,9 @@ def _plan(t, m, known, mesh, late, symbols):
     evaluates t elementwise as far as known allows.  known maps variables
     to int64 arrays: flat arrays all of one length or, when mesh, the axes
     of an open mesh in their order (see the module docstring).  late
-    lists the other variables, ints per block under a mesh and arrays per
-    batch otherwise, and is None in a one-block layout, where every
-    variable is known.
+    lists the other variables, arrays per batch or, under a mesh, ints
+    per block but the last, whose run of values is an array on mesh axis
+    0; it is None in a one-block layout, where every variable is known.
 
     With late None bind returns t's value, an int or an array: constants
     and subterms that read no array stay ints and broadcast against the
@@ -234,6 +258,8 @@ def _plan(t, m, known, mesh, late, symbols):
             consts.append(m ** data)
         elif kind == "shape":
             consts.append((m,) * data)
+        elif kind == "rows":  # a table as (m^h, m^j) rows
+            consts.append(tuple(m ** e for e in data))
         else:
             consts.append(data)
     return make(*consts)
@@ -252,7 +278,11 @@ class _Writer:
 
     def __init__(self, suffix, mesh, late, symbols):
         self.known = frozenset(suffix)
-        self.axis = {x: i for i, x in enumerate(suffix)} if mesh else {}
+        # under a prefix loop the last late variable spans a run of values:
+        # mesh axis 0, and the suffix variables axes 1, 2, ...
+        self.spanned = late[-1] if mesh else None
+        self.axis = ({x: i for i, x in enumerate((self.spanned, *suffix))}
+                     if mesh else {})
         self.blockwise = late is not None
         self.late = {x: f"x{i}" for i, x in enumerate(late or ())}
         ops, constants = symbols
@@ -277,6 +307,12 @@ class _Writer:
         if isinstance(t, Variable):
             if t.name in self.known:  # a side that is a known variable
                 return self.const("share", ((t.name, 0),)), False, True
+            if t.name == self.spanned:  # its run as mesh axis 0
+                if None not in self.views:
+                    column = (-1,) + (1,) * (len(self.axis) - 1)
+                    self.views[None] = self.emit(True, "{}.reshape({})".format(
+                        self.late[t.name], self.const("value", column)))
+                return self.views[None], True, True
             return self.late[t.name], True, not self.axis
         if isinstance(t, Constant):
             return self.constants[t.name], False, False
@@ -318,43 +354,92 @@ class _Writer:
 
     def sliced(self, t):
         """A late dense application under a prefix loop read by its
-        slicing (see the module docstring), or None for the flat index:
-        the leading scalar arguments select a sub-table of the table's
-        m x ... x m view, then one gather or a take per row argument."""
+        slicing (see the module docstring), or None for the flat index.
+        Its value has an axis per mesh axis, the spanned one only if some
+        argument reads it."""
         axis = self.axis
         axes = [tuple(sorted(axis[x] for x in term_variables(a) if x in axis))
                 for a in t.args]
-        slicing = _slicing(axes)
+        own = [isinstance(a, Variable) and a.name in self.known
+               for a in t.args]
+        slicing = _slicing(axes, own, len(axis) - 1)
         if slicing is None:
             return None
+        if slicing == "rows":
+            return self.rows(t, _tail(axes, own, len(axis) - 1))
         if t.op not in self.views:
             self.views[t.op] = self.emit(False, "{}.reshape({})".format(
                 self.tables[t.op], self.const("shape", len(t.args))))
         view = self.views[t.op]
-        lead = sum(not ax for ax in axes)
+        lead = 0
+        while lead < len(axes) and not axes[lead]:
+            lead += 1
         scalars = [self.value(a)[0] for a in t.args[:lead]]
+        head = f"{view}[{', '.join(scalars)}]" if scalars else view
         if slicing == "gather":
             index = self.value(t.args[-1])[0]
-            head = f"{view}[{', '.join(scalars)}]" if scalars else view
             return self.emit(True, f"{head}[{index}]"), True, True
+        if slicing == "span":
+            # the arguments on the run pick a row of the sub-table per
+            # run value, (run, m), which the last argument's array indexes
+            spans = t.args[lead:-1]
+            if len(spans) > 1:
+                head += f".reshape({self.const('rows', (len(spans), 1))})"
+            index = self.flat([self.run(a) for a in spans])
+            if len(spans) > 1:
+                index = self.emit(True, index)
+            last = self.value(t.args[-1])[0]
+            return (self.emit(True, f"{head}.take({index}, axis=0)"
+                                    f".take({last}, axis=1)"), True, True)
         # the sub-table is a view with each argument's axis in place; an
         # argument that is not its axis's own variable takes its rows
         used = {ax for ax, in axes[lead:]}
+        shift = 0 if 0 in used else 1  # no spanned axis unless read
         index = "".join(f"{s}, " for s in scalars)
         if used:
             layout = self.const("value", tuple(
-                slice(None) if i in used else None for i in range(len(axis))))
+                slice(None) if i in used else None
+                for i in range(shift, len(axis))))
             index = f"({index}) + {layout}" if scalars else layout
         expr = f"{view}[{index}]"
-        for a, (ax,) in zip(t.args[lead:], axes[lead:]):
-            if isinstance(a, Variable) and a.name in self.known:
-                continue
-            name, late, _ = self.value(a)
-            rows = f"{name}.ravel()"
-            if not late:
-                rows = self.emit(False, rows)
-            expr += f".take({rows}, axis={self.const('value', ax)})"
+        for a, is_own, (ax,) in zip(t.args[lead:], own[lead:], axes[lead:]):
+            if not is_own:
+                expr += ".take({}, axis={})".format(
+                    self.run(a), self.const("value", ax - shift))
         return self.emit(True, expr), True, bool(used)
+
+    def rows(self, t, j):
+        """An application whose last j arguments are the own variables of
+        the last j mesh axes: the others' flat index, on the block's shape
+        without those axes, takes rows of m^j entries from the table."""
+        head = len(t.args) - j
+        index = self.flat([self.value(a)[0] for a in t.args[:head]])
+        if head > 1:
+            index = self.emit(True, index)
+        if (t.op, head) not in self.views:
+            self.views[t.op, head] = self.emit(False, "{}.reshape({})".format(
+                self.tables[t.op], self.const("rows", (head, j))))
+        rows, shape = self.views[t.op, head], self.const("shape", j)
+        value = self.emit(True, f"{rows}.take({index}, axis=0)"
+                                f".reshape({index}.shape[:-{j}] + {shape})")
+        return value, True, True
+
+    def flat(self, names):
+        """The flat index of a table's leading arguments, given their
+        values' names."""
+        last = len(names) - 1
+        return " + ".join(name if i == last else
+                          f"{name} * {self.const('stride', last - i)}"
+                          for i, name in enumerate(names))
+
+    def run(self, a):
+        """The values of an argument that reads at most one mesh axis, as
+        a one-dimensional array along it: the spanned variable's run is
+        the block's own argument."""
+        if isinstance(a, Variable) and a.name == self.spanned:
+            return self.late[a.name]
+        name, late, _ = self.value(a)
+        return self.emit(late, f"{name}.ravel()")
 
     def source(self, value):
         """The source of make, whose bind returns value, or block when
@@ -415,13 +500,18 @@ def _arguments(alg, symbols):
     return values
 
 
-def _slicing(axes):
-    """How a late dense application reads its table, from the mesh axes
-    each argument reads (a sorted tuple; empty for a scalar): "take" when
-    every argument that reads an axis reads one, each a later axis than
-    the one before, "gather" when one argument reads several, and None
-    (the flat index) for any other shape.  Either way needs the scalars
-    to lead."""
+def _slicing(axes, own, last):
+    """How a late dense application reads its table under a prefix loop,
+    from the mesh axes each argument reads (a sorted tuple, empty for a
+    scalar; axis 0 is the spanned variable's, last the last suffix
+    variable's) and whether each argument is a suffix variable, its
+    axis's own: "take" when every argument that reads an axis reads one,
+    each a later axis than the one before; "gather" when one argument
+    reads any; "span" when arguments that read the spanned axis alone are
+    followed by one that reads suffix axes alone; "rows" when the last
+    arguments are the own variables of the last axes (_tail); and None
+    (the flat index) for any other shape.  All but "rows" need the
+    scalars to lead."""
     lead = 0
     while lead < len(axes) and not axes[lead]:
         lead += 1
@@ -429,7 +519,23 @@ def _slicing(axes):
     if all(len(ax) == 1 for ax in rest) and all(
             p < q for (p,), (q,) in zip(rest, rest[1:])):
         return "take"
-    return "gather" if len(rest) == 1 else None
+    if len(rest) == 1:
+        return "gather"
+    if all(ax == (0,) for ax in rest[:-1]) and rest[-1] and 0 not in rest[-1]:
+        return "span"
+    return "rows" if _tail(axes, own, last) else None
+
+
+def _tail(axes, own, last):
+    """The number j of last arguments that are the own variables of the
+    mesh axes last - j + 1, ..., last, in order, when no other argument
+    reads those axes; else 0."""
+    j = 0
+    while j < len(axes) and own[-1 - j] and axes[-1 - j] == (last - j,):
+        j += 1
+    if any(ax and ax[-1] > last - j for ax in axes[:len(axes) - j]):
+        return 0
+    return j
 
 
 def _first_bad(lhs, rhs):
@@ -521,7 +627,7 @@ def _planned(ident, m, inner):
     grid rows when inner covers every variable, the axes of an open mesh
     under a prefix loop, and none in a sampled check (inner None), where
     every variable is bound per batch.  A third item lists the sections
-    that key a block under a prefix loop (_keyed), each as (op, depth,
+    that key a prefix under a prefix loop (_keyed), each as (op, depth,
     plans of its leading arguments), and is None when the identity does
     not qualify or has no prefix loop; the fourth is the symbols every
     plan's bind takes the values of (_arguments)."""
@@ -530,9 +636,11 @@ def _planned(ident, m, inner):
 
 def _plan_sides(ident, m, inner):
     """(bytes, (lhs plan, rhs plan, keyed sections, symbols)) for
-    _planned.  A plan holds at most one array of a block's m^inner values
-    per table application and per side that is a bare variable, which
-    bounds its bytes."""
+    _planned.  A plan holds at most one array of m^inner values, a share
+    on the suffix mesh or grid, per table application and per side that
+    is a bare variable, which bounds its bytes.  It holds nothing per run
+    of the last prefix variable, so the run's length, which a block's
+    temporaries scale with, is no part of its weight."""
     variables = ident.variables
     if inner is None:  # sampled: every variable is bound per batch
         late, suffix, inner = variables, (), 0
@@ -560,7 +668,7 @@ def _plan_sides(ident, m, inner):
 
 def _keyed(sides, suffix):
     """The distinct (op, leading arguments) of the applications whose
-    sections key a block under a prefix loop, or None when an identity
+    sections key a prefix under a prefix loop, or None when an identity
     with these sides does not qualify: when a prefix variable occurs
     outside the leading arguments of every application (see the module
     docstring).  An application is keyed when its leading arguments read
@@ -619,50 +727,60 @@ def _check_exhaustive_np(alg, ident, total):
         if j is None:
             return CheckReport("pass", ident.name, tuples_checked=total)
         return _confirmed_fail(alg, ident, tuple(_digits(j, block)), j + 1)
-    # under a prefix loop the suffix variables are the axes of an open
-    # mesh, so the values of a term span only the axes it reads
-    size = m ** inner
+    import numpy as np
 
-    def failure(r, prefix):
-        """The FAIL report of block r, at prefix, or None if it passes."""
-        left, right = lhs(*prefix), rhs(*prefix)
+    # under a prefix loop a block is a run of at most span values of the
+    # last prefix variable under fixed values of the others, mesh axis 0
+    # before the suffix variables' axes, so its tuples are contiguous in
+    # lex order
+    size = m ** inner
+    span = min(max(_BLOCK // size, 1), m)
+
+    def failure(prefix, run):
+        """The FAIL report of the block of run under prefix, or None."""
+        left, right = lhs(*prefix, run), rhs(*prefix, run)
         j = _first_bad(left, right)
         if j is None:
             return None
-        import numpy as np
-
-        # sides that miss a mesh axis compare with size 1 on it, where the
+        # sides that miss an axis compare with size 1 on it, where the
         # first failure has a 0
-        shape = np.broadcast(left, right).shape or block
-        j = functools.reduce(lambda acc, d: acc * m + d, _digits(j, shape), 0)
-        tup = prefix + tuple(_digits(j, block))
-        return _confirmed_fail(alg, ident, tup, r * size + j + 1)
+        shape = np.broadcast(left, right).shape
+        at, *digits = _digits(j, (1,) * (inner + 1 - len(shape)) + shape)
+        tup = (*prefix, int(run[at]), *digits)
+        r = functools.reduce(lambda acc, d: acc * m + d, tup, 0)
+        return _confirmed_fail(alg, ident, tup, r + 1)
 
-    blocks = enumerate(itertools.product(range(m), repeat=outer))
-    report = failure(*next(blocks))
+    runs = [np.arange(lo, min(lo + span, m), dtype=np.int64)
+            for lo in range(0, m, span)]
+    report = failure((0,) * (outer - 1), runs[0])
     if report is not None:
         return report
+    blocks = ((prefix, run)
+              for prefix in itertools.product(range(m), repeat=outer - 1)
+              for run in runs)
+    next(blocks)  # the first run, which has passed
     if keyed is not None:
-        # the first block passed: evaluate one block per section class
+        # evaluate one prefix per section class, in runs of a row
         classes = _section_classes(alg, keyed, m ** outer, args)
         if classes is not None:
-            blocks = _representatives(*classes, m, outer)
-    for r, prefix in blocks:
-        report = failure(r, prefix)
+            blocks = _representatives(*classes, m, outer, span)
+    for prefix, run in blocks:
+        report = failure(prefix, run)
         if report is not None:
             return report
     return CheckReport("pass", ident.name, tuples_checked=total)
 
 
 def _section_classes(alg, keyed, blocks, args):
-    """(parts, count) that code a block's sections (see the module
+    """(parts, count) that code a prefix's sections (see the module
     docstring) in the mixed radix of their class counts, count codes in
-    all, or None when count would be blocks or more, so that no block
-    need repeat another's.  keyed lists (op, depth, leading argument
-    plans) as _plan_sides made them, and args, the values of the
-    identity's symbols, binds those plans; each part is (class ids,
-    class count, [(bound plan, stride)]).  Each keyed table's rows at its
-    depth get class ids, equal rows equal ids, in one np.unique pass."""
+    all, or None when count would be blocks (the prefixes) or more, so
+    that no prefix need repeat another's.  keyed lists (op, depth,
+    leading argument plans) as _plan_sides made them, and args, the
+    values of the identity's symbols, binds those plans; each part is
+    (class ids, class count, [(bound plan, stride)]).  Each keyed table's
+    rows at its depth get class ids, equal rows equal ids, in one
+    np.unique pass."""
     import numpy as np
 
     classes, parts, count = {}, [], 1
@@ -683,19 +801,23 @@ def _section_classes(alg, keyed, blocks, args):
     return parts, count
 
 
-def _representatives(parts, count, m, outer):
-    """(r, prefix) of the first block of each section class, in lex
-    order, but block 0's, which has run: r is the block's index and
-    prefix its outer values as ints.  The codes of _section_classes are
-    computed for chunks of at most _BLOCK prefixes, whose values are the
-    columns the leading argument plans take; a code first seen in a
-    chunk is first seen at its least index there."""
+def _representatives(parts, count, m, outer, span):
+    """(prefix, run) of the blocks that evaluate the first prefix of each
+    section class in lex order, but those of the first run, which has
+    passed: prefix holds the outer values but the last as ints, and run
+    the last's values, ascending, of first prefixes that share prefix,
+    at most span of them.  The codes of _section_classes are computed
+    for chunks of whole rows of at most _BLOCK prefixes (one row at
+    least), whose values are the columns the leading argument plans
+    take; a code first seen in a chunk is first seen at its least index
+    there."""
     import numpy as np
 
     blocks = m ** outer
+    step = max(_BLOCK // m, 1) * m
     seen = np.zeros(count, dtype=bool)
-    for lo in range(0, blocks, _BLOCK):
-        flat = np.arange(lo, min(lo + _BLOCK, blocks), dtype=np.int64)
+    for lo in range(0, blocks, step):
+        flat = np.arange(lo, min(lo + step, blocks), dtype=np.int64)
         cols = [flat // m ** (outer - 1 - i) % m for i in range(outer)]
         code = 0
         for ids, size, rows in parts:
@@ -706,10 +828,17 @@ def _representatives(parts, count, m, outer):
         codes, first = np.unique(code, return_index=True)
         first = np.sort(first[~seen[codes]])
         seen[codes] = True
-        for r, *prefix in zip((first + lo).tolist(),
-                              *(col[first].tolist() for col in cols)):
-            if r:
-                yield r, tuple(prefix)
+        if not lo:
+            first = first[first >= span]
+        # first prefixes of one row, in pieces of at most span
+        cuts = np.flatnonzero(np.diff(first // m)) + 1
+        for group in np.split(first, cuts):
+            if not group.size:
+                continue
+            prefix = tuple(col.item(group[0]) for col in cols[:-1])
+            run = cols[-1][group]
+            for i in range(0, run.size, span):
+                yield prefix, run[i:i + span]
 
 
 def _leaves(alg):

@@ -366,6 +366,24 @@ def test_construct_over_cap_exit_3_before_building(capsys, argv):
     assert "exceeds cap" in captured.err
 
 
+@pytest.mark.parametrize("extra", [[], ["--with-alphas"]])
+def test_construct_chain_refuses_distributivity_before_building(
+        capsys, monkeypatch, extra):
+    # the lattice theta's distributivity check of 500^3 assignments is
+    # refused, in check_identity's words, before chain_lattice runs the
+    # lattice laws, which no budget bounds
+    built = []
+    monkeypatch.setattr(catalog, "chain_lattice", built.append)
+    assert main(["construct", "lattice", "--shape", "chain:500",
+                 *extra]) == 3
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: identity 'distributivity': 500^3 assignments exceed "
+        "budget 100000000 (finalg check --budget raises it)\n")
+
+
 # every integer option each construction reads, at its default; a list
 # option is tried element by element, and --shape as chain:N
 _INT_OPTIONS = {

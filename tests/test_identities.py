@@ -585,7 +585,8 @@ def test_resolve_suite_rejects_bad_arity():
 def _record_blocks(monkeypatch):
     """Wrap the numpy kernel's block check; returns the list of block
     sizes (the number of assignments whose sides it compares) it is
-    called with."""
+    called with.  A block of a run of r prefixes whose sides both read
+    the run compares r * m^inner assignments."""
     sizes = []
     real = identities._first_bad
 
@@ -599,8 +600,8 @@ def _record_blocks(monkeypatch):
 
 def test_np_failure_past_the_first_block(monkeypatch):
     # Map(A^2, A) on a 2-element base satisfies 2assoc:2; one changed
-    # theta entry moves the lex-first failure into the fifth block of
-    # 16^3 suffix tuples
+    # theta entry moves the lex-first failure to the fifth prefix, whose
+    # 16^3 suffix tuples are in the second block, a run of a2 = 4..7
     alg = catalog.build_map_composition_algebra(2, 2)
     entries = list(alg.op("theta").entries)
     entries[67] = (entries[67] + 1) % alg.size
@@ -616,8 +617,8 @@ def test_np_failure_past_the_first_block(monkeypatch):
     assert rep.counterexample == brute_first_counterexample(dented, ident)
     assert rep.tuples_checked == 1 + sum(
         v * 16 ** (4 - i) for i, v in enumerate(rep.counterexample.values()))
-    assert len(sizes) > 1
-    assert set(sizes) == {16 ** 3}
+    # two runs of four prefixes: eight evaluated
+    assert sizes == [4 * 16 ** 3] * 2
 
 
 @pytest.mark.parametrize("dent", [None, 10000])
@@ -677,27 +678,45 @@ def _fold_identities(alg, n):
             plan("sides-miss-y", mu(p, p, x), mu(p, x, p))]
 
 
-def _plan_case(axes):
+def _plan_case(axes, own, last):
     """The case of a late dense application, from the mesh axes each of
-    its arguments reads, stated apart from identities._plan."""
+    its arguments reads (axis 0 the spanned variable's, last the last
+    suffix variable's) and which arguments are suffix variables, stated
+    apart from identities._plan."""
     lead = 0
     while lead < len(axes) and not axes[lead]:
         lead += 1
     rest = axes[lead:]
     firsts = [ax[0] for ax in rest if ax]
+    # the last arguments that are the suffix variables of the last axes
+    tail = 0
+    while tail < len(axes) and own[-1 - tail] and axes[-1 - tail] == (
+            last - tail,):
+        tail += 1
+    others = {x for ax in axes[:len(axes) - tail] for x in ax}
     if not rest:
         return "scalars"
+    single = all(len(ax) == 1 for ax in rest)
+    if single and firsts == sorted(set(firsts)):
+        return "axes in order"
+    if len(rest) == 1:
+        return "gather"
+    if set(rest[:-1]) == {(0,)} and rest[-1] and 0 not in rest[-1]:
+        return "run rows, then a gather"
+    if tail and max(others) <= last - tail:
+        return "own last axes"
     if not all(rest):
         return "non-leading scalar"
-    if any(len(ax) > 1 for ax in rest):
-        return "gather" if len(rest) == 1 else "multi-axis beside an array"
+    if not single:
+        return "multi-axis beside an array"
     if len(set(firsts)) < len(firsts):
         return "repeated axis"
-    return "axes in order" if firsts == sorted(firsts) else "out of order"
+    return "out of order"
 
 
 _PLAN_OF_CASE = {
     "scalars": "take", "axes in order": "take", "gather": "gather",
+    "run rows, then a gather": "span", "own last axes": "rows",
     "non-leading scalar": None, "multi-axis beside an array": None,
     "repeated axis": None, "out of order": None,
 }
@@ -751,15 +770,15 @@ def _oracle_algebra(seed, m, n):
 def test_every_plan_case_is_reached(monkeypatch, cold_caches):
     # the oracle identities reach every evaluation case of a late dense
     # application, each with the plan its case asks for, and blocks of a
-    # two-axis mesh whose sides read fewer axes: one side none, or
-    # neither side the second axis
+    # run of p and a two-axis mesh whose sides read fewer axes: one side
+    # only p's, or neither side the second suffix axis
     cases, shapes = set(), set()
     real_plan, real_bad = identities._slicing, identities._first_bad
 
-    def plan(axes):
-        got = real_plan(axes)
-        case = _plan_case(axes)
-        assert got == _PLAN_OF_CASE[case], (axes, case)
+    def plan(axes, own, last):
+        got = real_plan(axes, own, last)
+        case = _plan_case(axes, own, last)
+        assert got == _PLAN_OF_CASE[case], (axes, own, case)
         cases.add(case)
         return got
 
@@ -782,7 +801,8 @@ def test_every_plan_case_is_reached(monkeypatch, cold_caches):
                 assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
                     v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
     assert cases == set(_PLAN_OF_CASE)
-    assert ((), (3, 3)) in shapes and ((3, 1), (3, 1)) in shapes
+    assert ((1, 1, 1), (1, 3, 3)) in shapes
+    assert ((1, 3, 1), (1, 3, 1)) in shapes
 
 
 def _reused_identities(n):
@@ -977,9 +997,10 @@ def _grp16_mu():
 @pytest.mark.parametrize("dent", [None, 16, -1])
 def test_real_size_multi_block_reports(monkeypatch, build, name, ident,
                                       dent):
-    # at the real _BLOCK these m = 16 checks run 256 blocks of 16^3; the
-    # dents put the lex-first failure in the second block, at its second
-    # tuple (16) or at tuple 3,840 (the last dent that fails by 20,000)
+    # at the real _BLOCK these m = 16 checks have 256 prefixes of 16^3
+    # tuples, in runs of four; the dents put the lex-first failure at the
+    # second prefix, in the first run, at its second tuple (16) or at
+    # tuple 3,840 (the last dent that fails by 20,000)
     alg = build()
     assert alg.size ** 3 <= identities._BLOCK < alg.size ** 4
     if dent == -1:
@@ -991,9 +1012,10 @@ def test_real_size_multi_block_reports(monkeypatch, build, name, ident,
     if dent is None:
         assert (rep.verdict, rep.tuples_checked) == ("pass", 16 ** 5)
         # both sections are left translations, by gamma(a1, a2) or by
-        # a * b^-1: 16 distinct among the 256 blocks, and a block
-        # whose sections an earlier block had is not evaluated
-        assert len(sizes) == 16
+        # a * b^-1: 16 distinct among the 256 prefixes, first seen on
+        # the first row, and a prefix whose sections an earlier one had
+        # is not evaluated: 16 prefixes, in four runs of four
+        assert sizes == [4 * 16 ** 3] * 4
         return
     cx = brute_first_counterexample(alg, ident)
     assert rep.counterexample == cx
@@ -1136,7 +1158,8 @@ def test_the_memo_binds_one_block_per_section_class(monkeypatch):
     # Z8 x Z4 with theta(a1, a2, b) = a2 * b, read from DSL text so that
     # the kernel checks its own 32-element table: the 32^3 prefixes of
     # 2assoc:2 fall into the 32 classes of the section theta(a1, a2, -),
-    # and only one block of each is evaluated
+    # each first seen at b1 = 0 on its own row (a1, a2); the first run of
+    # b1 = 0..15 is evaluated, then one prefix of each other class
     built = catalog.build_group_product_algebra(
         [catalog.cyclic_group(8), catalog.cyclic_group(4)], (2, 2), 2)
     alg = dsl.parse_algebra(dsl.serialize(built))
@@ -1144,7 +1167,93 @@ def test_the_memo_binds_one_block_per_section_class(monkeypatch):
     sizes = _record_blocks(monkeypatch)
     rep = check_identity(alg, identity_2assoc(2))
     assert (rep.verdict, rep.tuples_checked) == ("pass", 32 ** 5)
-    assert len(sizes) == 32 and set(sizes) == {32 ** 2}
+    assert sizes == [16 * 32 ** 2] + [32 ** 2] * 31
+
+
+def _first_assoc_failure(table):
+    """The lex-first (a, b, c) at which the m x m int64 table is not
+    associative, or None, found row by row in numpy apart from the
+    kernel."""
+    m = len(table)
+    b, c = np.arange(m)[:, None], np.arange(m)
+    for a in range(m):
+        bad = table[table[a, b], c] != table[a, table[b, c]]
+        if bad.any():
+            return (a, *divmod(int(bad.argmax()), m))
+    return None
+
+
+@pytest.mark.parametrize("m", [129, 131])
+@pytest.mark.parametrize("dent", [None, 0, 5])
+def test_runs_of_the_last_prefix_variable_past_m_128(monkeypatch, m, dent):
+    # past m = 128 a block fits one suffix variable, c, and spans a run of
+    # at most _BLOCK // m values of b: each row a is a run of 127 and one
+    # of 2 at m = 129, of 125 and 6 at 131.  Changing prod(m - 1, dent)
+    # puts the lex-first failure at (1, m - 2, dent), in row 1's last run
+    alg = catalog.cyclic_group(m)
+    if dent is not None:
+        alg = _dented_table(alg, "prod", (m - 1) * m + dent)
+    span = identities._BLOCK // m
+    row = [span * m, (m - span) * m]
+    sizes = _record_blocks(monkeypatch)
+    rep = check_identity(alg, ASSOCIATIVITY)
+    if dent is None:
+        assert (rep.verdict, rep.tuples_checked) == ("pass", m ** 3)
+        assert sizes == row * m
+        return
+    cx = _first_assoc_failure(alg.op("prod").array().reshape(m, m))
+    assert cx == (1, m - 2, dent)
+    assert tuple(rep.counterexample.values()) == cx
+    assert rep.tuples_checked == 1 + (m + m - 2) * m + dent
+    assert sizes == row * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 4), st.integers(1, 2),
+       st.sampled_from(["group", "random"]), st.booleans())
+def test_ragged_runs_match_the_oracles(seed, m, n, kind, dent):
+    # a _BLOCK that is no power of m makes runs of the last prefix
+    # variable that do not divide a row, so each row ends in a shorter
+    # run; group-type tables (the section memo on) and random ones (every
+    # plan case), one entry dented or not, against the oracle and a run
+    # with the memo off
+    rng = random.Random(seed)
+    block = rng.choice([b for b in range(m + 1, m ** 3) if b != m * m])
+    if kind == "group":
+        prod, inv = _random_group(rng, m)
+        e, z = prod[inv[0]], rng.randrange(m)
+        theta = [prod[prod[a[-1] * m + z] * m + b]
+                 for a in itertools.product(range(m), repeat=n)
+                 for b in range(m)]
+        mu = [prod[prod[a * m + inv[b]] * m + c]
+              for a, b, c in itertools.product(range(m), repeat=3)]
+        alg = FiniteAlgebra("sections",
+                            Signature((("theta", n + 1), ("mu", 3))), m,
+                            {"theta": DenseTable(n + 1, theta),
+                             "mu": DenseTable(3, mu)})
+        idents = _section_identities(n)
+    else:
+        alg = _oracle_algebra(seed, m, n)
+        idents = _fold_identities(alg, n)
+    if dent:
+        name = rng.choice(sorted(alg.tables))
+        alg = _dented_table(alg, name, rng.randrange(m ** alg.op(name).arity))
+    with mock.patch.object(identities, "_BLOCK", block):
+        for ident in idents:
+            rep = check_identity(alg, ident)
+            cx = brute_first_counterexample(alg, ident)
+            k = len(ident.variables)
+            assert rep.counterexample == cx, ident.name
+            assert rep.verdict == ("pass" if cx is None else "fail")
+            assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
+                v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+            clear_caches()
+            with mock.patch.object(identities, "_keyed", lambda *args: None):
+                plain = check_identity(alg, ident)
+            clear_caches()
+            assert (plain.verdict, plain.counterexample,
+                    plain.tuples_checked) == (rep.verdict, cx,
+                                              rep.tuples_checked)
 
 
 def _sum_identity(k):
