@@ -446,7 +446,3 @@ def table_literal(table, m: int) -> str:
     except KeyError:
         body = ", ".join(map(str, values))
     return f"[{body}]"
-
-
-def serialize_identity(ident: Identity) -> str:
-    return ident.text() + "\n"

@@ -31,14 +31,15 @@ application or type test.  Its source is written per term and layout
 for a plan array or stride), so no symbol name reaches it, and each
 distinct source is compiled once (_made): sides of equal shape share
 it.  What the plan holds for one m, each known variable's share of a
-flat index and the strides, is computed from the writer's recipe at
-that m, from a grid or mesh built for the plan and then dropped.  Plans
-are kept in a bounded cache keyed by the identity's value, m and the
-layout (_planned), so a law checked on many algebras is planned once,
-and so is an equal identity built again or parsed again from text; a
-check makes that one lookup.  term_table's plans are kept there too,
-keyed by the term's value, m and the variables.  Like every cache here,
-it is declared in core's registry, which finalg.clear_caches() empties.
+flat index and the strides, the writer computes at that m as it names
+it, from a grid or mesh built for the plan and then dropped.  Plans are
+built by one builder (_plan_terms) and kept in a bounded cache keyed by
+the identity's value, m and the layout (_planned), so a law checked on
+many algebras is planned once, and so is an equal identity built again
+or parsed again from text; a check makes that one lookup.  term_table's
+plans are kept there too, keyed by the term's value, m and the
+variables.  Like every cache here, it is declared in core's registry,
+which finalg.clear_caches() empties.
 Whether an identity fits a signature is one subset test of the symbol
 sets each keeps (core.check_identity_terms), decided before anything
 else.  An exhaustive check of a product that records its factors
@@ -186,7 +187,6 @@ def check_identity(
     """
     check_identity_terms(alg.signature, ident, alg.name)
     m = alg.size
-    k = len(ident.variables)
     if mode == "sampled":
         if samples < 1:
             raise InputError(f"sampled mode needs samples >= 1, got {samples}")
@@ -221,16 +221,17 @@ def exhaustive_assignments(ident: Identity, m: int,
     return total
 
 
-def _plan(t, m, known, mesh, late, symbols):
+def _plan(t, m, known, late, symbols):
     """The table-free plan of term t over carrier size m: a function
     bind(*values) of the values of symbols, the identity's op tables as
     arrays and then its constants as ints (see _arguments), that
     evaluates t elementwise as far as known allows.  known maps variables
-    to int64 arrays: flat arrays all of one length or, when mesh, the axes
-    of an open mesh in their order (see the module docstring).  late
-    lists the other variables, arrays per batch or, under a mesh, ints
-    per block but the last, whose run of values is an array on mesh axis
-    0; it is None in a one-block layout, where every variable is known.
+    to int64 arrays: flat arrays all of one length or, under a prefix
+    loop, the axes of an open mesh in their order (see the module
+    docstring).  late lists the other variables, arrays per batch or,
+    with known, ints per block but the last, whose run of values is an
+    array on mesh axis 0; it is None in a one-block layout, where every
+    variable is known.
 
     With late None bind returns t's value, an int or an array: constants
     and subterms that read no array stay ints and broadcast against the
@@ -239,61 +240,55 @@ def _plan(t, m, known, mesh, late, symbols):
     written by _Writer and compiled once per distinct source (_made):
     what reads only known variables and constants is computed once per
     bind, and block holds only what reads a late variable.  The plan
-    holds what depends on t, m and the layout alone: each known variable
-    argument's share of its application's flat index, summed once, the
-    strides and the m x ... x m shapes of the tables.  It holds no table
-    and no constant value, so one plan serves every algebra on m
-    elements."""
-    w = _Writer(known, mesh, late, symbols)
+    holds what depends on t, m and the layout alone, the values the
+    writer computed: each known variable argument's share of its
+    application's flat index, summed once, the strides and the m x ... x
+    m shapes of the tables.  It holds no table and no constant value, so
+    one plan serves every algebra on m elements."""
+    w = _Writer(m, known, late, symbols)
     make = _made(w.source(w.value(t)[0]))
-    consts = []
-    for kind, data in w.recipe:
-        if kind == "share":  # the sum of known[x] * m^e over data's (x, e)
-            total = None
-            for x, exp in data:
-                part = known[x] * m ** exp
-                total = part if total is None else total + part
-            consts.append(total)
-        elif kind == "stride":
-            consts.append(m ** data)
-        elif kind == "shape":
-            consts.append((m,) * data)
-        elif kind == "rows":  # a table as (m^h, m^j) rows
-            consts.append(tuple(m ** e for e in data))
-        else:
-            consts.append(data)
-    return make(*consts)
+    return make(*w.values)
 
 
 class _Writer:
-    """Writes the source of one side's evaluator for _plan, in a layout
-    whose known variables are suffix, in order: the axes of a mesh when
-    mesh, else flat rows.  The source names nothing from the input:
-    tables are t0, t1, ..., constants c0, ..., late variables x0, ...,
-    values v0, ..., and the plan's arrays, strides and slicings are k0,
-    ..., arguments of the function it defines, make(k0, ...), which
-    returns bind; recipe lists what each k is, for _plan to compute at
-    its m.  So equal term shapes write equal sources, and _made compiles
-    each source once."""
+    """Writes the source of one side's evaluator for _plan at carrier
+    size m, in a layout whose known variables are the axes of a mesh
+    when there are late ones too, else flat rows.  The source names
+    nothing from the input: tables are t0, t1, ..., constants c0, ...,
+    late variables x0, ..., values v0, ..., and the plan's arrays,
+    strides and slicings are k0, ..., arguments of the function it
+    defines, make(k0, ...), which returns bind; values holds what each k
+    is at m, computed when the writer names it.  So equal term shapes
+    write equal sources at any m, and _made compiles each source once."""
 
-    def __init__(self, suffix, mesh, late, symbols):
-        self.known = frozenset(suffix)
+    def __init__(self, m, known, late, symbols):
+        self.m, self.known = m, known
         # under a prefix loop the last late variable spans a run of values:
-        # mesh axis 0, and the suffix variables axes 1, 2, ...
+        # mesh axis 0, and the known variables axes 1, 2, ...
+        mesh = bool(known and late)
         self.spanned = late[-1] if mesh else None
-        self.axis = ({x: i for i, x in enumerate((self.spanned, *suffix))}
+        self.axis = ({x: i for i, x in enumerate((self.spanned, *known))}
                      if mesh else {})
         self.blockwise = late is not None
         self.late = {x: f"x{i}" for i, x in enumerate(late or ())}
         ops, constants = symbols
         self.tables = {op: f"t{i}" for i, op in enumerate(ops)}
         self.constants = {c: f"c{i}" for i, c in enumerate(constants)}
-        self.recipe, self.lines, self.views = [], ([], []), {}
+        self.values, self.lines, self.views = [], ([], []), {}
 
-    def const(self, kind, data):
-        """The name of a plan-time value (see _plan for the kinds)."""
-        self.recipe.append((kind, data))
-        return f"k{len(self.recipe) - 1}"
+    def const(self, value):
+        """The name of a plan-time value."""
+        self.values.append(value)
+        return f"k{len(self.values) - 1}"
+
+    def share(self, parts):
+        """The name of the sum of known[x] * m^e over parts' (x, e): the
+        known variables' share of a flat index."""
+        total = None
+        for x, exp in parts:
+            part = self.known[x] * self.m ** exp
+            total = part if total is None else total + part
+        return self.const(total)
 
     def emit(self, late, expr):
         """The name of a new value, computed by expr per block if late."""
@@ -306,17 +301,17 @@ class _Writer:
         """(name, whether it is late, whether it is an array) of t's value."""
         if isinstance(t, Variable):
             if t.name in self.known:  # a side that is a known variable
-                return self.const("share", ((t.name, 0),)), False, True
+                return self.share(((t.name, 0),)), False, True
             if t.name == self.spanned:  # its run as mesh axis 0
                 if None not in self.views:
                     column = (-1,) + (1,) * (len(self.axis) - 1)
                     self.views[None] = self.emit(True, "{}.reshape({})".format(
-                        self.late[t.name], self.const("value", column)))
+                        self.late[t.name], self.const(column)))
                 return self.views[None], True, True
             return self.late[t.name], True, not self.axis
         if isinstance(t, Constant):
             return self.constants[t.name], False, False
-        if self.axis and not term_variables(t) <= self.known:
+        if self.axis and not term_variables(t) <= self.known.keys():
             sliced = self.sliced(t)
             if sliced is not None:
                 return sliced
@@ -337,10 +332,10 @@ class _Writer:
             array |= is_array
             terms[late].append(
                 name if i == last else
-                f"{name} * {self.const('stride', last - i)}")
+                f"{name} * {self.const(self.m ** (last - i))}")
         if share:
             array = True
-            terms[0].insert(0, self.const("share", tuple(share)))
+            terms[0].insert(0, self.share(share))
         read = "{}[{}]" if array else "{}.item({})"
         table = self.tables[t.op]
         bind, block = terms
@@ -369,7 +364,7 @@ class _Writer:
             return self.rows(t, _tail(axes, own, len(axis) - 1))
         if t.op not in self.views:
             self.views[t.op] = self.emit(False, "{}.reshape({})".format(
-                self.tables[t.op], self.const("shape", len(t.args))))
+                self.tables[t.op], self.const((self.m,) * len(t.args))))
         view = self.views[t.op]
         lead = 0
         while lead < len(axes) and not axes[lead]:
@@ -384,7 +379,8 @@ class _Writer:
             # run value, (run, m), which the last argument's array indexes
             spans = t.args[lead:-1]
             if len(spans) > 1:
-                head += f".reshape({self.const('rows', (len(spans), 1))})"
+                rows = self.const((self.m ** len(spans), self.m))
+                head += f".reshape({rows})"
             index = self.flat([self.run(a) for a in spans])
             if len(spans) > 1:
                 index = self.emit(True, index)
@@ -397,7 +393,7 @@ class _Writer:
         shift = 0 if 0 in used else 1  # no spanned axis unless read
         index = "".join(f"{s}, " for s in scalars)
         if used:
-            layout = self.const("value", tuple(
+            layout = self.const(tuple(
                 slice(None) if i in used else None
                 for i in range(shift, len(axis))))
             index = f"({index}) + {layout}" if scalars else layout
@@ -405,7 +401,7 @@ class _Writer:
         for a, is_own, (ax,) in zip(t.args[lead:], own[lead:], axes[lead:]):
             if not is_own:
                 expr += ".take({}, axis={})".format(
-                    self.run(a), self.const("value", ax - shift))
+                    self.run(a), self.const(ax - shift))
         return self.emit(True, expr), True, bool(used)
 
     def rows(self, t, j):
@@ -418,8 +414,8 @@ class _Writer:
             index = self.emit(True, index)
         if (t.op, head) not in self.views:
             self.views[t.op, head] = self.emit(False, "{}.reshape({})".format(
-                self.tables[t.op], self.const("rows", (head, j))))
-        rows, shape = self.views[t.op, head], self.const("shape", j)
+                self.tables[t.op], self.const((self.m ** head, self.m ** j))))
+        rows, shape = self.views[t.op, head], self.const((self.m,) * j)
         value = self.emit(True, f"{rows}.take({index}, axis=0)"
                                 f".reshape({index}.shape[:-{j}] + {shape})")
         return value, True, True
@@ -429,7 +425,7 @@ class _Writer:
         values' names."""
         last = len(names) - 1
         return " + ".join(name if i == last else
-                          f"{name} * {self.const('stride', last - i)}"
+                          f"{name} * {self.const(self.m ** (last - i))}"
                           for i, name in enumerate(names))
 
     def run(self, a):
@@ -446,7 +442,7 @@ class _Writer:
         the layout has late variables."""
         bind, block = self.lines
         out = ["def make({}):".format(", ".join(
-                   f"k{i}" for i in range(len(self.recipe)))),
+                   f"k{i}" for i in range(len(self.values)))),
                "    def bind({}):".format(", ".join(
                    [*self.tables.values(), *self.constants.values()]))]
         out += [f"        {line}" for line in bind]
@@ -601,47 +597,44 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
         raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     m, variables = alg.size, tuple(variables)
     k = len(variables)
-
-    def plan():
-        symbols = _symbols((term,))
-        known = dict(zip(variables, _grid(m, k)))
-        return 8 * m ** k * (1 + _applications(term)), (
-            _plan(term, m, known, False, None, symbols), symbols)
-
-    bind, symbols = _plans.get((term, m, variables), plan)
+    bind, _, symbols = _plans.get((term, m, variables), lambda: _plan_terms(
+        (term,), variables, m, k))
     values = bind(*_arguments(alg, symbols))
     return DenseTable.of_array(
         k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
 
 
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
-# and (term, m, variables) -> (plan, symbols) of term_table, weighed by
-# the bytes their arrays may hold.  Identities and terms are keyed by
-# value, so an equal one parsed again is planned once
+# and (term, m, variables) -> (plan, None, symbols) of term_table, both
+# from _plan_terms and weighed by the bytes their arrays may hold.
+# Identities and terms are keyed by value, so an equal one parsed again
+# is planned once
 _plans = kept(_PLANS, _PLAN_BYTES)
 
 
 def _planned(ident, m, inner):
     """The plans of ident's sides (see _plan) for carrier size m when its
-    last inner variables are known, from the bounded cache _plans: flat
-    grid rows when inner covers every variable, the axes of an open mesh
-    under a prefix loop, and none in a sampled check (inner None), where
-    every variable is bound per batch.  A third item lists the sections
-    that key a prefix under a prefix loop (_keyed), each as (op, depth,
-    plans of its leading arguments), and is None when the identity does
-    not qualify or has no prefix loop; the fourth is the symbols every
-    plan's bind takes the values of (_arguments)."""
-    return _plans.get((ident, m, inner), lambda: _plan_sides(ident, m, inner))
+    last inner variables are known, from the bounded cache _plans, built
+    by _plan_terms: flat grid rows when inner covers every variable, the
+    axes of an open mesh under a prefix loop, and none in a sampled check
+    (inner None), where every variable is bound per batch.  A third item
+    lists the sections that key a prefix under a prefix loop (_keyed),
+    each as (op, depth, plans of its leading arguments), and is None when
+    the identity does not qualify or has no prefix loop; the fourth is
+    the symbols every plan's bind takes the values of (_arguments)."""
+    return _plans.get((ident, m, inner), lambda: _plan_terms(
+        (ident.lhs, ident.rhs), ident.variables, m, inner))
 
 
-def _plan_sides(ident, m, inner):
-    """(bytes, (lhs plan, rhs plan, keyed sections, symbols)) for
-    _planned.  A plan holds at most one array of m^inner values, a share
-    on the suffix mesh or grid, per table application and per side that
-    is a bare variable, which bounds its bytes.  It holds nothing per run
-    of the last prefix variable, so the run's length, which a block's
-    temporaries scale with, is no part of its weight."""
-    variables = ident.variables
+def _plan_terms(terms, variables, m, inner):
+    """(bytes, (*plans of terms, keyed sections, symbols)) for _planned
+    and term_table, when the last inner of variables are known (inner
+    None: none, each bound per batch).  A plan holds at most one array of
+    m^inner values, a share on the suffix mesh or grid, per table
+    application and per term that is a bare variable, which bounds its
+    bytes.  It holds nothing per run of the last prefix variable, so the
+    run's length, which a block's temporaries scale with, is no part of
+    its weight."""
     if inner is None:  # sampled: every variable is bound per batch
         late, suffix, inner = variables, (), 0
     else:
@@ -649,21 +642,17 @@ def _plan_sides(ident, m, inner):
         late, suffix = variables[:outer] or None, variables[outer:]
     mesh = bool(late and suffix)
     known = dict(zip(suffix, (_mesh if mesh else _grid)(m, inner)))
-    sides = (ident.lhs, ident.rhs)
-    symbols = _symbols(sides)
-
-    def plan(t):
-        return _plan(t, m, known, mesh, late, symbols)
-
-    keyed = _keyed(sides, set(suffix)) if mesh else None
+    symbols = _symbols(terms)
+    keyed = _keyed(terms, set(suffix)) if mesh else None
     if keyed is not None:
         # leading arguments read only prefix variables, bound as the
         # columns of a chunk of prefixes (see _representatives)
-        keyed = [(op, len(args), [_plan(a, m, {}, False, late, symbols)
+        keyed = [(op, len(args), [_plan(a, m, {}, late, symbols)
                                   for a in args])
                  for op, args in keyed]
-    arrays = 2 + sum(map(_applications, sides))
-    return 8 * m ** inner * arrays, (*map(plan, sides), keyed, symbols)
+    plans = [_plan(t, m, known, late, symbols) for t in terms]
+    arrays = len(terms) + sum(map(_applications, terms))
+    return 8 * m ** inner * arrays, (*plans, keyed, symbols)
 
 
 def _keyed(sides, suffix):
@@ -776,7 +765,7 @@ def _section_classes(alg, keyed, blocks, args):
     docstring) in the mixed radix of their class counts, count codes in
     all, or None when count would be blocks (the prefixes) or more, so
     that no prefix need repeat another's.  keyed lists (op, depth,
-    leading argument plans) as _plan_sides made them, and args, the
+    leading argument plans) as _plan_terms made them, and args, the
     values of the identity's symbols, binds those plans; each part is
     (class ids, class count, [(bound plan, stride)]).  Each keyed table's
     rows at its depth get class ids, equal rows equal ids, in one

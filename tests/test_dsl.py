@@ -18,7 +18,6 @@ from finalg.dsl import (
     parse_identity,
     parse_raw_blocks,
     serialize,
-    serialize_identity,
 )
 
 from conftest import random_algebra, tables_token_by_token
@@ -80,7 +79,7 @@ def test_identity_round_trip():
         "theta(theta(a1, a2, b1), theta(a1, a2, b2), c)"
     )
     assert len(ident.variables) == 5
-    again = parse_identity(serialize_identity(ident))
+    again = parse_identity(ident.text())
     assert again == ident
 
 

@@ -911,13 +911,13 @@ def test_an_identity_parsed_again_is_planned_once(monkeypatch, cold_caches):
     group = catalog.cyclic_group(5)
     cold_caches()  # drop the plans of the group's own validation
     built = []
-    real = identities._plan_sides
+    real = identities._plan_terms
 
-    def recording(ident, m, inner):
-        built.append(ident)
-        return real(ident, m, inner)
+    def recording(terms, variables, m, inner):
+        built.append(terms)
+        return real(terms, variables, m, inner)
 
-    monkeypatch.setattr(identities, "_plan_sides", recording)
+    monkeypatch.setattr(identities, "_plan_terms", recording)
     text = ("identity assoc(a, b, c): "
             "prod(prod(a, b), c) = prod(a, prod(b, c))")
     parsed = [dsl.parse_identity(text) for _ in range(3)]
@@ -935,14 +935,14 @@ def test_plan_cache_is_bounded(monkeypatch, cold_caches):
     # time: of more plans than _PLANS, at most _PLANS stay alive
     built, count = [], identities._PLANS + 40
     group = catalog.cyclic_group(3)  # its laws are planned before
-    real = identities._plan_sides
+    real = identities._plan_terms
 
-    def recording(ident, m, inner):
-        weight, sides = real(ident, m, inner)
+    def recording(terms, variables, m, inner):
+        weight, sides = real(terms, variables, m, inner)
         built.append(weakref.ref(sides[0]))
         return weight, sides
 
-    monkeypatch.setattr(identities, "_plan_sides", recording)
+    monkeypatch.setattr(identities, "_plan_terms", recording)
     for i in range(count):
         law = dataclasses.replace(ASSOCIATIVITY, name=f"associativity-{i}")
         assert check_identity(group, law).ok
@@ -950,6 +950,26 @@ def test_plan_cache_is_bounded(monkeypatch, cold_caches):
     assert len(built) == count
     assert sum(ref() is not None for ref in built) <= identities._PLANS
     assert len(identities._plans.entries) <= identities._PLANS
+
+
+def test_a_plan_source_serves_every_carrier_size(cold_caches):
+    # a source names its plan values k0, k1, ... and not their values at
+    # m: associativity on three carrier sizes compiles two sources, one
+    # per side, and term_table of its left side, planned by the same
+    # builder, compiles none
+    built = [catalog.cyclic_group(m) for m in (3, 5, 7)]
+    cold_caches()  # drop the plans of the groups' own validation
+    misses = []
+    for group in built:
+        assert check_identity(group, ASSOCIATIVITY).ok
+        misses.append(identities._made.cache_info().misses)
+    assert misses == [2, 2, 2]
+    a, b, c = (Variable(v) for v in "abc")
+    table = term_table(built[1], Apply("prod", Apply("prod", a, b), c),
+                       ("a", "b", "c"))
+    assert table.entries == tuple(
+        (x + y + z) % 5 for x in range(5) for y in range(5) for z in range(5))
+    assert identities._made.cache_info().misses == 2
 
 
 def test_kept_values_are_bounded_by_count_and_weight():
