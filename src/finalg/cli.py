@@ -11,7 +11,9 @@ core.memo, which finalg.clear_caches() empties), and main parses each
 argv into a fresh namespace, so calls of main share no parsed state.  A
 `finalg` process runs main once and still builds the parser once; only
 callers that run main many times in one process save the 1.5 ms or so
-it takes to build.
+it takes to build.  An argv that starts with a command name is parsed
+by that command's parser alone, with the same output and exit codes as
+the two passes of the top-level parser.
 """
 from __future__ import annotations
 
@@ -109,7 +111,12 @@ def cmd_check(args, out):
         check_identity_terms(alg.signature, ident, alg.name)
     kw = {"mode": args.mode, "samples": args.samples, "seed": args.seed,
           "budget": _budget(args, EXHAUSTIVE_BUDGET)}
-    reports = [check_identity(alg, i, **kw) for i in identities]
+    try:
+        reports = [check_identity(alg, i, **kw) for i in identities]
+    except BudgetError as e:  # an exhaustive refusal names the way out
+        if args.mode == "sampled":
+            raise
+        raise BudgetError(f"{e} (finalg check --budget raises it)") from None
     _emit_reports(reports, args.format, out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
@@ -263,6 +270,7 @@ def build_parser():
         "build catalog algebras, derive groups, search small models.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # each command's own parser, by name
 
     def common(sp):
         sp.add_argument("--mode", choices=["exhaustive", "sampled"],
@@ -336,8 +344,13 @@ def main(argv=None) -> int:
     def out(line=""):
         print(line)
 
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None:  # one argparse pass, the command's own
+            parser, argv = command, argv[1:]
+        args = parser.parse_args(argv)
         return args.fn(args, out)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

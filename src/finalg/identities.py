@@ -34,9 +34,10 @@ it.  What the plan holds for one m, each known variable's share of a
 flat index and the strides, the writer computes at that m as it names
 it, from a grid or mesh built for the plan and then dropped.  Plans are
 built by one builder (_plan_terms) and kept in a bounded cache keyed by
-the identity's value, m and the layout (_planned), so a law checked on
+the identity's value, m and the layout (_plans), so a law checked on
 many algebras is planned once, and so is an equal identity built again
-or parsed again from text; a check makes that one lookup.  term_table's
+or parsed again from text; a check makes that one lookup, which is
+handed the builder and its arguments, not a closure.  term_table's
 plans are kept there too, keyed by the term's value, m and the
 variables.  Like every cache here, it is declared in core's registry,
 which finalg.clear_caches() empties.
@@ -59,11 +60,15 @@ A check without a prefix loop (one block, as every small check is) reads
 its suffix as flat grid rows (_grid), and so does term_table; a sampled
 check binds every variable per batch, as the columns of the batch.
 With every variable a grid row, both sides of a one-block check bind to
-values (an int or an array in lex order), which are compared once, with
-no loop.  A table application is then one flat index and one gather,
-and its plan holds the sum of its variable arguments' shares of that
-index (each grid row times its stride), so theta(a1, a2, theta(b1, b2,
-c)) is two gathers and one add.  Under a prefix loop a block is an
+values, an int or a flat int64 array of all m^k tuples in lex order,
+which are compared once, with no loop: two arrays by their bytes (far
+cheaper than numpy's != on a few tuples, about 1 us dearer at
+_BLOCK), and only sides that differ or are ints are scanned for the
+first failure (_first_bad).  term_table keeps its side's array as the
+table and fills one only for an int.  A table application is then one
+flat index and one gather, and its plan holds the sum of its variable
+arguments' shares of that index (each grid row times its stride), so
+theta(a1, a2, theta(b1, b2, c)) is two gathers and one add.  Under a prefix loop a block is an
 open mesh: axis 0 is the run, which block takes as an ascending int64
 array, and the suffix variables are axes 1, 2, ... (_mesh: range(m)
 shaped (1, ..., m, ..., 1)); a term's values span only the axes of the
@@ -186,23 +191,19 @@ def check_identity(
     misfit raises the same SymbolError in every mode and at any budget.
     """
     check_identity_terms(alg.signature, ident, alg.name)
-    m = alg.size
-    if mode == "sampled":
-        if samples < 1:
-            raise InputError(f"sampled mode needs samples >= 1, got {samples}")
-        if samples > budget:
-            raise BudgetError(f"identity {ident.name!r}: {samples} samples "
-                              f"exceed budget {budget}")
-        engine, report = "sampled", _check_sampled(alg, ident, samples, seed)
-    elif mode != "exhaustive":
+    if mode == "exhaustive":
+        if alg.factors:
+            return _check_product(alg, ident, budget)
+        return _check_exhaustive_np(
+            alg, ident, exhaustive_assignments(ident, alg.size, budget))
+    if mode != "sampled":
         raise InputError(f"unknown mode {mode!r}")
-    elif alg.factors:
-        engine, report = "product", _check_product(alg, ident, budget)
-    else:
-        total = exhaustive_assignments(ident, m, budget)
-        engine, report = "np", _check_exhaustive_np(alg, ident, total)
-    report.engine = engine
-    return report
+    if samples < 1:
+        raise InputError(f"sampled mode needs samples >= 1, got {samples}")
+    if samples > budget:
+        raise BudgetError(f"identity {ident.name!r}: {samples} samples "
+                          f"exceed budget {budget}")
+    return _check_sampled(alg, ident, samples, seed)
 
 
 def exhaustive_assignments(ident: Identity, m: int,
@@ -210,14 +211,12 @@ def exhaustive_assignments(ident: Identity, m: int,
     """The m^k assignments an exhaustive check of ident over m elements
     enumerates, or the BudgetError check_identity refuses it with when
     they exceed budget, so a caller can refuse a check before building
-    its algebra."""
+    its algebra; the caller names any way to raise the budget."""
     k = len(ident.variables)
     total = m ** k
     if total > budget:
-        raise BudgetError(
-            f"identity {ident.name!r}: {m}^{k} assignments exceed "
-            f"budget {budget} (finalg check --budget raises it)"
-        )
+        raise BudgetError(f"identity {ident.name!r}: {m}^{k} assignments "
+                          f"exceed budget {budget}")
     return total
 
 
@@ -547,9 +546,9 @@ def _first_bad(lhs, rhs):
     return j if bad.item(j) else None
 
 
-def _confirmed_fail(alg, ident, tup, checked, seed=None):
-    """The FAIL report for tup, after eval_term confirms that tup violates
-    ident; a vectorized verdict eval_term contradicts raises EvalError."""
+def _confirmed_fail(alg, ident, tup, checked, engine, seed=None):
+    """engine's FAIL report for tup, after eval_term confirms that tup
+    violates ident; a vectorized verdict it contradicts is an EvalError."""
     env = dict(zip(ident.variables, tup))
     if eval_term(alg, ident.lhs, env) == eval_term(alg, ident.rhs, env):
         raise EvalError(
@@ -557,7 +556,7 @@ def _confirmed_fail(alg, ident, tup, checked, seed=None):
             f"failure at {env} that eval_term does not confirm"
         )
     return CheckReport("fail", ident.name, counterexample=env,
-                       tuples_checked=checked, seed=seed)
+                       tuples_checked=checked, seed=seed, engine=engine)
 
 
 def _grid(m, inner):
@@ -589,19 +588,18 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
     """The table of term over variables, row-major in their order, from
     the identity kernel; a term that reads some or none of the variables
     is broadcast to all m^k rows, so a constant term works too.  A term
-    that reads a variable outside variables is an EvalError."""
-    import numpy as np
-
-    unbound = term_variables(term) - set(variables)
-    if unbound:
-        raise EvalError(f"term reads unbound variables {sorted(unbound)}")
+    that reads a variable outside variables is an EvalError, raised when
+    it is planned: a kept plan of (term, m, variables) passed."""
     m, variables = alg.size, tuple(variables)
     k = len(variables)
-    bind, _, symbols = _plans.get((term, m, variables), lambda: _plan_terms(
-        (term,), variables, m, k))
+    bind, _, symbols = _plans.get((term, m, variables), _plan_terms,
+                                  (term,), variables, m, k)
     values = bind(*_arguments(alg, symbols))
-    return DenseTable.of_array(
-        k, np.array(np.broadcast_to(values, (m ** k,)), dtype=np.int64))
+    if isinstance(values, int):  # every other value is a flat m^k array
+        import numpy as np
+
+        values = np.full(m ** k, values, dtype=np.int64)
+    return DenseTable.of_array(k, values)
 
 
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
@@ -612,29 +610,25 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
 _plans = kept(_PLANS, _PLAN_BYTES)
 
 
-def _planned(ident, m, inner):
-    """The plans of ident's sides (see _plan) for carrier size m when its
-    last inner variables are known, from the bounded cache _plans, built
-    by _plan_terms: flat grid rows when inner covers every variable, the
-    axes of an open mesh under a prefix loop, and none in a sampled check
-    (inner None), where every variable is bound per batch.  A third item
-    lists the sections that key a prefix under a prefix loop (_keyed),
-    each as (op, depth, plans of its leading arguments), and is None when
-    the identity does not qualify or has no prefix loop; the fourth is
-    the symbols every plan's bind takes the values of (_arguments)."""
-    return _plans.get((ident, m, inner), lambda: _plan_terms(
-        (ident.lhs, ident.rhs), ident.variables, m, inner))
-
-
 def _plan_terms(terms, variables, m, inner):
-    """(bytes, (*plans of terms, keyed sections, symbols)) for _planned
-    and term_table, when the last inner of variables are known (inner
-    None: none, each bound per batch).  A plan holds at most one array of
+    """(bytes, (*plans of terms, keyed sections, symbols)), the value
+    _plans keeps, when the last inner of variables are known: flat grid
+    rows when inner covers every variable, the axes of an open mesh
+    under a prefix loop, and none in a sampled check (inner None), where
+    every variable is bound per batch.  The keyed sections are those
+    that key a prefix under a prefix loop (_keyed), each as (op, depth,
+    plans of its leading arguments), or None when the terms do not
+    qualify or have no prefix loop; symbols are what every plan's bind
+    takes the values of (_arguments).  A term that reads a variable
+    outside variables is an EvalError.  A plan holds at most one array of
     m^inner values, a share on the suffix mesh or grid, per table
     application and per term that is a bare variable, which bounds its
     bytes.  It holds nothing per run of the last prefix variable, so the
     run's length, which a block's temporaries scale with, is no part of
     its weight."""
+    unbound = set().union(*map(term_variables, terms)) - set(variables)
+    if unbound:
+        raise EvalError(f"term reads unbound variables {sorted(unbound)}")
     if inner is None:  # sampled: every variable is bound per batch
         late, suffix, inner = variables, (), 0
     else:
@@ -694,35 +688,42 @@ def _digits(j, shape):
 
 
 def _check_exhaustive_np(alg, ident, total):
-    m = alg.size
-    variables = ident.variables
-    k = len(variables)
+    """The report (engine "np") of ident on alg over its total = m^k
+    tuples, all of them unless one fails."""
+    m, variables = alg.size, ident.variables
+    k = inner = len(variables)
     # vectorize the longest suffix of the variables whose block fits in
     # _BLOCK tuples (at least one variable), loop the prefix
-    inner = k
-    while inner > 1 and m ** inner > _BLOCK:
-        inner -= 1
-    outer = k - inner
+    size = total  # m^inner
+    while inner > 1 and size > _BLOCK:
+        inner, size = inner - 1, size // m
     # bind the planned sides: what reads only the suffix is evaluated
     # now, and each block evaluates what is left
-    lhs, rhs, keyed, symbols = _planned(ident, m, inner)
+    lhs, rhs, keyed, symbols = _plans.get(
+        (ident, m, inner), _plan_terms, (ident.lhs, ident.rhs), variables,
+        m, inner)
     args = _arguments(alg, symbols)
     lhs, rhs = lhs(*args), rhs(*args)
-    block = (m,) * inner
-    if not outer:
-        # one block: every variable is a flat grid row, so both sides
-        # bind to values, compared once in lex order
-        j = _first_bad(lhs, rhs)
-        if j is None:
-            return CheckReport("pass", ident.name, tuples_checked=total)
-        return _confirmed_fail(alg, ident, tuple(_digits(j, block)), j + 1)
+    if inner == k:
+        # one block: every variable is a flat grid row, so each side
+        # binds to an int or a flat int64 array of all m^k tuples in lex
+        # order; two arrays are scanned only when their bytes differ
+        if (isinstance(lhs, int) or isinstance(rhs, int)
+                or lhs.tobytes() != rhs.tobytes()):
+            j = _first_bad(lhs, rhs)
+            if j is not None:
+                return _confirmed_fail(alg, ident, tuple(_digits(
+                    j, (m,) * k)), j + 1, "np")
+        # (verdict, name, counterexample, tuples_checked, seed, detail,
+        # engine) by position: keywords would cost more than the compare
+        return CheckReport("pass", ident.name, None, total, None, None, "np")
     import numpy as np
 
     # under a prefix loop a block is a run of at most span values of the
     # last prefix variable under fixed values of the others, mesh axis 0
     # before the suffix variables' axes, so its tuples are contiguous in
     # lex order
-    size = m ** inner
+    outer = k - inner
     span = min(max(_BLOCK // size, 1), m)
 
     def failure(prefix, run):
@@ -737,7 +738,7 @@ def _check_exhaustive_np(alg, ident, total):
         at, *digits = _digits(j, (1,) * (inner + 1 - len(shape)) + shape)
         tup = (*prefix, int(run[at]), *digits)
         r = functools.reduce(lambda acc, d: acc * m + d, tup, 0)
-        return _confirmed_fail(alg, ident, tup, r + 1)
+        return _confirmed_fail(alg, ident, tup, r + 1, "np")
 
     runs = [np.arange(lo, min(lo + span, m), dtype=np.int64)
             for lo in range(0, m, span)]
@@ -757,7 +758,7 @@ def _check_exhaustive_np(alg, ident, total):
         report = failure(prefix, run)
         if report is not None:
             return report
-    return CheckReport("pass", ident.name, tuples_checked=total)
+    return CheckReport("pass", ident.name, tuples_checked=total, engine="np")
 
 
 def _section_classes(alg, keyed, blocks, args):
@@ -867,8 +868,9 @@ def _check_product(alg, ident, budget):
             tup = tuple(report.counterexample[v] * weight for v in variables)
             first = tup if first is None else min(first, tup)
     if first is None:
-        return CheckReport("pass", ident.name, tuples_checked=checked)
-    return _confirmed_fail(alg, ident, first, checked)
+        return CheckReport("pass", ident.name, tuples_checked=checked,
+                           engine="product")
+    return _confirmed_fail(alg, ident, first, checked, "product")
 
 
 # the MT19937 generator every sampled check draws its words from, made on
@@ -948,7 +950,9 @@ def _sampled_tuples(seed: int, m: int, k: int, samples: int):
 
 
 def _check_sampled(alg, ident, samples, seed):
-    lhs, rhs, _, symbols = _planned(ident, alg.size, None)
+    lhs, rhs, _, symbols = _plans.get(
+        (ident, alg.size, None), _plan_terms, (ident.lhs, ident.rhs),
+        ident.variables, alg.size, None)
     args = _arguments(alg, symbols)
     lhs, rhs = lhs(*args), rhs(*args)
     checked = 0
@@ -956,10 +960,11 @@ def _check_sampled(alg, ident, samples, seed):
         j = _first_bad(lhs(*cols), rhs(*cols))
         if j is not None:
             tup = tuple(int(x) for x in cols[:, j])
-            return _confirmed_fail(alg, ident, tup, checked + j + 1, seed)
+            return _confirmed_fail(alg, ident, tup, checked + j + 1,
+                                   "sampled", seed)
         checked += cols.shape[1]
-    return CheckReport("sampled-pass", ident.name,
-                       tuples_checked=samples, seed=seed)
+    return CheckReport("sampled-pass", ident.name, tuples_checked=samples,
+                       seed=seed, engine="sampled")
 
 
 def check_suite(alg, suite: IdentitySuite, **kw):

@@ -414,7 +414,7 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
         (tuple(spec.identities), m, spec.signature,
          frozenset(spec.pinned_tables), frozenset(spec.pinned_constants),
          spec.mode),
-        lambda: _plan(spec, layout))
+        _plan, spec, layout)
     k = len(slots)
     counting = spec.mode == "count-all"
     top = m - 1  # the last value of a cell

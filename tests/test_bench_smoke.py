@@ -28,19 +28,16 @@ def test_every_bench_operation_agrees_with_its_oracle(workload, tmp_path,
 def test_a_second_bench_pass_builds_no_plan(workload, tmp_path, monkeypatch,
                                             cold_caches):
     # the plans a pass of each workload needs fit both plan caches, so
-    # with caches emptied before its set-up, a second pass builds none
+    # with caches emptied before its set-up, a second pass misses none
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    built = []
-    for module in (identities, search):
-        kept = module._plans
-        monkeypatch.setattr(kept, "get", lambda key, build, real=kept.get: (
-            real(key, lambda: built.append(key) or build())))
+    caches = (identities._plans, search._plans)
     ops = workloads.build(workload, 911, tmp_path)
     for op in ops:
         op.call()
-    assert built
-    built.clear()
+    first = [(kept.misses, kept.evictions) for kept in caches]
+    assert any(misses for misses, _ in first)
+    assert all(kept.misses == len(kept.entries) for kept in caches)
     for op in ops:
         op.call()
-    assert built == []
+    assert [(kept.misses, kept.evictions) for kept in caches] == first

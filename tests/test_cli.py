@@ -153,9 +153,9 @@ def test_an_exhaustive_refusal_names_the_budget_not_sampling(
     assert capsys.readouterr().err == (
         "budget: identity '2assoc:2': 3^5 assignments exceed budget 5 "
         "(finalg check --budget raises it)\n")
-    # construct has no --mode: a lattice whose distributivity is over the
-    # default budget is refused with the same words; its laws are not
-    # checked here, as construct would check them first
+    # a library caller is not told of check's --budget: a lattice whose
+    # distributivity is over the default budget is refused without it;
+    # its laws are not checked here, as construct would check them first
     m = 500
     chain = FiniteAlgebra(
         "chain", Signature((("join", 2), ("meet", 2))), m,
@@ -167,7 +167,7 @@ def test_an_exhaustive_refusal_names_the_budget_not_sampling(
         catalog.build_lattice_theta(chain, "meet-middle")
     assert str(refused.value) == (
         "identity 'distributivity': 500^3 assignments exceed budget "
-        "100000000 (finalg check --budget raises it)")
+        "100000000")
 
 
 def test_check_one_element_carrier_with_64_variables(tmp_path, capsys):
@@ -371,7 +371,8 @@ def test_construct_chain_refuses_distributivity_before_building(
         capsys, monkeypatch, extra):
     # the lattice theta's distributivity check of 500^3 assignments is
     # refused, in check_identity's words, before chain_lattice runs the
-    # lattice laws, which no budget bounds
+    # lattice laws, which no budget bounds; construct has no --budget, so
+    # the refusal names none
     built = []
     monkeypatch.setattr(catalog, "chain_lattice", built.append)
     assert main(["construct", "lattice", "--shape", "chain:500",
@@ -381,7 +382,91 @@ def test_construct_chain_refuses_distributivity_before_building(
     assert captured.out == ""
     assert captured.err == (
         "budget: identity 'distributivity': 500^3 assignments exceed "
-        "budget 100000000 (finalg check --budget raises it)\n")
+        "budget 100000000\n")
+
+
+@pytest.fixture(scope="module")
+def z40_files(tmp_path_factory):
+    """A 40-element n = 2 algebra, whose 2assoc:2 and malcev-assoc have
+    40^5 > 10^8 tuples, and an enriched group on 40 elements that gives
+    such an algebra back: theta(a1, a2, b) = a1 + b on Z/40."""
+    d = tmp_path_factory.mktemp("z40")
+    alg = d / "z40.alg"
+    assert main(["construct", "semigroup", "--order", "40", "--n", "2",
+                 "--out", str(alg)]) == 0
+    m, z40 = 40, catalog.cyclic_group(40)
+    eg = groups.enriched_algebra(
+        "E", m, z40.op("prod"), 0,
+        DenseTable(2, [a for a in range(m) for _ in range(m)]),
+        [DenseTable(2, [(a - b) % m for a in range(m) for b in range(m)]),
+         DenseTable(2, [0] * m * m)])
+    enriched = d / "e40.alg"
+    enriched.write_text(serialize(eg))
+    return {"algebra": str(alg), "enriched": str(enriched)}
+
+
+@pytest.mark.parametrize("argv, ident", [
+    (["derive-group", "algebra"], "2assoc:2"),
+    (["to-enriched", "algebra"], "2assoc:2"),
+    (["from-enriched", "enriched"], "2assoc:2"),
+    (["malcev", "algebra"], "malcev-assoc"),
+    (["construct", "lattice", "--shape", "chain:500"], "distributivity")])
+def test_a_refusal_names_no_budget_option_a_command_lacks(argv, ident,
+                                                          z40_files, capsys):
+    # only check has --budget, so only check's refusal names it
+    argv = [z40_files.get(a, a) for a in argv]
+    assert main(argv) == 3
+    m, k = (500, 3) if ident == "distributivity" else (40, 5)
+    assert capsys.readouterr() == ("", (
+        f"budget: identity {ident!r}: {m}^{k} assignments exceed budget "
+        "100000000\n"))
+    if ident == "2assoc:2":  # check names its --budget, byte for byte
+        assert main(["check", z40_files["algebra"], "--suite",
+                     "2assoc:2"]) == 3
+        assert capsys.readouterr().err == (
+            "budget: identity '2assoc:2': 40^5 assignments exceed budget "
+            "100000000 (finalg check --budget raises it)\n")
+
+
+def _outcome(argv):
+    """(exit code or SystemExit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # --help exits in argparse
+            code = ("exit", e.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--help"],
+    ["--help"],
+    ["search", "-h"],
+    ["check"],  # no file
+    ["derive-group"],
+    ["check", "FILE", "--bogus", "1"],  # an unknown option
+    ["check", "FILE", "--mode", "bogus"],
+    ["construct", "semigroup", "--order", "x"],
+    ["bogus"],  # an unknown command
+    [],
+    ["--bogus"],
+    ["verify-paper", "--only"],
+    ["verify-paper", "--only", "99"],
+    ["check", "FILE", "--suite", "2assoc:2", "--budget", "5"],
+])
+def test_a_command_parser_alone_reads_as_the_top_level_one(argv, z3_file,
+                                                            monkeypatch):
+    # main parses a command's argv with that command's parser alone; with
+    # no command parsers to pick from, the top-level parser reads it all
+    argv = [z3_file if a == "FILE" else a for a in argv]
+    one_pass = _outcome(argv)
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert _outcome(argv) == one_pass
+    code = one_pass[0]
+    assert code in (("exit", 0), 2, 3), one_pass
+    if code == 2:
+        assert one_pass[1] == "" and one_pass[2].startswith("error: ")
 
 
 # every integer option each construction reads, at its default; a list
@@ -964,15 +1049,17 @@ def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, z3_n2,
     assert "[counterexample: a=0,b=1,c=0]" in fresh.stdout
 
     clear_caches()
-    parser = cli.build_parser()
     seen = []
-    parse = parser.parse_args
 
-    def recording(*args, **kwargs):
-        seen.append(parse(*args, **kwargs))
-        return seen[-1]
+    def recording(parse):
+        def parse_args(*args, **kwargs):
+            seen.append(parse(*args, **kwargs))
+            return seen[-1]
+        return parse_args
 
-    monkeypatch.setattr(parser, "parse_args", recording)
+    # a command's argv is read by that command's own parser
+    for parser in cli.build_parser().commands.values():
+        monkeypatch.setattr(parser, "parse_args", recording(parser.parse_args))
     code, out, _ = _run_main(["check", path, "--identity", "swap",
                               "--identity", "unit-law:2", "--mode",
                               "sampled", "--samples", "500", "--budget",

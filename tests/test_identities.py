@@ -636,7 +636,10 @@ def test_np_one_variable_floor(monkeypatch, dent):
     sizes = _record_blocks(monkeypatch)
     rep = check_identity(alg, ident)
     assert rep.engine == "np"
-    assert sizes == [m]
+    # one block, planned with its one variable a grid row; its sides are
+    # scanned, once, only when their bytes differ
+    assert (ident, m, 1) in identities._plans.entries
+    assert sizes == ([] if dent is None else [m])
     if dent is None:
         assert (rep.verdict, rep.tuples_checked) == ("pass", m)
     else:
@@ -644,6 +647,74 @@ def test_np_one_variable_floor(monkeypatch, dent):
         assert rep.counterexample == {"a": m - 1 - dent}
         assert rep.counterexample == brute_first_counterexample(alg, ident)
         assert rep.tuples_checked == m - dent
+
+
+# one-block sides of each kind: an int reads no variable, an array reads
+# both; (lhs, rhs, variables), the ground case a zero-variable identity
+_E, _F = Constant("e"), Constant("f")
+_G = Apply("g", Variable("a"), Variable("b"))
+_H = Apply("h", Variable("a"), Variable("b"))
+_SIDE_KINDS = {
+    "int/int-ground": (_E, _F, ()),
+    "int/int": (_E, _F, ("a", "b")),
+    "int/array": (_E, _G, ("a", "b")),
+    "array/int": (_G, _E, ("a", "b")),
+    "array/array": (_G, _H, ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("m", [3, 128])  # 128^2 tuples fill one _BLOCK
+@pytest.mark.parametrize("kinds, where", [
+    (kinds, where) for kinds in _SIDE_KINDS
+    for where in ("pass", "first", "last")
+    # two ints fail at every tuple or none
+    if (kinds, where) != ("int/int", "last")])
+def test_one_block_sides_of_every_kind(kinds, where, m):
+    # the bytes test passes equal arrays, and the scan places the first
+    # failure, as the brute-force oracle does
+    lhs, rhs, variables = _SIDE_KINDS[kinds]
+    k = len(variables)
+    tables = {"g": [1] * m ** 2, "h": [1] * m ** 2}
+    units = {"e": 1, "f": 1}
+    if where != "pass":
+        at = 0 if where == "first" else m ** k - 1
+        if kinds.startswith("int/int"):
+            units["f"] = 2
+        else:
+            dented = "h" if kinds == "array/array" else "g"
+            tables[dented][at] = 0
+    alg = FiniteAlgebra(
+        "sides", Signature((("g", 2), ("h", 2)), ("e", "f")), m,
+        {op: DenseTable(2, t) for op, t in tables.items()}, units)
+    ident = Identity(kinds, variables, lhs, rhs)
+    assert m ** k <= identities._BLOCK
+    rep = check_identity(alg, ident)
+    cx = brute_first_counterexample(alg, ident)
+    assert rep.engine == "np"
+    assert rep.verdict == ("pass" if cx is None else "fail")
+    assert rep.counterexample == cx
+    assert rep.tuples_checked == (m ** k if cx is None else 1 + sum(
+        v * m ** (k - 1 - i) for i, v in enumerate(cx.values())))
+    assert (cx is None) == (where == "pass")
+    if where == "last":
+        assert rep.tuples_checked == m ** k
+
+
+def test_term_table_refuses_an_unbound_variable_after_a_warm_plan(z3_n2):
+    # a kept plan is of (term, m, variables): other variables plan anew,
+    # and the unbound variable is refused there, warm or not
+    term = term_product(2)
+    assert term_table(z3_n2, term, ("a", "b")) == term_table(
+        z3_n2, term, ("a", "b"))
+    for _ in range(2):
+        with pytest.raises(EvalError, match=r"unbound variables \['b'\]"):
+            term_table(z3_n2, term, ("a",))
+    # a term that reads none of the variables is filled into every row,
+    # and a bare variable's table is its row of the grid, twice over
+    assert term_table(z3_n2, Constant("e"), ("a", "b")).entries == (0,) * 9
+    for _ in range(2):
+        assert term_table(z3_n2, Variable("b"), ("a", "b")).entries == (
+            0, 1, 2) * 3
 
 
 def _fold_identities(alg, n):
@@ -985,8 +1056,14 @@ def test_kept_values_are_bounded_by_count_and_weight():
     # a value heavier than the whole weight is returned, not kept
     assert kept.get(5, lambda: (11, "v5")) == "v5"
     assert list(kept.entries) == [3, 1, 4]
+    # six misses dropped keys 0 and 2; the builder takes the arguments
+    # passed after it
+    assert (kept.misses, kept.evictions) == (6, 2)
+    assert kept.get(6, lambda *args: (1, args), "a", 1) == ("a", 1)
+    assert (kept.misses, kept.evictions) == (7, 3)
     kept.cache_clear()
     assert (kept.entries, kept.total) == ({}, 0)
+    assert (kept.misses, kept.evictions) == (0, 0)
 
 
 def _dented_table(alg, name, index):
