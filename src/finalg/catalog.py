@@ -23,7 +23,6 @@ import math
 
 from .core import (
     AlgebraError,
-    BudgetError,
     DenseTable,
     FiniteAlgebra,
     InputError,
@@ -332,8 +331,7 @@ def build_boolean_protomodular(k: int) -> FiniteAlgebra:
     theta(x,y,z) = (x v z) ^ y, alpha1(x,y) = x ^ ~y, alpha2(x,y) = x v ~y,
     e1 = empty set, e2 = whole set.  Elements are bitmasks."""
     _at_least_1("k", k)
-    if k > 3:
-        raise BudgetError(f"k = {k} out of the supported range 1..3")
+    require_materializable(2, 3 * k, f"3 * {k}")
     m = 1 << k
     full = m - 1
     return standard_algebra(

@@ -14,11 +14,12 @@ Comments run from '#' to end of line.  Terms are prefix applications
 name(t1,...,tk); a bare identifier is a variable if declared in the
 identity head, otherwise a constant.
 
-Parsing starts with one check of the whole text's characters, so an
-unexpected character is reported before any parse error; an ASCII text
-of token characters and ASCII whitespace alone skips the scan, as it
-holds none.  Then tokens are lexed one at a time as the parser asks for
-them.  A table literal whose body is integers of at most 18 ASCII digits
+Tokens are lexed one at a time as the parser asks for them, and errors
+are reported in reading order, with line and column: the lexer raises at
+an unexpected character when the parser reaches it, so a parse error
+before it is reported first.  A term may nest at most MAX_TERM_DEPTH
+(200) applications; a deeper one is refused at its first token past the
+bound.  A table literal whose body is integers of at most 18 ASCII digits
 separated by commas, with ASCII whitespace around them, is read in one
 step (np.fromstring) into an int64 array, which its DenseTable keeps:
 the range check and the identity kernel read that array, and no entries
@@ -29,7 +30,6 @@ every table literal through table_literal.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -68,20 +68,6 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-# A character other than ASCII token characters and whitespace: '#', a
-# '-' (valid only inside an identifier), a non-ASCII digit or space, or
-# one that is valid only in a comment.  Most files hold none, and then
-# no line needs lexing before the parse.
-_SUSPECT = re.compile(r"[^\s{}\[\](),=/:A-Za-z0-9_]")
-
-# The ASCII characters that are not suspect: token characters and ASCII
-# whitespace (not \x1c-\x1f, which \s matches too).
-_PLAIN = (b"{}[](),=/:_ \t\n\r\x0b\x0c0123456789"
-          b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-
-# A translation table marking each byte of _PLAIN '.' and any other 'x'.
-_MARKS = bytes(46 if c in _PLAIN else 120 for c in range(256))
-
 # A table body's shape: each ASCII digit becomes '0', each ASCII
 # whitespace character ' ', a comma stays and any other byte is 'x'.
 _SHAPE = bytes(48 if 48 <= c <= 57 else 32 if c in b" \t\n\r\x0b\x0c"
@@ -89,6 +75,10 @@ _SHAPE = bytes(48 if 48 <= c <= 57 else 32 if c in b" \t\n\r\x0b\x0c"
 
 
 _STATEMENTS = ("carrier", "elem", "const", "op", "require")
+
+# The applications a term may nest, so that the evaluators, which recurse
+# once or twice a level, stay well inside Python's recursion limit.
+MAX_TERM_DEPTH = 200
 
 
 def _table_array(body):
@@ -122,43 +112,13 @@ def _line_col(text, offset):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _check_characters(text):
-    """Raise at the first unexpected character, the one the lexer would
-    reach first, so that it is reported before any parse error.  No token
-    spans a newline except whitespace, so each line is lexed alone, and
-    only a line holding a suspect character is lexed.  An ASCII text of
-    _PLAIN characters alone holds none.  In any other ASCII text the
-    suspects are the bytes outside _PLAIN, marked by one translate
-    (_MARKS) and found with bytes.find; a non-ASCII text is searched with
-    _SUSPECT."""
-    if text.isascii():
-        data = text.encode()
-        if not data.translate(None, _PLAIN):
-            return
-        find = functools.partial(data.translate(_MARKS).find, b"x")
-    else:
-        def find(pos):
-            suspect = _SUSPECT.search(text, pos)
-            return -1 if suspect is None else suspect.start()
-    at = find(0)
-    while at >= 0:
-        start = text.rfind("\n", 0, at) + 1
-        end = text.find("\n", at)
-        if end < 0:
-            end = len(text)
-        for m in _TOKEN.finditer(text, start, end):
-            if m.lastgroup == "bad":
-                raise DslError(f"unexpected character {m['bad']!r}",
-                               *_line_col(text, m.start("bad")))
-        at = find(end)
-
-
 class _Parser:
     """A recursive-descent parser over tokens lexed one at a time, on
-    demand, after one check of the whole text's characters."""
+    demand.  Errors are raised in reading order, with line and column:
+    the lexer raises at an unexpected character when it reaches it, and
+    each check of a token is made before the token after it is lexed."""
 
     def __init__(self, text):
-        _check_characters(text)
         self.text = text
         self.pos = 0  # where the token after the current one starts
         self.tok = None
@@ -172,6 +132,8 @@ class _Parser:
         tok = self.tok
         m = _TOKEN.match(self.text, self.pos)
         kind = m.lastgroup
+        if kind == "bad":
+            self.fail(f"unexpected character {m['bad']!r}", m.start(kind))
         self.tok = (kind, m[kind], m.start(kind))
         self.pos = m.end()
         return tok
@@ -200,12 +162,16 @@ class _Parser:
         return self.peek()[:2] == ("ident", word)
 
     def integer(self):
-        _, v, offset = self.expect("int")
+        kind, v, offset = self.peek()
+        if kind != "int":
+            self.error("expected int")
         try:
-            return int(v)
+            value = int(v)
         except ValueError:  # longer than Python's int conversion limit
             self.fail(f"integer literal of {len(v)} digits is too long",
                       offset)
+        self.next()
+        return value
 
     # -- algebra blocks ----------------------------------------------------
 
@@ -304,15 +270,17 @@ class _Parser:
         rhs = self.term(declared)
         return Identity(name, tuple(variables), lhs, rhs)
 
-    def term(self, declared):
-        tok = self.expect("ident")
-        name = tok[1]
+    def term(self, declared, depth=0):
+        if depth > MAX_TERM_DEPTH:
+            self.fail(f"term nested in more than {MAX_TERM_DEPTH} "
+                      "applications", self.peek()[2])
+        name = self.expect("ident")[1]
         if self.accept("punct", "("):
             args = []
             if not self.accept("punct", ")"):
-                args.append(self.term(declared))
+                args.append(self.term(declared, depth + 1))
                 while self.accept("punct", ","):
-                    args.append(self.term(declared))
+                    args.append(self.term(declared, depth + 1))
                 self.expect("punct", ")")
             return Apply(name, *args)
         if name in declared:

@@ -19,7 +19,7 @@ signature), ground a column per term node over all the variable tuples.
 A search is planned once per theory, carrier size, signature, pinned
 names and mode: its plan, the branch slots and the ground instances of
 every identity, is kept in a bounded cache, so a search makes one cache
-lookup for it, and its pins only fill the cells.  It and _reads are
+lookup for it, and its pins only fill the cells.  The plan cache is
 declared in core's cache registry, which finalg.clear_caches() empties.
 
 Evaluating a side either gives its value or stops at its blocking cell,
@@ -65,9 +65,9 @@ The budget bounds the work done: ground instances evaluated plus nodes,
 which count a branch on a cell no identity reads.  The root pass
 evaluates every instance once, so a spec with more instances than the
 budget (or the materialize limit) is refused before anything is built,
-as is one whose ground size, the instances times the applications and
-constants each holds, is over the materialize limit; the loop refuses at
-its first node once the work is over budget.
+and one whose ground size, the instances times the applications and
+constants each holds, is over that limit before any instance is ground;
+the loop refuses at its first node once the work is over budget.
 """
 from __future__ import annotations
 
@@ -90,7 +90,6 @@ from .core import (
     check_identity_terms,
     kept,
     materializable,
-    memo,
     require_materializable,
     standard_signature,
     table_error,
@@ -106,7 +105,7 @@ from .identities import (
 
 SEARCH_BUDGET = 10 ** 8  # ground instances evaluated plus nodes
 MODES = ("find-first", "count-all", "prove-none")
-_GROUNDS = 256  # search plans kept, and identities' read counts
+_GROUNDS = 256  # search plans kept
 _GROUND_WEIGHT = 1 << 16  # bound on the plans' slots, instances and reads
 
 # (identities, m, signature, pinned table names, pinned constant names,
@@ -207,9 +206,8 @@ def _check_spec(spec: SearchSpec, budget: int) -> None:
     """Refuse a spec before anything is built: InputError for an unknown
     mode, or a carrier or pins that are not a partial algebra on {0..m-1}
     (they index the cell array); BudgetError for a free table over the
-    materialize limit, ground instances over that limit or budget, or a
-    ground size (instances times the applications and constants each
-    holds) over that limit."""
+    materialize limit or ground instances over that limit or budget, in
+    identity order with the ground sizes that _plan checks."""
     m = spec.size
     if spec.mode not in MODES:
         raise InputError(f"unknown search mode {spec.mode!r}")
@@ -238,31 +236,38 @@ def _check_spec(spec: SearchSpec, budget: int) -> None:
             raise BudgetError(f"search table {name!r} of {m}^{arity} cells "
                               f"exceeds cap {_MATERIALIZE_LIMIT}")
     bound, what = min((budget, "budget"), (_MATERIALIZE_LIMIT, "cap"))
-    total = size = 0
-    for ident in spec.identities:
+    total = 0
+    for i, ident in enumerate(spec.identities):
         k = len(ident.variables)
         if not materializable(m, k) or total + m ** k > bound:
+            _ground_size(spec.identities[:i], m)  # refused first, in order
             raise BudgetError(f"search ground instances exceed {what} "
                               f"{bound} at identity {ident.name!r} ({m}^{k})")
         total += m ** k
-        reads = _reads(ident)
+
+
+def _ground_size(identities, m: int) -> int:
+    """The ground size of identities on m elements: their instances times
+    the applications and constants each holds, the cells of an instance
+    that are not a variable's.  BudgetError at the identity that takes it
+    over the materialize limit.  It does not depend on the budget, so
+    _plan checks it once per plan."""
+    def held(t):
+        if isinstance(t, Apply):
+            return 1 + sum(map(held, t.args))
+        return int(isinstance(t, Constant))
+
+    size = 0
+    for ident in identities:
+        k = len(ident.variables)
+        reads = held(ident.lhs) + held(ident.rhs)
         size += m ** k * reads
         if size > _MATERIALIZE_LIMIT:
             raise BudgetError(
                 f"search ground size {size} exceeds cap {_MATERIALIZE_LIMIT} "
                 f"at identity {ident.name!r} ({m}^{k} instances of {reads} "
                 "applications and constants)")
-
-
-@memo(_GROUNDS)
-def _reads(ident) -> int:
-    """The applications and constants in ident's sides: the cells of one
-    ground instance that are not a variable's."""
-    def held(t):
-        if isinstance(t, Apply):
-            return 1 + sum(map(held, t.args))
-        return int(isinstance(t, Constant))
-    return held(ident.lhs) + held(ident.rhs)
+    return size
 
 
 class _Cells:
@@ -358,15 +363,13 @@ class _Cells:
 def _plan(spec: SearchSpec, layout: _Cells):
     """(weight, (slots, instances)) of spec's search: the slots of its
     free cells in branching order (branch_cells) and every ground
-    instance, identity by identity (_Cells.instances).  The weight is the
-    slots plus the instances and the applications and constants they
-    hold."""
-    m = spec.size
+    instance, identity by identity (_Cells.instances), ground once its
+    ground size passes.  The weight is the slots plus that size and the
+    instances."""
+    size = _ground_size(spec.identities, spec.size)
     slots = tuple(map(layout.cell_slot, spec.branch_cells()))
     instances = tuple(layout.instances(spec.identities))
-    weight = len(slots) + sum(m ** len(ident.variables) * (1 + _reads(ident))
-                              for ident in spec.identities)
-    return weight, (slots, instances)
+    return len(slots) + len(instances) + size, (slots, instances)
 
 
 def _value(t, vals) -> int:

@@ -59,9 +59,9 @@ def test_every_cache_is_declared_through_core():
     assert [where for key, where in found.items()
             if key not in registered] == []
     assert sorted(registered) == sorted(found)
-    # the two plan caches and the 15 memos
+    # the two plan caches and the 14 memos
     assert sum(isinstance(c, core._Kept) for c in core._caches) == 2
-    assert len(registered) == 17
+    assert len(registered) == 16
 
 
 def test_clear_caches_empties_every_cache(capsys):

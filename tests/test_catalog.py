@@ -304,7 +304,7 @@ def test_boolean_protomodular_suites():
         assert _passes_2assoc(alg, 2)
         assert not suite_ok(check_suite(alg, suite_semiabelian(2, units)))
     with pytest.raises(AlgebraError):
-        catalog.build_boolean_protomodular(4)
+        catalog.build_boolean_protomodular(8)
 
 
 # --- map composition and diagonal retractions --------------------------------

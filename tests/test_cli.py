@@ -22,7 +22,7 @@ from finalg.core import (
     Signature,
     eval_term,
 )
-from finalg.dsl import parse_algebra, parse_file, serialize
+from finalg.dsl import MAX_TERM_DEPTH, parse_algebra, parse_file, serialize
 from finalg.identities import (
     ASSOCIATIVITY,
     identity_2assoc,
@@ -955,6 +955,35 @@ def test_search_malformed_spec_exit_2(tmp_path, capsys, body, mode):
     assert captured.out == ""  # no verdict line
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_a_term_nested_past_the_bound_exits_2(tmp_path, capsys):
+    # f^200(a) = f(a) on the swap of {0, 1}: 200 is even, so check fails
+    # at a = 0 (eval_term confirms it) and search finds f = [0, 0], which
+    # it re-verifies; one level more is refused at its innermost token
+    head = "identity deep(a): "
+    for depth in (MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1):
+        term = "f(" * depth + "a" + ")" * depth
+        alg = tmp_path / "deep.alg"
+        alg.write_text("algebra A {\n  carrier 2\n  op f/1 = [1, 0]\n}\n"
+                       f"{head}{term} = f(a)\n")
+        spec = tmp_path / "deep.spec"
+        spec.write_text("algebra A {\n  carrier 2\n  op f/1 = free\n}\n"
+                        f"{head}{term} = f(f(f(a)))\n")
+        if depth == MAX_TERM_DEPTH:
+            assert main(["check", str(alg)]) == 1
+            assert "IDENTITY deep FAIL [counterexample: a=0]" in (
+                capsys.readouterr().out)
+            assert main(["search", str(spec)]) == 0
+            assert capsys.readouterr().out.startswith("witness found")
+            continue
+        for argv in (["check", str(alg)], ["search", str(spec)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: line 5, col {len(head) + 2 * depth + 1}: term "
+                f"nested in more than {MAX_TERM_DEPTH} applications\n")
 
 
 def test_search_structured_reports_work(tmp_path, capsys):

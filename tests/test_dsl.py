@@ -105,8 +105,11 @@ def test_error_reports_line_and_column():
 
 
 @pytest.mark.parametrize("text, line, col, message", [
-    # unexpected character: found while tokenizing, before any parse error
-    ("algebra X {\n  carrier 2 ]\n  op f/1 = [0, @]\n}\n", 3, 16,
+    # errors in reading order: the ']' on line 2 comes before the '@'
+    ("algebra X {\n  carrier 2 ]\n  op f/1 = [0, @]\n}\n", 2, 13,
+     "expected carrier/elem/const/op/require (got ']')"),
+    # unexpected character: raised when the lexer reaches it
+    ("algebra X {\n  carrier 2\n  op f/1 = [0, @]\n}\n", 3, 16,
      "unexpected character '@'"),
     # bad element: reported at the statement that holds it
     ("algebra X {\n  carrier 2\n  op f/1 = [0, top]\n}\n", 3, 3,
@@ -119,8 +122,12 @@ def test_error_reports_line_and_column():
      "integer literal of 5000 digits is too long"),
     ("algebra X { carrier 2 op f/1 = [0, %s] }" % ("1" * 5000), 1, 36,
      "integer literal of 5000 digits is too long"),
-], ids=["unexpected-character", "bad-element", "end-of-input",
-        "long-carrier", "long-entry"])
+    # read before the token after it is lexed
+    ("algebra X {\n  carrier %s @ }" % ("1" * 5000), 2, 11,
+     "integer literal of 5000 digits is too long"),
+], ids=["parse-error-first", "unexpected-character", "bad-element",
+        "end-of-input", "long-carrier", "long-entry",
+        "long-carrier-before-character"])
 def test_error_line_and_column_by_kind(text, line, col, message):
     with pytest.raises(DslError) as ei:
         parse_algebra(text)
@@ -129,16 +136,16 @@ def test_error_line_and_column_by_kind(text, line, col, message):
 
 
 @pytest.mark.parametrize("header", [
-    "algebra maps-2n2 {",  # ASCII: the suspect bytes are marked
-    "algebra maps-2n2 { # é",  # non-ASCII: the suspects are searched
+    "algebra maps-2n2 {",  # ASCII
+    "algebra maps-2n2 { # é",  # a non-ASCII comment
 ])
 def test_a_bad_character_after_suspect_lines_is_found(header):
-    # line 1 and line 100 hold suspect characters that lex; the check
+    # line 1 and line 100 hold a '-' and a comment, which lex; the parser
     # goes on past them to an '@' at the end of a 4,096-entry table
-    rows = [", ".join(["1"] * 16) for _ in range(256)]
+    rows = [", ".join(["1"] * 16) + "," for _ in range(256)]
     rows[97] += "  # row 98"
-    rows[-1] = rows[-1][:-1] + "@"
-    text = (header + "\n  carrier 16\n  op theta/3 = [" + ",\n".join(rows)
+    rows[-1] = rows[-1][:-2] + "@"
+    text = (header + "\n  carrier 16\n  op theta/3 = [" + "\n".join(rows)
             + "]\n}\n")
     assert len(text) > 12_000
     with pytest.raises(DslError) as ei:
@@ -379,25 +386,26 @@ def test_digits_only_tables_build_no_entries_tuple(tmp_path, monkeypatch):
 _CHARACTER_MUTATIONS = _TABLE_MUTATION_CHARS + "\x0b\x1f\u00a0\u2003~%"
 
 
-def _character_error(text):
-    try:
-        dsl._check_characters(text)
-    except DslError as e:
-        return str(e)
-    return None
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(_TABLE_BASES + _BASES),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
                           st.sampled_from(_CHARACTER_MUTATIONS)),
                 max_size=6))
-def test_character_check_shortcut_matches_full_scan(base, edits):
+def test_errors_are_reported_in_reading_order(base, edits):
+    # an unexpected character is the first one in the text, and any other
+    # error with a line and column has no unexpected character before it
     text = _mutated(base, edits)
-    got = _character_error(text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dsl, "_PLAIN", b"")  # no text skips the scan
-        assert got == _character_error(text)
+    first_bad = _tokens_or_error(_reference_tokenize, text)
+    try:
+        parse_file(text)
+    except (DslError, SymbolError) as e:
+        if "unexpected character" in str(e):
+            assert str(e) == first_bad
+        elif isinstance(first_bad, str) and getattr(e, "line", None):
+            bad_at = tuple(map(int, re.findall(r"\d+", first_bad)[:2]))
+            assert bad_at > (e.line, e.col)
+    else:
+        assert isinstance(first_bad, list)
 
 
 _ENTRIES = st.one_of(st.integers(-3, 24), st.integers(-2 ** 63, 2 ** 63 - 1))
@@ -437,4 +445,4 @@ def test_module_patterns_use_no_python_3_11_syntax():
                 seen.add(f"finalg.{info.name}.{name}")
                 assert not _PY311_ONLY.search(value.pattern), (
                     f"finalg.{info.name}.{name}")
-    assert {"finalg.dsl._TOKEN", "finalg.dsl._SUSPECT"} <= seen
+    assert "finalg.dsl._TOKEN" in seen

@@ -38,7 +38,7 @@ from finalg.search import (
     SearchSpec,
     _Cells,
     _GROUND_WEIGHT,
-    _check_spec,
+    _ground_size,
     _semiabelian_2assoc,
     count_2assoc_semiabelian,
     parse_search_spec,
@@ -233,12 +233,31 @@ def test_search_refuses_a_ground_size_over_the_cap():
     assert time.perf_counter() - start < 1
     # the size is summed over the identities, and 2^16 instances of 30
     # (1,966,080) are admitted
-    spec.identities = (_chain_identity(16),)
-    _check_spec(spec, SEARCH_BUDGET)
+    assert _ground_size((_chain_identity(16),), 2) == 1_966_080
     spec.identities = (_chain_identity(16),) * 3
-    with pytest.raises(BudgetError, match="ground size 5898240 exceeds cap "
-                                          "4194304 at identity 'chain16'"):
-        _check_spec(spec, SEARCH_BUDGET)
+    start = time.perf_counter()
+    for budget in (SEARCH_BUDGET, 10 ** 100):
+        with pytest.raises(BudgetError, match="ground size 5898240 exceeds "
+                                              "cap 4194304 at identity "
+                                              "'chain16'"):
+            search(spec, budget=budget)
+    assert time.perf_counter() - start < 1
+
+
+def test_search_refuses_a_ground_size_before_a_later_instance_count():
+    # chain18's 2^18 instances fit the budget but its ground size is over
+    # the cap; chain2's 4 instances take the total over the budget.  The
+    # refusals come in identity order, whichever check makes each
+    spec = SearchSpec("chain", 2, Signature((("f", 2),)),
+                      (_chain_identity(18), _chain_identity(2)))
+    with pytest.raises(BudgetError, match="ground size 8912896 exceeds cap"):
+        search(spec, budget=2 ** 18)
+    spec.identities = spec.identities[::-1]
+    with pytest.raises(BudgetError, match="ground size 8912904 exceeds cap"):
+        search(spec, budget=2 ** 18 + 4)
+    with pytest.raises(BudgetError, match="ground instances exceed budget "
+                                          "262147 at identity 'chain18'"):
+        search(spec, budget=2 ** 18 + 3)
 
 
 @pytest.mark.parametrize("mode", ["count", "first", ""])
