@@ -17,15 +17,16 @@ identity head, otherwise a constant.
 Tokens are lexed one at a time as the parser asks for them, and errors
 are reported in reading order, with line and column: the lexer raises at
 an unexpected character when the parser reaches it, so a parse error
-before it is reported first.  A term may nest at most MAX_TERM_DEPTH
-(200) applications; a deeper one is refused at its first token past the
-bound.  A table literal whose body is integers of at most 18 ASCII digits
-separated by commas, with ASCII whitespace around them, is read in one
-step (np.fromstring) into an int64 array, which its DenseTable keeps:
-the range check and the identity kernel read that array, and no entries
-tuple is built.  Any other body, such as one with aliases, comments,
-empty slots or longer integers, is read token by token, which accepts
-the same tables and reports the errors.  serialize and the CLI write
+before it is reported first, and parse_file and parse_algebra check an
+algebra block before the token after its '}' is lexed.  A term may nest
+at most MAX_TERM_DEPTH (200) applications; a deeper one is refused at
+its first token past the bound.  A table literal whose body is integers
+of at most 18 ASCII digits separated by commas, with ASCII whitespace
+around them, is read in one step (np.fromstring) into an int64 array,
+which its DenseTable keeps: the range check and the identity kernel read
+that array, and no entries tuple is built.  Any other body, such as one
+with aliases, comments, empty slots or longer integers, is read token by
+token, which accepts the same tables and reports the errors.  serialize and the CLI write
 every table literal through table_literal.
 """
 from __future__ import annotations
@@ -175,12 +176,15 @@ class _Parser:
 
     # -- algebra blocks ----------------------------------------------------
 
-    def algebra_block(self):
+    def algebra_block(self, block):
+        """block(raw) of the algebra block read here, called before the
+        token after its '}' is lexed, so that the errors block raises
+        about the block come before that token's."""
         self.expect("ident", "algebra")
         name = self.expect("ident")[1]
         self.expect("punct", "{")
         raw = RawAlgebra(name=name)
-        while not self.accept("punct", "}"):
+        while self.peek()[:2] != ("punct", "}"):
             k, v, start = self.peek()
             if k != "ident" or v not in _STATEMENTS:
                 self.error("expected carrier/elem/const/op/require")
@@ -217,7 +221,9 @@ class _Parser:
                     raw.requires.append(req)
                 if not raw.requires:
                     self.error("require needs at least one suite name")
-        return raw
+        value = block(raw)
+        self.next()
+        return value
 
     def table(self, raw, arity, start):
         """The DenseTable of a table literal: read in one step when
@@ -343,9 +349,9 @@ def raw_to_algebra(raw: RawAlgebra, allow_free: bool = False) -> FiniteAlgebra:
 def parse_algebra(text: str) -> FiniteAlgebra:
     """Parse exactly one algebra block; free tables are rejected."""
     p = _Parser(text)
-    raw = p.algebra_block()
+    alg = p.algebra_block(raw_to_algebra)
     p.expect("eof")
-    return raw_to_algebra(raw)
+    return alg
 
 
 def parse_identity(text: str, signature: Signature | None = None) -> Identity:
@@ -366,7 +372,7 @@ def _statements(text, block):
     blocks, identities = [], []
     while p.peek()[0] != "eof":
         if p.at_keyword("algebra"):
-            blocks.append(block(p.algebra_block()))
+            blocks.append(p.algebra_block(block))
         elif p.at_keyword("identity"):
             identities.append(p.identity_stmt())
         else:

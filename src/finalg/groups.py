@@ -37,6 +37,7 @@ from .identities import (
     ASSOCIATIVITY,
     GROUP_LAWS,
     check_identity,
+    check_laws,
     enriched_laws,
     identity_malcev_assoc,
     identity_malcev_assoc_expanded,
@@ -76,12 +77,11 @@ def _require(alg: FiniteAlgebra, *suite_names):
     unit = unit_constants(alg, n)[0]
     for name in suite_names:
         spec = f"{name}:{n}"
-        for ident in suite_identities(alg, spec):
-            rep = check_identity(alg, ident)
-            if not rep.ok:
-                raise PreconditionError(
-                    f"{alg.name!r} fails {spec} at {rep.name}", rep
-                )
+        rep = check_laws(alg, suite_identities(alg, spec))
+        if rep is not None:
+            raise PreconditionError(
+                f"{alg.name!r} fails {spec} at {rep.name}", rep
+            )
     return n, unit
 
 
@@ -292,8 +292,8 @@ def count_enriched_groups(m: int, n: int) -> int:
         ):
             continue
         groups.append((tbl, u))
-    laws = [law for law in enriched_laws(n)
-            if law.name in ("gamma-alpha", "distributivity")]
+    laws = tuple(law for law in enriched_laws(n)
+                 if law.name in ("gamma-alpha", "distributivity"))
     count = 0
     for tbl, u in groups:
         def alpha(off):
@@ -309,5 +309,5 @@ def count_enriched_groups(m: int, n: int) -> int:
             ):
                 view = enriched_algebra("candidate", m, tbl, u, gamma,
                                         tuple(map(alpha, offs)))
-                count += all(check_identity(view, law).ok for law in laws)
+                count += check_laws(view, laws) is None
     return count

@@ -63,8 +63,9 @@ With every variable a grid row, both sides of a one-block check bind to
 values, an int or a flat int64 array of all m^k tuples in lex order,
 which are compared once, with no loop: two arrays by their bytes (far
 cheaper than numpy's != on a few tuples, about 1 us dearer at
-_BLOCK), and only sides that differ or are ints are scanned for the
-first failure (_first_bad).  term_table keeps its side's array as the
+_BLOCK), an array and an int by the array's bytes against the int's,
+and only sides that differ are scanned for the first failure
+(_first_bad).  term_table keeps its side's array as the
 table and fills one only for an int.  A table application is then one
 flat index and one gather, and its plan holds the sum of its variable
 arguments' shares of that index (each grid row times its stride), so
@@ -121,12 +122,27 @@ most m of them distinct, and the Mal'cev term a * b^-1 * c has at most m
 distinct sections mu(a, b, -) among its m^2.  Where the sections all
 differ, as in a random table or a group's associativity, every prefix
 runs.
+
+A law list checked on one algebra (check_laws: require_laws, the group
+preconditions, verify-paper's suites) is planned as a whole, keyed by
+the tuple of laws and m (_plan_laws), and weighed as the sum of its laws' plans: each law over
+one block gets its two sides' plans, whose binds all take the values
+of the symbols of every law, so one read of the algebra's tables and
+constants serves the list, and its bound sides are compared by the one
+code a single check runs (_one_block).  A law that passes builds no
+report; the first that fails gets check_identity's report.  A law over
+several blocks or over the budget, a list of one law, and every law of
+a list with a misfit or of a product that records its factors, is
+checked by check_identity in its place, so what a list raises, and in what order,
+is what its per-law loop raises.  The list's builder plans its laws by
+_plan_terms directly, since _plans's lock is held while it runs.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -533,6 +549,41 @@ def _tail(axes, own, last):
     return j
 
 
+def _one_block(alg, ident, lhs, rhs):
+    """The FAIL report of a one-block check of ident on alg whose sides
+    bound to lhs and rhs, or None when they agree at every tuple.  Two
+    ints compare once; two arrays by their bytes, and an array and an int
+    by the array's bytes against the int's 8 bytes repeated, when the int
+    fits int64 (an unvalidated constant may not).  Only sides that differ
+    by that test are scanned for the first failure (_first_bad)."""
+    if isinstance(lhs, int):
+        if isinstance(rhs, int):
+            if lhs == rhs:
+                return None
+        elif _filled(rhs, lhs):
+            return None
+    elif isinstance(rhs, int):
+        if _filled(lhs, rhs):
+            return None
+    elif lhs.tobytes() == rhs.tobytes():
+        return None
+    j = _first_bad(lhs, rhs)
+    if j is None:
+        return None
+    return _confirmed_fail(alg, ident, tuple(_digits(
+        j, (alg.size,) * len(ident.variables))), j + 1, "np")
+
+
+def _filled(side, value):
+    """Whether the int64 array side holds the int value at every entry,
+    by their bytes; False when value does not fit int64."""
+    try:
+        return side.tobytes() == value.to_bytes(
+            8, sys.byteorder, signed=True) * side.size
+    except OverflowError:
+        return False
+
+
 def _first_bad(lhs, rhs):
     """Index of the first assignment at which the values lhs and rhs of an
     identity's sides differ, or None; a side that is one int holds for
@@ -610,7 +661,7 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
 _plans = kept(_PLANS, _PLAN_BYTES)
 
 
-def _plan_terms(terms, variables, m, inner):
+def _plan_terms(terms, variables, m, inner, symbols=None):
     """(bytes, (*plans of terms, keyed sections, symbols)), the value
     _plans keeps, when the last inner of variables are known: flat grid
     rows when inner covers every variable, the axes of an open mesh
@@ -619,11 +670,11 @@ def _plan_terms(terms, variables, m, inner):
     that key a prefix under a prefix loop (_keyed), each as (op, depth,
     plans of its leading arguments), or None when the terms do not
     qualify or have no prefix loop; symbols are what every plan's bind
-    takes the values of (_arguments).  A term that reads a variable
-    outside variables is an EvalError.  A plan holds at most one array of
-    m^inner values, a share on the suffix mesh or grid, per table
-    application and per term that is a bare variable, which bounds its
-    bytes.  It holds nothing per run of the last prefix variable, so the
+    takes the values of (_arguments), the terms' own unless given.  A
+    term that reads a variable outside variables is an EvalError.  A plan
+    holds at most one array of m^inner values, a share on the suffix
+    mesh or grid, per table application and per term that is a bare
+    variable, which bounds its bytes.  It holds nothing per run of the last prefix variable, so the
     run's length, which a block's temporaries scale with, is no part of
     its weight."""
     unbound = set().union(*map(term_variables, terms)) - set(variables)
@@ -636,7 +687,8 @@ def _plan_terms(terms, variables, m, inner):
         late, suffix = variables[:outer] or None, variables[outer:]
     mesh = bool(late and suffix)
     known = dict(zip(suffix, (_mesh if mesh else _grid)(m, inner)))
-    symbols = _symbols(terms)
+    if symbols is None:
+        symbols = _symbols(terms)
     keyed = _keyed(terms, set(suffix)) if mesh else None
     if keyed is not None:
         # leading arguments read only prefix variables, bound as the
@@ -647,6 +699,27 @@ def _plan_terms(terms, variables, m, inner):
     plans = [_plan(t, m, known, late, symbols) for t in terms]
     arrays = len(terms) + sum(map(_applications, terms))
     return 8 * m ** inner * arrays, (*plans, keyed, symbols)
+
+
+def _plan_laws(laws, m):
+    """(bytes, (plans, symbols)), the value _plans keeps for the law
+    list laws on m elements (see check_laws): symbols are those of every
+    law's sides, and plans holds, per law, (lhs plan, rhs plan, m^k) of a
+    law over one block, its variables flat grid rows and its binds taking
+    the values of symbols, or None for a law over more.  It is built
+    with _plan_terms, not through _plans.get, whose lock is held."""
+    symbols = _symbols([t for law in laws for t in (law.lhs, law.rhs)])
+    plans, weight = [], 0
+    for law in laws:
+        k = len(law.variables)
+        if m ** k > _BLOCK:
+            plans.append(None)
+            continue
+        size, (lhs, rhs, _, _) = _plan_terms(
+            (law.lhs, law.rhs), law.variables, m, k, symbols)
+        plans.append((lhs, rhs, m ** k))
+        weight += size
+    return weight, (tuple(plans), symbols)
 
 
 def _keyed(sides, suffix):
@@ -707,13 +780,10 @@ def _check_exhaustive_np(alg, ident, total):
     if inner == k:
         # one block: every variable is a flat grid row, so each side
         # binds to an int or a flat int64 array of all m^k tuples in lex
-        # order; two arrays are scanned only when their bytes differ
-        if (isinstance(lhs, int) or isinstance(rhs, int)
-                or lhs.tobytes() != rhs.tobytes()):
-            j = _first_bad(lhs, rhs)
-            if j is not None:
-                return _confirmed_fail(alg, ident, tuple(_digits(
-                    j, (m,) * k)), j + 1, "np")
+        # order
+        report = _one_block(alg, ident, lhs, rhs)
+        if report is not None:
+            return report
         # (verdict, name, counterexample, tuples_checked, seed, detail,
         # engine) by position: keywords would cost more than the compare
         return CheckReport("pass", ident.name, None, total, None, None, "np")
@@ -759,6 +829,47 @@ def _check_exhaustive_np(alg, ident, total):
         if report is not None:
             return report
     return CheckReport("pass", ident.name, tuples_checked=total, engine="np")
+
+
+def check_laws(alg: FiniteAlgebra, laws,
+               budget: int = EXHAUSTIVE_BUDGET) -> CheckReport | None:
+    """The exhaustive report of the first law of laws that fails on alg,
+    or None when every law passes: the first report that is not ok of a
+    loop of check_identity(alg, law, budget=budget) over laws, which
+    raises what that loop raises, in its order.
+
+    When there are several laws, every law fits alg's signature and alg
+    records no factors, the list is planned once per carrier size (_plan_laws: one _plans
+    lookup), alg's tables and constants are read once for all the laws,
+    and each law over one block binds its sides to those values and
+    compares them as check_identity does (_one_block); a passing law
+    builds no report.  Any other law, or one over budget, is checked by
+    check_identity at its place in the list, and so is every law of a
+    list that does not qualify or whose values cannot be read."""
+    laws = tuple(laws)
+    plans, fits = None, alg.signature._symbols
+    # one law shares nothing: its own check plans it once
+    if len(laws) > 1 and not alg.factors and all(
+            law._symbols <= fits for law in laws):
+        plans, symbols = _plans.get((laws, alg.size), _plan_laws, laws,
+                                    alg.size)
+        try:
+            args = _arguments(alg, symbols)
+        except Exception:
+            # a value some law reads cannot be read: each law in turn
+            # raises it at its place, after any earlier failure
+            plans = None
+    for law, plan in zip(laws, plans or (None,) * len(laws)):
+        if plan is None or plan[2] > budget:
+            report = check_identity(alg, law, budget=budget)
+            if not report.ok:
+                return report
+            continue
+        lhs, rhs, _ = plan
+        report = _one_block(alg, law, lhs(*args), rhs(*args))
+        if report is not None:
+            return report
+    return None
 
 
 def _section_classes(alg, keyed, blocks, args):
@@ -1236,25 +1347,19 @@ def require_laws(alg: FiniteAlgebra, laws, error=AlgebraError) -> None:
     valid = validate_algebra(alg)
     if not valid.ok:
         raise error(f"{alg.name}: {valid.detail}")
-    for law in laws:
-        rep = check_identity(alg, law, budget=math.inf)
-        if not rep.ok:
-            cx = ", ".join(f"{k}={v}" for k, v in rep.counterexample.items())
-            raise error(f"{alg.name}: {law.name} fails at {cx}")
+    rep = check_laws(alg, laws, budget=math.inf)
+    if rep is not None:
+        cx = ", ".join(f"{k}={v}" for k, v in rep.counterexample.items())
+        raise error(f"{alg.name}: {rep.name} fails at {cx}")
 
 
 # ---------------------------------------------------------------------------
 # functional characterization of 2-associativity
 
 def theta_section(alg: FiniteAlgebra, b: int):
-    """The n-ary section theta(-,...,-,b) as a flat tuple over A^n."""
-    tbl = alg.op("theta")
-    n = tbl.arity - 1
-    m = alg.size
-    return tuple(
-        tbl.lookup(xs + (b,), m)
-        for xs in itertools.product(range(m), repeat=n)
-    )
+    """The n-ary section theta(-,...,-,b) as a flat tuple over A^n: the
+    entries of theta whose last argument is b, every m-th from b."""
+    return alg.op("theta").entries[b::alg.size]
 
 
 def check_2assoc_functional(alg: FiniteAlgebra, n: int) -> CheckReport:
@@ -1262,7 +1367,10 @@ def check_2assoc_functional(alg: FiniteAlgebra, n: int) -> CheckReport:
 
     Materializes every section theta_b, composes sections inside
     Map(A^n, A), and compares with the section of theta(b1,...,bn,c)
-    pointwise.  Always agrees with the direct identity check.
+    pointwise.  Always agrees with the direct identity check.  A
+    composite is one map of theta_c over the flat indices of the points
+    (theta(x*, b1), ..., theta(x*, bn)), compared with its target as one
+    tuple; the points are walked one by one only to place a mismatch.
     """
     m = alg.size
     tbl = alg.op("theta")
@@ -1273,28 +1381,32 @@ def check_2assoc_functional(alg: FiniteAlgebra, n: int) -> CheckReport:
             f"functional 2-assoc check needs {m}^{n} x {m}^{n + 1} "
             "section points, over budget"
         )
-    sections = [theta_section(alg, b) for b in range(m)]
-    points = list(itertools.product(range(m), repeat=n))
-    flat = {xs: i for i, xs in enumerate(points)}
+    entries = tbl.entries
+    sections = [entries[b::m] for b in range(m)]
     checked = 0
-    for bs in itertools.product(range(m), repeat=n):
+    for i, bs in enumerate(itertools.product(range(m), repeat=n)):
+        # the flat index of (theta(x*, b1), ..., theta(x*, bn)) per point
+        at = sections[bs[0]] if n else (0,)  # A^0 has one point
+        for b in bs[1:]:
+            at = [p * m + q for p, q in zip(at, sections[b])]
         for c in range(m):
-            target = sections[tbl.lookup(bs + (c,), m)]
-            g = sections[c]
-            fs = [sections[b] for b in bs]
-            for i, xs in enumerate(points):
-                checked += 1
-                composed = g[flat[tuple(f[i] for f in fs)]]
-                if composed != target[i]:
-                    cx = {f"b{j + 1}": b for j, b in enumerate(bs)}
-                    cx["c"] = c
-                    cx.update({f"x{j + 1}": x for j, x in enumerate(xs)})
-                    return CheckReport(
-                        "fail", f"2assoc-functional:{n}",
-                        counterexample=cx, tuples_checked=checked,
-                        detail="section composition disagrees with "
-                               "the section of the composite",
-                    )
+            target = sections[entries[i * m + c]]
+            composed = tuple(map(sections[c].__getitem__, at))
+            if composed == target:
+                checked += len(target)
+                continue
+            j = next(j for j, (p, q) in enumerate(zip(composed, target))
+                     if p != q)
+            cx = {f"b{k + 1}": b for k, b in enumerate(bs)}
+            cx["c"] = c
+            cx.update({f"x{k + 1}": x for k, x in enumerate(_digits(
+                j, (m,) * n))})
+            return CheckReport(
+                "fail", f"2assoc-functional:{n}",
+                counterexample=cx, tuples_checked=checked + j + 1,
+                detail="section composition disagrees with "
+                       "the section of the composite",
+            )
     return CheckReport("pass", f"2assoc-functional:{n}", tuples_checked=checked)
 
 

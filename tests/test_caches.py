@@ -9,9 +9,12 @@ import pytest
 import finalg
 from finalg import catalog, cli, clear_caches, core, groups, verify
 from finalg.identities import (
+    GROUP_LAWS,
     check_identity,
+    check_laws,
     identities_1assoc,
     identity_2assoc,
+    suite_identities,
     term_product,
     term_table,
 )
@@ -89,6 +92,20 @@ def _checks():
     ]
 
 
+def _law_lists():
+    # lists that pass and fail over one block, a list with a law over
+    # several blocks, and a product's list, checked through its factors
+    z3, z8 = (catalog.build_semigroup_algebra(catalog.cyclic_group(m), 2, 1)
+              for m in (3, 8))
+    rows = catalog.build_matrix_row_algebra(2, 2)
+    lists = [(z3, suite_identities(z3, spec))
+             for spec in ("semiabelian:2", "2assoc:2", "strict:2")]
+    lists += [(z8, suite_identities(z8, "2assoc:2")),
+              (rows, suite_identities(rows, "2assoc:2")),
+              (catalog.cyclic_group(4), GROUP_LAWS)]
+    return lambda: [check_laws(alg, laws) for alg, laws in lists]
+
+
 def _z3():
     return catalog.build_semigroup_algebra(catalog.cyclic_group(3), 2, 1)
 
@@ -118,6 +135,7 @@ def _criterion(fn):
 
 ENTRY_POINTS = {
     "check_identity": _checks,
+    "check_laws": _law_lists,
     **{f"search-{mode}": _search(mode) for mode in MODES},
     "count_2assoc_semiabelian": lambda: lambda: [
         count_2assoc_semiabelian(m, n) for m, n in ((3, 1), (2, 2))],

@@ -730,6 +730,31 @@ def test_group_refusal_prints_failing_report(tmp_path, capsys, command):
     assert lines[1].startswith("IDENTITY retraction FAIL [counterexample: ")
 
 
+@pytest.mark.parametrize("declared, code", [("alpha1", 1), ("alpha2", 2)])
+def test_a_precondition_list_refuses_in_list_order(tmp_path, capsys,
+                                                   declared, code):
+    # semiabelian:2 reads alpha1, then alpha2; the declared one is
+    # constant 1, so its unit law fails at a = 0.  With alpha1 declared
+    # the failure comes first (REFUSED, exit 1), before alpha2-unit,
+    # which does not fit; with alpha2 alone alpha1-unit does not fit
+    # first (exit 2)
+    p = tmp_path / "half.alg"
+    p.write_text("algebra X {\n  carrier 2\n  const e1 = 0\n  const e2 = 0\n"
+                 "  op theta/3 = [0, 0, 0, 0, 1, 1, 1, 1]\n"
+                 f"  op {declared}/2 = [1, 1, 1, 1]\n}}\n")
+    assert main(["derive-group", str(p)]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == (
+            "REFUSED: 'X' fails semiabelian:2 at alpha1-unit\n"
+            "IDENTITY alpha1-unit FAIL [counterexample: a=0] tuples=1\n")
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: identity 'alpha1-unit' does not fit the signature of "
+            "'X': unknown symbol 'alpha1'\n")
+
+
 @pytest.mark.parametrize("command, fixture", [
     ("derive-group", "chain2_file"),
     ("to-enriched", "chain2_file"),

@@ -135,6 +135,26 @@ def test_error_line_and_column_by_kind(text, line, col, message):
     assert str(ei.value) == f"line {line}, col {col}: {message}"
 
 
+@pytest.mark.parametrize("parse", [parse_file, parse_algebra])
+@pytest.mark.parametrize("tail", ["", " @", " algebra"])
+def test_a_block_is_checked_before_the_token_after_it(parse, tail):
+    # an entry out of range is reported before a bad character or any
+    # token after the block's '}', which a good block reaches
+    text = "algebra X { carrier 2 op f/1 = [0, 7] }"
+    with pytest.raises(DslError, match=r"^algebra 'X': symbol 'f': entry 7 "
+                                       r"out of range at flat index 1$"):
+        parse(text + tail)
+    good = text.replace("7", "1") + tail
+    if not tail:
+        assert parse(good)
+        return
+    with pytest.raises(DslError) as ei:
+        parse(good)
+    assert (ei.value.line, ei.value.col) >= (1, 41)  # past the '}'
+    if tail == " @":
+        assert str(ei.value) == "line 1, col 41: unexpected character '@'"
+
+
 @pytest.mark.parametrize("header", [
     "algebra maps-2n2 {",  # ASCII
     "algebra maps-2n2 { # é",  # a non-ASCII comment

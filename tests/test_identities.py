@@ -44,6 +44,7 @@ from finalg.identities import (
     NEUTRAL_LAWS,
     check_2assoc_functional,
     check_identity,
+    check_laws,
     check_strict_equivalence,
     check_suite,
     enriched_laws,
@@ -669,9 +670,10 @@ _SIDE_KINDS = {
     for where in ("pass", "first", "last")
     # two ints fail at every tuple or none
     if (kinds, where) != ("int/int", "last")])
-def test_one_block_sides_of_every_kind(kinds, where, m):
-    # the bytes test passes equal arrays, and the scan places the first
-    # failure, as the brute-force oracle does
+def test_one_block_sides_of_every_kind(monkeypatch, kinds, where, m):
+    # the bytes test passes equal arrays, and an array equal to an int,
+    # with no scan; the scan places the first failure, as the brute-force
+    # oracle does
     lhs, rhs, variables = _SIDE_KINDS[kinds]
     k = len(variables)
     tables = {"g": [1] * m ** 2, "h": [1] * m ** 2}
@@ -688,7 +690,9 @@ def test_one_block_sides_of_every_kind(kinds, where, m):
         {op: DenseTable(2, t) for op, t in tables.items()}, units)
     ident = Identity(kinds, variables, lhs, rhs)
     assert m ** k <= identities._BLOCK
+    scans = _record_blocks(monkeypatch)
     rep = check_identity(alg, ident)
+    assert (scans == []) == (where == "pass")
     cx = brute_first_counterexample(alg, ident)
     assert rep.engine == "np"
     assert rep.verdict == ("pass" if cx is None else "fail")
@@ -698,6 +702,17 @@ def test_one_block_sides_of_every_kind(kinds, where, m):
     assert (cx is None) == (where == "pass")
     if where == "last":
         assert rep.tuples_checked == m ** k
+
+
+def test_an_array_equals_an_int_by_their_bytes():
+    # an int past int64 cannot fill an int64 array, so its sides are
+    # scanned instead
+    side = np.full(5, -3, dtype=np.int64)
+    assert identities._filled(side, -3)
+    assert not identities._filled(side, 3)
+    assert not identities._filled(side, 1 << 63)
+    assert identities._filled(side[:0], -3)  # no tuple fails
+    assert not identities._filled(np.full(5, -1, dtype=np.int64), (1 << 64) - 1)
 
 
 def test_term_table_refuses_an_unbound_variable_after_a_warm_plan(z3_n2):
@@ -1701,3 +1716,196 @@ def test_factors_never_vouch_for_an_edited_table(copy):
     assert (rep.verdict, rep.engine) == ("fail", "np")
     assert rep.counterexample == brute_first_counterexample(alg, ident)
     assert alg != prod and check_identity(prod, ident).ok
+
+
+# --- law lists: one plan, one read of the tables, the first failure ----------
+
+def _law_loop(alg, laws, budget=core.EXHAUSTIVE_BUDGET):
+    """The first report of check_identity over laws that is not ok, or
+    None: what check_laws returns."""
+    for law in laws:
+        report = check_identity(alg, law, budget=budget)
+        if not report.ok:
+            return report
+    return None
+
+
+def _outcome(call):
+    """(report, engine) of call(), or the class and text of the error it
+    raises."""
+    try:
+        report = call()
+    except (InputError, AlgebraError) as e:
+        return type(e), str(e)
+    return report, None if report is None else report.engine
+
+
+_LIST_SUITES = ("protomodular", "semiabelian", "2assoc", "1assoc", "strict",
+                "unit-law", "unit-expansion", "malcev")
+
+
+def _list_algebra(rng, m, n, shared_unit, kind):
+    """A standard-signature algebra: random tables, a group's
+    semigroup algebra, where most suites pass, or that with one theta
+    entry redrawn."""
+    if kind == "random":
+        return random_algebra(rng, m, n, shared_unit)
+    alg = catalog.build_semigroup_algebra(catalog.cyclic_group(m), n,
+                                          rng.randint(1, n))
+    if kind == "dented":
+        entries = list(alg.op("theta").entries)
+        i = rng.randrange(len(entries))
+        entries[i] = (entries[i] + 1) % m
+        alg = dataclasses.replace(
+            alg, tables=dict(alg.tables, theta=DenseTable(n + 1, entries)))
+    return alg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 2),
+       st.booleans(), st.sampled_from(["random", "group", "dented"]),
+       st.lists(st.sampled_from(_LIST_SUITES), min_size=1, max_size=4),
+       st.sampled_from([None, 1, 2]))
+def test_law_lists_match_the_per_law_loop(seed, m, n, shared_unit, kind,
+                                          suites, power):
+    # lists of suite laws, mixing laws over one block with laws over
+    # several (a _BLOCK of m^power tuples) and misfits (malcev's mu), give
+    # the per-law loop's first failure, report and engine, or its error,
+    # at any budget
+    rng = random.Random(seed)
+    alg = _list_algebra(rng, m, n, shared_unit, kind)
+    units = unit_constants(alg, n)
+    laws = [law for name in suites
+            for law in resolve_suite(f"{name}:{n}", units).identities]
+    rng.shuffle(laws)
+    block = identities._BLOCK if power is None else m ** power
+    with mock.patch.object(identities, "_BLOCK", block):
+        clear_caches()  # the list is planned under this _BLOCK
+        for budget in (core.EXHAUSTIVE_BUDGET, m ** 2):
+            want = _outcome(lambda: _law_loop(alg, laws, budget))
+            assert _outcome(lambda: check_laws(alg, laws, budget)) == want
+            # warm: the kept list plan gives it again
+            assert _outcome(lambda: check_laws(alg, laws, budget)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from(["theta", "prod", "lattice"]),
+       st.integers(1, 2), st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_law_lists_on_products_match_the_per_law_loop(seed, kind, n, sizes):
+    # a product decides each law through its factors (engine "product")
+    cap = 4 if kind == "theta" and n == 2 else 8
+    while math.prod(sizes) > cap:
+        sizes = sizes[:-1]
+    rng = random.Random(seed)
+    prod = catalog._product("P", [_random_factor(rng, kind, n, m)
+                                  for m in sizes])
+    laws = _factor_identities(kind, n)
+    rng.shuffle(laws)
+    want = _outcome(lambda: _law_loop(prod, laws))
+    assert _outcome(lambda: check_laws(prod, laws)) == want
+    assert want[1] in (None, "product")
+
+
+def test_catalog_products_check_their_laws_through_the_factors():
+    rows = catalog.build_matrix_row_algebra(2, 1)
+    grp = catalog.build_group_product_algebra(
+        [catalog.cyclic_group(2), catalog.cyclic_group(3)], [1, 2], 2)
+    lat = catalog.product_lattice(catalog.chain_lattice(2),
+                                  catalog.chain_lattice(3))
+    cases = [
+        (rows, [identity_2assoc(1), *identities_1assoc(1)]),
+        (grp, [*suite_semiabelian(2, ("e", "e")).identities,
+               identity_2assoc(2), *identities_1assoc(2)]),
+        (lat, [*LATTICE_LAWS, identities.DISTRIBUTIVITY]),
+    ]
+    for alg, laws in cases:
+        assert alg.factors
+        assert _outcome(lambda: check_laws(alg, laws)) == _outcome(
+            lambda: _law_loop(alg, laws))
+
+
+def test_a_law_list_refuses_in_list_order(bool2):
+    # the first failure is reported before a later law that does not fit
+    # the signature, or whose table the algebra lacks, is reached; a
+    # misfit before any failure raises
+    strict = identities_strict(2)
+    assert not check_identity(bool2, strict[0]).ok
+    mu = identities_malcev()[0]
+    assert check_laws(bool2, [strict[0], mu]) == check_identity(
+        bool2, strict[0])
+    with pytest.raises(SymbolError, match="'malcev-right' does not fit"):
+        check_laws(bool2, [mu, strict[0]])
+    lacking = dataclasses.replace(bool2, tables=dict(bool2.tables))
+    del lacking.tables["alpha2"]
+    assert check_laws(lacking, strict) == check_identity(bool2, strict[0])
+    with pytest.raises(SymbolError, match="'alpha2' uninterpreted"):
+        check_laws(lacking, strict[1:])
+    # over budget: the loop's refusal, after an earlier failure only
+    assoc = identity_2assoc(2)
+    with pytest.raises(BudgetError, match=r"'2assoc:2': 4\^5 assignments "
+                                          r"exceed budget 64"):
+        check_laws(bool2, [assoc, strict[0]], budget=64)
+    assert check_laws(bool2, [strict[0], assoc], budget=64) == (
+        check_identity(bool2, strict[0]))
+
+
+def _pointwise_2assoc_functional(alg, n):
+    """check_2assoc_functional as it was first written: section by
+    section lookups and a dict of the points, composed point by point;
+    the oracle of its whole-section form."""
+    m = alg.size
+    tbl = alg.op("theta")
+    sections = [tuple(tbl.lookup(xs + (b,), m)
+                      for xs in itertools.product(range(m), repeat=n))
+                for b in range(m)]
+    points = list(itertools.product(range(m), repeat=n))
+    flat = {xs: i for i, xs in enumerate(points)}
+    checked = 0
+    for bs in itertools.product(range(m), repeat=n):
+        for c in range(m):
+            target = sections[tbl.lookup(bs + (c,), m)]
+            g = sections[c]
+            fs = [sections[b] for b in bs]
+            for i, xs in enumerate(points):
+                checked += 1
+                composed = g[flat[tuple(f[i] for f in fs)]]
+                if composed != target[i]:
+                    cx = {f"b{j + 1}": b for j, b in enumerate(bs)}
+                    cx["c"] = c
+                    cx.update({f"x{j + 1}": x for j, x in enumerate(xs)})
+                    return core.CheckReport(
+                        "fail", f"2assoc-functional:{n}",
+                        counterexample=cx, tuples_checked=checked,
+                        detail="section composition disagrees with "
+                               "the section of the composite",
+                    )
+    return core.CheckReport("pass", f"2assoc-functional:{n}",
+                            tuples_checked=checked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(["random", "projection", "dented"]))
+def test_functional_check_matches_the_pointwise_oracle(seed, m, n, kind):
+    # whole-section composites give the pointwise report field for field
+    # (name, counterexample, tuples_checked, detail) and the sections it
+    # reads are theta's lookups
+    rng = random.Random(seed)
+    if kind == "random":
+        alg = random_algebra(rng, m, n)
+    else:
+        alg = catalog.build_projection_algebra(m, n, rng.randint(1, n + 1))
+        if kind == "dented":
+            entries = list(alg.op("theta").entries)
+            i = rng.randrange(len(entries))
+            entries[i] = rng.randrange(m)
+            alg = dataclasses.replace(alg, tables={
+                "theta": DenseTable(n + 1, entries)})
+    got = check_2assoc_functional(alg, n)
+    want = _pointwise_2assoc_functional(alg, n)
+    assert (got, got.detail, got.engine) == (want, want.detail, want.engine)
+    tbl = alg.op("theta")
+    for b in range(m):
+        assert identities.theta_section(alg, b) == tuple(
+            tbl.lookup(xs + (b,), m)
+            for xs in itertools.product(range(m), repeat=n))
