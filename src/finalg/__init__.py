@@ -28,8 +28,8 @@ from .identities import (
     IdentitySuite,
     check_2assoc_functional,
     check_identity,
+    check_laws,
     check_strict_equivalence,
-    check_suite,
     identities_1assoc,
     identities_malcev,
     identities_strict,

@@ -17,8 +17,9 @@ identity head, otherwise a constant.
 Tokens are lexed one at a time as the parser asks for them, and errors
 are reported in reading order, with line and column: the lexer raises at
 an unexpected character when the parser reaches it, so a parse error
-before it is reported first, and parse_file and parse_algebra check an
-algebra block before the token after its '}' is lexed.  A term may nest
+before it is reported first, and parse_file, parse_algebra and
+parse_raw_blocks (search specs) check an algebra block before the token
+after its '}' is lexed.  A term may nest
 at most MAX_TERM_DEPTH (200) applications; a deeper one is refused at
 its first token past the bound.  A table literal whose body is integers
 of at most 18 ASCII digits separated by commas, with ASCII whitespace
@@ -386,8 +387,11 @@ def parse_file(text: str):
 
 
 def parse_raw_blocks(text: str):
-    """Like parse_file but keeps algebra blocks raw (for search specs)."""
-    return _statements(text, lambda raw: raw)
+    """Parse a search spec's text as parse_file parses a file, but keep
+    each algebra block's raw form too: returns (blocks, identities), each
+    block as (raw, its algebra by raw_to_algebra with allow_free)."""
+    return _statements(
+        text, lambda raw: (raw, raw_to_algebra(raw, allow_free=True)))
 
 
 def serialize(alg: FiniteAlgebra) -> str:

@@ -124,18 +124,20 @@ differ, as in a random table or a group's associativity, every prefix
 runs.
 
 A law list checked on one algebra (check_laws: require_laws, the group
-preconditions, verify-paper's suites) is planned as a whole, keyed by
-the tuple of laws and m (_plan_laws), and weighed as the sum of its laws' plans: each law over
-one block gets its two sides' plans, whose binds all take the values
-of the symbols of every law, so one read of the algebra's tables and
-constants serves the list, and its bound sides are compared by the one
-code a single check runs (_one_block).  A law that passes builds no
-report; the first that fails gets check_identity's report.  A law over
-several blocks or over the budget, a list of one law, and every law of
-a list with a misfit or of a product that records its factors, is
-checked by check_identity in its place, so what a list raises, and in what order,
-is what its per-law loop raises.  The list's builder plans its laws by
-_plan_terms directly, since _plans's lock is held while it runs.
+preconditions, verify-paper's suites and search's witness check) is
+planned once, keyed by the tuple of laws and m (_plan_laws), and weighed
+as the sum of its laws' plans.  Each law over one block is planned from
+its own symbols exactly as check_identity plans it, so the two compile
+the same sources (_made); in the list it reads its own tables and
+constants, and its bound sides are compared by the one code a single
+check runs (_one_block).  A law that passes builds no report; the first
+that fails gets check_identity's report.  A law over several blocks or
+over the budget, a misfit, a list of one law and every law on a product
+that records its factors is checked by check_identity at its place, and
+a value a law cannot read raises there what check_identity raises, so
+what a list raises, and in what order, is what its per-law loop raises.
+The list's builder plans its laws by _plan_terms directly, since
+_plans's lock is held while it runs.
 """
 from __future__ import annotations
 
@@ -655,13 +657,13 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
 
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
 # and (term, m, variables) -> (plan, None, symbols) of term_table, both
-# from _plan_terms and weighed by the bytes their arrays may hold.
-# Identities and terms are keyed by value, so an equal one parsed again
-# is planned once
+# from _plan_terms, and (laws, m) -> per-law plans of _plan_laws, all
+# weighed by the bytes their arrays may hold.  Identities and terms are
+# keyed by value, so an equal one parsed again is planned once
 _plans = kept(_PLANS, _PLAN_BYTES)
 
 
-def _plan_terms(terms, variables, m, inner, symbols=None):
+def _plan_terms(terms, variables, m, inner):
     """(bytes, (*plans of terms, keyed sections, symbols)), the value
     _plans keeps, when the last inner of variables are known: flat grid
     rows when inner covers every variable, the axes of an open mesh
@@ -669,9 +671,9 @@ def _plan_terms(terms, variables, m, inner, symbols=None):
     every variable is bound per batch.  The keyed sections are those
     that key a prefix under a prefix loop (_keyed), each as (op, depth,
     plans of its leading arguments), or None when the terms do not
-    qualify or have no prefix loop; symbols are what every plan's bind
-    takes the values of (_arguments), the terms' own unless given.  A
-    term that reads a variable outside variables is an EvalError.  A plan
+    qualify or have no prefix loop; symbols are the terms' own
+    (_symbols), what every plan's bind takes the values of (_arguments).
+    A term that reads a variable outside variables is an EvalError.  A plan
     holds at most one array of m^inner values, a share on the suffix
     mesh or grid, per table application and per term that is a bare
     variable, which bounds its bytes.  It holds nothing per run of the last prefix variable, so the
@@ -687,8 +689,7 @@ def _plan_terms(terms, variables, m, inner, symbols=None):
         late, suffix = variables[:outer] or None, variables[outer:]
     mesh = bool(late and suffix)
     known = dict(zip(suffix, (_mesh if mesh else _grid)(m, inner)))
-    if symbols is None:
-        symbols = _symbols(terms)
+    symbols = _symbols(terms)
     keyed = _keyed(terms, set(suffix)) if mesh else None
     if keyed is not None:
         # leading arguments read only prefix variables, bound as the
@@ -702,24 +703,23 @@ def _plan_terms(terms, variables, m, inner, symbols=None):
 
 
 def _plan_laws(laws, m):
-    """(bytes, (plans, symbols)), the value _plans keeps for the law
-    list laws on m elements (see check_laws): symbols are those of every
-    law's sides, and plans holds, per law, (lhs plan, rhs plan, m^k) of a
-    law over one block, its variables flat grid rows and its binds taking
-    the values of symbols, or None for a law over more.  It is built
-    with _plan_terms, not through _plans.get, whose lock is held."""
-    symbols = _symbols([t for law in laws for t in (law.lhs, law.rhs)])
+    """(bytes, plans), the value _plans keeps for the law list laws on m
+    elements (see check_laws): per law, (lhs plan, rhs plan, m^k,
+    symbols) of a law over one block, planned by _plan_terms from its
+    own symbols as check_identity plans it, so both compile the same
+    sources, or None for a law over more.  It is built with _plan_terms,
+    not through _plans.get, whose lock is held."""
     plans, weight = [], 0
     for law in laws:
         k = len(law.variables)
         if m ** k > _BLOCK:
             plans.append(None)
             continue
-        size, (lhs, rhs, _, _) = _plan_terms(
-            (law.lhs, law.rhs), law.variables, m, k, symbols)
-        plans.append((lhs, rhs, m ** k))
+        size, (lhs, rhs, _, symbols) = _plan_terms(
+            (law.lhs, law.rhs), law.variables, m, k)
+        plans.append((lhs, rhs, m ** k, symbols))
         weight += size
-    return weight, (tuple(plans), symbols)
+    return weight, tuple(plans)
 
 
 def _keyed(sides, suffix):
@@ -838,34 +838,28 @@ def check_laws(alg: FiniteAlgebra, laws,
     loop of check_identity(alg, law, budget=budget) over laws, which
     raises what that loop raises, in its order.
 
-    When there are several laws, every law fits alg's signature and alg
-    records no factors, the list is planned once per carrier size (_plan_laws: one _plans
-    lookup), alg's tables and constants are read once for all the laws,
-    and each law over one block binds its sides to those values and
-    compares them as check_identity does (_one_block); a passing law
-    builds no report.  Any other law, or one over budget, is checked by
-    check_identity at its place in the list, and so is every law of a
-    list that does not qualify or whose values cannot be read."""
+    When there are several laws and alg records no factors, the list is
+    planned once per carrier size (_plan_laws: one _plans lookup), each
+    law over one block as check_identity plans it, and such a law that
+    fits alg's signature reads its own tables and constants, binds its
+    sides to them and compares them as check_identity does (_one_block);
+    a passing law builds no report, and a value it cannot read raises
+    what check_identity raises.  Any other law, a misfit or one over
+    budget, is checked by check_identity at its place in the list."""
     laws = tuple(laws)
-    plans, fits = None, alg.signature._symbols
+    plans = (None,) * len(laws)
     # one law shares nothing: its own check plans it once
-    if len(laws) > 1 and not alg.factors and all(
-            law._symbols <= fits for law in laws):
-        plans, symbols = _plans.get((laws, alg.size), _plan_laws, laws,
-                                    alg.size)
-        try:
-            args = _arguments(alg, symbols)
-        except Exception:
-            # a value some law reads cannot be read: each law in turn
-            # raises it at its place, after any earlier failure
-            plans = None
-    for law, plan in zip(laws, plans or (None,) * len(laws)):
-        if plan is None or plan[2] > budget:
+    if len(laws) > 1 and not alg.factors:
+        plans = _plans.get((laws, alg.size), _plan_laws, laws, alg.size)
+    fits = alg.signature._symbols
+    for law, plan in zip(laws, plans):
+        if plan is None or plan[2] > budget or not law._symbols <= fits:
             report = check_identity(alg, law, budget=budget)
             if not report.ok:
                 return report
             continue
-        lhs, rhs, _ = plan
+        lhs, rhs, _, symbols = plan
+        args = _arguments(alg, symbols)
         report = _one_block(alg, law, lhs(*args), rhs(*args))
         if report is not None:
             return report
@@ -1076,19 +1070,6 @@ def _check_sampled(alg, ident, samples, seed):
         checked += cols.shape[1]
     return CheckReport("sampled-pass", ident.name, tuples_checked=samples,
                        seed=seed, engine="sampled")
-
-
-def check_suite(alg, suite: IdentitySuite, **kw):
-    """Check every identity of a suite; returns the list of reports."""
-    return [check_identity(alg, ident, **kw) for ident in suite.identities]
-
-
-def suite_ok(reports) -> bool:
-    return all(r.ok for r in reports)
-
-
-def first_failure(reports):
-    return next((r for r in reports if not r.ok), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1422,7 +1403,6 @@ class StrictnessReport:
     unique_preimage: bool
     alpha_system_solvable: bool
     identity_holds: bool
-    identity_report: CheckReport | None = None
 
     @property
     def agree(self) -> bool:
@@ -1480,11 +1460,8 @@ def check_strict_equivalence(alg: FiniteAlgebra, n: int) -> StrictnessReport:
         len({tuple(a.lookup((x, b), m) for a in alphas) for x in range(m)})
         == m ** n for b in range(m))
 
-    reports = [check_identity(alg, ident) for ident in identities_strict(n)]
-    identity_holds = all(r.ok for r in reports)
-    bad = first_failure(reports)
-    return StrictnessReport(bij, unique, solvable, identity_holds,
-                            identity_report=bad or reports[0])
+    holds = check_laws(alg, identities_strict(n)) is None
+    return StrictnessReport(bij, unique, solvable, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ from .core import (
 )
 from . import dsl
 from .identities import (
-    check_identity,
+    check_laws,
     identities_strict,
     identity_2assoc,
     resolve_suite,
@@ -573,12 +573,10 @@ def search(spec: SearchSpec, budget: int = SEARCH_BUDGET) -> SearchResult:
         outcome = "none-exists"
     else:
         outcome = "witness"
-        for ident in spec.identities:
-            rep = check_identity(witness, ident)
-            if not rep.ok:
-                raise AlgebraError(
-                    f"internal error: emitted witness fails {ident.name!r}"
-                )
+        bad = check_laws(witness, spec.identities)
+        if bad is not None:
+            raise AlgebraError(
+                f"internal error: emitted witness fails {bad.name!r}")
     return SearchResult(
         outcome, witness=witness, count=count, nodes=nodes,
         instances_evaluated=evaluated, forced=nforced,
@@ -670,11 +668,10 @@ def parse_search_spec(text: str, mode: str = "find-first") -> SearchSpec:
     """Build a SearchSpec from DSL text: an algebra block where free
     tables are marked 'free' and required suites are listed via
     'require <name>[:<n>] ...'."""
-    raws, identities = dsl.parse_raw_blocks(text)
-    if len(raws) != 1:
+    blocks, identities = dsl.parse_raw_blocks(text)
+    if len(blocks) != 1:
         raise dsl.DslError("search spec needs exactly one algebra block")
-    raw = raws[0]
-    alg = dsl.raw_to_algebra(raw, allow_free=True)
+    [(raw, alg)] = blocks
     required = list(identities)
     for req in raw.requires:
         required.extend(suite_identities(alg, req))

@@ -186,15 +186,15 @@ def test_free_tables_only_in_search_specs():
     text = "algebra X { carrier 2 op f/1 = free }"
     with pytest.raises(DslError):
         parse_algebra(text)
-    raws, _ = parse_raw_blocks(text)
-    assert raws[0].ops == [("f", 1, None)]
+    [(raw, alg)], _ = parse_raw_blocks(text)
+    assert raw.ops == [("f", 1, None)] and not alg.tables
     # so are require clauses, in parse_file as in parse_algebra
     text = "algebra X { carrier 2 op f/1 = [1, 0] require 2assoc:7 }"
     for parse in (parse_algebra, parse_file):
         with pytest.raises(DslError, match="require clauses"):
             parse(text)
-    raws, _ = parse_raw_blocks(text)
-    assert raws[0].requires == ["2assoc:7"]
+    [(raw, _)], _ = parse_raw_blocks(text)
+    assert raw.requires == ["2assoc:7"]
 
 
 def test_require_clause_with_digit_prefixed_suite_names():
@@ -207,8 +207,8 @@ def test_require_clause_with_digit_prefixed_suite_names():
       require semiabelian:1 2assoc:1 1assoc:1
     }
     """
-    raws, _ = parse_raw_blocks(text)
-    assert raws[0].requires == ["semiabelian:1", "2assoc:1", "1assoc:1"]
+    [(raw, _)], _ = parse_raw_blocks(text)
+    assert raw.requires == ["semiabelian:1", "2assoc:1", "1assoc:1"]
 
 
 def test_comments_and_whitespace_ignored():

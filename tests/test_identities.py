@@ -46,9 +46,7 @@ from finalg.identities import (
     check_identity,
     check_laws,
     check_strict_equivalence,
-    check_suite,
     enriched_laws,
-    first_failure,
     identities_1assoc,
     identities_malcev,
     identities_strict,
@@ -57,9 +55,9 @@ from finalg.identities import (
     identity_unit_expansion,
     identity_unit_law,
     monoid_algebra,
+    require_laws,
     resolve_suite,
     suite_arity,
-    suite_ok,
     suite_protomodular,
     suite_semiabelian,
     term_diagonal_solution,
@@ -80,20 +78,20 @@ from conftest import (
 # --- suites on known algebras -------------------------------------------
 
 def test_protomodular_suite_passes_on_boolean(bool2):
-    reports = check_suite(bool2, suite_protomodular(2, ("e1", "e2")))
-    assert all(r.ok for r in reports)
-    assert all(r.verdict == "pass" for r in reports)
+    # every law passes, exhaustively: no first failure
+    suite = suite_protomodular(2, ("e1", "e2"))
+    assert check_laws(bool2, suite.identities) is None
 
 
 def test_semiabelian_fails_on_boolean_distinct_units(bool2):
-    reports = check_suite(bool2, suite_semiabelian(2, ("e1", "e2")))
-    bad = first_failure(reports)
+    bad = check_laws(bool2, suite_semiabelian(2, ("e1", "e2")).identities)
     assert bad is not None
     assert "units-equal" in bad.name
 
 
 def test_group_is_semiabelian(z4_group):
-    assert suite_ok(check_suite(z4_group, suite_semiabelian(1, ("e",))))
+    assert check_laws(
+        z4_group, suite_semiabelian(1, ("e",)).identities) is None
 
 
 def test_corrupted_alpha_fails_retraction(z4_group):
@@ -103,8 +101,7 @@ def test_corrupted_alpha_fails_retraction(z4_group):
     tables["alpha1"] = DenseTable(2, tuple(entries))
     broken = FiniteAlgebra("broken", z4_group.signature, 4, tables,
                            dict(z4_group.constants))
-    reports = check_suite(broken, suite_protomodular(1, ("e",)))
-    bad = first_failure(reports)
+    bad = check_laws(broken, suite_protomodular(1, ("e",)).identities)
     assert bad is not None
     # counterexample must actually violate the law it reports
     ident = next(i for i in suite_protomodular(1, ("e",)).identities
@@ -115,7 +112,7 @@ def test_corrupted_alpha_fails_retraction(z4_group):
 
 def test_trivial_carrier_satisfies_everything():
     one = catalog.build_semigroup_algebra(catalog.cyclic_group(1), 2, 1)
-    assert suite_ok(check_suite(one, suite_semiabelian(2, ("e", "e"))))
+    assert check_laws(one, suite_semiabelian(2, ("e", "e")).identities) is None
     assert check_identity(one, identity_2assoc(2)).ok
     assert all(check_identity(one, i).ok for i in identities_1assoc(2))
     assert all(check_identity(one, i).ok for i in identities_strict(2))
@@ -1056,6 +1053,20 @@ def test_a_plan_source_serves_every_carrier_size(cold_caches):
     assert table.entries == tuple(
         (x + y + z) % 5 for x in range(5) for y in range(5) for z in range(5))
     assert identities._made.cache_info().misses == 2
+
+
+def test_a_law_list_compiles_no_source_its_laws_did_not(cold_caches):
+    # each law of a list is planned from its own symbols, as its own
+    # check plans it, so once every group law has been checked alone the
+    # list compiles nothing
+    group = catalog.cyclic_group(3)
+    cold_caches()  # drop the plans of the group's own validation
+    for law in GROUP_LAWS:
+        assert check_identity(group, law).ok
+    misses = identities._made.cache_info().misses
+    require_laws(group, GROUP_LAWS)
+    assert (GROUP_LAWS, 3) in identities._plans.entries  # planned as a list
+    assert identities._made.cache_info().misses == misses
 
 
 def test_kept_values_are_bounded_by_count_and_weight():

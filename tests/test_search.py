@@ -24,12 +24,11 @@ from finalg.core import (
 )
 from finalg.identities import (
     check_identity,
-    check_suite,
+    check_laws,
     identities_malcev,
     identity_2assoc,
     identity_malcev_assoc_expanded,
     resolve_suite,
-    suite_ok,
     suite_semiabelian,
 )
 from finalg.search import (
@@ -310,6 +309,19 @@ def test_parse_search_spec_rejects_bad_entry_counts():
         parse_search_spec(text)
 
 
+@pytest.mark.parametrize("tail", [" @", " identity i(a): f(a"])
+def test_a_spec_block_is_checked_before_the_token_after_it(tail):
+    # a spec reports an out-of-range entry where parse_file does, before a
+    # bad character or a truncated identity after the block's '}'
+    from finalg.dsl import DslError, parse_file
+
+    text = "algebra X { carrier 2 op f/1 = [0, 7] }" + tail
+    for parse in (parse_file, parse_search_spec):
+        with pytest.raises(DslError, match=r"^algebra 'X': symbol 'f': "
+                                           r"entry 7 out of range"):
+            parse(text)
+
+
 def test_no_strict_2assoc_beyond_singletons(monkeypatch):
     # the walk visits m * sum(m!/(m-d)!, d = 0..m) nodes
     for m, nodes in ((2, 10), (3, 48), (8, 876808)):
@@ -327,7 +339,8 @@ def test_no_strict_2assoc_beyond_singletons(monkeypatch):
         assert [i.name for i in searched[-1].identities] == [
             *(f"strict:{n}:alpha{i}" for i in range(1, n + 1)), f"2assoc:{n}"]
         for spec in (f"strict:{n}", f"2assoc:{n}"):
-            assert suite_ok(check_suite(result.witness, resolve_suite(spec)))
+            assert check_laws(
+                result.witness, resolve_suite(spec).identities) is None
     with pytest.raises(InputError, match="requires n >= 2 and m >= 2"):
         prove_no_strict_2assoc(2, 1)
     # a theta table of 3^41 entries is refused before m^(m^(n+1)) is built
@@ -351,7 +364,7 @@ def test_witnesses_are_independently_verified():
     result = search(spec)
     assert result.outcome == "witness"
     w = result.witness
-    assert suite_ok(check_suite(w, suite_semiabelian(2, ("e", "e"))))
+    assert check_laws(w, suite_semiabelian(2, ("e", "e")).identities) is None
     assert check_identity(w, identity_2assoc(2)).ok
 
 
@@ -664,7 +677,7 @@ def test_prove_none_stops_at_the_first_model():
     result = search(spec)
     assert (result.outcome, result.nodes) == ("witness", 24)
     w = result.witness
-    assert suite_ok(check_suite(w, suite_semiabelian(1, ("e",))))
+    assert check_laws(w, suite_semiabelian(1, ("e",)).identities) is None
     assert check_identity(w, identity_2assoc(1)).ok
     # it walks count-all's order, stopping at its first model: find-first's
     # order takes 105 nodes to its lex-first witness
