@@ -214,6 +214,7 @@ def build_semigroup_algebra(sg: FiniteAlgebra, n: int,
     When sg is a group, the unit e and alpha_j(a,b) = a * b^-1 are
     attached, giving a 2-associative semi-abelian algebra.
     """
+    _at_least_1("n", n)
     if not 1 <= i <= n:
         raise InputError(f"translation index {i} out of range 1..{n}")
     m = sg.size
@@ -241,6 +242,7 @@ def build_group_product_algebra(groups, indices, n: int) -> FiniteAlgebra:
     when its tables are over the materialize limit (see _product)."""
     if len(groups) != len(indices):
         raise InputError("need one index per group factor")
+    _at_least_1("n", n)
     for idx in indices:
         if not 1 <= idx <= n:
             raise InputError(f"index {idx} out of range 1..{n}")

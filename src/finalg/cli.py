@@ -160,34 +160,54 @@ def _lattice(args):
     return catalog.build_lattice_theta(lat, args.variant)
 
 
-# each construction: its builder called with the parsed options
+# construct's options at their defaults
+_CONSTRUCT_DEFAULTS = {
+    "m": 2, "n": 1, "i": 1, "k": 1, "q": 2, "order": 2, "orders": "2,3",
+    "indices": "1,2", "shape": "chain:2", "variant": "meet-middle",
+    "with_alphas": False, "twisted": False,
+}
+
+# each construction: the options it reads, and its builder called with
+# them; a construct that gives any other option is refused
 _CONSTRUCTIONS = {
-    "projection": lambda a: catalog.build_projection_algebra(a.m, a.n, a.i),
-    "semigroup": lambda a: catalog.build_semigroup_algebra(
-        catalog.cyclic_group(a.order), a.n, a.i),
-    "group-product": _group_product,
-    "matrix-rows": lambda a: catalog.build_matrix_row_algebra(a.q, a.n),
-    "bounded-monoid": lambda a: catalog.build_bounded_monoid_algebra(
-        catalog.cyclic_monoid(a.order), a.n),
-    "lattice": _lattice,
-    "boolean": lambda a: catalog.build_boolean_protomodular(a.k),
-    "map-composition": lambda a: catalog.build_map_composition_algebra(
-        a.m, a.n),
-    "diagonal-retractions":
-        lambda a: catalog.build_diagonal_retraction_algebra(a.m, a.n),
-    "strict-semiloop": lambda a: catalog.build_strict_semiloop(
-        a.m, twisted=a.twisted),
+    "projection": ("m n i", lambda a: catalog.build_projection_algebra(
+        a.m, a.n, a.i)),
+    "semigroup": ("order n i", lambda a: catalog.build_semigroup_algebra(
+        catalog.cyclic_group(a.order), a.n, a.i)),
+    "group-product": ("orders indices n", _group_product),
+    "matrix-rows": ("q n", lambda a: catalog.build_matrix_row_algebra(
+        a.q, a.n)),
+    "bounded-monoid": ("order n",
+                       lambda a: catalog.build_bounded_monoid_algebra(
+                           catalog.cyclic_monoid(a.order), a.n)),
+    "lattice": ("shape variant with_alphas", _lattice),
+    "boolean": ("k", lambda a: catalog.build_boolean_protomodular(a.k)),
+    "map-composition": ("m n",
+                        lambda a: catalog.build_map_composition_algebra(
+                            a.m, a.n)),
+    "diagonal-retractions": (
+        "m n", lambda a: catalog.build_diagonal_retraction_algebra(a.m, a.n)),
+    "strict-semiloop": ("m twisted", lambda a: catalog.build_strict_semiloop(
+        a.m, twisted=a.twisted)),
 }
 
 
 def cmd_construct(args, out):
-    fn = _CONSTRUCTIONS.get(args.name)
-    if fn is None:
+    entry = _CONSTRUCTIONS.get(args.name)
+    if entry is None:
         raise InputError(
             f"unknown construction {args.name!r}; "
             f"known: {', '.join(sorted(_CONSTRUCTIONS))}"
         )
-    alg = fn(args)
+    reads, build = entry[0].split(), entry[1]
+    unread = [f"--{option.replace('_', '-')}" for option in _CONSTRUCT_DEFAULTS
+              if hasattr(args, option) and option not in reads]
+    if unread:
+        raise InputError(f"construction {args.name!r} reads no "
+                         f"{', '.join(unread)}")
+    alg = build(argparse.Namespace(**{
+        option: getattr(args, option, _CONSTRUCT_DEFAULTS[option])
+        for option in reads}))
     text = dsl.serialize(alg)
     if args.out:
         _write(args.out, text)
@@ -288,22 +308,22 @@ def build_parser():
     common(sp)
     sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("construct", help="emit a catalog algebra as DSL")
+    # construct's options default to absent, so that one a construction
+    # does not read is seen (_CONSTRUCT_DEFAULTS holds their values)
+    sp = sub.add_parser("construct", help="emit a catalog algebra as DSL",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("name")
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--orders", default="2,3")
-    sp.add_argument("--indices", default="1,2")
-    sp.add_argument("--shape", default="chain:2")
-    sp.add_argument("--variant", default="meet-middle",
-                    choices=["meet-last", "meet-middle"])
-    sp.add_argument("--with-alphas", action="store_true")
+    for option in ("m", "n", "i", "k", "q", "order"):
+        sp.add_argument(f"--{option}", type=int)
+    sp.add_argument("--orders")
+    sp.add_argument("--indices")
+    sp.add_argument("--shape")
+    # --with-alphas builds the meet-middle theta, so no --variant with it
+    lattice = sp.add_mutually_exclusive_group()
+    lattice.add_argument("--variant", choices=["meet-last", "meet-middle"])
+    lattice.add_argument("--with-alphas", action="store_true")
     sp.add_argument("--twisted", action="store_true")
-    sp.add_argument("--out")
+    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("derive-group",

@@ -124,20 +124,18 @@ differ, as in a random table or a group's associativity, every prefix
 runs.
 
 A law list checked on one algebra (check_laws: require_laws, the group
-preconditions, verify-paper's suites and search's witness check) is
-planned once, keyed by the tuple of laws and m (_plan_laws), and weighed
-as the sum of its laws' plans.  Each law over one block is planned from
-its own symbols exactly as check_identity plans it, so the two compile
-the same sources (_made); in the list it reads its own tables and
-constants, and its bound sides are compared by the one code a single
-check runs (_one_block).  A law that passes builds no report; the first
-that fails gets check_identity's report.  A law over several blocks or
-over the budget, a misfit, a list of one law and every law on a product
-that records its factors is checked by check_identity at its place, and
-a value a law cannot read raises there what check_identity raises, so
-what a list raises, and in what order, is what its per-law loop raises.
-The list's builder plans its laws by _plan_terms directly, since
-_plans's lock is held while it runs.
+preconditions, verify-paper's suites and search's witness check) checks
+each law through the plan its own check keeps: a law over one block
+makes the one _plans lookup check_identity makes, of the same key, so
+the two share the entry, its arrays and its sources.  In the list the
+law reads its own tables and constants, and its bound sides are
+compared by the one code a single check runs (_one_block).  A law that
+passes builds no report; the first that fails gets check_identity's
+report.  A law over several blocks or over the budget, a misfit and
+every law on a product that records its factors is checked by
+check_identity at its place, and a value a law cannot read raises there
+what check_identity raises, so what a list raises, and in what order,
+is what its per-law loop raises.
 """
 from __future__ import annotations
 
@@ -656,10 +654,10 @@ def term_table(alg: FiniteAlgebra, term, variables) -> DenseTable:
 
 
 # (identity, m, inner) -> (lhs plan, rhs plan, keyed sections, symbols)
-# and (term, m, variables) -> (plan, None, symbols) of term_table, both
-# from _plan_terms, and (laws, m) -> per-law plans of _plan_laws, all
-# weighed by the bytes their arrays may hold.  Identities and terms are
-# keyed by value, so an equal one parsed again is planned once
+# of a check and of a law in a list, and (term, m, variables) -> (plan,
+# None, symbols) of term_table, both from _plan_terms and weighed by the
+# bytes their arrays may hold.  Identities and terms are keyed by value,
+# so an equal one parsed again is planned once
 _plans = kept(_PLANS, _PLAN_BYTES)
 
 
@@ -700,26 +698,6 @@ def _plan_terms(terms, variables, m, inner):
     plans = [_plan(t, m, known, late, symbols) for t in terms]
     arrays = len(terms) + sum(map(_applications, terms))
     return 8 * m ** inner * arrays, (*plans, keyed, symbols)
-
-
-def _plan_laws(laws, m):
-    """(bytes, plans), the value _plans keeps for the law list laws on m
-    elements (see check_laws): per law, (lhs plan, rhs plan, m^k,
-    symbols) of a law over one block, planned by _plan_terms from its
-    own symbols as check_identity plans it, so both compile the same
-    sources, or None for a law over more.  It is built with _plan_terms,
-    not through _plans.get, whose lock is held."""
-    plans, weight = [], 0
-    for law in laws:
-        k = len(law.variables)
-        if m ** k > _BLOCK:
-            plans.append(None)
-            continue
-        size, (lhs, rhs, _, symbols) = _plan_terms(
-            (law.lhs, law.rhs), law.variables, m, k)
-        plans.append((lhs, rhs, m ** k, symbols))
-        weight += size
-    return weight, tuple(plans)
 
 
 def _keyed(sides, suffix):
@@ -838,27 +816,27 @@ def check_laws(alg: FiniteAlgebra, laws,
     loop of check_identity(alg, law, budget=budget) over laws, which
     raises what that loop raises, in its order.
 
-    When there are several laws and alg records no factors, the list is
-    planned once per carrier size (_plan_laws: one _plans lookup), each
-    law over one block as check_identity plans it, and such a law that
-    fits alg's signature reads its own tables and constants, binds its
-    sides to them and compares them as check_identity does (_one_block);
-    a passing law builds no report, and a value it cannot read raises
-    what check_identity raises.  Any other law, a misfit or one over
-    budget, is checked by check_identity at its place in the list."""
-    laws = tuple(laws)
-    plans = (None,) * len(laws)
-    # one law shares nothing: its own check plans it once
-    if len(laws) > 1 and not alg.factors:
-        plans = _plans.get((laws, alg.size), _plan_laws, laws, alg.size)
-    fits = alg.signature._symbols
-    for law, plan in zip(laws, plans):
-        if plan is None or plan[2] > budget or not law._symbols <= fits:
+    A law over one block that fits alg's signature, on an alg that
+    records no factors, is bound and compared as check_identity does it:
+    one _plans lookup of the entry its check keeps, a read of its own
+    tables and constants, and _one_block; a passing law builds no
+    report, and a value it cannot read raises what check_identity
+    raises.  Any other law, a misfit or one over budget, is checked by
+    check_identity at its place in the list."""
+    m, fits = alg.size, alg.signature._symbols
+    # a law over more tuples goes to check_identity, and so does every
+    # law of a product that records its factors
+    most = -1 if alg.factors else min(_BLOCK, budget)
+    for law in laws:
+        k = len(law.variables)
+        if m ** k > most or not law._symbols <= fits:
             report = check_identity(alg, law, budget=budget)
             if not report.ok:
                 return report
             continue
-        lhs, rhs, _, symbols = plan
+        lhs, rhs, _, symbols = _plans.get(
+            (law, m, k), _plan_terms, (law.lhs, law.rhs), law.variables,
+            m, k)
         args = _arguments(alg, symbols)
         report = _one_block(alg, law, lhs(*args), rhs(*args))
         if report is not None:

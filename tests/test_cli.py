@@ -325,17 +325,21 @@ def test_construct_unknown_name_exit_2(capsys):
     ["group-product", "--indices", "1"],
     ["map-composition", "--n", "-1"],
     ["diagonal-retractions", "--n", "0"],
-    # theta needs n >= 1
+    # theta needs n >= 1, which is checked before any index
     ["projection", "--n", "0"],
     ["map-composition", "--n", "0"],
     ["bounded-monoid", "--n", "0"],
     ["matrix-rows", "--n", "0"],
+    ["semigroup", "--n", "0"],
+    ["group-product", "--n", "0"],
 ])
 def test_construct_bad_integer_option_exit_2(capsys, argv):
     assert main(["construct"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if argv[1:] == ["--n", "0"]:
+        assert captured.err == "error: n must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -483,6 +487,14 @@ _INT_OPTIONS = {
     "diagonal-retractions": {"--m": "2", "--n": "1"},
     "strict-semiloop": {"--m": "3"},
 }
+# every construct option at a value some construction reads (None for a
+# flag), and the flags each construction reads beside _INT_OPTIONS
+_ANY_OPTION = {"--m": "2", "--n": "1", "--i": "1", "--k": "1", "--q": "2",
+               "--order": "2", "--orders": "2,3", "--indices": "1,2",
+               "--shape": "chain:2", "--variant": "meet-last",
+               "--with-alphas": None, "--twisted": None}
+_OTHER_OPTIONS = {"lattice": {"--variant", "--with-alphas"},
+                  "strict-semiloop": {"--twisted"}}
 _HOSTILE = {"0": "0", "-1": "-1", "31digits": str(10 ** 30),
             "4300digits": "9" * 4300}
 
@@ -500,6 +512,27 @@ def _hostile_cases():
                     yield pytest.param(
                         [name, option, text],
                         id=f"{name}{option}[{at}]={label}")
+
+
+def _unread_cases():
+    for name, options in _INT_OPTIONS.items():
+        reads = set(options) | _OTHER_OPTIONS.get(name, set())
+        for option, value in _ANY_OPTION.items():
+            if option not in reads:
+                argv = [name, option] + ([] if value is None else [value])
+                yield pytest.param(argv, option, id=f"{name}{option}")
+    yield pytest.param(["lattice", "--with-alphas", "--variant", "meet-last"],
+                       "--variant", id="lattice--with-alphas--variant")
+
+
+@pytest.mark.parametrize("argv, option", list(_unread_cases()))
+def test_construct_refuses_an_option_it_does_not_read(argv, option):
+    # an option the construction would ignore is refused, not dropped:
+    # exit 2, no output and one error line that names it
+    code, out, err = _run_main(["construct"] + argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert option in err
 
 
 def _expire(signum, frame):

@@ -1056,17 +1056,32 @@ def test_a_plan_source_serves_every_carrier_size(cold_caches):
 
 
 def test_a_law_list_compiles_no_source_its_laws_did_not(cold_caches):
-    # each law of a list is planned from its own symbols, as its own
-    # check plans it, so once every group law has been checked alone the
-    # list compiles nothing
+    # each law of a list reads the plan its own check keeps, so once
+    # every group law has been checked alone the list plans nothing and
+    # compiles nothing
     group = catalog.cyclic_group(3)
     cold_caches()  # drop the plans of the group's own validation
     for law in GROUP_LAWS:
         assert check_identity(group, law).ok
+    plans = identities._plans.misses
     misses = identities._made.cache_info().misses
     require_laws(group, GROUP_LAWS)
-    assert (GROUP_LAWS, 3) in identities._plans.entries  # planned as a list
+    assert identities._plans.misses == plans
     assert identities._made.cache_info().misses == misses
+
+
+def test_a_law_checked_alone_reads_the_plan_its_list_kept(cold_caches):
+    # the reverse order: a list keeps each law's plan under the key of
+    # the law's own check, one entry per law and none for the list
+    group = catalog.cyclic_group(3)
+    cold_caches()  # drop the plans of the group's own validation
+    require_laws(group, GROUP_LAWS)
+    assert len(identities._plans.entries) == len(GROUP_LAWS)
+    plans = identities._plans.misses
+    for law in GROUP_LAWS:
+        assert check_identity(group, law).ok
+        assert identities._plans.misses == plans
+    assert len(identities._plans.entries) == len(GROUP_LAWS)
 
 
 def test_kept_values_are_bounded_by_count_and_weight():
